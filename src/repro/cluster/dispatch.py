@@ -123,7 +123,9 @@ class DispatchPolicy(abc.ABC):
     # choice for a whole arrival block in one vectorised call, bit-identical
     # to ``select_node`` applied per request in order.  The batched cluster
     # dispatches blocks through it when present; backlog-dependent policies
-    # omit it and take the scalar replay walk instead.
+    # omit it, and the cluster calls ``select_node`` per request after
+    # booking every completion due by the arrival — off its completion
+    # calendar, or by draining members that cannot predict completions.
 
 
 class RoundRobin(DispatchPolicy):

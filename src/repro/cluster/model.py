@@ -34,16 +34,32 @@ Batched hot path: when every member supports the batched pipeline the
 cluster does too (``supports_batched``), so ``Scenario`` auto-selects block
 dispatch for clustered runs.  Arrival blocks arrive pre-segmented at fleet
 event instants (see :meth:`ClusterServerModel.block_boundaries`); within a
-segment the fleet is static, so counter/weight policies with a
-``select_block`` vectorise their choices over the whole block, while
-backlog-dependent policies replay the exact per-request decision sequence —
-a scalar walk that, before each decision, pulls every member completion up
-to the arrival instant (tracking per-node next-completion heads) so each
-decision reads the same pending/work state the per-event path would.
-Member completions are buffered as per-node bulk-drain runs and merged by a
-stable time sort at :meth:`ClusterServerModel.drain`, making the dispatch
-log, fleet timeline, rate histories and aggregates bit-identical to the
-per-event cluster.
+segment the fleet is static, and each block takes one of three routes:
+
+* counter/weight policies with a ``select_block`` vectorise their choices
+  over the whole block;
+* backlog-dependent policies over members that predict their completions
+  (:meth:`~repro.simulation.ServerModel.outstanding` — every
+  :class:`~repro.simulation.RateScalableServers`) run on a *completion
+  calendar*: a heap of the predicted completion of every dispatched request
+  not yet booked.  Between two rate changes an FCFS class server's
+  completions are a fixed fold of its arrivals, so before each decision the
+  calendar books everything due by the arrival instant, and the new
+  request's completion is pushed as soon as it is placed.  Members receive
+  one sub-block per node and drain only at synchronisation points; every
+  rate change rebuilds the calendar from their state;
+* any other backlog-dependent fleet (shared-processor members, nested
+  clusters) replays the decisions in a scalar walk that, before each
+  decision, drains every member completion up to the arrival instant
+  (tracking per-node next-completion heads).
+
+Either backlog route books every completion with ``time <= arrival`` before
+the decision — each node's in ``(time, class)`` order, drain-complete flips
+in ``(time, node)`` order — so each decision reads the same pending/work
+state the per-event path would.  Member completions are buffered as
+per-node bulk-drain runs and merged by a stable time sort at
+:meth:`ClusterServerModel.drain`, making the dispatch log, fleet timeline,
+rate histories and aggregates bit-identical to the per-event cluster.
 
 Dynamic fleets: a :class:`~repro.cluster.fleet.FleetSchedule` makes the
 member set time-varying.  At every event the cluster updates its per-node
@@ -61,6 +77,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable, Sequence
 from functools import partial
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -260,6 +277,19 @@ class ClusterServerModel(ServerModel):
         self._submit_ones = tuple(node.submit_one for node in self.nodes)
         self._next_completions = tuple(node.next_completion_time for node in self.nodes)
         self._select_block = self._resolve_select_block()
+        # Completion calendar (batched, backlog-dependent policy, every
+        # member predicting its completions): a heap of ``(completion, node,
+        # class, rid, size)`` for every dispatched request not yet booked,
+        # plus each class server's rate and last predicted completion.
+        self._calendar: list[tuple[float, int, int, int, float]] | None = None
+        if (
+            self.batched
+            and self._select_block is None
+            and all(node.outstanding() is not None for node in self.nodes)
+        ):
+            self._calendar = []
+            self._class_rates = [[0.0] * c for _ in range(n)]
+            self._class_free = [[-np.inf] * c for _ in range(n)]
         self._record_fleet_state()
         for event in self.fleet.events:
             self.engine.schedule_at(
@@ -301,21 +331,37 @@ class ClusterServerModel(ServerModel):
             # Clamp: summation order can leave ~1e-16 residuals behind.
             self._work_left[node] = max(self._work_left[node] - self.ledger.size_of(rid), 0.0)
             if self._node_state[node] == NODE_DRAINING and not any(pending):
-                # Drain complete: the leaving node served its last queued
-                # request and is now fully down (recorded for the timeline;
-                # dispatch and partitioning already excluded it).
-                self._node_state[node] = NODE_DOWN
-                self._record_fleet_state()
-                log_event(
-                    _log,
-                    logging.INFO,
-                    "fleet.drain_complete",
-                    node=node,
-                    time=self.engine.now,
-                )
+                self._mark_drained(node, self.engine.now)
             self.deliver(rid)
 
         return deliver
+
+    def _mark_drained(self, node: int, time: float) -> None:
+        """Drain complete: the leaving node served its last queued request
+        at ``time`` and is now fully down (recorded for the timeline;
+        dispatch and partitioning already excluded it)."""
+        self._node_state[node] = NODE_DOWN
+        self._record_fleet_state(time)
+        log_event(_log, logging.INFO, "fleet.drain_complete", node=node, time=time)
+
+    def _checked_node(self, node) -> int:
+        """Validate a policy's choice: a live node index, never a bool."""
+        if (
+            isinstance(node, bool)
+            or not isinstance(node, (int, np.integer))
+            or not (0 <= node < self.num_nodes)
+        ):
+            raise SimulationError(
+                f"dispatch policy {type(self.dispatch).__name__} chose invalid "
+                f"node {node!r} (cluster has {self.num_nodes})"
+            )
+        node = int(node)
+        if self._node_state[node] != NODE_LIVE:
+            raise SimulationError(
+                f"dispatch policy {type(self.dispatch).__name__} chose "
+                f"{self._node_state[node]} node {node}; only live nodes accept work"
+            )
+        return node
 
     # ------------------------------------------------------------------ #
     # Fleet events
@@ -438,22 +484,7 @@ class ClusterServerModel(ServerModel):
                 f"cluster is draining or down; keep at least one node live "
                 f"while traffic flows"
             )
-        node = self.dispatch.select_node(rid)
-        if (
-            isinstance(node, bool)
-            or not isinstance(node, (int, np.integer))
-            or not (0 <= node < self.num_nodes)
-        ):
-            raise SimulationError(
-                f"dispatch policy {type(self.dispatch).__name__} chose invalid "
-                f"node {node!r} (cluster has {self.num_nodes})"
-            )
-        node = int(node)
-        if self._node_state[node] != NODE_LIVE:
-            raise SimulationError(
-                f"dispatch policy {type(self.dispatch).__name__} chose "
-                f"{self._node_state[node]} node {node}; only live nodes accept work"
-            )
+        node = self._checked_node(self.dispatch.select_node(rid))
         class_index = self.ledger.class_of(rid)
         self._pending[node][class_index] += 1
         self._work_left[node] += self.ledger.size_of(rid)
@@ -472,7 +503,9 @@ class ClusterServerModel(ServerModel):
         block and the empty-fleet check runs once.  Policies exposing
         ``select_block`` (whose decisions ignore backlog state) vectorise
         over the whole block; the rest replay the exact per-request decision
-        sequence via :meth:`_dispatch_walk`.
+        sequence, on the completion calendar (:meth:`_dispatch_predicted`)
+        when every member predicts its completions and via
+        :meth:`_dispatch_walk` otherwise.
         """
         if not self.batched:
             submit = self.submit
@@ -491,6 +524,8 @@ class ClusterServerModel(ServerModel):
         classes = self.ledger.classes_of(rids)
         if self._select_block is not None:
             self._dispatch_block(rids, classes)
+        elif self._calendar is not None:
+            self._dispatch_predicted(rids, classes)
         else:
             self._dispatch_walk(rids, classes)
 
@@ -529,6 +564,104 @@ class ClusterServerModel(ServerModel):
         if self.record_dispatch:
             self.dispatch_log.extend(int(v) for v in choices)
 
+    def _dispatch_predicted(self, rids: np.ndarray, classes: np.ndarray) -> None:
+        """Replay the exact per-event decision sequence on the calendar.
+
+        Before each decision the calendar books every completion due by the
+        arrival instant (``<= t``, the completions-first tie rule of the
+        walk); after it, the request's completion is predicted with the
+        fold :meth:`~repro.simulation.task_server.FcfsTaskServer.drain`
+        performs — ``max(arrival, previous completion) + size / rate`` — and
+        pushed.  A request queued behind a frozen (zero-rate) class server
+        gets no entry until the next rate change rebuilds the calendar.  The
+        members receive the block as one sub-block per node and are drained
+        only at synchronisation points, so the per-request cost is the
+        policy decision, two heap operations and list bookkeeping.
+        """
+        ledger = self.ledger
+        times = ledger.arrivals_of(rids).tolist()
+        sizes = ledger.sizes_of(rids).tolist()
+        classes_list = classes.tolist()
+        rids_list = rids.tolist()
+        calendar = self._calendar
+        rates = self._class_rates
+        free = self._class_free
+        pending = self._pending
+        work_left = self._work_left
+        counts = self._dispatch_counts
+        node_state = self._node_state
+        num_nodes = self.num_nodes
+        select_node = self.dispatch.select_node
+        checked = self._checked_node
+        book = self._book_completions
+        choices: list[int] = []
+        for i, t in enumerate(times):
+            if calendar and calendar[0][0] <= t:
+                book(t)
+            rid = rids_list[i]
+            node = select_node(rid)
+            if type(node) is not int or not 0 <= node < num_nodes or node_state[node] != NODE_LIVE:
+                node = checked(node)
+            cls = classes_list[i]
+            size = sizes[i]
+            pending[node][cls] += 1
+            work_left[node] += size
+            counts[node][cls] += 1
+            choices.append(node)
+            rate = rates[node][cls]
+            if rate > 0.0:
+                last = free[node][cls]
+                done = (t if t > last else last) + size / rate
+                free[node][cls] = done
+                heappush(calendar, (done, node, cls, rid, size))
+        chosen = np.asarray(choices, dtype=np.int64)
+        for node in np.unique(chosen).tolist():
+            self.nodes[node].submit_batch(rids[chosen == node])
+        if self.record_dispatch:
+            self.dispatch_log.extend(choices)
+
+    def _book_completions(self, now: float) -> None:
+        """Book every calendar entry due by ``now`` into pending/work left.
+
+        Entries pop in ``(time, node, class)`` order, which gives each node
+        the ``(time, class)`` sequence of work-left subtractions the walk's
+        merged member runs produce, and drain-complete flips in
+        ``(time, node)`` order.
+        """
+        calendar = self._calendar
+        pending = self._pending
+        work_left = self._work_left
+        node_state = self._node_state
+        while calendar and calendar[0][0] <= now:
+            done, node, cls, _, size = heappop(calendar)
+            row = pending[node]
+            row[cls] -= 1
+            # Clamp (as ``max(work, 0.0)``): summation order can leave
+            # ~1e-16 residuals behind.
+            work = work_left[node] - size
+            work_left[node] = 0.0 if work < 0.0 else work
+            if node_state[node] == NODE_DRAINING and not any(row):
+                self._mark_drained(node, done)
+
+    def _rebuild_calendar(self) -> None:
+        """Re-predict every unbooked completion from the members' state.
+
+        A prediction holds only while the rates stay put, so every
+        :meth:`apply_rates` rebuilds the calendar — always right after a
+        full synchronisation, when the members' outstanding requests are
+        exactly the unbooked ones.
+        """
+        calendar = self._calendar
+        calendar.clear()
+        for node, member in enumerate(self.nodes):
+            rates = self._class_rates[node]
+            free = self._class_free[node]
+            for cls, (rate, items) in enumerate(member.outstanding()):
+                rates[cls] = rate
+                free[cls] = items[-1][0] if items else -np.inf
+                calendar.extend((done, node, cls, rid, size) for done, rid, size in items)
+        heapify(calendar)
+
     def _dispatch_walk(self, rids: np.ndarray, classes: np.ndarray) -> None:
         """Replay the exact per-event decision sequence over a block.
 
@@ -557,27 +690,15 @@ class ClusterServerModel(ServerModel):
         submit_one = self._submit_ones
         next_completion = self._next_completions
         select_node = self.dispatch.select_node
+        checked = self._checked_node
         advance = self._advance_completions
         for i, t in enumerate(times):
             if min(heads) <= t:
                 advance(t)
             rid = rids_list[i]
             node = select_node(rid)
-            if (
-                isinstance(node, bool)
-                or not isinstance(node, (int, np.integer))
-                or not (0 <= node < num_nodes)
-            ):
-                raise SimulationError(
-                    f"dispatch policy {type(self.dispatch).__name__} chose invalid "
-                    f"node {node!r} (cluster has {num_nodes})"
-                )
-            node = int(node)
-            if node_state[node] != NODE_LIVE:
-                raise SimulationError(
-                    f"dispatch policy {type(self.dispatch).__name__} chose "
-                    f"{node_state[node]} node {node}; only live nodes accept work"
-                )
+            if type(node) is not int or not 0 <= node < num_nodes or node_state[node] != NODE_LIVE:
+                node = checked(node)
             cls = classes_list[i]
             pending[node][cls] += 1
             work_left[node] += sizes[i]
@@ -608,18 +729,16 @@ class ClusterServerModel(ServerModel):
             flip = self._drain_node(heads.index(head), now)
             if flip is not None:
                 flips.append(flip)
-        if flips:
-            flips.sort()
-            for time, node in flips:
-                self._node_state[node] = NODE_DOWN
-                self._record_fleet_state(time)
-                log_event(
-                    _log,
-                    logging.INFO,
-                    "fleet.drain_complete",
-                    node=node,
-                    time=time,
-                )
+        for time, node in sorted(flips):
+            self._mark_drained(node, time)
+
+    def _drain_member(self, node: int, now: float) -> np.ndarray:
+        """Drain one member to ``now``; buffers its run for the next merge."""
+        run = self.nodes[node].drain(now)
+        if run.size:
+            self._run_rids.append(run)
+            self._run_times.append(self.ledger.completion_time[run])
+        return run
 
     def _drain_node(self, node: int, now: float) -> tuple[float, int] | None:
         """Drain one member to ``now`` and book its completions.
@@ -633,11 +752,10 @@ class ClusterServerModel(ServerModel):
         time order.
         """
         ledger = self.ledger
-        run = self.nodes[node].drain(now)
+        run = self._drain_member(node, now)
+        self._heads[node] = self._next_completions[node]()
         if run.size == 0:
-            self._heads[node] = self._next_completions[node]()
             return None
-        times = ledger.completion_time[run]
         pending = self._pending[node]
         work = self._work_left[node]
         for cls, size in zip(
@@ -647,26 +765,31 @@ class ClusterServerModel(ServerModel):
             # Clamp: summation order can leave ~1e-16 residuals behind.
             work = max(work - size, 0.0)
         self._work_left[node] = work
-        self._run_rids.append(run)
-        self._run_times.append(times)
-        self._heads[node] = self._next_completions[node]()
         if self._node_state[node] == NODE_DRAINING and not any(pending):
-            return (float(times[-1]), node)
+            return (float(ledger.completion_time[run[-1]]), node)
         return None
 
     def _sync_nodes(self, now: float) -> None:
         """Fully synchronise every member to ``now`` (rate-change points).
 
-        :meth:`_advance_completions` first, for the global completion order;
-        then one unconditional drain per node.  The extra pass is what keeps
-        zero-rate classes per-event-exact: a frozen class server reports no
-        next completion (``inf``), so the head-guided advance skips it, yet
+        Books every completion up to ``now`` first — off the calendar, or by
+        :meth:`_advance_completions` for the global completion order — then
+        drains each member once.  On the calendar path that drain only
+        writes the ledger (its completions are already booked); on the walk
+        it books whatever the advance left.  The unconditional pass is what
+        keeps zero-rate classes per-event-exact: a frozen class server
+        reports no next completion (``inf``) and has no calendar entry, yet
         its member drain must still run so the queued head *starts service*
         (frozen at its arrival instant, exactly as the per-event idle server
         would) before any ``set_rate`` re-bases its completion time.  Called
         wherever :meth:`apply_rates` may follow — the cluster-level drain and
         fleet events.
         """
+        if self._calendar is not None:
+            self._book_completions(now)
+            for node in range(self.num_nodes):
+                self._drain_member(node, now)
+            return
         self._advance_completions(now)
         for node in range(self.num_nodes):
             self._drain_node(node, now)
@@ -677,8 +800,9 @@ class ClusterServerModel(ServerModel):
         The buffered per-node runs are merged by a stable sort on their
         ledger completion times — each run is already internally ordered, so
         the merge reproduces the global per-event completion order (stable:
-        runs buffered earlier win exact-tie comparisons, matching the
-        drain order of :meth:`_advance_completions`).
+        runs buffered earlier win exact-tie comparisons — the drain order of
+        :meth:`_advance_completions` on the walk, node order on the
+        calendar path).
         """
         self._sync_nodes(now)
         runs = self._run_rids
@@ -700,6 +824,12 @@ class ClusterServerModel(ServerModel):
         self.submit_batch(np.asarray([rid], dtype=np.int64))
 
     def next_completion_time(self) -> float:
+        if self._calendar is not None:
+            # Calendar members drain only at synchronisation points, so the
+            # next completion this cluster's drain emits is the earliest
+            # undrained member head, not the calendar's earliest unbooked
+            # entry.
+            return min(next_completion() for next_completion in self._next_completions)
         return min(self._heads)
 
     def block_boundaries(self, start: float, end: float) -> tuple[float, ...]:
@@ -757,7 +887,9 @@ class ClusterServerModel(ServerModel):
             # finish its queued work, and a down node holds none.
             if self._node_state[index] == NODE_LIVE:
                 node.apply_rates(share)
-        if self.batched:
+        if self._calendar is not None:
+            self._rebuild_calendar()
+        elif self.batched:
             # New rates move the members' next completions; refresh every
             # head so the walk and the next advance compare fresh values.
             for index, next_completion in enumerate(self._next_completions):

@@ -88,9 +88,9 @@ class ServerModel(abc.ABC):
 
     #: Whether the model implements the batched hot path (block submission
     #: via :meth:`submit_batch` plus bulk completion via :meth:`drain`).
-    #: Models whose behaviour depends on the engine-time interleaving of
-    #: completions with other events — e.g. a cluster whose dispatch policy
-    #: reads pending counts — keep this ``False`` and stay per-event.
+    #: Models that cannot reproduce the per-event completion sequence from
+    #: blocks and drains keep this ``False`` and stay per-event.  (Clusters
+    #: batch whenever every member does, whatever their dispatch policy.)
     supports_batched: bool = False
 
     def __init__(self) -> None:
@@ -225,6 +225,21 @@ class ServerModel(abc.ABC):
         """
         return float("inf")
 
+    def outstanding(self) -> tuple[tuple[float, list[tuple[float, int, float]]], ...] | None:
+        """Per class: the FCFS service rate and the predicted
+        ``(completion, rid, size)`` of every request not yet drained.
+
+        Models serving each class FCFS at a fixed rate between two
+        :meth:`apply_rates` calls know every completion the moment a request
+        is queued; the cluster books such members' completions from these
+        predictions instead of draining them before each dispatch decision,
+        and predicts each request it queues afterwards from its class's rate
+        and last prediction: ``max(arrival, last) + size / rate``.  ``None``
+        (the default) means the model cannot predict its completions.  Only
+        meaningful with ``batched=True``.
+        """
+        return None
+
     def block_boundaries(self, start: float, end: float) -> tuple[float, ...]:
         """Instants strictly inside ``(start, end)`` where a pre-drawn
         arrival block must be cut so later arrivals are dispatched under
@@ -292,6 +307,9 @@ class RateScalableServers(ServerModel):
 
     def submit_one(self, rid: int, class_index: int, arrival: float, size: float) -> None:
         self.servers[class_index].push(rid, arrival, size)
+
+    def outstanding(self) -> tuple[tuple[float, list[tuple[float, int, float]]], ...]:
+        return tuple((server.rate, server.outstanding()) for server in self.servers)
 
     def next_completion_time(self) -> float:
         # Plain loop, not a genexpr: the cluster walk re-evaluates this after

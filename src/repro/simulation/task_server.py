@@ -291,6 +291,33 @@ class FcfsTaskServer:
     def _empty_drain(self) -> tuple[np.ndarray, np.ndarray]:
         return _EMPTY_RIDS, _EMPTY_TIMES
 
+    def outstanding(self) -> list[tuple[float, int, float]]:
+        """Predicted ``(completion, rid, size)`` of every undrained request.
+
+        The in-service request and then the queued block, in FCFS order,
+        with exactly the arithmetic :meth:`drain` performs at the current
+        rate — so the values are the completion times the next drains will
+        write, as long as the rate stays unchanged.  ``size`` is the full
+        service demand.  A frozen server (rate zero) predicts nothing.
+        """
+        rate = self._rate
+        if rate <= 0.0:
+            return []
+        out: list[tuple[float, int, float]] = []
+        free = -np.inf
+        if self.in_service is not None:
+            free = self._last_progress_time + self._remaining_work / rate
+            out.append((free, self.in_service, self.ledger.size_of(self.in_service)))
+        arrivals = self._pending_arrivals
+        sizes = self._pending_sizes
+        rids = self._pending_rids
+        for pos in range(self._pending_pos, len(rids)):
+            arrival = arrivals[pos]
+            start = arrival if arrival > free else free
+            free = start + sizes[pos] / rate
+            out.append((free, rids[pos], sizes[pos]))
+        return out
+
     def set_rate(self, rate: float) -> None:
         """Change the processing rate, rescheduling the in-service request.
 

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import (
     AffinityPartitioner,
     BacklogProportional,
+    CapacityWeightedJsq,
     ClassAffinity,
     ClusterServerModel,
     EqualSplit,
@@ -24,7 +25,11 @@ from repro.simulation import (
     SimulationEngine,
     StaticRateController,
 )
+from tests.cluster.test_cluster_batched_identity import CHURN, _fingerprint
 from tests.conftest import make_classes
+
+#: The differential suite's horizon: its churn events all fall inside it.
+WALK_CFG = MeasurementConfig(warmup=300.0, horizon=1_500.0, window=300.0)
 
 
 class TestConstruction:
@@ -206,6 +211,71 @@ class TestAggregation:
         outer = ClusterServerModel([inner(), inner()], dispatch=JoinShortestQueue())
         result = Scenario(classes, cfg, server=outer, seed=5).run()
         assert sum(result.completed_counts) > 0
+
+    def test_shared_processor_fleet_walk_matches_per_event(self, moderate_bp):
+        """Shared-processor members cannot predict their completions, so the
+        batched cluster replays backlog-dependent decisions in the scalar
+        walk — which must match the per-event run bit for bit, churn
+        included."""
+        classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
+
+        def run(batched):
+            cluster = ClusterServerModel(
+                [
+                    SharedProcessorServer(WeightedFairQueueing(2), capacity=1.0 / 3.0)
+                    for _ in range(3)
+                ],
+                dispatch=CapacityWeightedJsq(),
+                record_dispatch=True,
+                fleet=CHURN,
+            )
+            result = Scenario(
+                classes,
+                WALK_CFG,
+                server=cluster,
+                spec=PsdSpec.of(1, 2),
+                seed=3,
+                batched=batched,
+            ).run()
+            assert cluster._calendar is None
+            return result
+
+        batched = run(True)
+        assert _fingerprint(batched) == _fingerprint(run(False))
+        assert any(state[0] != "live" for _, state, _ in batched.fleet_timeline)
+
+    @pytest.mark.parametrize("inner_policy", [RoundRobin, JoinShortestQueue])
+    def test_nested_cluster_walk_matches_per_event(self, moderate_bp, inner_policy):
+        """An outer JSQ over clusters walks (clusters predict no completions
+        of their own); inner JSQ clusters run on their own calendars and
+        must report the next completion their drain emits."""
+        classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
+
+        def run(batched):
+            inners = [
+                ClusterServerModel(
+                    [RateScalableServers(), RateScalableServers()], dispatch=inner_policy()
+                )
+                for _ in range(2)
+            ]
+            outer = ClusterServerModel(inners, dispatch=JoinShortestQueue(), record_dispatch=True)
+            result = Scenario(
+                classes,
+                WALK_CFG,
+                server=outer,
+                spec=PsdSpec.of(1, 2),
+                seed=5,
+                batched=batched,
+            ).run()
+            if batched:
+                assert outer._calendar is None
+                assert all(
+                    (inner._calendar is not None) == (inner_policy is JoinShortestQueue)
+                    for inner in inners
+                )
+            return result
+
+        assert _fingerprint(run(True)) == _fingerprint(run(False))
 
     def test_single_node_cluster_matches_bare_server(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
