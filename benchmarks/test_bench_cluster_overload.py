@@ -18,8 +18,9 @@ the bench contrasts two ways of living through the overload:
 
 A second test pins the hot-path contract that makes admission affordable:
 with the quota controller in front, the batched dispatch pipeline and the
-per-event path must produce *bit-identical* ledgers (every column, including
-the new disposition column), dispatch logs and shed/degrade counters.
+per-event reference simulator (``tests/reference.py``) must produce
+*bit-identical* ledgers (every column, including the disposition column),
+dispatch logs and shed/degrade counters.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.cluster import resolve_capacities
 from repro.core import PsdSpec
 from repro.experiments import ClusterScalingBuild, ExperimentConfig
 from repro.simulation import MeasurementConfig, ReplicationRunner
+from tests.reference import reference_build
 
 NUM_NODES = 2
 MIX = "2:1"
@@ -91,7 +93,7 @@ def _unfinished(summary) -> int:
     )
 
 
-def _build(admission, admission_args, *, batched=None, record_dispatch=False):
+def _build(admission, admission_args, *, record_dispatch=False):
     spec = PsdSpec.of(1, 2)
     classes = CONFIG.classes_for_load(LOAD, spec.deltas, allow_overload=True)
     return ClusterScalingBuild(
@@ -103,7 +105,6 @@ def _build(admission, admission_args, *, batched=None, record_dispatch=False):
         dispatch_entropy=CONFIG.base_seed,
         capacities=resolve_capacities(MIX, NUM_NODES),
         partitioner="capacity",
-        batched=batched,
         record_dispatch=record_dispatch,
         admission=admission,
         admission_args=admission_args,
@@ -168,16 +169,15 @@ def test_overload_admission_batched_bit_identical(benchmark):
     """Admission on the batched hot path must not perturb a single bit.
 
     The same quota-defended overloaded cell, batched pipeline vs the
-    per-event path: every ledger column (including disposition), the
+    per-event reference: every ledger column (including disposition), the
     dispatch log, the completion set and the shed/degrade counters must be
     *equal*, not approximately equal — the vectorised block decisions
     replay the scalar ladder exactly.
     """
 
     def both():
-        batched = _replicate(_build(ADMISSION, ADMISSION_ARGS, batched=True, record_dispatch=True))
-        scalar = _replicate(_build(ADMISSION, ADMISSION_ARGS, batched=False, record_dispatch=True))
-        return batched, scalar
+        build = _build(ADMISSION, ADMISSION_ARGS, record_dispatch=True)
+        return _replicate(build), _replicate(reference_build(build))
 
     batched, scalar = benchmark.pedantic(both, rounds=1, iterations=1)
 

@@ -24,8 +24,8 @@ charged to its reserve (and, on overflow, the pool) whether or not it is
 ultimately admitted, so a window's decisions are a monotone function of
 cumulative demand.  That is what makes the vectorised
 :meth:`AdmissionController.decide_block` exact — one ``np.cumsum`` per
-class reproduces the scalar ``+=`` left fold bit-for-bit, so the batched
-and per-event hot paths agree to the last bit.
+class reproduces the scalar ``+=`` left fold bit-for-bit, so block
+decisions agree with per-arrival ``decide`` calls to the last bit.
 
 The module also hosts the ``ADMISSION_POLICIES`` registry and
 :func:`build_admission` factory (mirroring ``PARTITIONERS`` /
@@ -86,8 +86,8 @@ class AdmissionController(AdmissionPolicy):
 
     The controller is ``window_scoped``: every decision input is refreshed
     in :meth:`observe_window` (fired at run start and each estimation-window
-    boundary on both hot paths), so batched block decisions are bit-identical
-    to per-event replay.
+    boundary), so block decisions are bit-identical to deciding each arrival
+    at its own instant.
     """
 
     window_scoped = True

@@ -12,12 +12,11 @@ shrinks itself under load.
 Determinism is the load-bearing property.  Scale decisions are a pure
 function of boundary state, events are applied synchronously inside the
 scenario's window-boundary callback — *before* the next window's arrival
-block is drawn on the batched path, and before any same-instant arrival
-fires on the per-event path — and node selection is by index (join the
-lowest-index spare, retire the highest-index live node).  The emitted
-fleet-event sequence is therefore bit-identical serial vs ``workers=N``
-and batched vs per-event; the hypothesis property tests in
-``tests/cluster/test_autoscaler.py`` pin exactly that.
+block is drawn — and node selection is by index (join the lowest-index
+spare, retire the highest-index live node).  The emitted fleet-event
+sequence is therefore bit-identical serial vs ``workers=N`` and against a
+one-event-per-request reference simulation; the hypothesis property tests
+in ``tests/cluster/test_autoscaler.py`` pin exactly that.
 
 Shared machinery, per :class:`AutoscalerPolicy`:
 
@@ -73,9 +72,9 @@ class AutoscaleObservation:
     """One window-boundary snapshot of everything a scaler may look at.
 
     Captured by the scenario at each estimation-window boundary, after the
-    controller's new rates are applied — the same instant (and the same
-    state) on both hot paths, which is what keeps scale decisions
-    path-independent.
+    controller's new rates are applied and before the next window's
+    arrival block is drawn, which is what keeps scale decisions
+    deterministic.
     """
 
     time: float
@@ -150,8 +149,8 @@ class AutoscalerPolicy:
         reserved node's ``join`` is emitted ``ceil(warmup_lag / window)``
         boundaries after the decision (0 joins at the decision boundary).
         Quantising to boundaries is what keeps warm-up compatible with the
-        batched path — events only ever fire where both hot paths already
-        synchronise.
+        arrival blocks — events only ever fire where the scenario already
+        synchronises its servers.
     """
 
     def __init__(

@@ -121,7 +121,7 @@ class DispatchPolicy(abc.ABC):
     # Policies whose decisions do not read live backlogs may additionally
     # implement ``select_block(rids, classes) -> np.ndarray`` — the node
     # choice for a whole arrival block in one vectorised call, bit-identical
-    # to ``select_node`` applied per request in order.  The batched cluster
+    # to ``select_node`` applied per request in order.  The cluster
     # dispatches blocks through it when present; backlog-dependent policies
     # omit it, and the cluster calls ``select_node`` per request after
     # booking every completion due by the arrival — off its completion

@@ -198,7 +198,7 @@ class FleetSchedule:
     def times_between(self, start: float, end: float) -> tuple[float, ...]:
         """Distinct event instants strictly inside ``(start, end)``, ascending.
 
-        The batched cluster cuts pre-drawn arrival blocks at these instants
+        The cluster cuts pre-drawn arrival blocks at these instants
         so arrivals after an event are dispatched under the post-event fleet
         (an arrival landing *exactly* on an event time belongs to the later
         segment — on the engine calendar the bind-time fleet event outranks

@@ -30,11 +30,9 @@ what the backlog-aware policies and partitioners consume — the bookkeeping
 is model-agnostic, so any member substrate participates in JSQ and
 least-work dispatch without exposing internals.
 
-Batched hot path: when every member supports the batched pipeline the
-cluster does too (``supports_batched``), so ``Scenario`` auto-selects block
-dispatch for clustered runs.  Arrival blocks arrive pre-segmented at fleet
-event instants (see :meth:`ClusterServerModel.block_boundaries`); within a
-segment the fleet is static, and each block takes one of three routes:
+Block dispatch: arrival blocks arrive pre-segmented at fleet event instants
+(see :meth:`ClusterServerModel.block_boundaries`); within a segment the
+fleet is static, and each block takes one of three routes:
 
 * counter/weight policies with a ``select_block`` vectorise their choices
   over the whole block;
@@ -55,11 +53,12 @@ segment the fleet is static, and each block takes one of three routes:
 
 Either backlog route books every completion with ``time <= arrival`` before
 the decision — each node's in ``(time, class)`` order, drain-complete flips
-in ``(time, node)`` order — so each decision reads the same pending/work
-state the per-event path would.  Member completions are buffered as
-per-node bulk-drain runs and merged by a stable time sort at
-:meth:`ClusterServerModel.drain`, making the dispatch log, fleet timeline,
-rate histories and aggregates bit-identical to the per-event cluster.
+in ``(time, node)`` order — so each decision reads the pending/work state of
+that instant, exactly as a one-event-per-request cluster would.  Member
+completions are buffered as per-node bulk-drain runs and merged by a stable
+time sort at :meth:`ClusterServerModel.drain`, so the dispatch log, fleet
+timeline, rate histories and aggregates are bit-identical to the per-event
+reference simulator the test suite keeps.
 
 Dynamic fleets: a :class:`~repro.cluster.fleet.FleetSchedule` makes the
 member set time-varying.  At every event the cluster updates its per-node
@@ -82,7 +81,6 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 from ..errors import ClusterDrainedError, SimulationError
-from ..simulation.requests import Request
 from ..simulation.server_models import RateScalableServers, ServerModel
 from ..telemetry.log import get_logger, log_event
 from .dispatch import DispatchPolicy, RoundRobin, build_dispatch_policy
@@ -185,11 +183,6 @@ class ClusterServerModel(ServerModel):
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def supports_batched(self) -> bool:
-        """The cluster batches whenever every member model can."""
-        return all(node.supports_batched for node in self.nodes)
-
     # ------------------------------------------------------------------ #
     # Read-only view consumed by policies and partitioners
     # ------------------------------------------------------------------ #
@@ -253,21 +246,15 @@ class ClusterServerModel(ServerModel):
         self._last_rates = None
         self.fleet_timeline = []
         self.share_history = []
-        for index, node in enumerate(self.nodes):
+        for node in self.nodes:
             if self.telemetry is not None:
                 node.attach_telemetry(self.telemetry)
             # Member nodes share the cluster's ledger, so row ids are valid
             # cluster-wide and the dispatch/pending bookkeeping never needs
             # a per-request object.
-            node.bind(
-                self.engine,
-                self.classes,
-                self._completion_sink(index),
-                ledger=self.ledger,
-                batched=self.batched,
-            )
+            node.bind(self.engine, self.classes, ledger=self.ledger)
         self.dispatch.bind(self)
-        # Batched-mode state: per-node next-completion heads, buffered
+        # Dispatch state: per-node next-completion heads, buffered
         # member drain runs awaiting the next merge, and the member/policy
         # methods the dispatch inner loop calls — bound once here so the
         # per-request path never repeats the attribute lookups.
@@ -277,15 +264,13 @@ class ClusterServerModel(ServerModel):
         self._submit_ones = tuple(node.submit_one for node in self.nodes)
         self._next_completions = tuple(node.next_completion_time for node in self.nodes)
         self._select_block = self._resolve_select_block()
-        # Completion calendar (batched, backlog-dependent policy, every
-        # member predicting its completions): a heap of ``(completion, node,
-        # class, rid, size)`` for every dispatched request not yet booked,
-        # plus each class server's rate and last predicted completion.
+        # Completion calendar (backlog-dependent policy, every member
+        # predicting its completions): a heap of ``(completion, node, class,
+        # rid, size)`` for every dispatched request not yet booked, plus each
+        # class server's rate and last predicted completion.
         self._calendar: list[tuple[float, int, int, int, float]] | None = None
-        if (
-            self.batched
-            and self._select_block is None
-            and all(node.outstanding() is not None for node in self.nodes)
+        if self._select_block is None and all(
+            node.outstanding() is not None for node in self.nodes
         ):
             self._calendar = []
             self._class_rates = [[0.0] * c for _ in range(n)]
@@ -301,10 +286,10 @@ class ClusterServerModel(ServerModel):
 
         ``select_block`` must reproduce ``select_node``'s choice sequence; a
         subclass (or instance patch) overriding ``select_node`` without
-        redefining ``select_block`` would silently bypass its own logic on
-        the batched path, so the vectorised route is taken only when the
-        class defining ``select_block`` sits at or below the one defining
-        ``select_node`` in the policy's MRO.
+        redefining ``select_block`` would silently bypass its own logic, so
+        the vectorised route is taken only when the class defining
+        ``select_block`` sits at or below the one defining ``select_node``
+        in the policy's MRO.
         """
         dispatch = self.dispatch
         if "select_node" in vars(dispatch) and "select_block" not in vars(dispatch):
@@ -323,18 +308,6 @@ class ClusterServerModel(ServerModel):
         if block_cls is None or node_cls is None or not issubclass(block_cls, node_cls):
             return None
         return dispatch.select_block
-
-    def _completion_sink(self, node: int) -> Callable[[int], None]:
-        def deliver(rid: int) -> None:
-            pending = self._pending[node]
-            pending[self.ledger.class_of(rid)] -= 1
-            # Clamp: summation order can leave ~1e-16 residuals behind.
-            self._work_left[node] = max(self._work_left[node] - self.ledger.size_of(rid), 0.0)
-            if self._node_state[node] == NODE_DRAINING and not any(pending):
-                self._mark_drained(node, self.engine.now)
-            self.deliver(rid)
-
-        return deliver
 
     def _mark_drained(self, node: int, time: float) -> None:
         """Drain complete: the leaving node served its last queued request
@@ -369,9 +342,8 @@ class ClusterServerModel(ServerModel):
     def _record_fleet_state(self, time: float | None = None) -> None:
         """Snapshot the node states; ``time`` overrides the engine clock.
 
-        The batched path records drain-complete transitions at the emptying
-        request's completion time — the instant the per-event sink would
-        have observed on the engine clock.
+        Drain-complete transitions are recorded at the emptying request's
+        completion time, which the drains book ahead of the engine clock.
         """
         self.fleet_timeline.append(
             (
@@ -382,16 +354,14 @@ class ClusterServerModel(ServerModel):
         )
 
     def _apply_fleet_event(self, event: FleetEvent) -> None:
-        if self.batched:
-            # Everything the members finished strictly *before* the event
-            # instant must be booked first: drain-complete transitions land
-            # before this event's timeline entry, and the re-partition below
-            # reads the same pending counts the per-event path would.  A
-            # completion tied exactly with the event instant stays unbooked —
-            # bind-time fleet events carry a lower engine sequence number
-            # than any completion event scheduled mid-run, so the per-event
-            # path applies the event first and completes after.
-            self._sync_nodes(float(np.nextafter(self.engine.now, -np.inf)))
+        # Everything the members finished strictly *before* the event
+        # instant must be booked first: drain-complete transitions land
+        # before this event's timeline entry, and the re-partition below
+        # reads the pending counts of that instant.  A completion tied
+        # exactly with the event instant stays unbooked: the event applies
+        # first (bind-time fleet events carry a lower engine sequence number
+        # than any completion scheduled mid-run) and the completion after.
+        self._sync_nodes(float(np.nextafter(self.engine.now, -np.inf)))
         state = self._node_state[event.node]
         if event.action == "leave":
             if state != NODE_LIVE:
@@ -439,10 +409,10 @@ class ClusterServerModel(ServerModel):
         synchronously inside its window-boundary callback.  Synchronous
         application is load-bearing for determinism — a join scheduled on
         the engine calendar at a boundary instant would fire *after* the
-        batched path's same-boundary block submission but *before* the
-        per-event path's next arrival, splitting the two timelines.  Events
-        must carry the current engine time; anything else belongs in the
-        bind-time :class:`~repro.cluster.fleet.FleetSchedule`.
+        same-boundary block submission, so the block would be dispatched
+        under the pre-event fleet.  Events must carry the current engine
+        time; anything else belongs in the bind-time
+        :class:`~repro.cluster.fleet.FleetSchedule`.
         """
         if self.engine is None:
             raise SimulationError("apply_fleet_event requires a bound cluster")
@@ -472,33 +442,10 @@ class ClusterServerModel(ServerModel):
             # time, not at the next estimation-window boundary.
             self.apply_rates(self._last_rates)
 
-    def submit(self, request: int | Request) -> None:
-        if self.batched:
-            raise SimulationError(
-                "per-request submit on a batched cluster; use submit_batch"
-            )
-        rid = self.resolve(request)
-        if not self._live:
-            raise ClusterDrainedError(
-                f"request arrived while every node of the {self.num_nodes}-node "
-                f"cluster is draining or down; keep at least one node live "
-                f"while traffic flows"
-            )
-        node = self._checked_node(self.dispatch.select_node(rid))
-        class_index = self.ledger.class_of(rid)
-        self._pending[node][class_index] += 1
-        self._work_left[node] += self.ledger.size_of(rid)
-        self._dispatch_counts[node][class_index] += 1
-        if self.record_dispatch:
-            self.dispatch_log.append(node)
-        self.nodes[node].submit(rid)
-
     def submit_batch(self, rids: np.ndarray) -> None:
         """Dispatch a time-ordered arrival block.
 
-        Per-event clusters dispatch request by request (with only the
-        per-call ``resolve`` indirection hoisted out).  Batched clusters
-        receive blocks pre-segmented at fleet-event instants (see
+        Blocks arrive pre-segmented at fleet-event instants (see
         :meth:`block_boundaries`), so the live set is constant across the
         block and the empty-fleet check runs once.  Policies exposing
         ``select_block`` (whose decisions ignore backlog state) vectorise
@@ -507,11 +454,6 @@ class ClusterServerModel(ServerModel):
         when every member predicts its completions and via
         :meth:`_dispatch_walk` otherwise.
         """
-        if not self.batched:
-            submit = self.submit
-            for rid in rids:
-                submit(int(rid))
-            return
         rids = np.asarray(rids, dtype=np.int64)
         if rids.size == 0:
             return
@@ -538,7 +480,7 @@ class ClusterServerModel(ServerModel):
         the whole block's bookkeeping collapses to two bincounts and one
         per-node sub-block submission.  ``select_block`` implementations
         guarantee live choices, so the per-request validation of
-        :meth:`submit` is skipped here.
+        :meth:`_checked_node` is skipped here.
         """
         choices = self._select_block(rids, classes)
         n, c = self.num_nodes, self.num_classes
@@ -565,7 +507,7 @@ class ClusterServerModel(ServerModel):
             self.dispatch_log.extend(int(v) for v in choices)
 
     def _dispatch_predicted(self, rids: np.ndarray, classes: np.ndarray) -> None:
-        """Replay the exact per-event decision sequence on the calendar.
+        """Replay the exact per-request decision sequence on the calendar.
 
         Before each decision the calendar books every completion due by the
         arrival instant (``<= t``, the completions-first tie rule of the
@@ -663,14 +605,14 @@ class ClusterServerModel(ServerModel):
         heapify(calendar)
 
     def _dispatch_walk(self, rids: np.ndarray, classes: np.ndarray) -> None:
-        """Replay the exact per-event decision sequence over a block.
+        """Replay the exact per-request decision sequence over a block.
 
         Backlog-dependent policies (JSQ, least-work, fastest-available)
         read the cluster's live pending/work state, so before every decision
         all member completions up to the arrival instant are pulled in
         (``head <= t``: completions tied with an arrival land first, the
-        same convention the batched single-server path uses — exact ties
-        have probability zero for continuous workloads).  Everything the
+        same convention the single-server path uses — exact ties have
+        probability zero for continuous workloads).  Everything the
         loop touches is bound to locals once; the member pushes go through
         the pre-gathered ``submit_one`` fast path, so the per-request cost
         is the policy decision plus list bookkeeping.
@@ -713,12 +655,12 @@ class ClusterServerModel(ServerModel):
 
         Nodes are drained in ascending next-completion order, so the
         cluster-level bookkeeping (pending counts, work left, drain-complete
-        transitions) is updated in the same global completion order the
-        per-event sinks would have seen.  Drain-complete state flips are
-        collected and applied after the drains, sorted by (time, node): a
-        draining node receives no new dispatches, so its flip is the only
-        state change inside the advance and the sorted application
-        reproduces the per-event timeline exactly.
+        transitions) is updated in global completion order.  Drain-complete
+        state flips are collected and applied after the drains, sorted by
+        (time, node): a draining node receives no new dispatches, so its
+        flip is the only state change inside the advance and the sorted
+        application reproduces the one-event-per-completion timeline
+        exactly.
         """
         heads = self._heads
         flips: list[tuple[float, int]] = []
@@ -744,8 +686,8 @@ class ClusterServerModel(ServerModel):
         """Drain one member to ``now`` and book its completions.
 
         Buffers the member's completion run for the next cluster-level
-        merge, applies the per-completion bookkeeping the per-event sink
-        performs (pending decrement, work-left clamp), refreshes the node's
+        merge, applies the per-completion bookkeeping (pending decrement,
+        work-left clamp), refreshes the node's
         next-completion head, and returns a pending ``(time, node)``
         drain-complete flip — at the run's last completion time, since a
         draining node gets no new work — for the caller to apply in global
@@ -777,11 +719,11 @@ class ClusterServerModel(ServerModel):
         drains each member once.  On the calendar path that drain only
         writes the ledger (its completions are already booked); on the walk
         it books whatever the advance left.  The unconditional pass is what
-        keeps zero-rate classes per-event-exact: a frozen class server
-        reports no next completion (``inf``) and has no calendar entry, yet
-        its member drain must still run so the queued head *starts service*
-        (frozen at its arrival instant, exactly as the per-event idle server
-        would) before any ``set_rate`` re-bases its completion time.  Called
+        keeps zero-rate classes exact: a frozen class server reports no next
+        completion (``inf``) and has no calendar entry, yet its member drain
+        must still run so the queued head *starts service* (frozen at its
+        arrival instant, as an idle server would start it) before any
+        ``set_rate`` re-bases its completion time.  Called
         wherever :meth:`apply_rates` may follow — the cluster-level drain and
         fleet events.
         """
@@ -799,7 +741,7 @@ class ClusterServerModel(ServerModel):
 
         The buffered per-node runs are merged by a stable sort on their
         ledger completion times — each run is already internally ordered, so
-        the merge reproduces the global per-event completion order (stable:
+        the merge reproduces the global completion order (stable:
         runs buffered earlier win exact-tie comparisons — the drain order of
         :meth:`_advance_completions` on the walk, node order on the
         calendar path).
@@ -818,11 +760,6 @@ class ClusterServerModel(ServerModel):
         self._run_times = []
         return merged
 
-    def submit_one(self, rid: int, class_index: int, arrival: float, size: float) -> None:
-        # Nested clusters: an outer walk pushes one decision at a time; the
-        # inner cluster dispatches it as a one-element block.
-        self.submit_batch(np.asarray([rid], dtype=np.int64))
-
     def next_completion_time(self) -> float:
         if self._calendar is not None:
             # Calendar members drain only at synchronisation points, so the
@@ -836,9 +773,9 @@ class ClusterServerModel(ServerModel):
         """Fleet-event instants (own and nested) strictly inside the span.
 
         Arrival blocks are cut here so every arrival at or after an event
-        instant is dispatched under the post-event fleet — the per-event tie
-        rule, where fleet events (scheduled at bind time, hence with lower
-        sequence numbers) fire before same-instant arrivals.
+        instant is dispatched under the post-event fleet — fleet events
+        (scheduled at bind time, hence with lower sequence numbers) fire
+        before same-instant arrivals.
         """
         cuts = set(self.fleet.times_between(start, end))
         for node in self.nodes:
@@ -889,7 +826,7 @@ class ClusterServerModel(ServerModel):
                 node.apply_rates(share)
         if self._calendar is not None:
             self._rebuild_calendar()
-        elif self.batched:
+        else:
             # New rates move the members' next completions; refresh every
             # head so the walk and the next advance compare fresh values.
             for index, next_completion in enumerate(self._next_completions):

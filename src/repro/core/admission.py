@@ -11,7 +11,7 @@ without bound:
 * :class:`LoadThresholdAdmission` — shed a class's requests once the
   *estimated* total load exceeds a threshold, shedding lower classes first;
 * :class:`QueueLengthAdmission` — shed a class's requests when its waiting
-  queue exceeds a per-class limit (a simple buffer-size model);
+  queue reaches a per-class limit (a simple buffer-size model);
 * :class:`repro.cluster.AdmissionController` — the cluster-wide
   quota-reserve controller with EWMA utilisation/backlog thresholds and the
   full accept → degrade → shed ladder.
@@ -27,38 +27,32 @@ which), or ``SHED`` it.  A shed request may carry an optional *wait hint*
 before retrying; it rides a separate query rather than a per-decision
 result object so ``decide`` stays allocation-free on the hot path.
 
-The legacy boolean ``admit()`` contract is still honoured: a subclass that
-only overrides :meth:`~AdmissionPolicy.admit` works unchanged through a
-shim adapter (``True`` → ``ACCEPT``, ``False`` → ``SHED``) that emits a
-:class:`DeprecationWarning` routing authors to ``decide``.
-
-Window-scoped policies and the batched hot path
------------------------------------------------
+Window-scoped policies and block decisions
+------------------------------------------
 A policy declaring ``window_scoped = True`` promises that its decisions
 depend only on (a) state refreshed at estimation-window boundaries via
 :meth:`~AdmissionPolicy.observe_window` (the snapshot's estimated loads,
 budgets derived from per-node health) and (b) the policy's own per-decision
 counters — never on live per-arrival state such as the instantaneous
-backlog.  Such policies run on the **batched** hot path bit-identically to
-the per-event path: the scenario evaluates one
-:meth:`~AdmissionPolicy.decide_block` per arrival block, and the default
-implementation replays ``decide`` scalar-for-scalar (vectorised overrides
-must reproduce the exact same decision sequence and float accumulation
-order).  Policies reading live state (:class:`QueueLengthAdmission`) keep
-``window_scoped = False`` and automatically fall back to the per-event
-path.
+backlog.  The scenario then evaluates one
+:meth:`~AdmissionPolicy.decide_block` per arrival block at the window
+boundary; the default implementation replays ``decide`` scalar-for-scalar
+(vectorised overrides must reproduce the exact same decision sequence and
+float accumulation order).  Policies reading live state
+(:class:`QueueLengthAdmission`) keep ``window_scoped = False``: the
+scenario walks their arrivals one by one, draining the server to each
+arrival instant before calling ``decide``.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ParameterError
-from ..validation import require_in_range, require_positive
+from ..validation import require_finite, require_in_range
 
 __all__ = [
     "AdmissionDecision",
@@ -100,66 +94,21 @@ class SystemSnapshot:
 class AdmissionPolicy:
     """Decides what happens to an arriving request: accept, degrade or shed.
 
-    Subclasses override :meth:`decide` (the primary surface).  Legacy
-    subclasses overriding only the boolean :meth:`admit` keep working
-    through the shim below, at the cost of a :class:`DeprecationWarning`
-    and without access to the ``DEGRADE`` outcome.
+    Subclasses override :meth:`decide`.
     """
 
     #: ``True`` promises decisions depend only on window-boundary state
     #: (refreshed via :meth:`observe_window`) plus the policy's own
-    #: counters — the contract that lets the batched hot path evaluate a
-    #: whole arrival block at once, bit-identically to per-event replay.
+    #: counters — the contract that lets the scenario decide a whole
+    #: arrival block at the window boundary, bit-identically to deciding
+    #: each arrival at its own instant.
     window_scoped: bool = False
 
     def decide(
         self, class_index: int, size: float, snapshot: SystemSnapshot
     ) -> AdmissionDecision:
-        """Return the :class:`AdmissionDecision` for one arriving request.
-
-        The default adapts a legacy boolean :meth:`admit` override
-        (``True`` → ``ACCEPT``, ``False`` → ``SHED``), warning once per
-        *policy class*: a run mixing two distinct legacy policy classes
-        warns for each of them, while building many instances of the same
-        class (one per replication) warns only for the first.
-        """
-        cls = type(self)
-        admit = cls.admit
-        if admit is AdmissionPolicy.admit:
-            raise TypeError(
-                f"{cls.__name__} must override decide() "
-                f"(or the legacy boolean admit())"
-            )
-        # The one-shot guard lives in the concrete class's own __dict__ —
-        # never inherited, so every distinct legacy class gets its warning.
-        if not cls.__dict__.get("_legacy_admit_warned", False):
-            warnings.warn(
-                f"{cls.__name__} only implements the legacy boolean "
-                f"admit(); override decide() returning an AdmissionDecision "
-                f"(ACCEPT / DEGRADE / SHED) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            cls._legacy_admit_warned = True
-        return (
-            AdmissionDecision.ACCEPT
-            if admit(self, class_index, size, snapshot)
-            else AdmissionDecision.SHED
-        )
-
-    def admit(self, class_index: int, size: float, snapshot: SystemSnapshot) -> bool:
-        """Legacy boolean surface: ``True`` to admit (accept *or* degrade).
-
-        Kept for callers written against the original API; new code should
-        call :meth:`decide`.
-        """
-        decide = type(self).decide
-        if decide is AdmissionPolicy.decide:
-            raise TypeError(
-                f"{type(self).__name__} must override decide() "
-                f"(or the legacy boolean admit())"
-            )
-        return self.decide(class_index, size, snapshot) is not AdmissionDecision.SHED
+        """Return the :class:`AdmissionDecision` for one arriving request."""
+        raise NotImplementedError(f"{type(self).__name__} must override decide()")
 
     def decide_block(
         self,
@@ -168,13 +117,13 @@ class AdmissionPolicy:
         times: np.ndarray,
         snapshot: SystemSnapshot,
     ) -> np.ndarray:
-        """Decisions for a time-ordered arrival block (batched hot path).
+        """Decisions for a time-ordered arrival block.
 
         Only consulted for ``window_scoped`` policies.  The default replays
-        :meth:`decide` scalar-for-scalar, which is bit-identical to the
-        per-event path by construction; vectorised overrides must preserve
-        the exact decision sequence *and* float accumulation order of their
-        scalar ``decide``.  Returns an int array of
+        :meth:`decide` scalar-for-scalar, which is bit-identical to deciding
+        at each arrival instant by construction; vectorised overrides must
+        preserve the exact decision sequence *and* float accumulation order
+        of their scalar ``decide``.  Returns an int array of
         :class:`AdmissionDecision` values, one per arrival.
         """
         decisions = np.empty(classes.shape[0], dtype=np.int64)
@@ -199,7 +148,7 @@ class AdmissionPolicy:
         """The class a ``DEGRADE`` decision downgrades ``class_index`` to.
 
         Must be a strictly lower class (larger index) and may depend only on
-        the source class — the batched path maps targets per class.  The
+        the source class — block decisions map targets per class.  The
         default downgrades one step.
         """
         return class_index + 1
@@ -242,7 +191,7 @@ class LoadThresholdAdmission(AdmissionPolicy):
     effectively never sheds on estimation alone.
 
     The estimated loads only change at estimation-window boundaries, so the
-    policy is ``window_scoped`` and runs on the batched hot path.
+    policy is ``window_scoped`` and decides whole arrival blocks.
     """
 
     thresholds: tuple[float, ...]
@@ -295,11 +244,13 @@ class LoadThresholdAdmission(AdmissionPolicy):
 
 @dataclass
 class QueueLengthAdmission(AdmissionPolicy):
-    """Shed a class's arrivals while its waiting queue exceeds a limit.
+    """Shed a class's arrivals while its waiting queue has reached a limit.
 
-    Decisions read the *instantaneous* per-class backlog, so the policy is
-    **not** window-scoped: scenarios combining it with a batched-capable
-    server automatically fall back to the per-event path.
+    An arrival is shed when its class's backlog (queued, not in service) is
+    at least the class's limit, so a limit of ``n`` lets at most ``n``
+    requests wait.  Limits are whole numbers >= 1.  Decisions read the
+    *instantaneous* per-class backlog, so the policy is **not**
+    window-scoped: the scenario walks its arrivals one by one.
     """
 
     limits: tuple[int, ...]
@@ -309,7 +260,9 @@ class QueueLengthAdmission(AdmissionPolicy):
         if not self.limits:
             raise ParameterError("limits must be non-empty")
         for i, limit in enumerate(self.limits):
-            require_positive(limit, f"limits[{i}]")
+            value = require_finite(limit, f"limits[{i}]")
+            if not value.is_integer() or value < 1.0:
+                raise ParameterError(f"limits[{i}] must be a whole number >= 1, got {limit!r}")
         object.__setattr__(self, "limits", tuple(int(limit) for limit in self.limits))
         self.rejected = [0] * len(self.limits)
 

@@ -99,9 +99,6 @@ class AutoscaleBuild:
     initial_nodes: int | None = None
     autoscaler: str | None = None
     autoscaler_args: tuple[str, ...] = ()
-    #: Hot-path selection forwarded to :class:`Scenario`: ``None`` picks
-    #: the batched pipeline, ``False`` pins the per-event path.
-    batched: bool | None = None
 
     def __call__(self, index: int, seed: np.random.SeedSequence) -> SimulationResult:
         pattern_seed = np.random.SeedSequence(
@@ -145,7 +142,6 @@ class AutoscaleBuild:
             seed=seed,
             sources=sources,
             autoscaler=autoscaler,
-            batched=self.batched,
         ).run()
 
 
@@ -308,7 +304,7 @@ def run_autoscale(
         "flash crowd, cutting node-hours by >= 25% while the achieved "
         "slowdown ratio stays inside the fig. 2 band.  Scale decisions are "
         "deterministic — fleet timelines are bit-identical serial vs "
-        "workers=N and batched vs per-event."
+        "workers=N."
     )
     return result
 

@@ -75,10 +75,6 @@ class ClusterScalingBuild:
     #: Record every dispatch decision into the result's ``dispatch_log``
     #: (the determinism matrix diffs these across worker counts).
     record_dispatch: bool = False
-    #: Hot-path selection forwarded to :class:`Scenario`: ``None`` picks the
-    #: batched pipeline automatically, ``False`` pins the per-event path (the
-    #: bit-identity matrix runs both and diffs them).
-    batched: bool | None = None
     #: Admission policy registry name (:data:`repro.cluster.
     #: ADMISSION_POLICIES`) plus its ``key=value`` argument tokens; the
     #: policy is built *fresh per replication* inside :meth:`__call__`, so
@@ -117,7 +113,6 @@ class ClusterScalingBuild:
             controller=controller,
             seed=seed,
             admission=admission,
-            batched=self.batched,
         ).run()
 
 

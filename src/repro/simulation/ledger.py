@@ -323,14 +323,6 @@ class RequestLedger:
         self._n = rid + 1
         return rid
 
-    def resolve(self, request) -> int:
-        """Normalise a submit-style argument — row id or ``Request`` view —
-        to a row id in this ledger (views are interned).  The single home of
-        the id-or-object check every server model's ``submit`` performs."""
-        if isinstance(request, (int, np.integer)):
-            return int(request)
-        return self.intern(request)
-
     def intern(self, request) -> int:
         """Adopt a foreign :class:`Request` into this ledger.
 

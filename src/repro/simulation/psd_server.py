@@ -52,7 +52,6 @@ class PsdServerSimulation(Scenario):
         seed: int | np.random.SeedSequence | None = 0,
         sources: Sequence[RequestSource] | None = None,
         admission: "AdmissionPolicy | None" = None,
-        batched: bool | None = None,
     ) -> None:
         super().__init__(
             classes,
@@ -63,7 +62,6 @@ class PsdServerSimulation(Scenario):
             seed=seed,
             sources=sources,
             admission=admission,
-            batched=batched,
         )
 
     @property

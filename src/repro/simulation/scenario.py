@@ -31,16 +31,28 @@ reducing with ``np.bincount``, which accumulates in input order, so the sums
 are bit-identical to the old per-completion ``+=`` loop; the monitor/trace
 expose the same ledger without copying.
 
-Admission on the batched hot path
----------------------------------
-``window_scoped`` admission policies (see :mod:`repro.core.admission`) run
-batched: each pre-drawn arrival block gets one
+The batched pipeline
+--------------------
+Arrivals are pre-drawn one estimation window at a time: each class's source
+draws its block, the blocks are merged in time order, appended to the ledger
+in one call and submitted to the server model, which serves them ahead of
+the engine clock.  Completions are drained in bulk at every window boundary
+(and wherever the model changes state), so the engine processes one event
+per window rather than several per request.  Blocks are cut at the server
+model's :meth:`~repro.simulation.server_models.ServerModel.block_boundaries`
+(cluster fleet events); each later segment is submitted at its cut instant.
+
+Admission
+---------
+``window_scoped`` admission policies (see :mod:`repro.core.admission`) see
+only boundary state, so each arrival block gets one
 :meth:`~repro.core.AdmissionPolicy.decide_block` call at the window
-boundary — before the block is cut at fleet-event instants — and the
-policy's :meth:`~repro.core.AdmissionPolicy.observe_window` hook fires at
+boundary, before the block is cut.  Policies reading live per-arrival state
+(``window_scoped = False``) are walked arrival by arrival inside each
+segment instead: the server is drained to the arrival instant, ``decide``
+reads the backlog of that instant, and an admitted row is submitted alone.
+The policy's :meth:`~repro.core.AdmissionPolicy.observe_window` hook fires at
 run start and every boundary, after the controller's new rates are applied.
-Policies reading live per-arrival state (``window_scoped = False``) fall
-back to the per-event path automatically.
 
 All durations (warm-up, horizon, window) are interpreted in the same units
 as the service-time distributions — use
@@ -308,19 +320,9 @@ class Scenario:
         window boundary — after the controller's new rates are applied,
         before admission re-budgets — the policy observes the window and
         the emitted fleet events are applied to the server synchronously,
-        so the fleet scales endogenously with identical timelines on both
-        hot paths.  Requires a server exposing ``apply_fleet_event``
-        (clusters); the events ride the result as ``autoscale_events``.
-    batched:
-        Selects the hot path.  ``True`` runs the batched pipeline (arrival
-        blocks pre-drawn per estimation window, completions drained in bulk
-        at window boundaries — bit-identical aggregates, one engine event
-        per window instead of several per request); ``False`` forces the
-        per-event path (the escape hatch differential tests diff against,
-        and what per-event server models require).  The default ``None``
-        picks batched automatically whenever the server model supports it
-        and the admission policy (if any) is ``window_scoped``; policies
-        reading live per-arrival state fall back to per-event.
+        before the next window's arrival block is drawn.  Requires a server
+        exposing ``apply_fleet_event`` (clusters); the events ride the
+        result as ``autoscale_events``.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` facade.  ``None`` (the
         default) is the no-op fast path: every instrumented site reduces to
@@ -342,7 +344,6 @@ class Scenario:
         sources: Sequence[RequestSource] | None = None,
         admission: "AdmissionPolicy | None" = None,
         autoscaler: "AutoscalerPolicy | None" = None,
-        batched: bool | None = None,
         telemetry: "Telemetry | None" = None,
     ) -> None:
         if not classes:
@@ -401,54 +402,25 @@ class Scenario:
                 f"events (no apply_fleet_event); autoscalers require a cluster "
                 f"server model"
             )
-        supports_batched = getattr(self.server, "supports_batched", False)
-        window_scoped = admission is None or getattr(admission, "window_scoped", False)
-        if batched is None:
-            batched = supports_batched and window_scoped
-        elif batched:
-            if not window_scoped:
-                raise SimulationError(
-                    f"{type(admission).__name__} is not window_scoped (its "
-                    "decisions read live per-arrival state), so it cannot run "
-                    "on the batched hot path; pass batched=False"
-                )
-            if not supports_batched:
-                raise SimulationError(
-                    f"{type(self.server).__name__} does not support the batched "
-                    "hot path; pass batched=False"
-                )
-        self.batched = bool(batched)
         if telemetry is not None:
             self.server.attach_telemetry(telemetry)
-        self.server.bind(
-            self.engine,
-            self.classes,
-            self._on_completion,
-            ledger=self.ledger,
-            batched=self.batched,
-        )
+        self.server.bind(self.engine, self.classes, ledger=self.ledger)
         self.server.apply_rates(initial_rates)
         self.rate_history.append((0.0, tuple(initial_rates)))
 
     # ------------------------------------------------------------------ #
-    # Event handlers
+    # Arrival blocks
     # ------------------------------------------------------------------ #
-    def _schedule_first_arrivals(self) -> None:
-        for index, source in enumerate(self.sources):
-            gap = source.next_interarrival()
-            if np.isfinite(gap):
-                self.engine.schedule_after(gap, self._make_arrival(index), label=f"arrival-{index}")
-
     def _queue_block(self, bound: float, *, inclusive: bool = False) -> None:
-        """Pre-draw and submit every arrival before ``bound`` (batched path).
+        """Pre-draw and submit every arrival before ``bound``.
 
         One ``append_batch`` + ``submit_batch`` per estimation window
         replaces one engine event per arrival.  Per-class blocks are merged
         with a stable argsort on arrival time, so rows keep global time
-        order and same-time arrivals keep class order — the order the
-        per-event path produces for simultaneous first arrivals (scheduled
-        class by class); later cross-class ties are ordered by class here
-        versus by scheduling sequence there, a measure-zero distinction for
+        order and same-time arrivals keep class order — the order one event
+        per arrival gives simultaneous first arrivals (scheduled class by
+        class); later cross-class ties are ordered by class here versus by
+        scheduling sequence there, a measure-zero distinction for
         continuous workloads.
         """
         per_class = [source.draw_block(bound, inclusive=inclusive) for source in self.sources]
@@ -461,75 +433,122 @@ class Scenario:
         classes = np.repeat(np.arange(len(self.sources), dtype=np.int64), sizes_per_class)
         order = np.argsort(times, kind="stable")
         times, sizes, classes = times[order], sizes[order], classes[order]
-        if self.admission is not None:
-            # One block-level decision pass per window, before any fleet
-            # cut: window_scoped policies see only boundary state, so the
-            # whole block is decidable here.  Shed rows are appended (origin
-            # class, SHED disposition) but excluded from submission; the
-            # fleet-cut segmentation below then runs over admitted arrivals
-            # only.
-            decisions = self._decide_block(classes, sizes, times)
-            served = classes
-            degrade = decisions == int(AdmissionDecision.DEGRADE)
-            if degrade.any():
-                if bool((classes[degrade] == len(self.classes) - 1).any()):
-                    raise SimulationError(
-                        f"{type(self.admission).__name__} degraded class "
-                        f"{len(self.classes) - 1}, which has no lower class"
-                    )
-                served = classes.copy()
-                served[degrade] = self._degrade_lut()[classes[degrade]]
-                for origin, count in enumerate(
-                    np.bincount(classes[degrade], minlength=len(self.classes))
-                ):
-                    self._degraded_from[origin] += int(count)
-                for target, count in enumerate(
-                    np.bincount(served[degrade], minlength=len(self.classes))
-                ):
-                    self._degraded_to[target] += int(count)
-            shed = decisions == int(AdmissionDecision.SHED)
-            if shed.any():
-                for origin, count in enumerate(
-                    np.bincount(classes[shed], minlength=len(self.classes))
-                ):
-                    self._rejected[origin] += int(count)
-            all_rids = self.ledger.append_batch(
-                served, times, sizes, dispositions=decisions.astype(np.uint8)
-            )
-            if self.telemetry is not None:
-                self.telemetry.on_admission_block(classes, decisions)
-            admitted = ~shed
-            rids = all_rids[admitted]
-            submit_times = times[admitted]
+        if self.admission is not None and not getattr(self.admission, "window_scoped", False):
+            # Live-state admission: every decision is taken at its arrival
+            # instant by the walk, segment by segment.
+            def segment(lo: int, hi: int) -> None:
+                self._admit_walk(times[lo:hi], sizes[lo:hi], classes[lo:hi])
+
+            seg_times = times
         else:
-            rids = self.ledger.append_batch(classes, times, sizes)
-            submit_times = times
+            if self.admission is not None:
+                rids, seg_times = self._admit_block(times, sizes, classes)
+            else:
+                rids, seg_times = self.ledger.append_batch(classes, times, sizes), times
+
+            def segment(lo: int, hi: int) -> None:
+                self.server.submit_batch(rids[lo:hi])
+
         cuts = self.server.block_boundaries(self.engine.now, bound)
-        if cuts:
-            # The model changes state inside this window (cluster fleet
-            # events): cut the block there and hand every later segment to a
-            # scheduled event at its cut instant, so its arrivals are
-            # dispatched under the post-event fleet.  An arrival exactly on
-            # a cut lands in the later segment (``side="left"``), and the
-            # bind-time fleet event at the same instant carries the lower
-            # sequence number — per-event tie semantics on both counts.
-            edges = np.searchsorted(
-                submit_times, np.asarray(cuts, dtype=np.float64), side="left"
-            ).tolist()
-            if edges[0]:
-                self.server.submit_batch(rids[: edges[0]])
-            for index, edge in enumerate(edges):
-                end = edges[index + 1] if index + 1 < len(edges) else rids.shape[0]
-                if end > edge:
-                    self.engine.schedule_at(
-                        cuts[index],
-                        partial(self.server.submit_batch, rids[edge:end]),
-                        label="block",
-                    )
-        elif rids.size:
-            self.server.submit_batch(rids)
+        # The model changes state inside this window (cluster fleet events):
+        # cut the block there and hand every later segment to a scheduled
+        # event at its cut instant, so its arrivals are dispatched under the
+        # post-event fleet.  An arrival exactly on a cut lands in the later
+        # segment (``side="left"``), and the bind-time fleet event at the
+        # same instant carries the lower sequence number, so it fires first.
+        edges = [0]
+        edges.extend(np.searchsorted(seg_times, np.asarray(cuts), side="left").tolist())
+        edges.append(seg_times.shape[0])
+        for index, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            if hi == lo:
+                continue
+            if index == 0:
+                segment(lo, hi)
+            else:
+                self.engine.schedule_at(cuts[index - 1], partial(segment, lo, hi), label="block")
         if self.telemetry is not None:
             self.telemetry.on_batch(self.engine.now, total)
+
+    def _admit_block(
+        self, times: np.ndarray, sizes: np.ndarray, classes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One block-level decision pass for a ``window_scoped`` policy.
+
+        Runs before any fleet cut: such policies see only boundary state,
+        so the whole block is decidable here.  Shed rows are appended
+        (origin class, SHED disposition) but excluded from submission.
+        Returns the admitted row ids and their arrival times.
+        """
+        decisions = self._decide_block(classes, sizes, times)
+        served = classes
+        degrade = decisions == int(AdmissionDecision.DEGRADE)
+        if degrade.any():
+            if bool((classes[degrade] == len(self.classes) - 1).any()):
+                raise SimulationError(
+                    f"{type(self.admission).__name__} degraded class "
+                    f"{len(self.classes) - 1}, which has no lower class"
+                )
+            served = classes.copy()
+            served[degrade] = self._degrade_lut()[classes[degrade]]
+            for origin, count in enumerate(
+                np.bincount(classes[degrade], minlength=len(self.classes))
+            ):
+                self._degraded_from[origin] += int(count)
+            for target, count in enumerate(
+                np.bincount(served[degrade], minlength=len(self.classes))
+            ):
+                self._degraded_to[target] += int(count)
+        shed = decisions == int(AdmissionDecision.SHED)
+        if shed.any():
+            for origin, count in enumerate(np.bincount(classes[shed], minlength=len(self.classes))):
+                self._rejected[origin] += int(count)
+        all_rids = self.ledger.append_batch(
+            served, times, sizes, dispositions=decisions.astype(np.uint8)
+        )
+        if self.telemetry is not None:
+            self.telemetry.on_admission_block(classes, decisions)
+        admitted = ~shed
+        return all_rids[admitted], times[admitted]
+
+    def _admit_walk(self, times: np.ndarray, sizes: np.ndarray, classes: np.ndarray) -> None:
+        """Decide, record and submit one segment arrival by arrival.
+
+        For live-state policies: before each decision the server is drained
+        to the arrival instant, so the snapshot's backlog is the one at that
+        instant (completions tied with the arrival land first).  The segment
+        lies inside one estimation window and between two fleet events, so
+        the rates and the fleet stay put while the walk runs ahead of the
+        engine clock.
+        """
+        decide = self.admission.decide
+        ledger = self.ledger
+        submit = self.server.submit_batch
+        decisions = np.empty(classes.shape[0], dtype=np.int64)
+        for i, (t, size, class_index) in enumerate(
+            zip(times.tolist(), sizes.tolist(), classes.tolist())
+        ):
+            self._sync_completions(t)
+            decision = decide(class_index, size, self._system_snapshot(t))
+            if not isinstance(decision, AdmissionDecision):
+                raise SimulationError(
+                    f"{type(self.admission).__name__}.decide() returned "
+                    f"{decision!r}; an AdmissionDecision is required"
+                )
+            decisions[i] = decision
+            if decision is AdmissionDecision.SHED:
+                ledger.append(class_index, t, size, disposition=DISPOSITION_SHED)
+                self._rejected[class_index] += 1
+                continue
+            if decision is AdmissionDecision.DEGRADE:
+                target = self._degrade_target(class_index)
+                self._degraded_from[class_index] += 1
+                self._degraded_to[target] += 1
+                rid = ledger.append(target, t, size, disposition=DISPOSITION_DEGRADED)
+            else:
+                rid = ledger.append(class_index, t, size)
+            submit(np.asarray([rid], dtype=np.int64))
+        if self.telemetry is not None:
+            self.telemetry.on_admission_block(classes, decisions)
 
     def _sync_completions(self, now: float) -> None:
         """Drain the server model to ``now`` and log the merged completions."""
@@ -539,47 +558,8 @@ class Scenario:
         if self.telemetry is not None:
             self.telemetry.on_drain(now, int(rids.size))
 
-    def _make_arrival(self, class_index: int):
-        ledger = self.ledger
-        server = self.server
-        engine = self.engine
-        telemetry = self.telemetry
-
-        def handle() -> None:
-            source = self.sources[class_index]
-            size = source.next_size()
-            if self.admission is None:
-                server.submit(ledger.append(class_index, engine.now, size))
-            else:
-                decision = self.admission.decide(class_index, size, self._system_snapshot())
-                if isinstance(decision, bool) or not isinstance(decision, AdmissionDecision):
-                    raise SimulationError(
-                        f"{type(self.admission).__name__}.decide() returned "
-                        f"{decision!r}; an AdmissionDecision is required"
-                    )
-                if telemetry is not None:
-                    telemetry.on_admission(class_index, decision)
-                if decision is AdmissionDecision.ACCEPT:
-                    server.submit(ledger.append(class_index, engine.now, size))
-                elif decision is AdmissionDecision.DEGRADE:
-                    target = self._degrade_target(class_index)
-                    self._degraded_from[class_index] += 1
-                    self._degraded_to[target] += 1
-                    server.submit(
-                        ledger.append(
-                            target, engine.now, size, disposition=DISPOSITION_DEGRADED
-                        )
-                    )
-                else:
-                    ledger.append(class_index, engine.now, size, disposition=DISPOSITION_SHED)
-                    self._rejected[class_index] += 1
-            gap = source.next_interarrival()
-            if np.isfinite(gap):
-                engine.schedule_after(gap, handle, label=f"arrival-{class_index}")
-
-        return handle
-
-    def _system_snapshot(self) -> SystemSnapshot:
+    def _system_snapshot(self, time: float | None = None) -> SystemSnapshot:
+        """What admission sees at ``time`` (default: the engine clock)."""
         allocation = getattr(self.controller, "current_allocation", None)
         estimated = (
             tuple(allocation.offered_loads)
@@ -587,7 +567,7 @@ class Scenario:
             else tuple(0.0 for _ in self.classes)
         )
         return SystemSnapshot(
-            time=self.engine.now,
+            time=self.engine.now if time is None else time,
             backlogs=self.server.backlogs(),
             estimated_loads=estimated,
         )
@@ -628,7 +608,7 @@ class Scenario:
         return target
 
     def _degrade_lut(self) -> np.ndarray:
-        """Per-class degrade targets as a gather table (batched path).
+        """Per-class degrade targets as a gather table (block decisions).
 
         The last class has no lower class; the caller rejects DEGRADE
         decisions for it before gathering, so its slot is never read.
@@ -640,23 +620,12 @@ class Scenario:
         lut[num_classes - 1] = num_classes - 1
         return lut
 
-    def _on_completion(self, rid: int) -> None:
-        """Per-completion hook: a no-op on the columnar pipeline.
-
-        All completion accounting (window slowdowns, monitor samples,
-        per-class counts) is derived from the ledger columns in bulk, so the
-        default scenario needs no per-request work here.  Subclasses may
-        override to stream completions elsewhere (the event-throughput bench
-        uses this to retain the seed's object-per-request path as a
-        baseline).
-        """
-
     def _window_stats(self) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
         """Arrivals, offered work and mean slowdowns since the last boundary.
 
         Slices the ledger columns past the window cursors and reduces with
         ``np.bincount``, which accumulates in input order — the sums are
-        bit-identical to the per-event ``+=`` bookkeeping they replaced.
+        bit-identical to per-request ``+=`` bookkeeping.
         """
         num_classes = len(self.classes)
         row_end = len(self.ledger)
@@ -694,12 +663,11 @@ class Scenario:
         )
 
     def _window_boundary(self) -> None:
-        if self.batched:
-            # Completions first: everything the servers finished up to this
-            # boundary must be in the ledger before the window statistics
-            # are cut.  Then, after the controller has spoken, pre-draw the
-            # next window's arrival block.
-            self._sync_completions(self.engine.now)
+        # Completions first: everything the servers finished up to this
+        # boundary must be in the ledger before the window statistics are
+        # cut.  Then, after the controller has spoken, pre-draw the next
+        # window's arrival block.
+        self._sync_completions(self.engine.now)
         arrivals, work, slowdowns = self._window_stats()
         if getattr(self.controller, "wants_slowdown_feedback", False):
             self.controller.observe_window(
@@ -716,8 +684,7 @@ class Scenario:
             # The autoscaler reads the boundary state the controller just
             # acted on and its events are applied synchronously, *before*
             # admission re-budgets (quotas see the new fleet) and before
-            # the next window's arrival block is drawn — the one ordering
-            # that is identical on both hot paths.
+            # the next window's arrival block is drawn.
             events = self.autoscaler.observe_boundary(
                 self.engine.now, self.config.window, arrivals, work, rates, self.server
             )
@@ -730,15 +697,14 @@ class Scenario:
         if self.admission is not None:
             # After the controller's new rates are in force, before the next
             # window's arrivals: window_scoped policies refresh their whole
-            # decision state here, identically on both hot paths.
+            # decision state here.
             self.admission.observe_window(
                 self._system_snapshot(), self.server, self.config.window
             )
         next_boundary = self.engine.now + self.config.window
-        if self.batched:
-            bound = min(next_boundary, self.config.horizon)
-            if bound > self.engine.now:
-                self._queue_block(bound)
+        bound = min(next_boundary, self.config.horizon)
+        if bound > self.engine.now:
+            self._queue_block(bound)
         if next_boundary <= self.config.horizon:
             self.engine.schedule_at(next_boundary, self._window_boundary, label="window")
 
@@ -755,26 +721,21 @@ class Scenario:
             self.admission.observe_window(
                 self._system_snapshot(), self.server, self.config.window
             )
-        if self.batched:
-            # Scheduled rather than submitted synchronously: fleet events at
-            # t=0 were scheduled at bind time (lower sequence numbers), so
-            # they apply before the first block is dispatched — the same
-            # order the per-event path gives arrivals at the start instant.
-            self.engine.schedule_at(
-                0.0,
-                partial(self._queue_block, min(self.config.window, self.config.horizon)),
-                label="block",
-            )
-        else:
-            self._schedule_first_arrivals()
+        # Scheduled rather than submitted synchronously: fleet events at t=0
+        # were scheduled at bind time (lower sequence numbers), so they
+        # apply before the first block is dispatched.
+        self.engine.schedule_at(
+            0.0,
+            partial(self._queue_block, min(self.config.window, self.config.horizon)),
+            label="block",
+        )
         self.engine.schedule_at(self.config.window, self._window_boundary, label="window")
         self.engine.run_until(self.config.horizon)
-        if self.batched:
-            # Arrivals landing exactly on the horizon fire after the final
-            # window boundary on the per-event path; release them now, then
-            # flush the servers' last partial window of completions.
-            self._queue_block(self.config.horizon, inclusive=True)
-            self._sync_completions(self.config.horizon)
+        # Arrivals landing exactly on the horizon come after the final
+        # window boundary; release them now, then flush the servers' last
+        # partial window of completions.
+        self._queue_block(self.config.horizon, inclusive=True)
+        self._sync_completions(self.config.horizon)
         num_classes = len(self.classes)
         # Every arrival — admitted, degraded or shed — has a ledger row.
         # Shed rows sit under their origin class; degraded rows under their

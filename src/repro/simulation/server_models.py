@@ -8,14 +8,13 @@ one thing that differs between the paper's idealised analysis and a real
 deployment: *how* requests are served once the controller has decided the
 per-class processing rates.
 
-Since the ledger refactor the request lifecycle is columnar: the scenario
-owns a :class:`~repro.simulation.ledger.RequestLedger`, hands it to the
-model at :meth:`ServerModel.bind`, and then submits *integer row ids*.  The
-model serves ids (reading sizes/classes from the ledger, writing lifecycle
-timestamps into it) and hands each completed id back through
-:meth:`ServerModel.deliver`.  Standalone :class:`Request` views are still
-accepted by :meth:`submit` — they are interned into the model's ledger — so
-object-style call sites (tests, notebooks) keep working.
+The request lifecycle is columnar and batched: the scenario owns a
+:class:`~repro.simulation.ledger.RequestLedger`, hands it to the model at
+:meth:`ServerModel.bind`, and then submits time-ordered blocks of *integer
+row ids* (:meth:`ServerModel.submit_batch`).  The model serves ids (reading
+sizes/classes from the ledger, writing lifecycle timestamps into it) and
+returns the completed ids in bulk whenever the scenario drains it to a
+point in simulated time (:meth:`ServerModel.drain`).
 
 Two implementations are provided:
 
@@ -29,14 +28,14 @@ Two implementations are provided:
 
 Adding a new model (a multi-server cluster, an async backend, a cache in
 front of the processor) means subclassing :class:`ServerModel` and
-implementing four methods; every scenario, experiment driver and replication
+implementing five methods; every scenario, experiment driver and replication
 runner then works with it unchanged.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from ..scheduling.base import Scheduler, WeightedScheduler
 from ..types import TrafficClass
 from .engine import SimulationEngine
 from .ledger import RequestLedger
-from .requests import Request
 from .task_server import FcfsTaskServer
 
 __all__ = ["ServerModel", "RateScalableServers", "SharedProcessorServer"]
@@ -60,13 +58,13 @@ class ServerModel(abc.ABC):
     """Protocol for the serving substrate of a scenario.
 
     Lifecycle: the scenario constructs the model, calls :meth:`bind` exactly
-    once (handing over the engine, the traffic classes, a completion callback
-    and the run's request ledger), then immediately pushes the controller's
-    initial rate vector via :meth:`apply_rates`.  During the run the scenario
-    calls :meth:`submit` with the ledger row id of every admitted request and
-    :meth:`apply_rates` after every estimation window; the model must invoke
-    the ``deliver`` callback with each id once the request has been completed
-    (``ledger.complete`` must already have been called for it).
+    once (handing over the engine, the traffic classes and the run's request
+    ledger), then immediately pushes the controller's initial rate vector via
+    :meth:`apply_rates`.  During the run the scenario calls
+    :meth:`submit_batch` with time-ordered blocks of admitted ledger row ids
+    (possibly ahead of the engine clock), :meth:`drain` to collect every
+    completion up to a point in time, and :meth:`apply_rates` after every
+    estimation window — always right after a drain to the engine clock.
 
     Capacity: every model advertises :attr:`capacity` — the maximum total
     processing rate the underlying hardware can sustain, in the same
@@ -86,19 +84,10 @@ class ServerModel(abc.ABC):
     #: ``set_capacity`` event cannot silently hand them ``None``.
     supports_unconstrained: bool = True
 
-    #: Whether the model implements the batched hot path (block submission
-    #: via :meth:`submit_batch` plus bulk completion via :meth:`drain`).
-    #: Models that cannot reproduce the per-event completion sequence from
-    #: blocks and drains keep this ``False`` and stay per-event.  (Clusters
-    #: batch whenever every member does, whatever their dispatch policy.)
-    supports_batched: bool = False
-
     def __init__(self) -> None:
         self.engine: SimulationEngine | None = None
         self.classes: tuple[TrafficClass, ...] = ()
         self.ledger: RequestLedger | None = None
-        self._deliver: Callable[[int], None] | None = None
-        self.batched = False
         #: Optional :class:`repro.telemetry.Telemetry` facade; ``None`` (the
         #: default) keeps every observation site a single comparison.
         self.telemetry = None
@@ -120,19 +109,13 @@ class ServerModel(abc.ABC):
         self,
         engine: SimulationEngine,
         classes: Sequence[TrafficClass],
-        deliver: Callable[[int], None],
         *,
         ledger: RequestLedger | None = None,
-        batched: bool = False,
     ) -> None:
-        """Attach the model to a scenario's engine, ledger and completion sink.
+        """Attach the model to a scenario's engine and ledger.
 
         ``ledger`` is the scenario's columnar request store; a model bound
-        without one (standalone use in tests) allocates a private ledger so
-        interned :class:`Request` submissions still work.  ``batched=True``
-        switches the model to the block hot path (:meth:`submit_batch` +
-        :meth:`drain`); only models advertising :attr:`supports_batched`
-        accept it.
+        without one (standalone use) allocates a private ledger.
         """
         if self.engine is not None:
             raise SimulationError(
@@ -141,31 +124,10 @@ class ServerModel(abc.ABC):
             )
         if not classes:
             raise SimulationError("classes must be non-empty")
-        if batched and not self.supports_batched:
-            raise SimulationError(
-                f"{type(self).__name__} does not support the batched hot path"
-            )
         self.engine = engine
         self.classes = tuple(classes)
         self.ledger = ledger if ledger is not None else RequestLedger(len(self.classes))
-        self._deliver = deliver
-        self.batched = bool(batched)
         self._on_bind()
-
-    def resolve(self, request: int | Request) -> int:
-        """Normalise a :meth:`submit` argument to a ledger row id.
-
-        Integer ids pass through; a standalone :class:`Request` view is
-        interned into the model's ledger (copying its lifecycle columns and
-        rebinding the view, so object and id stay in sync).
-        """
-        return self.ledger.resolve(request)
-
-    def deliver(self, rid: int) -> None:
-        """Hand a completed request's row id back to the scenario."""
-        if self._deliver is None:
-            raise SimulationError("server model delivered a request before bind()")
-        self._deliver(rid)
 
     # ------------------------------------------------------------------ #
     # Model interface
@@ -175,8 +137,18 @@ class ServerModel(abc.ABC):
         """Build per-run state (task servers, dispatch bookkeeping, ...)."""
 
     @abc.abstractmethod
-    def submit(self, request: int | Request) -> None:
-        """An admitted request arrived and must eventually be served."""
+    def submit_batch(self, rids: np.ndarray) -> None:
+        """Queue a time-ordered block of admitted ledger row ids.
+
+        The block may run ahead of the engine clock; the model serves each
+        request from its ledger arrival time on.
+        """
+
+    @abc.abstractmethod
+    def drain(self, now: float) -> np.ndarray:
+        """Advance the model to ``now``; returns the completed row ids in
+        global completion-time order (the caller logs them via
+        ``ledger.log_completions``)."""
 
     @abc.abstractmethod
     def apply_rates(self, rates: Sequence[float]) -> None:
@@ -186,42 +158,21 @@ class ServerModel(abc.ABC):
     def backlogs(self) -> tuple[int, ...]:
         """Per-class queued request counts (excluding any in service)."""
 
-    def submit_batch(self, rids: np.ndarray) -> None:
-        """Submit a time-ordered block of ledger row ids.
-
-        Batched models override this with a vectorised route; the default
-        loops over :meth:`submit` so per-event models accept blocks from
-        batched-agnostic call sites.
-        """
-        for rid in rids:
-            self.submit(int(rid))
-
-    def drain(self, now: float) -> np.ndarray:
-        """Advance a batched model to ``now``; returns the completed row ids
-        in global completion-time order (the caller logs them via
-        ``ledger.log_completions``).  Only meaningful with ``batched=True``.
-        """
-        raise SimulationError(
-            f"{type(self).__name__} was not bound with batched=True; nothing to drain"
-        )
-
     def submit_one(self, rid: int, class_index: int, arrival: float, size: float) -> None:
-        """Queue a single pre-gathered arrival on a batched model.
+        """Queue a single pre-gathered arrival.
 
         The cluster's scalar dispatch walk pushes one decision at a time and
-        hands over the already-gathered ledger columns, so batched models
-        implement this as a plain buffer append — no per-request ledger
-        lookups.  Only meaningful with ``batched=True``.
+        hands over the already-gathered ledger columns, so the built-in
+        models implement this as a plain buffer append — no per-request
+        ledger lookups.  The default submits a one-row block.
         """
-        raise SimulationError(
-            f"{type(self).__name__} was not bound with batched=True; nothing to push"
-        )
+        self.submit_batch(np.asarray([rid], dtype=np.int64))
 
     def next_completion_time(self) -> float:
-        """When the batched model's next completion would occur (``inf`` if
-        idle or frozen) — the timestamp the next :meth:`drain` would emit
-        first.  Callers interleaving several models' completion streams (the
-        cluster walk) compare these heads to decide which model to drain.
+        """When the model's next completion would occur (``inf`` if idle or
+        frozen) — the timestamp the next :meth:`drain` would emit first.
+        Callers interleaving several models' completion streams (the cluster
+        walk) compare these heads to decide which model to drain.
         """
         return float("inf")
 
@@ -235,8 +186,7 @@ class ServerModel(abc.ABC):
         predictions instead of draining them before each dispatch decision,
         and predicts each request it queues afterwards from its class's rate
         and last prediction: ``max(arrival, last) + size / rate``.  ``None``
-        (the default) means the model cannot predict its completions.  Only
-        meaningful with ``batched=True``.
+        (the default) means the model cannot predict its completions.
         """
         return None
 
@@ -269,8 +219,6 @@ class RateScalableServers(ServerModel):
     nodes behaves identically with and without declared capacities.
     """
 
-    supports_batched = True
-
     def __init__(self, *, capacity: float | None = None) -> None:
         super().__init__()
         if capacity is not None and capacity <= 0.0:
@@ -280,25 +228,11 @@ class RateScalableServers(ServerModel):
 
     def _on_bind(self) -> None:
         self.servers = [
-            FcfsTaskServer(
-                self.engine,
-                i,
-                0.0,
-                ledger=self.ledger,
-                on_completion=self.deliver,
-                batched=self.batched,
-            )
+            FcfsTaskServer(self.engine, i, 0.0, ledger=self.ledger)
             for i in range(self.num_classes)
         ]
 
-    def submit(self, request: int | Request) -> None:
-        rid = self.resolve(request)
-        self.servers[self.ledger.class_of(rid)].submit(rid)
-
     def submit_batch(self, rids: np.ndarray) -> None:
-        if not self.batched:
-            super().submit_batch(rids)
-            return
         classes = self.ledger.classes_of(rids)
         for index, server in enumerate(self.servers):
             block = rids[classes == index]
@@ -325,9 +259,9 @@ class RateScalableServers(ServerModel):
         """Drain every class's task server and merge the runs by time.
 
         The merge is a stable argsort, so completions with equal timestamps
-        keep class order — the same order the per-event path produces when
-        the tied completion events were scheduled in class order (true for
-        every workload whose classes are started in class order, e.g. the
+        keep class order — the order one engine event per completion gives
+        when the tied completion events were scheduled in class order (true
+        for every workload whose classes are started in class order, e.g. the
         deterministic trace scenarios; for continuous workloads exact ties
         have probability zero).
         """
@@ -394,7 +328,6 @@ class SharedProcessorServer(ServerModel):
     """
 
     supports_unconstrained = False
-    supports_batched = True
 
     def __init__(self, scheduler: Scheduler, *, capacity: float = 1.0) -> None:
         super().__init__()
@@ -404,8 +337,8 @@ class SharedProcessorServer(ServerModel):
         self.capacity = float(capacity)
         self._in_service: int | None = None
         self._completion_time = 0.0
-        # Batched mode: arrivals not yet handed to the scheduler, consumed
-        # from ``_pending_pos`` as the drain's virtual clock advances.
+        # Arrivals not yet handed to the scheduler, consumed from
+        # ``_pending_pos`` as the drain's virtual clock advances.
         # Plain Python lists so the cluster walk's one-at-a-time pushes are
         # O(1) appends (the drain replay reads scalars regardless).
         self._pending_rids: list[int] = []
@@ -424,24 +357,7 @@ class SharedProcessorServer(ServerModel):
         """The ledger row id currently occupying the processor, if any."""
         return self._in_service
 
-    def submit(self, request: int | Request) -> None:
-        if self.batched:
-            raise SimulationError(
-                "per-request submit on a batched shared-processor server; use submit_batch"
-            )
-        rid = self.resolve(request)
-        self.scheduler.enqueue(
-            self.ledger.class_of(rid),
-            self.ledger.size_of(rid),
-            self.engine.now,
-            payload=rid,
-        )
-        self._dispatch_if_idle()
-
     def submit_batch(self, rids: np.ndarray) -> None:
-        if not self.batched:
-            super().submit_batch(rids)
-            return
         rids = np.asarray(rids, dtype=np.int64)
         if rids.size == 0:
             return
@@ -477,16 +393,14 @@ class SharedProcessorServer(ServerModel):
     def drain(self, now: float) -> np.ndarray:
         """Replay the processor's event loop to ``now`` in virtual time.
 
-        The scheduler sees exactly the per-event call sequence — arrivals
-        enqueued at their timestamps, one ``select`` whenever the processor
-        frees up — but without engine dispatch: the drain walks the pending
-        block and the in-service completion with a plain loop.  Arrivals
+        The scheduler sees exactly the call sequence of a live processor —
+        arrivals enqueued at their timestamps, one ``select`` whenever the
+        processor frees up — but without engine dispatch: the drain walks the
+        pending block and the in-service completion with a plain loop.  Arrivals
         tied with a completion enqueue *after* the ``select`` (the
         completion-first convention; exact ties have probability zero for
         continuous workloads).
         """
-        if not self.batched:
-            return super().drain(now)
         ledger = self.ledger
         scheduler = self.scheduler
         rids = self._pending_rids
@@ -545,29 +459,3 @@ class SharedProcessorServer(ServerModel):
 
     def backlogs(self) -> tuple[int, ...]:
         return tuple(self.scheduler.backlog(i) for i in range(self.num_classes))
-
-    # ------------------------------------------------------------------ #
-    # Dispatch loop
-    # ------------------------------------------------------------------ #
-    def _dispatch_if_idle(self) -> None:
-        if self._in_service is not None:
-            return
-        job = self.scheduler.select(self.engine.now)
-        if job is None:
-            return
-        rid = job.payload
-        if not isinstance(rid, int):
-            raise SimulationError("scheduler returned a job without its row-id payload")
-        self.ledger.start_service(rid, self.engine.now)
-        self._in_service = rid
-        service_duration = self.ledger.size_of(rid) / self.capacity
-        self.engine.schedule_after(service_duration, self._complete_current, label="completion")
-
-    def _complete_current(self) -> None:
-        rid = self._in_service
-        if rid is None:
-            raise SimulationError("completion fired while the processor was idle")
-        self.ledger.complete(rid, self.engine.now)
-        self._in_service = None
-        self.deliver(rid)
-        self._dispatch_if_idle()

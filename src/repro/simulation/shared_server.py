@@ -48,7 +48,6 @@ class SharedProcessorSimulation(Scenario):
         sources: Sequence[RequestSource] | None = None,
         capacity: float = 1.0,
         admission: "AdmissionPolicy | None" = None,
-        batched: bool | None = None,
     ) -> None:
         super().__init__(
             classes,
@@ -59,7 +58,6 @@ class SharedProcessorSimulation(Scenario):
             seed=seed,
             sources=sources,
             admission=admission,
-            batched=batched,
         )
 
     @property

@@ -5,21 +5,18 @@ request class: requests of the class wait in a FCFS queue and are served one
 at a time at the task server's currently allocated processing rate.  The rate
 can change while a request is in service (the rate allocator runs every
 estimation window); the server therefore tracks the *remaining work* of the
-in-service request and reschedules its completion whenever the rate changes,
+in-service request and re-bases its completion whenever the rate changes,
 exactly as a proportional-share CPU scheduler would.
 
-Since the ledger refactor the server is columnar: its queue holds integer
-ledger row ids, lifecycle timestamps are written straight into the
-:class:`~repro.simulation.ledger.RequestLedger` columns, and the completion
-callback hands back the id.  Standalone :class:`Request` objects are still
-accepted by :meth:`submit` (they are interned into the server's ledger), so
-object-style call sites keep working.
+The server is columnar and batched: arrivals are integer ledger row ids
+queued in blocks (:meth:`FcfsTaskServer.submit_batch`), and completions are
+computed in bulk by :meth:`FcfsTaskServer.drain` — legal because between two
+rate changes the FCFS run's completion times are a deterministic left fold
+of the arrival block.  Lifecycle timestamps are written straight into the
+:class:`~repro.simulation.ledger.RequestLedger` columns.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from collections.abc import Callable
 
 import numpy as np
 
@@ -27,7 +24,6 @@ from ..errors import SimulationError
 from ..validation import require_non_negative
 from .engine import SimulationEngine
 from .ledger import RequestLedger
-from .requests import Request
 
 __all__ = ["FcfsTaskServer"]
 
@@ -46,14 +42,11 @@ _SCALAR_BATCH_LIMIT = 8
 class FcfsTaskServer:
     """FCFS queue plus a single service position running at a mutable rate.
 
-    Two dispatch modes share the same progress bookkeeping:
-
-    * per-event (default): every completion is an engine event, exactly as
-      the paper's Fig. 1 describes the model;
-    * batched (``batched=True``): arrivals are pushed in blocks via
-      :meth:`submit_batch` and completions are computed in bulk by
-      :meth:`drain` — legal because between two rate changes the FCFS run's
-      completion times are a deterministic left fold of the arrival block.
+    Arrivals are pushed in blocks via :meth:`submit_batch` (or one at a time
+    via :meth:`push`) and completions are computed in bulk by :meth:`drain`.
+    The caller must drain the server to the engine clock before every
+    :meth:`set_rate`, so the progress made at the old rate is accounted
+    first.
     """
 
     def __init__(
@@ -63,25 +56,19 @@ class FcfsTaskServer:
         rate: float,
         *,
         ledger: RequestLedger | None = None,
-        on_completion: Callable[[int], None] | None = None,
-        batched: bool = False,
     ) -> None:
         require_non_negative(rate, "rate")
         self.engine = engine
         self.class_index = int(class_index)
         self.ledger = ledger if ledger is not None else RequestLedger()
         self._rate = float(rate)
-        self._on_completion = on_completion
-        self.batched = bool(batched)
-        self.queue: deque[int] = deque()
         self.in_service: int | None = None
         self._remaining_work = 0.0
         self._last_progress_time = 0.0
-        self._completion_event = None
         self.busy_time = 0.0
         self.completed_count = 0
-        # Batched mode: the pending block (rids + gathered arrival/size
-        # columns), consumed from ``_pending_pos`` by successive drains.
+        # The pending block (rids + gathered arrival/size columns), consumed
+        # from ``_pending_pos`` by successive drains.
         # Plain Python lists: the cluster walk pushes one arrival at a time
         # (O(1) append) and the drain's left fold reads scalars anyway.
         self._pending_rids: list[int] = []
@@ -99,43 +86,25 @@ class FcfsTaskServer:
 
     @property
     def backlog(self) -> int:
-        """Requests waiting in queue (not counting the one in service)."""
-        if self.batched:
-            return len(self._pending_rids) - self._pending_pos
-        return len(self.queue)
+        """Requests queued and not yet started (not counting the one in
+        service) as of the last drain."""
+        return len(self._pending_rids) - self._pending_pos
 
     @property
     def is_busy(self) -> bool:
         return self.in_service is not None
 
-    def submit(self, request: int | Request) -> None:
-        """A request of this class arrived: queue it (and serve it if idle).
-
-        ``request`` is a ledger row id on the hot path; a standalone
-        :class:`Request` view is interned into the server's ledger first.
-        """
-        if self.batched:
-            raise SimulationError(
-                "per-request submit on a batched task server; use submit_batch"
-            )
-        rid = self.ledger.resolve(request)
-        class_index = self.ledger.class_of(rid)
-        if class_index != self.class_index:
-            raise SimulationError(
-                f"request of class {class_index} submitted to task "
-                f"server {self.class_index}"
-            )
-        self.queue.append(rid)
-        if self.in_service is None:
-            self._start_next()
-
     def submit_batch(self, rids: np.ndarray) -> None:
-        """Queue a time-ordered block of this class's row ids (batched mode)."""
-        if not self.batched:
-            raise SimulationError("submit_batch on a per-event task server")
+        """Queue a time-ordered block of this class's row ids."""
         rids = np.asarray(rids, dtype=np.int64)
         if rids.size == 0:
             return
+        foreign = self.ledger.classes_of(rids) != self.class_index
+        if foreign.any():
+            raise SimulationError(
+                f"request of class {self.ledger.class_of(int(rids[foreign][0]))} "
+                f"submitted to task server {self.class_index}"
+            )
         pos = self._pending_pos
         if pos:
             del self._pending_rids[:pos]
@@ -147,7 +116,7 @@ class FcfsTaskServer:
         self._pending_sizes.extend(self.ledger.sizes_of(rids).tolist())
 
     def push(self, rid: int, arrival: float, size: float) -> None:
-        """Queue a single arrival (batched mode, cluster dispatch walk).
+        """Queue a single arrival (the cluster dispatch walk).
 
         The caller hands over the already-gathered ledger columns so the
         per-request hot path performs three list appends and nothing else.
@@ -179,23 +148,21 @@ class FcfsTaskServer:
         return start + self._pending_sizes[pos] / rate
 
     def drain(self, now: float) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the batched server to ``now``; returns the completions.
+        """Advance the server to ``now``; returns the completions.
 
-        Replays exactly what the per-event path would have done between the
-        last drain and ``now`` at the current (unchanged) rate: finish the
-        carried in-service request at ``last_progress + remaining / rate``,
-        then left-fold the pending block — ``start = max(arrival, previous
-        completion)``, ``completion = start + size / rate`` — with scalar
-        float arithmetic, the very additions the per-request completion
-        events performed, hence bit-identical timestamps.  The lifecycle
+        Serves everything due between the last drain and ``now`` at the
+        current (unchanged) rate: finish the carried in-service request at
+        ``last_progress + remaining / rate``, then left-fold the pending
+        block — ``start = max(arrival, previous completion)``,
+        ``completion = start + size / rate`` — with scalar float arithmetic,
+        the very additions one completion event per request would perform,
+        hence bit-identical timestamps.  The lifecycle
         columns are written in one vectorised batch per drain (FCFS busy
         runs are short at moderate load, so per-run array operations would
         cost more than they fold).  Returns ``(rids, times)`` in completion
         order; the caller owns the completion log (the runs of several
         servers must be merged by time first).
         """
-        if not self.batched:
-            raise SimulationError("drain on a per-event task server")
         done_rids: list[int] = []
         done_times: list[float] = []
         rate = self._rate
@@ -319,75 +286,17 @@ class FcfsTaskServer:
         return out
 
     def set_rate(self, rate: float) -> None:
-        """Change the processing rate, rescheduling the in-service request.
+        """Change the processing rate at the engine clock.
 
         The remaining work of the in-service request is first decreased by
-        the progress made at the old rate, then its completion is
-        re-scheduled at the new rate.
+        the progress made at the old rate; the next drain completes it at
+        the new rate.
         """
         require_non_negative(rate, "rate")
-        self._account_progress()
-        self._rate = float(rate)
-        self._reschedule_completion()
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _account_progress(self) -> None:
-        """Drain the elapsed progress of the in-service request at the old rate."""
         now = self.engine.now
         if self.in_service is not None and self._rate > 0.0:
             elapsed = now - self._last_progress_time
-            progress = elapsed * self._rate
-            self._remaining_work = max(self._remaining_work - progress, 0.0)
+            self._remaining_work = max(self._remaining_work - elapsed * self._rate, 0.0)
             self.busy_time += elapsed
         self._last_progress_time = now
-
-    def _start_next(self) -> None:
-        if self.in_service is not None:
-            raise SimulationError("task server started a request while busy")
-        if not self.queue:
-            return
-        rid = self.queue.popleft()
-        self.ledger.start_service(rid, self.engine.now)
-        self.in_service = rid
-        self._remaining_work = self.ledger.size_of(rid)
-        self._last_progress_time = self.engine.now
-        self._reschedule_completion()
-
-    def _reschedule_completion(self) -> None:
-        if self.batched:
-            # Batched mode schedules no engine events: the next drain
-            # recomputes the completion from (last_progress, remaining, rate).
-            return
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
-        if self.in_service is None:
-            return
-        if self._rate <= 0.0:
-            # Zero rate: the request is frozen until the next re-allocation.
-            return
-        delay = self._remaining_work / self._rate
-        self._completion_event = self.engine.schedule_after(
-            delay, self._complete_current, label=f"complete-class-{self.class_index}"
-        )
-
-    def _complete_current(self) -> None:
-        if self.in_service is None:
-            raise SimulationError("completion fired on an idle task server")
-        self._account_progress()
-        if self._remaining_work > 1e-9:
-            # A rate change between scheduling and firing left work behind;
-            # reschedule instead of completing early.
-            self._reschedule_completion()
-            return
-        rid = self.in_service
-        self.ledger.complete(rid, self.engine.now)
-        self.in_service = None
-        self._completion_event = None
-        self._remaining_work = 0.0
-        self.completed_count += 1
-        if self._on_completion is not None:
-            self._on_completion(rid)
-        self._start_next()
+        self._rate = float(rate)

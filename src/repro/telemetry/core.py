@@ -10,11 +10,12 @@ but return after one attribute check, which is what the event-throughput
 bench pins below 2% overhead.
 
 Hook frequency is the design constraint.  Everything here fires at
-window-boundary, batch or fleet-event frequency — never per request on the
-batched hot path: admission decisions arrive per-decision on the per-event
-path (:meth:`Telemetry.on_admission`) but as one block-level call per
-window on the batched path (:meth:`Telemetry.on_admission_block`), both
-feeding the same counters.
+window-boundary, batch or fleet-event frequency — never per request:
+admission decisions arrive as one block-level call per arrival block (or
+per block segment for live-state policies, see
+:meth:`Telemetry.on_admission_block`).  The one exception is the live-state
+admission walk, which drains the server before every decision and reports
+each drain through :meth:`Telemetry.on_drain`.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class Telemetry:
         self.enabled = bool(enabled)
         self.trace_sample_rate = float(trace_sample_rate)
         self.registry = MetricsRegistry()
-        #: ``(sim_time, block_size)`` per arrival block of the batched path.
+        #: ``(sim_time, block_size)`` per arrival block.
         self.batch_marks: list[tuple[float, int]] = []
-        #: ``(sim_time, completions)`` per bulk drain of the batched path.
+        #: ``(sim_time, completions)`` per bulk drain.
         self.drain_marks: list[tuple[float, int]] = []
         #: ``(sim_time, per-node pending totals)`` sampled at every window
         #: boundary of a clustered run — the backlog series
@@ -101,14 +102,14 @@ class Telemetry:
         self.registry.gauge("scenario.classes").set(len(scenario.classes))
 
     def on_batch(self, now: float, size: int) -> None:
-        """An arrival block of ``size`` requests was pre-drawn (batched path)."""
+        """An arrival block of ``size`` requests was pre-drawn."""
         if not self.enabled:
             return
         self.batch_marks.append((float(now), int(size)))
         self.registry.histogram("scenario.batch_size").observe(size)
 
     def on_drain(self, now: float, count: int) -> None:
-        """A bulk drain logged ``count`` completions (batched path)."""
+        """A bulk drain logged ``count`` completions."""
         if not self.enabled:
             return
         self.drain_marks.append((float(now), int(count)))
@@ -121,36 +122,13 @@ class Telemetry:
         name = "shared.drain_length" if class_index is None else f"class{class_index}.drain_length"
         self.registry.histogram(name).observe(count)
 
-    def on_admission(self, class_index: int, decision) -> None:
-        """One admission decision (per-event path only).
-
-        ``decision`` is an :class:`~repro.core.AdmissionDecision`; the
-        legacy booleans are still accepted (``True`` → ``ACCEPT``,
-        ``False`` → ``SHED``).  Accepted and degraded decisions both count
-        as ``admission.accepted`` — they enter the server — with degraded
-        ones additionally tallied under ``admission.degraded``.
-        """
-        if not self.enabled:
-            return
-        if decision is True:
-            decision = AdmissionDecision.ACCEPT
-        elif decision is False:
-            decision = AdmissionDecision.SHED
-        reg = self.registry
-        if decision == AdmissionDecision.SHED:
-            reg.counter("admission.rejected").inc()
-            reg.counter(f"admission.class{class_index}.rejected").inc()
-        else:
-            reg.counter("admission.accepted").inc()
-            if decision == AdmissionDecision.DEGRADE:
-                reg.counter("admission.degraded").inc()
-                reg.counter(f"admission.class{class_index}.degraded").inc()
-
     def on_admission_block(self, classes: np.ndarray, decisions: np.ndarray) -> None:
-        """A block of admission decisions (batched path).
+        """A block of admission decisions; ``classes`` are the *origin* classes.
 
-        Feeds exactly the counters :meth:`on_admission` does, one bulk
-        increment per counter; ``classes`` are the *origin* classes.
+        Accepted and degraded decisions both count as ``admission.accepted``
+        — they enter the server — with degraded ones additionally tallied
+        under ``admission.degraded``; shed ones count as
+        ``admission.rejected``.  Per-origin-class counters break both down.
         """
         if not self.enabled:
             return

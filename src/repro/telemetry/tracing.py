@@ -111,7 +111,7 @@ def chrome_trace_events(
     the deterministic request sampling.  ``sample_rate`` defaults to the
     telemetry facade's ``trace_sample_rate`` (or 1.0 without one).  Passing
     the run's :class:`~repro.telemetry.Telemetry` additionally emits instant
-    events for the batched path's arrival blocks and bulk drains.
+    events for the arrival blocks and bulk drains.
 
     Event layout: ``pid 0`` carries run phases (estimation-window spans,
     batch/drain instants), ``pid 1`` the sampled request lifecycles (one
@@ -190,7 +190,7 @@ def chrome_trace_events(
             }
         )
 
-    # --- batched-path block/drain instants ----------------------------- #
+    # --- block/drain instants ------------------------------------------- #
     if telemetry is not None:
         for time, size in telemetry.batch_marks:
             events.append(

@@ -5,7 +5,8 @@ interesting when load *moves*.  This module generates non-stationary
 arrival streams as plain :class:`~repro.simulation.TraceSource` traces —
 pre-materialised inhomogeneous Poisson sample paths — so the whole
 capture/replay, cluster, fleet and bench stack consumes them unchanged,
-and both hot paths replay the identical request sequence bit-for-bit.
+and every replay of a trace draws the identical request sequence
+bit-for-bit.
 
 A pattern is a time-varying *rate factor* multiplying each class's mean
 arrival rate: :class:`DiurnalPattern` is a sinusoidal day cycle,

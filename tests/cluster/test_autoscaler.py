@@ -12,7 +12,8 @@ Three layers:
   conflict on one node);
 * integration determinism — a real clustered scenario under a moving load
   produces bit-identical autoscale event lists, fleet timelines and
-  slowdowns batched vs per-event and serial vs ``workers=2``.
+  slowdowns against the per-event reference (:mod:`tests.reference`) and
+  serial vs ``workers=2``.
 """
 
 import math
@@ -41,6 +42,7 @@ from repro.experiments import AutoscaleBuild
 from repro.simulation import MeasurementConfig, ReplicationRunner, Scenario
 from repro.workload import DiurnalPattern, FlashCrowd
 from tests.conftest import make_classes
+from tests.reference import ReferenceScenario
 
 WINDOW = 10.0
 
@@ -452,7 +454,7 @@ class TestDeterminismProperties:
 
 
 # ---------------------------------------------------------------------- #
-# Integration: real cluster, both hot paths, serial vs workers
+# Integration: real cluster, pipeline vs reference, serial vs workers
 # ---------------------------------------------------------------------- #
 CFG = MeasurementConfig(warmup=300.0, horizon=2_500.0, window=200.0)
 
@@ -464,7 +466,7 @@ def moving_classes():
     return make_classes(BoundedPareto(k=0.1, p=10.0, alpha=1.5), 0.9, (1.0, 2.0))
 
 
-def scaled_scenario(classes, *, batched, autoscaler, seed=42):
+def scaled_scenario(classes, *, autoscaler, seed=42, scenario_class=Scenario):
     server = make_cluster(
         4,
         "weighted_jsq",
@@ -472,27 +474,25 @@ def scaled_scenario(classes, *, batched, autoscaler, seed=42):
         seed=7,
         fleet=FleetSchedule(initial_down=(2, 3)),
     )
-    return Scenario(
+    return scenario_class(
         classes,
         CFG,
         server=server,
         spec=PsdSpec.of(1, 2),
         seed=seed,
         autoscaler=autoscaler,
-        batched=batched,
     )
 
 
 class TestScenarioIntegration:
     @pytest.mark.parametrize("name", sorted(AUTOSCALERS))
     def test_batched_and_per_event_paths_agree_bit_for_bit(self, name, moving_classes):
-        runs = {}
-        for batched in (True, False):
-            result = scaled_scenario(
-                moving_classes, batched=batched, autoscaler=build_autoscaler(name)
+        batched, scalar = (
+            scaled_scenario(
+                moving_classes, autoscaler=build_autoscaler(name), scenario_class=scenario_class
             ).run()
-            runs[batched] = result
-        batched, scalar = runs[True], runs[False]
+            for scenario_class in (Scenario, ReferenceScenario)
+        )
         assert batched.autoscale_events, "the scaler never acted on a 0.9-load half fleet"
         assert batched.autoscale_events == scalar.autoscale_events
         assert batched.fleet_timeline == scalar.fleet_timeline
@@ -502,9 +502,7 @@ class TestScenarioIntegration:
         )
 
     def test_scaler_actually_grows_the_half_fleet(self, moving_classes):
-        result = scaled_scenario(
-            moving_classes, batched=None, autoscaler=TargetTracking(target=0.85)
-        ).run()
+        result = scaled_scenario(moving_classes, autoscaler=TargetTracking(target=0.85)).run()
         joined = {e.node for e in result.autoscale_events if e.action == "join"}
         assert joined & {2, 3}, result.autoscale_events
         # Events also materialised in the fleet timeline as state changes.
@@ -514,7 +512,7 @@ class TestScenarioIntegration:
         )
 
     def test_autoscale_events_none_without_a_scaler(self, moving_classes):
-        result = scaled_scenario(moving_classes, batched=None, autoscaler=None).run()
+        result = scaled_scenario(moving_classes, autoscaler=None).run()
         assert result.autoscale_events is None
 
     def test_autoscaler_requires_a_cluster(self, moving_classes):

@@ -1,10 +1,11 @@
-"""Differential matrix: the batched cluster hot path must be bit-identical
-to the per-event path.
+"""Differential matrix: the batched cluster pipeline must be bit-identical
+to the per-event reference simulator.
 
-The cluster's batched pipeline (arrival blocks segmented at estimation
-windows and fleet-event instants, vectorised ``select_block`` dispatch for
+The cluster's pipeline (arrival blocks segmented at estimation windows and
+fleet-event instants, vectorised ``select_block`` dispatch for
 counter/weight policies, exact scalar replay for backlog-dependent ones)
-re-orders the same float arithmetic — it must never change a single
+re-orders the float arithmetic of one engine event per arrival and per
+completion (:mod:`tests.reference`) — it must never change a single
 dispatch decision, rate vector, fleet transition or ledger byte.  These
 tests pin that contract across {every dispatch policy} x {every rate
 partitioner} x {static fleet, churn} x {serial, workers=2}, plus the
@@ -23,6 +24,7 @@ from repro.simulation import MeasurementConfig, ReplicationRunner, Scenario
 from repro.simulation.generator import TraceSource
 from repro.types import TrafficClass
 from tests.conftest import make_classes
+from tests.reference import ReferenceScenario, reference_build
 
 POLICIES = sorted(DISPATCH_POLICIES)
 
@@ -45,7 +47,7 @@ def det_classes():
     return make_classes(BoundedPareto(k=0.1, p=10.0, alpha=1.5), 0.7, (1.0, 2.0))
 
 
-def _run(det_classes, policy, partitioner, fleet, batched):
+def _run(det_classes, policy, partitioner, fleet, scenario_class=Scenario):
     server = make_cluster(
         3,
         policy,
@@ -54,13 +56,12 @@ def _run(det_classes, policy, partitioner, fleet, batched):
         record_dispatch=True,
         fleet=fleet,
     )
-    return Scenario(
+    return scenario_class(
         det_classes,
         CFG,
         server=server,
         spec=PsdSpec.of(1, 2),
         seed=42,
-        batched=batched,
     ).run()
 
 
@@ -91,15 +92,15 @@ def _fingerprint(result) -> str:
 class TestSerialMatrix:
     @pytest.mark.parametrize("policy,partitioner", CELLS)
     def test_static_fleet_is_bit_identical(self, policy, partitioner, det_classes):
-        batched = _run(det_classes, policy, partitioner, None, batched=True)
-        per_event = _run(det_classes, policy, partitioner, None, batched=False)
+        batched = _run(det_classes, policy, partitioner, None)
+        per_event = _run(det_classes, policy, partitioner, None, ReferenceScenario)
         assert _fingerprint(batched) == _fingerprint(per_event)
         assert batched.ledger.num_completed > 50
 
     @pytest.mark.parametrize("policy,partitioner", CELLS)
     def test_churn_is_bit_identical(self, policy, partitioner, det_classes):
-        batched = _run(det_classes, policy, partitioner, CHURN, batched=True)
-        per_event = _run(det_classes, policy, partitioner, CHURN, batched=False)
+        batched = _run(det_classes, policy, partitioner, CHURN)
+        per_event = _run(det_classes, policy, partitioner, CHURN, ReferenceScenario)
         assert _fingerprint(batched) == _fingerprint(per_event)
         # The churn actually happened on both paths.
         states = [entry[1] for entry in batched.fleet_timeline]
@@ -111,24 +112,19 @@ class TestReplicatedMatrix:
 
     @pytest.mark.parametrize("policy", ["round_robin", "jsq"])
     def test_parallel_batched_matches_serial_per_event(self, policy, det_classes):
-        def build(batched):
-            return ClusterScalingBuild(
-                tuple(det_classes),
-                CFG,
-                PsdSpec.of(1, 2),
-                num_nodes=3,
-                policy=policy,
-                dispatch_entropy=123,
-                fleet=CHURN,
-                record_dispatch=True,
-                batched=batched,
-            )
-
-        parallel = ReplicationRunner(replications=3, base_seed=31, workers=2).run(
-            build(batched=True)
+        build = ClusterScalingBuild(
+            tuple(det_classes),
+            CFG,
+            PsdSpec.of(1, 2),
+            num_nodes=3,
+            policy=policy,
+            dispatch_entropy=123,
+            fleet=CHURN,
+            record_dispatch=True,
         )
+        parallel = ReplicationRunner(replications=3, base_seed=31, workers=2).run(build)
         serial = ReplicationRunner(replications=3, base_seed=31, workers=1).run(
-            build(batched=False)
+            reference_build(build)
         )
         assert parallel.per_class_slowdowns == serial.per_class_slowdowns
         assert parallel.system_slowdown == serial.system_slowdown
@@ -144,8 +140,8 @@ class TestFleetEventAtArrivalInstant:
     the *post-event* fleet.
 
     Bind-time fleet events carry a lower engine sequence number than any
-    later-scheduled arrival block at the same instant, so the per-event path
-    applies the event first; the batched path reproduces this by cutting the
+    later-scheduled arrival event at the same instant, so the reference
+    applies the event first; the pipeline reproduces this by cutting the
     arrival block *at* the event instant and scheduling the tail block at
     that time (the event callback, scheduled earlier, still fires first).
     """
@@ -153,7 +149,7 @@ class TestFleetEventAtArrivalInstant:
     CLASSES = (TrafficClass("only", 0.5, BoundedPareto(0.3, 5.0, 1.5), 1.0),)
     TIE_CFG = MeasurementConfig(warmup=0.0, horizon=10.0, window=10.0)
 
-    def _run(self, batched):
+    def _run(self, scenario_class):
         # Arrivals at t=4, 5, 6; node 1 leaves at exactly t=5.0.
         source = TraceSource(0, interarrivals=[4.0, 1.0, 1.0], sizes=[0.5, 0.5, 0.5])
         cluster = make_cluster(
@@ -163,23 +159,24 @@ class TestFleetEventAtArrivalInstant:
             record_dispatch=True,
             seed=1,
         )
-        result = Scenario(
+        result = scenario_class(
             self.CLASSES,
             self.TIE_CFG,
             server=cluster,
             seed=5,
             sources=[source],
-            batched=batched,
         ).run()
         return result
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_tied_arrival_sees_post_event_fleet(self, batched):
-        result = self._run(batched)
+    @pytest.mark.parametrize(
+        "scenario_class", [ReferenceScenario, Scenario], ids=["reference", "batched"]
+    )
+    def test_tied_arrival_sees_post_event_fleet(self, scenario_class):
+        result = self._run(scenario_class)
         # Round-robin cursor sits at node 1 for the t=5 arrival, but node 1
         # is already down at that instant — the arrival must skip to node 2.
         assert result.dispatch_log == [0, 2, 0]
         assert result.fleet_timeline[-1][1] == ("live", "down", "live")
 
     def test_batched_matches_per_event(self):
-        assert _fingerprint(self._run(True)) == _fingerprint(self._run(False))
+        assert _fingerprint(self._run(Scenario)) == _fingerprint(self._run(ReferenceScenario))

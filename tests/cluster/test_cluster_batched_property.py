@@ -1,4 +1,4 @@
-"""Property test: batched cluster dispatch replays the per-event oracle.
+"""Property test: batched cluster dispatch replays the per-event reference.
 
 Hypothesis drives random arrival blocks full of duplicate instants (gaps of
 exactly zero), from one or two classes, against random fleet schedules —
@@ -7,9 +7,9 @@ times are often drawn *from* the arrival instants, the nastiest case for
 block segmentation.  Two invariants, per policy:
 
 * segmentation never reorders arrivals — the ledger's arrival column is
-  byte-identical to the per-event run's;
-* every dispatch decision matches the per-event oracle exactly (same log,
-  same fleet timeline, same completion times).
+  byte-identical to the reference run's (:mod:`tests.reference`);
+* every dispatch decision matches the per-event reference exactly (same
+  log, same fleet timeline, same completion times).
 
 ``round_robin`` exercises the vectorised ``select_block`` route; ``jsq``,
 ``weighted_jsq``, ``least_work`` and ``fastest_available`` run on the
@@ -19,9 +19,9 @@ predictions every ``set_capacity`` re-partition must rebuild.
 Service sizes are deliberately off the arrival grid (0.23/0.41/0.57 versus
 0.25-grid arrivals), and the second class arrives on a grid shifted by
 0.125, so neither a completion nor another class's arrival ever ties an
-arrival instant exactly: for those measure-zero cases the per-event order is
-a scheduling-sequence artifact (whichever event was scheduled first wins),
-and the batched paths follow the repo-wide completions-first and
+arrival instant exactly: for those measure-zero cases the reference's order
+is a scheduling-sequence artifact (whichever event was scheduled first
+wins), and the pipeline follows the repo-wide completions-first and
 class-order conventions instead.  Fleet-event ties, by contrast, ARE
 deterministic (bind-time events always outrank mid-run events) and are
 generated on purpose.
@@ -51,6 +51,7 @@ from repro.simulation import (
 )
 from repro.simulation.generator import TraceSource
 from repro.types import TrafficClass
+from tests.reference import ReferenceScenario
 
 SERVICE = BoundedPareto(0.3, 5.0, 1.5)
 CLASSES = {
@@ -106,19 +107,18 @@ def _cases(draw, sizes):
     return traces, draw(_events(traces))
 
 
-def _run(cluster, traces, batched, controller=None):
+def _run(cluster, traces, controller=None, scenario_class=Scenario):
     sources = [
         TraceSource(index, interarrivals=gaps, sizes=sizes)
         for index, (gaps, sizes) in enumerate(traces)
     ]
-    return Scenario(
+    return scenario_class(
         CLASSES[len(traces)],
         CFG,
         server=cluster,
         controller=controller,
         seed=11,
         sources=sources,
-        batched=batched,
     ).run()
 
 
@@ -136,8 +136,8 @@ def _cluster(policy, events):
 @given(case=_cases([0.23, 0.41, 0.57]), policy=st.sampled_from(POLICIES))
 def test_batched_dispatch_replays_per_event_oracle(case, policy):
     traces, events = case
-    batched = _run(_cluster(policy, events), traces, batched=True)
-    per_event = _run(_cluster(policy, events), traces, batched=False)
+    batched = _run(_cluster(policy, events), traces)
+    per_event = _run(_cluster(policy, events), traces, scenario_class=ReferenceScenario)
     # Segmentation preserved arrival order, byte for byte.
     assert (
         batched.ledger.arrival_time.tobytes() == per_event.ledger.arrival_time.tobytes()
@@ -170,9 +170,7 @@ def test_calendar_books_tied_completions_like_the_walk(case, policy):
     # 0.5 per node per class on the 3-node equal split: size / rate stays on
     # the 0.25 arrival grid, so completions tie arrivals and fleet events.
     rates = (1.5,) * len(traces)
-    calendar = _run(
-        _cluster(policy, events), traces, batched=True, controller=StaticRateController(rates)
-    )
+    calendar = _run(_cluster(policy, events), traces, controller=StaticRateController(rates))
     walk = _run(
         ClusterServerModel(
             [_Unpredicting() for _ in range(3)],
@@ -181,7 +179,6 @@ def test_calendar_books_tied_completions_like_the_walk(case, policy):
             fleet=fleet,
         ),
         traces,
-        batched=True,
         controller=StaticRateController(rates),
     )
     assert calendar.dispatch_log == walk.dispatch_log

@@ -1,5 +1,6 @@
 """Tests for ClusterServerModel composition, partitioners and bookkeeping."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -27,9 +28,17 @@ from repro.simulation import (
 )
 from tests.cluster.test_cluster_batched_identity import CHURN, _fingerprint
 from tests.conftest import make_classes
+from tests.reference import ReferenceScenario
 
 #: The differential suite's horizon: its churn events all fall inside it.
 WALK_CFG = MeasurementConfig(warmup=300.0, horizon=1_500.0, window=300.0)
+
+
+def submit(cluster, class_index=0, size=1.0):
+    """Dispatch one request arriving at t=0 as a one-row block."""
+    rid = cluster.ledger.append(class_index, 0.0, size)
+    cluster.submit_batch(np.asarray([rid], dtype=np.int64))
+    return rid
 
 
 class TestConstruction:
@@ -44,7 +53,7 @@ class TestConstruction:
     def test_rejects_already_bound_nodes(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         node = RateScalableServers()
-        node.bind(SimulationEngine(), classes, lambda request: None)
+        node.bind(SimulationEngine(), classes)
         with pytest.raises(SimulationError, match="fresh"):
             ClusterServerModel([node])
 
@@ -85,7 +94,7 @@ class TestRateFanOut:
             dispatch=dispatch if dispatch is not None else RoundRobin(),
             partitioner=partitioner,
         )
-        cluster.bind(SimulationEngine(), classes, lambda request: None)
+        cluster.bind(SimulationEngine(), classes)
         return cluster
 
     def test_equal_split_conserves_rates(self):
@@ -159,15 +168,15 @@ class TestAggregation:
             dispatch=RoundRobin(),
             record_dispatch=True,
         )
-        cluster.bind(SimulationEngine(), classes, lambda request: None)
-        from repro.simulation import Request
-
+        cluster.bind(SimulationEngine(), classes)
         # Rates stay zero, so every submitted request occupies its node.
         # Round-robin interleaving sends the three class-0 requests to node 0
-        # and the three class-1 requests to node 1; on each node one request
-        # is (frozen) in service and two queue.
+        # and the three class-1 requests to node 1; once drained to t=0, on
+        # each node one request is (frozen) in service and two queue.
         for i in range(6):
-            cluster.submit(Request(request_id=i, class_index=i % 2, arrival_time=0.0, size=1.0))
+            submit(cluster, class_index=i % 2)
+        assert cluster.backlogs() == (3, 3)
+        assert cluster.drain(0.0).size == 0
         assert cluster.backlogs() == (2, 2)
         assert cluster.pending(0, 0) == 3 and cluster.pending(1, 1) == 3
         assert cluster.dispatch_counts() == ((3, 0), (0, 3))
@@ -214,12 +223,12 @@ class TestAggregation:
 
     def test_shared_processor_fleet_walk_matches_per_event(self, moderate_bp):
         """Shared-processor members cannot predict their completions, so the
-        batched cluster replays backlog-dependent decisions in the scalar
-        walk — which must match the per-event run bit for bit, churn
+        cluster replays backlog-dependent decisions in the scalar walk —
+        which must match the per-event reference bit for bit, churn
         included."""
         classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
 
-        def run(batched):
+        def run(scenario_class):
             cluster = ClusterServerModel(
                 [
                     SharedProcessorServer(WeightedFairQueueing(2), capacity=1.0 / 3.0)
@@ -229,19 +238,19 @@ class TestAggregation:
                 record_dispatch=True,
                 fleet=CHURN,
             )
-            result = Scenario(
+            result = scenario_class(
                 classes,
                 WALK_CFG,
                 server=cluster,
                 spec=PsdSpec.of(1, 2),
                 seed=3,
-                batched=batched,
             ).run()
-            assert cluster._calendar is None
+            if scenario_class is Scenario:
+                assert cluster._calendar is None
             return result
 
-        batched = run(True)
-        assert _fingerprint(batched) == _fingerprint(run(False))
+        batched = run(Scenario)
+        assert _fingerprint(batched) == _fingerprint(run(ReferenceScenario))
         assert any(state[0] != "live" for _, state, _ in batched.fleet_timeline)
 
     @pytest.mark.parametrize("inner_policy", [RoundRobin, JoinShortestQueue])
@@ -251,7 +260,7 @@ class TestAggregation:
         must report the next completion their drain emits."""
         classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
 
-        def run(batched):
+        def run(scenario_class):
             inners = [
                 ClusterServerModel(
                     [RateScalableServers(), RateScalableServers()], dispatch=inner_policy()
@@ -259,15 +268,14 @@ class TestAggregation:
                 for _ in range(2)
             ]
             outer = ClusterServerModel(inners, dispatch=JoinShortestQueue(), record_dispatch=True)
-            result = Scenario(
+            result = scenario_class(
                 classes,
                 WALK_CFG,
                 server=outer,
                 spec=PsdSpec.of(1, 2),
                 seed=5,
-                batched=batched,
             ).run()
-            if batched:
+            if scenario_class is Scenario:
                 assert outer._calendar is None
                 assert all(
                     (inner._calendar is not None) == (inner_policy is JoinShortestQueue)
@@ -275,7 +283,7 @@ class TestAggregation:
                 )
             return result
 
-        assert _fingerprint(run(True)) == _fingerprint(run(False))
+        assert _fingerprint(run(Scenario)) == _fingerprint(run(ReferenceScenario))
 
     def test_single_node_cluster_matches_bare_server(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
@@ -318,13 +326,13 @@ class TestAggregation:
     def test_more_nodes_than_requests(self, moderate_bp):
         """A fresh cluster dispatching fewer requests than it has nodes."""
         from repro.distributions import Deterministic
-        from repro.simulation import Request
 
         classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
         for policy in ("round_robin", "jsq", "least_work", "weighted_jsq"):
             cluster = make_cluster(5, policy, record_dispatch=True)
-            cluster.bind(SimulationEngine(), classes, lambda request: None)
-            cluster.submit(Request(request_id=0, class_index=0, arrival_time=0.0, size=1.0))
+            cluster.bind(SimulationEngine(), classes)
+            submit(cluster)
+            assert cluster.drain(0.0).size == 0
             assert cluster.dispatch_log == [0]
             assert cluster.backlogs() == (0, 0)  # in service, not queued
             for node in range(1, 5):
@@ -342,15 +350,14 @@ class TestAggregation:
                 return True
 
         from repro.distributions import Deterministic
-        from repro.simulation import Request
 
         classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
         cluster = ClusterServerModel(
             [RateScalableServers(), RateScalableServers()], dispatch=Sneaky()
         )
-        cluster.bind(SimulationEngine(), classes, lambda request: None)
+        cluster.bind(SimulationEngine(), classes)
         with pytest.raises(SimulationError, match="invalid.*node"):
-            cluster.submit(Request(request_id=0, class_index=0, arrival_time=0.0, size=1.0))
+            submit(cluster)
 
     def test_static_controller_drives_cluster(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))

@@ -1,5 +1,6 @@
 """Unit tests for the cluster dispatch policies."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -14,7 +15,7 @@ from repro.cluster import (
     make_cluster,
 )
 from repro.errors import SimulationError
-from repro.simulation import RateScalableServers, Request, SimulationEngine
+from repro.simulation import RateScalableServers, SimulationEngine
 from tests.conftest import make_classes
 
 
@@ -29,18 +30,18 @@ def bound_cluster(num_nodes, dispatch, num_classes=2, moderate_bp=None):
         dispatch=dispatch,
         record_dispatch=True,
     )
-    cluster.bind(SimulationEngine(), classes, lambda request: None)
+    cluster.bind(SimulationEngine(), classes)
     return cluster
-
-
-def request(request_id, class_index=0, size=1.0):
-    """A standalone Request view; cluster.submit interns it into the ledger."""
-    return Request(request_id=request_id, class_index=class_index, arrival_time=0.0, size=size)
 
 
 def rid_for(cluster, class_index=0, size=1.0):
     """A bare ledger row id, for driving select_node directly."""
     return cluster.ledger.append(class_index, 0.0, size)
+
+
+def submit(cluster, class_index=0, size=1.0):
+    """Dispatch one request arriving at t=0 as a one-row block."""
+    cluster.submit_batch(np.asarray([rid_for(cluster, class_index, size)], dtype=np.int64))
 
 
 class TestRoundRobin:
@@ -77,22 +78,22 @@ class TestJoinShortestQueue:
     def test_follows_per_class_pending(self):
         cluster = bound_cluster(3, JoinShortestQueue())
         # Submitted requests stay pending (nodes hold them in service/queue).
-        cluster.submit(request(0, class_index=0))  # JSQ all-zero -> node 0
-        cluster.submit(request(1, class_index=0))  # node 1 now shortest
-        cluster.submit(request(2, class_index=0))  # node 2
+        submit(cluster, class_index=0)  # JSQ all-zero -> node 0
+        submit(cluster, class_index=0)  # node 1 now shortest
+        submit(cluster, class_index=0)  # node 2
         assert cluster.dispatch_log == [0, 1, 2]
 
     def test_ties_break_to_lowest_node_index(self):
         cluster = bound_cluster(4, JoinShortestQueue())
         assert cluster.dispatch.select_node(rid_for(cluster)) == 0
-        cluster.submit(request(1, class_index=1))  # pending only for class 1
+        submit(cluster, class_index=1)  # pending only for class 1
         # Class 0 still sees all-equal (zero) pending: node 0 again.
         assert cluster.dispatch.select_node(rid_for(cluster, class_index=0)) == 0
 
     def test_pending_is_per_class(self):
         cluster = bound_cluster(2, JoinShortestQueue())
-        cluster.submit(request(0, class_index=0))  # class-0 tie -> node 0
-        cluster.submit(request(1, class_index=1))  # class-1 tie -> node 0
+        submit(cluster, class_index=0)  # class-0 tie -> node 0
+        submit(cluster, class_index=1)  # class-1 tie -> node 0
         # Node 0 now holds one request of each class, so the next class-0
         # request sees per-class pending (1, 0) and goes to node 1.
         assert cluster.pending(0, 0) == 1 and cluster.pending(0, 1) == 1
@@ -102,9 +103,9 @@ class TestJoinShortestQueue:
 class TestLeastWorkLeft:
     def test_prefers_least_outstanding_work(self):
         cluster = bound_cluster(2, LeastWorkLeft())
-        cluster.submit(request(0, class_index=0, size=5.0))  # node 0
+        submit(cluster, class_index=0, size=5.0)  # node 0
         assert cluster.dispatch.select_node(rid_for(cluster, size=1.0)) == 1
-        cluster.submit(request(1, class_index=1, size=1.0))  # node 1 (1.0 left)
+        submit(cluster, class_index=1, size=1.0)  # node 1 (1.0 left)
         assert cluster.dispatch.select_node(rid_for(cluster, size=1.0)) == 1
 
     def test_ties_break_to_lowest_node_index(self):
@@ -120,8 +121,8 @@ class TestClassAffinity:
 
     def test_explicit_partition_routes_classes(self):
         cluster = bound_cluster(3, ClassAffinity((2, 0)))
-        cluster.submit(request(0, class_index=0))
-        cluster.submit(request(1, class_index=1))
+        submit(cluster, class_index=0)
+        submit(cluster, class_index=1)
         assert cluster.dispatch_counts()[2][0] == 1
         assert cluster.dispatch_counts()[0][1] == 1
 

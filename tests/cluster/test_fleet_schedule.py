@@ -135,12 +135,20 @@ def bound_cluster(num_nodes=2, policy="round_robin", fleet=None, **kwargs):
     classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
     cluster = make_cluster(num_nodes, policy, fleet=fleet, record_dispatch=True, **kwargs)
     engine = SimulationEngine()
-    cluster.bind(engine, classes, lambda rid: None)
+    cluster.bind(engine, classes)
     return engine, cluster
 
 
 def submit_request(cluster, engine, class_index=0, size=1.0):
-    cluster.submit(cluster.ledger.append(class_index, engine.now, size))
+    rid = cluster.ledger.append(class_index, engine.now, size)
+    cluster.submit_batch(np.asarray([rid], dtype=np.int64))
+
+
+def run_until(engine, cluster, time):
+    """Advance the engine, then drain the cluster to the same instant (what
+    a scenario does at a window boundary) and log the completions."""
+    engine.run_until(time)
+    cluster.ledger.log_completions(cluster.drain(time))
 
 
 class TestDrainSemantics:
@@ -159,7 +167,7 @@ class TestDrainSemantics:
         submit_request(cluster, engine)
         submit_request(cluster, engine)
         assert cluster.dispatch_log == [0, 1, 0, 1, 1, 1]
-        engine.run_until(20.0)
+        run_until(engine, cluster, 20.0)
         assert cluster.node_state(0) == NODE_DOWN
         assert cluster.pending(0, 0) == 0 and cluster.work_left(0) == 0.0
         # Every dispatched request completed, including the drained ones.

@@ -31,7 +31,6 @@ from repro.simulation import (
     MeasurementConfig,
     RateScalableServers,
     ReplicationRunner,
-    Request,
     Scenario,
     SharedProcessorServer,
     SimulationEngine,
@@ -52,12 +51,14 @@ def bound_cluster(dispatch=None, capacities=(1.0, 1.0), num_classes=2, **kwargs)
         record_dispatch=True,
         **kwargs,
     )
-    cluster.bind(SimulationEngine(), classes, lambda request: None)
+    cluster.bind(SimulationEngine(), classes)
     return cluster
 
 
-def request(request_id, class_index=0, size=1.0):
-    return Request(request_id=request_id, class_index=class_index, arrival_time=0.0, size=size)
+def submit(cluster, class_index=0, size=1.0):
+    """Dispatch one request arriving at t=0 as a one-row block."""
+    rid = cluster.ledger.append(class_index, 0.0, size)
+    cluster.submit_batch(np.asarray([rid], dtype=np.int64))
 
 
 class TestCapacityPlumbing:
@@ -149,7 +150,6 @@ class TestCapacityClamp:
         node.bind(
             SimulationEngine(),
             make_classes(_unit_service(), 0.5, (1.0, 2.0)),
-            lambda request: None,
         )
         node.apply_rates((0.6, 0.4))
         assert [s.rate for s in node.servers] == [0.6, 0.4]
@@ -159,7 +159,6 @@ class TestCapacityClamp:
         node.bind(
             SimulationEngine(),
             make_classes(_unit_service(), 0.5, (1.0, 2.0)),
-            lambda request: None,
         )
         node.apply_rates((0.6, 0.4))
         # Proportional sharing of the physical speed: 0.5 / (0.6 + 0.4).
@@ -171,7 +170,6 @@ class TestCapacityClamp:
         node.bind(
             SimulationEngine(),
             make_classes(_unit_service(), 0.5, (1.0, 2.0)),
-            lambda request: None,
         )
         node.apply_rates((5.0, 7.0))
         assert [s.rate for s in node.servers] == [5.0, 7.0]
@@ -188,17 +186,17 @@ class TestCapacityAwareDispatch:
         cluster = bound_cluster(CapacityWeightedJsq(), capacities=(2.0, 1.0))
         # Empty cluster: tie at 0 load, lowest index wins; then the idle
         # node 1 (0 < 1/2).
-        cluster.submit(request(0))
-        cluster.submit(request(1))
+        submit(cluster)
+        submit(cluster)
         assert cluster.dispatch_log == [0, 1]
         # Pending (1, 1): normalised loads 1/2 vs 1/1 -> node 0; then
         # (2, 1): 2/2 vs 1/1 ties -> node 0 again.  Plain JSQ would have
         # sent this fourth request to node 1.
-        cluster.submit(request(2))
-        cluster.submit(request(3))
+        submit(cluster)
+        submit(cluster)
         assert cluster.dispatch_log == [0, 1, 0, 0]
         # Pending (3, 1): 3/2 vs 1/1 -> node 1 finally catches up.
-        cluster.submit(request(4))
+        submit(cluster)
         assert cluster.dispatch_log == [0, 1, 0, 0, 1]
 
     def test_weighted_jsq_prefers_capacity_partitioner(self):
@@ -218,19 +216,19 @@ class TestCapacityAwareDispatch:
 
     def test_fastest_available_picks_fastest_idle_node(self):
         cluster = bound_cluster(FastestAvailable(), capacities=(1.0, 3.0, 2.0))
-        cluster.submit(request(0))
+        submit(cluster)
         assert cluster.dispatch_log == [1]
-        cluster.submit(request(1))
+        submit(cluster)
         assert cluster.dispatch_log == [1, 2]
-        cluster.submit(request(2))
+        submit(cluster)
         assert cluster.dispatch_log == [1, 2, 0]
 
     def test_fastest_available_busy_fallback_is_capacity_normalised_eta(self):
         cluster = bound_cluster(FastestAvailable(), capacities=(1.0, 4.0))
-        cluster.submit(request(0, size=1.0))  # -> node 1 (fastest idle)
-        cluster.submit(request(1, size=1.0))  # -> node 0 (idle)
+        submit(cluster, size=1.0)  # -> node 1 (fastest idle)
+        submit(cluster, size=1.0)  # -> node 0 (idle)
         # Both busy with 1 unit of work: ETAs 1/1 vs 1/4 -> node 1 again.
-        cluster.submit(request(2, size=1.0))
+        submit(cluster, size=1.0)
         assert cluster.dispatch_log == [1, 0, 1]
 
     def test_weighted_random_defaults_to_capacity_weights(self):

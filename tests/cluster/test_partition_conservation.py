@@ -38,7 +38,7 @@ def bound_cluster(capacities, num_nodes=4, pending=None):
 
     classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0, 3.0))
     cluster = make_cluster(num_nodes, "round_robin", capacities=capacities)
-    cluster.bind(SimulationEngine(), classes, lambda request: None)
+    cluster.bind(SimulationEngine(), classes)
     if pending is not None:
         for node, counts in enumerate(pending):
             for class_index, count in enumerate(counts):

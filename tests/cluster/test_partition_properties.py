@@ -18,6 +18,7 @@ the masks are produced by the drain path itself, not hand-rolled.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,11 +167,11 @@ def test_conservation_over_masks_produced_by_real_drain(name, leavers, rates):
         fleet=parse_fleet_events(tokens) if tokens else None,
     )
     engine = SimulationEngine()
-    cluster.bind(engine, classes, lambda rid: None)
+    cluster.bind(engine, classes)
     cluster.apply_rates((0.0, 0.0))
     # Park one request on node 0 so a leaving node 0 is *draining* (not
     # down) when the partition runs — the mask must exclude it either way.
-    cluster.submit(cluster.ledger.append(0, 0.0, 100.0))
+    cluster.submit_batch(np.asarray([cluster.ledger.append(0, 0.0, 100.0)], dtype=np.int64))
     engine.run_until(2.0)
     live = set(cluster.live_nodes)
     assert live == {0, 1, 2, 3} - leavers

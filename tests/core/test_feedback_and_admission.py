@@ -1,13 +1,12 @@
 """Tests for the feedback-corrected controller and the admission policies."""
 
 import math
-import warnings
 
 import pytest
 
+from repro.cluster import build_admission
 from repro.core import (
     AdmissionDecision,
-    AdmissionPolicy,
     AlwaysAdmit,
     FeedbackPsdController,
     LoadThresholdAdmission,
@@ -127,19 +126,22 @@ class TestAdmissionPolicies:
 
     def test_always_admit(self):
         policy = AlwaysAdmit()
-        assert policy.admit(0, 1.0, self.snapshot())
-        assert policy.admit(1, 100.0, self.snapshot(loads=(5.0, 5.0)))
+        assert policy.decide(0, 1.0, self.snapshot()) is AdmissionDecision.ACCEPT
+        assert (
+            policy.decide(1, 100.0, self.snapshot(loads=(5.0, 5.0))) is AdmissionDecision.ACCEPT
+        )
 
     def test_load_threshold_rejects_lower_class_first(self):
         policy = LoadThresholdAdmission(thresholds=(0.95, 0.7))
         busy = self.snapshot(loads=(0.4, 0.4))  # total 0.8
-        assert policy.admit(0, 1.0, busy)
-        assert not policy.admit(1, 1.0, busy)
+        assert policy.decide(0, 1.0, busy) is AdmissionDecision.ACCEPT
+        assert policy.decide(1, 1.0, busy) is AdmissionDecision.SHED
         assert policy.rejected == [0, 1]
 
     def test_load_threshold_reset(self):
         policy = LoadThresholdAdmission(thresholds=(0.5,))
-        policy.admit(0, 1.0, self.snapshot(backlogs=(0,), loads=(0.9,)))
+        decision = policy.decide(0, 1.0, self.snapshot(backlogs=(0,), loads=(0.9,)))
+        assert decision is AdmissionDecision.SHED
         assert policy.rejected == [1]
         policy.reset()
         assert policy.rejected == [0]
@@ -149,13 +151,14 @@ class TestAdmissionPolicies:
             LoadThresholdAdmission(thresholds=())
         policy = LoadThresholdAdmission(thresholds=(0.9,))
         with pytest.raises(ParameterError):
-            policy.admit(3, 1.0, self.snapshot())
+            policy.decide(3, 1.0, self.snapshot())
 
     def test_queue_length_limits(self):
         policy = QueueLengthAdmission(limits=(2, 5))
-        assert policy.admit(0, 1.0, self.snapshot(backlogs=(1, 0)))
-        assert not policy.admit(0, 1.0, self.snapshot(backlogs=(2, 0)))
-        assert policy.admit(1, 1.0, self.snapshot(backlogs=(9, 4)))
+        assert policy.decide(0, 1.0, self.snapshot(backlogs=(1, 0))) is AdmissionDecision.ACCEPT
+        # Shed once the backlog *reaches* the limit.
+        assert policy.decide(0, 1.0, self.snapshot(backlogs=(2, 0))) is AdmissionDecision.SHED
+        assert policy.decide(1, 1.0, self.snapshot(backlogs=(9, 4))) is AdmissionDecision.ACCEPT
         assert policy.rejected == [1, 0]
 
     def test_queue_length_validation(self):
@@ -163,6 +166,17 @@ class TestAdmissionPolicies:
             QueueLengthAdmission(limits=())
         with pytest.raises(ParameterError):
             QueueLengthAdmission(limits=(0,))
+
+    @pytest.mark.parametrize("limits", ["2.5,0.5", "2,0.5", "2.5,3", "0,3", "-1,3", "nan,3"])
+    def test_queue_length_rejects_fractional_and_sub_unit_limits(self, limits):
+        # Truncating would turn limits=2.5,0.5 into (2, 0), and a limit of
+        # 0 sheds every arrival of its class.
+        with pytest.raises(ParameterError, match="limits"):
+            build_admission("queue_length", (f"limits={limits}",))
+
+    def test_queue_length_accepts_whole_float_limits(self):
+        policy = build_admission("queue_length", ("limits=20,3.0",))
+        assert policy.limits == (20, 3)
 
 
 class TestAdmissionInSimulation:
@@ -206,103 +220,3 @@ class TestFeedbackInSimulation:
         slowdowns = result.per_class_mean_slowdowns()
         assert slowdowns[0] < slowdowns[1]
         assert all(math.isfinite(d) for d in controller.effective_deltas)
-
-
-class TestLegacyDecisionShim:
-    """The redesigned decide() API adapts legacy boolean admit() subclasses."""
-
-    @staticmethod
-    def make_legacy_class():
-        """A fresh pre-redesign policy class overriding only the boolean
-        surface — fresh per call, because the deprecation guard is scoped
-        per policy class (process-wide)."""
-
-        class BoolOnly(AdmissionPolicy):
-            def admit(self, class_index, size, snapshot):
-                return class_index == 0
-
-        return BoolOnly
-
-    def snapshot(self):
-        return SystemSnapshot(time=0.0, backlogs=(0, 0), estimated_loads=(0.3, 0.3))
-
-    def test_decide_adapts_admit_and_warns_once_per_class(self):
-        legacy = self.make_legacy_class()
-        policy = legacy()
-        with pytest.warns(DeprecationWarning, match="legacy boolean"):
-            assert policy.decide(0, 1.0, self.snapshot()) is AdmissionDecision.ACCEPT
-        # Any further call on the same *class* stays silent — same instance
-        # or a fresh one (one policy per replication must not warn N times).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert policy.decide(1, 1.0, self.snapshot()) is AdmissionDecision.SHED
-            assert legacy().decide(1, 1.0, self.snapshot()) is AdmissionDecision.SHED
-
-    def test_two_distinct_legacy_classes_both_warn(self):
-        # The guard is per policy class, not global: a run mixing two legacy
-        # classes must surface a DeprecationWarning for each of them.
-        class LegacyAlpha(AdmissionPolicy):
-            def admit(self, class_index, size, snapshot):
-                return True
-
-        class LegacyBeta(AdmissionPolicy):
-            def admit(self, class_index, size, snapshot):
-                return False
-
-        with pytest.warns(DeprecationWarning, match="LegacyAlpha"):
-            assert LegacyAlpha().decide(0, 1.0, self.snapshot()) is AdmissionDecision.ACCEPT
-        with pytest.warns(DeprecationWarning, match="LegacyBeta"):
-            assert LegacyBeta().decide(0, 1.0, self.snapshot()) is AdmissionDecision.SHED
-
-    def test_guard_not_inherited_between_legacy_classes(self):
-        # A subclass of an already-warned legacy class carries its own
-        # guard: the flag must be read from the class's own __dict__, never
-        # through inheritance.
-        base = self.make_legacy_class()
-        with pytest.warns(DeprecationWarning):
-            base().decide(0, 1.0, self.snapshot())
-
-        class Derived(base):
-            pass
-
-        with pytest.warns(DeprecationWarning, match="Derived"):
-            Derived().decide(0, 1.0, self.snapshot())
-
-    def test_admit_adapts_decide_for_new_policies(self):
-        # ACCEPT and DEGRADE both mean "enters the server" on the boolean
-        # surface; only SHED maps to False.
-        class Degrading(AdmissionPolicy):
-            def decide(self, class_index, size, snapshot):
-                return (
-                    AdmissionDecision.DEGRADE
-                    if class_index == 0
-                    else AdmissionDecision.SHED
-                )
-
-        policy = Degrading()
-        assert policy.admit(0, 1.0, self.snapshot()) is True
-        assert policy.admit(1, 1.0, self.snapshot()) is False
-
-    def test_overriding_neither_surface_raises(self):
-        class Neither(AdmissionPolicy):
-            pass
-
-        with pytest.raises(TypeError, match="must override decide"):
-            Neither().decide(0, 1.0, self.snapshot())
-        with pytest.raises(TypeError, match="must override decide"):
-            Neither().admit(0, 1.0, self.snapshot())
-
-    def test_legacy_policy_runs_in_simulation_via_shim(self, moderate_bp):
-        from repro.simulation import MeasurementConfig, PsdServerSimulation
-
-        classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
-        cfg = MeasurementConfig(warmup=100.0, horizon=1_000.0, window=100.0)
-        legacy = self.make_legacy_class()
-        with pytest.warns(DeprecationWarning, match="legacy boolean"):
-            result = PsdServerSimulation(
-                classes, cfg, admission=legacy(), seed=2
-            ).run()
-        # Class 0 fully admitted, class 1 fully shed — through the adapter.
-        assert result.rejected_counts[0] == 0
-        assert result.rejected_counts[1] == result.generated_counts[1]
-        assert result.completed_counts[1] == 0

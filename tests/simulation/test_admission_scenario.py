@@ -1,24 +1,27 @@
-"""Admission control inside the scenario: both hot paths, one behaviour.
+"""Admission control inside the scenario, diffed against the reference.
 
-The decision API redesign put admission in front of *both* scenario paths:
+The scenario decides admission in one of two ways:
 
-* per-event — one ``decide()`` per arrival;
-* batched — one ``decide_block()`` per arrival block, allowed only for
-  ``window_scoped`` policies.
+* ``window_scoped`` policies get one ``decide_block()`` per arrival block
+  at the window boundary;
+* live-state policies (``QueueLengthAdmission``) are walked arrival by
+  arrival, the server drained to each arrival instant before ``decide()``.
 
-These tests pin the integration contract end to end:
+The per-event reference (:mod:`tests.reference`) calls ``decide()`` once
+per arrival event.  These tests pin the integration contract end to end:
 
-* every shipped window-scoped policy (always / load_threshold / quota) is
-  bit-identical between the two paths — full ledger (including the new
-  disposition column), dispatch log, shed/degrade counters;
-* ``QueueLengthAdmission`` (not window-scoped) silently falls back to the
-  per-event path, and explicitly forcing ``batched=True`` with it raises;
+* every shipped policy (always / load_threshold / quota / queue_length) is
+  bit-identical to the reference — full ledger (including the disposition
+  column), dispatch log, shed/degrade counters — and the live walk stays
+  identical across fleet cuts;
+* live decisions read the backlog of the arrival instant, not of the
+  window boundary;
 * shed requests get ledger rows but never service; degraded requests are
   recorded under their target class with the origin tallied in
   ``degraded_counts``; ``generated_counts`` still count origins;
 * telemetry admission counters, the ledger disposition column and the
-  result's shed/degraded fractions agree on both paths, serial and under
-  ``workers=2``.
+  result's shed/degraded fractions agree with the reference, serial and
+  under ``workers=2``.
 """
 
 from __future__ import annotations
@@ -29,14 +32,21 @@ import pytest
 from repro.cluster import AdmissionController, make_cluster, resolve_capacities
 from repro.core import PsdSpec
 from repro.core.admission import (
-    AdmissionDecision,
     AlwaysAdmit,
     LoadThresholdAdmission,
     QueueLengthAdmission,
 )
-from repro.distributions import BoundedPareto
-from repro.errors import SimulationError
-from repro.simulation import MeasurementConfig, Scenario, run_replications
+from repro.distributions import BoundedPareto, Deterministic
+from repro.scheduling import WeightedFairQueueing
+from repro.simulation import (
+    MeasurementConfig,
+    RateScalableServers,
+    Scenario,
+    SharedProcessorServer,
+    StaticRateController,
+    run_replications,
+)
+from repro.simulation.generator import TraceSource
 from repro.simulation.ledger import (
     DISPOSITION_ADMITTED,
     DISPOSITION_DEGRADED,
@@ -44,6 +54,9 @@ from repro.simulation.ledger import (
 )
 from repro.telemetry import Telemetry
 from repro.types import TrafficClass
+from tests.cluster.test_cluster_batched_identity import CHURN
+from tests.conftest import make_classes
+from tests.reference import ReferenceScenario
 
 #: Offered work ~3.9/time against a 3.0-capacity fleet: a genuinely
 #: overloaded cluster, so the quota ladder's three legs all fire.
@@ -71,18 +84,21 @@ POLICIES = {
     "quota": lambda: AdmissionController(
         (0.05, 0.05), degrade_threshold=0.0, shed_threshold=1.5
     ),
+    "queue_length": lambda: QueueLengthAdmission((4, 4)),
 }
 
+#: Both ways of running a scenario, keyed for test ids.
+SCENARIOS = {"batched": Scenario, "reference": ReferenceScenario}
 
-def _run(policy_key, batched, *, telemetry=None, seed=11):
-    scenario = Scenario(
+
+def _run(policy_key, scenario_key="batched", *, telemetry=None, seed=11, server=None):
+    scenario = SCENARIOS[scenario_key](
         CLASSES,
         CONFIG,
-        server=_cluster(),
+        server=_cluster() if server is None else server,
         spec=SPEC,
         seed=seed,
         admission=None if policy_key is None else POLICIES[policy_key](),
-        batched=batched,
         telemetry=telemetry,
     )
     return scenario.run()
@@ -106,8 +122,8 @@ def _ledger_bytes(result):
 class TestBatchedIdentity:
     @pytest.mark.parametrize("policy_key", sorted(POLICIES))
     def test_batched_matches_per_event_bit_for_bit(self, policy_key):
-        batched = _run(policy_key, True)
-        scalar = _run(policy_key, False)
+        batched = _run(policy_key)
+        scalar = _run(policy_key, "reference")
         assert _ledger_bytes(batched) == _ledger_bytes(scalar)
         assert batched.dispatch_log == scalar.dispatch_log
         assert batched.rejected_counts == scalar.rejected_counts
@@ -121,51 +137,22 @@ class TestBatchedIdentity:
         assert batched.rate_history == scalar.rate_history
 
     def test_quota_run_exercises_all_three_legs(self):
-        result = _run("quota", True)
+        result = _run("quota")
         dispositions = result.ledger.disposition
         assert int((dispositions == DISPOSITION_ADMITTED).sum()) > 0
         assert int((dispositions == DISPOSITION_DEGRADED).sum()) > 0
         assert int((dispositions == DISPOSITION_SHED).sum()) > 0
 
     def test_load_threshold_sheds_lower_class_only(self):
-        result = _run("load_threshold", True)
+        result = _run("load_threshold")
         assert result.rejected_counts[0] > 0
         assert result.rejected_counts[1] == 0
 
 
-class TestPathSelection:
-    def test_window_scoped_policy_keeps_batched_path(self):
-        scenario = Scenario(
-            CLASSES, CONFIG, server=_cluster(), spec=SPEC, admission=AlwaysAdmit()
-        )
-        assert scenario.batched
-
-    def test_live_state_policy_falls_back_to_per_event(self):
-        scenario = Scenario(
-            CLASSES,
-            CONFIG,
-            server=_cluster(),
-            spec=SPEC,
-            admission=QueueLengthAdmission((50, 50)),
-        )
-        assert not scenario.batched
-
-    def test_forcing_batched_with_live_state_policy_raises(self):
-        with pytest.raises(SimulationError, match="not window_scoped"):
-            Scenario(
-                CLASSES,
-                CONFIG,
-                server=_cluster(),
-                spec=SPEC,
-                admission=QueueLengthAdmission((50, 50)),
-                batched=True,
-            )
-
-
 class TestDispositionAccounting:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_ledger_agrees_with_result_counters(self, batched):
-        result = _run("quota", batched)
+    @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
+    def test_ledger_agrees_with_result_counters(self, scenario_key):
+        result = _run("quota", scenario_key)
         ledger = result.ledger
         dispositions = ledger.disposition
         shed = int((dispositions == DISPOSITION_SHED).sum())
@@ -180,24 +167,25 @@ class TestDispositionAccounting:
         assert result.shed_fraction() == shed / sum(result.generated_counts)
         assert result.degraded_fraction() == degraded / sum(result.generated_counts)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_shed_rows_never_enter_service(self, batched):
-        ledger = _run("quota", batched).ledger
+    @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
+    def test_shed_rows_never_enter_service(self, scenario_key):
+        ledger = _run("quota", scenario_key).ledger
         shed_rows = np.flatnonzero(ledger.disposition == DISPOSITION_SHED)
         assert shed_rows.size > 0
         assert np.isnan(ledger.service_start_time[shed_rows]).all()
         assert np.isnan(ledger.completion_time[shed_rows]).all()
 
     def test_no_admission_leaves_dispositions_admitted(self):
-        ledger = _run(None, True).ledger
+        ledger = _run(None).ledger
         assert int(ledger.disposition.max(initial=0)) == DISPOSITION_ADMITTED
 
 
 class TestTelemetryAgreement:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_counters_match_ledger_and_fractions(self, batched):
+    @pytest.mark.parametrize("policy_key", ["quota", "queue_length"])
+    @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
+    def test_counters_match_ledger_and_fractions(self, scenario_key, policy_key):
         telemetry = Telemetry()
-        result = _run("quota", batched, telemetry=telemetry)
+        result = _run(policy_key, scenario_key, telemetry=telemetry)
         reg = telemetry.registry
         dispositions = result.ledger.disposition
         shed = int((dispositions == DISPOSITION_SHED).sum())
@@ -221,10 +209,10 @@ class TestTelemetryAgreement:
 
     def test_both_paths_feed_identical_counters(self):
         values = {}
-        for batched in (True, False):
+        for scenario_key in SCENARIOS:
             telemetry = Telemetry()
-            _run("quota", batched, telemetry=telemetry)
-            values[batched] = {
+            _run("quota", scenario_key, telemetry=telemetry)
+            values[scenario_key] = {
                 name: telemetry.registry.counter(name).value
                 for name in (
                     "admission.accepted",
@@ -234,26 +222,108 @@ class TestTelemetryAgreement:
                     "admission.class1.rejected",
                 )
             }
-        assert values[True] == values[False]
+        assert values["batched"] == values["reference"]
 
 
 class TestWorkers:
     def test_worker_pool_reproduces_serial_admission_run(self):
-        def build(batched):
+        def build(scenario_key):
             def run(index, seed):
-                return _run("quota", batched, seed=seed)
+                return _run("quota", scenario_key, seed=seed)
 
             return run
 
-        serial = run_replications(build(True), replications=2, workers=1)
-        forked = run_replications(build(True), replications=2, workers=2)
-        per_event = run_replications(build(False), replications=2, workers=2)
+        serial = run_replications(build("batched"), replications=2, workers=1)
+        forked = run_replications(build("batched"), replications=2, workers=2)
+        per_event = run_replications(build("reference"), replications=2, workers=2)
         for a, b in zip(serial.results, forked.results):
             assert _ledger_bytes(a) == _ledger_bytes(b)
             assert a.rejected_counts == b.rejected_counts
             assert a.degraded_counts == b.degraded_counts
         assert serial.per_class_slowdowns == forked.per_class_slowdowns
-        # ... and the per-event path under workers matches too (transport
+        # ... and the reference under workers matches too (transport
         # carries the disposition column faithfully).
         for a, b in zip(serial.results, per_event.results):
             assert _ledger_bytes(a) == _ledger_bytes(b)
+
+
+def _assert_same_run(walk, reference):
+    assert _ledger_bytes(walk) == _ledger_bytes(reference)
+    assert walk.dispatch_log == reference.dispatch_log
+    assert walk.fleet_timeline == reference.fleet_timeline
+    assert walk.rate_history == reference.rate_history
+    assert walk.rejected_counts == reference.rejected_counts
+    assert walk.generated_counts == reference.generated_counts
+
+
+class TestLiveAdmissionWalk:
+    """Live-state admission runs as a per-arrival walk inside each block
+    segment; it must replay the reference's decisions exactly."""
+
+    SERVERS = {
+        "fcfs": lambda: RateScalableServers(),
+        "shared-wfq": lambda: SharedProcessorServer(WeightedFairQueueing(2), capacity=3.0),
+        "weighted_jsq-2:1": _cluster,
+    }
+
+    @pytest.mark.parametrize("server_key", sorted(SERVERS))
+    def test_walk_matches_reference(self, server_key):
+        factory = self.SERVERS[server_key]
+        walk = _run("queue_length", server=factory())
+        reference = _run("queue_length", "reference", server=factory())
+        _assert_same_run(walk, reference)
+        assert sum(walk.rejected_counts) > 0
+
+    def test_walk_segments_at_fleet_cuts_match_reference(self):
+        # CHURN's events fall mid-window, so segments start at fleet cuts.
+        classes = make_classes(BoundedPareto(0.1, 10.0, 1.5), 0.9, (1.0, 2.0))
+        config = MeasurementConfig(warmup=300.0, horizon=1_500.0, window=300.0)
+
+        def run(scenario_class):
+            cluster = make_cluster(3, "round_robin", fleet=CHURN, record_dispatch=True, seed=2)
+            return scenario_class(
+                classes,
+                config,
+                server=cluster,
+                spec=SPEC,
+                seed=4,
+                admission=QueueLengthAdmission((2, 2)),
+            ).run()
+
+        walk = run(Scenario)
+        _assert_same_run(walk, run(ReferenceScenario))
+        assert sum(walk.rejected_counts) > 0
+        assert any(state[0] != "live" for _, state, _ in walk.fleet_timeline)
+
+    def test_decisions_read_the_arrival_instant_backlog(self):
+        """The backlog reaches the limit mid-window and falls again before
+        the next boundary; a boundary-backlog decision would admit all."""
+        # Unit-size requests at rate 1: A (0.5) serves until 1.5; B and C
+        # queue (backlog 2), so D (0.8) is shed.  A completes at 1.5, so E
+        # (1.55) sees backlog 1 and is admitted, F (1.6) is shed again.  By
+        # G (4.05) the queue has drained and G is admitted.
+        gaps = [0.5, 0.1, 0.1, 0.1, 0.75, 0.05, 2.45]
+        classes = (TrafficClass("only", 0.5, Deterministic(1.0), 1.0),)
+        config = MeasurementConfig(warmup=0.0, horizon=10.0, window=10.0)
+
+        def run(scenario_class):
+            return scenario_class(
+                classes,
+                config,
+                controller=StaticRateController((1.0,)),
+                sources=[TraceSource(0, interarrivals=gaps, sizes=[1.0] * len(gaps))],
+                admission=QueueLengthAdmission((2,)),
+            ).run()
+
+        walk = run(Scenario)
+        assert walk.ledger.disposition.tolist() == [
+            DISPOSITION_ADMITTED,
+            DISPOSITION_ADMITTED,
+            DISPOSITION_ADMITTED,
+            DISPOSITION_SHED,
+            DISPOSITION_ADMITTED,
+            DISPOSITION_SHED,
+            DISPOSITION_ADMITTED,
+        ]
+        assert walk.rejected_counts == (2,)
+        _assert_same_run(walk, run(ReferenceScenario))

@@ -1,12 +1,12 @@
-"""Differential tests: the batched hot path must be bit-identical to the
-per-event path.
+"""Differential tests: the batched pipeline must be bit-identical to the
+per-event reference simulator.
 
-The batched engine path (block arrivals + vectorised completion drains,
-``Scenario(batched=...)``) is a pure re-ordering of the same float
-arithmetic: cumulative sums replace repeated additions, but every operand
-sequence is preserved.  These tests pin that contract across the full
-matrix {Poisson, trace replay} x {FCFS rate-scalable, shared-processor WFQ}
-x {serial, workers=2} by comparing full-float ``repr`` fingerprints — any
+The scenario's pipeline (block arrivals + bulk completion drains) is a pure
+re-ordering of the float arithmetic one engine event per arrival and per
+completion performs (:mod:`tests.reference`): every operand sequence is
+preserved.  These tests pin that contract across the full matrix
+{Poisson, trace replay} x {FCFS rate-scalable, shared-processor WFQ} x
+{serial, workers=2} by comparing full-float ``repr`` fingerprints — any
 drift of even one ULP fails.
 """
 
@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from repro.distributions import BoundedPareto
-from repro.errors import SimulationError
 from repro.scheduling import WeightedFairQueueing
 from repro.simulation import MeasurementConfig, Scenario, run_replications
 from repro.simulation.generator import TraceSource
 from repro.simulation.server_models import RateScalableServers, SharedProcessorServer
 from repro.types import TrafficClass
+from tests.reference import ReferenceScenario
 
 CLASSES = (
     TrafficClass("gold", 0.30, BoundedPareto(0.5, 50.0, 1.2), 1.0),
@@ -50,16 +50,15 @@ def _trace_sources() -> list[TraceSource]:
 WORKLOADS = {"poisson": None, "trace": _trace_sources}
 
 
-def _run(server_key: str, workload_key: str, batched: bool):
+def _run(server_key: str, workload_key: str, scenario_class=Scenario):
     factory = WORKLOADS[workload_key]
     sources = factory() if factory is not None else None
-    scenario = Scenario(
+    scenario = scenario_class(
         CLASSES,
         CONFIG,
         server=SERVERS[server_key](),
         seed=7,
         sources=sources,
-        batched=batched,
     )
     return scenario.run()
 
@@ -91,27 +90,11 @@ class TestBatchedVsPerEventSerial:
     @pytest.mark.parametrize("server_key", sorted(SERVERS))
     @pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
     def test_serial_runs_are_bit_identical(self, server_key, workload_key):
-        batched = _run(server_key, workload_key, batched=True)
-        per_event = _run(server_key, workload_key, batched=False)
+        batched = _run(server_key, workload_key)
+        per_event = _run(server_key, workload_key, ReferenceScenario)
         assert _fingerprint(batched) == _fingerprint(per_event)
         # Non-trivial runs only: the horizon must have produced completions.
         assert batched.ledger.num_completed > 50
-
-    def test_batched_is_the_default_for_capable_servers(self):
-        scenario = Scenario(CLASSES, CONFIG, server=RateScalableServers(), seed=7)
-        assert scenario.batched
-        explicit = Scenario(
-            CLASSES, CONFIG, server=RateScalableServers(), seed=7, batched=False
-        )
-        assert not explicit.batched
-        assert _fingerprint(scenario.run()) == _fingerprint(explicit.run())
-
-    def test_batched_requires_server_support(self):
-        class Plain(RateScalableServers):
-            supports_batched = False
-
-        with pytest.raises(SimulationError):
-            Scenario(CLASSES, CONFIG, server=Plain(), seed=7, batched=True)
 
 
 class TestBatchedVsPerEventWorkers:
@@ -119,10 +102,10 @@ class TestBatchedVsPerEventWorkers:
     @pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
     def test_worker_results_match_serial_both_paths(self, server_key, workload_key):
         def build_batched(index, seed):
-            return _run(server_key, workload_key, batched=True)
+            return _run(server_key, workload_key)
 
         def build_per_event(index, seed):
-            return _run(server_key, workload_key, batched=False)
+            return _run(server_key, workload_key, ReferenceScenario)
 
         serial = run_replications(build_batched, replications=2, workers=1)
         forked = run_replications(build_batched, replications=2, workers=2)

@@ -159,21 +159,28 @@ class TestLifecycleInvariants:
 
 
 class TestZeroRateFreeze:
+    @staticmethod
+    def advance(engine, server, time):
+        engine.run_until(time)
+        rids, _ = server.drain(time)
+        server.ledger.log_completions(rids)
+
     def test_zero_rate_freeze_and_resume_accounting(self):
         """A frozen task server holds remaining work; the ledger row stays
         in service and completes with the post-resume timestamps."""
         engine = SimulationEngine()
         ledger = RequestLedger(1)
-        done = []
-        server = FcfsTaskServer(engine, 0, 1.0, ledger=ledger, on_completion=done.append)
+        server = FcfsTaskServer(engine, 0, 1.0, ledger=ledger)
         rid = ledger.append(0, 0.0, 2.0)
-        server.submit(rid)
-        engine.schedule_at(1.0, lambda: server.set_rate(0.0))
-        engine.schedule_at(5.0, lambda: server.set_rate(0.5))
-        engine.run_until(50.0)
+        server.submit_batch(np.asarray([rid]))
+        self.advance(engine, server, 1.0)
+        server.set_rate(0.0)
+        self.advance(engine, server, 5.0)
+        server.set_rate(0.5)
+        self.advance(engine, server, 50.0)
         # 1 unit of work done before the freeze; the second unit runs at
         # rate 0.5 from t=5, finishing at t=7.
-        assert done == [rid]
+        np.testing.assert_array_equal(ledger.completed_ids, [rid])
         assert ledger.start_of(rid) == 0.0
         assert ledger.completion_of(rid) == pytest.approx(7.0)
         # Busy time excludes the frozen span.
@@ -186,15 +193,15 @@ class TestZeroRateFreeze:
         server = FcfsTaskServer(engine, 0, 1.0, ledger=ledger)
         first = ledger.append(0, 0.0, 1.0)
         second = ledger.append(0, 0.0, 1.0)
-        server.submit(first)
-        server.submit(second)
-        engine.schedule_at(0.5, lambda: server.set_rate(0.0))
-        engine.run_until(10.0)
+        server.submit_batch(np.asarray([first, second]))
+        self.advance(engine, server, 0.5)
+        server.set_rate(0.0)
+        self.advance(engine, server, 10.0)
         # Still frozen at the horizon: nothing completed, backlog intact.
         assert ledger.num_completed == 0
         assert server.backlog == 1 and server.in_service == first
         server.set_rate(1.0)
-        engine.run_until(20.0)
+        self.advance(engine, server, 20.0)
         np.testing.assert_array_equal(ledger.completed_ids, [first, second])
 
 

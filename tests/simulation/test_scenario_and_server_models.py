@@ -137,17 +137,21 @@ class TestScenarioComposition:
             """M/G/inf: every request is served immediately at full rate."""
 
             def _on_bind(self) -> None:
-                pass
+                self.in_flight = np.empty(0, dtype=np.int64)
 
-            def submit(self, request):
-                rid = self.resolve(request)
-                self.ledger.start_service(rid, self.engine.now)
+            def submit_batch(self, rids):
+                self.ledger.start_service_batch(rids, self.ledger.arrivals_of(rids))
+                self.in_flight = np.concatenate([self.in_flight, rids])
 
-                def finish():
-                    self.ledger.complete(rid, self.engine.now)
-                    self.deliver(rid)
-
-                self.engine.schedule_after(self.ledger.size_of(rid), finish)
+            def drain(self, now):
+                ledger = self.ledger
+                done_at = ledger.arrivals_of(self.in_flight) + ledger.sizes_of(self.in_flight)
+                due = done_at <= now
+                order = np.argsort(done_at[due], kind="stable")
+                rids = self.in_flight[due][order]
+                ledger.complete_batch(rids, done_at[due][order])
+                self.in_flight = self.in_flight[~due]
+                return rids
 
             def apply_rates(self, rates):
                 pass

@@ -1,143 +1,140 @@
 """Tests for the rate-scalable FCFS task server."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation import FcfsTaskServer, Request, RequestLedger, SimulationEngine
+from repro.simulation import FcfsTaskServer, RequestLedger, SimulationEngine
 
 
-def make_request(request_id, arrival, size, class_index=0):
-    return Request(request_id=request_id, class_index=class_index, arrival_time=arrival, size=size)
+def make_server(rate, class_index=0):
+    engine = SimulationEngine()
+    server = FcfsTaskServer(engine, class_index, rate, ledger=RequestLedger(4))
+    return engine, server
 
 
-def tracked_server(engine, class_index, rate):
-    """A task server plus the list of completed-request views, in order.
+def submit(server, arrival, size, class_index=0):
+    rid = server.ledger.append(class_index, arrival, size)
+    server.submit_batch(np.asarray([rid], dtype=np.int64))
+    return rid
 
-    The completion callback hands back ledger row ids; the tests want
-    object ergonomics, so the tracker materialises a view per completion.
+
+def advance(engine, server, time):
+    """Move the clock to ``time`` and drain the server there.
+
+    Returns views of the requests completed by the drain, in completion
+    order (the drain's completions are logged into the ledger too).
     """
-    ledger = RequestLedger()
-    done = []
-    server = FcfsTaskServer(
-        engine,
-        class_index,
-        rate,
-        ledger=ledger,
-        on_completion=lambda rid: done.append(ledger.view(rid)),
-    )
-    return server, done
+    engine.run_until(time)
+    rids, _ = server.drain(time)
+    server.ledger.log_completions(rids)
+    return [server.ledger.view(rid) for rid in rids.tolist()]
 
 
 class TestFcfsService:
     def test_single_request_full_rate(self):
-        engine = SimulationEngine()
-        server, done = tracked_server(engine, 0, 1.0)
-        server.submit(make_request(1, 0.0, 2.0))
-        engine.run_until(10.0)
+        engine, server = make_server(1.0)
+        submit(server, 0.0, 2.0)
+        done = advance(engine, server, 10.0)
         assert len(done) == 1
         assert done[0].completion_time == pytest.approx(2.0)
         assert done[0].waiting_time == pytest.approx(0.0)
 
     def test_half_rate_doubles_service_time(self):
-        engine = SimulationEngine()
-        server, done = tracked_server(engine, 0, 0.5)
-        server.submit(make_request(1, 0.0, 2.0))
-        engine.run_until(10.0)
+        engine, server = make_server(0.5)
+        submit(server, 0.0, 2.0)
+        done = advance(engine, server, 10.0)
         assert done[0].completion_time == pytest.approx(4.0)
         assert done[0].service_duration == pytest.approx(4.0)
         # Slowdown uses the scaled service time: no queueing -> slowdown 0.
         assert done[0].slowdown == pytest.approx(0.0)
 
     def test_fcfs_order_and_waiting(self):
-        engine = SimulationEngine()
-        server, done = tracked_server(engine, 0, 1.0)
-        server.submit(make_request(1, 0.0, 2.0))
-        server.submit(make_request(2, 0.0, 1.0))
-        engine.run_until(10.0)
-        assert [r.request_id for r in done] == [1, 2]
+        engine, server = make_server(1.0)
+        first = submit(server, 0.0, 2.0)
+        second = submit(server, 0.0, 1.0)
+        done = advance(engine, server, 10.0)
+        assert [r.row for r in done] == [first, second]
         assert done[1].waiting_time == pytest.approx(2.0)
         assert done[1].completion_time == pytest.approx(3.0)
         assert done[1].slowdown == pytest.approx(2.0)
 
     def test_backlog_accounting(self):
-        engine = SimulationEngine()
-        server = FcfsTaskServer(engine, 0, 1.0)
-        server.submit(make_request(1, 0.0, 1.0))
-        server.submit(make_request(2, 0.0, 1.0))
+        engine, server = make_server(1.0)
+        submit(server, 0.0, 1.0)
+        submit(server, 0.0, 1.0)
+        advance(engine, server, 0.0)
         assert server.is_busy
         assert server.backlog == 1
-        engine.run_until(10.0)
+        advance(engine, server, 10.0)
         assert server.backlog == 0
         assert not server.is_busy
         assert server.completed_count == 2
 
     def test_wrong_class_rejected(self):
-        engine = SimulationEngine()
-        server = FcfsTaskServer(engine, 0, 1.0)
+        engine, server = make_server(1.0)
         with pytest.raises(SimulationError):
-            server.submit(make_request(1, 0.0, 1.0, class_index=3))
+            submit(server, 0.0, 1.0, class_index=3)
 
 
 class TestRateChanges:
     def test_rate_change_mid_service_adjusts_completion(self):
-        engine = SimulationEngine()
-        server, done = tracked_server(engine, 0, 1.0)
-        server.submit(make_request(1, 0.0, 2.0))
+        engine, server = make_server(1.0)
+        submit(server, 0.0, 2.0)
         # After 1 time unit (half the work done) the rate drops to 0.5, so the
         # remaining 1 unit of work takes 2 more time units.
-        engine.schedule_at(1.0, lambda: server.set_rate(0.5))
-        engine.run_until(10.0)
+        advance(engine, server, 1.0)
+        server.set_rate(0.5)
+        done = advance(engine, server, 10.0)
         assert done[0].completion_time == pytest.approx(3.0)
 
     def test_rate_increase_mid_service(self):
-        engine = SimulationEngine()
-        server, done = tracked_server(engine, 0, 0.5)
-        server.submit(make_request(1, 0.0, 2.0))
+        engine, server = make_server(0.5)
+        submit(server, 0.0, 2.0)
         # After 2 time units, 1 unit of work remains; at rate 2 it takes 0.5.
-        engine.schedule_at(2.0, lambda: server.set_rate(2.0))
-        engine.run_until(10.0)
+        advance(engine, server, 2.0)
+        server.set_rate(2.0)
+        done = advance(engine, server, 10.0)
         assert done[0].completion_time == pytest.approx(2.5)
 
     def test_zero_rate_freezes_service(self):
-        engine = SimulationEngine()
-        server, done = tracked_server(engine, 0, 1.0)
-        server.submit(make_request(1, 0.0, 2.0))
-        engine.schedule_at(1.0, lambda: server.set_rate(0.0))
-        engine.schedule_at(5.0, lambda: server.set_rate(1.0))
-        engine.run_until(20.0)
+        engine, server = make_server(1.0)
+        submit(server, 0.0, 2.0)
+        advance(engine, server, 1.0)
+        server.set_rate(0.0)
+        assert advance(engine, server, 5.0) == []
+        server.set_rate(1.0)
+        done = advance(engine, server, 20.0)
         # 1 unit done before the freeze, 1 unit after it lifts at t=5.
         assert done[0].completion_time == pytest.approx(6.0)
 
     def test_multiple_rate_changes_conserve_work(self):
-        engine = SimulationEngine()
-        server, done = tracked_server(engine, 0, 0.8)
-        server.submit(make_request(1, 0.0, 4.0))
+        engine, server = make_server(0.8)
+        submit(server, 0.0, 4.0)
         for t, rate in ((1.0, 0.4), (2.0, 1.0), (3.0, 0.6)):
-            engine.schedule_at(t, lambda rate=rate: server.set_rate(rate))
-        engine.run_until(50.0)
+            advance(engine, server, t)
+            server.set_rate(rate)
+        done = advance(engine, server, 50.0)
         # Work done: 0.8 + 0.4 + 1.0 = 2.2 by t=3; remaining 1.8 at 0.6 -> 3 more.
         assert done[0].completion_time == pytest.approx(6.0)
 
     def test_rate_change_while_idle_is_harmless(self):
-        engine = SimulationEngine()
-        server = FcfsTaskServer(engine, 0, 1.0)
+        engine, server = make_server(1.0)
         server.set_rate(0.3)
         assert server.rate == pytest.approx(0.3)
-        server2, done = tracked_server(engine, 0, 1.0)
+        engine, server2 = make_server(1.0)
         server2.set_rate(0.5)
-        server2.submit(make_request(1, 0.0, 1.0))
-        engine.run_until(10.0)
+        submit(server2, 0.0, 1.0)
+        done = advance(engine, server2, 10.0)
         assert done[0].completion_time == pytest.approx(2.0)
 
     def test_negative_rate_rejected(self):
-        engine = SimulationEngine()
-        server = FcfsTaskServer(engine, 0, 1.0)
+        engine, server = make_server(1.0)
         with pytest.raises(Exception):
             server.set_rate(-0.1)
 
     def test_busy_time_accounting(self):
-        engine = SimulationEngine()
-        server = FcfsTaskServer(engine, 0, 1.0)
-        server.submit(make_request(1, 0.0, 1.5))
-        engine.run_until(10.0)
+        engine, server = make_server(1.0)
+        submit(server, 0.0, 1.5)
+        advance(engine, server, 10.0)
         assert server.busy_time == pytest.approx(1.5)

@@ -9,14 +9,13 @@ from repro.errors import ParameterError
 from repro.telemetry import Telemetry
 
 
-def run_scenario(classes, measurement, *, telemetry=None, batched=None, server=None, seed=7):
+def run_scenario(classes, measurement, *, telemetry=None, server=None, seed=7):
     scenario = Scenario(
         classes,
         measurement,
         server=server,
         spec=PsdSpec.of(*(c.delta for c in classes)),
         seed=np.random.SeedSequence(seed),
-        batched=batched,
         telemetry=telemetry,
     )
     return scenario.run(), scenario
@@ -34,7 +33,7 @@ class TestTelemetryConstruction:
         telemetry.on_batch(1.0, 5)
         telemetry.on_drain(1.0, 3)
         telemetry.on_server_drain(0, 2)
-        telemetry.on_admission(0, True)
+        telemetry.on_admission_block(np.asarray([0]), np.asarray([0]))
         assert telemetry.batch_marks == []
         assert telemetry.drain_marks == []
         assert telemetry.registry.instruments() == []
@@ -55,21 +54,16 @@ class TestScenarioIntegration:
             assert result.completed_counts == baseline.completed_counts
 
     def test_batched_aggregates_bit_identical(self, two_classes, short_measurement):
-        baseline, _ = run_scenario(two_classes, short_measurement, batched=True)
-        result, _ = run_scenario(
-            two_classes, short_measurement, telemetry=Telemetry(), batched=True
-        )
+        baseline, _ = run_scenario(two_classes, short_measurement)
+        result, _ = run_scenario(two_classes, short_measurement, telemetry=Telemetry())
         assert result.per_class_mean_slowdowns() == baseline.per_class_mean_slowdowns()
         assert result.rate_history == baseline.rate_history
 
-    def test_per_event_instruments_populated(self, two_classes, short_measurement):
+    def test_batched_instruments_populated(self, two_classes, short_measurement):
         telemetry = Telemetry()
-        result, scenario = run_scenario(
-            two_classes, short_measurement, telemetry=telemetry, batched=False
-        )
+        result, scenario = run_scenario(two_classes, short_measurement, telemetry=telemetry)
         registry = telemetry.registry
         assert registry.get("scenario.runs").value == 1
-        assert registry.get("engine.events.arrival").value == sum(result.generated_counts)
         assert registry.get("engine.events_processed").value == scenario.engine.events_processed
         assert registry.get("scenario.completions").value == sum(result.completed_counts)
         assert registry.get("scenario.arrivals").value == sum(result.generated_counts)
@@ -81,17 +75,12 @@ class TestScenarioIntegration:
         # The default server is unconstrained (capacity None), so the
         # utilisation gauge is never created.
         assert registry.get("server.utilisation") is None
-
-    def test_batched_instruments_populated(self, two_classes, short_measurement):
-        telemetry = Telemetry()
-        run_scenario(two_classes, short_measurement, telemetry=telemetry, batched=True)
-        registry = telemetry.registry
         assert telemetry.batch_marks and telemetry.drain_marks
         assert registry.get("scenario.batch_size").count == len(telemetry.batch_marks)
         assert registry.get("scenario.drain_length").count == len(telemetry.drain_marks)
         # Per-class member drains observed through ServerModel.attach_telemetry.
         assert registry.get("class0.drain_length").count > 0
-        # No per-event listener on the batched path beyond window/fleet labels:
+        # Arrivals ride window blocks, never one engine event each:
         assert registry.get("engine.events.arrival") is None
 
     def test_disabled_facade_installs_no_engine_listener(

@@ -146,7 +146,6 @@ class TestChromeTraceEvents:
             short_measurement,
             spec=PsdSpec.of(*(c.delta for c in two_classes)),
             seed=np.random.SeedSequence(7),
-            batched=True,
             telemetry=telemetry,
         ).run()
         events = chrome_trace_events(result, seed=7, telemetry=telemetry)

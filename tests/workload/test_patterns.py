@@ -14,6 +14,7 @@ from repro.workload import (
     pattern_sources,
 )
 from tests.conftest import make_classes
+from tests.reference import ReferenceScenario
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +130,7 @@ class TestPatternSources:
         generated = [len(src) for src in sources]
         batched = Scenario(classes, config, sources=sources, seed=1).run()
         sources = pattern_sources(classes, patterns, horizon=config.horizon, seed=2)
-        scalar = Scenario(classes, config, sources=sources, seed=1, batched=False).run()
+        scalar = ReferenceScenario(classes, config, sources=sources, seed=1).run()
         assert batched.generated_counts == tuple(generated)
         assert batched.generated_counts == scalar.generated_counts
         assert batched.per_class_mean_slowdowns() == scalar.per_class_mean_slowdowns()
