@@ -62,10 +62,6 @@ class BoundedPareto(Distribution):
             raise DistributionError(
                 f"upper bound p={self.p!r} must exceed lower bound k={self.k!r}"
             )
-        # Quantile-function constants, precomputed once: ppf sits on the
-        # simulator's per-arrival hot path.
-        object.__setattr__(self, "_ppf_denom", 1.0 - (self.k / self.p) ** self.alpha)
-        object.__setattr__(self, "_ppf_exponent", -1.0 / self.alpha)
 
     # ------------------------------------------------------------------ #
     # Normalising constant and raw moments
@@ -119,25 +115,12 @@ class BoundedPareto(Distribution):
         return vals
 
     def ppf(self, q):
-        if isinstance(q, float):
-            # Scalar fast path: one request size per arrival event is the
-            # simulator's dominant sampling pattern, and the ndarray
-            # machinery (asarray/any/clip wrappers) costs ~20x the
-            # arithmetic at size one.  ``np.power`` is kept (not ``**``):
-            # NumPy's pow kernel rounds the last ulp differently from
-            # libm's, and the draws must stay bit-identical to the vector
-            # path.
-            if q < 0.0 or q > 1.0:
-                raise DistributionError("quantiles must lie in [0, 1]")
-            # Invert F(x) = (1 - (k/x)^alpha) / denom  for x in [k, p].
-            x = self.k * np.power(1.0 - q * self._ppf_denom, self._ppf_exponent)
-            # Guard against rounding pushing results marginally outside [k, p].
-            return min(max(x, self.k), self.p)
         q = np.asarray(q, dtype=float)
         if np.any((q < 0.0) | (q > 1.0)):
             raise DistributionError("quantiles must lie in [0, 1]")
-        inner = 1.0 - q * self._ppf_denom
-        x = self.k * np.power(inner, self._ppf_exponent)
+        # Invert F(x) = (1 - (k/x)^alpha) / denom  for x in [k, p].
+        denom = 1.0 - (self.k / self.p) ** self.alpha
+        x = self.k * np.power(1.0 - q * denom, -1.0 / self.alpha)
         return np.clip(x, self.k, self.p)
 
     @property

@@ -5,6 +5,17 @@ times) of requests whose sizes are drawn from the class's service-time
 distribution — the ``M/G_B/1`` traffic model of the paper when the size
 distribution is Bounded Pareto.  Deterministic and trace-driven variants are
 provided for tests and for replaying recorded workloads.
+
+A :class:`RequestSource` draws its stream in fixed chunks of ``_CHUNK``
+arrivals: ``_CHUNK`` gaps (:meth:`ArrivalProcess.draw_gaps`), then
+``_CHUNK`` sizes (``sizes.sample(rng, _CHUNK)``), from the class RNG, with
+the absolute times a ``np.cumsum`` over ``[last time, g1, ..., gK]`` — the
+same left fold as the engine's ``now + gap``.  The block API
+(:meth:`RequestSource.draw_block`) and the scalar API
+(:meth:`~RequestSource.next_interarrival` / :meth:`~RequestSource.next_size`)
+read the same buffered chunk, so both see one stream, which depends on the
+(seed, class) pair and the chunk size alone — not on window length, block
+bounds or how many blocks are drawn.
 """
 
 from __future__ import annotations
@@ -29,13 +40,30 @@ __all__ = [
     "sources_from_classes",
 ]
 
+#: Arrivals per generator refill.  Changing it changes every sample path.
+_CHUNK = 1024
+
 
 class ArrivalProcess(abc.ABC):
     """Produces successive inter-arrival times."""
 
     @abc.abstractmethod
     def next_interarrival(self, rng: np.random.Generator) -> float:
-        """Time until the next arrival (strictly positive)."""
+        """Time until the next arrival (``+inf`` switches the class off)."""
+
+    def draw_gaps(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The next ``n`` inter-arrival times as one float64 array.
+
+        The default loops :meth:`next_interarrival` and stops at the first
+        ``+inf`` (the class is off from then on, so the rest stay ``+inf``);
+        subclasses override it with a vectorised draw.
+        """
+        gaps = np.full(n, math.inf)
+        for i in range(n):
+            gaps[i] = self.next_interarrival(rng)
+            if gaps[i] == math.inf:
+                break
+        return gaps
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -50,6 +78,11 @@ class PoissonArrivals(ArrivalProcess):
             return float("inf")
         return float(rng.exponential(1.0 / self.rate))
 
+    def draw_gaps(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        if self.rate == 0.0:
+            return np.full(n, math.inf)
+        return rng.exponential(1.0 / self.rate, n)
+
 
 class DeterministicArrivals(ArrivalProcess):
     """Evenly spaced arrivals (used in tests for exact, noise-free scenarios)."""
@@ -60,6 +93,9 @@ class DeterministicArrivals(ArrivalProcess):
 
     def next_interarrival(self, rng: np.random.Generator) -> float:
         return self.interval
+
+    def draw_gaps(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(n, self.interval)
 
 
 class RequestSource:
@@ -78,48 +114,75 @@ class RequestSource:
         self.arrivals = arrivals
         self.sizes = sizes
         self.rng = rng
-        # Carried arrival of the batched path: the next arrival's absolute
-        # time has been drawn but its size has not (mirroring the per-event
-        # protocol, where the gap is drawn one event ahead of the size).
-        self._block_next_time: float | None = None
+        # The buffered chunk and the chunk-relative cursors of the next gap
+        # and the next size to hand out; a block release moves both.
+        self._gaps = self._times = self._sizes = np.empty(0)
+        self._last_time = 0.0
+        self._gap_next = 0
+        self._size_next = 0
+
+    def _refill(self) -> None:
+        """Draw the next chunk: ``_CHUNK`` gaps, then ``_CHUNK`` sizes."""
+        gaps = np.asarray(self.arrivals.draw_gaps(self.rng, _CHUNK), dtype=np.float64)
+        sizes = np.asarray(self.sizes.sample(self.rng, _CHUNK), dtype=np.float64)
+        if gaps.shape != (_CHUNK,):
+            raise ParameterError(f"draw_gaps returned shape {gaps.shape}, expected ({_CHUNK},)")
+        if not (gaps >= 0.0).all():
+            bad = gaps[~(gaps >= 0.0)][0]
+            raise ParameterError(f"arrival process produced an invalid inter-arrival time {bad!r}")
+        if not (sizes > 0.0).all():
+            bad = sizes[~(sizes > 0.0)][0]
+            raise ParameterError(f"size distribution produced a non-positive sample {bad!r}")
+        self._times = np.cumsum(np.concatenate(([self._last_time], gaps)))[1:]
+        self._gaps, self._sizes = gaps, sizes
+        self._last_time = float(self._times[-1])
+        self._gap_next = self._size_next = 0
+
+    def _refill_scalar(self, other_cursor: int) -> None:
+        if other_cursor != self._times.shape[0]:
+            raise ParameterError("next_interarrival and next_size calls must alternate")
+        self._refill()
 
     def next_interarrival(self) -> float:
-        return self.arrivals.next_interarrival(self.rng)
+        if self._gap_next == self._times.shape[0]:
+            self._refill_scalar(self._size_next)
+        gap = float(self._gaps[self._gap_next])
+        self._gap_next += 1
+        return gap
 
     def next_size(self) -> float:
-        size = float(self.sizes.sample(self.rng))
-        if size <= 0.0:
-            raise ParameterError(f"size distribution produced a non-positive sample {size!r}")
+        if self._size_next == self._times.shape[0]:
+            self._refill_scalar(self._gap_next)
+        size = float(self._sizes[self._size_next])
+        self._size_next += 1
         return size
 
     def draw_block(self, bound: float, *, inclusive: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Pre-draw every arrival strictly before ``bound`` (``<=`` if
-        ``inclusive``); returns ``(times, sizes)`` as float64 arrays.
+        """Every arrival strictly before ``bound`` (``<=`` if ``inclusive``)
+        not yet released, as ``(times, sizes)`` float64 arrays.
 
-        Draw order matches the per-event protocol exactly — gap first, then
-        alternating size/gap — so the generator's RNG state after a sequence
-        of blocks is bit-identical to the per-event stream at the same
-        arrival count.  The one gap drawn past the bound is carried into the
-        next block (its size is not drawn until the arrival is released),
-        so successive calls with increasing bounds tile the timeline without
-        consuming extra randomness.
+        A ``searchsorted`` slice of the buffered chunk, refilled whenever a
+        block reaches its end, so successive calls with increasing bounds
+        tile one stream: the one :meth:`next_interarrival` /
+        :meth:`next_size` read.  Arrivals at ``+inf`` (a class switched
+        off) are never released.
         """
-        times: list[float] = []
-        sizes: list[float] = []
-        t = self._block_next_time
-        if t is None:
-            gap = self.next_interarrival()
-            t = 0.0 + gap if math.isfinite(gap) else math.inf
-        while t < bound or (inclusive and t == bound):
-            sizes.append(self.next_size())
-            times.append(t)
-            gap = self.next_interarrival()
-            t = t + gap if math.isfinite(gap) else math.inf
-        self._block_next_time = t
-        return (
-            np.asarray(times, dtype=np.float64),
-            np.asarray(sizes, dtype=np.float64),
-        )
+        side = "right" if inclusive and bound < math.inf else "left"
+        times: list[np.ndarray] = []
+        sizes: list[np.ndarray] = []
+        while True:
+            if self._size_next == self._times.shape[0]:
+                self._refill()
+            start = self._size_next
+            end = max(start, int(np.searchsorted(self._times, bound, side=side)))
+            self._gap_next = self._size_next = end
+            times.append(self._times[start:end])
+            sizes.append(self._sizes[start:end])
+            if end < _CHUNK:
+                break
+        if len(times) == 1:
+            return times[0], sizes[0]
+        return np.concatenate(times), np.concatenate(sizes)
 
 
 class TraceSource(RequestSource):

@@ -16,15 +16,18 @@ block segmentation.  Two invariants, per policy:
 completion calendar (every member is a ``RateScalableServers``), whose
 predictions every ``set_capacity`` re-partition must rebuild.
 
-Service sizes are deliberately off the arrival grid (0.23/0.41/0.57 versus
-0.25-grid arrivals), and the second class arrives on a grid shifted by
-0.125, so neither a completion nor another class's arrival ever ties an
-arrival instant exactly: for those measure-zero cases the reference's order
-is a scheduling-sequence artifact (whichever event was scheduled first
-wins), and the pipeline follows the repo-wide completions-first and
-class-order conventions instead.  Fleet-event ties, by contrast, ARE
-deterministic (bind-time events always outrank mid-run events) and are
-generated on purpose.
+Service sizes are deliberately off the arrival grid (sqrt(2)/6, sqrt(3)/4
+and sqrt(5)/4 versus 0.25-grid arrivals) and incommensurable, so no sum of
+them served at a rate the capacity events produce lands on the grid
+(decimal sizes do: 0.23 + 0.57 at rate 0.8 take exactly one time unit), and
+the second class arrives on a grid shifted by 0.125, so neither a
+completion nor another class's arrival ever ties an arrival instant
+exactly: for those measure-zero cases the reference's order is a
+scheduling-sequence artifact (whichever event was scheduled first wins),
+and the pipeline follows the repo-wide completions-first and class-order
+conventions instead.  Fleet-event ties, by contrast, ARE deterministic
+(bind-time events always outrank mid-run events) and are generated on
+purpose.
 
 The second property pins those conventions where they matter: with
 grid-aligned sizes and rates, completions tie arrival instants all the
@@ -60,6 +63,8 @@ CLASSES = {
 }
 CFG = MeasurementConfig(warmup=0.0, horizon=30.0, window=30.0)
 POLICIES = ["round_robin", "jsq", "weighted_jsq", "least_work", "fastest_available"]
+#: Service sizes no sum of which, over any partitioned rate, is on the grid.
+OFF_GRID_SIZES = (np.sqrt(2) / 6, np.sqrt(3) / 4, np.sqrt(5) / 4)
 #: Grid offset of each class's first arrival: class 1 never ties class 0.
 CLASS_OFFSETS = (0.0, 0.125)
 
@@ -133,7 +138,7 @@ def _cluster(policy, events):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_cases([0.23, 0.41, 0.57]), policy=st.sampled_from(POLICIES))
+@given(case=_cases(OFF_GRID_SIZES), policy=st.sampled_from(POLICIES))
 def test_batched_dispatch_replays_per_event_oracle(case, policy):
     traces, events = case
     batched = _run(_cluster(policy, events), traces)

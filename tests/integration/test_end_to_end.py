@@ -98,7 +98,9 @@ class TestControllabilityPipeline:
     def test_small_targets_achieved(self, target):
         spec = PsdSpec.of(1, target)
         classes = web_classes(2, 0.7, spec.deltas, service=SERVICE)
-        summary = run_summary(classes, spec, seed=int(target))
+        # 16 replications: at 4 the ratio of pooled means missed the ±30%
+        # band on up to 3 of base seeds 0-29; at 16 it holds on all 30.
+        summary = run_summary(classes, spec, seed=int(target), replications=16)
         achieved = summary.ratio_of_mean_slowdowns[1]
         assert achieved == pytest.approx(target, rel=0.3)
 
