@@ -14,10 +14,10 @@ broken by the lowest node index, so a whole simulation run is reproducible
 from the scenario's master seed alone.
 
 Dynamic fleets: every policy selects only from the cluster's *live* nodes
-(:func:`~repro.cluster.fleet.live_nodes_of`) — draining and down nodes are
-skipped deterministically, and the cluster calls :meth:`DispatchPolicy.
+(``cluster.live_nodes``) — draining and down nodes are skipped
+deterministically, and the cluster calls :meth:`DispatchPolicy.
 fleet_changed` at every fleet event so policies can refresh cached per-node
-state (capacity inverses, weighted-random cumulative weights).  On a fully
+state (choosers, weighted-random cumulative weights).  On a fully
 live fleet the live set is every node, so static clusters behave
 bit-identically to the pre-fleet policies.
 
@@ -37,7 +37,6 @@ import numpy as np
 from ..distributions.rng import make_generator
 from ..errors import ClusterDrainedError, SimulationError
 from ..telemetry.log import get_logger, log_event
-from .fleet import live_nodes_of
 
 __all__ = [
     "DispatchPolicy",
@@ -61,8 +60,12 @@ class DispatchPolicy(abc.ABC):
     The cluster calls :meth:`bind` exactly once (handing over a read-only
     view of itself — see :class:`~repro.cluster.model.ClusterServerModel` for
     the accessors policies may use: ``num_nodes``, ``num_classes``,
-    ``pending``, ``work_left``, ``ledger``) and then :meth:`select_node` once
-    per admitted request, with the request's ledger row id.
+    ``pending``, ``work_left``, ``pending_table``, ``work_left_table``,
+    ``live_nodes``, ``ledger``).  It then routes each admitted request
+    through ``select_block`` when the policy has one, and through the
+    :meth:`chooser` it fetches once per arrival block otherwise.
+    Implementing :meth:`select_node` is enough: the default chooser calls
+    it once per request, with the request's ledger row id.
     """
 
     def __init__(self) -> None:
@@ -118,14 +121,77 @@ class DispatchPolicy(abc.ABC):
     def select_node(self, rid: int) -> int:
         """The index of the member node that will serve ledger row ``rid``."""
 
+    def chooser(self) -> Callable[[int, int], int]:
+        """The policy's decision as ``choose(rid, class_index) -> node``.
+
+        The cluster fetches it once per arrival block and calls it once per
+        request, with the row id and class.  This default wraps
+        :meth:`select_node` and validates every choice (a live node index,
+        never a bool), so custom policies keep working unchanged — as does
+        a subclass or instance patch overriding only :meth:`select_node`.
+
+        Built-in backlog-dependent policies return a closure over the
+        cluster's own state instead: ``pending_table`` and
+        ``work_left_table`` (read live, never written), the live tuple and
+        the capacities.  The last two change only at fleet events, so the
+        closure is rebuilt at bind time and in :meth:`_on_fleet_change`;
+        blocks are cut at every fleet event, so one fetch serves a whole
+        block.  A built-in chooser picks only from the live tuple, so its
+        choices skip validation (the trust contract of ``select_block``).
+        """
+        select_node = self.select_node
+        checked = self.cluster._checked_node
+
+        def choose(rid: int, class_index: int) -> int:
+            return checked(select_node(rid))
+
+        return choose
+
     # Policies whose decisions do not read live backlogs may additionally
     # implement ``select_block(rids, classes) -> np.ndarray`` — the node
     # choice for a whole arrival block in one vectorised call, bit-identical
     # to ``select_node`` applied per request in order.  The cluster
-    # dispatches blocks through it when present; backlog-dependent policies
-    # omit it, and the cluster calls ``select_node`` per request after
-    # booking every completion due by the arrival — off its completion
-    # calendar, or by draining members that cannot predict completions.
+    # dispatches blocks through it when present, and through the
+    # :meth:`chooser` otherwise.
+
+
+class _BacklogPolicy(DispatchPolicy):
+    """A backlog-dependent policy: its decision rule lives in one chooser.
+
+    Subclasses implement :meth:`_build_chooser` over a non-empty live tuple;
+    the chooser is cached and rebuilt at every fleet event, and
+    :meth:`select_node` is the same chooser applied to the row's class.
+    """
+
+    def _on_bind(self) -> None:
+        self._refresh_chooser()
+
+    def _on_fleet_change(self) -> None:
+        # Live set or capacities changed: rebuild over the new state.
+        self._refresh_chooser()
+
+    def _refresh_chooser(self) -> None:
+        live = self.cluster.live_nodes
+        self._choose = self._build_chooser(live) if live else _drained
+
+    @abc.abstractmethod
+    def _build_chooser(self, live: tuple[int, ...]) -> Callable[[int, int], int]:
+        """The decision closure over the cluster state, for a fixed live set."""
+
+    def chooser(self) -> Callable[[int, int], int]:
+        return self._choose
+
+    def select_node(self, rid: int) -> int:
+        return self._choose(rid, self.cluster.ledger.class_of(rid))
+
+    def _inverse_capacities(self) -> tuple[float, ...]:
+        cluster = self.cluster
+        return tuple(1.0 / cluster.node_capacity(node) for node in range(cluster.num_nodes))
+
+
+def _drained(rid: int, class_index: int) -> int:
+    """The chooser of a fleet with no live node."""
+    raise ClusterDrainedError("every cluster node is draining or down; no live node exists")
 
 
 class RoundRobin(DispatchPolicy):
@@ -258,7 +324,7 @@ class WeightedRandom(DispatchPolicy):
         ).astype(np.int64)
 
 
-class JoinShortestQueue(DispatchPolicy):
+class JoinShortestQueue(_BacklogPolicy):
     """Send the request to the node with the fewest pending requests.
 
     ``pending`` counts queued *and* in-service requests of the request's own
@@ -267,19 +333,22 @@ class JoinShortestQueue(DispatchPolicy):
     lowest node index, which keeps runs deterministic.
     """
 
-    def select_node(self, rid: int) -> int:
-        cluster = self.cluster
-        class_index = cluster.ledger.class_of(rid)
-        live = live_nodes_of(cluster)
-        best, best_pending = live[0], cluster.pending(live[0], class_index)
-        for node in live[1:]:
-            pending = cluster.pending(node, class_index)
-            if pending < best_pending:
-                best, best_pending = node, pending
-        return best
+    def _build_chooser(self, live: tuple[int, ...]) -> Callable[[int, int], int]:
+        pending = self.cluster.pending_table
+        first, rest = live[0], live[1:]
+
+        def choose(rid: int, class_index: int) -> int:
+            best, best_pending = first, pending[first][class_index]
+            for node in rest:
+                count = pending[node][class_index]
+                if count < best_pending:
+                    best, best_pending = node, count
+            return best
+
+        return choose
 
 
-class CapacityWeightedJsq(DispatchPolicy):
+class CapacityWeightedJsq(_BacklogPolicy):
     """Join-shortest-queue on capacity-normalised per-class pending counts.
 
     A fast node drains its queue proportionally faster, so the quantity that
@@ -296,38 +365,31 @@ class CapacityWeightedJsq(DispatchPolicy):
     the single server.
     """
 
-    def _on_bind(self) -> None:
-        self._refresh_inverse_capacities()
-
-    def _on_fleet_change(self) -> None:
-        # set_capacity events change the vector in place; re-read it.
-        self._refresh_inverse_capacities()
-
-    def _refresh_inverse_capacities(self) -> None:
-        self._inverse_capacity = tuple(
-            1.0 / self.cluster.node_capacity(node)
-            for node in range(self.cluster.num_nodes)
-        )
-
     def preferred_partitioner(self):
         from .partition import CapacityProportional
 
         return CapacityProportional()
 
-    def select_node(self, rid: int) -> int:
-        cluster = self.cluster
-        class_index = cluster.ledger.class_of(rid)
-        live = live_nodes_of(cluster)
-        best = live[0]
-        best_load = cluster.pending(best, class_index) * self._inverse_capacity[best]
-        for node in live[1:]:
-            load = cluster.pending(node, class_index) * self._inverse_capacity[node]
-            if load < best_load:
-                best, best_load = node, load
-        return best
+    def _build_chooser(self, live: tuple[int, ...]) -> Callable[[int, int], int]:
+        # set_capacity events change the vector in place; re-read it.
+        self._inverse_capacity = inverse = self._inverse_capacities()
+        pending = self.cluster.pending_table
+        first, rest = live[0], live[1:]
+        first_inverse = inverse[first]
+        weighted = tuple((node, inverse[node]) for node in rest)
+
+        def choose(rid: int, class_index: int) -> int:
+            best, best_load = first, pending[first][class_index] * first_inverse
+            for node, node_inverse in weighted:
+                load = pending[node][class_index] * node_inverse
+                if load < best_load:
+                    best, best_load = node, load
+            return best
+
+        return choose
 
 
-class FastestAvailable(DispatchPolicy):
+class FastestAvailable(_BacklogPolicy):
     """Send the request to the fastest idle node, else the least loaded.
 
     An idle node (no outstanding work) serves the request immediately, so
@@ -337,41 +399,35 @@ class FastestAvailable(DispatchPolicy):
     broken by the lowest node index.
     """
 
-    def _on_bind(self) -> None:
-        self._refresh_inverse_capacities()
-
-    def _on_fleet_change(self) -> None:
-        self._refresh_inverse_capacities()
-
-    def _refresh_inverse_capacities(self) -> None:
-        self._inverse_capacity = tuple(
-            1.0 / self.cluster.node_capacity(node)
-            for node in range(self.cluster.num_nodes)
-        )
-
     def preferred_partitioner(self):
         from .partition import CapacityProportional
 
         return CapacityProportional()
 
-    def select_node(self, rid: int) -> int:
+    def _build_chooser(self, live: tuple[int, ...]) -> Callable[[int, int], int]:
+        self._inverse_capacity = inverse = self._inverse_capacities()
         cluster = self.cluster
-        live = live_nodes_of(cluster)
-        fastest, fastest_capacity = -1, 0.0
+        work_left = cluster.work_left_table
         first = live[0]
-        best, best_eta = first, cluster.work_left(first) * self._inverse_capacity[first]
-        for node in live:
-            if cluster.work_left(node) == 0.0:
-                capacity = cluster.node_capacity(node)
-                if capacity > fastest_capacity:
+        first_inverse = inverse[first]
+        weighted = tuple((node, cluster.node_capacity(node), inverse[node]) for node in live)
+
+        def choose(rid: int, class_index: int) -> int:
+            fastest, fastest_capacity = -1, 0.0
+            best, best_eta = first, work_left[first] * first_inverse
+            for node, capacity, node_inverse in weighted:
+                work = work_left[node]
+                if work == 0.0 and capacity > fastest_capacity:
                     fastest, fastest_capacity = node, capacity
-            eta = cluster.work_left(node) * self._inverse_capacity[node]
-            if eta < best_eta:
-                best, best_eta = node, eta
-        return fastest if fastest >= 0 else best
+                eta = work * node_inverse
+                if eta < best_eta:
+                    best, best_eta = node, eta
+            return fastest if fastest >= 0 else best
+
+        return choose
 
 
-class LeastWorkLeft(DispatchPolicy):
+class LeastWorkLeft(_BacklogPolicy):
     """Send the request to the node with the least outstanding work.
 
     Outstanding work is the total full-rate service demand of every request
@@ -379,15 +435,19 @@ class LeastWorkLeft(DispatchPolicy):
     broken by the lowest node index.
     """
 
-    def select_node(self, rid: int) -> int:
-        cluster = self.cluster
-        live = live_nodes_of(cluster)
-        best, best_work = live[0], cluster.work_left(live[0])
-        for node in live[1:]:
-            work = cluster.work_left(node)
-            if work < best_work:
-                best, best_work = node, work
-        return best
+    def _build_chooser(self, live: tuple[int, ...]) -> Callable[[int, int], int]:
+        work_left = self.cluster.work_left_table
+        first, rest = live[0], live[1:]
+
+        def choose(rid: int, class_index: int) -> int:
+            best, best_work = first, work_left[first]
+            for node in rest:
+                work = work_left[node]
+                if work < best_work:
+                    best, best_work = node, work
+            return best
+
+        return choose
 
 
 class ClassAffinity(DispatchPolicy):

@@ -54,7 +54,9 @@ fleet is static, and each block takes one of three routes:
 Either backlog route books every completion with ``time <= arrival`` before
 the decision — each node's in ``(time, class)`` order, drain-complete flips
 in ``(time, node)`` order — so each decision reads the pending/work state of
-that instant, exactly as a one-event-per-request cluster would.  Member
+that instant, exactly as a one-event-per-request cluster would.  Both take
+their decisions from the policy's :meth:`~repro.cluster.dispatch.
+DispatchPolicy.chooser`, fetched once per block.  Member
 completions are buffered as per-node bulk-drain runs and merged by a stable
 time sort at :meth:`ClusterServerModel.drain`, so the dispatch log, fleet
 timeline, rate histories and aggregates are bit-identical to the per-event
@@ -157,7 +159,7 @@ class ClusterServerModel(ServerModel):
         self.fleet.validate_for(len(self.nodes))
         self._pending: list[list[int]] = []
         self._work_left: list[float] = []
-        self._dispatch_counts: list[list[int]] = []
+        self._dispatch_counts = np.zeros((0, 0), dtype=np.int64)
         self._node_state: list[str] = []
         self._live: tuple[int, ...] = ()
         self._last_rates: tuple[float, ...] | None = None
@@ -195,9 +197,23 @@ class ClusterServerModel(ServerModel):
         """Outstanding full-rate service demand dispatched to ``node``."""
         return self._work_left[node]
 
+    @property
+    def pending_table(self) -> list[list[int]]:
+        """The live ``[node][class]`` pending counts, shared, not copied.
+
+        Dispatch choosers close over it once and read it per decision; the
+        cluster updates it in place.  Read it, never write it.
+        """
+        return self._pending
+
+    @property
+    def work_left_table(self) -> list[float]:
+        """The live per-node outstanding work, shared like :attr:`pending_table`."""
+        return self._work_left
+
     def dispatch_counts(self) -> tuple[tuple[int, ...], ...]:
         """Total requests dispatched per node per class over the whole run."""
-        return tuple(tuple(row) for row in self._dispatch_counts)
+        return tuple(tuple(row) for row in self._dispatch_counts.tolist())
 
     def node_capacity(self, node: int) -> float:
         """The member node's relative capacity (1.0 when undeclared).
@@ -238,7 +254,7 @@ class ClusterServerModel(ServerModel):
         n, c = self.num_nodes, self.num_classes
         self._pending = [[0] * c for _ in range(n)]
         self._work_left = [0.0] * n
-        self._dispatch_counts = [[0] * c for _ in range(n)]
+        self._dispatch_counts = np.zeros((n, c), dtype=np.int64)
         self.dispatch_log = []
         down = set(self.fleet.initial_down)
         self._node_state = [NODE_DOWN if i in down else NODE_LIVE for i in range(n)]
@@ -256,14 +272,17 @@ class ClusterServerModel(ServerModel):
         self.dispatch.bind(self)
         # Dispatch state: per-node next-completion heads, buffered
         # member drain runs awaiting the next merge, and the member/policy
-        # methods the dispatch inner loop calls — bound once here so the
+        # methods the dispatch loops call — bound once here so the
         # per-request path never repeats the attribute lookups.
         self._heads = [float("inf")] * n
         self._run_rids: list[np.ndarray] = []
         self._run_times: list[np.ndarray] = []
         self._submit_ones = tuple(node.submit_one for node in self.nodes)
         self._next_completions = tuple(node.next_completion_time for node in self.nodes)
-        self._select_block = self._resolve_select_block()
+        self._select_block = self._mirror_of_select_node("select_block")
+        self._chooser = self._mirror_of_select_node("chooser") or partial(
+            DispatchPolicy.chooser, self.dispatch
+        )
         # Completion calendar (backlog-dependent policy, every member
         # predicting its completions): a heap of ``(completion, node, class,
         # rid, size)`` for every dispatched request not yet booked, plus each
@@ -281,33 +300,34 @@ class ClusterServerModel(ServerModel):
                 event.time, partial(self._apply_fleet_event, event), label="fleet"
             )
 
-    def _resolve_select_block(self) -> Callable | None:
-        """The policy's block dispatcher, if its scalar decisions are mirrored.
+    def _mirror_of_select_node(self, name: str) -> Callable | None:
+        """The policy's ``select_block`` or ``chooser``, if it mirrors
+        ``select_node``.
 
-        ``select_block`` must reproduce ``select_node``'s choice sequence; a
-        subclass (or instance patch) overriding ``select_node`` without
-        redefining ``select_block`` would silently bypass its own logic, so
-        the vectorised route is taken only when the class defining
-        ``select_block`` sits at or below the one defining ``select_node``
-        in the policy's MRO.
+        Both must reproduce ``select_node``'s choice sequence; a subclass
+        (or instance patch) overriding ``select_node`` without redefining
+        the mirror would silently bypass its own logic, so the mirror is
+        used only when the class defining it sits at or below the one
+        defining ``select_node`` in the policy's MRO.  Otherwise the caller
+        falls back to a route that calls ``select_node`` itself.
         """
         dispatch = self.dispatch
-        if "select_node" in vars(dispatch) and "select_block" not in vars(dispatch):
+        if "select_node" in vars(dispatch) and name not in vars(dispatch):
             return None
         cls = type(dispatch)
-        if getattr(cls, "select_block", None) is None:
+        if getattr(cls, name, None) is None:
             return None
 
-        def definer(name: str) -> type | None:
+        def definer(attr: str) -> type | None:
             for klass in cls.__mro__:
-                if name in vars(klass):
+                if attr in vars(klass):
                     return klass
             return None
 
-        block_cls, node_cls = definer("select_block"), definer("select_node")
-        if block_cls is None or node_cls is None or not issubclass(block_cls, node_cls):
+        mirror_cls, node_cls = definer(name), definer("select_node")
+        if mirror_cls is None or node_cls is None or not issubclass(mirror_cls, node_cls):
             return None
-        return dispatch.select_block
+        return getattr(dispatch, name)
 
     def _mark_drained(self, node: int, time: float) -> None:
         """Drain complete: the leaving node served its last queued request
@@ -483,28 +503,31 @@ class ClusterServerModel(ServerModel):
         :meth:`_checked_node` is skipped here.
         """
         choices = self._select_block(rids, classes)
-        n, c = self.num_nodes, self.num_classes
+        n = self.num_nodes
         sizes = self.ledger.sizes_of(rids)
-        pair_counts = np.bincount(choices * c + classes, minlength=n * c)
+        pair_counts = self._count_dispatches(choices, classes).tolist()
         work_add = np.bincount(choices, weights=sizes, minlength=n)
-        node_totals = np.bincount(choices, minlength=n)
         next_completion = self._next_completions
         for node in range(n):
-            if not node_totals[node]:
+            row_counts = pair_counts[node]
+            if not any(row_counts):
                 continue
             row_pending = self._pending[node]
-            row_counts = self._dispatch_counts[node]
-            base = node * c
-            for cls in range(c):
-                k = int(pair_counts[base + cls])
-                if k:
-                    row_pending[cls] += k
-                    row_counts[cls] += k
+            for cls, k in enumerate(row_counts):
+                row_pending[cls] += k
             self._work_left[node] += float(work_add[node])
             self.nodes[node].submit_batch(rids[choices == node])
             self._heads[node] = next_completion[node]()
         if self.record_dispatch:
-            self.dispatch_log.extend(int(v) for v in choices)
+            self.dispatch_log.extend(choices.tolist())
+
+    def _count_dispatches(self, choices: np.ndarray, classes: np.ndarray) -> np.ndarray:
+        """Add a block's choices to :meth:`dispatch_counts`; returns the
+        block's own ``(node, class)`` counts."""
+        n, c = self.num_nodes, self.num_classes
+        pair_counts = np.bincount(choices * c + classes, minlength=n * c).reshape(n, c)
+        self._dispatch_counts += pair_counts
+        return pair_counts
 
     def _dispatch_predicted(self, rids: np.ndarray, classes: np.ndarray) -> None:
         """Replay the exact per-request decision sequence on the calendar.
@@ -517,39 +540,28 @@ class ClusterServerModel(ServerModel):
         pushed.  A request queued behind a frozen (zero-rate) class server
         gets no entry until the next rate change rebuilds the calendar.  The
         members receive the block as one sub-block per node and are drained
-        only at synchronisation points, so the per-request cost is the
-        policy decision, two heap operations and list bookkeeping.
+        only at synchronisation points, so the per-request cost is one
+        chooser call, two heap operations and list bookkeeping.
         """
         ledger = self.ledger
         times = ledger.arrivals_of(rids).tolist()
         sizes = ledger.sizes_of(rids).tolist()
-        classes_list = classes.tolist()
-        rids_list = rids.tolist()
         calendar = self._calendar
         rates = self._class_rates
         free = self._class_free
         pending = self._pending
         work_left = self._work_left
-        counts = self._dispatch_counts
-        node_state = self._node_state
-        num_nodes = self.num_nodes
-        select_node = self.dispatch.select_node
-        checked = self._checked_node
+        choose = self._chooser()
         book = self._book_completions
         choices: list[int] = []
-        for i, t in enumerate(times):
+        chose = choices.append
+        for t, rid, cls, size in zip(times, rids.tolist(), classes.tolist(), sizes):
             if calendar and calendar[0][0] <= t:
                 book(t)
-            rid = rids_list[i]
-            node = select_node(rid)
-            if type(node) is not int or not 0 <= node < num_nodes or node_state[node] != NODE_LIVE:
-                node = checked(node)
-            cls = classes_list[i]
-            size = sizes[i]
+            node = choose(rid, cls)
             pending[node][cls] += 1
             work_left[node] += size
-            counts[node][cls] += 1
-            choices.append(node)
+            chose(node)
             rate = rates[node][cls]
             if rate > 0.0:
                 last = free[node][cls]
@@ -557,6 +569,7 @@ class ClusterServerModel(ServerModel):
                 free[node][cls] = done
                 heappush(calendar, (done, node, cls, rid, size))
         chosen = np.asarray(choices, dtype=np.int64)
+        self._count_dispatches(chosen, classes)
         for node in np.unique(chosen).tolist():
             self.nodes[node].submit_batch(rids[chosen == node])
         if self.record_dispatch:
@@ -615,40 +628,32 @@ class ClusterServerModel(ServerModel):
         probability zero for continuous workloads).  Everything the
         loop touches is bound to locals once; the member pushes go through
         the pre-gathered ``submit_one`` fast path, so the per-request cost
-        is the policy decision plus list bookkeeping.
+        is one chooser call plus list bookkeeping.
         """
         ledger = self.ledger
         times = ledger.arrivals_of(rids).tolist()
         sizes = ledger.sizes_of(rids).tolist()
-        classes_list = classes.tolist()
-        rids_list = rids.tolist()
         heads = self._heads
         pending = self._pending
         work_left = self._work_left
-        counts = self._dispatch_counts
-        node_state = self._node_state
-        num_nodes = self.num_nodes
-        log = self.dispatch_log if self.record_dispatch else None
         submit_one = self._submit_ones
         next_completion = self._next_completions
-        select_node = self.dispatch.select_node
-        checked = self._checked_node
+        choose = self._chooser()
         advance = self._advance_completions
-        for i, t in enumerate(times):
+        choices: list[int] = []
+        chose = choices.append
+        for t, rid, cls, size in zip(times, rids.tolist(), classes.tolist(), sizes):
             if min(heads) <= t:
                 advance(t)
-            rid = rids_list[i]
-            node = select_node(rid)
-            if type(node) is not int or not 0 <= node < num_nodes or node_state[node] != NODE_LIVE:
-                node = checked(node)
-            cls = classes_list[i]
+            node = choose(rid, cls)
             pending[node][cls] += 1
-            work_left[node] += sizes[i]
-            counts[node][cls] += 1
-            if log is not None:
-                log.append(node)
-            submit_one[node](rid, cls, t, sizes[i])
+            work_left[node] += size
+            chose(node)
+            submit_one[node](rid, cls, t, size)
             heads[node] = next_completion[node]()
+        self._count_dispatches(np.asarray(choices, dtype=np.int64), classes)
+        if self.record_dispatch:
+            self.dispatch_log.extend(choices)
 
     def _advance_completions(self, now: float) -> None:
         """Pull every member completion with time ``<= now`` into the books.

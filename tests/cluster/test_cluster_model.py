@@ -14,6 +14,7 @@ from repro.cluster import (
     RatePartitioner,
     RoundRobin,
     make_cluster,
+    parse_fleet_events,
 )
 from repro.core import PsdSpec
 from repro.errors import SimulationError
@@ -39,6 +40,39 @@ def submit(cluster, class_index=0, size=1.0):
     rid = cluster.ledger.append(class_index, 0.0, size)
     cluster.submit_batch(np.asarray([rid], dtype=np.int64))
     return rid
+
+
+#: Member factories for the two backlog-dependent dispatch routes: members
+#: predicting their completions run on the completion calendar, shared
+#: processors on the scalar walk.
+ROUTES = {
+    "calendar": lambda: RateScalableServers(capacity=0.5),
+    "walk": lambda: SharedProcessorServer(WeightedFairQueueing(2), capacity=0.5),
+}
+
+
+def routed_cluster(route, dispatch, *, num_nodes=3, fleet=None):
+    """A bound cluster of ``route``'s members; rates stay zero, so every
+    dispatched request stays pending."""
+    from repro.distributions import Deterministic
+
+    classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
+    cluster = ClusterServerModel(
+        [ROUTES[route]() for _ in range(num_nodes)],
+        dispatch=dispatch,
+        record_dispatch=True,
+        fleet=fleet,
+    )
+    engine = SimulationEngine()
+    cluster.bind(engine, classes)
+    assert (cluster._calendar is not None) == (route == "calendar")
+    return engine, cluster
+
+
+def submit_block(cluster, engine, classes):
+    """Dispatch one block of unit requests arriving at the engine clock."""
+    rids = [cluster.ledger.append(c, engine.now, 1.0) for c in classes]
+    cluster.submit_batch(np.asarray(rids, dtype=np.int64))
 
 
 class TestConstruction:
@@ -342,20 +376,15 @@ class TestAggregation:
             # conservation.
             cluster.apply_rates((0.6, 0.4))
 
-    def test_boolean_node_choice_is_rejected(self, moderate_bp):
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_boolean_node_choice_is_rejected(self, route):
         """select_node returning True must not silently dispatch to node 1."""
 
         class Sneaky(RoundRobin):
             def select_node(self, request):
                 return True
 
-        from repro.distributions import Deterministic
-
-        classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
-        cluster = ClusterServerModel(
-            [RateScalableServers(), RateScalableServers()], dispatch=Sneaky()
-        )
-        cluster.bind(SimulationEngine(), classes)
+        _, cluster = routed_cluster(route, Sneaky(), num_nodes=2)
         with pytest.raises(SimulationError, match="invalid.*node"):
             submit(cluster)
 
@@ -370,3 +399,52 @@ class TestAggregation:
             seed=6,
         ).run()
         assert sum(result.completed_counts) > 0
+
+
+class TestCustomPolicyRouting:
+    """Custom policies on both backlog-dependent routes: overrides of
+    ``select_node`` are honoured, and their choices are validated."""
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_subclass_select_node_override_is_honoured(self, route):
+        class LastLive(CapacityWeightedJsq):
+            def select_node(self, rid):
+                return self.cluster.live_nodes[-1]
+
+        engine, cluster = routed_cluster(route, LastLive())
+        submit_block(cluster, engine, [0, 1, 0, 1, 0])
+        # Weighted JSQ would have spread the block over every node.
+        assert cluster.dispatch_log == [2] * 5
+        assert cluster.dispatch_counts() == ((0, 0), (0, 0), (3, 2))
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_instance_patched_select_node_is_honoured(self, route):
+        policy = CapacityWeightedJsq()
+        policy.select_node = lambda rid: 1
+        engine, cluster = routed_cluster(route, policy)
+        submit_block(cluster, engine, [0, 1, 0])
+        assert cluster.dispatch_log == [1, 1, 1]
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("choice", [True, 3, -1, 1.0])
+    def test_invalid_custom_choice_is_rejected(self, route, choice):
+        class Fixed(JoinShortestQueue):
+            def select_node(self, rid):
+                return choice
+
+        engine, cluster = routed_cluster(route, Fixed())
+        with pytest.raises(SimulationError, match="invalid.*node"):
+            submit_block(cluster, engine, [0])
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_draining_custom_choice_is_rejected(self, route):
+        class Pinned(RoundRobin):
+            def select_node(self, rid):
+                return 1
+
+        engine, cluster = routed_cluster(route, Pinned(), fleet=parse_fleet_events("leave:1@1"))
+        submit_block(cluster, engine, [0])  # node 1 live: accepted
+        engine.run_until(1.5)  # node 1 leaves with work queued
+        assert cluster.node_state(1) == "draining"
+        with pytest.raises(SimulationError, match="draining node 1"):
+            submit_block(cluster, engine, [0])
