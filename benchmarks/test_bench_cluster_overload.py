@@ -20,15 +20,19 @@ A second test pins the hot-path contract that makes admission affordable:
 with the quota controller in front, the batched dispatch pipeline and the
 per-event reference simulator (``tests/reference.py``) must produce
 *bit-identical* ledgers (every column, including the disposition column),
-dispatch logs and shed/degrade counters.
+dispatch logs and shed/degrade counters.  A third records the throughput of
+the live-admission walk (queue-length caps decided arrival by arrival) for
+the baseline's throughput gate.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.cluster import resolve_capacities
 from repro.core import PsdSpec
-from repro.experiments import ClusterScalingBuild, ExperimentConfig
+from repro.experiments import ClusterScalingBuild, ExperimentConfig, get_preset
 from repro.simulation import MeasurementConfig, ReplicationRunner
 from tests.reference import reference_build
 
@@ -201,3 +205,52 @@ def test_overload_admission_batched_bit_identical(benchmark):
         )
     assert batched.per_class_slowdowns == scalar.per_class_slowdowns
     assert batched.system_slowdown == scalar.system_slowdown
+
+
+#: The live-admission cell: per-class queue-length caps are read at every
+#: arrival instant, so the scenario drains the cluster before each decision
+#: and submits arrivals one at a time.  No ``bench/`` workload runs this
+#: walk, so its throughput is pinned here (quick preset: seconds).
+WALK_ADMISSION_ARGS = ("limits=20,20",)
+
+
+@pytest.mark.benchmark(group="cluster")
+def test_queue_length_admission_walk_throughput(benchmark):
+    config = get_preset("quick")
+    spec = PsdSpec.of(1, 2)
+    build = ClusterScalingBuild(
+        config.classes_for_load(LOAD, spec.deltas, allow_overload=True),
+        config.scaled_measurement(),
+        spec,
+        num_nodes=NUM_NODES,
+        policy="weighted_jsq",
+        dispatch_entropy=config.base_seed,
+        capacities=resolve_capacities(MIX, NUM_NODES),
+        partitioner="capacity",
+        admission="queue_length",
+        admission_args=WALK_ADMISSION_ARGS,
+    )
+    runner = ReplicationRunner(
+        replications=config.measurement.replications,
+        base_seed=np.random.SeedSequence(entropy=config.base_seed),
+        workers=1,
+    )
+
+    def timed():
+        start = time.perf_counter()
+        summary = runner.run(build)
+        return summary, time.perf_counter() - start
+
+    summary, elapsed = benchmark.pedantic(timed, rounds=1, iterations=1)
+    walked = _generated(summary)
+    rps = walked / elapsed
+    shed = _shed_fraction(summary)
+    print()
+    print(f"  walk: {walked} arrivals in {elapsed:.2f}s = {rps:,.0f} req/s, shed={shed:.3f}")
+    benchmark.extra_info["walk_requests_per_sec"] = round(rps, 1)
+    benchmark.extra_info["walk_shed_fraction"] = round(shed, 4)
+
+    # Every arrival went through a live decision: at load 1.2 the caps bind
+    # and shed part of the traffic, and what is admitted is served.
+    assert 0.0 < shed < 0.5, shed
+    assert _unfinished(summary) < 0.05 * walked

@@ -396,7 +396,7 @@ class RequestLedger:
     def complete_unlogged(self, rid: int, time: float) -> None:
         """:meth:`complete` without the completion-order log entry.
 
-        Batched server drains use this (and :meth:`complete_batch`) so the
+        Batched server drains use this (and :meth:`serve_batch`) so the
         scenario can merge several servers' runs by time before recording
         the global order via :meth:`log_completions`.
         """
@@ -451,6 +451,50 @@ class RequestLedger:
         if np.any(times < starts - _TIME_TOL):
             raise SimulationError("complete_batch: a request completed before service started")
         self._completion[rids] = times
+
+    def serve_batch(self, rids: np.ndarray, starts: np.ndarray, times: np.ndarray) -> None:
+        """:meth:`start_service_batch` then :meth:`complete_batch`, as one write.
+
+        A drained FCFS run knows both timestamps of every row, so the six
+        lifecycle invariants of the pair are checked in one boolean mask
+        and one reduction: no row may be shed, start twice, start before
+        arriving, complete twice or complete before its start — and since
+        the start is written here, a completion without a start can only
+        be a NaN start.  On violation the first failing check is reported
+        with its own message and nothing is written.  Like
+        :meth:`complete_batch` this does not touch the completion log.
+        """
+        arrivals = self._arrival_time[rids]
+        ok = (
+            (self._disposition[rids] != DISPOSITION_SHED)
+            & np.isnan(self._service_start[rids])
+            & (starts >= arrivals - _TIME_TOL)
+            & np.isnan(self._completion[rids])
+            & (times >= starts - _TIME_TOL)
+        )
+        if not ok.all():
+            self._serve_batch_error(rids, starts, times, arrivals)
+        self._service_start[rids] = starts
+        self._completion[rids] = times
+
+    def _serve_batch_error(
+        self, rids: np.ndarray, starts: np.ndarray, times: np.ndarray, arrivals: np.ndarray
+    ) -> None:
+        """Raise the message of :meth:`serve_batch`'s first failing check.
+
+        The checks partition the mask's failures, so one of them fires.
+        """
+        checks = (
+            (self._disposition[rids] == DISPOSITION_SHED, "a shed request can never enter service"),
+            (~np.isnan(self._service_start[rids]), "a request started service twice"),
+            (np.isnan(starts), "a request completed without starting service"),
+            (~(starts >= arrivals - _TIME_TOL), "a request started before arriving"),
+            (~np.isnan(self._completion[rids]), "a request completed twice"),
+            (~(times >= starts - _TIME_TOL), "a request completed before service started"),
+        )
+        for failed, message in checks:
+            if failed.any():
+                raise SimulationError(f"serve_batch: {message}")
 
     def log_completions(self, rids: np.ndarray) -> None:
         """Append a time-sorted block of completed rows to the completion log.

@@ -522,7 +522,7 @@ class Scenario:
         """
         decide = self.admission.decide
         ledger = self.ledger
-        submit = self.server.submit_batch
+        submit = self.server.submit_one
         decisions = np.empty(classes.shape[0], dtype=np.int64)
         for i, (t, size, class_index) in enumerate(
             zip(times.tolist(), sizes.tolist(), classes.tolist())
@@ -545,8 +545,9 @@ class Scenario:
                 self._degraded_to[target] += 1
                 rid = ledger.append(target, t, size, disposition=DISPOSITION_DEGRADED)
             else:
+                target = class_index
                 rid = ledger.append(class_index, t, size)
-            submit(np.asarray([rid], dtype=np.int64))
+            submit(rid, target, t, size)
         if self.telemetry is not None:
             self.telemetry.on_admission_block(classes, decisions)
 

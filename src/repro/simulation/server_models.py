@@ -268,7 +268,7 @@ class RateScalableServers(ServerModel):
         live = []
         telemetry = self.telemetry
         for index, server in enumerate(self.servers):
-            if server.in_service is None and server._pending_pos >= len(server._pending_rids):
+            if server.idle:
                 # Idle with nothing queued: no completions to emit and no
                 # zero-rate freeze to materialise, so skip the call entirely
                 # (the cluster walk drains one node per completion, and most

@@ -8,15 +8,44 @@ estimation window); the server therefore tracks the *remaining work* of the
 in-service request and re-bases its completion whenever the rate changes,
 exactly as a proportional-share CPU scheduler would.
 
-The server is columnar and batched: arrivals are integer ledger row ids
-queued in blocks (:meth:`FcfsTaskServer.submit_batch`), and completions are
-computed in bulk by :meth:`FcfsTaskServer.drain` — legal because between two
-rate changes the FCFS run's completion times are a deterministic left fold
-of the arrival block.  Lifecycle timestamps are written straight into the
-:class:`~repro.simulation.ledger.RequestLedger` columns.
+The server is columnar and batched.  Queued requests live in three growable
+NumPy columns (row id, arrival, size) consumed from a head cursor; appends
+write slices (:meth:`FcfsTaskServer.submit_batch`) or scalars
+(:meth:`FcfsTaskServer.push`) at the tail, and the columns compact or double
+only when the tail runs out of room, so appends are amortised O(1) and the
+queue is never concatenated.
+
+Completions are computed in bulk by :meth:`FcfsTaskServer.drain` — legal
+because between two rate changes an FCFS run is the Lindley recursion
+``completion = max(arrival, previous completion) + size / rate``, a
+deterministic left fold of the arrival block.  A drain folds each request's
+*completion* exactly once and does everything else in bulk: the block is
+cut at ``now`` on the arrivals (``searchsorted``), the service times come
+from array divisions (correctly rounded, so bit-equal to the scalar
+division), the fold is a comprehension over Python floats (in doubling
+chunks, so a long queue behind a request still in service is not folded in
+full), the run is cut at ``now`` on the completions (``bisect_right``), and
+the starts are derived afterwards as ``np.maximum(arrival, previous
+completion)`` — a max is exact, so no timestamp moves.  Starts and
+completions then reach the :class:`~repro.simulation.ledger.RequestLedger`
+in one checked :meth:`~repro.simulation.ledger.RequestLedger.serve_batch`
+write.  Short blocks — the admission walk and cluster members drain one or
+two requests per call — take a scalar loop instead, which stops at the
+first request still in service and writes the ledger row by row: there
+NumPy's per-call overhead would cost more than the run.
+
+The recursion itself stays a per-request fold on purpose.  The operation
+order ``max(arrival, f) + size / rate`` must be kept per request: max-plus
+or ``cumsum`` forms of the recursion round differently and would move
+timestamps, and an exact vectorised form (busy periods from a max-plus
+estimate, then length-bucketed ``np.add.accumulate``) is bit-identical but
+was measured 1.6–25× slower than the comprehension on drains of 30–1000
+requests.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -33,10 +62,11 @@ __all__ = ["FcfsTaskServer"]
 _EMPTY_RIDS = np.empty(0, dtype=np.int64)
 _EMPTY_TIMES = np.empty(0, dtype=np.float64)
 
-#: Below this run length the drain writes lifecycle columns with the scalar
-#: ledger calls — identical values, but without the per-call array
-#: construction and vectorised NaN screens that dwarf a one-request run.
-_SCALAR_BATCH_LIMIT = 8
+#: Drains with fewer arrived requests than this take the scalar loop.
+_SCALAR_BATCH_LIMIT = 32
+
+#: Initial slots of the pending columns; they double on demand.
+_INITIAL_CAPACITY = 64
 
 
 class FcfsTaskServer:
@@ -67,14 +97,13 @@ class FcfsTaskServer:
         self._last_progress_time = 0.0
         self.busy_time = 0.0
         self.completed_count = 0
-        # The pending block (rids + gathered arrival/size columns), consumed
-        # from ``_pending_pos`` by successive drains.
-        # Plain Python lists: the cluster walk pushes one arrival at a time
-        # (O(1) append) and the drain's left fold reads scalars anyway.
-        self._pending_rids: list[int] = []
-        self._pending_arrivals: list[float] = []
-        self._pending_sizes: list[float] = []
-        self._pending_pos = 0
+        # The queued requests occupy slots [_head, _tail) of the pending
+        # columns; drains advance the head, appends the tail.
+        self._rids = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        self._arrivals = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
+        self._sizes = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
+        self._head = 0
+        self._tail = 0
 
     # ------------------------------------------------------------------ #
     # Public interface
@@ -88,42 +117,81 @@ class FcfsTaskServer:
     def backlog(self) -> int:
         """Requests queued and not yet started (not counting the one in
         service) as of the last drain."""
-        return len(self._pending_rids) - self._pending_pos
+        return self._tail - self._head
 
     @property
     def is_busy(self) -> bool:
         return self.in_service is not None
 
+    @property
+    def idle(self) -> bool:
+        """Nothing in service and nothing queued: a drain would be a no-op."""
+        return self.in_service is None and self._head == self._tail
+
+    def _reserve(self, k: int) -> None:
+        """Make room for ``k`` more slots at the tail.
+
+        The live slots move to the front of the columns, which double until
+        at least half of them is free afterwards — so the copy is paid at
+        most once per half-capacity of appends.
+        """
+        head, tail = self._head, self._tail
+        live = tail - head
+        capacity = self._rids.shape[0]
+        new_capacity = capacity
+        while 2 * (live + k) > new_capacity:
+            new_capacity *= 2
+        for name in ("_rids", "_arrivals", "_sizes"):
+            old = getattr(self, name)
+            column = old if new_capacity == capacity else np.empty(new_capacity, dtype=old.dtype)
+            column[:live] = old[head:tail]
+            setattr(self, name, column)
+        self._head = 0
+        self._tail = live
+
     def submit_batch(self, rids: np.ndarray) -> None:
         """Queue a time-ordered block of this class's row ids."""
         rids = np.asarray(rids, dtype=np.int64)
-        if rids.size == 0:
+        k = rids.shape[0]
+        if k == 0:
             return
-        foreign = self.ledger.classes_of(rids) != self.class_index
+        ledger = self.ledger
+        if k == 1:
+            # The admission walk hands a cluster's members one row at a
+            # time: scalar reads beat four one-element gathers.  A foreign
+            # row falls through to the block check, which rejects it.
+            rid = rids.item(0)
+            if ledger.class_of(rid) == self.class_index:
+                self.push(rid, ledger.arrival_of(rid), ledger.size_of(rid))
+                return
+        foreign = ledger.classes_of(rids) != self.class_index
         if foreign.any():
             raise SimulationError(
-                f"request of class {self.ledger.class_of(int(rids[foreign][0]))} "
+                f"request of class {ledger.class_of(int(rids[foreign][0]))} "
                 f"submitted to task server {self.class_index}"
             )
-        pos = self._pending_pos
-        if pos:
-            del self._pending_rids[:pos]
-            del self._pending_arrivals[:pos]
-            del self._pending_sizes[:pos]
-            self._pending_pos = 0
-        self._pending_rids.extend(rids.tolist())
-        self._pending_arrivals.extend(self.ledger.arrivals_of(rids).tolist())
-        self._pending_sizes.extend(self.ledger.sizes_of(rids).tolist())
+        if self._tail + k > self._rids.shape[0]:
+            self._reserve(k)
+        tail = self._tail
+        self._rids[tail : tail + k] = rids
+        self._arrivals[tail : tail + k] = ledger.arrivals_of(rids)
+        self._sizes[tail : tail + k] = ledger.sizes_of(rids)
+        self._tail = tail + k
 
     def push(self, rid: int, arrival: float, size: float) -> None:
-        """Queue a single arrival (the cluster dispatch walk).
+        """Queue a single arrival (the admission and cluster dispatch walks).
 
         The caller hands over the already-gathered ledger columns so the
-        per-request hot path performs three list appends and nothing else.
+        per-request hot path performs three scalar stores and nothing else.
         """
-        self._pending_rids.append(rid)
-        self._pending_arrivals.append(arrival)
-        self._pending_sizes.append(size)
+        tail = self._tail
+        if tail == self._rids.shape[0]:
+            self._reserve(1)
+            tail = self._tail
+        self._rids[tail] = rid
+        self._arrivals[tail] = arrival
+        self._sizes[tail] = size
+        self._tail = tail + 1
 
     def next_completion_time(self) -> float:
         """When the next completion would occur, ``inf`` if idle or frozen.
@@ -139,43 +207,45 @@ class FcfsTaskServer:
             if rate <= 0.0:
                 return float("inf")
             return self._last_progress_time + self._remaining_work / rate
-        pos = self._pending_pos
-        if pos >= len(self._pending_rids) or rate <= 0.0:
+        head = self._head
+        if head == self._tail or rate <= 0.0:
             return float("inf")
-        arrival = self._pending_arrivals[pos]
+        arrival = self._arrivals.item(head)
         free = self._last_progress_time
         start = arrival if arrival > free else free
-        return start + self._pending_sizes[pos] / rate
+        return start + self._sizes.item(head) / rate
 
     def drain(self, now: float) -> tuple[np.ndarray, np.ndarray]:
         """Advance the server to ``now``; returns the completions.
 
         Serves everything due between the last drain and ``now`` at the
-        current (unchanged) rate: finish the carried in-service request at
-        ``last_progress + remaining / rate``, then left-fold the pending
-        block — ``start = max(arrival, previous completion)``,
-        ``completion = start + size / rate`` — with scalar float arithmetic,
-        the very additions one completion event per request would perform,
-        hence bit-identical timestamps.  The lifecycle
-        columns are written in one vectorised batch per drain (FCFS busy
-        runs are short at moderate load, so per-run array operations would
-        cost more than they fold).  Returns ``(rids, times)`` in completion
-        order; the caller owns the completion log (the runs of several
-        servers must be merged by time first).
+        current (unchanged) rate: the request carried in service completes
+        at ``last_progress + remaining / rate``, then the queue is folded
+        (see the module docstring), by :meth:`_fold_block` when at least
+        :data:`_SCALAR_BATCH_LIMIT` requests have arrived.  The first
+        request whose completion lies past ``now`` takes the service
+        position with its full size as remaining work.  At rate zero the
+        head of the line enters service (frozen until the next
+        re-allocation) and later arrivals queue.
+
+        Returns ``(rids, times)`` in completion order; the caller owns the
+        completion log (the runs of several servers must be merged by time
+        first).
         """
+        rate = self._rate
+        ledger = self.ledger
         done_rids: list[int] = []
         done_times: list[float] = []
-        rate = self._rate
         free = -np.inf
         # Phase 1: the request carried in service from before this drain.
         if self.in_service is not None:
             if rate <= 0.0:
-                return self._empty_drain()
+                return _EMPTY_RIDS, _EMPTY_TIMES
             completion = self._last_progress_time + self._remaining_work / rate
             if completion > now:
-                return self._empty_drain()
+                return _EMPTY_RIDS, _EMPTY_TIMES
             rid = self.in_service
-            self.ledger.complete_unlogged(rid, completion)
+            ledger.complete_unlogged(rid, completion)
             self.busy_time += completion - self._last_progress_time
             self._last_progress_time = completion
             self.completed_count += 1
@@ -184,79 +254,114 @@ class FcfsTaskServer:
             done_rids.append(rid)
             done_times.append(completion)
             free = completion
-        # Phase 2: left-fold the pending block up to ``now``.  The buffers
-        # are indexed in place from the cursor — no per-drain slice copies,
-        # so the cluster walk's many tiny drains stay O(consumed) each.
-        pos = self._pending_pos
-        rids = self._pending_rids
-        arrivals = self._pending_arrivals
-        sizes = self._pending_sizes
-        n = len(rids)
-        if pos < n and arrivals[pos] <= now:
-            if rate <= 0.0:
-                # Zero rate: the head still occupies the service position
-                # (frozen until the next re-allocation), later arrivals queue.
-                arrival = arrivals[pos]
-                start = arrival if arrival > free else free
-                rid = rids[pos]
-                self.ledger.start_service(rid, start)
-                self.in_service = rid
-                self._remaining_work = sizes[pos]
-                self._last_progress_time = start
+        # Phase 2: fold the queue up to ``now``.
+        head, tail = self._head, self._tail
+        arrivals = self._arrivals
+        if rate <= 0.0:
+            # Zero rate: the head occupies the service position, frozen
+            # (nothing was carried, so it starts at its arrival).
+            if head < tail and arrivals.item(head) <= now:
+                self._begin_service(head, arrivals.item(head))
+                self._head = head + 1
+            return _EMPTY_RIDS, _EMPTY_TIMES
+        limit = head + _SCALAR_BATCH_LIMIT
+        if limit <= tail and arrivals.item(limit - 1) <= now:
+            rids, times = self._fold_block(now, head, free)
+            if not done_rids:
+                return rids, times
+            return (
+                np.concatenate((np.array(done_rids, dtype=np.int64), rids)),
+                np.concatenate((np.array(done_times), times)),
+            )
+        # Fewer than ``_SCALAR_BATCH_LIMIT`` requests have arrived.
+        sizes = self._sizes
+        queued = self._rids
+        pos = head
+        while pos < tail:
+            arrival = arrivals.item(pos)
+            if arrival > now:
+                break
+            start = arrival if arrival > free else free
+            completion = start + sizes.item(pos) / rate
+            if completion > now:
+                # Mid-service at ``now``: carry the work into the next drain.
+                self._begin_service(pos, start)
                 pos += 1
-            else:
-                starts: list[float] = []
-                batch_rids: list[int] = []
-                busy = 0.0
-                while pos < n:
-                    arrival = arrivals[pos]
-                    if arrival > now:
-                        break
-                    start = arrival if arrival > free else free
-                    completion = start + sizes[pos] / rate
-                    if completion > now:
-                        # Mid-service at ``now``: record the start, carry
-                        # the remaining work into the next drain.
-                        rid = rids[pos]
-                        self.ledger.start_service(rid, start)
-                        self.in_service = rid
-                        self._remaining_work = sizes[pos]
-                        self._last_progress_time = start
-                        pos += 1
-                        break
-                    starts.append(start)
-                    batch_rids.append(rids[pos])
-                    done_times.append(completion)
-                    busy += completion - start
-                    free = completion
-                    pos += 1
-                if batch_rids:
-                    if len(batch_rids) < _SCALAR_BATCH_LIMIT:
-                        ledger = self.ledger
-                        offset = len(done_times) - len(batch_rids)
-                        for k, batch_rid in enumerate(batch_rids):
-                            ledger.start_service(batch_rid, starts[k])
-                            ledger.complete_unlogged(batch_rid, done_times[offset + k])
-                    else:
-                        batch = np.asarray(batch_rids, dtype=np.int64)
-                        completions = np.asarray(done_times[-len(batch_rids) :])
-                        self.ledger.start_service_batch(batch, np.asarray(starts))
-                        self.ledger.complete_batch(batch, completions)
-                    self.busy_time += busy
-                    self.completed_count += len(batch_rids)
-                    done_rids.extend(batch_rids)
-                    if self.in_service is None:
-                        self._last_progress_time = free
-            self._pending_pos = pos
+                break
+            rid = queued.item(pos)
+            ledger.start_service(rid, start)
+            ledger.complete_unlogged(rid, completion)
+            self.busy_time += completion - start
+            self.completed_count += 1
+            done_rids.append(rid)
+            done_times.append(completion)
+            free = completion
+            pos += 1
+        self._head = pos
         if not done_rids:
-            return self._empty_drain()
-        return (
-            np.asarray(done_rids, dtype=np.int64),
-            np.asarray(done_times, dtype=np.float64),
-        )
+            return _EMPTY_RIDS, _EMPTY_TIMES
+        if self.in_service is None:
+            self._last_progress_time = free
+        return np.array(done_rids, dtype=np.int64), np.array(done_times, dtype=np.float64)
 
-    def _empty_drain(self) -> tuple[np.ndarray, np.ndarray]:
-        return _EMPTY_RIDS, _EMPTY_TIMES
+    def _fold_block(self, now: float, head: int, free: float) -> tuple[np.ndarray, np.ndarray]:
+        """Fold the queue from slot ``head`` on in bulk, after completion
+        ``free``; updates the cursor and service state, returns the run.
+
+        The fold runs in doubling chunks and stops after the first chunk
+        that ends past ``now``, so a long queue behind a request still in
+        service is not folded in full.
+        """
+        tail = self._tail
+        arrivals = self._arrivals
+        sizes = self._sizes
+        rate = self._rate
+        if arrivals.item(tail - 1) <= now:
+            end = tail
+        else:
+            end = head + int(np.searchsorted(arrivals[head:tail], now, side="right"))
+        f = free
+        folded: list[float] = []
+        lo, hi = head, head + 4 * _SCALAR_BATCH_LIMIT
+        while True:
+            if hi > end:
+                hi = end
+            folded += [
+                f := (a if a > f else f) + d
+                for a, d in zip(arrivals[lo:hi].tolist(), (sizes[lo:hi] / rate).tolist())
+            ]
+            if hi == end or f > now:
+                break
+            lo, hi = hi, 2 * hi - head
+        k = bisect_right(folded, now)
+        rids, times = _EMPTY_RIDS, _EMPTY_TIMES
+        if k:
+            times = np.array(folded[:k])
+            previous = np.empty(k)
+            previous[0] = free
+            previous[1:] = times[:-1]
+            starts = np.maximum(arrivals[head : head + k], previous)
+            rids = self._rids[head : head + k].copy()
+            self.ledger.serve_batch(rids, starts, times)
+            self.busy_time += float((times - starts).sum())
+            self.completed_count += k
+            free = folded[k - 1]
+            self._last_progress_time = free
+        self._head = head + k
+        if head + k < end:
+            # Mid-service at ``now``: carry the work into the next drain.
+            arrival = arrivals.item(head + k)
+            self._begin_service(head + k, arrival if arrival > free else free)
+            self._head += 1
+        return rids, times
+
+    def _begin_service(self, pos: int, start: float) -> None:
+        """Put the queued request in slot ``pos`` into service at ``start``."""
+        rid = self._rids.item(pos)
+        self.ledger.start_service(rid, start)
+        self.in_service = rid
+        self._remaining_work = self._sizes.item(pos)
+        self._last_progress_time = start
 
     def outstanding(self) -> list[tuple[float, int, float]]:
         """Predicted ``(completion, rid, size)`` of every undrained request.
@@ -271,18 +376,17 @@ class FcfsTaskServer:
         if rate <= 0.0:
             return []
         out: list[tuple[float, int, float]] = []
-        free = -np.inf
+        f = -np.inf
         if self.in_service is not None:
-            free = self._last_progress_time + self._remaining_work / rate
-            out.append((free, self.in_service, self.ledger.size_of(self.in_service)))
-        arrivals = self._pending_arrivals
-        sizes = self._pending_sizes
-        rids = self._pending_rids
-        for pos in range(self._pending_pos, len(rids)):
-            arrival = arrivals[pos]
-            start = arrival if arrival > free else free
-            free = start + sizes[pos] / rate
-            out.append((free, rids[pos], sizes[pos]))
+            f = self._last_progress_time + self._remaining_work / rate
+            out.append((f, self.in_service, self.ledger.size_of(self.in_service)))
+        head, tail = self._head, self._tail
+        sizes = self._sizes[head:tail]
+        folded = [
+            f := (a if a > f else f) + d
+            for a, d in zip(self._arrivals[head:tail].tolist(), (sizes / rate).tolist())
+        ]
+        out.extend(zip(folded, self._rids[head:tail].tolist(), sizes.tolist()))
         return out
 
     def set_rate(self, rate: float) -> None:

@@ -26,6 +26,9 @@ from repro.types import TrafficClass
 from tests.conftest import make_classes
 from tests.reference import ReferenceScenario, reference_build
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 POLICIES = sorted(DISPATCH_POLICIES)
 
 CFG = MeasurementConfig(warmup=300.0, horizon=1_500.0, window=300.0)

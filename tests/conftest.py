@@ -80,3 +80,23 @@ def short_measurement(moderate_bp) -> MeasurementConfig:
     return MeasurementConfig(
         warmup=1_000.0, horizon=8_000.0, window=500.0, replications=3
     ).scaled_to_time_units(moderate_bp.mean())
+
+
+@pytest.fixture
+def checked_runs(monkeypatch):
+    """Check :func:`tests.invariants.check_run` on every ``Scenario.run``
+    result the test produces in this process."""
+    from repro.simulation import RateScalableServers, Scenario
+    from tests.invariants import check_run
+    from tests.reference import _RateScalable
+
+    original = Scenario.run
+
+    def run(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        check_run(
+            result, per_class_servers=isinstance(self.server, (RateScalableServers, _RateScalable))
+        )
+        return result
+
+    monkeypatch.setattr(Scenario, "run", run)

@@ -1,0 +1,99 @@
+"""Run-end invariants every simulation result must satisfy.
+
+:func:`check_run` reads nothing but the finished result's ledger and
+configuration, so it holds the batched pipeline and the per-event reference
+to the same rules without trusting either:
+
+* lifecycle order: ``start >= arrival`` and ``completion >= start``, and no
+  completion without a start;
+* no shed row ever starts or completes;
+* the completion log is time-ordered and is exactly the completed set;
+* on single-node runs, per-class FCFS: within a class the started and the
+  completed rows are prefixes of the arrival order, and each start is at
+  or after ``max(arrival, previous same-class completion)`` — with
+  equality (the non-idling rule) when every class owns its own server, as
+  in the paper's Fig. 1 model;
+* per class, the sample-path Little identity: the area under the number
+  in system, integrated by an event sweep over ``[0, horizon]``, equals the
+  summed sojourn times truncated at the horizon.
+
+The ``checked_runs`` fixture in ``tests/conftest.py`` applies it to every
+``Scenario.run`` of a test.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from repro.simulation.ledger import DISPOSITION_SHED
+
+__all__ = ["check_run"]
+
+
+def check_run(result, *, per_class_servers: bool) -> None:
+    """Assert the run-end invariants on ``result``.
+
+    ``per_class_servers`` says every class owns its own FCFS server on a
+    single node, which makes each start exactly the non-idling
+    ``max(arrival, previous same-class completion)``.
+    """
+    ledger = result.ledger
+    arrival = ledger.arrival_time
+    start = ledger.service_start_time
+    done = ledger.completion_time
+    classes = ledger.class_index
+    started = ~np.isnan(start)
+    completed = ~np.isnan(done)
+    shed = ledger.disposition == DISPOSITION_SHED
+
+    assert np.all(start[started] >= arrival[started]), "a start precedes its arrival"
+    assert np.all(done[completed] >= start[completed]), "a completion precedes its start"
+    assert not np.any(completed & ~started), "a row completed without starting"
+    assert not np.any(shed & (started | completed)), "a shed row was served"
+
+    log = ledger.completed_ids
+    assert np.all(np.diff(done[log]) >= 0.0), "the completion log goes back in time"
+    assert np.array_equal(np.sort(log), np.flatnonzero(completed)), (
+        "the completion log is not the completed set"
+    )
+
+    horizon = result.config.horizon
+    single_node = result.fleet_timeline is None
+    for cls in range(len(result.classes)):
+        rows = np.flatnonzero((classes == cls) & ~shed)
+        if single_node:
+            _check_fcfs(arrival[rows], start[rows], done[rows], exact=per_class_servers)
+        _check_little(arrival[rows], done[rows], horizon)
+
+
+def _check_fcfs(arrival, start, done, *, exact: bool) -> None:
+    n_started = int(np.count_nonzero(~np.isnan(start)))
+    n_done = int(np.count_nonzero(~np.isnan(done)))
+    assert not np.isnan(start[:n_started]).any(), "a class started out of FCFS order"
+    assert not np.isnan(done[:n_done]).any(), "a class completed out of FCFS order"
+    if n_started == 0:
+        return
+    earliest = arrival[:n_started].copy()
+    earliest[1:] = np.maximum(earliest[1:], done[: n_started - 1])
+    if exact:
+        assert np.array_equal(start[:n_started], earliest), "a start broke the non-idling rule"
+    else:
+        assert np.all(start[:n_started] >= earliest), "a start overtook its class"
+
+
+def _check_little(arrival, done, horizon: float) -> None:
+    leave = np.where(np.isnan(done), horizon, np.minimum(done, horizon))
+    sojourn_sum = math.fsum((leave - arrival).tolist())
+    # Event sweep: +1 at each arrival, -1 at each departure; the number in
+    # system is constant between consecutive events.
+    times = np.concatenate((arrival, leave))
+    steps = np.concatenate((np.ones(arrival.shape[0]), -np.ones(leave.shape[0])))
+    order = np.argsort(times, kind="stable")
+    times, steps = times[order], steps[order]
+    in_system = np.cumsum(steps)[:-1]
+    area = math.fsum((in_system * np.diff(times)).tolist())
+    assert math.isclose(area, sojourn_sum, rel_tol=1e-9, abs_tol=1e-9), (
+        f"Little identity broken: area {area} vs sojourn sum {sojourn_sum}"
+    )

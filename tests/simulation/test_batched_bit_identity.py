@@ -23,6 +23,9 @@ from repro.simulation.server_models import RateScalableServers, SharedProcessorS
 from repro.types import TrafficClass
 from tests.reference import ReferenceScenario
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 CLASSES = (
     TrafficClass("gold", 0.30, BoundedPareto(0.5, 50.0, 1.2), 1.0),
     TrafficClass("silver", 0.45, BoundedPareto(0.3, 30.0, 1.5), 2.5),

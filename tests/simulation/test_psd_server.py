@@ -14,6 +14,9 @@ from repro.simulation import (
 from repro.types import TrafficClass
 from tests.conftest import make_classes
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 class TestBasicRuns:
     def test_request_counts_roughly_match_rates(self, moderate_bp):
