@@ -7,7 +7,8 @@ another :class:`~repro.simulation.ServerModel`:
 
 * :mod:`repro.cluster.model` — :class:`ClusterServerModel`, N member server
   models (idealised task servers, scheduler-driven shared processors, or
-  nested clusters) behind one dispatch point.
+  nested clusters; backlog-dependent dispatch needs the first) behind one
+  dispatch point.
 * :mod:`repro.cluster.dispatch` — pluggable :class:`DispatchPolicy` routing:
   round-robin, seeded weighted-random (capacity-weighted by default),
   join-shortest-queue (raw and capacity-normalised), fastest-available,

@@ -26,41 +26,38 @@ rates and requests in proportion to what it can actually absorb.
 
 The cluster additionally tracks, per node, the pending request count per
 class (queued plus in service) and the outstanding full-rate work, which is
-what the backlog-aware policies and partitioners consume — the bookkeeping
-is model-agnostic, so any member substrate participates in JSQ and
-least-work dispatch without exposing internals.
+what the backlog-aware policies and partitioners consume.
 
 Block dispatch: arrival blocks arrive pre-segmented at fleet event instants
 (see :meth:`ClusterServerModel.block_boundaries`); within a segment the
-fleet is static, and each block takes one of three routes:
+fleet is static, and each block takes one of two routes:
 
 * counter/weight policies with a ``select_block`` vectorise their choices
-  over the whole block;
-* backlog-dependent policies over members that predict their completions
+  over the whole block, over any member type;
+* backlog-dependent policies (JSQ, least-work, fastest-available, custom
+  ``select_node`` overrides) run on a *completion calendar*: a heap of the
+  predicted completion of every dispatched request not yet booked.  Between
+  two rate changes an FCFS class server's completions are a fixed fold of
+  its arrivals, so before each decision the calendar books everything due
+  by the arrival instant (``time <= arrival`` — each node's in ``(time,
+  class)`` order, drain-complete flips in ``(time, node)`` order), and the
+  new request's completion is pushed as soon as it is placed.  Each
+  decision therefore reads the pending/work state of its instant, exactly
+  as a one-event-per-request cluster would, taken from the policy's
+  :meth:`~repro.cluster.dispatch.DispatchPolicy.chooser`, fetched once per
+  block.  Members receive one sub-block per node and drain only at
+  synchronisation points; every rate change rebuilds the calendar from
+  their state.  The calendar needs members that predict their completions
   (:meth:`~repro.simulation.ServerModel.outstanding` — every
-  :class:`~repro.simulation.RateScalableServers`) run on a *completion
-  calendar*: a heap of the predicted completion of every dispatched request
-  not yet booked.  Between two rate changes an FCFS class server's
-  completions are a fixed fold of its arrivals, so before each decision the
-  calendar books everything due by the arrival instant, and the new
-  request's completion is pushed as soon as it is placed.  Members receive
-  one sub-block per node and drain only at synchronisation points; every
-  rate change rebuilds the calendar from their state;
-* any other backlog-dependent fleet (shared-processor members, nested
-  clusters) replays the decisions in a scalar walk that, before each
-  decision, drains every member completion up to the arrival instant
-  (tracking per-node next-completion heads).
+  :class:`~repro.simulation.RateScalableServers`); binding a
+  backlog-dependent policy over any other member (a shared processor,
+  whose completions depend on future arrivals, or a nested cluster) raises
+  :class:`~repro.errors.SimulationError`.
 
-Either backlog route books every completion with ``time <= arrival`` before
-the decision — each node's in ``(time, class)`` order, drain-complete flips
-in ``(time, node)`` order — so each decision reads the pending/work state of
-that instant, exactly as a one-event-per-request cluster would.  Both take
-their decisions from the policy's :meth:`~repro.cluster.dispatch.
-DispatchPolicy.chooser`, fetched once per block.  Member
-completions are buffered as per-node bulk-drain runs and merged by a stable
-time sort at :meth:`ClusterServerModel.drain`, so the dispatch log, fleet
-timeline, rate histories and aggregates are bit-identical to the per-event
-reference simulator the test suite keeps.
+Member completions are buffered as per-node bulk-drain runs and merged by a
+stable time sort at :meth:`ClusterServerModel.drain`, so the dispatch log,
+fleet timeline, rate histories and aggregates are bit-identical to the
+per-event reference simulator the test suite keeps.
 
 Dynamic fleets: a :class:`~repro.cluster.fleet.FleetSchedule` makes the
 member set time-varying.  At every event the cluster updates its per-node
@@ -270,27 +267,31 @@ class ClusterServerModel(ServerModel):
             # a per-request object.
             node.bind(self.engine, self.classes, ledger=self.ledger)
         self.dispatch.bind(self)
-        # Dispatch state: per-node next-completion heads, buffered
-        # member drain runs awaiting the next merge, and the member/policy
-        # methods the dispatch loops call — bound once here so the
-        # per-request path never repeats the attribute lookups.
-        self._heads = [float("inf")] * n
+        # Dispatch state: buffered member drain runs awaiting the next
+        # merge, and the policy methods the dispatch loops call — bound once
+        # here so the per-request path never repeats the attribute lookups.
         self._run_rids: list[np.ndarray] = []
         self._run_times: list[np.ndarray] = []
-        self._submit_ones = tuple(node.submit_one for node in self.nodes)
-        self._next_completions = tuple(node.next_completion_time for node in self.nodes)
         self._select_block = self._mirror_of_select_node("select_block")
         self._chooser = self._mirror_of_select_node("chooser") or partial(
             DispatchPolicy.chooser, self.dispatch
         )
-        # Completion calendar (backlog-dependent policy, every member
-        # predicting its completions): a heap of ``(completion, node, class,
-        # rid, size)`` for every dispatched request not yet booked, plus each
-        # class server's rate and last predicted completion.
+        # Completion calendar (backlog-dependent policy): a heap of
+        # ``(completion, node, class, rid, size)`` for every dispatched
+        # request not yet booked, plus each class server's rate and last
+        # predicted completion.
         self._calendar: list[tuple[float, int, int, int, float]] | None = None
-        if self._select_block is None and all(
-            node.outstanding() is not None for node in self.nodes
-        ):
+        if self._select_block is None:
+            for node in self.nodes:
+                if node.outstanding() is None:
+                    raise SimulationError(
+                        f"dispatch policy {type(self.dispatch).__name__} may read "
+                        f"the live backlog, so its decisions replay on a completion "
+                        f"calendar, which needs every member to predict its "
+                        f"completions; {type(node).__name__} does not.  Use a "
+                        f"backlog-blind policy with select_block (e.g. round_robin) "
+                        f"or RateScalableServers members"
+                    )
             self._calendar = []
             self._class_rates = [[0.0] * c for _ in range(n)]
             self._class_free = [[-np.inf] * c for _ in range(n)]
@@ -470,9 +471,7 @@ class ClusterServerModel(ServerModel):
         block and the empty-fleet check runs once.  Policies exposing
         ``select_block`` (whose decisions ignore backlog state) vectorise
         over the whole block; the rest replay the exact per-request decision
-        sequence, on the completion calendar (:meth:`_dispatch_predicted`)
-        when every member predicts its completions and via
-        :meth:`_dispatch_walk` otherwise.
+        sequence on the completion calendar (:meth:`_dispatch_predicted`).
         """
         rids = np.asarray(rids, dtype=np.int64)
         if rids.size == 0:
@@ -484,12 +483,10 @@ class ClusterServerModel(ServerModel):
                 f"while traffic flows"
             )
         classes = self.ledger.classes_of(rids)
-        if self._select_block is not None:
+        if self._calendar is None:
             self._dispatch_block(rids, classes)
-        elif self._calendar is not None:
-            self._dispatch_predicted(rids, classes)
         else:
-            self._dispatch_walk(rids, classes)
+            self._dispatch_predicted(rids, classes)
 
     def _dispatch_block(self, rids: np.ndarray, classes: np.ndarray) -> None:
         """Vectorised block dispatch for backlog-blind policies.
@@ -507,7 +504,6 @@ class ClusterServerModel(ServerModel):
         sizes = self.ledger.sizes_of(rids)
         pair_counts = self._count_dispatches(choices, classes).tolist()
         work_add = np.bincount(choices, weights=sizes, minlength=n)
-        next_completion = self._next_completions
         for node in range(n):
             row_counts = pair_counts[node]
             if not any(row_counts):
@@ -517,7 +513,6 @@ class ClusterServerModel(ServerModel):
                 row_pending[cls] += k
             self._work_left[node] += float(work_add[node])
             self.nodes[node].submit_batch(rids[choices == node])
-            self._heads[node] = next_completion[node]()
         if self.record_dispatch:
             self.dispatch_log.extend(choices.tolist())
 
@@ -533,15 +528,16 @@ class ClusterServerModel(ServerModel):
         """Replay the exact per-request decision sequence on the calendar.
 
         Before each decision the calendar books every completion due by the
-        arrival instant (``<= t``, the completions-first tie rule of the
-        walk); after it, the request's completion is predicted with the
-        fold :meth:`~repro.simulation.task_server.FcfsTaskServer.drain`
-        performs — ``max(arrival, previous completion) + size / rate`` — and
-        pushed.  A request queued behind a frozen (zero-rate) class server
-        gets no entry until the next rate change rebuilds the calendar.  The
-        members receive the block as one sub-block per node and are drained
-        only at synchronisation points, so the per-request cost is one
-        chooser call, two heap operations and list bookkeeping.
+        arrival instant (``<= t``: completions tied with an arrival land
+        first, the single-server convention); after it, the request's
+        completion is predicted with the fold
+        :meth:`~repro.simulation.task_server.FcfsTaskServer.drain` performs
+        — ``max(arrival, previous completion) + size / rate`` — and pushed.
+        A request queued behind a frozen (zero-rate) class server gets no
+        entry until the next rate change rebuilds the calendar.  The members
+        receive the block as one sub-block per node and are drained only at
+        synchronisation points, so the per-request cost is one chooser call,
+        two heap operations and list bookkeeping.
         """
         ledger = self.ledger
         times = ledger.arrivals_of(rids).tolist()
@@ -579,9 +575,9 @@ class ClusterServerModel(ServerModel):
         """Book every calendar entry due by ``now`` into pending/work left.
 
         Entries pop in ``(time, node, class)`` order, which gives each node
-        the ``(time, class)`` sequence of work-left subtractions the walk's
-        merged member runs produce, and drain-complete flips in
-        ``(time, node)`` order.
+        the ``(time, class)`` sequence of work-left subtractions its merged
+        member runs produce, and drain-complete flips in ``(time, node)``
+        order.
         """
         calendar = self._calendar
         pending = self._pending
@@ -617,68 +613,6 @@ class ClusterServerModel(ServerModel):
                 calendar.extend((done, node, cls, rid, size) for done, rid, size in items)
         heapify(calendar)
 
-    def _dispatch_walk(self, rids: np.ndarray, classes: np.ndarray) -> None:
-        """Replay the exact per-request decision sequence over a block.
-
-        Backlog-dependent policies (JSQ, least-work, fastest-available)
-        read the cluster's live pending/work state, so before every decision
-        all member completions up to the arrival instant are pulled in
-        (``head <= t``: completions tied with an arrival land first, the
-        same convention the single-server path uses — exact ties have
-        probability zero for continuous workloads).  Everything the
-        loop touches is bound to locals once; the member pushes go through
-        the pre-gathered ``submit_one`` fast path, so the per-request cost
-        is one chooser call plus list bookkeeping.
-        """
-        ledger = self.ledger
-        times = ledger.arrivals_of(rids).tolist()
-        sizes = ledger.sizes_of(rids).tolist()
-        heads = self._heads
-        pending = self._pending
-        work_left = self._work_left
-        submit_one = self._submit_ones
-        next_completion = self._next_completions
-        choose = self._chooser()
-        advance = self._advance_completions
-        choices: list[int] = []
-        chose = choices.append
-        for t, rid, cls, size in zip(times, rids.tolist(), classes.tolist(), sizes):
-            if min(heads) <= t:
-                advance(t)
-            node = choose(rid, cls)
-            pending[node][cls] += 1
-            work_left[node] += size
-            chose(node)
-            submit_one[node](rid, cls, t, size)
-            heads[node] = next_completion[node]()
-        self._count_dispatches(np.asarray(choices, dtype=np.int64), classes)
-        if self.record_dispatch:
-            self.dispatch_log.extend(choices)
-
-    def _advance_completions(self, now: float) -> None:
-        """Pull every member completion with time ``<= now`` into the books.
-
-        Nodes are drained in ascending next-completion order, so the
-        cluster-level bookkeeping (pending counts, work left, drain-complete
-        transitions) is updated in global completion order.  Drain-complete
-        state flips are collected and applied after the drains, sorted by
-        (time, node): a draining node receives no new dispatches, so its
-        flip is the only state change inside the advance and the sorted
-        application reproduces the one-event-per-completion timeline
-        exactly.
-        """
-        heads = self._heads
-        flips: list[tuple[float, int]] = []
-        while True:
-            head = min(heads)
-            if head > now:
-                break
-            flip = self._drain_node(heads.index(head), now)
-            if flip is not None:
-                flips.append(flip)
-        for time, node in sorted(flips):
-            self._mark_drained(node, time)
-
     def _drain_member(self, node: int, now: float) -> np.ndarray:
         """Drain one member to ``now``; buffers its run for the next merge."""
         run = self.nodes[node].drain(now)
@@ -692,15 +626,13 @@ class ClusterServerModel(ServerModel):
 
         Buffers the member's completion run for the next cluster-level
         merge, applies the per-completion bookkeeping (pending decrement,
-        work-left clamp), refreshes the node's
-        next-completion head, and returns a pending ``(time, node)``
+        work-left clamp), and returns a pending ``(time, node)``
         drain-complete flip — at the run's last completion time, since a
         draining node gets no new work — for the caller to apply in global
         time order.
         """
         ledger = self.ledger
         run = self._drain_member(node, now)
-        self._heads[node] = self._next_completions[node]()
         if run.size == 0:
             return None
         pending = self._pending[node]
@@ -719,37 +651,35 @@ class ClusterServerModel(ServerModel):
     def _sync_nodes(self, now: float) -> None:
         """Fully synchronise every member to ``now`` (rate-change points).
 
-        Books every completion up to ``now`` first — off the calendar, or by
-        :meth:`_advance_completions` for the global completion order — then
-        drains each member once.  On the calendar path that drain only
-        writes the ledger (its completions are already booked); on the walk
-        it books whatever the advance left.  The unconditional pass is what
-        keeps zero-rate classes exact: a frozen class server reports no next
-        completion (``inf``) and has no calendar entry, yet its member drain
-        must still run so the queued head *starts service* (frozen at its
-        arrival instant, as an idle server would start it) before any
-        ``set_rate`` re-bases its completion time.  Called
-        wherever :meth:`apply_rates` may follow — the cluster-level drain and
-        fleet events.
+        On the calendar route the calendar books every completion up to
+        ``now`` and each member is then drained once, which only writes the
+        ledger.  On the block route each member is drained once by
+        :meth:`_drain_node`, which books its run, and the drain-complete
+        flips are applied in ``(time, node)`` order — the same order the
+        calendar pops them in.  The unconditional drain of every member is
+        what keeps zero-rate classes exact: a frozen class server has no
+        calendar entry, yet its member drain must still run so the queued
+        head *starts service* (frozen at its arrival instant, as an idle
+        server would start it) before any ``set_rate`` re-bases its
+        completion time.  Called wherever :meth:`apply_rates` may follow —
+        the cluster-level drain and fleet events.
         """
         if self._calendar is not None:
             self._book_completions(now)
             for node in range(self.num_nodes):
                 self._drain_member(node, now)
             return
-        self._advance_completions(now)
-        for node in range(self.num_nodes):
-            self._drain_node(node, now)
+        flips = [self._drain_node(node, now) for node in range(self.num_nodes)]
+        for time, node in sorted(flip for flip in flips if flip is not None):
+            self._mark_drained(node, time)
 
     def drain(self, now: float) -> np.ndarray:
         """Advance every member to ``now``; returns completions in time order.
 
         The buffered per-node runs are merged by a stable sort on their
         ledger completion times — each run is already internally ordered, so
-        the merge reproduces the global completion order (stable:
-        runs buffered earlier win exact-tie comparisons — the drain order of
-        :meth:`_advance_completions` on the walk, node order on the
-        calendar path).
+        the merge reproduces the global completion order (stable: on exact
+        ties the lower node wins).
         """
         self._sync_nodes(now)
         runs = self._run_rids
@@ -764,15 +694,6 @@ class ClusterServerModel(ServerModel):
         self._run_rids = []
         self._run_times = []
         return merged
-
-    def next_completion_time(self) -> float:
-        if self._calendar is not None:
-            # Calendar members drain only at synchronisation points, so the
-            # next completion this cluster's drain emits is the earliest
-            # undrained member head, not the calendar's earliest unbooked
-            # entry.
-            return min(next_completion() for next_completion in self._next_completions)
-        return min(self._heads)
 
     def block_boundaries(self, start: float, end: float) -> tuple[float, ...]:
         """Fleet-event instants (own and nested) strictly inside the span.
@@ -831,11 +752,6 @@ class ClusterServerModel(ServerModel):
                 node.apply_rates(share)
         if self._calendar is not None:
             self._rebuild_calendar()
-        else:
-            # New rates move the members' next completions; refresh every
-            # head so the walk and the next advance compare fresh values.
-            for index, next_completion in enumerate(self._next_completions):
-                self._heads[index] = next_completion()
 
     def backlogs(self) -> tuple[int, ...]:
         totals = [0] * self.num_classes

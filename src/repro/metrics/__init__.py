@@ -1,9 +1,8 @@
 """Statistics used to evaluate PSD provisioning.
 
 Per-class slowdown summaries, percentile bands of windowed slowdown ratios
-(Figs. 5-6), achieved-vs-target ratio comparisons (Figs. 9-10), windowed time
-series and per-request scatter data (Figs. 7-8), and cross-replication
-paper-vs-measured summaries.
+(Figs. 5-6), achieved-vs-target ratio comparisons (Figs. 9-10), and
+cross-replication paper-vs-measured summaries.
 """
 
 from .percentile import PercentileBand, bands_by_parameter, percentile_band
@@ -15,7 +14,6 @@ from .ratios import (
 )
 from .slowdown import SlowdownStats, per_class_stats, relative_error, summarise_slowdowns
 from .summary import SimulatedVsExpected, compare_simulated_expected, sweep_table_rows
-from .timeseries import WindowedSeries, per_request_points, windowed_mean_slowdowns
 
 __all__ = [
     "SlowdownStats",
@@ -29,9 +27,6 @@ __all__ = [
     "achieved_ratios",
     "compare_to_targets",
     "ratio_series_to_first",
-    "WindowedSeries",
-    "windowed_mean_slowdowns",
-    "per_request_points",
     "SimulatedVsExpected",
     "compare_simulated_expected",
     "sweep_table_rows",

@@ -28,8 +28,11 @@ Two implementations are provided:
 
 Adding a new model (a multi-server cluster, an async backend, a cache in
 front of the processor) means subclassing :class:`ServerModel` and
-implementing five methods; every scenario, experiment driver and replication
-runner then works with it unchanged.
+implementing its five abstract methods (``_on_bind``, ``submit_batch``,
+``drain``, ``apply_rates`` and ``backlogs``); every scenario, experiment
+driver and replication runner then works with it unchanged.  A model that
+also implements :meth:`ServerModel.outstanding` can sit under a cluster's
+backlog-dependent dispatch.
 """
 
 from __future__ import annotations
@@ -161,20 +164,13 @@ class ServerModel(abc.ABC):
     def submit_one(self, rid: int, class_index: int, arrival: float, size: float) -> None:
         """Queue a single pre-gathered arrival.
 
-        The cluster's scalar dispatch walk pushes one decision at a time and
-        hands over the already-gathered ledger columns, so the built-in
-        models implement this as a plain buffer append — no per-request
-        ledger lookups.  The default submits a one-row block.
+        The scenario's live-state admission walk submits one admitted
+        arrival at a time and hands over the already-gathered ledger
+        columns, so the built-in models implement this as a plain buffer
+        append — no per-request ledger lookups.  The default submits a
+        one-row block.
         """
         self.submit_batch(np.asarray([rid], dtype=np.int64))
-
-    def next_completion_time(self) -> float:
-        """When the model's next completion would occur (``inf`` if idle or
-        frozen) — the timestamp the next :meth:`drain` would emit first.
-        Callers interleaving several models' completion streams (the cluster
-        walk) compare these heads to decide which model to drain.
-        """
-        return float("inf")
 
     def outstanding(self) -> tuple[tuple[float, list[tuple[float, int, float]]], ...] | None:
         """Per class: the FCFS service rate and the predicted
@@ -186,7 +182,8 @@ class ServerModel(abc.ABC):
         predictions instead of draining them before each dispatch decision,
         and predicts each request it queues afterwards from its class's rate
         and last prediction: ``max(arrival, last) + size / rate``.  ``None``
-        (the default) means the model cannot predict its completions.
+        (the default) means the model cannot predict its completions, and a
+        cluster refuses to bind a backlog-dependent dispatch policy over it.
         """
         return None
 
@@ -221,7 +218,7 @@ class RateScalableServers(ServerModel):
 
     def __init__(self, *, capacity: float | None = None) -> None:
         super().__init__()
-        if capacity is not None and capacity <= 0.0:
+        if capacity is not None and not capacity > 0.0:  # also rejects NaN
             raise SimulationError(f"capacity must be > 0, got {capacity}")
         self.capacity = None if capacity is None else float(capacity)
         self.servers: list[FcfsTaskServer] = []
@@ -245,16 +242,6 @@ class RateScalableServers(ServerModel):
     def outstanding(self) -> tuple[tuple[float, list[tuple[float, int, float]]], ...]:
         return tuple((server.rate, server.outstanding()) for server in self.servers)
 
-    def next_completion_time(self) -> float:
-        # Plain loop, not a genexpr: the cluster walk re-evaluates this after
-        # every push, so the generator frame would be pure overhead.
-        best = float("inf")
-        for server in self.servers:
-            head = server.next_completion_time()
-            if head < best:
-                best = head
-        return best
-
     def drain(self, now: float) -> np.ndarray:
         """Drain every class's task server and merge the runs by time.
 
@@ -271,7 +258,7 @@ class RateScalableServers(ServerModel):
             if server.idle:
                 # Idle with nothing queued: no completions to emit and no
                 # zero-rate freeze to materialise, so skip the call entirely
-                # (the cluster walk drains one node per completion, and most
+                # (the admission walk drains before every arrival, and most
                 # class servers are in exactly this state).
                 continue
             run, run_times = server.drain(now)
@@ -283,7 +270,7 @@ class RateScalableServers(ServerModel):
             return np.empty(0, dtype=np.int64)
         if len(live) == 1:
             # One contributing class: its run is already in time order (the
-            # cluster walk's tiny drains land here almost every time).
+            # admission walk's tiny drains land here almost every time).
             return live[0][0]
         rids = np.concatenate([r for r, _ in live])
         times = np.concatenate([t for _, t in live])
@@ -331,16 +318,16 @@ class SharedProcessorServer(ServerModel):
 
     def __init__(self, scheduler: Scheduler, *, capacity: float = 1.0) -> None:
         super().__init__()
-        if capacity <= 0.0:
-            raise SimulationError("capacity must be > 0")
+        if not capacity > 0.0:  # also rejects NaN
+            raise SimulationError(f"capacity must be > 0, got {capacity}")
         self.scheduler = scheduler
         self.capacity = float(capacity)
         self._in_service: int | None = None
         self._completion_time = 0.0
         # Arrivals not yet handed to the scheduler, consumed from
         # ``_pending_pos`` as the drain's virtual clock advances.
-        # Plain Python lists so the cluster walk's one-at-a-time pushes are
-        # O(1) appends (the drain replay reads scalars regardless).
+        # Plain Python lists so the admission walk's one-at-a-time pushes
+        # are O(1) appends (the drain replay reads scalars regardless).
         self._pending_rids: list[int] = []
         self._pending_times: list[float] = []
         self._pending_classes: list[int] = []
@@ -378,17 +365,6 @@ class SharedProcessorServer(ServerModel):
         self._pending_times.append(arrival)
         self._pending_classes.append(class_index)
         self._pending_sizes.append(size)
-
-    def next_completion_time(self) -> float:
-        if self._in_service is not None:
-            return self._completion_time
-        pos = self._pending_pos
-        if pos < len(self._pending_rids):
-            # Idle with a pending head: after a drain the scheduler holds no
-            # queued job, so the head enqueues at its arrival and starts
-            # immediately — exactly the replay's next step.
-            return self._pending_times[pos] + self._pending_sizes[pos] / self.capacity
-        return float("inf")
 
     def drain(self, now: float) -> np.ndarray:
         """Replay the processor's event loop to ``now`` in virtual time.

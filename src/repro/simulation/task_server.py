@@ -29,10 +29,10 @@ the starts are derived afterwards as ``np.maximum(arrival, previous
 completion)`` — a max is exact, so no timestamp moves.  Starts and
 completions then reach the :class:`~repro.simulation.ledger.RequestLedger`
 in one checked :meth:`~repro.simulation.ledger.RequestLedger.serve_batch`
-write.  Short blocks — the admission walk and cluster members drain one or
-two requests per call — take a scalar loop instead, which stops at the
-first request still in service and writes the ledger row by row: there
-NumPy's per-call overhead would cost more than the run.
+write.  Short blocks — the admission walk drains one or two requests per
+call, cluster members a few per window — take a scalar loop instead, which
+stops at the first request still in service and writes the ledger row by
+row: there NumPy's per-call overhead would cost more than the run.
 
 The recursion itself stays a per-request fold on purpose.  The operation
 order ``max(arrival, f) + size / rate`` must be kept per request: max-plus
@@ -56,8 +56,8 @@ from .ledger import RequestLedger
 
 __all__ = ["FcfsTaskServer"]
 
-#: Shared zero-length drain result: most drain calls on the cluster walk's
-#: per-completion cadence return nothing, so the empty pair is allocated
+#: Shared zero-length drain result: most drain calls on the admission
+#: walk's per-arrival cadence return nothing, so the empty pair is allocated
 #: once (callers only read it).
 _EMPTY_RIDS = np.empty(0, dtype=np.int64)
 _EMPTY_TIMES = np.empty(0, dtype=np.float64)
@@ -179,7 +179,7 @@ class FcfsTaskServer:
         self._tail = tail + k
 
     def push(self, rid: int, arrival: float, size: float) -> None:
-        """Queue a single arrival (the admission and cluster dispatch walks).
+        """Queue a single arrival (the scenario's admission walk).
 
         The caller hands over the already-gathered ledger columns so the
         per-request hot path performs three scalar stores and nothing else.
@@ -192,28 +192,6 @@ class FcfsTaskServer:
         self._arrivals[tail] = arrival
         self._sizes[tail] = size
         self._tail = tail + 1
-
-    def next_completion_time(self) -> float:
-        """When the next completion would occur, ``inf`` if idle or frozen.
-
-        Computes the very value :meth:`drain` would produce for the head of
-        the line — the carried in-service completion, or the first pending
-        arrival's fold step — so a caller interleaving several servers'
-        completions (the cluster walk) sees bit-identical timestamps without
-        draining anything.
-        """
-        rate = self._rate
-        if self.in_service is not None:
-            if rate <= 0.0:
-                return float("inf")
-            return self._last_progress_time + self._remaining_work / rate
-        head = self._head
-        if head == self._tail or rate <= 0.0:
-            return float("inf")
-        arrival = self._arrivals.item(head)
-        free = self._last_progress_time
-        start = arrival if arrival > free else free
-        return start + self._sizes.item(head) / rate
 
     def drain(self, now: float) -> tuple[np.ndarray, np.ndarray]:
         """Advance the server to ``now``; returns the completions.

@@ -30,30 +30,30 @@ conventions instead.  Fleet-event ties, by contrast, ARE deterministic
 purpose.
 
 The second property pins those conventions where they matter: with
-grid-aligned sizes and rates, completions tie arrival instants all the
-time, and the calendar must book them (``<= t``) exactly as the scalar walk
-does — compared against a fleet whose members hide their predictions.
+grid-aligned sizes and rates, completions tie arrival instants and fleet
+events all the time, and the calendar must book a completion tied with an
+arrival before the decision (``<= t``).  Its oracle shares no code with
+:mod:`repro.cluster` or the task server: the brute-force choosers of
+``tests/cluster/test_chooser_oracle.py`` decide on pending counts and work
+left recomputed from scratch, and each request's start and completion come
+from the Lindley recursion with rate rebasing of
+``tests/simulation/test_fold_oracle.py``, over per-node rates known up
+front (a static controller split over the live set of the fleet events).
 """
+
+import math
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (
-    ClusterServerModel,
-    build_dispatch_policy,
-    make_cluster,
-    parse_fleet_events,
-)
+from repro.cluster import make_cluster, parse_fleet_events
 from repro.distributions import BoundedPareto
-from repro.simulation import (
-    MeasurementConfig,
-    RateScalableServers,
-    Scenario,
-    StaticRateController,
-)
+from repro.simulation import MeasurementConfig, Scenario, StaticRateController
 from repro.simulation.generator import TraceSource
 from repro.types import TrafficClass
+from tests.cluster.test_chooser_oracle import oracle as chooser_oracle
 from tests.reference import ReferenceScenario
 
 SERVICE = BoundedPareto(0.3, 5.0, 1.5)
@@ -156,12 +156,134 @@ def test_batched_dispatch_replays_per_event_oracle(case, policy):
     )
 
 
-class _Unpredicting(RateScalableServers):
-    """A rate-scalable node that withholds its completion predictions, so a
-    cluster of them dispatches through the scalar walk."""
+def _fleet_script(events):
+    """``(time, action, node, capacity)`` per token, in application order
+    (stable by time, as the schedule fires them)."""
+    script = []
+    for token in events.split():
+        action, rest = token.split(":")
+        target, time = rest.split("@")
+        node, _, value = target.partition("=")
+        capacity = None if value in ("", "none") else float(value)
+        script.append((float(time), action, int(node), capacity))
+    return sorted(script, key=lambda event: event[0])
 
-    def outstanding(self):
-        return None
+
+def _rate_segments(policy, rates, script):
+    """Per node and class, the ``(time, rate, strict)`` segments the static
+    allocation produces: set at bind, re-split over the live set at every
+    fleet event, re-applied at the window boundary (the horizon).
+
+    ``weighted_jsq`` and ``fastest_available`` split in proportion to the
+    capacities (undeclared weighs 1.0), the others equally; a node whose
+    shares sum past its capacity serves them scaled by ``capacity / sum``.
+    Only live nodes are re-rated: a leaving node keeps its last rates.
+    ``strict`` marks fleet events, which apply before completions tied with
+    them (the member is not drained at the event instant), unlike the
+    window boundary, which drains first.
+    """
+    num_classes = len(rates)
+    live = [True] * 3
+    capacity = [None] * 3
+    segments = [[[] for _ in range(num_classes)] for _ in range(3)]
+
+    def split(time, strict):
+        nodes = [n for n in range(3) if live[n]]
+        weights = [1.0 if capacity[n] is None else capacity[n] for n in nodes]
+        total = sum(weights)
+        for node, weight in zip(nodes, weights):
+            if policy in ("weighted_jsq", "fastest_available"):
+                shares = [rate * weight / total for rate in rates]
+            else:
+                shares = [rate / len(nodes) for rate in rates]
+            if capacity[node] is not None and sum(shares) > capacity[node]:
+                scale = capacity[node] / sum(shares)
+                shares = [share * scale for share in shares]
+            for cls, share in enumerate(shares):
+                row = segments[node][cls]
+                # Same-instant re-splits: the later one rebases nothing.
+                if row and row[-1][0] == time:
+                    row.pop()
+                row.append((time, share, strict))
+
+    split(0.0, False)
+    for time, action, node, value in script:
+        if action == "set_capacity":
+            capacity[node] = value
+        else:
+            live[node] = action == "join"
+        split(time, True)
+    split(CFG.horizon, False)
+    return segments
+
+
+def _serve(arrival, size, previous, segments):
+    """FCFS ``(start, completion)`` after the class queue's previous
+    completion: the Lindley recursion with rate rebasing of
+    ``tests/simulation/test_fold_oracle.py``, except that a completion
+    falling exactly on a fleet event is rebased too."""
+    times = [time for time, _, _ in segments]
+    start = max(arrival, previous)
+    segment = bisect_right(times, start) - 1
+    since, remaining = start, size
+    while True:
+        rate = segments[segment][1]
+        assert rate > 0.0
+        completion = since + remaining / rate
+        if segment + 1 == len(segments):
+            return start, completion
+        end, _, strict = segments[segment + 1]
+        if completion < end or (completion == end and not strict):
+            return start, completion
+        remaining = max(remaining - (end - since) * rate, 0.0)
+        since = end
+        segment += 1
+
+
+def _brute_force_run(policy, traces, events, rates):
+    """Arrivals, dispatch log, starts and completions of the run, from
+    scratch: before each arrival every completion ``<= t`` leaves the
+    pending counts and work left, then :func:`chooser_oracle` picks among
+    the nodes live at ``t``."""
+    arrivals = []
+    for cls, (gaps, sizes) in enumerate(traces):
+        t = 0.0
+        for gap, size in zip(gaps, sizes):
+            t += gap
+            arrivals.append((t, cls, size))
+    # Ledger order; CLASS_OFFSETS keep the classes from tying.
+    arrivals.sort(key=lambda arrival: arrival[0])
+    script = _fleet_script(events)
+    segments = _rate_segments(policy, rates, script)
+    num_classes = len(traces)
+    live = [True] * 3
+    capacity = [1.0] * 3
+    applied = 0
+    free = [[-math.inf] * num_classes for _ in range(3)]
+    served = []  # (node, class, size, start, completion) per request
+    for t, cls, size in arrivals:
+        while applied < len(script) and script[applied][0] <= t:
+            _, action, node, value = script[applied]
+            if action == "set_capacity":
+                capacity[node] = 1.0 if value is None else value
+            else:
+                live[node] = action == "join"
+            applied += 1
+        pending = [[0] * num_classes for _ in range(3)]
+        work_left = [0.0] * 3
+        for node, c, s, _, completion in served:
+            if completion > t:
+                pending[node][c] += 1
+                work_left[node] += s
+        nodes = [n for n in range(3) if live[n]]
+        node = chooser_oracle(policy, nodes, cls, pending, work_left, capacity)
+        start, completion = _serve(t, size, free[node][cls], segments[node][cls])
+        free[node][cls] = completion
+        served.append((node, cls, size, start, completion))
+    horizon = CFG.horizon
+    starts = np.array([s if s <= horizon else np.nan for *_, s, _ in served])
+    completions = np.array([c if c <= horizon else np.nan for *_, c in served])
+    return arrivals, [node for node, *_ in served], starts, completions
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,26 +291,16 @@ class _Unpredicting(RateScalableServers):
     case=_cases([0.25, 0.5, 1.0]),
     policy=st.sampled_from(["jsq", "weighted_jsq", "least_work", "fastest_available"]),
 )
-def test_calendar_books_tied_completions_like_the_walk(case, policy):
+def test_calendar_books_tied_completions_like_the_oracle(case, policy):
     traces, events = case
-    fleet = parse_fleet_events(events) if events else None
     # 0.5 per node per class on the 3-node equal split: size / rate stays on
     # the 0.25 arrival grid, so completions tie arrivals and fleet events.
     rates = (1.5,) * len(traces)
-    calendar = _run(_cluster(policy, events), traces, controller=StaticRateController(rates))
-    walk = _run(
-        ClusterServerModel(
-            [_Unpredicting() for _ in range(3)],
-            dispatch=build_dispatch_policy(policy, seed=3),
-            record_dispatch=True,
-            fleet=fleet,
-        ),
-        traces,
-        controller=StaticRateController(rates),
-    )
-    assert calendar.dispatch_log == walk.dispatch_log
-    assert calendar.fleet_timeline == walk.fleet_timeline
-    for column in ("service_start_time", "completion_time"):
-        assert getattr(calendar.ledger, column).tobytes() == (
-            getattr(walk.ledger, column).tobytes()
-        )
+    result = _run(_cluster(policy, events), traces, controller=StaticRateController(rates))
+    arrivals, log, starts, completions = _brute_force_run(policy, traces, events, rates)
+    ledger = result.ledger
+    assert ledger.arrival_time.tolist() == [t for t, _, _ in arrivals]
+    assert ledger.class_index.tolist() == [cls for _, cls, _ in arrivals]
+    assert result.dispatch_log == log
+    assert ledger.service_start_time.tobytes() == starts.tobytes()
+    assert ledger.completion_time.tobytes() == completions.tobytes()

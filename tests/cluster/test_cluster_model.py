@@ -10,9 +10,12 @@ from repro.cluster import (
     ClassAffinity,
     ClusterServerModel,
     EqualSplit,
+    FastestAvailable,
     JoinShortestQueue,
+    LeastWorkLeft,
     RatePartitioner,
     RoundRobin,
+    WeightedRandom,
     make_cluster,
     parse_fleet_events,
 )
@@ -31,8 +34,10 @@ from tests.cluster.test_cluster_batched_identity import CHURN, _fingerprint
 from tests.conftest import make_classes
 from tests.reference import ReferenceScenario
 
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 #: The differential suite's horizon: its churn events all fall inside it.
-WALK_CFG = MeasurementConfig(warmup=300.0, horizon=1_500.0, window=300.0)
+CHURN_CFG = MeasurementConfig(warmup=300.0, horizon=1_500.0, window=300.0)
 
 
 def submit(cluster, class_index=0, size=1.0):
@@ -42,31 +47,37 @@ def submit(cluster, class_index=0, size=1.0):
     return rid
 
 
-#: Member factories for the two backlog-dependent dispatch routes: members
-#: predicting their completions run on the completion calendar, shared
-#: processors on the scalar walk.
-ROUTES = {
-    "calendar": lambda: RateScalableServers(capacity=0.5),
-    "walk": lambda: SharedProcessorServer(WeightedFairQueueing(2), capacity=0.5),
-}
-
-
-def routed_cluster(route, dispatch, *, num_nodes=3, fleet=None):
-    """A bound cluster of ``route``'s members; rates stay zero, so every
-    dispatched request stays pending."""
+def calendar_cluster(dispatch, *, num_nodes=3, fleet=None):
+    """A bound cluster of rate-scalable members on the completion calendar;
+    rates stay zero, so every dispatched request stays pending."""
     from repro.distributions import Deterministic
 
     classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
     cluster = ClusterServerModel(
-        [ROUTES[route]() for _ in range(num_nodes)],
+        [RateScalableServers(capacity=0.5) for _ in range(num_nodes)],
         dispatch=dispatch,
         record_dispatch=True,
         fleet=fleet,
     )
     engine = SimulationEngine()
     cluster.bind(engine, classes)
-    assert (cluster._calendar is not None) == (route == "calendar")
+    assert cluster._calendar is not None
     return engine, cluster
+
+
+def shared_processor():
+    return SharedProcessorServer(WeightedFairQueueing(2), capacity=0.5)
+
+
+def inner_cluster(policy=RoundRobin):
+    return ClusterServerModel([RateScalableServers(), RateScalableServers()], dispatch=policy())
+
+
+class LastLive(RoundRobin):
+    """A custom policy overriding only ``select_node``."""
+
+    def select_node(self, rid):
+        return self.cluster.live_nodes[-1]
 
 
 def submit_block(cluster, engine, classes):
@@ -217,19 +228,6 @@ class TestAggregation:
         assert cluster.dispatch_log == [0, 1, 0, 1, 0, 1]
         assert cluster.work_left(0) + cluster.work_left(1) == pytest.approx(6.0)
 
-    def test_cluster_of_shared_processors_serves_all_classes(self, moderate_bp):
-        classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
-        cfg = MeasurementConfig(warmup=300.0, horizon=2_500.0, window=300.0)
-        cluster = ClusterServerModel(
-            [
-                SharedProcessorServer(WeightedFairQueueing(2), capacity=0.5),
-                SharedProcessorServer(WeightedFairQueueing(2), capacity=0.5),
-            ],
-            dispatch=JoinShortestQueue(),
-        )
-        result = Scenario(classes, cfg, server=cluster, seed=3).run()
-        assert all(count > 0 for count in result.completed_counts)
-
     def test_mixed_node_types_compose(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=300.0, horizon=2_000.0, window=300.0)
@@ -243,81 +241,69 @@ class TestAggregation:
         result = Scenario(classes, cfg, server=cluster, seed=4).run()
         assert sum(result.completed_counts) > 0
 
-    def test_nested_clusters_compose(self, moderate_bp):
-        classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
-        cfg = MeasurementConfig(warmup=300.0, horizon=2_000.0, window=300.0)
-        def inner():
-            return ClusterServerModel(
-                [RateScalableServers(), RateScalableServers()], dispatch=RoundRobin()
-            )
+    @pytest.mark.parametrize(
+        ("members", "culprit"),
+        [
+            ([shared_processor, shared_processor], "SharedProcessorServer"),
+            ([RateScalableServers, inner_cluster], "ClusterServerModel"),
+            ([RateScalableServers, shared_processor, inner_cluster], "SharedProcessorServer"),
+        ],
+        ids=["shared", "nested", "mixed"],
+    )
+    @pytest.mark.parametrize(
+        "policy",
+        [JoinShortestQueue, CapacityWeightedJsq, LeastWorkLeft, FastestAvailable, LastLive],
+        ids=["jsq", "weighted-jsq", "least-work", "fastest-available", "custom"],
+    )
+    def test_backlog_dispatch_needs_predicting_members(self, members, policy, culprit):
+        """A policy without ``select_block`` replays on the completion
+        calendar, so binding it over a member that cannot predict its
+        completions fails, naming the policy, the first such member and
+        the fixes."""
+        from repro.distributions import Deterministic
 
-        outer = ClusterServerModel([inner(), inner()], dispatch=JoinShortestQueue())
-        result = Scenario(classes, cfg, server=outer, seed=5).run()
-        assert sum(result.completed_counts) > 0
+        classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
+        cluster = ClusterServerModel([member() for member in members], dispatch=policy())
+        with pytest.raises(
+            SimulationError,
+            match=rf"{policy.__name__} .*; {culprit} does not.*round_robin.*RateScalableServers",
+        ):
+            cluster.bind(SimulationEngine(), classes)
 
-    def test_shared_processor_fleet_walk_matches_per_event(self, moderate_bp):
-        """Shared-processor members cannot predict their completions, so the
-        cluster replays backlog-dependent decisions in the scalar walk —
-        which must match the per-event reference bit for bit, churn
-        included."""
+    @pytest.mark.parametrize("members", ["shared", "nested"])
+    @pytest.mark.parametrize("policy", [RoundRobin, WeightedRandom, ClassAffinity])
+    def test_block_route_over_any_members_matches_per_event(self, moderate_bp, members, policy):
+        """Backlog-blind policies dispatch on the block route over members
+        that predict nothing — shared processors under churn, and clusters
+        whose own JSQ runs on their own calendars — and must match the
+        per-event reference bit for bit."""
         classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
 
-        def run(scenario_class):
-            cluster = ClusterServerModel(
-                [
+        def build():
+            if members == "shared":
+                nodes = [
                     SharedProcessorServer(WeightedFairQueueing(2), capacity=1.0 / 3.0)
                     for _ in range(3)
-                ],
-                dispatch=CapacityWeightedJsq(),
-                record_dispatch=True,
-                fleet=CHURN,
-            )
-            result = scenario_class(
-                classes,
-                WALK_CFG,
-                server=cluster,
-                spec=PsdSpec.of(1, 2),
-                seed=3,
-            ).run()
-            if scenario_class is Scenario:
-                assert cluster._calendar is None
-            return result
-
-        batched = run(Scenario)
-        assert _fingerprint(batched) == _fingerprint(run(ReferenceScenario))
-        assert any(state[0] != "live" for _, state, _ in batched.fleet_timeline)
-
-    @pytest.mark.parametrize("inner_policy", [RoundRobin, JoinShortestQueue])
-    def test_nested_cluster_walk_matches_per_event(self, moderate_bp, inner_policy):
-        """An outer JSQ over clusters walks (clusters predict no completions
-        of their own); inner JSQ clusters run on their own calendars and
-        must report the next completion their drain emits."""
-        classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
-
-        def run(scenario_class):
-            inners = [
-                ClusterServerModel(
-                    [RateScalableServers(), RateScalableServers()], dispatch=inner_policy()
+                ]
+                return ClusterServerModel(
+                    nodes, dispatch=policy(), record_dispatch=True, fleet=CHURN
                 )
-                for _ in range(2)
-            ]
-            outer = ClusterServerModel(inners, dispatch=JoinShortestQueue(), record_dispatch=True)
-            result = scenario_class(
-                classes,
-                WALK_CFG,
-                server=outer,
-                spec=PsdSpec.of(1, 2),
-                seed=5,
-            ).run()
-            if scenario_class is Scenario:
-                assert outer._calendar is None
-                assert all(
-                    (inner._calendar is not None) == (inner_policy is JoinShortestQueue)
-                    for inner in inners
-                )
-            return result
+            nodes = [inner_cluster(JoinShortestQueue) for _ in range(2)]
+            return ClusterServerModel(nodes, dispatch=policy(), record_dispatch=True)
 
-        assert _fingerprint(run(Scenario)) == _fingerprint(run(ReferenceScenario))
+        def run(scenario_class, server):
+            return scenario_class(
+                classes, CHURN_CFG, server=server, spec=PsdSpec.of(1, 2), seed=3
+            ).run()
+
+        cluster = build()
+        batched = run(Scenario, cluster)
+        assert cluster._calendar is None
+        assert _fingerprint(batched) == _fingerprint(run(ReferenceScenario, build()))
+        if members == "shared":
+            assert any(state[0] != "live" for _, state, _ in batched.fleet_timeline)
+        else:
+            assert all(inner._calendar is not None for inner in cluster.nodes)
 
     def test_single_node_cluster_matches_bare_server(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
@@ -376,15 +362,14 @@ class TestAggregation:
             # conservation.
             cluster.apply_rates((0.6, 0.4))
 
-    @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_boolean_node_choice_is_rejected(self, route):
+    def test_boolean_node_choice_is_rejected(self):
         """select_node returning True must not silently dispatch to node 1."""
 
         class Sneaky(RoundRobin):
             def select_node(self, request):
                 return True
 
-        _, cluster = routed_cluster(route, Sneaky(), num_nodes=2)
+        _, cluster = calendar_cluster(Sneaky(), num_nodes=2)
         with pytest.raises(SimulationError, match="invalid.*node"):
             submit(cluster)
 
@@ -402,47 +387,43 @@ class TestAggregation:
 
 
 class TestCustomPolicyRouting:
-    """Custom policies on both backlog-dependent routes: overrides of
+    """Custom policies on the completion calendar: overrides of
     ``select_node`` are honoured, and their choices are validated."""
 
-    @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_subclass_select_node_override_is_honoured(self, route):
-        class LastLive(CapacityWeightedJsq):
+    def test_subclass_select_node_override_is_honoured(self):
+        class LastLiveJsq(CapacityWeightedJsq):
             def select_node(self, rid):
                 return self.cluster.live_nodes[-1]
 
-        engine, cluster = routed_cluster(route, LastLive())
+        engine, cluster = calendar_cluster(LastLiveJsq())
         submit_block(cluster, engine, [0, 1, 0, 1, 0])
         # Weighted JSQ would have spread the block over every node.
         assert cluster.dispatch_log == [2] * 5
         assert cluster.dispatch_counts() == ((0, 0), (0, 0), (3, 2))
 
-    @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_instance_patched_select_node_is_honoured(self, route):
+    def test_instance_patched_select_node_is_honoured(self):
         policy = CapacityWeightedJsq()
         policy.select_node = lambda rid: 1
-        engine, cluster = routed_cluster(route, policy)
+        engine, cluster = calendar_cluster(policy)
         submit_block(cluster, engine, [0, 1, 0])
         assert cluster.dispatch_log == [1, 1, 1]
 
-    @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("choice", [True, 3, -1, 1.0])
-    def test_invalid_custom_choice_is_rejected(self, route, choice):
+    def test_invalid_custom_choice_is_rejected(self, choice):
         class Fixed(JoinShortestQueue):
             def select_node(self, rid):
                 return choice
 
-        engine, cluster = routed_cluster(route, Fixed())
+        engine, cluster = calendar_cluster(Fixed())
         with pytest.raises(SimulationError, match="invalid.*node"):
             submit_block(cluster, engine, [0])
 
-    @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_draining_custom_choice_is_rejected(self, route):
+    def test_draining_custom_choice_is_rejected(self):
         class Pinned(RoundRobin):
             def select_node(self, rid):
                 return 1
 
-        engine, cluster = routed_cluster(route, Pinned(), fleet=parse_fleet_events("leave:1@1"))
+        engine, cluster = calendar_cluster(Pinned(), fleet=parse_fleet_events("leave:1@1"))
         submit_block(cluster, engine, [0])  # node 1 live: accepted
         engine.run_until(1.5)  # node 1 leaves with work queued
         assert cluster.node_state(1) == "draining"

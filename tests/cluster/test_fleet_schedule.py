@@ -34,6 +34,8 @@ from repro.simulation import (
 )
 from tests.conftest import make_classes
 
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 class TestParsing:
     def test_tokens_and_aliases(self):

@@ -8,6 +8,8 @@ the parallel runner), and homogeneous capacities reproduce the capacity-less
 cluster bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -66,11 +68,12 @@ class TestCapacityPlumbing:
         assert RateScalableServers().capacity is None
         assert RateScalableServers(capacity=0.25).capacity == 0.25
 
-    def test_rate_scalable_rejects_non_positive_capacity(self):
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, math.nan])
+    def test_members_reject_non_positive_capacity(self, capacity):
         with pytest.raises(SimulationError, match="capacity"):
-            RateScalableServers(capacity=0.0)
+            RateScalableServers(capacity=capacity)
         with pytest.raises(SimulationError, match="capacity"):
-            RateScalableServers(capacity=-1.0)
+            SharedProcessorServer(WeightedFairQueueing(2), capacity=capacity)
 
     def test_cluster_exposes_node_capacities(self):
         cluster = bound_cluster(capacities=(0.75, 0.25))

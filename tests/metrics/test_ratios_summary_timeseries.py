@@ -1,4 +1,4 @@
-"""Tests for ratio comparisons, sweep summaries and windowed time series."""
+"""Tests for ratio comparisons and sweep summaries."""
 
 import math
 
@@ -12,19 +12,9 @@ from repro.metrics import (
     achieved_ratios,
     compare_simulated_expected,
     compare_to_targets,
-    per_request_points,
     ratio_series_to_first,
     sweep_table_rows,
-    windowed_mean_slowdowns,
 )
-from repro.simulation import Request, RequestRecord
-
-
-def record(class_index, arrival, wait, service):
-    r = Request(0, class_index, arrival, service)
-    r.start_service(arrival + wait)
-    r.complete(arrival + wait + service)
-    return RequestRecord.from_request(r)
 
 
 class TestAchievedRatios:
@@ -106,40 +96,3 @@ class TestSimulatedVsExpected:
         assert len(rows) == 2
         assert rows[0]["achieved_ratio_last"] == pytest.approx(2.0)
         assert rows[1]["ratio_rel_error"] == pytest.approx(0.1)
-
-
-class TestTimeSeries:
-    def test_windowed_means(self):
-        records = [
-            record(0, 0.0, 1.0, 1.0),    # completes 2, slowdown 1
-            record(0, 3.0, 4.0, 2.0),    # completes 9, slowdown 2
-            record(0, 12.0, 9.0, 3.0),   # completes 24, slowdown 3 (outside [0, 20))
-        ]
-        series = windowed_mean_slowdowns(records, start=0.0, end=20.0, window=10.0)
-        assert len(series) == 2
-        assert series.values[0] == pytest.approx(1.5)
-        assert math.isnan(series.values[1])
-        assert series.mean() == pytest.approx(1.5)
-
-    def test_class_filter(self):
-        records = [record(0, 0.0, 1.0, 1.0), record(1, 0.0, 4.0, 1.0)]
-        series = windowed_mean_slowdowns(records, start=0.0, end=10.0, window=10.0, class_index=1)
-        assert series.values[0] == pytest.approx(4.0)
-
-    def test_invalid_window(self):
-        with pytest.raises(ParameterError):
-            windowed_mean_slowdowns([], start=0.0, end=10.0, window=0.0)
-        with pytest.raises(ParameterError):
-            windowed_mean_slowdowns([], start=10.0, end=0.0, window=1.0)
-
-    def test_per_request_points(self):
-        records = [record(0, 0.0, 1.0, 1.0), record(1, 0.0, 4.0, 2.0)]
-        times, slowdowns = per_request_points(records, start=0.0, end=100.0)
-        assert times.size == 2
-        np.testing.assert_allclose(np.sort(slowdowns), [1.0, 2.0])
-        times0, _ = per_request_points(records, start=0.0, end=100.0, class_index=0)
-        assert times0.size == 1
-
-    def test_per_request_points_invalid_range(self):
-        with pytest.raises(ParameterError):
-            per_request_points([], start=5.0, end=1.0)

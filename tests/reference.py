@@ -61,6 +61,11 @@ class _PerEvent(ServerModel):
         # Completions log themselves as their events fire.
         return np.empty(0, dtype=np.int64)
 
+    def outstanding(self) -> tuple:
+        # A reference cluster books completions through the member sinks,
+        # never from predictions, so its (unused) calendar stays empty.
+        return ()
+
 
 class _TaskServer:
     """One class's FCFS queue and service position at a mutable rate."""
