@@ -5,9 +5,10 @@ The package is layered as *engine -> scenario -> server model -> runner*:
 * :mod:`repro.simulation.engine` / :mod:`repro.simulation.events` — the DES
   core (clock, calendar, run loop).
 * :mod:`repro.simulation.ledger` — :class:`RequestLedger`, the columnar
-  (struct-of-arrays) request store: every request is one row across
-  preallocated NumPy columns, addressed by integer id; the whole lifecycle
-  (servers, cluster dispatch, monitor, trace) moves ids, never objects.
+  (struct-of-arrays) request store and the only record of a run: every
+  request is one row across preallocated NumPy columns, addressed by integer
+  row id; the whole lifecycle (servers, cluster dispatch, monitor, trace)
+  moves ids, never objects.
 * :mod:`repro.simulation.generator` — per-class request sources (Poisson,
   deterministic, trace replay).
 * :mod:`repro.simulation.scenario` — :class:`Scenario`, the composable
@@ -21,7 +22,7 @@ The package is layered as *engine -> scenario -> server model -> runner*:
   — thin named wrappers (``PsdServerSimulation``,
   ``SharedProcessorSimulation``) that pre-select a server model.
 * :mod:`repro.simulation.monitor` / :mod:`repro.simulation.trace` —
-  measurement.
+  measurement: read-only views over the ledger.
 * :mod:`repro.simulation.trace_io` — :func:`load_trace` / :func:`save_trace`:
   CSV/NPZ arrival logs parsed columnar into per-class :class:`TraceSource`s,
   and completed runs written back out as replayable logs.
@@ -32,9 +33,10 @@ The package is layered as *engine -> scenario -> server model -> runner*:
 Adding a new server model
 -------------------------
 Subclass :class:`ServerModel` and implement ``_on_bind`` (build per-run
-state against the engine), ``submit`` (serve an admitted request, calling
-``self.deliver(request)`` once it completes), ``apply_rates`` (react to a
-re-allocation) and ``backlogs``.  Then run it with
+state against the engine), ``submit_batch`` (queue a time-ordered block of
+admitted ledger row ids), ``drain`` (serve up to a time, writing lifecycle
+timestamps into the ledger, and return the completed ids), ``apply_rates``
+(react to a re-allocation) and ``backlogs``.  Then run it with
 ``Scenario(classes, config, server=YourModel(...)).run()`` — every
 experiment driver, example and bench composes through that same path.
 """
@@ -57,7 +59,6 @@ from .monitor import (
     fleet_availability,
 )
 from .psd_server import PsdServerSimulation
-from .requests import Request
 from .runner import (
     ReplicatedStatistic,
     ReplicationRunner,
@@ -100,7 +101,6 @@ __all__ = [
     "WindowSample",
     "WindowedMonitor",
     "fleet_availability",
-    "Request",
     "RequestLedger",
     "FcfsTaskServer",
     "Scenario",

@@ -6,13 +6,15 @@ so nothing in the pipeline ever needs a per-request Python object.
 :class:`RequestLedger` therefore stores every request as one *row* across a
 set of preallocated, geometrically grown NumPy columns
 
-    ``request_id | class_index | arrival_time | size |
+    ``class_index | arrival_time | size |
     service_start_time | completion_time | disposition``
 
-and the whole simulation stack addresses requests by integer row id:
+and the whole simulation stack addresses requests by integer row id — the
+row id is the request's only identity:
 :class:`~repro.simulation.scenario.Scenario` appends a row per arrival, the
 server models queue and serve row ids, and the monitor/trace layer computes
-every statistic with vectorised NumPy over the columns.
+every statistic with vectorised NumPy over the columns.  The ledger is the
+only record of a run.
 
 The ``disposition`` column records each request's admission outcome
 (:data:`DISPOSITION_ADMITTED` / :data:`DISPOSITION_DEGRADED` /
@@ -25,16 +27,10 @@ normal lifecycle.
 
 Lifecycle invariants (a request starts service exactly once, at or after its
 arrival; completes exactly once, at or after its service start) are enforced
-here, in one place, exactly as the old per-object ``Request`` methods did.
-Completions are additionally logged in completion order (`completed_ids`),
-which is what makes the vectorised window statistics bit-identical to the
-old per-completion bookkeeping: simulated time is monotone, so the logged
-completion times are already sorted.
-
-``Request`` (see :mod:`repro.simulation.requests`) remains available as a
-thin lazy *view* over a ledger row — nothing in the hot path allocates one,
-but call sites that want object ergonomics (tests, examples, the ``extra``
-escape hatch) keep working.
+here, in one place.  Completions are additionally logged in completion order
+(`completed_ids`), which is what makes the vectorised window statistics
+bit-identical to per-completion bookkeeping: simulated time is monotone, so
+the logged completion times are already sorted.
 """
 
 from __future__ import annotations
@@ -58,6 +54,7 @@ __all__ = [
 DISPOSITION_ADMITTED = 0
 DISPOSITION_DEGRADED = 1
 DISPOSITION_SHED = 2
+_DISPOSITIONS = (DISPOSITION_ADMITTED, DISPOSITION_DEGRADED, DISPOSITION_SHED)
 
 #: Initial number of rows allocated by a fresh ledger; grown 2x on demand.
 DEFAULT_CAPACITY = 1024
@@ -83,7 +80,6 @@ class RequestLedger:
     __slots__ = (
         "num_classes",
         "_n",
-        "_request_id",
         "_class_index",
         "_arrival_time",
         "_size",
@@ -92,7 +88,6 @@ class RequestLedger:
         "_disposition",
         "_completed",
         "_order",
-        "_extra",
         "_buffer_owner",
     )
 
@@ -104,10 +99,8 @@ class RequestLedger:
         self.num_classes = None if num_classes is None else int(num_classes)
         self._n = 0
         self._completed = 0
-        # The lifecycle columns are NaN-filled and the labels default-filled
-        # (label = row id) at allocation time, so the per-arrival append only
-        # touches the three columns that actually vary.
-        self._request_id = np.arange(capacity, dtype=np.int64)
+        # The lifecycle columns are NaN-filled at allocation time, so the
+        # per-arrival append only touches the three columns that vary.
         self._class_index = np.empty(capacity, dtype=np.int64)
         self._arrival_time = np.empty(capacity, dtype=np.float64)
         self._size = np.empty(capacity, dtype=np.float64)
@@ -115,7 +108,6 @@ class RequestLedger:
         self._completion = np.full(capacity, math.nan, dtype=np.float64)
         self._disposition = np.zeros(capacity, dtype=np.uint8)
         self._order = np.empty(capacity, dtype=np.int64)
-        self._extra: dict[int, dict] = {}
         # Opaque keep-alive for zero-copy transports: when the columns are
         # views into a shared-memory segment, the decoder parks the segment's
         # owner here so the mapping outlives the ledger.  Never pickled.
@@ -130,7 +122,7 @@ class RequestLedger:
     @property
     def capacity(self) -> int:
         """Currently allocated rows (grows on demand; ids never move)."""
-        return self._request_id.shape[0]
+        return self._class_index.shape[0]
 
     @property
     def num_completed(self) -> int:
@@ -143,11 +135,6 @@ class RequestLedger:
         view = column[:length]
         view.flags.writeable = False
         return view
-
-    @property
-    def request_id(self) -> np.ndarray:
-        """External labels, one per row (defaults to the row id itself)."""
-        return self._view(self._request_id, self._n)
 
     @property
     def class_index(self) -> np.ndarray:
@@ -197,9 +184,6 @@ class RequestLedger:
     def completion_of(self, rid: int) -> float:
         return float(self._completion[rid])
 
-    def label_of(self, rid: int) -> int:
-        return int(self._request_id[rid])
-
     def disposition_of(self, rid: int) -> int:
         return int(self._disposition[rid])
 
@@ -213,7 +197,6 @@ class RequestLedger:
         old_capacity = self.capacity
         new_capacity = max(old_capacity * 2, 16)
         for name in (
-            "_request_id",
             "_class_index",
             "_arrival_time",
             "_size",
@@ -229,7 +212,6 @@ class RequestLedger:
             grown[: old.shape[0]] = old
             setattr(self, name, grown)
         # Restore the allocation-time defaults on the fresh tail.
-        self._request_id[old_capacity:] = np.arange(old_capacity, new_capacity)
         self._service_start[old_capacity:] = math.nan
         self._completion[old_capacity:] = math.nan
         self._disposition[old_capacity:] = DISPOSITION_ADMITTED
@@ -240,7 +222,6 @@ class RequestLedger:
         arrivals: np.ndarray,
         sizes: np.ndarray,
         *,
-        request_ids: np.ndarray | None = None,
         dispositions: np.ndarray | None = None,
     ) -> np.ndarray:
         """Record a block of arrivals in one call; returns the new row ids.
@@ -250,8 +231,10 @@ class RequestLedger:
         mid-batch, ids stay stable), and one slice write per column.  The
         class bound is validated *before* any column is touched, so an
         out-of-range class index rejects the whole block — no partial
-        append.  Row ids are assigned contiguously, so ``append`` and
-        ``append_batch`` interleave freely.
+        append.  ``dispositions``, when given, must hold one
+        ``DISPOSITION_*`` code per row and is checked just as early.  Row ids
+        are assigned contiguously, so ``append`` and ``append_batch``
+        interleave freely.
         """
         classes = np.asarray(classes, dtype=np.int64)
         arrivals = np.asarray(arrivals, dtype=np.float64)
@@ -272,15 +255,25 @@ class RequestLedger:
                 f"append_batch: request class out of range [0, {bound}); "
                 f"no rows were appended"
             )
+        if dispositions is not None:
+            given = np.asarray(dispositions)
+            dispositions = given.astype(np.uint8, copy=False)
+            if (
+                given.shape != classes.shape
+                or dispositions.max() > DISPOSITION_SHED
+                or (dispositions != given).any()
+            ):
+                raise SimulationError(
+                    "append_batch: dispositions need one DISPOSITION_* code per row; "
+                    "no rows were appended"
+                )
         while rid0 + k > self.capacity:
             self._grow()
         self._class_index[rid0 : rid0 + k] = classes
         self._arrival_time[rid0 : rid0 + k] = arrivals
         self._size[rid0 : rid0 + k] = sizes
-        if request_ids is not None:
-            self._request_id[rid0 : rid0 + k] = np.asarray(request_ids, dtype=np.int64)
         if dispositions is not None:
-            self._disposition[rid0 : rid0 + k] = np.asarray(dispositions, dtype=np.uint8)
+            self._disposition[rid0 : rid0 + k] = dispositions
         self._n = rid0 + k
         return np.arange(rid0, rid0 + k, dtype=np.int64)
 
@@ -302,7 +295,6 @@ class RequestLedger:
         arrival_time: float,
         size: float,
         *,
-        request_id: int | None = None,
         disposition: int = DISPOSITION_ADMITTED,
     ) -> int:
         """Record one arrival; returns the new row id."""
@@ -310,11 +302,11 @@ class RequestLedger:
         if class_index < 0 or (self.num_classes is not None and class_index >= self.num_classes):
             bound = "inf" if self.num_classes is None else self.num_classes
             raise SimulationError(f"request class {class_index} out of range [0, {bound})")
+        if disposition and disposition not in _DISPOSITIONS:
+            raise SimulationError(f"disposition {disposition!r} is not a DISPOSITION_* code")
         rid = self._n
         if rid == self.capacity:
             self._grow()
-        if request_id is not None:
-            self._request_id[rid] = int(request_id)
         if disposition:
             self._disposition[rid] = disposition
         self._class_index[rid] = class_index
@@ -323,72 +315,25 @@ class RequestLedger:
         self._n = rid + 1
         return rid
 
-    def intern(self, request) -> int:
-        """Adopt a foreign :class:`Request` into this ledger.
-
-        The request's full lifecycle state (including any ``extra`` payload)
-        is copied into a fresh row and the request object is re-bound so it
-        becomes a live view of that row; the new row id is returned.  A
-        request already backed by this ledger is returned unchanged.
-        """
-        if request.ledger is self:
-            return request.row
-        source, old_row = request.ledger, request.row
-        rid = self.append(
-            request.class_index,
-            request.arrival_time,
-            request.size,
-            request_id=request.request_id,
-            disposition=int(source._disposition[old_row]),
-        )
-        # Copy lifecycle columns verbatim — the source row already satisfied
-        # the invariants (or was constructed with explicit values, exactly
-        # like the old mutable dataclass allowed).
-        self.adopt_lifecycle(rid, source._service_start[old_row], source._completion[old_row])
-        extra = source._extra.get(old_row)
-        if extra:
-            self._extra[rid] = extra
-        request._rebind(self, rid)
-        return rid
-
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def adopt_lifecycle(self, rid: int, service_start: float, completion: float) -> None:
-        """Write a row's lifecycle timestamps verbatim, without invariant checks.
-
-        The single home of the "set both columns, log the completion" step
-        shared by :meth:`intern` and explicit :class:`Request` construction
-        (which mirror the old mutable dataclass, where any lifecycle state
-        could be assembled directly).  ``NaN`` means not-yet-happened; a
-        non-NaN ``completion`` is appended to the completion log.
-        """
-        self._service_start[rid] = service_start
-        self._completion[rid] = completion
-        if not math.isnan(completion):
-            self._order[self._completed] = rid
-            self._completed += 1
-
     def start_service(self, rid: int, time: float) -> None:
         if self._disposition[rid] == DISPOSITION_SHED:
-            raise SimulationError(
-                f"request {self.label_of(rid)} was shed and can never enter service"
-            )
+            raise SimulationError(f"request {rid} was shed and can never enter service")
         if not math.isnan(self._service_start[rid]):
-            raise SimulationError(f"request {self.label_of(rid)} started service twice")
+            raise SimulationError(f"request {rid} started service twice")
         if time < self._arrival_time[rid] - _TIME_TOL:
-            raise SimulationError(f"request {self.label_of(rid)} started service before arriving")
+            raise SimulationError(f"request {rid} started service before arriving")
         self._service_start[rid] = time
 
     def complete(self, rid: int, time: float) -> None:
         if math.isnan(self._service_start[rid]):
-            raise SimulationError(
-                f"request {self.label_of(rid)} completed without starting service"
-            )
+            raise SimulationError(f"request {rid} completed without starting service")
         if not math.isnan(self._completion[rid]):
-            raise SimulationError(f"request {self.label_of(rid)} completed twice")
+            raise SimulationError(f"request {rid} completed twice")
         if time < self._service_start[rid] - _TIME_TOL:
-            raise SimulationError(f"request {self.label_of(rid)} completed before service started")
+            raise SimulationError(f"request {rid} completed before service started")
         self._completion[rid] = time
         self._order[self._completed] = rid
         self._completed += 1
@@ -401,13 +346,11 @@ class RequestLedger:
         the global order via :meth:`log_completions`.
         """
         if math.isnan(self._service_start[rid]):
-            raise SimulationError(
-                f"request {self.label_of(rid)} completed without starting service"
-            )
+            raise SimulationError(f"request {rid} completed without starting service")
         if not math.isnan(self._completion[rid]):
-            raise SimulationError(f"request {self.label_of(rid)} completed twice")
+            raise SimulationError(f"request {rid} completed twice")
         if time < self._service_start[rid] - _TIME_TOL:
-            raise SimulationError(f"request {self.label_of(rid)} completed before service started")
+            raise SimulationError(f"request {rid} completed before service started")
         self._completion[rid] = time
 
     def start_service_batch(self, rids: np.ndarray, times: np.ndarray) -> None:
@@ -521,24 +464,6 @@ class RequestLedger:
         self._completed += k
 
     # ------------------------------------------------------------------ #
-    # Escape hatch and views
-    # ------------------------------------------------------------------ #
-    def extra(self, rid: int) -> dict:
-        """Per-request side-channel dict, created lazily (rarely used)."""
-        extra = self._extra.get(rid)
-        if extra is None:
-            extra = self._extra[rid] = {}
-        return extra
-
-    def view(self, rid: int):
-        """A lazy :class:`~repro.simulation.requests.Request` over one row."""
-        from .requests import Request
-
-        if not (0 <= rid < self._n):
-            raise SimulationError(f"row {rid} out of range [0, {self._n})")
-        return Request.view(self, rid)
-
-    # ------------------------------------------------------------------ #
     # Vectorised derived metrics
     # ------------------------------------------------------------------ #
     def slowdowns(self, ids: np.ndarray | None = None) -> np.ndarray:
@@ -561,7 +486,6 @@ class RequestLedger:
         n, m = self._n, self._completed
         return {
             "num_classes": self.num_classes,
-            "request_id": self._request_id[:n].copy(),
             "class_index": self._class_index[:n].copy(),
             "arrival_time": self._arrival_time[:n].copy(),
             "size": self._size[:n].copy(),
@@ -569,31 +493,23 @@ class RequestLedger:
             "completion": self._completion[:n].copy(),
             "disposition": self._disposition[:n].copy(),
             "order": self._order[:m].copy(),
-            "extra": self._extra,
         }
 
     def __setstate__(self, state: dict) -> None:
         self.num_classes = state["num_classes"]
-        self._request_id = state["request_id"]
         self._class_index = state["class_index"]
         self._arrival_time = state["arrival_time"]
         self._size = state["size"]
         self._service_start = state["service_start"]
         self._completion = state["completion"]
-        self._n = int(self._request_id.shape[0])
-        # Ledgers pickled before the disposition column existed load as
-        # all-admitted.
-        disposition = state.get("disposition")
-        if disposition is None:
-            disposition = np.zeros(self._n, dtype=np.uint8)
-        self._disposition = disposition
+        self._disposition = state["disposition"]
+        self._n = int(self._class_index.shape[0])
         self._completed = int(state["order"].shape[0])
         # Pad the completion log back to full capacity so rows that were
         # in flight when the ledger was pickled can still complete.
         order = np.empty(max(self._n, 1), dtype=np.int64)
         order[: self._completed] = state["order"]
         self._order = order
-        self._extra = state["extra"]
         self._buffer_owner = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -7,7 +7,7 @@ the processing time of an average-size request, so all durations here are
 expressed in multiples of the workload's mean service time.
 
 :class:`MeasurementConfig` captures the protocol; :class:`WindowedMonitor`
-collects per-window, per-class slowdown statistics as requests complete.
+derives per-window, per-class slowdown statistics from a run's ledger.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from ..errors import ParameterError
 from ..validation import require_non_negative, require_positive
 from .ledger import RequestLedger
-from .trace import RequestRecord
 
 __all__ = [
     "MeasurementConfig",
@@ -38,7 +37,7 @@ def window_index_of(time: float, *, warmup: float, window: float) -> int:
 
     Windows are half-open ``[warmup + i * window, warmup + (i + 1) * window)``:
     an event landing exactly on a window edge belongs to the *later* window.
-    Every window-attribution site (streaming monitor, vectorised ledger pass,
+    Every window-attribution site (the monitor's vectorised ledger pass,
     availability matrices) shares this floor-division so the same completion
     can never land in different windows depending on the code path.
     """
@@ -185,14 +184,10 @@ class WindowedMonitor:
     counts), so the per-window series of different classes stay time-aligned
     even when a quiet class skips a window.
 
-    Two modes:
-
-    * **ledger-backed** (every scenario run): constructed with the run's
-      :class:`~repro.simulation.ledger.RequestLedger`; nothing is recorded
-      per completion, and :meth:`samples` computes all per-window per-class
-      statistics in one vectorised pass over the completion columns.
-    * **streaming**: without a ledger, feed completions one at a time
-      through :meth:`record`, exactly as before the refactor.
+    The monitor is a read-only view over the run's
+    :class:`~repro.simulation.ledger.RequestLedger`: nothing is recorded per
+    completion, and :meth:`samples` computes all per-window per-class
+    statistics in one vectorised pass over the completion columns.
     """
 
     def __init__(
@@ -201,7 +196,7 @@ class WindowedMonitor:
         *,
         warmup: float,
         window: float,
-        ledger: "RequestLedger | None" = None,
+        ledger: RequestLedger,
     ) -> None:
         if num_classes <= 0:
             raise ParameterError("num_classes must be > 0")
@@ -211,25 +206,11 @@ class WindowedMonitor:
         self.warmup = float(warmup)
         self.window = float(window)
         self._ledger = ledger
-        self._buckets: dict[int, list[list[float]]] = {}
 
     @property
-    def ledger(self):
-        """The backing ledger, if this monitor finalises from one."""
+    def ledger(self) -> RequestLedger:
+        """The backing ledger."""
         return self._ledger
-
-    def record(self, record: RequestRecord) -> None:
-        """Attribute one completion to its window (streaming mode only)."""
-        if self._ledger is not None:
-            raise ParameterError(
-                "a ledger-backed monitor derives its samples from the ledger; "
-                "record() is only for streaming monitors built without one"
-            )
-        if record.completion_time < self.warmup:
-            return
-        index = window_index_of(record.completion_time, warmup=self.warmup, window=self.window)
-        bucket = self._buckets.setdefault(index, [[] for _ in range(self.num_classes)])
-        bucket[record.class_index].append(record.slowdown)
 
     def _sample_for(self, index: int, per_class_values) -> WindowSample:
         means = tuple(
@@ -239,11 +220,12 @@ class WindowedMonitor:
         start, end = window_span(index, warmup=self.warmup, window=self.window)
         return WindowSample(start=start, end=end, mean_slowdowns=means, counts=counts)
 
-    def _ledger_samples(self) -> list[WindowSample]:
-        """One vectorised pass over the completion columns.
+    def samples(self) -> list[WindowSample]:
+        """Per-window summaries in time order (empty windows included).
 
-        The completion log is in completion order and simulated time is
-        monotone, so the per-completion window indices are already sorted:
+        One vectorised pass over the completion columns.  The completion
+        log is in completion order and simulated time is monotone, so the
+        per-completion window indices are already sorted:
         ``np.searchsorted`` finds every window boundary at once, and each
         window's per-class values are contiguous slices.
         """
@@ -256,10 +238,9 @@ class WindowedMonitor:
             return []
         indices = ((completion[keep] - self.warmup) // self.window).astype(np.int64)
         if np.any(np.diff(indices) < 0):
-            # Engine-driven completions are logged in time order, but rows
-            # interned with pre-set completion times can break it; a stable
-            # sort restores window order while preserving the log order
-            # within each window (what the streaming path would have seen).
+            # Engine-driven completions are logged in time order, but hand
+            # driven ``complete`` calls need not be; a stable sort restores
+            # window order while preserving the log order within each window.
             order = np.argsort(indices, kind="stable")
             ids = ids[order]
             indices = indices[order]
@@ -279,18 +260,6 @@ class WindowedMonitor:
                 )
             )
         return out
-
-    def samples(self) -> list[WindowSample]:
-        """Per-window summaries in time order (empty windows included)."""
-        if self._ledger is not None:
-            return self._ledger_samples()
-        if not self._buckets:
-            return []
-        empty = [[] for _ in range(self.num_classes)]
-        return [
-            self._sample_for(index, self._buckets.get(index, empty))
-            for index in range(min(self._buckets), max(self._buckets) + 1)
-        ]
 
     def ratio_series(self, numerator: int, denominator: int) -> np.ndarray:
         """Per-window slowdown ratios between two classes (NaNs dropped)."""

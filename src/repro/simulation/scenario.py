@@ -3,11 +3,12 @@
 Every PSD simulation — the paper's idealised Fig. 1 model, the realistic
 shared-processor variant, or any future server model — shares the same
 skeleton: per-class request sources feed requests through an (optional)
-admission policy into the serving substrate; a windowed monitor and a trace
-record completions; at every estimation-window boundary the controller
-observes the window's arrivals/work (and, for feedback controllers, the
-measured slowdowns) and re-allocates the per-class processing rates, which
-are pushed back into the server model.
+admission policy into the serving substrate; the request ledger records
+every request (the windowed monitor and the trace are views over it); at
+every estimation-window boundary the controller observes the window's
+arrivals/work (and, for feedback controllers, the measured slowdowns) and
+re-allocates the per-class processing rates, which are pushed back into the
+server model.
 
 :class:`Scenario` owns that skeleton once.  The serving substrate is a
 pluggable :class:`~repro.simulation.server_models.ServerModel`; the
@@ -132,10 +133,10 @@ class StaticRateController(RateController):
 class SimulationResult:
     """Everything a single simulation run produced.
 
-    ``ledger`` is the run's columnar request store; when present, the
+    ``ledger`` is the run's columnar request store and its only record of
+    requests: ``trace`` and ``monitor`` are views over it, and the
     post-warm-up summaries below are computed with vectorised NumPy over its
-    columns (bit-identical to the per-record loops they replaced, which are
-    kept as the fallback for hand-assembled results without a ledger).
+    columns.
     """
 
     classes: tuple[TrafficClass, ...]
@@ -143,6 +144,7 @@ class SimulationResult:
     trace: SimulationTrace
     monitor: WindowedMonitor
     controller: RateController
+    ledger: RequestLedger
     rate_history: list[tuple[float, tuple[float, ...]]] = field(default_factory=list)
     generated_counts: tuple[int, ...] = ()
     completed_counts: tuple[int, ...] = ()
@@ -153,7 +155,6 @@ class SimulationResult:
     degraded_counts: tuple[int, ...] = ()
     #: Degraded requests per *target* class.
     degraded_into_counts: tuple[int, ...] = ()
-    ledger: RequestLedger | None = None
     #: Fleet history of a clustered run — ``(time, node_states, capacities)``
     #: entries copied from :attr:`repro.cluster.ClusterServerModel.
     #: fleet_timeline`; ``None`` for non-cluster servers.
@@ -204,18 +205,7 @@ class SimulationResult:
         return ids[completion >= self.config.warmup]
 
     def _per_class_means(self, metric: str) -> tuple[float, ...]:
-        """Post-warm-up per-class means of ``metric`` (NaN for silent classes).
-
-        Vectorised over the ledger columns when a ledger is present; the
-        per-record fallback keeps hand-assembled results working.
-        """
-        if self.ledger is None:
-            records = self.measured_records()
-            out = []
-            for c in range(len(self.classes)):
-                vals = [getattr(r, metric) for r in records if r.class_index == c]
-                out.append(float(np.mean(vals)) if vals else float("nan"))
-            return tuple(out)
+        """Post-warm-up per-class means of ``metric`` (NaN for silent classes)."""
         ids = self._measured_ids()
         cls = self.ledger.class_index[ids]
         values = getattr(self.ledger, metric + "s")(ids)
@@ -233,12 +223,6 @@ class SimulationResult:
 
     def per_class_completed_work(self) -> tuple[float, ...]:
         """Total full-rate service demand completed per class after warm-up."""
-        if self.ledger is None:
-            records = self.measured_records()
-            work = [0.0] * len(self.classes)
-            for r in records:
-                work[r.class_index] += r.size
-            return tuple(work)
         ids = self._measured_ids()
         work = np.bincount(
             self.ledger.class_index[ids],
@@ -248,9 +232,6 @@ class SimulationResult:
         return tuple(float(w) for w in work)
 
     def system_mean_slowdown(self) -> float:
-        if self.ledger is None:
-            vals = [r.slowdown for r in self.measured_records()]
-            return float(np.mean(vals)) if vals else float("nan")
         vals = self.ledger.slowdowns(self._measured_ids())
         return float(np.mean(vals)) if vals.size else float("nan")
 

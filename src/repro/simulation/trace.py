@@ -1,45 +1,35 @@
 """Per-request traces and post-run query helpers.
 
 Completed requests are exposed as immutable :class:`RequestRecord` snapshots
-collected in a :class:`SimulationTrace`, which offers the slicing operations
-the experiments need (filter by class, by time window, convert to NumPy
-arrays, per-class mean slowdowns) so that figure drivers never re-implement
-ad-hoc loops over the raw trace.
+through a :class:`SimulationTrace`, which offers the slicing operations the
+experiments need (filter by class, by time window, convert to NumPy arrays,
+per-class mean slowdowns) so that figure drivers never re-implement ad-hoc
+loops over the raw trace.
 
-Since the ledger refactor a trace comes in two flavours:
-
-* **ledger-backed** (what every :class:`~repro.simulation.Scenario` run
-  produces): the trace is a read-only view over the scenario's
-  :class:`~repro.simulation.ledger.RequestLedger`.  Nothing is appended per
-  completion; vector queries (``slowdowns``, ``to_arrays``,
-  ``per_class_counts``) reduce the columns directly, and
-  :class:`RequestRecord` objects are materialised lazily only when record
-  iteration is actually requested.
-* **append-mode** (standalone use): :meth:`add` snapshots completed
-  requests one by one, exactly as before the refactor.
-
-Record iteration order is identical in both modes: completion order (the
-append-mode caller adds at completion time; the ledger logs its completion
-order explicitly).
+A trace is a read-only view over a run's
+:class:`~repro.simulation.ledger.RequestLedger`.  Nothing is appended per
+completion; vector queries (``slowdowns``, ``to_arrays``,
+``per_class_counts``) reduce the columns directly, and :class:`RequestRecord`
+objects are materialised lazily, in completion order, only when record
+iteration is actually requested.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import SimulationError
 from .ledger import RequestLedger
-from .requests import Request
 
 __all__ = ["RequestRecord", "SimulationTrace"]
 
 
 @dataclass(frozen=True)
 class RequestRecord:
-    """Immutable snapshot of a completed request."""
+    """Immutable snapshot of a completed request (``request_id`` is its ledger row)."""
 
     request_id: int
     class_index: int
@@ -70,66 +60,25 @@ class RequestRecord:
         """Queueing delay over the full-rate service demand ``size``."""
         return self.waiting_time / self.size
 
-    @classmethod
-    def from_request(cls, request: Request) -> "RequestRecord":
-        if not request.is_complete:
-            raise SimulationError(f"cannot record incomplete request {request.request_id}")
-        return cls(
-            request_id=request.request_id,
-            class_index=request.class_index,
-            arrival_time=request.arrival_time,
-            size=request.size,
-            service_start_time=request.service_start_time,
-            completion_time=request.completion_time,
-        )
-
 
 class SimulationTrace:
-    """Completed-request records: appendable, or a view over a ledger."""
+    """Completed-request records: a read-only view over a ledger."""
 
-    def __init__(self, num_classes: int, *, ledger: RequestLedger | None = None) -> None:
+    def __init__(self, num_classes: int, *, ledger: RequestLedger) -> None:
         if num_classes <= 0:
             raise SimulationError("num_classes must be > 0")
         self.num_classes = int(num_classes)
         self._ledger = ledger
-        self._records: list[RequestRecord] = []
 
     @property
-    def ledger(self) -> RequestLedger | None:
-        """The backing ledger, if this trace is a ledger view."""
+    def ledger(self) -> RequestLedger:
+        """The backing ledger."""
         return self._ledger
-
-    # ------------------------------------------------------------------ #
-    # Collection (append mode)
-    # ------------------------------------------------------------------ #
-    def add(self, request: Request) -> RequestRecord:
-        if self._ledger is not None:
-            raise SimulationError(
-                "a ledger-backed trace is a read-only view; completions are "
-                "recorded by completing their ledger rows"
-            )
-        record = RequestRecord.from_request(request)
-        if not (0 <= record.class_index < self.num_classes):
-            raise SimulationError(
-                f"record class {record.class_index} out of range [0, {self.num_classes})"
-            )
-        self._records.append(record)
-        return record
-
-    def extend(self, requests: Iterable[Request]) -> None:
-        for request in requests:
-            self.add(request)
-
-    # ------------------------------------------------------------------ #
-    # Ledger materialisation
-    # ------------------------------------------------------------------ #
-    def _completed_ids(self) -> np.ndarray:
-        return self._ledger.completed_ids
 
     def _record_of(self, rid: int) -> RequestRecord:
         ledger = self._ledger
         return RequestRecord(
-            request_id=ledger.label_of(rid),
+            request_id=int(rid),
             class_index=ledger.class_of(rid),
             arrival_time=ledger.arrival_of(rid),
             size=ledger.size_of(rid),
@@ -140,66 +89,45 @@ class SimulationTrace:
     def _materialise(self, ids: np.ndarray) -> list[RequestRecord]:
         return [self._record_of(rid) for rid in ids]
 
+    def _completed_ids(self, class_index: int | None = None) -> np.ndarray:
+        """Completed row ids in completion order, optionally of one class."""
+        ids = self._ledger.completed_ids
+        if class_index is not None:
+            ids = ids[self._ledger.class_index[ids] == class_index]
+        return ids
+
     def __len__(self) -> int:
-        if self._ledger is not None:
-            return self._ledger.num_completed
-        return len(self._records)
+        return self._ledger.num_completed
 
     def __iter__(self):
-        if self._ledger is not None:
-            # One record at a time: callers that stop early never pay for
-            # materialising the rest of the ledger.
-            return (self._record_of(rid) for rid in self._completed_ids())
-        return iter(self._records)
+        # One record at a time: callers that stop early never pay for
+        # materialising the rest of the ledger.
+        return (self._record_of(rid) for rid in self._completed_ids())
 
     @property
     def records(self) -> Sequence[RequestRecord]:
-        if self._ledger is not None:
-            return tuple(self._materialise(self._completed_ids()))
-        return tuple(self._records)
+        return tuple(self._materialise(self._completed_ids()))
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     def for_class(self, class_index: int) -> list[RequestRecord]:
-        if self._ledger is not None:
-            ids = self._completed_ids()
-            mask = self._ledger.class_index[ids] == class_index
-            return self._materialise(ids[mask])
-        return [r for r in self._records if r.class_index == class_index]
+        return self._materialise(self._completed_ids(class_index))
 
     def in_window(self, start: float, end: float, *, by: str = "arrival") -> list[RequestRecord]:
         """Records whose ``arrival`` (default) or ``completion`` time lies in ``[start, end)``."""
         if by not in ("arrival", "completion"):
             raise SimulationError("by must be 'arrival' or 'completion'")
-        if self._ledger is not None:
-            ids = self._completed_ids()
-            column = (
-                self._ledger.arrival_time if by == "arrival" else self._ledger.completion_time
-            )
-            times = column[ids]
-            return self._materialise(ids[(start <= times) & (times < end)])
-        if by == "arrival":
-            return [r for r in self._records if start <= r.arrival_time < end]
-        return [r for r in self._records if start <= r.completion_time < end]
+        ids = self._completed_ids()
+        column = self._ledger.arrival_time if by == "arrival" else self._ledger.completion_time
+        times = column[ids]
+        return self._materialise(ids[(start <= times) & (times < end)])
 
     def slowdowns(self, class_index: int | None = None) -> np.ndarray:
-        if self._ledger is not None:
-            ids = self._completed_ids()
-            if class_index is not None:
-                ids = ids[self._ledger.class_index[ids] == class_index]
-            return self._ledger.slowdowns(ids)
-        records = self._records if class_index is None else self.for_class(class_index)
-        return np.asarray([r.slowdown for r in records], dtype=float)
+        return self._ledger.slowdowns(self._completed_ids(class_index))
 
     def waiting_times(self, class_index: int | None = None) -> np.ndarray:
-        if self._ledger is not None:
-            ids = self._completed_ids()
-            if class_index is not None:
-                ids = ids[self._ledger.class_index[ids] == class_index]
-            return self._ledger.waiting_times(ids)
-        records = self._records if class_index is None else self.for_class(class_index)
-        return np.asarray([r.waiting_time for r in records], dtype=float)
+        return self._ledger.waiting_times(self._completed_ids(class_index))
 
     def mean_slowdown(self, class_index: int | None = None) -> float:
         values = self.slowdowns(class_index)
@@ -209,16 +137,10 @@ class SimulationTrace:
         return tuple(self.mean_slowdown(c) for c in range(self.num_classes))
 
     def per_class_counts(self) -> tuple[int, ...]:
-        if self._ledger is not None:
-            counts = np.bincount(
-                self._ledger.class_index[self._completed_ids()],
-                minlength=self.num_classes,
-            )
-            return tuple(int(c) for c in counts)
-        counts = [0] * self.num_classes
-        for r in self._records:
-            counts[r.class_index] += 1
-        return tuple(counts)
+        counts = np.bincount(
+            self._ledger.class_index[self._completed_ids()], minlength=self.num_classes
+        )
+        return tuple(int(c) for c in counts)
 
     def weighted_system_slowdown(self) -> float:
         """Request-weighted mean slowdown across all classes.
@@ -229,35 +151,23 @@ class SimulationTrace:
         return self.mean_slowdown(None)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Columnar view of the whole trace (for plotting or DataFrame-free analysis)."""
-        if self._ledger is not None:
-            ids = self._completed_ids()
-            ledger = self._ledger
-            start = ledger.service_start_time[ids]
-            arrival = ledger.arrival_time[ids]
-            completion = ledger.completion_time[ids]
-            waiting = start - arrival
-            return {
-                "request_id": ledger.request_id[ids],
-                "class_index": ledger.class_index[ids],
-                "arrival_time": arrival,
-                "size": ledger.size[ids],
-                "service_start_time": start,
-                "completion_time": completion,
-                "waiting_time": waiting,
-                "slowdown": waiting / (completion - start),
-            }
+        """Columnar view of the whole trace (for plotting or DataFrame-free analysis).
+
+        ``request_id`` is the ledger row id of each record.
+        """
+        ids = self._completed_ids()
+        ledger = self._ledger
+        start = ledger.service_start_time[ids]
+        arrival = ledger.arrival_time[ids]
+        completion = ledger.completion_time[ids]
+        waiting = start - arrival
         return {
-            "request_id": np.asarray([r.request_id for r in self._records], dtype=int),
-            "class_index": np.asarray([r.class_index for r in self._records], dtype=int),
-            "arrival_time": np.asarray([r.arrival_time for r in self._records], dtype=float),
-            "size": np.asarray([r.size for r in self._records], dtype=float),
-            "service_start_time": np.asarray(
-                [r.service_start_time for r in self._records], dtype=float
-            ),
-            "completion_time": np.asarray(
-                [r.completion_time for r in self._records], dtype=float
-            ),
-            "waiting_time": np.asarray([r.waiting_time for r in self._records], dtype=float),
-            "slowdown": np.asarray([r.slowdown for r in self._records], dtype=float),
+            "request_id": ids.copy(),
+            "class_index": ledger.class_index[ids],
+            "arrival_time": arrival,
+            "size": ledger.size[ids],
+            "service_start_time": start,
+            "completion_time": completion,
+            "waiting_time": waiting,
+            "slowdown": waiting / (completion - start),
         }

@@ -35,6 +35,9 @@ from repro.core.admission import (
 )
 from repro.errors import ParameterError
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 class StubFleet:
     """The server surface the controller budgets from: live capacity + work."""

@@ -44,6 +44,9 @@ from repro.workload import DiurnalPattern, FlashCrowd
 from tests.conftest import make_classes
 from tests.reference import ReferenceScenario
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 WINDOW = 10.0
 
 

@@ -18,6 +18,9 @@ from repro.errors import SimulationError
 from repro.simulation import RateScalableServers, SimulationEngine
 from tests.conftest import make_classes
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 def bound_cluster(num_nodes, dispatch, num_classes=2, moderate_bp=None):
     """A cluster bound to a throwaway engine, requests never completed."""

@@ -39,6 +39,9 @@ from repro.simulation import (
 )
 from tests.conftest import make_classes
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 CFG = MeasurementConfig(warmup=300.0, horizon=2_500.0, window=300.0)
 
 

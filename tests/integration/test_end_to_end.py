@@ -25,6 +25,9 @@ from repro.simulation import (
 )
 from repro.workload import web_classes
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 SERVICE = BoundedPareto(k=0.1, p=10.0, alpha=1.5)
 

@@ -21,6 +21,9 @@ from repro.simulation import (
 )
 from repro.types import TrafficClass
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 def run_scenario(sources, rates, *, horizon=100.0, num_classes=2):
     classes = tuple(

@@ -239,8 +239,9 @@ def lifecycle_ledger():
         "completed_only": ledger.append(0, 0.0, 1.0),
     }
     ledger.serve_batch(np.array([rows["served"]]), np.array([0.0]), np.array([1.0]))
-    # A completion without a start, as an explicitly assembled row may hold.
-    ledger.adopt_lifecycle(rows["completed_only"], math.nan, 2.0)
+    # A completion without a start: no lifecycle method writes one, so the
+    # row is assembled in the private column directly.
+    ledger._completion[rows["completed_only"]] = 2.0
     return ledger, rows
 
 

@@ -1,4 +1,4 @@
-"""Edge-case tests for the columnar RequestLedger and its Request views."""
+"""Edge-case tests for the columnar RequestLedger."""
 
 import math
 import pickle
@@ -10,10 +10,10 @@ from repro.errors import SimulationError
 from repro.simulation import (
     FcfsTaskServer,
     MeasurementConfig,
-    Request,
     RequestLedger,
     Scenario,
     SimulationEngine,
+    SimulationTrace,
     WindowedMonitor,
 )
 from repro.simulation.generator import TraceSource
@@ -85,24 +85,20 @@ class TestLedgerGrowth:
 
 
 class TestLifecycleInvariants:
-    def test_double_start_raises_via_ledger_and_view(self):
+    def test_double_start_raises(self):
         ledger = RequestLedger(1)
         rid = ledger.append(0, 0.0, 1.0)
         ledger.start_service(rid, 1.0)
         with pytest.raises(SimulationError, match="twice"):
             ledger.start_service(rid, 2.0)
-        with pytest.raises(SimulationError, match="twice"):
-            ledger.view(rid).start_service(2.0)
 
-    def test_double_complete_raises_via_ledger_and_view(self):
+    def test_double_complete_raises(self):
         ledger = RequestLedger(1)
         rid = ledger.append(0, 0.0, 1.0)
         ledger.start_service(rid, 0.0)
         ledger.complete(rid, 1.0)
         with pytest.raises(SimulationError, match="twice"):
             ledger.complete(rid, 2.0)
-        with pytest.raises(SimulationError, match="twice"):
-            ledger.view(rid).complete(2.0)
 
     def test_complete_before_start_raises(self):
         ledger = RequestLedger(1)
@@ -116,46 +112,22 @@ class TestLifecycleInvariants:
         with pytest.raises(SimulationError, match="before arriving"):
             ledger.start_service(rid, 4.0)
 
-    def test_view_round_trips_every_lifecycle_field(self):
+    def test_record_round_trips_every_lifecycle_field(self):
         ledger = RequestLedger(2)
-        rid = ledger.append(1, 3.0, 2.0, request_id=77)
-        view = ledger.view(rid)
-        assert (view.request_id, view.class_index) == (77, 1)
-        assert (view.arrival_time, view.size) == (3.0, 2.0)
-        assert math.isnan(view.service_start_time) and not view.is_complete
-        view.start_service(5.0)
-        assert ledger.start_of(rid) == 5.0
-        view.complete(9.0)
-        assert ledger.completion_of(rid) == 9.0 and ledger.is_complete(rid)
-        assert view.waiting_time == 2.0
-        assert view.service_duration == 4.0
-        assert view.slowdown == pytest.approx(0.5)
-        # Mutations through the ledger are visible through the view and
-        # vice versa: both address the same row.
-        assert ledger.view(rid) == view
-
-    def test_out_of_range_view_rejected(self):
-        ledger = RequestLedger(1)
-        with pytest.raises(SimulationError, match="out of range"):
-            ledger.view(0)
-
-    def test_intern_copies_lifecycle_and_extra_then_rebinds(self):
-        request = Request(request_id=5, class_index=0, arrival_time=1.0, size=2.0)
-        request.start_service(2.0)
-        request.complete(4.0)
-        request.extra["tenant"] = "gold"
-        ledger = RequestLedger(1)
-        rid = ledger.intern(request)
-        assert request.ledger is ledger and request.row == rid
-        assert ledger.label_of(rid) == 5
-        assert ledger.start_of(rid) == 2.0 and ledger.completion_of(rid) == 4.0
-        assert ledger.extra(rid) == {"tenant": "gold"}
-        np.testing.assert_array_equal(ledger.completed_ids, [rid])
-        # Interning a request already backed by this ledger is the identity.
-        assert ledger.intern(request) == rid
-        # The completed invariant still holds through the new home.
-        with pytest.raises(SimulationError, match="twice"):
-            request.complete(9.0)
+        ledger.append(0, 0.0, 1.0)
+        rid = ledger.append(1, 3.0, 2.0)
+        assert math.isnan(ledger.start_of(rid)) and not ledger.is_complete(rid)
+        ledger.start_service(rid, 5.0)
+        ledger.complete(rid, 9.0)
+        assert ledger.is_complete(rid)
+        (record,) = SimulationTrace(2, ledger=ledger).records
+        # The record's request id is the ledger row.
+        assert (record.request_id, record.class_index) == (rid, 1)
+        assert (record.arrival_time, record.size) == (3.0, 2.0)
+        assert (record.service_start_time, record.completion_time) == (5.0, 9.0)
+        assert record.waiting_time == 2.0
+        assert record.service_duration == 4.0
+        assert record.slowdown == pytest.approx(0.5)
 
 
 class TestZeroRateFreeze:
@@ -240,45 +212,19 @@ class TestWarmupBoundary:
         assert len(result.measured_records()) == 1
 
 
-class TestRequestEqualityParity:
-    def test_identical_incomplete_requests_compare_equal(self):
-        """NaN lifecycle fields match NaN lifecycle fields, as the old
-        dataclass's identity-based tuple comparison gave."""
-        assert Request(1, 0, 0.0, 1.0) == Request(1, 0, 0.0, 1.0)
-
-    def test_lifecycle_progress_breaks_equality(self):
-        a, b = Request(1, 0, 0.0, 1.0), Request(1, 0, 0.0, 1.0)
-        b.start_service(1.0)
-        assert a != b
-        a.start_service(1.0)
-        assert a == b
-
-    def test_extra_payload_participates_in_equality(self):
-        a, b = Request(1, 0, 0.0, 1.0), Request(1, 0, 0.0, 1.0)
-        a.extra["tenant"] = "gold"
-        assert a != b
-        b.extra["tenant"] = "gold"
-        assert a == b
-
-    def test_reading_extra_does_not_break_equality(self):
-        """The lazily-created empty dict equals an untouched slot."""
-        a, b = Request(1, 0, 0.0, 1.0), Request(1, 0, 0.0, 1.0)
-        assert a.extra == {}  # the read creates the empty dict
-        assert a == b and b == a
-
-
 class TestOutOfOrderCompletions:
-    def test_monitor_samples_survive_interned_completions(self):
-        """Interning an already-completed request appends to the completion
-        log out of time order; the vectorised finalize must still bucket
-        every completion correctly."""
+    def test_monitor_samples_survive_out_of_order_completions(self):
+        """Hand-driven ``complete`` calls may log completions out of time
+        order; the vectorised finalize must still bucket every completion
+        correctly."""
         ledger = RequestLedger(1)
         monitor = WindowedMonitor(1, warmup=0.0, window=10.0, ledger=ledger)
+        early = ledger.append(0, 0.0, 1.0)
         late = ledger.append(0, 30.0, 1.0)
         ledger.start_service(late, 34.0)
         ledger.complete(late, 35.0)  # window 3, logged first
-        early = Request(0, 0, 0.0, 1.0, service_start_time=1.0, completion_time=5.0)
-        ledger.intern(early)  # window 0, logged second
+        ledger.start_service(early, 1.0)
+        ledger.complete(early, 5.0)  # window 0, logged second
         samples = monitor.samples()
         assert [s.start for s in samples] == [0.0, 10.0, 20.0, 30.0]
         assert samples[0].counts == (1,) and samples[3].counts == (1,)
@@ -304,6 +250,23 @@ class TestLedgerPickling:
         clone.start_service(8, 8.0)
         clone.complete(8, 9.0)
         assert clone.num_completed == 8
+
+    def test_pickled_result_keeps_its_views_on_one_ledger(self):
+        """The trace and monitor of a result that crossed a process boundary
+        still read the result's own ledger (pickle's memo keeps the one
+        object), so record ids stay the ledger's row ids."""
+        from repro.distributions import Deterministic
+
+        classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
+        cfg = MeasurementConfig(warmup=10.0, horizon=60.0, window=10.0)
+        result = Scenario(classes, cfg, seed=3).run()
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone.trace.ledger is clone.ledger
+        assert clone.monitor.ledger is clone.ledger
+        np.testing.assert_array_equal(
+            clone.trace.to_arrays()["request_id"], result.ledger.completed_ids
+        )
+        assert clone.monitor.samples() == result.monitor.samples()
 
     def test_slowdowns_and_waiting_times_follow_completion_order(self):
         ledger = RequestLedger(1)
@@ -465,23 +428,47 @@ class TestDispositionColumn:
         clone = pickle.loads(pickle.dumps(ledger))
         np.testing.assert_array_equal(clone.disposition, ledger.disposition)
 
-    def test_unpickling_pre_disposition_state_defaults_to_admitted(self):
-        """Backward compat: states pickled before the column existed load as
-        all-admitted."""
-        ledger = RequestLedger(1)
+    def test_pickled_state_holds_only_the_row_columns(self):
+        ledger = RequestLedger(2)
         ledger.append(0, 0.0, 1.0, disposition=DISPOSITION_SHED)
-        state = ledger.__getstate__()
-        del state["disposition"]
-        old = RequestLedger.__new__(RequestLedger)
-        old.__setstate__(state)
-        assert old.disposition.tolist() == [DISPOSITION_ADMITTED]
-        assert len(old) == 1
+        assert set(ledger.__getstate__()) == {
+            "num_classes",
+            "class_index",
+            "arrival_time",
+            "size",
+            "service_start",
+            "completion",
+            "disposition",
+            "order",
+        }
 
-    def test_intern_preserves_disposition(self):
-        source = RequestLedger(2)
-        source.append(0, 0.0, 1.0, disposition=DISPOSITION_SHED)
-        source.append(1, 1.0, 1.0, disposition=DISPOSITION_DEGRADED)
-        target = RequestLedger(2)
-        for rid in range(2):
-            target.intern(source.view(rid))
-        assert target.disposition.tolist() == [DISPOSITION_SHED, DISPOSITION_DEGRADED]
+    @pytest.mark.parametrize("disposition", [9, -1, DISPOSITION_SHED + 1])
+    def test_append_rejects_unknown_disposition(self, disposition):
+        ledger = RequestLedger(1)
+        with pytest.raises(SimulationError, match="DISPOSITION_"):
+            ledger.append(0, 0.0, 1.0, disposition=disposition)
+        assert len(ledger) == 0
+
+    @pytest.mark.parametrize(
+        "dispositions",
+        [
+            pytest.param(np.array([DISPOSITION_SHED]), id="broadcast-shape"),
+            pytest.param([-1, 7], id="out-of-range"),
+            pytest.param([DISPOSITION_ADMITTED, 1.5], id="non-integer"),
+            pytest.param([[DISPOSITION_ADMITTED, DISPOSITION_SHED]], id="two-dimensional"),
+        ],
+    )
+    def test_append_batch_rejects_bad_dispositions(self, dispositions):
+        """A disposition block must hold one valid code per row; a bad block
+        writes no column (no broadcast to every row, no uint8 wrap-around)."""
+        ledger = RequestLedger(1)
+        ledger.append(0, 0.0, 1.0)
+        k = 3 if np.size(dispositions) == 1 else np.size(dispositions)
+        arrivals = 1.0 + np.arange(k, dtype=float)
+        with pytest.raises(SimulationError, match="no rows were appended"):
+            ledger.append_batch(
+                np.zeros(k, dtype=np.int64), arrivals, np.ones(k), dispositions=dispositions
+            )
+        assert len(ledger) == 1
+        rids = ledger.append_batch(np.zeros(k, dtype=np.int64), arrivals, np.ones(k))
+        assert ledger.disposition[rids].tolist() == [DISPOSITION_ADMITTED] * k

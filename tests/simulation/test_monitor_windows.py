@@ -8,6 +8,7 @@ the half-open ``[start, end)`` boundary convention cannot drift between them.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from repro.simulation.monitor import (
     window_span,
     windowed_time_average,
 )
-from repro.simulation.trace import RequestRecord
 
 
 class TestWindowHelpers:
@@ -74,90 +74,144 @@ class TestAvailabilityBoundaryRegression:
             (0.0, ("live",), (None,)),
             (12.5, ("down",), (None,)),
         ]
-        monitor = WindowedMonitor(1, warmup=10.0, window=5.0)
+        monitor = WindowedMonitor(1, warmup=10.0, window=5.0, ledger=RequestLedger(1))
         assert np.array_equal(
             monitor.availability_series(timeline, 2),
             fleet_availability(timeline, warmup=10.0, window=5.0, num_windows=2),
         )
 
 
+def oracle_samples(rows, *, num_classes, warmup, window):
+    """Brute-force per-window samples: ``[(start, end, counts, means)]``.
+
+    ``rows`` are ``(class_index, arrival, start, completion)`` tuples in
+    completion-log order.  Written without ``repro.simulation.monitor``:
+    the window of a completion is the exact rational floor of
+    ``(completion - warmup) / window`` (so a completion exactly on an edge
+    belongs to the later window), completions before ``warmup`` are dropped,
+    every window between the first and last measured one is emitted (a
+    silent window as zero counts and all-NaN means), and each mean is
+    ``np.mean`` over the window's slowdowns in log order.
+    """
+    buckets = {}
+    for class_index, arrival, start, completion in rows:
+        if completion < warmup:
+            continue
+        index = math.floor((Fraction(completion) - Fraction(warmup)) / Fraction(window))
+        per_class = buckets.setdefault(index, [[] for _ in range(num_classes)])
+        per_class[class_index].append((start - arrival) / (completion - start))
+    if not buckets:
+        return []
+    out = []
+    for index in range(min(buckets), max(buckets) + 1):
+        per_class = buckets.get(index, [[] for _ in range(num_classes)])
+        out.append(
+            (
+                warmup + index * window,
+                warmup + (index + 1) * window,
+                tuple(len(values) for values in per_class),
+                tuple(float(np.mean(values)) if values else math.nan for values in per_class),
+            )
+        )
+    return out
+
+
+def assert_samples_match_oracle(samples, expected):
+    """Equal windows and counts, and bit-equal means (NaN matching NaN)."""
+    assert len(samples) == len(expected)
+    for sample, (start, end, counts, means) in zip(samples, expected):
+        assert (sample.start, sample.end, sample.counts) == (start, end, counts)
+        for got, want in zip(sample.mean_slowdowns, means):
+            assert (math.isnan(got) and math.isnan(want)) or got == want
+
+
+WARMUP = 5.0
+WINDOW = 4.0
+
+
 def completion_workloads():
-    """Random (class_index, waiting, service) completion streams."""
+    """Random ``(class_index, waiting, service, edge)`` completion streams.
+
+    ``edge`` is ``None`` for a free completion, or ``k`` for a completion
+    exactly on ``WARMUP + k * WINDOW`` (``k = 0``: exactly at the warm-up).
+    """
     return st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=2),
             st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
             st.floats(min_value=1e-3, max_value=10.0, allow_nan=False),
+            st.none() | st.integers(min_value=0, max_value=8),
         ),
         min_size=0,
         max_size=60,
     )
 
 
-class TestStreamingVersusLedgerProperty:
-    """Satellite property test: streaming record() and the ledger-backed
-    vectorised pass must produce identical WindowSample sequences."""
+def build_rows(workload):
+    """Turn a drawn workload into ``(class, arrival, start, completion)``
+    rows sorted by completion time, the engine's logging order."""
+    rows = []
+    clock = 0.5
+    for class_index, waiting, service, edge in workload:
+        if edge is None:
+            arrival = clock
+            start = arrival + waiting
+            completion = start + service
+        else:
+            completion = WARMUP + edge * WINDOW
+            start = completion - service
+            arrival = start - waiting
+        rows.append((class_index, arrival, start, completion))
+        clock += 0.7  # arrivals strictly increase; completions vary freely
+    return sorted(rows, key=lambda row: row[3])
 
-    WARMUP = 5.0
-    WINDOW = 4.0
 
-    def build_monitors(self, completions):
-        """Feed the same completions through both monitor modes."""
-        streaming = WindowedMonitor(3, warmup=self.WARMUP, window=self.WINDOW)
-        ledger = RequestLedger(3)
-        backed = WindowedMonitor(3, warmup=self.WARMUP, window=self.WINDOW, ledger=ledger)
-        # Completion order must match the engine's: sort by completion time.
-        ordered = sorted(completions, key=lambda c: c[0])
-        for completion_time, class_index, arrival, start in ordered:
-            rid = ledger.append(class_index, arrival, 1.0)
-            ledger.start_service(rid, start)
-            ledger.complete(rid, completion_time)
-            streaming.record(
-                RequestRecord(
-                    request_id=rid,
-                    class_index=class_index,
-                    arrival_time=arrival,
-                    size=1.0,
-                    service_start_time=start,
-                    completion_time=completion_time,
-                )
-            )
-        return streaming, backed
+def ledger_monitor(rows):
+    """A three-class monitor over a ledger that completed ``rows`` in order."""
+    ledger = RequestLedger(3)
+    for class_index, arrival, start, completion in rows:
+        rid = ledger.append(class_index, arrival, 1.0)
+        ledger.start_service(rid, start)
+        ledger.complete(rid, completion)
+    return WindowedMonitor(3, warmup=WARMUP, window=WINDOW, ledger=ledger)
+
+
+class TestSamplesVersusOracleProperty:
+    """``WindowedMonitor.samples()`` against the brute-force oracle above."""
 
     @given(completion_workloads())
     @settings(max_examples=60, deadline=None)
     def test_identical_window_sample_sequences(self, workload):
-        completions = []
-        clock = 0.5
-        for class_index, waiting, service in workload:
-            arrival = clock
-            start = arrival + waiting
-            completion = start + service
-            completions.append((completion, class_index, arrival, start))
-            clock += 0.7  # arrivals strictly increase; completions vary freely
-        streaming, backed = self.build_monitors(completions)
-        samples_a = streaming.samples()
-        samples_b = backed.samples()
-        assert len(samples_a) == len(samples_b)
-        for sample_a, sample_b in zip(samples_a, samples_b):
-            assert sample_a.start == sample_b.start
-            assert sample_a.end == sample_b.end
-            assert sample_a.counts == sample_b.counts
-            for mean_a, mean_b in zip(sample_a.mean_slowdowns, sample_b.mean_slowdowns):
-                assert (math.isnan(mean_a) and math.isnan(mean_b)) or mean_a == mean_b
+        rows = build_rows(workload)
+        assert_samples_match_oracle(
+            ledger_monitor(rows).samples(),
+            oracle_samples(rows, num_classes=3, warmup=WARMUP, window=WINDOW),
+        )
 
-    def test_gap_windows_are_all_nan_in_both_modes(self):
+    def test_gap_windows_are_all_nan(self):
         # Two completions three windows apart: the gap windows must appear
-        # in both sequences as zero-count, all-NaN samples.
-        completions = [
-            (6.0, 0, 1.0, 2.0),
-            (21.0, 1, 2.0, 3.0),
-        ]
-        streaming, backed = self.build_monitors(completions)
-        samples_a = streaming.samples()
-        samples_b = backed.samples()
-        assert len(samples_a) == len(samples_b) == 5
+        # as zero-count, all-NaN samples.
+        rows = [(0, 1.0, 2.0, 6.0), (1, 2.0, 3.0, 21.0)]
+        samples = ledger_monitor(rows).samples()
+        assert_samples_match_oracle(
+            samples, oracle_samples(rows, num_classes=3, warmup=WARMUP, window=WINDOW)
+        )
+        assert len(samples) == 5
         for gap in (1, 2):
-            assert samples_a[gap].counts == samples_b[gap].counts == (0, 0, 0)
-            assert all(math.isnan(m) for m in samples_a[gap].mean_slowdowns)
-            assert all(math.isnan(m) for m in samples_b[gap].mean_slowdowns)
+            assert samples[gap].counts == (0, 0, 0)
+            assert all(math.isnan(m) for m in samples[gap].mean_slowdowns)
+
+    def test_edge_completions_belong_to_the_later_window(self):
+        # One completion exactly at the warm-up, one exactly on the w0/w1
+        # edge, one just before that edge.
+        edge = WARMUP + WINDOW
+        rows = [
+            (0, 0.0, 1.0, WARMUP),
+            (1, 0.0, 2.0, math.nextafter(edge, 0.0)),
+            (2, 0.0, 3.0, edge),
+        ]
+        samples = ledger_monitor(rows).samples()
+        assert_samples_match_oracle(
+            samples, oracle_samples(rows, num_classes=3, warmup=WARMUP, window=WINDOW)
+        )
+        assert [s.counts for s in samples] == [(1, 1, 0), (0, 0, 1)]

@@ -1,4 +1,4 @@
-"""Tests for request lifecycle records and request sources."""
+"""Tests for request lifecycles in the ledger and for request sources."""
 
 import math
 
@@ -10,61 +10,71 @@ from repro.errors import ParameterError, SimulationError
 from repro.simulation import (
     DeterministicArrivals,
     PoissonArrivals,
-    Request,
+    RequestLedger,
     RequestSource,
+    SimulationTrace,
     TraceSource,
     sources_from_classes,
 )
 from repro.types import TrafficClass
 
 
+def request_row(arrival, size, class_index=0):
+    """A one-row ledger holding a fresh arrival; returns (ledger, row id)."""
+    ledger = RequestLedger(1)
+    return ledger, ledger.append(class_index, arrival, size)
+
+
 class TestRequestLifecycle:
     def test_normal_lifecycle_metrics(self):
-        r = Request(request_id=1, class_index=0, arrival_time=10.0, size=2.0)
-        r.start_service(14.0)
-        r.complete(18.0)
+        ledger, rid = request_row(10.0, 2.0)
+        ledger.start_service(rid, 14.0)
+        ledger.complete(rid, 18.0)
+        assert ledger.is_complete(rid)
+        (r,) = SimulationTrace(1, ledger=ledger).records
         assert r.waiting_time == pytest.approx(4.0)
         assert r.service_duration == pytest.approx(4.0)
         assert r.response_time == pytest.approx(8.0)
         # Paper slowdown: delay over actual service duration.
         assert r.slowdown == pytest.approx(1.0)
+        assert ledger.slowdowns()[0] == pytest.approx(1.0)
         # Alternative normalisation: delay over full-rate demand.
         assert r.demand_slowdown == pytest.approx(2.0)
-        assert r.is_complete
 
     def test_zero_wait_zero_slowdown(self):
-        r = Request(1, 0, 5.0, 1.0)
-        r.start_service(5.0)
-        r.complete(6.0)
-        assert r.slowdown == 0.0
+        ledger, rid = request_row(5.0, 1.0)
+        ledger.start_service(rid, 5.0)
+        ledger.complete(rid, 6.0)
+        assert ledger.slowdowns()[0] == 0.0
 
     def test_cannot_start_twice(self):
-        r = Request(1, 0, 0.0, 1.0)
-        r.start_service(1.0)
+        ledger, rid = request_row(0.0, 1.0)
+        ledger.start_service(rid, 1.0)
         with pytest.raises(SimulationError):
-            r.start_service(2.0)
+            ledger.start_service(rid, 2.0)
 
     def test_cannot_complete_without_start(self):
-        r = Request(1, 0, 0.0, 1.0)
+        ledger, rid = request_row(0.0, 1.0)
         with pytest.raises(SimulationError):
-            r.complete(2.0)
+            ledger.complete(rid, 2.0)
 
     def test_cannot_complete_twice(self):
-        r = Request(1, 0, 0.0, 1.0)
-        r.start_service(0.0)
-        r.complete(1.0)
+        ledger, rid = request_row(0.0, 1.0)
+        ledger.start_service(rid, 0.0)
+        ledger.complete(rid, 1.0)
         with pytest.raises(SimulationError):
-            r.complete(2.0)
+            ledger.complete(rid, 2.0)
 
     def test_cannot_start_before_arrival(self):
-        r = Request(1, 0, 5.0, 1.0)
+        ledger, rid = request_row(5.0, 1.0)
         with pytest.raises(SimulationError):
-            r.start_service(4.0)
+            ledger.start_service(rid, 4.0)
 
     def test_incomplete_request_flags(self):
-        r = Request(1, 0, 0.0, 1.0)
-        assert not r.is_complete
-        assert math.isnan(r.completion_time)
+        ledger, rid = request_row(0.0, 1.0)
+        assert not ledger.is_complete(rid)
+        assert math.isnan(ledger.completion_of(rid))
+        assert len(SimulationTrace(1, ledger=ledger)) == 0
 
 
 class TestArrivalProcesses:

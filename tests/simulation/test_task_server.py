@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation import FcfsTaskServer, RequestLedger, SimulationEngine
+from repro.simulation import FcfsTaskServer, RequestLedger, SimulationEngine, SimulationTrace
 
 
 def make_server(rate, class_index=0):
@@ -22,13 +22,15 @@ def submit(server, arrival, size, class_index=0):
 def advance(engine, server, time):
     """Move the clock to ``time`` and drain the server there.
 
-    Returns views of the requests completed by the drain, in completion
+    Returns records of the requests completed by the drain, in completion
     order (the drain's completions are logged into the ledger too).
     """
     engine.run_until(time)
     rids, _ = server.drain(time)
-    server.ledger.log_completions(rids)
-    return [server.ledger.view(rid) for rid in rids.tolist()]
+    ledger = server.ledger
+    ledger.log_completions(rids)
+    records = SimulationTrace(ledger.num_classes, ledger=ledger).records
+    return list(records[len(records) - len(rids) :])
 
 
 class TestFcfsService:
@@ -54,7 +56,7 @@ class TestFcfsService:
         first = submit(server, 0.0, 2.0)
         second = submit(server, 0.0, 1.0)
         done = advance(engine, server, 10.0)
-        assert [r.row for r in done] == [first, second]
+        assert [r.request_id for r in done] == [first, second]
         assert done[1].waiting_time == pytest.approx(2.0)
         assert done[1].completion_time == pytest.approx(3.0)
         assert done[1].slowdown == pytest.approx(2.0)
