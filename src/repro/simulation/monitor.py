@@ -7,13 +7,16 @@ the processing time of an average-size request, so all durations here are
 expressed in multiples of the workload's mean service time.
 
 :class:`MeasurementConfig` captures the protocol; :class:`WindowedMonitor`
-derives per-window, per-class slowdown statistics from a run's ledger.
+derives per-window, per-class and whole-run slowdown statistics from a
+run's ledger in one cached pass; replication workers run it before shipping
+a result home, so the parent reads a small table, not ledger rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,31 +28,18 @@ __all__ = [
     "MeasurementConfig",
     "WindowSample",
     "WindowedMonitor",
-    "window_index_of",
     "window_span",
     "windowed_time_average",
     "fleet_availability",
 ]
 
 
-def window_index_of(time: float, *, warmup: float, window: float) -> int:
-    """The measurement-window index containing ``time``.
-
-    Windows are half-open ``[warmup + i * window, warmup + (i + 1) * window)``:
-    an event landing exactly on a window edge belongs to the *later* window.
-    Every window-attribution site (the monitor's vectorised ledger pass,
-    availability matrices) shares this floor-division so the same completion
-    can never land in different windows depending on the code path.
-    """
-    return int((time - warmup) // window)
-
-
 def window_span(index: int, *, warmup: float, window: float) -> tuple[float, float]:
-    """The ``[start, end)`` edges of measurement window ``index``.
+    """The half-open ``[start, end)`` edges of measurement window ``index``.
 
-    Inverse of :func:`window_index_of` up to the half-open convention:
-    ``window_index_of(start) == index`` and ``window_index_of(end)`` is the
-    next window.
+    Window ``index`` holds the completions whose floor of
+    ``(time - warmup) / window`` is ``index``: an event landing exactly on
+    an edge belongs to the *later* window.
     """
     start = warmup + index * window
     return start, start + window
@@ -174,6 +164,19 @@ class WindowSample:
         return num / den
 
 
+class _Measurement(NamedTuple):
+    """:meth:`WindowedMonitor._measurement`'s table, keyed on the completion
+    count: ``(windows, classes)`` means (NaN where silent) and counts from
+    window ``first`` on, plus the whole-run per-class and system means."""
+
+    completed: int
+    first: int
+    means: np.ndarray
+    counts: np.ndarray
+    class_means: tuple[float, ...]
+    system_mean: float
+
+
 class WindowedMonitor:
     """Per-class slowdown statistics, window by window.
 
@@ -186,8 +189,8 @@ class WindowedMonitor:
 
     The monitor is a read-only view over the run's
     :class:`~repro.simulation.ledger.RequestLedger`: nothing is recorded per
-    completion, and :meth:`samples` computes all per-window per-class
-    statistics in one vectorised pass over the completion columns.
+    completion.  One cached pass over the completion log builds a small
+    table that every read below, and the result's whole-run means, share.
     """
 
     def __init__(
@@ -206,66 +209,86 @@ class WindowedMonitor:
         self.warmup = float(warmup)
         self.window = float(window)
         self._ledger = ledger
+        self._table: _Measurement | None = None
 
     @property
     def ledger(self) -> RequestLedger:
         """The backing ledger."""
         return self._ledger
 
-    def _sample_for(self, index: int, per_class_values) -> WindowSample:
-        means = tuple(
-            float(np.mean(vals)) if len(vals) else float("nan") for vals in per_class_values
-        )
-        counts = tuple(len(vals) for vals in per_class_values)
-        start, end = window_span(index, warmup=self.warmup, window=self.window)
-        return WindowSample(start=start, end=end, mean_slowdowns=means, counts=counts)
+    def _measurement(self) -> _Measurement:
+        """One pass over the post-warm-up completions, cached until more complete.
 
-    def samples(self) -> list[WindowSample]:
-        """Per-window summaries in time order (empty windows included).
-
-        One vectorised pass over the completion columns.  The completion
-        log is in completion order and simulated time is monotone, so the
-        per-completion window indices are already sorted:
-        ``np.searchsorted`` finds every window boundary at once, and each
-        window's per-class values are contiguous slices.
+        Per class, one mask keeps the slowdowns in log order (the whole-run
+        mean) and one ``np.searchsorted`` over the sorted window indices cuts
+        each window's group as a contiguous slice.  ``np.add.reduce`` over it
+        is the pairwise sum ``np.mean`` takes, so every mean is bit-identical
+        to ``np.mean`` over the group in log order.
         """
         ledger = self._ledger
+        cached = self._table
+        if cached is not None and cached.completed == ledger.num_completed:
+            return cached
         ids = ledger.completed_ids
         completion = ledger.completion_time[ids]
         keep = completion >= self.warmup
         ids = ids[keep]
-        if ids.size == 0:
-            return []
-        indices = ((completion[keep] - self.warmup) // self.window).astype(np.int64)
-        if np.any(np.diff(indices) < 0):
-            # Engine-driven completions are logged in time order, but hand
-            # driven ``complete`` calls need not be; a stable sort restores
-            # window order while preserving the log order within each window.
-            order = np.argsort(indices, kind="stable")
-            ids = ids[order]
-            indices = indices[order]
-        classes = ledger.class_index[ids]
         slowdowns = ledger.slowdowns(ids)
-        first, last = int(indices[0]), int(indices[-1])
-        edges = np.searchsorted(indices, np.arange(first, last + 2))
-        out: list[WindowSample] = []
-        for offset, index in enumerate(range(first, last + 1)):
-            lo, hi = edges[offset], edges[offset + 1]
-            window_classes = classes[lo:hi]
-            window_slowdowns = slowdowns[lo:hi]
-            out.append(
-                self._sample_for(
-                    index,
-                    [window_slowdowns[window_classes == c] for c in range(self.num_classes)],
-                )
+        classes = ledger.class_index[ids]
+        indices = ((completion[keep] - self.warmup) // self.window).astype(np.int64)
+        first = int(indices.min()) if ids.size else 0
+        width = int(indices.max()) - first + 1 if ids.size else 0
+        means = np.full((width, self.num_classes), np.nan)
+        counts = np.zeros((width, self.num_classes), dtype=np.int64)
+        class_means = []
+        for c in range(self.num_classes):
+            mask = classes == c
+            values = slowdowns[mask]
+            class_means.append(float(np.mean(values)) if values.size else math.nan)
+            windows = indices[mask]
+            if np.any(windows[1:] < windows[:-1]):
+                # Hand-driven ``complete`` calls may log out of time order; a
+                # stable sort keeps the log order within each window.
+                order = np.argsort(windows, kind="stable")
+                values, windows = values[order], windows[order]
+            edges = np.searchsorted(windows, np.arange(first, first + width + 1)).tolist()
+            for w in range(width):
+                lo, hi = edges[w], edges[w + 1]
+                if hi > lo:
+                    means[w, c] = np.add.reduce(values[lo:hi]) / (hi - lo)
+                    counts[w, c] = hi - lo
+        system_mean = float(np.mean(slowdowns)) if slowdowns.size else math.nan
+        self._table = _Measurement(
+            ledger.num_completed, first, means, counts, tuple(class_means), system_mean
+        )
+        return self._table
+
+    def samples(self) -> list[WindowSample]:
+        """Per-window summaries in time order (empty windows included), read
+        from the cached measurement table (see :meth:`_measurement`)."""
+        table = self._measurement()
+        return [
+            WindowSample(
+                *window_span(table.first + offset, warmup=self.warmup, window=self.window),
+                mean_slowdowns=tuple(means),
+                counts=tuple(counts),
             )
-        return out
+            for offset, (means, counts) in enumerate(
+                zip(table.means.tolist(), table.counts.tolist())
+            )
+        ]
 
     def ratio_series(self, numerator: int, denominator: int) -> np.ndarray:
-        """Per-window slowdown ratios between two classes (NaNs dropped)."""
-        ratios = [s.ratio(numerator, denominator) for s in self.samples()]
-        arr = np.asarray(ratios, dtype=float)
-        return arr[~np.isnan(arr)]
+        """Per-window slowdown ratios between two classes (NaNs dropped).
+
+        :meth:`WindowSample.ratio`'s rule, vectorised: a window where either
+        mean is NaN or the denominator's is zero has no ratio.
+        """
+        means = self._measurement().means
+        num, den = means[:, numerator], means[:, denominator]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(den == 0.0, np.nan, num / den)
+        return ratios[~np.isnan(ratios)]
 
     def availability_series(self, timeline, num_windows: int) -> np.ndarray:
         """Per-window, per-node live fractions aligned with this monitor's windows.
@@ -292,12 +315,9 @@ class WindowedMonitor:
         computations can pair them up; pass ``drop_nan=True`` for standalone
         per-class statistics.
         """
-        samples = self.samples()
-        out = []
-        for c in range(self.num_classes):
-            vals = np.asarray([s.mean_slowdowns[c] for s in samples], dtype=float)
-            out.append(vals[~np.isnan(vals)] if drop_nan else vals)
-        return out
+        means = self._measurement().means
+        columns = [means[:, c].copy() for c in range(self.num_classes)]
+        return [col[~np.isnan(col)] for col in columns] if drop_nan else columns
 
 
 def fleet_availability(timeline, *, warmup: float, window: float, num_windows: int) -> np.ndarray:

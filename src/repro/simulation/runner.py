@@ -31,7 +31,9 @@ are extracted as out-of-band buffers; when the buffers of one result exceed
 ``multiprocessing.shared_memory`` segment instead of the result queue's
 pipe, which large trace-replay runs cross far faster.  Either route (and
 any fallback when shared memory is unavailable) reassembles byte-identical
-arrays, so aggregates never depend on the transport.
+arrays, so aggregates never depend on the transport.  Workers also run each
+result's cached measurement pass before encoding, so the parent reads no
+ledger rows; serial runs measure lazily.
 
 When the build callable *is* picklable (a module-level function or callable
 dataclass — the experiment drivers' builds are), parallel batches are routed
@@ -63,7 +65,7 @@ import numpy as np
 from ..distributions.rng import spawn_seed_sequences
 from ..errors import SimulationError
 from ..telemetry.log import get_logger, log_event
-from .scenario import SimulationResult
+from .scenario import SimulationResult, _ratios_to_first
 
 __all__ = [
     "ReplicationRunner",
@@ -329,13 +331,23 @@ class ReplicationSummary:
 
     @property
     def ratio_of_mean_slowdowns(self) -> tuple[float, ...]:
-        """Ratios of the replication-averaged slowdowns to class 1's."""
-        means = self.mean_slowdowns
-        return tuple(m / means[0] for m in means)
+        """Ratios of the replication-averaged slowdowns to class 1's (NaN if 0 or NaN)."""
+        return _ratios_to_first(self.mean_slowdowns)
 
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _run_and_encode(build: BuildFn, index: int, seed: np.random.SeedSequence) -> tuple:
+    """Run one replication in a worker, then measure and encode it there:
+    the measurement pass runs in parallel, outside ``build_seconds``, over
+    ledger pages that are still hot, and its small table rides the payload."""
+    start = time.perf_counter()
+    result = build(index, seed)
+    build_seconds = time.perf_counter() - start
+    result.monitor._measurement()
+    return _encode_result(result, build_seconds=build_seconds)
 
 
 def _worker(
@@ -354,9 +366,7 @@ def _worker(
     """
     for index in indices:
         try:
-            start = time.perf_counter()
-            result = build(index, seeds[index])
-            payload = _encode_result(result, build_seconds=time.perf_counter() - start)
+            payload = _run_and_encode(build, index, seeds[index])
         except Exception:
             out.put((index, None, traceback.format_exc()))
             return
@@ -400,9 +410,7 @@ def _pool_worker(tasks: "multiprocessing.Queue", out: "multiprocessing.Queue") -
             continue
         for index, seed in assignments:
             try:
-                start = time.perf_counter()
-                result = build(index, seed)
-                payload = _encode_result(result, build_seconds=time.perf_counter() - start)
+                payload = _run_and_encode(build, index, seed)
             except Exception:
                 out.put((index, None, ("build", traceback.format_exc())))
                 continue
@@ -771,13 +779,9 @@ def summarise_replications(results: Sequence[SimulationResult]) -> ReplicationSu
     for r in results:
         means = r.per_class_mean_slowdowns()
         system_samples.append(r.system_mean_slowdown())
-        for c, value in enumerate(means):
+        for c, (value, ratio) in enumerate(zip(means, _ratios_to_first(means))):
             slowdown_samples[c].append(value)
-        first = means[0]
-        for c, value in enumerate(means):
-            ratio_samples[c].append(
-                value / first if first and not math.isnan(first) else float("nan")
-            )
+            ratio_samples[c].append(ratio)
 
     return ReplicationSummary(
         per_class_slowdowns=tuple(

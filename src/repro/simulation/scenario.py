@@ -64,6 +64,7 @@ mean service time).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -127,6 +128,12 @@ class StaticRateController(RateController):
     def observe_window(self, time, window_length, arrivals, work):
         self.observations += 1
         return None
+
+
+def _ratios_to_first(means: Sequence[float]) -> tuple[float, ...]:
+    """``means`` over ``means[0]``; all NaN when ``means[0]`` is 0 or NaN."""
+    first = means[0] or math.nan  # x / NaN is NaN
+    return tuple(m / first for m in means)
 
 
 @dataclass
@@ -204,22 +211,17 @@ class SimulationResult:
         completion = self.ledger.completion_time[ids]
         return ids[completion >= self.config.warmup]
 
-    def _per_class_means(self, metric: str) -> tuple[float, ...]:
-        """Post-warm-up per-class means of ``metric`` (NaN for silent classes)."""
-        ids = self._measured_ids()
-        cls = self.ledger.class_index[ids]
-        values = getattr(self.ledger, metric + "s")(ids)
-        out = []
-        for c in range(len(self.classes)):
-            vals = values[cls == c]
-            out.append(float(np.mean(vals)) if vals.size else float("nan"))
-        return tuple(out)
-
     def per_class_mean_slowdowns(self) -> tuple[float, ...]:
-        return self._per_class_means("slowdown")
+        return self.monitor._measurement().class_means
 
     def per_class_mean_waiting_times(self) -> tuple[float, ...]:
-        return self._per_class_means("waiting_time")
+        ids = self._measured_ids()
+        cls = self.ledger.class_index[ids]
+        values = self.ledger.waiting_times(ids)
+        return tuple(
+            float(np.mean(vals)) if vals.size else float("nan")
+            for vals in (values[cls == c] for c in range(len(self.classes)))
+        )
 
     def per_class_completed_work(self) -> tuple[float, ...]:
         """Total full-rate service demand completed per class after warm-up."""
@@ -232,12 +234,11 @@ class SimulationResult:
         return tuple(float(w) for w in work)
 
     def system_mean_slowdown(self) -> float:
-        vals = self.ledger.slowdowns(self._measured_ids())
-        return float(np.mean(vals)) if vals.size else float("nan")
+        return self.monitor._measurement().system_mean
 
     def slowdown_ratios_to_first(self) -> tuple[float, ...]:
-        means = self.per_class_mean_slowdowns()
-        return tuple(m / means[0] for m in means)
+        """Each class's mean slowdown over class 1's (NaN when class 1's is 0 or NaN)."""
+        return _ratios_to_first(self.per_class_mean_slowdowns())
 
     def shed_fraction(self) -> float:
         """Fraction of generated requests the admission policy shed."""

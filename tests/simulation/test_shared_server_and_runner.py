@@ -15,6 +15,8 @@ from repro.scheduling import (
 from repro.simulation import (
     MeasurementConfig,
     PsdServerSimulation,
+    ReplicatedStatistic,
+    ReplicationSummary,
     SharedProcessorSimulation,
     run_replications,
     summarise_replications,
@@ -143,3 +145,18 @@ class TestReplicationRunner:
         two = PsdServerSimulation(make_classes(moderate_bp, 0.5, (1.0, 2.0)), cfg, seed=1).run()
         with pytest.raises(SimulationError):
             summarise_replications([one, two])
+
+
+class TestRatioOfMeanSlowdowns:
+    @staticmethod
+    def summary(first: float) -> ReplicationSummary:
+        per_class = (ReplicatedStatistic(first, 0.0, 0.0, 3), ReplicatedStatistic(1.0, 0.0, 0.0, 3))
+        return ReplicationSummary(per_class, per_class[1], per_class, ())
+
+    def test_ratios_to_class_one(self):
+        assert self.summary(0.5).ratio_of_mean_slowdowns == (1.0, 2.0)
+
+    @pytest.mark.parametrize("first", [0.0, float("nan")])
+    def test_zero_or_nan_class_one_mean_gives_nan(self, first):
+        ratios = self.summary(first).ratio_of_mean_slowdowns
+        assert len(ratios) == 2 and all(np.isnan(ratios))

@@ -4,17 +4,19 @@ import multiprocessing
 import sys
 import types
 
+import numpy as np
 import pytest
 
 from repro.core import PsdSpec
 from repro.errors import SimulationError
-from repro.experiments.base import ScenarioBuild
+from repro.experiments.base import ScenarioBuild, pooled_window_ratios
 from repro.simulation import (
     MeasurementConfig,
     ReplicationRunner,
     WorkerPool,
     shared_pool,
 )
+from repro.simulation.ledger import RequestLedger
 from tests.conftest import make_classes
 
 pytestmark = pytest.mark.skipif(
@@ -176,8 +178,6 @@ class TestSharedMemoryTransport:
         assert shm.ratios_to_first == serial.ratios_to_first
         for a, b in zip(shm.results, serial.results):
             assert a.per_class_mean_slowdowns() == b.per_class_mean_slowdowns()
-            import numpy as np
-
             np.testing.assert_array_equal(a.ledger.completion_time, b.ledger.completion_time)
             # Transported columns stay writable (zero-copy shared-memory
             # mappings, or bytearray copies on the fallback route).
@@ -218,8 +218,6 @@ class TestSharedMemoryTransport:
 
     def test_encode_decode_round_trip_in_process(self, build, monkeypatch):
         """encode/decode is the identity on a result, on both routes."""
-        import numpy as np
-
         from repro.distributions.rng import spawn_seed_sequences
         from repro.simulation import runner as runner_module
 
@@ -249,8 +247,6 @@ class TestZeroCopyDecode:
         return result, runner_module._decode_result(payload)
 
     def test_columns_are_segment_mappings_not_copies(self, decoded):
-        import numpy as np
-
         original, clone = decoded
         # The parent took segment ownership: a keeper rides the result and
         # its ledger, and the columns alias the mapping instead of owning
@@ -279,8 +275,6 @@ class TestZeroCopyDecode:
 
     def test_repickle_drops_the_keeper_and_preserves_data(self, decoded):
         import pickle
-
-        import numpy as np
 
         original, clone = decoded
         again = pickle.loads(pickle.dumps(clone, protocol=5))
@@ -329,3 +323,50 @@ class TestSharedPool:
         parallel = ReplicationRunner(replications=2, base_seed=6, workers=2).run(build)
         assert parallel.per_class_slowdowns == serial.per_class_slowdowns
         assert pool.started
+
+
+def assert_measurements_equal(summary, serial):
+    """The summary statistics and every pooled window-ratio series, bit for bit."""
+    assert summary.per_class_slowdowns == serial.per_class_slowdowns
+    assert summary.system_slowdown == serial.system_slowdown
+    assert summary.ratios_to_first == serial.ratios_to_first
+    for numerator, denominator in ((1, 0), (0, 1)):
+        np.testing.assert_array_equal(
+            pooled_window_ratios(summary, numerator, denominator),
+            pooled_window_ratios(serial, numerator, denominator),
+        )
+
+
+class TestMeasurementCrossesTheTransport:
+    """Workers measure each replication; the parent only reads the tables."""
+
+    def test_pool_route_matches_serial_without_reading_ledger_rows(self, build, monkeypatch):
+        # The serial summary measures its results here, before the patch.
+        serial = ReplicationRunner(replications=4, base_seed=31, workers=1).run(build)
+        pool = WorkerPool(workers=2)
+        try:
+            ReplicationRunner(replications=2, base_seed=0, workers=2, pool=pool).run_raw(build)
+
+            def refuse(self, ids=None):
+                raise AssertionError("the parent re-read ledger rows")
+
+            # The pool is warm: its workers forked before the patch, so only
+            # the parent refuses to compute slowdowns.
+            monkeypatch.setattr(RequestLedger, "slowdowns", refuse)
+            runner = ReplicationRunner(replications=4, base_seed=31, workers=2, pool=pool)
+            pooled = runner.run(build)
+            assert_measurements_equal(pooled, serial)
+            for result in pooled.results:
+                assert result.worker_profile["transport"] != "serial"
+                result.monitor.samples()
+                result.monitor.per_class_window_means()
+        finally:
+            pool.close()
+
+    def test_per_batch_fork_route_matches_serial(self, build):
+        def closure_build(index, seed):  # closures cannot use the pool
+            return build(index, seed)
+
+        forked = ReplicationRunner(replications=3, base_seed=32, workers=2).run(closure_build)
+        serial = ReplicationRunner(replications=3, base_seed=32, workers=1).run(build)
+        assert_measurements_equal(forked, serial)
