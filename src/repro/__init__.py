@@ -11,7 +11,7 @@ Xu — IPDPS 2004), built as a reusable library:
 * :mod:`repro.core` — the PSD model (Eq. 16), the processing-rate allocation
   (Eq. 17), expected slowdowns (Eq. 18), load estimation and the adaptive
   controller.
-* :mod:`repro.scheduling` — GPS/WFQ/lottery/stride/priority schedulers that
+* :mod:`repro.scheduling` — GPS/WFQ/SFQ/lottery/DRR/priority schedulers that
   realise rate allocation on a single shared processor.
 * :mod:`repro.simulation` — the discrete-event simulation: a composable
   :class:`Scenario` assembly over pluggable :class:`ServerModel` substrates

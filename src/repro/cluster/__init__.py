@@ -32,8 +32,8 @@ another :class:`~repro.simulation.ServerModel`:
   factory keep experiment builds picklable.
 * :mod:`repro.cluster.autoscale` — endogenous scaling:
   :class:`AutoscalerPolicy` families (target-tracking, step-scaling,
-  predictive EWMA) observe the windowed monitor surface at estimation
-  boundaries and emit ``join`` / ``leave`` fleet events at engine time,
+  predictive EWMA) observe one :class:`~repro.core.WindowObservation` at
+  each estimation boundary and emit ``join`` / ``leave`` fleet events at engine time,
   with per-direction cooldowns, join warm-up lag and min/max bounds —
   deterministic and bit-identical across hot paths and worker counts.
 
@@ -53,7 +53,6 @@ from .admission import (
 )
 from .autoscale import (
     AUTOSCALERS,
-    AutoscaleObservation,
     AutoscalerPolicy,
     PredictiveEwma,
     StepScaling,
@@ -128,7 +127,6 @@ __all__ = [
     "build_admission",
     "parse_admission_args",
     "AutoscalerPolicy",
-    "AutoscaleObservation",
     "TargetTracking",
     "StepScaling",
     "PredictiveEwma",

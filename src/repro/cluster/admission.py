@@ -4,9 +4,10 @@ The PSD allocation goes infeasible past load 1 — the churn/hetero benches
 show the ~50× unfinished-request collapse of an admission-blind cluster.
 :class:`AdmissionController` is the cluster-level defence: a
 ``window_scoped`` :class:`~repro.core.AdmissionPolicy` that budgets each
-estimation window from the fleet's live capacity and outstanding work (the
-same per-node state :class:`repro.telemetry.ClusterHealthSnapshot` reads)
-and walks every arrival down the accept → degrade → shed ladder:
+estimation window from one :class:`~repro.core.WindowObservation` — its
+live capacity and outstanding work, read from the fleet that serves the
+next window — and walks every arrival down the accept → degrade → shed
+ladder:
 
 1. **Quota reserve** — each class owns ``quota_shares[c]`` of the window's
    work budget; while its cumulative demand fits the reserve, ACCEPT.
@@ -47,10 +48,10 @@ from ..core.admission import (
     AlwaysAdmit,
     LoadThresholdAdmission,
     QueueLengthAdmission,
-    SystemSnapshot,
 )
+from ..core.observation import WindowObservation
 from ..errors import ParameterError
-from ..validation import require_in_range, require_non_negative
+from ..validation import require_count, require_in_range, require_non_negative
 
 __all__ = [
     "AdmissionController",
@@ -129,7 +130,7 @@ class AdmissionController(AdmissionPolicy):
             ewma_alpha, "ewma_alpha", 0.0, 1.0, inclusive_low=False
         )
         self.drain_factor = require_non_negative(drain_factor, "drain_factor")
-        self.hint_horizon = int(require_non_negative(hint_horizon, "hint_horizon"))
+        self.hint_horizon = require_count(hint_horizon, "hint_horizon")
         #: Per-class decision counters, mirroring the shipped policies'
         #: ``rejected`` surface.
         self.accepted = [0] * self.num_classes
@@ -142,32 +143,14 @@ class AdmissionController(AdmissionPolicy):
     # ------------------------------------------------------------------ #
     # Window budgeting
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _live_capacity(server) -> float:
-        """Total live capacity: per-node for clusters, ``capacity`` otherwise."""
-        live = getattr(server, "live_nodes", None)
-        if live is not None:
-            node_capacity = server.node_capacity
-            return float(sum(node_capacity(node) for node in live))
-        capacity = getattr(server, "capacity", None)
-        return 1.0 if capacity is None else float(capacity)
-
-    @staticmethod
-    def _backlog_work(server) -> float:
-        """Outstanding work across the fleet (0 for servers not exposing it)."""
-        work_left = getattr(server, "work_left", None)
-        if work_left is None:
-            return 0.0
-        return float(sum(work_left(node) for node in range(server.num_nodes)))
-
-    def observe_window(self, snapshot: SystemSnapshot, server, window_length: float) -> None:
-        """Re-budget for the next window from boundary state.
+    def observe_window(self, obs: WindowObservation) -> None:
+        """Re-budget for the next window from the boundary observation.
 
         Fired by the scenario at run start and at every estimation-window
-        boundary (after the controller's new rates are applied) on both hot
-        paths, so the decision state below is path-independent.
+        boundary (after the controller's new rates and any fleet events are
+        applied), so the decision state below is path-independent.
         """
-        capacity = self._live_capacity(server)
+        capacity = obs.live_capacity
         if self._window_span > 0.0 and capacity > 0.0:
             # Utilisation sample of the window that just ended: admitted
             # work over deliverable work.
@@ -178,10 +161,10 @@ class AdmissionController(AdmissionPolicy):
             # charged to the reserve (admitted or not) — the series
             # wait_hint projects forward.
             self._demand_ewma += self.ewma_alpha * (self._reserve_used - self._demand_ewma)
-        self._backlog_ewma += self.ewma_alpha * (self._backlog_work(server) - self._backlog_ewma)
+        self._backlog_ewma += self.ewma_alpha * (obs.backlog_work - self._backlog_ewma)
         self._capacity = capacity
         budget = max(
-            self.target_utilisation * capacity * window_length
+            self.target_utilisation * capacity * obs.window
             - self.drain_factor * self._backlog_ewma,
             0.0,
         )
@@ -190,15 +173,13 @@ class AdmissionController(AdmissionPolicy):
         self._reserve_used = np.zeros(self.num_classes, dtype=np.float64)
         self._pool_used = 0.0
         self._admitted_work = 0.0
-        self._window_span = float(window_length)
-        self._window_end = float(snapshot.time) + float(window_length)
+        self._window_span = obs.window
+        self._window_end = obs.time + obs.window
 
     # ------------------------------------------------------------------ #
     # The ladder — scalar reference implementation
     # ------------------------------------------------------------------ #
-    def decide(
-        self, class_index: int, size: float, snapshot: SystemSnapshot
-    ) -> AdmissionDecision:
+    def decide(self, class_index: int, size: float, obs: WindowObservation) -> AdmissionDecision:
         if not 0 <= class_index < self.num_classes:
             raise ParameterError(
                 f"class {class_index} has no quota share configured "
@@ -243,7 +224,7 @@ class AdmissionController(AdmissionPolicy):
         classes: np.ndarray,
         sizes: np.ndarray,
         times: np.ndarray,
-        snapshot: SystemSnapshot,
+        obs: WindowObservation,
     ) -> np.ndarray:
         classes = np.asarray(classes, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.float64)

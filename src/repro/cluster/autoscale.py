@@ -2,12 +2,13 @@
 
 PR 5's :class:`~repro.cluster.fleet.FleetSchedule` made the fleet dynamic
 but *exogenous* — a pre-scripted timeline.  This module makes it
-*endogenous*: an :class:`AutoscalerPolicy` observes the same windowed
-surface the controller and admission stack read (per-class arrivals and
-offered work, the fleet's live capacity and outstanding backlog) at every
-estimation-window boundary and emits ``join`` / ``leave`` fleet events *at
-engine time*, so :class:`~repro.cluster.ClusterServerModel` grows and
-shrinks itself under load.
+*endogenous*: at every estimation-window boundary an
+:class:`AutoscalerPolicy` observes the boundary's one
+:class:`~repro.core.WindowObservation` — the same object telemetry and
+admission read (per-class arrivals and offered work, the fleet's live
+capacity and outstanding backlog) — and emits ``join`` / ``leave`` fleet
+events *at engine time*, so :class:`~repro.cluster.ClusterServerModel`
+grows and shrinks itself under load.
 
 Determinism is the load-bearing property.  Scale decisions are a pure
 function of boundary state, events are applied synchronously inside the
@@ -47,15 +48,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Callable
 
+from ..core.observation import WindowObservation
 from ..errors import ParameterError
-from ..validation import require_in_range, require_non_negative, require_positive
+from ..validation import require_count, require_in_range, require_non_negative
 from .fleet import NODE_DRAINING, NODE_LIVE, FleetEvent, node_state_spans
 
 __all__ = [
-    "AutoscaleObservation",
     "AutoscalerPolicy",
     "TargetTracking",
     "StepScaling",
@@ -67,70 +67,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AutoscaleObservation:
-    """One window-boundary snapshot of everything a scaler may look at.
-
-    Captured by the scenario at each estimation-window boundary, after the
-    controller's new rates are applied and before the next window's
-    arrival block is drawn, which is what keeps scale decisions
-    deterministic.
-    """
-
-    time: float
-    window: float
-    node_states: tuple[str, ...]
-    capacities: tuple[float, ...]
-    live_nodes: tuple[int, ...]
-    arrivals: tuple[int, ...]
-    work: tuple[float, ...]
-    backlog_work: float
-    rates: tuple[float, ...]
-
-    @classmethod
-    def capture(cls, time, window, arrivals, work, rates, server) -> "AutoscaleObservation":
-        n = server.num_nodes
-        return cls(
-            time=float(time),
-            window=float(window),
-            node_states=tuple(server.node_state(node) for node in range(n)),
-            capacities=tuple(server.node_capacity(node) for node in range(n)),
-            live_nodes=tuple(server.live_nodes),
-            arrivals=tuple(int(a) for a in arrivals),
-            work=tuple(float(w) for w in work),
-            backlog_work=float(sum(server.work_left(node) for node in range(n))),
-            rates=tuple(float(r) for r in rates),
-        )
-
-    @property
-    def live_capacity(self) -> float:
-        """Total capacity of the currently live nodes."""
-        return float(sum(self.capacities[node] for node in self.live_nodes))
-
-    @property
-    def offered_rate(self) -> float:
-        """Admitted work per time unit over the window that just ended."""
-        return sum(self.work) / self.window
-
-    @property
-    def utilisation(self) -> float:
-        """Offered rate over live capacity (``inf`` during a full outage)."""
-        capacity = self.live_capacity
-        return self.offered_rate / capacity if capacity > 0.0 else float("inf")
-
-    @property
-    def backlog_windows(self) -> float:
-        """Outstanding work in units of one window of live capacity."""
-        deliverable = self.live_capacity * self.window
-        return self.backlog_work / deliverable if deliverable > 0.0 else float("inf")
-
-
 class AutoscalerPolicy:
     """Base scaler: cooldowns, warm-up lag and bounds around a sizing rule.
 
     Subclasses implement :meth:`desired_fleet_size` — a pure function of
-    one :class:`AutoscaleObservation`.  Everything else (clamping the
-    answer to bounds, suppressing decisions inside a cooldown, holding
+    one :class:`~repro.core.WindowObservation`.  Everything else (clamping
+    the answer to bounds, suppressing decisions inside a cooldown, holding
     warm-up joins pending, picking *which* nodes join or leave) lives here,
     so every policy inherits the same deterministic event grammar.
 
@@ -162,9 +104,9 @@ class AutoscalerPolicy:
         scale_in_cooldown: float = 0.0,
         warmup_lag: float = 0.0,
     ) -> None:
-        self.min_nodes = int(require_positive(min_nodes, "min_nodes"))
+        self.min_nodes = require_count(min_nodes, "min_nodes", 1)
         if max_nodes is not None:
-            max_nodes = int(require_positive(max_nodes, "max_nodes"))
+            max_nodes = require_count(max_nodes, "max_nodes", 1)
             if max_nodes < self.min_nodes:
                 raise ParameterError(
                     f"max_nodes ({max_nodes}) must be >= min_nodes ({self.min_nodes})"
@@ -178,7 +120,7 @@ class AutoscalerPolicy:
     # ------------------------------------------------------------------ #
     # Subclass surface
     # ------------------------------------------------------------------ #
-    def desired_fleet_size(self, obs: AutoscaleObservation) -> int:
+    def desired_fleet_size(self, obs: WindowObservation) -> int:
         """The fleet size this policy wants, before bounds and cooldowns."""
         raise NotImplementedError
 
@@ -200,17 +142,16 @@ class AutoscalerPolicy:
             return 0
         return max(int(math.ceil(self.warmup_lag / window - 1e-9)), 0)
 
-    def observe_boundary(
-        self, time, window, arrivals, work, rates, server
-    ) -> tuple[FleetEvent, ...]:
+    def observe_boundary(self, obs: WindowObservation) -> tuple[FleetEvent, ...]:
         """One boundary step: release due joins, decide, emit fleet events.
 
         Returns the events for the *caller* to apply (via
         ``server.apply_fleet_event``), in application order: warm-up joins
         that came due, then this boundary's immediate joins, then leaves.
+        The node count is ``len(obs.capacities)``.
         """
-        time = float(time)
-        window = float(window)
+        time = obs.time
+        num_nodes = len(obs.capacities)
         events: list[FleetEvent] = []
         if self._pending_joins:
             still_pending: list[tuple[int, int]] = []
@@ -221,9 +162,8 @@ class AutoscalerPolicy:
                 else:
                     still_pending.append((remaining, node))
             self._pending_joins = still_pending
-        obs = AutoscaleObservation.capture(time, window, arrivals, work, rates, server)
         lo = max(self.min_nodes, 1)
-        hi = server.num_nodes if self.max_nodes is None else min(self.max_nodes, server.num_nodes)
+        hi = num_nodes if self.max_nodes is None else min(self.max_nodes, num_nodes)
         desired = min(max(int(self.desired_fleet_size(obs)), lo), hi)
         # The effective size counts live nodes, joins released above, and
         # joins still warming up — ordered capacity must not be re-ordered.
@@ -236,10 +176,10 @@ class AutoscalerPolicy:
             if time - self._last_out >= self.scale_out_cooldown:
                 spares = [
                     node
-                    for node in range(server.num_nodes)
+                    for node in range(num_nodes)
                     if node not in live and node not in pending
                 ]
-                boundaries = self._warmup_boundaries(window)
+                boundaries = self._warmup_boundaries(obs.window)
                 ordered = spares[: desired - effective]
                 for node in ordered:
                     if boundaries == 0:
@@ -289,7 +229,7 @@ class TargetTracking(AutoscalerPolicy):
     ) -> None:
         self.target = require_in_range(target, "target", 0.0, 1.5, inclusive_low=False)
         self.hysteresis = require_in_range(hysteresis, "hysteresis", 0.0, 1.0, inclusive_high=False)
-        self.drain_windows = int(require_positive(drain_windows, "drain_windows"))
+        self.drain_windows = require_count(drain_windows, "drain_windows", 1)
         super().__init__(**bounds)
 
     @staticmethod
@@ -304,7 +244,7 @@ class TargetTracking(AutoscalerPolicy):
                 return k
         return len(capacities)
 
-    def desired_fleet_size(self, obs: AutoscaleObservation) -> int:
+    def desired_fleet_size(self, obs: WindowObservation) -> int:
         demand = obs.offered_rate + obs.backlog_work / (self.drain_windows * obs.window)
         need = self._prefix_size(obs.capacities, demand / self.target)
         current = len(obs.live_nodes)
@@ -340,7 +280,7 @@ class StepScaling(AutoscalerPolicy):
             parsed.append(
                 (
                     require_non_negative(float(threshold), f"bands[{i}].threshold"),
-                    int(require_positive(step, f"bands[{i}].step")),
+                    require_count(step, f"bands[{i}].step", 1),
                 )
             )
         if not parsed:
@@ -354,7 +294,7 @@ class StepScaling(AutoscalerPolicy):
             )
         super().__init__(**bounds)
 
-    def desired_fleet_size(self, obs: AutoscaleObservation) -> int:
+    def desired_fleet_size(self, obs: WindowObservation) -> int:
         deliverable = obs.live_capacity * obs.window
         if deliverable > 0.0:
             signal = (sum(obs.work) + obs.backlog_work) / deliverable
@@ -398,7 +338,7 @@ class PredictiveEwma(AutoscalerPolicy):
         self.beta = require_in_range(beta, "beta", 0.0, 1.0, inclusive_low=False)
         self.lead = require_non_negative(lead, "lead")
         self.target = require_in_range(target, "target", 0.0, 1.5, inclusive_low=False)
-        self.drain_windows = int(require_positive(drain_windows, "drain_windows"))
+        self.drain_windows = require_count(drain_windows, "drain_windows", 1)
         super().__init__(**bounds)
 
     def reset(self) -> None:
@@ -406,7 +346,7 @@ class PredictiveEwma(AutoscalerPolicy):
         self._level: float | None = None
         self._trend = 0.0
 
-    def desired_fleet_size(self, obs: AutoscaleObservation) -> int:
+    def desired_fleet_size(self, obs: WindowObservation) -> int:
         demand = obs.offered_rate + obs.backlog_work / (self.drain_windows * obs.window)
         if self._level is None:
             self._level = demand
@@ -451,11 +391,6 @@ AUTOSCALERS: dict[str, Callable[..., AutoscalerPolicy]] = {
     "predictive_ewma": PredictiveEwma,
 }
 
-#: Constructor parameters that are integral counts; CLI tokens parse as
-#: floats, so these are cast back before construction.
-_INT_PARAMS = ("min_nodes", "max_nodes", "drain_windows")
-
-
 def parse_autoscaler_args(tokens: Sequence[str]) -> dict:
     """Parse ``key=value`` autoscaler-argument tokens (CLI surface).
 
@@ -475,7 +410,7 @@ def parse_autoscaler_args(tokens: Sequence[str]) -> dict:
                     threshold, colon, step = part.partition(":")
                     if not colon:
                         raise ValueError(part)
-                    parsed_bands.append((float(threshold), int(step)))
+                    parsed_bands.append((float(threshold), float(step)))
                 args[key] = tuple(parsed_bands)
                 continue
             parsed = tuple(float(part) for part in parts)
@@ -504,9 +439,6 @@ def build_autoscaler(name: str, args: Sequence[str] = (), **overrides) -> Autosc
         ) from None
     kwargs = parse_autoscaler_args(args)
     kwargs.update(overrides)
-    for key in _INT_PARAMS:
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = int(kwargs[key])
     try:
         return factory(**kwargs)
     except TypeError as exc:

@@ -13,6 +13,8 @@
 * :mod:`repro.core.feedback` — measured-slowdown feedback control (the
   paper's stated future work on short-timescale predictability).
 * :mod:`repro.core.admission` — admission-control policies for overload.
+* :mod:`repro.core.observation` — the one window-boundary observation that
+  telemetry, the autoscaler and admission read.
 * :mod:`repro.core.planning` — capacity planning by inverting Eq. 18.
 """
 
@@ -22,7 +24,6 @@ from .admission import (
     AlwaysAdmit,
     LoadThresholdAdmission,
     QueueLengthAdmission,
-    SystemSnapshot,
 )
 from .allocation import PsdRateAllocator, RateAllocation, allocate_rates
 from .baselines import demand_proportional_split, equal_split, weighted_demand_split
@@ -35,6 +36,7 @@ from .load_estimator import (
     OracleLoadEstimator,
     WindowedLoadEstimator,
 )
+from .observation import WindowObservation
 from .pdd import PddAllocation, allocate_pdd_rates
 from .planning import (
     PlanningResult,
@@ -82,7 +84,7 @@ __all__ = [
     "AlwaysAdmit",
     "LoadThresholdAdmission",
     "QueueLengthAdmission",
-    "SystemSnapshot",
+    "WindowObservation",
     "PlanningResult",
     "slowdown_at_load",
     "max_load_for_slowdown_target",

@@ -18,8 +18,9 @@ without bound:
 
 The decision surface
 --------------------
-Policies implement :meth:`AdmissionPolicy.decide`, which sees the arriving
-request's class and size plus a :class:`SystemSnapshot` and returns an
+Policies implement ``decide(class_index, size, obs)``, which sees the
+arriving request's class and size plus the boundary's
+:class:`~repro.core.WindowObservation` and returns an
 :class:`AdmissionDecision`: ``ACCEPT`` the request as-is, ``DEGRADE`` it to
 a lower class (the policy's :meth:`~AdmissionPolicy.degrade_target` names
 which), or ``SHED`` it.  A shed request may carry an optional *wait hint*
@@ -31,17 +32,18 @@ Window-scoped policies and block decisions
 ------------------------------------------
 A policy declaring ``window_scoped = True`` promises that its decisions
 depend only on (a) state refreshed at estimation-window boundaries via
-:meth:`~AdmissionPolicy.observe_window` (the snapshot's estimated loads,
-budgets derived from per-node health) and (b) the policy's own per-decision
-counters — never on live per-arrival state such as the instantaneous
-backlog.  The scenario then evaluates one
+:meth:`~AdmissionPolicy.observe_window` (the observation's estimated loads,
+budgets derived from its live capacity and outstanding work) and (b) the
+policy's own per-decision counters — never on live per-arrival state such
+as the instantaneous backlog.  The scenario then evaluates one
 :meth:`~AdmissionPolicy.decide_block` per arrival block at the window
 boundary; the default implementation replays ``decide`` scalar-for-scalar
 (vectorised overrides must reproduce the exact same decision sequence and
 float accumulation order).  Policies reading live state
 (:class:`QueueLengthAdmission`) keep ``window_scoped = False``: the
 scenario walks their arrivals one by one, draining the server to each
-arrival instant before calling ``decide``.
+arrival instant before calling ``decide`` with the boundary's observation
+re-stamped to that instant (``obs._replace(time=t, backlogs=...)``).
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ParameterError
-from ..validation import require_finite, require_in_range
+from ..validation import require_count, require_in_range
+from .observation import WindowObservation
 
 __all__ = [
     "AdmissionDecision",
-    "SystemSnapshot",
     "AdmissionPolicy",
     "AlwaysAdmit",
     "LoadThresholdAdmission",
@@ -78,19 +80,6 @@ class AdmissionDecision(enum.IntEnum):
     SHED = 2
 
 
-@dataclass(frozen=True)
-class SystemSnapshot:
-    """What an admission policy may look at when deciding."""
-
-    time: float
-    backlogs: tuple[int, ...]
-    estimated_loads: tuple[float, ...]
-
-    @property
-    def total_estimated_load(self) -> float:
-        return sum(self.estimated_loads)
-
-
 class AdmissionPolicy:
     """Decides what happens to an arriving request: accept, degrade or shed.
 
@@ -104,9 +93,7 @@ class AdmissionPolicy:
     #: each arrival at its own instant.
     window_scoped: bool = False
 
-    def decide(
-        self, class_index: int, size: float, snapshot: SystemSnapshot
-    ) -> AdmissionDecision:
+    def decide(self, class_index: int, size: float, obs: WindowObservation) -> AdmissionDecision:
         """Return the :class:`AdmissionDecision` for one arriving request."""
         raise NotImplementedError(f"{type(self).__name__} must override decide()")
 
@@ -115,7 +102,7 @@ class AdmissionPolicy:
         classes: np.ndarray,
         sizes: np.ndarray,
         times: np.ndarray,
-        snapshot: SystemSnapshot,
+        obs: WindowObservation,
     ) -> np.ndarray:
         """Decisions for a time-ordered arrival block.
 
@@ -129,19 +116,16 @@ class AdmissionPolicy:
         decisions = np.empty(classes.shape[0], dtype=np.int64)
         decide = self.decide
         for i, (class_index, size) in enumerate(zip(classes.tolist(), sizes.tolist())):
-            decisions[i] = int(decide(class_index, size, snapshot))
+            decisions[i] = int(decide(class_index, size, obs))
         return decisions
 
-    def observe_window(self, snapshot: SystemSnapshot, server, window_length: float) -> None:
+    def observe_window(self, obs: WindowObservation) -> None:
         """Hook called at run start and at every estimation-window boundary.
 
-        ``server`` is the scenario's bound
-        :class:`~repro.simulation.ServerModel` (a
-        :class:`~repro.cluster.ClusterServerModel` for clustered runs, whose
-        per-node live set, capacities and outstanding work a controller may
-        read — the same state :class:`repro.telemetry.ClusterHealthSnapshot`
-        exposes per window).  Window-scoped policies refresh *all* decision
-        state here; the default is a no-op.
+        ``obs`` describes the fleet that serves the next window: its live
+        capacity and outstanding work, plus the controller's new estimated
+        loads.  Window-scoped policies refresh *all* decision state here;
+        the default is a no-op.
         """
 
     def degrade_target(self, class_index: int) -> int:
@@ -166,9 +150,7 @@ class AlwaysAdmit(AdmissionPolicy):
 
     window_scoped = True
 
-    def decide(
-        self, class_index: int, size: float, snapshot: SystemSnapshot
-    ) -> AdmissionDecision:
+    def decide(self, class_index: int, size: float, obs: WindowObservation) -> AdmissionDecision:
         return AdmissionDecision.ACCEPT
 
     def decide_block(
@@ -176,7 +158,7 @@ class AlwaysAdmit(AdmissionPolicy):
         classes: np.ndarray,
         sizes: np.ndarray,
         times: np.ndarray,
-        snapshot: SystemSnapshot,
+        obs: WindowObservation,
     ) -> np.ndarray:
         return np.zeros(classes.shape[0], dtype=np.int64)
 
@@ -208,12 +190,10 @@ class LoadThresholdAdmission(AdmissionPolicy):
         object.__setattr__(self, "thresholds", checked)
         self.rejected = [0] * len(checked)
 
-    def decide(
-        self, class_index: int, size: float, snapshot: SystemSnapshot
-    ) -> AdmissionDecision:
+    def decide(self, class_index: int, size: float, obs: WindowObservation) -> AdmissionDecision:
         if class_index >= len(self.thresholds):
             raise ParameterError(f"class {class_index} has no admission threshold configured")
-        if snapshot.total_estimated_load > self.thresholds[class_index]:
+        if obs.total_estimated_load > self.thresholds[class_index]:
             self.rejected[class_index] += 1
             return AdmissionDecision.SHED
         return AdmissionDecision.ACCEPT
@@ -223,7 +203,7 @@ class LoadThresholdAdmission(AdmissionPolicy):
         classes: np.ndarray,
         sizes: np.ndarray,
         times: np.ndarray,
-        snapshot: SystemSnapshot,
+        obs: WindowObservation,
     ) -> np.ndarray:
         """Vectorised: the load estimate is frozen for the whole window, so
         the decision is a per-class constant."""
@@ -231,7 +211,7 @@ class LoadThresholdAdmission(AdmissionPolicy):
             raise ParameterError(
                 f"class {int(classes.max())} has no admission threshold configured"
             )
-        total = snapshot.total_estimated_load
+        total = obs.total_estimated_load
         over = total > np.asarray(self.thresholds, dtype=np.float64)
         shed = over[classes]
         for c, count in enumerate(np.bincount(classes[shed], minlength=len(self.thresholds))):
@@ -259,19 +239,16 @@ class QueueLengthAdmission(AdmissionPolicy):
     def __post_init__(self) -> None:
         if not self.limits:
             raise ParameterError("limits must be non-empty")
-        for i, limit in enumerate(self.limits):
-            value = require_finite(limit, f"limits[{i}]")
-            if not value.is_integer() or value < 1.0:
-                raise ParameterError(f"limits[{i}] must be a whole number >= 1, got {limit!r}")
-        object.__setattr__(self, "limits", tuple(int(limit) for limit in self.limits))
+        limits = tuple(
+            require_count(limit, f"limits[{i}]", 1) for i, limit in enumerate(self.limits)
+        )
+        object.__setattr__(self, "limits", limits)
         self.rejected = [0] * len(self.limits)
 
-    def decide(
-        self, class_index: int, size: float, snapshot: SystemSnapshot
-    ) -> AdmissionDecision:
+    def decide(self, class_index: int, size: float, obs: WindowObservation) -> AdmissionDecision:
         if class_index >= len(self.limits):
             raise ParameterError(f"class {class_index} has no queue limit configured")
-        if snapshot.backlogs[class_index] >= self.limits[class_index]:
+        if obs.backlogs[class_index] >= self.limits[class_index]:
             self.rejected[class_index] += 1
             return AdmissionDecision.SHED
         return AdmissionDecision.ACCEPT

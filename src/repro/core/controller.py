@@ -115,8 +115,10 @@ class PsdController:
         window_length: float,
         arrivals: Sequence[int],
         work: Sequence[float],
+        slowdowns: Sequence[float] | None = None,
     ) -> ControllerDecision:
-        """Feed one completed estimation window and re-allocate.
+        """Feed one completed estimation window and re-allocate (Eq. 17
+        ignores the measured ``slowdowns``).
 
         Returns the decision (including the new rate vector), which is also
         appended to :attr:`decisions` for post-run analysis.

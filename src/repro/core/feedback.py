@@ -45,10 +45,6 @@ __all__ = ["FeedbackPsdController"]
 class FeedbackPsdController(PsdController):
     """Eq. 17 allocation plus measured-slowdown feedback on the deltas."""
 
-    #: The simulator checks this flag and, when set, passes the per-window
-    #: measured class slowdowns into :meth:`observe_window`.
-    wants_slowdown_feedback = True
-
     def __init__(
         self,
         classes: Sequence[TrafficClass],

@@ -3,10 +3,10 @@
 The paper's rate-allocation strategy assumes a mechanism (GPS, PGPS, lottery
 scheduling, ...) that can hand each per-class task server a configurable
 share of the processing capacity.  This package implements those mechanisms —
-a GPS fluid reference, WFQ/PGPS, start-time fair queueing, self-clocked fair
-queueing, lottery, stride, (deficit) weighted round robin — plus the
-priority-based schedulers from the related work that the experiments use as
-contrast (strict priority and waiting-time priority).
+a GPS fluid reference, WFQ/PGPS, start-time fair queueing, lottery and
+deficit weighted round robin — plus the priority-based schedulers from the
+related work that the experiments use as contrast (strict priority and
+waiting-time priority).
 """
 
 from .base import QueuedJob, Scheduler, WeightedScheduler
@@ -18,9 +18,8 @@ from .priority import (
     WaitingTimePriorityScheduler,
 )
 from .sfq import StartTimeFairQueueing
-from .stride import StrideScheduler
-from .wfq import SelfClockedFairQueueing, WeightedFairQueueing
-from .wrr import DeficitWeightedRoundRobin, WeightedRoundRobin
+from .wfq import WeightedFairQueueing
+from .wrr import DeficitWeightedRoundRobin
 
 __all__ = [
     "QueuedJob",
@@ -30,11 +29,8 @@ __all__ = [
     "GpsResult",
     "simulate_gps",
     "WeightedFairQueueing",
-    "SelfClockedFairQueueing",
     "StartTimeFairQueueing",
     "LotteryScheduler",
-    "StrideScheduler",
-    "WeightedRoundRobin",
     "DeficitWeightedRoundRobin",
     "StrictPriorityScheduler",
     "WaitingTimePriorityScheduler",

@@ -157,4 +157,4 @@ class WeightedScheduler(Scheduler):
         self._on_weights_changed()
 
     def _on_weights_changed(self) -> None:
-        """Hook for policies that cache derived quantities (e.g. strides)."""
+        """Hook for policies that cache derived quantities (e.g. DRR increments)."""

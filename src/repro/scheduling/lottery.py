@@ -3,8 +3,7 @@
 Each class holds a number of tickets proportional to its weight; whenever the
 processor becomes free a lottery is held among the *backlogged* classes and
 the winner's head-of-line request is served.  Expected service shares equal
-the ticket shares, with variance that shrinks over time — the probabilistic
-counterpart of the deterministic stride scheduler.
+the ticket shares, with variance that shrinks over time.
 
 The paper cites lottery scheduling as one of the mechanisms on which the
 processing-rate allocation can be realised in a real multi-process or

@@ -1,4 +1,4 @@
-"""Weighted Fair Queueing (packet-by-packet GPS) and Self-Clocked Fair Queueing.
+"""Weighted Fair Queueing (packet-by-packet GPS).
 
 WFQ/PGPS [Parekh & Gallager 1993] emulates the GPS fluid server one job at a
 time: each arriving job receives a *virtual finish tag* computed against the
@@ -11,10 +11,7 @@ job finishes under PGPS no later than its GPS finish time plus
 Maintaining the exact GPS virtual time requires simulating the fluid system
 alongside the packet system; :class:`WeightedFairQueueing` does this with the
 standard piecewise-linear virtual-time update (virtual time advances at rate
-``1 / sum of backlogged weights``).  :class:`SelfClockedFairQueueing` (SCFQ,
-Golestani 1994) is the cheaper approximation that uses the finish tag of the
-job in service as the virtual time; it is included both as a baseline and
-because real servers often prefer its O(1) bookkeeping.
+``1 / sum of backlogged weights``).
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from collections.abc import Sequence
 
 from .base import QueuedJob, WeightedScheduler
 
-__all__ = ["WeightedFairQueueing", "SelfClockedFairQueueing"]
+__all__ = ["WeightedFairQueueing"]
 
 
 class WeightedFairQueueing(WeightedScheduler):
@@ -120,42 +117,3 @@ class WeightedFairQueueing(WeightedScheduler):
     def _on_dequeue(self, job: QueuedJob, now: float) -> None:
         self._finish_tags.pop(id(job), None)
 
-
-class SelfClockedFairQueueing(WeightedScheduler):
-    """SCFQ: finish tags computed against the tag of the job last selected.
-
-    ``F_c = max(V, F_c_previous) + size / w_c`` where ``V`` is the finish tag
-    of the most recently selected job (0 when the system is idle).  Simpler
-    than WFQ and fair in the long run, with a slightly weaker delay bound.
-    """
-
-    def __init__(self, num_classes: int, weights: Sequence[float] | None = None) -> None:
-        super().__init__(num_classes, weights)
-        self._virtual_time = 0.0
-        self._last_finish_tag = [0.0] * num_classes
-        self._finish_tags: dict[int, float] = {}
-
-    def _on_enqueue(self, job: QueuedJob, now: float) -> None:
-        c = job.class_index
-        start = max(self._virtual_time, self._last_finish_tag[c])
-        finish = start + job.size / self.weights[c]
-        self._last_finish_tag[c] = finish
-        self._finish_tags[id(job)] = finish
-
-    def _select_class(self, now: float) -> int:
-        best_class = -1
-        best_tag = float("inf")
-        for c in self.backlogged_classes():
-            head = self.peek(c)
-            assert head is not None
-            tag = self._finish_tags.get(id(head), float("inf"))
-            if tag < best_tag:
-                best_tag = tag
-                best_class = c
-        return best_class
-
-    def _on_dequeue(self, job: QueuedJob, now: float) -> None:
-        self._virtual_time = self._finish_tags.pop(id(job), self._virtual_time)
-        if self.total_backlog() == 0:
-            self._virtual_time = 0.0
-            self._last_finish_tag = [0.0] * self.num_classes

@@ -1,16 +1,10 @@
-"""Weighted round robin over per-class FCFS queues.
+"""Deficit weighted round robin over per-class FCFS queues.
 
-The simplest proportional-share approximation: classes are visited in a fixed
-cyclic order and class ``c`` may serve up to ``quantum_c`` requests per
-cycle, with ``quantum_c`` proportional to its weight.  Cheap but coarse — the
-achieved shares are proportional in *request count*, not in work, so a class
-with larger requests receives more than its weight of the processing
-capacity.  Included as a deliberately imperfect baseline for the scheduler
-ablation bench.
-
-``DeficitWeightedRoundRobin`` corrects the request-size bias with the
-standard deficit-counter technique (Shreedhar & Varghese 1996): a class may
-only send a request when its accumulated deficit covers the request's size.
+Classes are visited in a fixed cyclic order, and a class may only send a
+request when its accumulated deficit covers the request's size (Shreedhar &
+Varghese 1996).  The deficit counter makes the shares proportional in
+*work* rather than in request count, which plain weighted round robin gets
+wrong whenever the classes' request sizes differ.
 """
 
 from __future__ import annotations
@@ -20,36 +14,7 @@ from collections.abc import Sequence
 
 from .base import QueuedJob, WeightedScheduler
 
-__all__ = ["WeightedRoundRobin", "DeficitWeightedRoundRobin"]
-
-
-class WeightedRoundRobin(WeightedScheduler):
-    """Classic weighted round robin (per-request quanta)."""
-
-    def __init__(self, num_classes: int, weights: Sequence[float] | None = None) -> None:
-        self._cursor = 0
-        self._credit = 0.0
-        super().__init__(num_classes, weights)
-
-    def _on_weights_changed(self) -> None:
-        min_weight = min(self.weights)
-        self._quanta = [max(1, round(w / min_weight)) for w in self.weights]
-        self._credit = 0.0
-
-    def _select_class(self, now: float) -> int:
-        # Walk the cyclic order until a backlogged class with remaining
-        # quantum is found; refill quanta when a full cycle passes.
-        for _ in range(2 * self.num_classes + 1):
-            c = self._cursor
-            if self.backlog(c) > 0 and self._credit < self._quanta[c]:
-                self._credit += 1.0
-                return c
-            self._cursor = (self._cursor + 1) % self.num_classes
-            self._credit = 0.0
-        # All quanta exhausted in this sweep: restart the cycle.
-        self._cursor = self.backlogged_classes()[0]
-        self._credit = 1.0
-        return self._cursor
+__all__ = ["DeficitWeightedRoundRobin"]
 
 
 class DeficitWeightedRoundRobin(WeightedScheduler):

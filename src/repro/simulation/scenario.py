@@ -6,9 +6,8 @@ skeleton: per-class request sources feed requests through an (optional)
 admission policy into the serving substrate; the request ledger records
 every request (the windowed monitor and the trace are views over it); at
 every estimation-window boundary the controller observes the window's
-arrivals/work (and, for feedback controllers, the measured slowdowns) and
-re-allocates the per-class processing rates, which are pushed back into the
-server model.
+arrivals, work and measured slowdowns and re-allocates the per-class
+processing rates, which are pushed back into the server model.
 
 :class:`Scenario` owns that skeleton once.  The serving substrate is a
 pluggable :class:`~repro.simulation.server_models.ServerModel`; the
@@ -52,8 +51,14 @@ boundary, before the block is cut.  Policies reading live per-arrival state
 (``window_scoped = False``) are walked arrival by arrival inside each
 segment instead: the server is drained to the arrival instant, ``decide``
 reads the backlog of that instant, and an admitted row is submitted alone.
-The policy's :meth:`~repro.core.AdmissionPolicy.observe_window` hook fires at
-run start and every boundary, after the controller's new rates are applied.
+
+The window boundary
+-------------------
+The controller observes the window and its new rates are applied; then one
+:class:`~repro.core.WindowObservation` goes to telemetry, the autoscaler
+(re-captured after any fleet event) and admission, in that order, before
+the next arrival block is drawn.  With none of the three attached nothing
+is captured.
 
 All durations (warm-up, horizon, window) are interpreted in the same units
 as the service-time distributions — use
@@ -71,8 +76,9 @@ from functools import partial
 
 import numpy as np
 
-from ..core.admission import AdmissionDecision, SystemSnapshot
+from ..core.admission import AdmissionDecision
 from ..core.controller import PsdController
+from ..core.observation import WindowObservation
 from ..core.psd import PsdSpec
 from ..distributions.rng import spawn_generators
 from ..errors import SimulationError
@@ -96,7 +102,9 @@ class RateController:
     """Protocol-style base for rate controllers driven by the simulation.
 
     A controller exposes the rate vector currently in force and accepts one
-    observation per estimation window.  :class:`repro.core.PsdController`
+    observation per estimation window: the window's per-class arrivals,
+    offered work and measured mean slowdowns (open-loop controllers ignore
+    the slowdowns).  :class:`repro.core.PsdController`
     implements this interface; :class:`StaticRateController` provides a
     non-adaptive alternative used by the baseline and ablation benches.
     """
@@ -106,7 +114,12 @@ class RateController:
         raise NotImplementedError
 
     def observe_window(
-        self, time: float, window_length: float, arrivals: Sequence[int], work: Sequence[float]
+        self,
+        time: float,
+        window_length: float,
+        arrivals: Sequence[int],
+        work: Sequence[float],
+        slowdowns: Sequence[float] | None = None,
     ):  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -125,7 +138,7 @@ class StaticRateController(RateController):
     def current_rates(self) -> tuple[float, ...]:
         return self._rates
 
-    def observe_window(self, time, window_length, arrivals, work):
+    def observe_window(self, time, window_length, arrivals, work, slowdowns=None):
         self.observations += 1
         return None
 
@@ -296,22 +309,26 @@ class Scenario:
         are served as-is, ``DEGRADE`` rows are re-classed to the policy's
         :meth:`~repro.core.AdmissionPolicy.degrade_target` and served there,
         ``SHED`` rows are recorded (disposition column) but never submitted.
+        Its ``observe_window(obs)`` gets a time-0 observation at run start
+        and the boundary's :class:`~repro.core.WindowObservation` last at
+        every boundary, so it budgets from the fleet serving the next window.
     autoscaler:
         Optional :class:`repro.cluster.AutoscalerPolicy` (duck-typed: any
-        object with an ``observe_boundary`` hook).  At every estimation
-        window boundary — after the controller's new rates are applied,
-        before admission re-budgets — the policy observes the window and
-        the emitted fleet events are applied to the server synchronously,
-        before the next window's arrival block is drawn.  Requires a server
-        exposing ``apply_fleet_event`` (clusters); the events ride the
-        result as ``autoscale_events``.
+        object with an ``observe_boundary(obs)`` hook returning fleet
+        events).  At every boundary it receives the same observation as
+        telemetry, after the controller's new rates are applied; its events
+        are applied to the server synchronously, before admission
+        re-budgets and before the next window's arrival block is drawn.
+        Requires a server exposing ``apply_fleet_event`` (clusters); the
+        events ride the result as ``autoscale_events``.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` facade.  ``None`` (the
         default) is the no-op fast path: every instrumented site reduces to
         one ``is not None`` check and the run's aggregates are bit-identical
         to a scenario without the parameter.  With a facade the scenario
         installs its engine clock, registers the engine event listener (when
-        enabled) and feeds the window/batch/drain/admission hooks.
+        enabled) and feeds the batch/drain/admission hooks, plus
+        ``on_window(scenario, obs)`` first at every boundary.
     """
 
     def __init__(
@@ -373,6 +390,8 @@ class Scenario:
         # Validated degrade targets per origin class, resolved lazily (the
         # degrade_target contract: a pure function of the origin class).
         self._degrade_targets: dict[int, int] = {}
+        #: Admission's last observation, read by decisions until the next.
+        self._admission_obs: WindowObservation | None = None
 
         initial_rates = self.controller.current_rates
         if len(initial_rates) != len(self.classes):
@@ -496,21 +515,23 @@ class Scenario:
         """Decide, record and submit one segment arrival by arrival.
 
         For live-state policies: before each decision the server is drained
-        to the arrival instant, so the snapshot's backlog is the one at that
-        instant (completions tied with the arrival land first).  The segment
-        lies inside one estimation window and between two fleet events, so
-        the rates and the fleet stay put while the walk runs ahead of the
-        engine clock.
+        to the arrival instant and the boundary's observation is re-stamped
+        with that instant and its backlog (completions tied with the arrival
+        land first).  The segment lies inside one estimation window and
+        between two fleet events, so the rates and the fleet stay put while
+        the walk runs ahead of the engine clock.
         """
         decide = self.admission.decide
         ledger = self.ledger
-        submit = self.server.submit_one
+        server = self.server
+        submit = server.submit_one
+        stamp = self._admission_obs._replace
         decisions = np.empty(classes.shape[0], dtype=np.int64)
         for i, (t, size, class_index) in enumerate(
             zip(times.tolist(), sizes.tolist(), classes.tolist())
         ):
             self._sync_completions(t)
-            decision = decide(class_index, size, self._system_snapshot(t))
+            decision = decide(class_index, size, stamp(time=t, backlogs=server.backlogs()))
             if not isinstance(decision, AdmissionDecision):
                 raise SimulationError(
                     f"{type(self.admission).__name__}.decide() returned "
@@ -541,24 +562,10 @@ class Scenario:
         if self.telemetry is not None:
             self.telemetry.on_drain(now, int(rids.size))
 
-    def _system_snapshot(self, time: float | None = None) -> SystemSnapshot:
-        """What admission sees at ``time`` (default: the engine clock)."""
-        allocation = getattr(self.controller, "current_allocation", None)
-        estimated = (
-            tuple(allocation.offered_loads)
-            if allocation is not None
-            else tuple(0.0 for _ in self.classes)
-        )
-        return SystemSnapshot(
-            time=self.engine.now if time is None else time,
-            backlogs=self.server.backlogs(),
-            estimated_loads=estimated,
-        )
-
     def _decide_block(
         self, classes: np.ndarray, sizes: np.ndarray, times: np.ndarray
     ) -> np.ndarray:
-        decisions = self.admission.decide_block(classes, sizes, times, self._system_snapshot())
+        decisions = self.admission.decide_block(classes, sizes, times, self._admission_obs)
         decisions = np.asarray(decisions, dtype=np.int64)
         if decisions.shape != classes.shape:
             raise SimulationError(
@@ -645,45 +652,51 @@ class Scenario:
             slowdowns,
         )
 
+    def _observe(self, arrivals, work, slowdowns, rates) -> WindowObservation:
+        allocation = getattr(self.controller, "current_allocation", None)
+        n = len(self.classes)
+        estimated = allocation.offered_loads if allocation is not None else (0.0,) * n
+        return WindowObservation.capture(
+            self.server,
+            time=self.engine.now,
+            window=self.config.window,
+            arrivals=arrivals,
+            work=work,
+            slowdowns=slowdowns,
+            rates=rates,
+            estimated_loads=estimated,
+        )
+
     def _window_boundary(self) -> None:
         # Completions first: everything the servers finished up to this
-        # boundary must be in the ledger before the window statistics are
-        # cut.  Then, after the controller has spoken, pre-draw the next
-        # window's arrival block.
-        self._sync_completions(self.engine.now)
+        # boundary must be in the ledger before the window statistics are cut.
+        now = self.engine.now
+        self._sync_completions(now)
         arrivals, work, slowdowns = self._window_stats()
-        if getattr(self.controller, "wants_slowdown_feedback", False):
-            self.controller.observe_window(
-                self.engine.now, self.config.window, arrivals, work, slowdowns=slowdowns
-            )
-        else:
-            self.controller.observe_window(self.engine.now, self.config.window, arrivals, work)
+        self.controller.observe_window(now, self.config.window, arrivals, work, slowdowns=slowdowns)
         rates = tuple(self.controller.current_rates)
         self.server.apply_rates(rates)
-        self.rate_history.append((self.engine.now, rates))
-        if self.telemetry is not None:
-            self.telemetry.on_window(self, arrivals, work, slowdowns, rates)
-        if self.autoscaler is not None:
-            # The autoscaler reads the boundary state the controller just
-            # acted on and its events are applied synchronously, *before*
-            # admission re-budgets (quotas see the new fleet) and before
-            # the next window's arrival block is drawn.
-            events = self.autoscaler.observe_boundary(
-                self.engine.now, self.config.window, arrivals, work, rates, self.server
-            )
-            if events:
-                for event in events:
-                    self.server.apply_fleet_event(event)
-                self.autoscale_events.extend(events)
-                if self.telemetry is not None:
-                    self.telemetry.on_autoscale(events, self.server)
-        if self.admission is not None:
-            # After the controller's new rates are in force, before the next
-            # window's arrivals: window_scoped policies refresh their whole
-            # decision state here.
-            self.admission.observe_window(
-                self._system_snapshot(), self.server, self.config.window
-            )
+        self.rate_history.append((now, rates))
+        if self.telemetry is not None or self.autoscaler is not None or self.admission is not None:
+            obs = self._observe(arrivals, work, slowdowns, rates)
+            if self.telemetry is not None:
+                self.telemetry.on_window(self, obs)
+            if self.autoscaler is not None:
+                # Fleet events apply synchronously, before admission
+                # re-budgets and before the next arrival block is drawn.
+                events = self.autoscaler.observe_boundary(obs)
+                if events:
+                    for event in events:
+                        self.server.apply_fleet_event(event)
+                    self.autoscale_events.extend(events)
+                    if self.telemetry is not None:
+                        self.telemetry.on_autoscale(events, self.server)
+                    # Admission budgets from the fleet that serves the next
+                    # window.
+                    obs = self._observe(arrivals, work, slowdowns, rates)
+            if self.admission is not None:
+                self._admission_obs = obs
+                self.admission.observe_window(obs)
         next_boundary = self.engine.now + self.config.window
         bound = min(next_boundary, self.config.horizon)
         if bound > self.engine.now:
@@ -701,9 +714,10 @@ class Scenario:
         if self.admission is not None:
             # The initial window observation (time 0, initial allocation):
             # budget-style policies derive their first window's quotas here.
-            self.admission.observe_window(
-                self._system_snapshot(), self.server, self.config.window
-            )
+            n = len(self.classes)
+            rates = tuple(self.controller.current_rates)
+            self._admission_obs = self._observe((0,) * n, (0.0,) * n, (math.nan,) * n, rates)
+            self.admission.observe_window(self._admission_obs)
         # Scheduled rather than submitted synchronously: fleet events at t=0
         # were scheduled at bind time (lower sequence numbers), so they
         # apply before the first block is dispatched.

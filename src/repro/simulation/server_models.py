@@ -23,7 +23,7 @@ Two implementations are provided:
   (the fluid idealisation behind Eq. 17).
 * :class:`SharedProcessorServer` — a realistic variant: one full-speed
   processor and a proportional-share scheduler from
-  :mod:`repro.scheduling` (WFQ, SFQ, stride, lottery, WRR, priority, ...)
+  :mod:`repro.scheduling` (WFQ, SFQ, lottery, DRR, priority, ...)
   whose weights track the allocated rates.
 
 Adding a new model (a multi-server cluster, an async backend, a cache in

@@ -30,6 +30,7 @@ from ..errors import ParameterError
 from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (simulation imports us)
+    from ..core.observation import WindowObservation
     from ..simulation.events import Event
     from ..simulation.scenario import Scenario
 
@@ -151,34 +152,26 @@ class Telemetry:
                 if count:
                     reg.counter(f"admission.class{index}.degraded").inc(int(count))
 
-    def on_window(
-        self,
-        scenario: "Scenario",
-        arrivals: tuple[int, ...],
-        work: tuple[float, ...],
-        slowdowns: tuple[float, ...],
-        rates: tuple[float, ...],
-    ) -> None:
+    def on_window(self, scenario: "Scenario", obs: "WindowObservation") -> None:
         """One estimation-window boundary: the run's periodic observation point."""
         if not self.enabled:
             return
         reg = self.registry
         reg.counter("scenario.windows").inc()
-        reg.counter("scenario.arrivals").inc(int(sum(arrivals)))
+        reg.counter("scenario.arrivals").inc(int(sum(obs.arrivals)))
         completed = scenario.ledger.num_completed
         reg.counter("scenario.completions").inc(completed - self._seen_completed)
         self._seen_completed = completed
-        reg.histogram("scenario.window_arrivals").observe(sum(arrivals))
-        reg.histogram("scenario.window_work").observe(sum(work))
-        backlogs = scenario.server.backlogs()
-        for index, depth in enumerate(backlogs):
+        reg.histogram("scenario.window_arrivals").observe(sum(obs.arrivals))
+        reg.histogram("scenario.window_work").observe(sum(obs.work))
+        for index, depth in enumerate(obs.backlogs):
             reg.gauge(f"class{index}.queue_depth").set(depth)
-        reg.gauge("server.backlog_total").set(sum(backlogs))
-        for index, rate in enumerate(rates):
+        reg.gauge("server.backlog_total").set(sum(obs.backlogs))
+        for index, rate in enumerate(obs.rates):
             reg.gauge(f"class{index}.rate").set(rate)
         capacity = scenario.server.capacity
         if capacity:
-            reg.gauge("server.utilisation").set(sum(rates) / capacity)
+            reg.gauge("server.utilisation").set(sum(obs.rates) / capacity)
         self._observe_cluster(scenario.server)
 
     def _observe_cluster(self, server) -> None:

@@ -21,6 +21,7 @@ __all__ = [
     "require_non_decreasing",
     "require_same_length",
     "require_finite",
+    "require_count",
     "as_float_tuple",
 ]
 
@@ -31,6 +32,18 @@ def require_finite(value: float, name: str) -> float:
     if not math.isfinite(out):
         raise ParameterError(f"{name} must be finite, got {value!r}")
     return out
+
+
+def require_count(value: float, name: str, minimum: int = 0) -> int:
+    """Return ``value`` as an int, requiring a whole number >= ``minimum``.
+
+    Whole floats such as ``2.0`` (what CLI tokens parse to) are accepted;
+    NaN, infinities and fractional values are rejected, never truncated.
+    """
+    out = require_finite(value, name)
+    if not out.is_integer() or out < minimum:
+        raise ParameterError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(out)
 
 
 def require_positive(value: float, name: str) -> float:

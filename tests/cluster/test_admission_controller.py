@@ -15,6 +15,8 @@ The controller's contract has three load-bearing parts, each pinned here:
   fleet states including drained nodes).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,12 +28,11 @@ from repro.cluster import (
     build_admission,
     parse_admission_args,
 )
-from repro.core import AdmissionDecision
+from repro.core import AdmissionDecision, WindowObservation
 from repro.core.admission import (
     AlwaysAdmit,
     LoadThresholdAdmission,
     QueueLengthAdmission,
-    SystemSnapshot,
 )
 from repro.errors import ParameterError
 
@@ -56,9 +57,27 @@ class StubFleet:
     def work_left(self, node):
         return self._work[node]
 
+    def backlogs(self):
+        return (0, 0)
+
+
+def boundary(server, window=10.0, *, time=0.0):
+    """The boundary observation of ``server``, through the one fleet reader."""
+    return WindowObservation.capture(
+        server,
+        time=time,
+        window=window,
+        arrivals=(0, 0),
+        work=(0.0, 0.0),
+        slowdowns=(math.nan, math.nan),
+        rates=(0.5, 0.5),
+        estimated_loads=(0.0, 0.0),
+    )
+
 
 def snapshot(time=0.0, backlogs=(0, 0), loads=(0.0, 0.0)):
-    return SystemSnapshot(time=time, backlogs=backlogs, estimated_loads=loads)
+    """A decision-time observation (the quota ladder reads none of it)."""
+    return boundary(StubFleet((1.0,)), time=time)._replace(backlogs=backlogs, estimated_loads=loads)
 
 
 def budgeted(controller, *, capacities=(2.0, 1.0), work=(), live=None, window=10.0, time=0.0):
@@ -66,7 +85,7 @@ def budgeted(controller, *, capacities=(2.0, 1.0), work=(), live=None, window=10
     fleet = StubFleet(
         capacities, work=work or None, live=live
     )
-    controller.observe_window(snapshot(time=time), fleet, window)
+    controller.observe_window(boundary(fleet, window, time=time))
     return controller
 
 
@@ -197,13 +216,13 @@ class TestWaitHintProjection:
         deliverable = sum(capacities) * window
         backlog = 0.0
         fleet = StubFleet(capacities, work=(backlog, 0.0))
-        ctrl.observe_window(snapshot(time=0.0), fleet, window)
+        ctrl.observe_window(boundary(fleet, window, time=0.0))
         for w in range(windows):
             for c, demand in enumerate(demands):
                 ctrl.decide(c, demand, snapshot())
             backlog = max(backlog + sum(demands) - deliverable, 0.0)
             fleet = StubFleet(capacities, work=(backlog, 0.0))
-            ctrl.observe_window(snapshot(time=(w + 1) * window), fleet, window)
+            ctrl.observe_window(boundary(fleet, window, time=(w + 1) * window))
         return ctrl
 
     def test_sustained_overload_returns_none(self):
@@ -234,11 +253,11 @@ class TestWaitHintProjection:
             (0.5, 0.5), target_utilisation=1.0, drain_factor=1.0, ewma_alpha=1.0
         )
         fleet = StubFleet((2.0, 1.0), work=(0.0, 0.0))
-        ctrl.observe_window(snapshot(time=0.0), fleet, 10.0)
+        ctrl.observe_window(boundary(fleet, 10.0, time=0.0))
         ctrl.decide(0, 10.0, snapshot())
         ctrl.decide(1, 10.0, snapshot())
         fleet = StubFleet((2.0, 1.0), work=(25.0, 0.0))
-        ctrl.observe_window(snapshot(time=10.0), fleet, 10.0)
+        ctrl.observe_window(boundary(fleet, 10.0, time=10.0))
         # window_end = 20; k=0 has no headroom, k=1 does: hint lands on the
         # boundary after next.
         assert ctrl.wait_hint(0, 12.0) == pytest.approx(18.0)
@@ -259,11 +278,11 @@ class TestWaitHintProjection:
         )
         for ctrl in (patient, curt):
             fleet = StubFleet((2.0, 1.0), work=(0.0, 0.0))
-            ctrl.observe_window(snapshot(time=0.0), fleet, 10.0)
+            ctrl.observe_window(boundary(fleet, 10.0, time=0.0))
             ctrl.decide(0, 10.0, snapshot())
             ctrl.decide(1, 10.0, snapshot())
             fleet = StubFleet((2.0, 1.0), work=(100.0, 0.0))
-            ctrl.observe_window(snapshot(time=10.0), fleet, 10.0)
+            ctrl.observe_window(boundary(fleet, 10.0, time=10.0))
         assert patient.wait_hint(0, 12.0) is not None
         assert curt.wait_hint(0, 12.0) is None
 
@@ -349,10 +368,10 @@ def _seeded_pair(example):
     for _ in range(2):
         ctrl = AdmissionController(shares, **kwargs)
         fleet = StubFleet(capacities, work=work, live=live)
-        ctrl.observe_window(snapshot(time=0.0), fleet, 10.0)
+        ctrl.observe_window(boundary(fleet, 10.0, time=0.0))
         for size in warm:
             ctrl.decide(0, size, snapshot())
-        ctrl.observe_window(snapshot(time=10.0), fleet, 10.0)
+        ctrl.observe_window(boundary(fleet, 10.0, time=10.0))
         pair.append(ctrl)
     return pair
 
@@ -386,7 +405,7 @@ def test_budget_partition_conserved(example):
     shares, kwargs, _, _, capacities, work, live, _ = example
     ctrl = AdmissionController(shares, **kwargs)
     fleet = StubFleet(capacities, work=work, live=live)
-    ctrl.observe_window(snapshot(), fleet, 10.0)
+    ctrl.observe_window(boundary(fleet, 10.0))
     budget = float(ctrl._reserve.sum() + ctrl._pool)
     live_capacity = sum(capacities[i] for i in live)
     expected = max(
@@ -464,7 +483,8 @@ class TestRegistry:
 
 
 class TestServerSurfaces:
-    """Budgeting against servers that are not clusters."""
+    """Budgeting against servers that are not clusters: ``capture`` counts
+    one live node of the declared capacity with no outstanding work."""
 
     class _PlainServer:
         """No live_nodes, no work_left — just a declared capacity."""
@@ -472,23 +492,36 @@ class TestServerSurfaces:
         def __init__(self, capacity):
             self.capacity = capacity
 
+        def backlogs(self):
+            return (3, 1)
+
+    def test_capture_counts_one_live_node(self):
+        obs = boundary(self._PlainServer(3.0), 10.0)
+        assert obs.capacities == (3.0,)
+        assert obs.live_nodes == (0,)
+        assert obs.live_capacity == 3.0
+        assert obs.backlog_work == 0.0
+        assert obs.backlogs == (3, 1)
+
     def test_single_server_budgets_from_capacity(self):
         ctrl = AdmissionController((0.5, 0.5), target_utilisation=1.0)
-        ctrl.observe_window(snapshot(), self._PlainServer(3.0), 10.0)
+        ctrl.observe_window(boundary(self._PlainServer(3.0), 10.0))
         # Budget = 3.0 * 10 = 30, same as the 3-capacity fleet.
         assert ctrl.decide(0, 15.0, snapshot()) is AdmissionDecision.ACCEPT
         assert ctrl.decide(0, 0.1, snapshot()) is not AdmissionDecision.ACCEPT
 
     def test_undeclared_capacity_defaults_to_unit(self):
+        obs = boundary(self._PlainServer(None), 10.0)
+        assert obs.capacities == (1.0,)
         ctrl = AdmissionController((0.5, 0.5), target_utilisation=1.0)
-        ctrl.observe_window(snapshot(), self._PlainServer(None), 10.0)
+        ctrl.observe_window(obs)
         # Budget = 1.0 * 10; reserve 5 per class.
         assert ctrl.decide(0, 5.0, snapshot()) is AdmissionDecision.ACCEPT
         assert ctrl.decide(1, 11.0, snapshot()) is AdmissionDecision.SHED
 
     def test_missing_work_left_means_no_backlog_penalty(self):
         eager = AdmissionController((0.5, 0.5), target_utilisation=1.0, drain_factor=1.0)
-        eager.observe_window(snapshot(), self._PlainServer(3.0), 10.0)
+        eager.observe_window(boundary(self._PlainServer(3.0), 10.0))
         fleet_free = AdmissionController((0.5, 0.5), target_utilisation=1.0, drain_factor=1.0)
         budgeted(fleet_free, capacities=(2.0, 1.0), window=10.0)
         # A capacity-only server has no backlog surface, so its budget

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     AUTOSCALERS,
-    AutoscaleObservation,
     AutoscalerPolicy,
+    FleetEvent,
     FleetSchedule,
     PredictiveEwma,
     StepScaling,
@@ -36,10 +36,11 @@ from repro.cluster import (
     node_hours,
     parse_autoscaler_args,
 )
-from repro.core import PsdSpec
+from repro.core import PsdSpec, WindowObservation
+from repro.distributions import Deterministic
 from repro.errors import ParameterError, SimulationError
 from repro.experiments import AutoscaleBuild
-from repro.simulation import MeasurementConfig, ReplicationRunner, Scenario
+from repro.simulation import MeasurementConfig, ReplicationRunner, Scenario, SimulationEngine
 from repro.workload import DiurnalPattern, FlashCrowd
 from tests.conftest import make_classes
 from tests.reference import ReferenceScenario
@@ -68,14 +69,14 @@ class StubFleet:
     def live_nodes(self):
         return tuple(sorted(self._live))
 
-    def node_state(self, node):
-        return "live" if node in self._live else "down"
-
     def node_capacity(self, node):
         return self.capacities[node]
 
     def work_left(self, node):
         return self.work[node]
+
+    def backlogs(self):
+        return (0, 0)
 
     def apply(self, events):
         for event in events:
@@ -99,9 +100,23 @@ class FixedDesired(AutoscalerPolicy):
         return size
 
 
-def step(policy, fleet, time, *, work=(0.0, 0.0), arrivals=(1, 1), rates=(0.5, 0.5)):
+def capture(fleet, time, *, work=(0.0, 0.0), arrivals=(1, 1), rates=(0.5, 0.5)):
+    """The boundary observation of ``fleet``, through the one fleet reader."""
+    return WindowObservation.capture(
+        fleet,
+        time=time,
+        window=WINDOW,
+        arrivals=arrivals,
+        work=work,
+        slowdowns=(math.nan, math.nan),
+        rates=rates,
+        estimated_loads=(0.0, 0.0),
+    )
+
+
+def step(policy, fleet, time, **window):
     """One boundary: observe, apply the emitted events to the stub."""
-    events = policy.observe_boundary(time, WINDOW, arrivals, work, rates, fleet)
+    events = policy.observe_boundary(capture(fleet, time, **window))
     fleet.apply(events)
     return events
 
@@ -117,16 +132,18 @@ def obs(
     arrivals=(4, 4),
     rates=(0.5, 0.5),
 ):
-    return AutoscaleObservation(
+    return WindowObservation(
         time=time,
         window=window,
-        node_states=tuple("live" if n in live else "down" for n in range(len(capacities))),
-        capacities=tuple(capacities),
-        live_nodes=tuple(live),
         arrivals=tuple(arrivals),
         work=tuple(work),
-        backlog_work=backlog,
+        slowdowns=(math.nan, math.nan),
         rates=tuple(rates),
+        estimated_loads=(0.0, 0.0),
+        backlogs=(0, 0),
+        capacities=tuple(capacities),
+        live_nodes=tuple(live),
+        backlog_work=backlog,
     )
 
 
@@ -134,14 +151,29 @@ class TestObservation:
     def test_capture_reads_the_stub_surface(self):
         fleet = StubFleet(3, capacities=(2.0, 1.0, 1.0), live=(0, 2))
         fleet.work = [0.5, 0.0, 1.5]
-        snap = AutoscaleObservation.capture(50.0, WINDOW, (3, 1), (6.0, 2.0), (0.7, 0.3), fleet)
+        snap = capture(fleet, 50.0, arrivals=(3, 1), work=(6.0, 2.0), rates=(0.7, 0.3))
         assert snap.live_nodes == (0, 2)
-        assert snap.node_states == ("live", "down", "live")
+        assert snap.capacities == (2.0, 1.0, 1.0)
         assert snap.live_capacity == 3.0
         assert snap.backlog_work == 2.0
         assert snap.offered_rate == pytest.approx(0.8)
         assert snap.utilisation == pytest.approx(0.8 / 3.0)
         assert snap.backlog_windows == pytest.approx(2.0 / 30.0)
+
+    def test_draining_node_work_counts_but_not_its_capacity(self):
+        cluster = make_cluster(2, "round_robin", capacities=(2.0, 1.0))
+        engine = SimulationEngine()
+        cluster.bind(engine, make_classes(Deterministic(1.0), 0.5, (1.0, 2.0)))
+        # Rates stay zero, so every dispatched request stays pending.
+        rids = [cluster.ledger.append(c, 0.0, size) for c, size in ((0, 1.0), (1, 2.0))]
+        cluster.submit_batch(np.asarray(rids, dtype=np.int64))
+        cluster.apply_fleet_event(FleetEvent(time=0.0, action="leave", node=1))
+        assert cluster.node_state(1) == "draining" and cluster.work_left(1) > 0.0
+        snap = capture(cluster, 0.0)
+        assert snap.live_nodes == (0,)
+        assert snap.capacities == (2.0, 1.0)
+        assert snap.live_capacity == 2.0
+        assert snap.backlog_work == 3.0
 
     def test_outage_reports_infinite_utilisation(self):
         snap = obs(live=(), work=(1.0, 1.0), backlog=5.0)
@@ -438,9 +470,7 @@ class TestDeterminismProperties:
         for k, (work1, work2, backlog) in enumerate(series):
             fleet.work = [backlog / 4] * 4
             live_before = set(fleet.live_nodes)
-            events = policy.observe_boundary(
-                (k + 1) * WINDOW, WINDOW, (1, 1), (work1, work2), (0.5, 0.5), fleet
-            )
+            events = policy.observe_boundary(capture(fleet, (k + 1) * WINDOW, work=(work1, work2)))
             touched = set()
             for event in events:
                 assert event.time == (k + 1) * WINDOW
@@ -524,8 +554,6 @@ class TestScenarioIntegration:
 
     def test_runtime_event_validation(self, moving_classes):
         server = make_cluster(2, "round_robin", capacities=(0.5, 0.5))
-        from repro.cluster import FleetEvent
-
         with pytest.raises(SimulationError, match="bound cluster"):
             server.apply_fleet_event(FleetEvent(time=0.0, action="join", node=0))
         scenario = Scenario(moving_classes, CFG, server=server, spec=PsdSpec.of(1, 2), seed=1)

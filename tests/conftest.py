@@ -95,7 +95,9 @@ def checked_runs(monkeypatch):
     def run(self, *args, **kwargs):
         result = original(self, *args, **kwargs)
         check_run(
-            result, per_class_servers=isinstance(self.server, (RateScalableServers, _RateScalable))
+            result,
+            per_class_servers=isinstance(self.server, (RateScalableServers, _RateScalable)),
+            telemetry=self.telemetry,
         )
         return result
 

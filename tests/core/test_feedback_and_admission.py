@@ -12,7 +12,7 @@ from repro.core import (
     LoadThresholdAdmission,
     PsdSpec,
     QueueLengthAdmission,
-    SystemSnapshot,
+    WindowObservation,
     allocate_rates,
 )
 from repro.errors import ParameterError
@@ -36,10 +36,6 @@ def observation(classes, window=1000.0):
 
 
 class TestFeedbackController:
-    def test_flag_for_simulator(self, classes, spec):
-        controller = FeedbackPsdController(classes, spec)
-        assert controller.wants_slowdown_feedback is True
-
     def test_no_feedback_matches_open_loop(self, classes, spec):
         controller = FeedbackPsdController(classes, spec, gain=0.5)
         arrivals, work = observation(classes)
@@ -122,7 +118,20 @@ class TestFeedbackController:
 
 class TestAdmissionPolicies:
     def snapshot(self, backlogs=(0, 0), loads=(0.3, 0.3)):
-        return SystemSnapshot(time=0.0, backlogs=backlogs, estimated_loads=loads)
+        n = len(backlogs)
+        return WindowObservation(
+            time=0.0,
+            window=1.0,
+            arrivals=(0,) * n,
+            work=(0.0,) * n,
+            slowdowns=(math.nan,) * n,
+            rates=(0.5,) * n,
+            estimated_loads=loads,
+            backlogs=backlogs,
+            capacities=(1.0,),
+            live_nodes=(0,),
+            backlog_work=0.0,
+        )
 
     def test_always_admit(self):
         policy = AlwaysAdmit()

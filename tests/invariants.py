@@ -15,7 +15,11 @@ to the same rules without trusting either:
   in the paper's Fig. 1 model;
 * per class, the sample-path Little identity: the area under the number
   in system, integrated by an event sweep over ``[0, horizon]``, equals the
-  summed sojourn times truncated at the horizon.
+  summed sojourn times truncated at the horizon;
+* admission counts reconcile with the ledger's dispositions: the result's
+  shed and degraded-into counts, and with a live telemetry facade its
+  ``admission.rejected``, ``admission.degraded`` and ``scenario.arrivals``
+  counters.
 
 The ``checked_runs`` fixture in ``tests/conftest.py`` applies it to every
 ``Scenario.run`` of a test.
@@ -27,17 +31,18 @@ import math
 
 import numpy as np
 
-from repro.simulation.ledger import DISPOSITION_SHED
+from repro.simulation.ledger import DISPOSITION_DEGRADED, DISPOSITION_SHED
 
 __all__ = ["check_run"]
 
 
-def check_run(result, *, per_class_servers: bool) -> None:
+def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
     """Assert the run-end invariants on ``result``.
 
     ``per_class_servers`` says every class owns its own FCFS server on a
     single node, which makes each start exactly the non-idling
-    ``max(arrival, previous same-class completion)``.
+    ``max(arrival, previous same-class completion)``.  ``telemetry`` is the
+    run's :class:`~repro.telemetry.Telemetry` facade, if any.
     """
     ledger = result.ledger
     arrival = ledger.arrival_time
@@ -59,6 +64,8 @@ def check_run(result, *, per_class_servers: bool) -> None:
         "the completion log is not the completed set"
     )
 
+    _check_admission_counts(result, shed, telemetry)
+
     horizon = result.config.horizon
     single_node = result.fleet_timeline is None
     for cls in range(len(result.classes)):
@@ -66,6 +73,32 @@ def check_run(result, *, per_class_servers: bool) -> None:
         if single_node:
             _check_fcfs(arrival[rows], start[rows], done[rows], exact=per_class_servers)
         _check_little(arrival[rows], done[rows], horizon)
+
+
+def _check_admission_counts(result, shed, telemetry) -> None:
+    ledger = result.ledger
+    num_shed = int(np.count_nonzero(shed))
+    degraded = ledger.disposition == DISPOSITION_DEGRADED
+    degraded_into = np.bincount(ledger.class_index[degraded], minlength=len(result.classes))
+    assert sum(result.rejected_counts) == num_shed, "shed count disagrees with the ledger"
+    assert tuple(result.degraded_into_counts) == tuple(degraded_into.tolist()), (
+        "degraded-into counts disagree with the ledger"
+    )
+    if telemetry is None or not telemetry.enabled:
+        return
+    registry = telemetry.registry
+
+    def count(name: str) -> int:
+        counter = registry.get(name)
+        return 0 if counter is None else counter.value
+
+    assert count("admission.rejected") == num_shed, "telemetry shed count disagrees"
+    assert count("admission.degraded") == int(np.count_nonzero(degraded)), (
+        "telemetry degraded count disagrees"
+    )
+    assert count("scenario.arrivals") == len(ledger) - num_shed, (
+        "telemetry arrival count disagrees with the admitted rows"
+    )
 
 
 def _check_fcfs(arrival, start, done, *, exact: bool) -> None:

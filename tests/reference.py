@@ -307,7 +307,8 @@ class ReferenceScenario(Scenario):
 
     def _admit(self, class_index: int, size: float) -> None:
         now = self.engine.now
-        decision = self.admission.decide(class_index, size, self._system_snapshot())
+        obs = self._admission_obs._replace(time=now, backlogs=self.server.backlogs())
+        decision = self.admission.decide(class_index, size, obs)
         if not isinstance(decision, AdmissionDecision):
             raise SimulationError(f"decide() returned {decision!r}")
         if self.telemetry is not None:

@@ -1,10 +1,9 @@
-"""Tests for WFQ/PGPS, SCFQ and SFQ against the GPS fluid reference."""
+"""Tests for WFQ/PGPS and SFQ against the GPS fluid reference."""
 
 import pytest
 
 from repro.scheduling import (
     FluidJob,
-    SelfClockedFairQueueing,
     StartTimeFairQueueing,
     WeightedFairQueueing,
     simulate_gps,
@@ -63,7 +62,6 @@ class TestAgainstGps:
         "scheduler_cls, slack_sizes",
         [
             (WeightedFairQueueing, 2.0),
-            (SelfClockedFairQueueing, 4.0),
             (StartTimeFairQueueing, 4.0),
         ],
     )
@@ -106,7 +104,7 @@ class TestLongRunShares:
 
     @pytest.mark.parametrize(
         "scheduler_cls",
-        [WeightedFairQueueing, SelfClockedFairQueueing, StartTimeFairQueueing],
+        [WeightedFairQueueing, StartTimeFairQueueing],
     )
     def test_saturated_shares_follow_weights(self, scheduler_cls, rng):
         weights = [0.8, 0.2]
@@ -150,17 +148,7 @@ class TestLongRunShares:
 class TestEdgeBehaviour:
     def test_empty_select_returns_none(self):
         assert WeightedFairQueueing(2).select(0.0) is None
-        assert SelfClockedFairQueueing(2).select(0.0) is None
         assert StartTimeFairQueueing(2).select(0.0) is None
-
-    def test_scfq_resets_when_idle(self):
-        sched = SelfClockedFairQueueing(2, weights=[1.0, 1.0])
-        sched.enqueue(0, 1.0, 0.0)
-        assert sched.select(0.0) is not None
-        assert sched.total_backlog() == 0
-        sched.enqueue(1, 1.0, 10.0)
-        job = sched.select(10.0)
-        assert job is not None and job.class_index == 1
 
     def test_single_class_is_fcfs(self, rng):
         sched = WeightedFairQueueing(1, weights=[1.0])

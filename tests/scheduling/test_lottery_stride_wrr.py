@@ -1,14 +1,9 @@
-"""Tests for lottery, stride and (deficit) weighted-round-robin schedulers."""
+"""Tests for the lottery and deficit weighted-round-robin schedulers."""
 
 import numpy as np
 import pytest
 
-from repro.scheduling import (
-    DeficitWeightedRoundRobin,
-    LotteryScheduler,
-    StrideScheduler,
-    WeightedRoundRobin,
-)
+from repro.scheduling import DeficitWeightedRoundRobin, LotteryScheduler
 
 
 def saturate(sched, rng, total=1000, equal_sizes=True):
@@ -53,65 +48,6 @@ class TestLottery:
         sched.set_weights([0.95, 0.05])
         served = serve_work(sched, 400)
         assert served[0] / sum(served) > 0.85
-
-
-class TestStride:
-    def test_deterministic_proportions(self, rng):
-        sched = StrideScheduler(2, weights=[0.75, 0.25])
-        saturate(sched, rng)
-        served = serve_work(sched, 400)
-        assert served[0] / sum(served) == pytest.approx(0.75, abs=0.02)
-
-    def test_work_proportionality_with_unequal_sizes(self, rng):
-        sched = StrideScheduler(2, weights=[0.6, 0.4])
-        saturate(sched, rng, equal_sizes=False)
-        served = serve_work(sched, 500)
-        assert served[0] / sum(served) == pytest.approx(0.6, abs=0.05)
-
-    def test_idle_class_does_not_monopolise_on_wakeup(self, rng):
-        sched = StrideScheduler(2, weights=[0.5, 0.5])
-        # Class 0 runs alone for a while, building up pass value.
-        for i in range(50):
-            sched.enqueue(0, 1.0, 0.0, payload=i)
-        for _ in range(50):
-            sched.select(0.0)
-        # Class 1 wakes up; both now backlogged.
-        for i in range(100):
-            sched.enqueue(0, 1.0, 1.0, payload=1000 + i)
-            sched.enqueue(1, 1.0, 1.0, payload=2000 + i)
-        served = serve_work(sched, 100)
-        # Class 1 must not receive (much) more than its 50% share.
-        assert served[1] / sum(served) < 0.65
-
-    def test_short_term_fairness_better_than_lottery(self, rng):
-        """Over a short horizon the stride split is within one job of ideal."""
-        sched = StrideScheduler(2, weights=[0.5, 0.5])
-        saturate(sched, rng, total=100)
-        selections = [sched.select(0.0).class_index for _ in range(20)]
-        assert abs(selections.count(0) - selections.count(1)) <= 1
-
-
-class TestWeightedRoundRobin:
-    def test_request_count_proportions(self, rng):
-        sched = WeightedRoundRobin(2, weights=[3.0, 1.0])
-        saturate(sched, rng)
-        selections = [sched.select(0.0).class_index for _ in range(400)]
-        share = selections.count(0) / len(selections)
-        assert share == pytest.approx(0.75, abs=0.05)
-
-    def test_skips_empty_classes(self, rng):
-        sched = WeightedRoundRobin(3, weights=[1.0, 1.0, 1.0])
-        sched.enqueue(2, 1.0, 0.0)
-        assert sched.select(0.0).class_index == 2
-
-    def test_request_bias_with_unequal_sizes(self):
-        """Plain WRR is proportional in requests, not work — the documented flaw."""
-        sched = WeightedRoundRobin(2, weights=[1.0, 1.0])
-        for i in range(200):
-            sched.enqueue(0, 2.0, 0.0, payload=i)      # class 0 sends big jobs
-            sched.enqueue(1, 0.5, 0.0, payload=1000 + i)
-        served = serve_work(sched, 200)
-        assert served[0] / sum(served) > 0.7  # far above its 50% work share
 
 
 class TestDeficitRoundRobin:

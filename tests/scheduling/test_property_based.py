@@ -4,7 +4,7 @@ Invariants checked for randomly generated saturated workloads:
 
 * conservation — every enqueued job is selected exactly once, none invented;
 * work-proportionality — under saturation the served work split approaches
-  the weight split for the work-proportional schedulers (WFQ, SFQ, stride);
+  the weight split for the work-proportional schedulers (WFQ, SFQ);
 * within-class FCFS order is never violated.
 """
 
@@ -12,16 +12,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling import (
-    StartTimeFairQueueing,
-    StrideScheduler,
-    WeightedFairQueueing,
-)
+from repro.scheduling import StartTimeFairQueueing, WeightedFairQueueing
 
 SCHEDULERS = {
     "wfq": WeightedFairQueueing,
     "sfq": StartTimeFairQueueing,
-    "stride": StrideScheduler,
 }
 
 workload_strategy = st.tuples(

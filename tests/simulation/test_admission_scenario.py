@@ -58,6 +58,9 @@ from tests.cluster.test_cluster_batched_identity import CHURN
 from tests.conftest import make_classes
 from tests.reference import ReferenceScenario
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 #: Offered work ~3.9/time against a 3.0-capacity fleet: a genuinely
 #: overloaded cluster, so the quota ladder's three legs all fire.
 CLASSES = (

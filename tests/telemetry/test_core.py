@@ -8,6 +8,9 @@ from repro.core.admission import QueueLengthAdmission
 from repro.errors import ParameterError
 from repro.telemetry import Telemetry
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 def run_scenario(classes, measurement, *, telemetry=None, server=None, seed=7):
     scenario = Scenario(

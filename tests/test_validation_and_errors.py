@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.cluster import build_admission, build_autoscaler
 from repro.errors import (
     AllocationError,
     DistributionError,
@@ -16,6 +17,7 @@ from repro.errors import (
 )
 from repro.validation import (
     as_float_tuple,
+    require_count,
     require_finite,
     require_in_range,
     require_non_decreasing,
@@ -89,6 +91,53 @@ class TestScalarValidators:
     def test_error_messages_name_the_argument(self):
         with pytest.raises(ParameterError, match="arrival_rate"):
             require_positive(-1.0, "arrival_rate")
+
+    def test_require_count(self):
+        assert require_count(2.0, "n") == 2
+        assert isinstance(require_count(2.0, "n"), int)
+        assert require_count(0, "n") == 0
+        for bad in (2.5, -1, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="n"):
+                require_count(bad, "n")
+        with pytest.raises(ParameterError, match="whole number >= 1"):
+            require_count(0, "n", 1)
+
+
+#: ``(factory, policy, token, parameter named in the error)``.
+BAD_COUNTS = [
+    (build_autoscaler, "target_tracking", "min_nodes=2.7", "min_nodes"),
+    (build_autoscaler, "target_tracking", "min_nodes=inf", "min_nodes"),
+    (build_autoscaler, "target_tracking", "max_nodes=nan", "max_nodes"),
+    (build_autoscaler, "target_tracking", "drain_windows=1.5", "drain_windows"),
+    (build_autoscaler, "predictive_ewma", "drain_windows=1.5", "drain_windows"),
+    (build_autoscaler, "step_scaling", "bands=0.9:1.5", r"bands\[0\]\.step"),
+    (build_admission, "quota", "hint_horizon=2.5", "hint_horizon"),
+    (build_admission, "queue_length", "limits=20,2.5", r"limits\[1\]"),
+    (build_admission, "queue_length", "limits=inf", r"limits\[0\]"),
+]
+
+
+class TestCountParameters:
+    """Count parameters reject fractional and non-finite values instead of
+    truncating them or failing with a bare ``OverflowError``."""
+
+    @pytest.mark.parametrize(
+        "build, name, token, parameter",
+        BAD_COUNTS,
+        ids=[f"{name}:{token}" for _, name, token, _ in BAD_COUNTS],
+    )
+    def test_rejected(self, build, name, token, parameter):
+        with pytest.raises(ParameterError, match=parameter):
+            build(name, [token])
+
+    def test_whole_floats_accepted(self):
+        scaler = build_autoscaler(
+            "target_tracking", ["min_nodes=2", "max_nodes=6.0", "drain_windows=3"]
+        )
+        assert (scaler.min_nodes, scaler.max_nodes, scaler.drain_windows) == (2, 6, 3)
+        assert build_autoscaler("step_scaling", ["bands=0.9:2"]).bands == ((0.9, 2),)
+        assert build_admission("quota", ["hint_horizon=8"]).hint_horizon == 8
+        assert build_admission("queue_length", ["limits=20,20"]).limits == (20, 20)
 
 
 class TestSequenceValidators:
