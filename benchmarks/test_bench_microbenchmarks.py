@@ -2,17 +2,24 @@
 
 Not tied to a paper figure; these track the cost of the pieces every
 experiment leans on — Bounded Pareto sampling, the Eq. 17/18 closed forms,
-the discrete-event simulator's event throughput and the WFQ scheduler — so
-performance regressions in the substrate are visible separately from the
-figure benches.
+the controller's per-window cost, the discrete-event simulator's event
+throughput and the WFQ scheduler — so performance regressions in the
+substrate are visible separately from the figure benches.
 """
 
 import time
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from repro.core import PsdSpec, allocate_rates, expected_slowdowns
+from repro.core import (
+    FeedbackPsdController,
+    PsdController,
+    PsdSpec,
+    allocate_rates,
+    expected_slowdowns,
+)
 from repro.distributions import BoundedPareto
 from repro.experiments.base import ScenarioBuild
 from repro.scheduling import WeightedFairQueueing
@@ -51,6 +58,57 @@ def test_rate_allocation_closed_form(benchmark):
     rates, slowdowns = benchmark(allocate)
     assert sum(rates) == pytest.approx(1.0)
     assert slowdowns[2] / slowdowns[0] == pytest.approx(4.0)
+
+
+@pytest.mark.benchmark(group="micro")
+@pytest.mark.parametrize("kind", [PsdController, FeedbackPsdController])
+def test_controller_window_cost(benchmark, kind):
+    """Wall time of one estimation window: estimate, Eq. 17 and the decision.
+
+    The paper's 3-class traffic at load 0.8 with window 1000, windows drawn
+    once from a fixed seed.  ``controller_window_us`` is the best of five
+    passes over 200 windows, each on a fresh controller.  Only correctness
+    is asserted: the last window's rates are :func:`allocate_rates` on the
+    controller's estimate.
+    """
+    classes = web_classes(3, 0.8, (1.0, 2.0, 4.0))
+    spec = PsdSpec.of(1, 2, 4)
+    window = 1_000.0
+    rng = np.random.default_rng(7)
+    windows = []
+    for _ in range(200):
+        arrivals = [int(rng.poisson(c.arrival_rate * window)) for c in classes]
+        work = [float(c.service.sample(rng, a).sum()) for c, a in zip(classes, arrivals)]
+        slowdowns = [d * float(rng.uniform(2.0, 6.0)) for d in spec.deltas]
+        windows.append((arrivals, work, slowdowns))
+
+    def one_pass():
+        controller = kind(classes, spec)
+        start = time.perf_counter()
+        for step, (arrivals, work, slowdowns) in enumerate(windows, start=1):
+            controller.observe_window(step * window, window, arrivals, work, slowdowns)
+        return (time.perf_counter() - start) / len(windows), controller
+
+    def best_of_five():
+        passes = [one_pass() for _ in range(5)]
+        return min(cost for cost, _ in passes), passes[-1][1]
+
+    cost, controller = benchmark.pedantic(best_of_five, rounds=1, iterations=1)
+    benchmark.extra_info["controller_window_us"] = round(cost * 1e6, 2)
+
+    decision = controller.decisions[-1]
+    assert decision.feasible
+    deltas = spec.deltas
+    if kind is FeedbackPsdController:
+        # The feedback controller allocates with its effective deltas,
+        # clamped non-decreasing.
+        deltas = tuple(accumulate(controller.effective_deltas, max))
+    estimated = [
+        c.with_arrival_rate(load / c.service.mean())
+        for c, load in zip(classes, decision.estimated_loads)
+    ]
+    assert decision.rates == allocate_rates(estimated, PsdSpec(deltas)).rates
+    assert controller.current_rates == decision.rates
 
 
 @pytest.mark.benchmark(group="micro")

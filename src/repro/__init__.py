@@ -53,7 +53,6 @@ from .cluster import (
 )
 from .core import (
     PsdController,
-    PsdRateAllocator,
     PsdSpec,
     RateAllocation,
     allocate_rates,
@@ -114,7 +113,6 @@ __all__ = [
     # core
     "PsdSpec",
     "RateAllocation",
-    "PsdRateAllocator",
     "allocate_rates",
     "expected_slowdowns",
     "PsdController",

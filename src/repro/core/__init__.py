@@ -25,7 +25,7 @@ from .admission import (
     LoadThresholdAdmission,
     QueueLengthAdmission,
 )
-from .allocation import PsdRateAllocator, RateAllocation, allocate_rates
+from .allocation import RateAllocation, allocate_rates
 from .baselines import demand_proportional_split, equal_split, weighted_demand_split
 from .controller import ControllerDecision, PsdController
 from .feedback import FeedbackPsdController
@@ -59,7 +59,6 @@ __all__ = [
     "psd_error",
     "slowdown_ratio_matrix",
     "RateAllocation",
-    "PsdRateAllocator",
     "allocate_rates",
     "LoadEstimate",
     "LoadEstimator",

@@ -14,6 +14,14 @@ When every class uses the same service-time distribution the constants
 ``C_i`` cancel and the expression is exactly Eq. 17 of the paper.  Under this
 allocation Theorem 1 gives per-class expected slowdowns in the exact ratios
 ``delta_i : delta_j`` (Eq. 18), which is the PSD property.
+
+The arithmetic lives in one float kernel, :func:`_psd_rates`, which takes
+each class's mean ``E[X_i]`` and constant ``C_i`` as plain numbers: the
+controllers fix them once at construction and call the kernel every
+estimation window, and :func:`allocate_rates` derives them from the
+classes.  Eq. 18 costs the kernel one division per class, because its
+predictions ``delta_i * sum_j (C_j lambda_j / delta_j) / (1 - rho)`` reuse
+Eq. 17's weight sum and load.
 """
 
 from __future__ import annotations
@@ -22,13 +30,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..errors import AllocationError, StabilityError
-from ..queueing.mg1 import expected_slowdown as _generic_slowdown
-from ..queueing.mgb1 import theorem1_task_server_slowdown
 from ..types import TrafficClass
 from ..validation import require_in_range, require_positive
-from .psd import PsdSpec, expected_slowdowns
+from .psd import PsdSpec, _slowdown_constant
 
-__all__ = ["RateAllocation", "PsdRateAllocator", "allocate_rates"]
+__all__ = ["RateAllocation", "allocate_rates"]
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,8 @@ def allocate_rates(
 
     Raises
     ------
+    ParameterError
+        If a service distribution has infinite ``E[X^2]`` or ``E[1/X]``.
     StabilityError
         If the total offered load is at least ``capacity``.
     AllocationError
@@ -111,37 +119,71 @@ def allocate_rates(
         )
     require_positive(capacity, "capacity")
     require_in_range(min_rate, "min_rate", 0.0, capacity)
+    rates, loads, rho, predicted = _psd_rates(
+        [cls.arrival_rate for cls in classes],
+        [cls.service.mean() for cls in classes],
+        [_slowdown_constant(cls) for cls in classes],
+        spec.deltas,
+        capacity,
+        min_rate,
+    )
+    return RateAllocation(rates, loads, rho, predicted)
 
-    loads = tuple(cls.offered_load for cls in classes)
+
+def _psd_rates(
+    arrival_rates: Sequence[float],
+    means: Sequence[float],
+    constants: Sequence[float],
+    deltas: Sequence[float],
+    capacity: float,
+    min_rate: float,
+) -> tuple[tuple[float, ...], tuple[float, ...], float, tuple[float, ...]]:
+    """Eq. 17 and Eq. 18 over floats: ``(rates, loads, rho, predicted)``.
+
+    ``means[i]`` is ``E[X_i]`` and ``constants[i]`` is ``C_i``; the caller
+    has validated every argument.  All-idle classes split the capacity
+    evenly and predict zero slowdowns.
+    """
+    offered = []
+    weights = []
+    for rate, mean, c, delta in zip(arrival_rates, means, constants, deltas):
+        offered.append(rate * mean)
+        weights.append(c * rate / delta)
+    loads = tuple(offered)
     rho = sum(loads)
     if rho >= capacity:
         raise StabilityError(
             f"total offered load {rho:.6g} exceeds capacity {capacity}; "
             "the PSD allocation is infeasible"
         )
-
-    weights = tuple(
-        _slowdown_constant(cls) * cls.arrival_rate / delta
-        for cls, delta in zip(classes, spec.deltas)
-    )
     weight_sum = sum(weights)
-    residual = capacity - rho
 
     if weight_sum <= 0.0:
         # No class has traffic: split the capacity evenly (respecting floors).
-        even = capacity / len(classes)
-        rates = tuple(max(even, min_rate) for _ in classes)
+        even = capacity / len(loads)
+        rates = tuple(max(even, min_rate) for _ in loads)
         scale = capacity / sum(rates)
-        rates = tuple(r * scale for r in rates)
-        return RateAllocation(rates, loads, rho, tuple(0.0 for _ in classes))
+        return tuple(r * scale for r in rates), loads, rho, (0.0,) * len(loads)
 
+    residual = capacity - rho
     rates = [load + residual * weight / weight_sum for load, weight in zip(loads, weights)]
-
     if min_rate > 0.0:
         rates = _apply_floor(rates, loads, min_rate, capacity)
 
-    predicted = _predict_slowdowns(classes, spec, rho, capacity)
-    return RateAllocation(tuple(rates), loads, rho, predicted)
+    unit_rho, unit_weight_sum = rho, weight_sum
+    if capacity != 1.0:
+        # Re-normalise to unit capacity: a server pool of capacity c serving
+        # load rho behaves (for these closed forms) like a unit server with
+        # load rho / c and arrival rates divided by c.
+        unit_rates = [rate / capacity for rate in arrival_rates]
+        unit_rho = sum([rate * mean for rate, mean in zip(unit_rates, means)])
+        if unit_rho >= 1.0:
+            raise StabilityError(f"total offered load rho={unit_rho:.6g} >= 1; PSD is infeasible")
+        unit_weight_sum = sum(
+            [c * rate / delta for c, rate, delta in zip(constants, unit_rates, deltas)]
+        )
+    predicted = tuple([delta * unit_weight_sum / (1.0 - unit_rho) for delta in deltas])
+    return tuple(rates), loads, rho, predicted
 
 
 def _apply_floor(
@@ -168,66 +210,3 @@ def _apply_floor(
     for i in adjustable:
         floored[i] = loads[i] + (floored[i] - loads[i]) * shrink
     return floored
-
-
-def _predict_slowdowns(
-    classes: Sequence[TrafficClass], spec: PsdSpec, rho: float, capacity: float
-) -> tuple[float, ...]:
-    if capacity != 1.0:
-        # Re-normalise to unit capacity: a server pool of capacity c serving
-        # load rho behaves (for these closed forms) like a unit server with
-        # load rho / c and arrival rates divided by c.
-        scaled = [cls.with_arrival_rate(cls.arrival_rate / capacity) for cls in classes]
-        return expected_slowdowns(scaled, spec)
-    return expected_slowdowns(classes, spec)
-
-
-def _slowdown_constant(cls: TrafficClass) -> float:
-    second = cls.service.second_moment()
-    inverse = cls.service.mean_inverse()
-    if not (second < float("inf") and inverse < float("inf")):
-        raise AllocationError(
-            f"class {cls.name!r}: PSD rate allocation needs finite E[X^2] and "
-            "E[1/X]; use a bounded service-time distribution"
-        )
-    return second * inverse / 2.0
-
-
-@dataclass(frozen=True)
-class PsdRateAllocator:
-    """Reusable allocator bound to a differentiation spec.
-
-    The adaptive controller re-invokes :meth:`allocate` every estimation
-    window with freshly estimated arrival rates; this object keeps the spec,
-    capacity and floor in one place.
-    """
-
-    spec: PsdSpec
-    capacity: float = 1.0
-    min_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_positive(self.capacity, "capacity")
-        require_in_range(self.min_rate, "min_rate", 0.0, self.capacity)
-
-    def allocate(self, classes: Sequence[TrafficClass]) -> RateAllocation:
-        """Allocate rates for the given (estimated) traffic classes."""
-        return allocate_rates(classes, self.spec, capacity=self.capacity, min_rate=self.min_rate)
-
-    def verify(
-        self, classes: Sequence[TrafficClass], allocation: RateAllocation
-    ) -> tuple[float, ...]:
-        """Plug the allocation back into Theorem 1 and return the slowdowns.
-
-        Useful as an internal consistency check: the returned values must be
-        (numerically) proportional to the spec's deltas.
-        """
-        out = []
-        for cls, rate in zip(classes, allocation.rates):
-            from ..distributions.bounded_pareto import BoundedPareto
-
-            if isinstance(cls.service, BoundedPareto):
-                out.append(theorem1_task_server_slowdown(cls.arrival_rate, cls.service, rate))
-            else:
-                out.append(_generic_slowdown(cls.arrival_rate, cls.service, rate=rate))
-        return tuple(out)

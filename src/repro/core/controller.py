@@ -6,25 +6,38 @@ allocator recomputes the task servers' processing rates every estimation
 window (1000 time units in the paper).  :class:`PsdController` is that loop's
 brain, kept deliberately simulation-agnostic: the simulator (or a real
 server) pushes window observations in and pulls fresh rate vectors out.
+
+Per class, Eq. 17 needs only the estimated load and two numbers fixed for
+the run: the mean job size ``E[X_i]`` and the constant
+``C_i = E[X_i^2] E[1/X_i] / 2``.  The controller computes both once, at
+construction, and every window feeds floats to the allocation kernel of
+:mod:`repro.core.allocation`, the same arithmetic :func:`allocate_rates`
+runs.  The Eq. 18 predictions in :attr:`PsdController.current_allocation`
+come from that kernel's weight sum, not from a second pass over the classes.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ParameterError, StabilityError
 from ..types import TrafficClass
-from .allocation import PsdRateAllocator, RateAllocation
+from ..validation import require_in_range, require_positive
+from .allocation import RateAllocation, _psd_rates
 from .load_estimator import LoadEstimator, WindowedLoadEstimator
-from .psd import PsdSpec
+from .psd import PsdSpec, _slowdown_constant
 
 __all__ = ["ControllerDecision", "PsdController"]
 
 
-@dataclass(frozen=True)
-class ControllerDecision:
-    """One re-allocation decision taken by the controller."""
+class ControllerDecision(NamedTuple):
+    """One re-allocation decision taken by the controller.
+
+    A ``NamedTuple``, not a frozen dataclass: one is built every window and
+    the tuple is the cheaper record.
+    """
 
     time: float
     estimated_arrival_rates: tuple[float, ...]
@@ -80,8 +93,11 @@ class PsdController:
             raise ParameterError("overload_headroom must lie in (0, 1)")
         self.classes = tuple(classes)
         self.spec = spec
-        self.allocator = PsdRateAllocator(spec, capacity=capacity, min_rate=min_rate)
-        self.capacity = float(capacity)
+        self.capacity = require_positive(capacity, "capacity")
+        self.min_rate = require_in_range(min_rate, "min_rate", 0.0, self.capacity)
+        # Eq. 17's per-class constants, fixed for the run.
+        self._means = tuple(c.service.mean() for c in self.classes)
+        self._constants = tuple(_slowdown_constant(c) for c in self.classes)
         self.overload_policy = overload_policy
         self.overload_headroom = float(overload_headroom)
         if estimator is None:
@@ -95,7 +111,10 @@ class PsdController:
             raise ParameterError("estimator and classes disagree on the number of classes")
         self.estimator = estimator
         self.decisions: list[ControllerDecision] = []
-        self._current = self._initial_allocation()
+        # The allocation in force as the kernel's (rates, loads, rho,
+        # predicted); current_allocation wraps it in a record on first read.
+        self._allocation: RateAllocation | None = None
+        self._allocated = self._initial_allocation()
 
     # ------------------------------------------------------------------ #
     # Public API used by the simulator / server
@@ -103,11 +122,14 @@ class PsdController:
     @property
     def current_rates(self) -> tuple[float, ...]:
         """The processing-rate vector currently in force."""
-        return self._current.rates
+        return self._allocated[0]
 
     @property
     def current_allocation(self) -> RateAllocation:
-        return self._current
+        """The allocation in force; its record is built on first read."""
+        if self._allocation is None:
+            self._allocation = RateAllocation(*self._allocated)
+        return self._allocation
 
     def observe_window(
         self,
@@ -123,85 +145,82 @@ class PsdController:
         Returns the decision (including the new rate vector), which is also
         appended to :attr:`decisions` for post-run analysis.
         """
-        self.estimator.observe_window(window_length, arrivals, work)
-        estimate = self.estimator.estimate()
-        rates, feasible = self._allocate_for_estimate(
-            estimate.arrival_rates, estimate.offered_loads
-        )
-        decision = ControllerDecision(
-            time=float(time),
-            estimated_arrival_rates=estimate.arrival_rates,
-            estimated_loads=estimate.offered_loads,
-            rates=rates,
-            feasible=feasible,
-        )
-        self.decisions.append(decision)
-        return decision
+        return self._decide(time, window_length, arrivals, work, self.spec.deltas)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _initial_allocation(self) -> RateAllocation:
-        rates, _ = self._allocate_for_estimate(
-            tuple(c.arrival_rate for c in self.classes),
-            tuple(c.offered_load for c in self.classes),
+    def _decide(
+        self,
+        time: float,
+        window_length: float,
+        arrivals: Sequence[int],
+        work: Sequence[float],
+        deltas: Sequence[float],
+    ) -> ControllerDecision:
+        """Estimate, re-allocate with ``deltas`` and record the decision."""
+        self.estimator.observe_window(window_length, arrivals, work)
+        estimate = self.estimator.estimate()
+        rates, feasible = self._reallocate(estimate.arrival_rates, estimate.offered_loads, deltas)
+        decision = ControllerDecision(
+            float(time), estimate.arrival_rates, estimate.offered_loads, rates, feasible
         )
-        loads = tuple(c.offered_load for c in self.classes)
-        return RateAllocation(
-            rates=rates,
-            offered_loads=loads,
-            total_load=sum(loads),
-            predicted_slowdowns=tuple(float("nan") for _ in self.classes),
-        )
+        self.decisions.append(decision)
+        return decision
 
-    def _allocate_for_estimate(
-        self, arrival_rates: Sequence[float], offered_loads: Sequence[float]
+    def _initial_allocation(self) -> tuple:
+        loads = tuple(c.offered_load for c in self.classes)
+        rates, _ = self._reallocate(
+            tuple(c.arrival_rate for c in self.classes), loads, self.spec.deltas
+        )
+        return rates, loads, sum(loads), tuple(float("nan") for _ in self.classes)
+
+    def _reallocate(
+        self,
+        arrival_rates: Sequence[float],
+        offered_loads: Sequence[float],
+        deltas: Sequence[float],
     ) -> tuple[tuple[float, ...], bool]:
-        estimated_classes = self._estimated_classes(arrival_rates, offered_loads)
-        total = sum(c.offered_load for c in estimated_classes)
+        """Eq. 17 for an estimate; sets the allocation in force.
+
+        The estimator reports loads (work per time) and arrival rates.  The
+        allocation trusts the *load*: a class's effective arrival rate is
+        ``load / E[X]``, which absorbs sampling noise in the mean job size.
+        A class with no estimated load falls back to its observed arrival
+        rate — this mirrors the paper, which estimates both quantities but
+        allocates from the class load.
+        """
+        effective = []
+        offered = []
+        for rate, load, mean in zip(arrival_rates, offered_loads, self._means):
+            if load > 0.0:
+                value = load / mean
+            else:
+                value = rate if rate > 0.0 else 0.0
+            if not 0.0 <= value < math.inf:
+                raise ParameterError(
+                    f"estimated arrival rate must be finite and >= 0, got {value!r}"
+                )
+            effective.append(value)
+            offered.append(value * mean)
+        total = sum(offered)
         feasible = total < self.capacity
         if not feasible:
             if self.overload_policy == "raise":
                 raise StabilityError(f"estimated load {total:.6g} exceeds capacity {self.capacity}")
-            if self.overload_policy == "hold" and hasattr(self, "_current"):
-                return self._current.rates, False
+            if self.overload_policy == "hold" and hasattr(self, "_allocated"):
+                return self._allocated[0], False
             # "scale": shrink the estimate to capacity * (1 - headroom).
             factor = self.capacity * (1.0 - self.overload_headroom) / total
-            estimated_classes = tuple(
-                c.with_arrival_rate(c.arrival_rate * factor) for c in estimated_classes
-            )
-        allocation = self.allocator.allocate(estimated_classes)
+            effective = [value * factor for value in effective]
+        rates, loads, rho, predicted = _psd_rates(
+            effective, self._means, self._constants, deltas, self.capacity, self.min_rate
+        )
         if feasible:
-            self._current = allocation
+            self._allocated = (rates, loads, rho, predicted)
         else:
-            self._current = RateAllocation(
-                rates=allocation.rates,
-                offered_loads=tuple(float(load) for load in offered_loads),
-                total_load=total,
-                predicted_slowdowns=allocation.predicted_slowdowns,
-            )
-        return allocation.rates, feasible
-
-    def _estimated_classes(
-        self, arrival_rates: Sequence[float], offered_loads: Sequence[float]
-    ) -> tuple[TrafficClass, ...]:
-        """Build TrafficClass copies whose arrival rates match the estimate.
-
-        The estimator reports loads (work per time); the allocator works with
-        arrival rates and the configured service distributions.  When the
-        estimated load implies a different mean job size than the configured
-        distribution (sampling noise), we trust the *load* for the stability
-        term by adjusting the effective arrival rate ``load / E[X]`` whenever
-        the observed arrival rate is zero, and otherwise use the observed
-        arrival rate directly — this mirrors the paper, which estimates both
-        quantities but allocates from the class load.
-        """
-        out = []
-        for cls, rate, load in zip(self.classes, arrival_rates, offered_loads):
-            mean = cls.service.mean()
-            if rate > 0.0:
-                effective = load / mean if load > 0.0 else rate
-            else:
-                effective = load / mean if load > 0.0 else 0.0
-            out.append(cls.with_arrival_rate(effective))
-        return tuple(out)
+            # Report the raw estimated loads, not the scaled ones.
+            raw = tuple(float(load) for load in offered_loads)
+            self._allocated = (rates, raw, total, predicted)
+        self._allocation = None
+        return rates, feasible

@@ -25,12 +25,20 @@ more capacity.  The effective deltas are clipped to ``[delta_i / max_correction,
 delta_i * max_correction]`` so the controller cannot wander arbitrarily far
 from the specification, and they regress toward the nominal deltas at rate
 ``leak`` per window so transient corrections decay.
+
+The correction only changes the deltas the allocation sees: each window
+the clamped effective deltas go straight into the same Eq. 17 kernel the
+open-loop controller runs, with the per-class constants it fixed at
+construction, and the Eq. 18 predictions of ``current_allocation`` come
+from that kernel's weight sum under the effective deltas.  ``spec`` stays
+the nominal specification.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import accumulate
 
 from ..errors import ParameterError
 from ..types import TrafficClass
@@ -102,14 +110,10 @@ class FeedbackPsdController(PsdController):
         """
         if slowdowns is not None:
             self._apply_feedback(time, slowdowns)
-        # Re-build the allocator with the corrected deltas before delegating
-        # to the open-loop machinery for estimation + Eq. 17.
-        corrected_spec = self._corrected_spec()
-        self.allocator = type(self.allocator)(
-            corrected_spec, capacity=self.allocator.capacity, min_rate=self.allocator.min_rate
-        )
-        self.spec = corrected_spec
-        return super().observe_window(time, window_length, arrivals, work)
+        # PSD labels class 1 as the highest class (non-decreasing deltas), so
+        # each effective delta is clamped to at least its predecessor's.
+        deltas = tuple(accumulate(self._effective_deltas, max))
+        return self._decide(time, window_length, arrivals, work, deltas)
 
     def _apply_feedback(self, time: float, slowdowns: Sequence[float]) -> None:
         if len(slowdowns) != len(self.nominal_deltas):
@@ -141,25 +145,3 @@ class FeedbackPsdController(PsdController):
             hi = nominal * self.max_correction
             self._effective_deltas[i] = min(max(effective, lo), hi)
         self.correction_history.append((float(time), self.effective_deltas))
-
-    def _corrected_spec(self) -> PsdSpec:
-        # The effective deltas may lose the non-decreasing labelling; the
-        # ordering convention is only a labelling aid, so re-normalise by the
-        # first entry and bypass the ordering check via sorted construction.
-        deltas = tuple(self._effective_deltas)
-        order = sorted(range(len(deltas)), key=lambda i: deltas[i])
-        sorted_spec = PsdSpec(tuple(deltas[i] for i in order))
-        if list(order) == list(range(len(deltas))):
-            return sorted_spec
-        # Rebuild in original order: PsdSpec requires non-decreasing deltas,
-        # so fall back to an unsorted-tolerant construction via object
-        # creation on the sorted tuple and re-mapping at allocation time is
-        # not possible without changing PsdSpec; instead clamp to preserve
-        # ordering: each delta may not drop below its predecessor.
-        clamped = []
-        previous = 0.0
-        for value in deltas:
-            value = max(value, previous)
-            clamped.append(value)
-            previous = value
-        return PsdSpec(tuple(clamped))

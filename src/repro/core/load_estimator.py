@@ -15,12 +15,14 @@ isolating estimation error from the allocation strategy itself).
 from __future__ import annotations
 
 import abc
+import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import ParameterError
-from ..validation import require_in_range, require_positive
+from ..validation import require_count, require_in_range
 
 __all__ = [
     "LoadEstimate",
@@ -31,9 +33,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LoadEstimate:
-    """Estimated per-class traffic for the next estimation window."""
+class LoadEstimate(NamedTuple):
+    """Estimated per-class traffic for the next estimation window (a
+    ``NamedTuple``: the controller takes one every window)."""
 
     arrival_rates: tuple[float, ...]
     offered_loads: tuple[float, ...]
@@ -75,17 +77,19 @@ class LoadEstimator(abc.ABC):
     def _check_observation(
         self, window_length: float, arrivals: Sequence[int], work: Sequence[float]
     ) -> None:
-        require_positive(window_length, "window_length")
+        if not 0.0 < window_length < math.inf:
+            raise ParameterError(f"window_length must be finite and > 0, got {window_length!r}")
         if len(arrivals) != self.num_classes or len(work) != self.num_classes:
             raise ParameterError(
                 "arrivals and work must have one entry per class "
                 f"({self.num_classes}), got {len(arrivals)} and {len(work)}"
             )
         for i, (a, w) in enumerate(zip(arrivals, work)):
-            if a < 0:
-                raise ParameterError(f"arrivals[{i}] must be >= 0, got {a}")
-            if w < 0.0:
-                raise ParameterError(f"work[{i}] must be >= 0, got {w}")
+            # Chained comparisons are False for NaN, so NaN is rejected too.
+            if not (0 <= a < math.inf and float(a).is_integer()):
+                raise ParameterError(f"arrivals[{i}] must be a whole number >= 0, got {a!r}")
+            if not 0.0 <= w < math.inf:
+                raise ParameterError(f"work[{i}] must be finite and >= 0, got {w!r}")
 
 
 class WindowedLoadEstimator(LoadEstimator):
@@ -106,12 +110,11 @@ class WindowedLoadEstimator(LoadEstimator):
         prior_offered_loads: Sequence[float] | None = None,
     ) -> None:
         super().__init__(num_classes)
-        if history <= 0:
-            raise ParameterError("history must be > 0")
-        self.history = int(history)
-        self._windows: deque[tuple[float, tuple[int, ...], tuple[float, ...]]] = deque(
-            maxlen=self.history
-        )
+        self.history = require_count(history, "history", 1)
+        # One column per class and quantity, oldest window first.
+        self._lengths: deque[float] = deque(maxlen=self.history)
+        self._arrivals = [deque(maxlen=self.history) for _ in range(self.num_classes)]
+        self._work = [deque(maxlen=self.history) for _ in range(self.num_classes)]
         self._prior_rates = self._check_prior(prior_arrival_rates)
         self._prior_loads = self._check_prior(prior_offered_loads)
 
@@ -126,26 +129,24 @@ class WindowedLoadEstimator(LoadEstimator):
         self, window_length: float, arrivals: Sequence[int], work: Sequence[float]
     ) -> None:
         self._check_observation(window_length, arrivals, work)
-        self._windows.append(
-            (float(window_length), tuple(int(a) for a in arrivals), tuple(float(w) for w in work))
-        )
+        self._lengths.append(float(window_length))
+        for column, a in zip(self._arrivals, arrivals):
+            column.append(int(a))
+        for column, w in zip(self._work, work):
+            column.append(float(w))
 
     def estimate(self) -> LoadEstimate:
-        if not self._windows:
+        if not self._lengths:
             return LoadEstimate(self._prior_rates, self._prior_loads)
-        total_time = sum(length for length, _, _ in self._windows)
-        rates = []
-        loads = []
-        for i in range(self.num_classes):
-            arrivals = sum(a[i] for _, a, _ in self._windows)
-            work = sum(w[i] for _, _, w in self._windows)
-            rates.append(arrivals / total_time)
-            loads.append(work / total_time)
-        return LoadEstimate(tuple(rates), tuple(loads))
+        total_time = sum(self._lengths)
+        return LoadEstimate(
+            tuple([sum(column) / total_time for column in self._arrivals]),
+            tuple([sum(column) / total_time for column in self._work]),
+        )
 
     @property
     def windows_observed(self) -> int:
-        return len(self._windows)
+        return len(self._lengths)
 
 
 class ExponentialSmoothingEstimator(LoadEstimator):

@@ -81,8 +81,9 @@ from ..core.controller import PsdController
 from ..core.observation import WindowObservation
 from ..core.psd import PsdSpec
 from ..distributions.rng import spawn_generators
-from ..errors import SimulationError
+from ..errors import ParameterError, SimulationError
 from ..types import TrafficClass
+from ..validation import require_non_negative
 from .engine import SimulationEngine
 from .generator import RequestSource, sources_from_classes
 from .ledger import DISPOSITION_DEGRADED, DISPOSITION_SHED, RequestLedger
@@ -128,10 +129,13 @@ class StaticRateController(RateController):
     """A controller that never changes its rate vector."""
 
     def __init__(self, rates: Sequence[float]) -> None:
-        rates = tuple(float(r) for r in rates)
-        if not rates or any(r < 0.0 for r in rates):
+        rates = tuple(rates)
+        if not rates:
             raise SimulationError("rates must be a non-empty vector of non-negative values")
-        self._rates = rates
+        try:
+            self._rates = tuple(require_non_negative(r, f"rates[{i}]") for i, r in enumerate(rates))
+        except ParameterError as exc:
+            raise SimulationError(str(exc)) from None
         self.observations = 0
 
     @property

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.core import PsdRateAllocator, PsdSpec, allocate_rates, expected_slowdowns
+from repro.core import PsdController, PsdSpec, allocate_rates, expected_slowdowns
+from repro.distributions import Exponential, Uniform
 from repro.errors import AllocationError, ParameterError, StabilityError
+from repro.queueing.mg1 import expected_slowdown
+from repro.queueing.mgb1 import theorem1_task_server_slowdown
 from repro.types import TrafficClass
 from tests.conftest import make_classes
 
@@ -118,34 +121,52 @@ class TestAllocateRates:
         }
 
 
-class TestPsdRateAllocator:
-    def test_allocate_delegates(self, two_classes, two_class_spec):
-        allocator = PsdRateAllocator(two_class_spec)
-        allocation = allocator.allocate(two_classes)
-        assert allocation.rates == allocate_rates(two_classes, two_class_spec).rates
+class TestTheorem1Oracle:
+    """Plug the Eq. 17 rates into the queueing results of Theorem 1.
 
-    def test_verify_returns_proportional_slowdowns(self, two_classes, two_class_spec):
-        allocator = PsdRateAllocator(two_class_spec)
-        allocation = allocator.allocate(two_classes)
-        slowdowns = allocator.verify(two_classes, allocation)
+    The slowdowns come from :mod:`repro.queueing`, which shares no code
+    with the allocation, and must sit in the spec's delta ratios.
+    """
+
+    def test_bounded_pareto_task_servers_meet_the_ratios(self, two_classes, two_class_spec):
+        allocation = allocate_rates(two_classes, two_class_spec)
+        slowdowns = [
+            theorem1_task_server_slowdown(cls.arrival_rate, cls.service, rate)
+            for cls, rate in zip(two_classes, allocation.rates)
+        ]
         assert slowdowns[1] / slowdowns[0] == pytest.approx(2.0)
+        assert tuple(slowdowns) == pytest.approx(allocation.predicted_slowdowns)
 
-    def test_verify_with_non_bp_distribution(self):
-        from repro.distributions import Uniform
-
+    def test_generic_mg1_task_servers_meet_the_ratios(self):
         service = Uniform(0.5, 1.5)
         classes = (
             TrafficClass("a", 0.3, service, 1.0),
             TrafficClass("b", 0.3, service, 2.0),
         )
-        spec = PsdSpec.of(1, 2)
-        allocator = PsdRateAllocator(spec)
-        allocation = allocator.allocate(classes)
-        slowdowns = allocator.verify(classes, allocation)
+        allocation = allocate_rates(classes, PsdSpec.of(1, 2))
+        slowdowns = [
+            expected_slowdown(cls.arrival_rate, cls.service, rate=rate)
+            for cls, rate in zip(classes, allocation.rates)
+        ]
         assert slowdowns[1] / slowdowns[0] == pytest.approx(2.0)
+        assert tuple(slowdowns) == pytest.approx(allocation.predicted_slowdowns)
 
-    def test_invalid_configuration(self, two_class_spec):
-        with pytest.raises(ParameterError):
-            PsdRateAllocator(two_class_spec, capacity=-1.0)
-        with pytest.raises(ParameterError):
-            PsdRateAllocator(two_class_spec, min_rate=2.0)
+
+class TestInfiniteSlowdownConstant:
+    """An unbounded exponential has E[1/X] = inf, so C_i does not exist."""
+
+    @pytest.fixture
+    def classes(self):
+        service = Exponential(1.0)
+        return (
+            TrafficClass("a", 0.3, service, 1.0),
+            TrafficClass("b", 0.3, service, 2.0),
+        )
+
+    def test_allocate_rates_raises_parameter_error(self, classes):
+        with pytest.raises(ParameterError, match="E\\[1/X\\]"):
+            allocate_rates(classes, PsdSpec.of(1, 2))
+
+    def test_controller_raises_parameter_error_at_construction(self, classes):
+        with pytest.raises(ParameterError, match="E\\[1/X\\]"):
+            PsdController(classes, PsdSpec.of(1, 2))

@@ -1,5 +1,8 @@
 """Tests for the windowed, smoothing and oracle load estimators."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -104,3 +107,48 @@ class TestOracleLoadEstimator:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             OracleLoadEstimator([1.0], [0.2, 0.3])
+
+
+def _estimators():
+    return (
+        WindowedLoadEstimator(2),
+        ExponentialSmoothingEstimator(2),
+        OracleLoadEstimator([1.0, 2.0], [0.2, 0.3]),
+    )
+
+
+class TestObservationValidation:
+    """Every estimator rejects an observation a real window cannot produce."""
+
+    @pytest.mark.parametrize("estimator", _estimators(), ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rejects_non_finite_or_negative_work(self, estimator, bad):
+        with pytest.raises(ParameterError, match=r"work\[1\]"):
+            estimator.observe_window(10.0, [1, 1], [0.1, bad])
+
+    @pytest.mark.parametrize("estimator", _estimators(), ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("bad", [-1, 2.5, math.nan, math.inf])
+    def test_rejects_negative_fractional_or_non_finite_arrivals(self, estimator, bad):
+        with pytest.raises(ParameterError, match=r"arrivals\[0\]"):
+            estimator.observe_window(10.0, [bad, 1], [0.1, 0.1])
+
+    @pytest.mark.parametrize("estimator", _estimators(), ids=lambda e: type(e).__name__)
+    def test_rejected_window_leaves_the_estimate_alone(self, estimator):
+        before = estimator.estimate()
+        with pytest.raises(ParameterError):
+            estimator.observe_window(10.0, [1, 1], [math.nan, 0.1])
+        assert estimator.estimate() == before
+
+    @pytest.mark.parametrize("estimator", _estimators(), ids=lambda e: type(e).__name__)
+    def test_accepts_whole_float_and_numpy_counts(self, estimator):
+        estimator.observe_window(10.0, [3.0, np.int64(4)], [np.float64(0.5), 0.0])
+
+
+class TestHistoryValidation:
+    @pytest.mark.parametrize("history", [0, 0.5, 2.7, -1, math.nan, math.inf])
+    def test_rejects_non_count_history(self, history):
+        with pytest.raises(ParameterError, match="history"):
+            WindowedLoadEstimator(2, history=history)
+
+    def test_whole_float_history_is_accepted(self):
+        assert WindowedLoadEstimator(2, history=3.0).history == 3

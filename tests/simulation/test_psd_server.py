@@ -1,5 +1,7 @@
 """Tests for the full PSD server simulation (Fig. 1 model)."""
 
+import math
+
 import pytest
 
 from repro.core import PsdSpec, allocate_rates, expected_slowdowns
@@ -131,6 +133,11 @@ class TestStaticRateController:
             StaticRateController([])
         with pytest.raises(SimulationError):
             StaticRateController([-0.1, 1.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rates_at_construction(self, bad):
+        with pytest.raises(SimulationError, match=r"rates\[1\] must be finite"):
+            StaticRateController([0.5, bad])
 
 
 class TestSimulationResultAccessors:
