@@ -36,28 +36,28 @@ fleet is static, and each block takes one of two routes:
   over the whole block, over any member type;
 * backlog-dependent policies (JSQ, least-work, fastest-available, custom
   ``select_node`` overrides) run on a *completion calendar*: a heap of the
-  predicted completion of every dispatched request not yet booked.  Between
-  two rate changes an FCFS class server's completions are a fixed fold of
-  its arrivals, so before each decision the calendar books everything due
-  by the arrival instant (``time <= arrival`` — each node's in ``(time,
-  class)`` order, drain-complete flips in ``(time, node)`` order), and the
-  new request's completion is pushed as soon as it is placed.  Each
-  decision therefore reads the pending/work state of its instant, exactly
-  as a one-event-per-request cluster would, taken from the policy's
+  predicted start and completion of every dispatched request not yet
+  booked.  Between two rate changes an FCFS class server's completions are
+  a fixed fold of its arrivals, so before each decision the calendar books
+  everything due by the arrival instant (``time <= arrival``, popped in
+  ``(time, node, class)`` order), and the new request's completion is
+  pushed as soon as it is placed.  Each decision therefore reads the
+  pending/work state of its instant, exactly as a one-event-per-request
+  cluster would, taken from the policy's
   :meth:`~repro.cluster.dispatch.DispatchPolicy.chooser`, fetched once per
-  block.  Members receive one sub-block per node and drain only at
-  synchronisation points; every rate change rebuilds the calendar from
-  their state.  The calendar needs members that predict their completions
+  block.  The bookings are the completion log: members receive one
+  sub-block per node and fold nothing when drained (they settle past their
+  bookings); every rate change rebuilds the calendar from their state.
+  The calendar needs members that predict their completions
   (:meth:`~repro.simulation.ServerModel.outstanding` — every
   :class:`~repro.simulation.RateScalableServers`); binding a
   backlog-dependent policy over any other member (a shared processor,
   whose completions depend on future arrivals, or a nested cluster) raises
   :class:`~repro.errors.SimulationError`.
 
-Member completions are buffered as per-node bulk-drain runs and merged by a
-stable time sort at :meth:`ClusterServerModel.drain`, so the dispatch log,
-fleet timeline, rate histories and aggregates are bit-identical to the
-per-event reference simulator the test suite keeps.
+Either way completions are logged in ``(time, node, class)`` order, so the
+dispatch log, fleet timeline, rate histories and aggregates are
+bit-identical to the per-event reference simulator the test suite keeps.
 
 Dynamic fleets: a :class:`~repro.cluster.fleet.FleetSchedule` makes the
 member set time-varying.  At every event the cluster updates its per-node
@@ -76,11 +76,13 @@ import logging
 from collections.abc import Callable, Sequence
 from functools import partial
 from heapq import heapify, heappop, heappush
+from math import isnan
 
 import numpy as np
 
 from ..errors import ClusterDrainedError, SimulationError
 from ..simulation.server_models import RateScalableServers, ServerModel
+from ..simulation.task_server import _SCALAR_BATCH_LIMIT
 from ..telemetry.log import get_logger, log_event
 from .dispatch import DispatchPolicy, RoundRobin, build_dispatch_policy
 from .fleet import NODE_DOWN, NODE_DRAINING, NODE_LIVE, FleetEvent, FleetSchedule
@@ -277,10 +279,10 @@ class ClusterServerModel(ServerModel):
             DispatchPolicy.chooser, self.dispatch
         )
         # Completion calendar (backlog-dependent policy): a heap of
-        # ``(completion, node, class, rid, size)`` for every dispatched
-        # request not yet booked, plus each class server's rate and last
-        # predicted completion.
-        self._calendar: list[tuple[float, int, int, int, float]] | None = None
+        # ``(completion, node, class, rid, size, start)`` per unbooked
+        # request, each class server's rate and last prediction, and the
+        # booked entries (per node and class) and ids awaiting the next sync.
+        self._calendar: list[tuple[float, int, int, int, float, float]] | None = None
         if self._select_block is None:
             for node in self.nodes:
                 if node.outstanding() is None:
@@ -295,6 +297,8 @@ class ClusterServerModel(ServerModel):
             self._calendar = []
             self._class_rates = [[0.0] * c for _ in range(n)]
             self._class_free = [[-np.inf] * c for _ in range(n)]
+            self._booked: list[list[list[tuple]]] = [[[] for _ in range(c)] for _ in range(n)]
+            self._booked_order: list[int] = []
         self._record_fleet_state()
         for event in self.fleet.events:
             self.engine.schedule_at(
@@ -529,15 +533,15 @@ class ClusterServerModel(ServerModel):
 
         Before each decision the calendar books every completion due by the
         arrival instant (``<= t``: completions tied with an arrival land
-        first, the single-server convention); after it, the request's
-        completion is predicted with the fold
+        first, the single-server convention); after it, the request's start
+        and completion are predicted with the fold
         :meth:`~repro.simulation.task_server.FcfsTaskServer.drain` performs
-        — ``max(arrival, previous completion) + size / rate`` — and pushed.
-        A request queued behind a frozen (zero-rate) class server gets no
-        entry until the next rate change rebuilds the calendar.  The members
-        receive the block as one sub-block per node and are drained only at
-        synchronisation points, so the per-request cost is one chooser call,
-        two heap operations and list bookkeeping.
+        — ``start = max(arrival, previous completion)``, ``completion =
+        start + size / rate`` — and pushed.  A request queued behind a
+        frozen (zero-rate) class server gets no entry until the next rate
+        change rebuilds the calendar.  The members receive the block as one
+        sub-block per node and fold nothing, so the per-request cost is one
+        chooser call, two heap operations and list bookkeeping.
         """
         ledger = self.ledger
         times = ledger.arrivals_of(rids).tolist()
@@ -561,9 +565,10 @@ class ClusterServerModel(ServerModel):
             rate = rates[node][cls]
             if rate > 0.0:
                 last = free[node][cls]
-                done = (t if t > last else last) + size / rate
+                start = t if t > last else last
+                done = start + size / rate
                 free[node][cls] = done
-                heappush(calendar, (done, node, cls, rid, size))
+                heappush(calendar, (done, node, cls, rid, size, start))
         chosen = np.asarray(choices, dtype=np.int64)
         self._count_dispatches(chosen, classes)
         for node in np.unique(chosen).tolist():
@@ -574,17 +579,20 @@ class ClusterServerModel(ServerModel):
     def _book_completions(self, now: float) -> None:
         """Book every calendar entry due by ``now`` into pending/work left.
 
-        Entries pop in ``(time, node, class)`` order, which gives each node
-        the ``(time, class)`` sequence of work-left subtractions its merged
-        member runs produce, and drain-complete flips in ``(time, node)``
-        order.
+        Entries pop in ``(time, node, class)`` order — the per-event
+        completion order — and wait for :meth:`_sync_nodes` to write them.
         """
         calendar = self._calendar
         pending = self._pending
         work_left = self._work_left
         node_state = self._node_state
+        booked = self._booked
+        log = self._booked_order.append
         while calendar and calendar[0][0] <= now:
-            done, node, cls, _, size = heappop(calendar)
+            entry = heappop(calendar)
+            done, node, cls, rid, size, _ = entry
+            booked[node][cls].append(entry)
+            log(rid)
             row = pending[node]
             row[cls] -= 1
             # Clamp (as ``max(work, 0.0)``): summation order can leave
@@ -610,19 +618,13 @@ class ClusterServerModel(ServerModel):
             for cls, (rate, items) in enumerate(member.outstanding()):
                 rates[cls] = rate
                 free[cls] = items[-1][0] if items else -np.inf
-                calendar.extend((done, node, cls, rid, size) for done, rid, size in items)
+                calendar.extend(
+                    (done, node, cls, rid, size, start) for done, rid, size, start in items
+                )
         heapify(calendar)
 
-    def _drain_member(self, node: int, now: float) -> np.ndarray:
-        """Drain one member to ``now``; buffers its run for the next merge."""
-        run = self.nodes[node].drain(now)
-        if run.size:
-            self._run_rids.append(run)
-            self._run_times.append(self.ledger.completion_time[run])
-        return run
-
     def _drain_node(self, node: int, now: float) -> tuple[float, int] | None:
-        """Drain one member to ``now`` and book its completions.
+        """Drain one member to ``now`` and book its completions (block route).
 
         Buffers the member's completion run for the next cluster-level
         merge, applies the per-completion bookkeeping (pending decrement,
@@ -632,9 +634,11 @@ class ClusterServerModel(ServerModel):
         time order.
         """
         ledger = self.ledger
-        run = self._drain_member(node, now)
+        run = self.nodes[node].drain(now)
         if run.size == 0:
             return None
+        self._run_rids.append(run)
+        self._run_times.append(ledger.completion_time[run])
         pending = self._pending[node]
         work = self._work_left[node]
         for cls, size in zip(
@@ -652,36 +656,63 @@ class ClusterServerModel(ServerModel):
         """Fully synchronise every member to ``now`` (rate-change points).
 
         On the calendar route the calendar books every completion up to
-        ``now`` and each member is then drained once, which only writes the
-        ledger.  On the block route each member is drained once by
-        :meth:`_drain_node`, which books its run, and the drain-complete
-        flips are applied in ``(time, node)`` order — the same order the
-        calendar pops them in.  The unconditional drain of every member is
-        what keeps zero-rate classes exact: a frozen class server has no
-        calendar entry, yet its member drain must still run so the queued
-        head *starts service* (frozen at its arrival instant, as an idle
-        server would start it) before any ``set_rate`` re-bases its
-        completion time.  Called wherever :meth:`apply_rates` may follow —
-        the cluster-level drain and fleet events.
+        ``now``, and each member is drained with its bookings (per class:
+        count, last row id, last completion), which folds nothing
+        (:meth:`~repro.simulation.RateScalableServers.drain`); a frozen
+        (zero-rate) head, which has no calendar entry, thus starts at its
+        arrival before any ``set_rate`` re-bases it.  The rows booked since
+        the last sync reach the ledger in one checked ``serve_batch`` (rows
+        already in service: ``complete_batch``; short syncs row by row) and
+        wait in booking order for :meth:`drain`.  On the block route each member is drained
+        by :meth:`_drain_node`, and the drain-complete flips are applied in
+        ``(time, node)`` order, as the calendar pops them.  Called wherever
+        :meth:`apply_rates` may follow — the cluster-level drain and fleet
+        events.
         """
-        if self._calendar is not None:
-            self._book_completions(now)
-            for node in range(self.num_nodes):
-                self._drain_member(node, now)
+        if self._calendar is None:
+            flips = [self._drain_node(node, now) for node in range(self.num_nodes)]
+            for time, node in sorted(flip for flip in flips if flip is not None):
+                self._mark_drained(node, time)
             return
-        flips = [self._drain_node(node, now) for node in range(self.num_nodes)]
-        for time, node in sorted(flip for flip in flips if flip is not None):
-            self._mark_drained(node, time)
+        self._book_completions(now)
+        booked: list[tuple] = []
+        for member, runs in zip(self.nodes, self._booked):
+            member.drain(now, [(len(run), run[-1][3], run[-1][0]) if run else None for run in runs])
+            for run in runs:
+                booked += run
+                run.clear()
+        ledger = self.ledger
+        # Short syncs (the admission walk syncs at every arrival) write row
+        # by row, as short task-server drains do.
+        if len(booked) < _SCALAR_BATCH_LIMIT:
+            for done, _, _, rid, _, start in booked:
+                if isnan(ledger.start_of(rid)):  # else carried in service: only completes
+                    ledger.start_service(rid, start)
+                ledger.complete_unlogged(rid, done)
+            return
+        done, _, _, rids, _, starts = zip(*booked)
+        rids = np.array(rids, dtype=np.int64)
+        done = np.array(done)
+        # Rows carried in service since an earlier sync only complete.
+        started = ~np.isnan(ledger.service_start_time[rids])
+        fresh = ~started
+        ledger.serve_batch(rids[fresh], np.array(starts)[fresh], done[fresh])
+        ledger.complete_batch(rids[started], done[started])
 
     def drain(self, now: float) -> np.ndarray:
         """Advance every member to ``now``; returns completions in time order.
 
-        The buffered per-node runs are merged by a stable sort on their
-        ledger completion times — each run is already internally ordered, so
-        the merge reproduces the global completion order (stable: on exact
-        ties the lower node wins).
+        On the calendar route that is the booking order.  On the block
+        route the buffered per-node runs are merged by a stable sort on
+        their ledger completion times — each run is already internally
+        ordered, so the merge reproduces the global completion order
+        (stable: on exact ties the lower node wins).
         """
         self._sync_nodes(now)
+        if self._calendar is not None:
+            order = self._booked_order
+            self._booked_order = []
+            return np.array(order, dtype=np.int64)
         runs = self._run_rids
         if not runs:
             return np.empty(0, dtype=np.int64)

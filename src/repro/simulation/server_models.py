@@ -151,7 +151,8 @@ class ServerModel(abc.ABC):
     def drain(self, now: float) -> np.ndarray:
         """Advance the model to ``now``; returns the completed row ids in
         global completion-time order (the caller logs them via
-        ``ledger.log_completions``)."""
+        ``ledger.log_completions``).  A model whose :meth:`outstanding`
+        predicts must also take ``drain(now, booked)`` (see there)."""
 
     @abc.abstractmethod
     def apply_rates(self, rates: Sequence[float]) -> None:
@@ -172,18 +173,24 @@ class ServerModel(abc.ABC):
         """
         self.submit_batch(np.asarray([rid], dtype=np.int64))
 
-    def outstanding(self) -> tuple[tuple[float, list[tuple[float, int, float]]], ...] | None:
+    def outstanding(
+        self,
+    ) -> tuple[tuple[float, list[tuple[float, int, float, float]]], ...] | None:
         """Per class: the FCFS service rate and the predicted
-        ``(completion, rid, size)`` of every request not yet drained.
+        ``(completion, rid, size, start)`` of every request not yet served.
 
         Models serving each class FCFS at a fixed rate between two
         :meth:`apply_rates` calls know every completion the moment a request
-        is queued; the cluster books such members' completions from these
-        predictions instead of draining them before each dispatch decision,
-        and predicts each request it queues afterwards from its class's rate
-        and last prediction: ``max(arrival, last) + size / rate``.  ``None``
-        (the default) means the model cannot predict its completions, and a
-        cluster refuses to bind a backlog-dependent dispatch policy over it.
+        is queued.  A cluster's calendar starts from these predictions,
+        predicts each request it queues afterwards (``start = max(arrival,
+        last)``, ``completion = start + size / rate``) and writes the ledger
+        rows itself.  So a model that predicts must also take
+        ``drain(now, booked)``: ``booked`` holds, per class, ``(count,
+        last_rid, last_completion)`` of the completions booked since the
+        last drain (``None`` for a class with none); the model moves past
+        them without writing the ledger, starts arrived heads, and returns
+        no rows.  ``None`` (the default) means the model cannot predict, and
+        a cluster refuses to bind a backlog-dependent dispatch policy over it.
         """
         return None
 
@@ -239,10 +246,12 @@ class RateScalableServers(ServerModel):
     def submit_one(self, rid: int, class_index: int, arrival: float, size: float) -> None:
         self.servers[class_index].push(rid, arrival, size)
 
-    def outstanding(self) -> tuple[tuple[float, list[tuple[float, int, float]]], ...]:
+    def outstanding(self) -> tuple[tuple[float, list[tuple[float, int, float, float]]], ...]:
         return tuple((server.rate, server.outstanding()) for server in self.servers)
 
-    def drain(self, now: float) -> np.ndarray:
+    def drain(
+        self, now: float, booked: Sequence[tuple[int, int, float] | None] | None = None
+    ) -> np.ndarray:
         """Drain every class's task server and merge the runs by time.
 
         The merge is a stable argsort, so completions with equal timestamps
@@ -251,9 +260,22 @@ class RateScalableServers(ServerModel):
         for every workload whose classes are started in class order, e.g. the
         deterministic trace scenarios; for continuous workloads exact ties
         have probability zero).
+
+        ``booked`` (a cluster calendar's bookings, see :meth:`outstanding`)
+        folds nothing: each class server with bookings or an arrived head
+        settles past them (:meth:`FcfsTaskServer.settle`).
         """
-        live = []
         telemetry = self.telemetry
+        if booked is not None:
+            for index, (server, tail) in enumerate(zip(self.servers, booked)):
+                if tail is not None:
+                    if telemetry is not None:
+                        telemetry.on_server_drain(index, tail[0])
+                    server.settle(now, *tail)
+                elif server.in_service is None and server.backlog:
+                    server.settle(now)
+            return np.empty(0, dtype=np.int64)
+        live = []
         for index, server in enumerate(self.servers):
             if server.idle:
                 # Idle with nothing queued: no completions to emit and no

@@ -30,9 +30,11 @@ completion)`` — a max is exact, so no timestamp moves.  Starts and
 completions then reach the :class:`~repro.simulation.ledger.RequestLedger`
 in one checked :meth:`~repro.simulation.ledger.RequestLedger.serve_batch`
 write.  Short blocks — the admission walk drains one or two requests per
-call, cluster members a few per window — take a scalar loop instead, which
-stops at the first request still in service and writes the ledger row by
-row: there NumPy's per-call overhead would cost more than the run.
+call — take a scalar loop instead, which stops at the first request still
+in service and writes the ledger row by row: there NumPy's per-call
+overhead would cost more than the run.  (Under a cluster's completion
+calendar nothing is folded here: the calendar books the same fold's
+completions and :meth:`FcfsTaskServer.settle` moves the server past them.)
 
 The recursion itself stays a per-request fold on purpose.  The operation
 order ``max(arrival, f) + size / rate`` must be kept per request: max-plus
@@ -62,7 +64,8 @@ __all__ = ["FcfsTaskServer"]
 _EMPTY_RIDS = np.empty(0, dtype=np.int64)
 _EMPTY_TIMES = np.empty(0, dtype=np.float64)
 
-#: Drains with fewer arrived requests than this take the scalar loop.
+#: Drains with fewer arrived requests than this (and cluster syncs with
+#: fewer booked rows) take the scalar loop.
 _SCALAR_BATCH_LIMIT = 32
 
 #: Initial slots of the pending columns; they double on demand.
@@ -95,8 +98,6 @@ class FcfsTaskServer:
         self.in_service: int | None = None
         self._remaining_work = 0.0
         self._last_progress_time = 0.0
-        self.busy_time = 0.0
-        self.completed_count = 0
         # The queued requests occupy slots [_head, _tail) of the pending
         # columns; drains advance the head, appends the tail.
         self._rids = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
@@ -224,9 +225,7 @@ class FcfsTaskServer:
                 return _EMPTY_RIDS, _EMPTY_TIMES
             rid = self.in_service
             ledger.complete_unlogged(rid, completion)
-            self.busy_time += completion - self._last_progress_time
             self._last_progress_time = completion
-            self.completed_count += 1
             self.in_service = None
             self._remaining_work = 0.0
             done_rids.append(rid)
@@ -269,8 +268,6 @@ class FcfsTaskServer:
             rid = queued.item(pos)
             ledger.start_service(rid, start)
             ledger.complete_unlogged(rid, completion)
-            self.busy_time += completion - start
-            self.completed_count += 1
             done_rids.append(rid)
             done_times.append(completion)
             free = completion
@@ -321,8 +318,6 @@ class FcfsTaskServer:
             starts = np.maximum(arrivals[head : head + k], previous)
             rids = self._rids[head : head + k].copy()
             self.ledger.serve_batch(rids, starts, times)
-            self.busy_time += float((times - starts).sum())
-            self.completed_count += k
             free = folded[k - 1]
             self._last_progress_time = free
         self._head = head + k
@@ -341,31 +336,68 @@ class FcfsTaskServer:
         self._remaining_work = self._sizes.item(pos)
         self._last_progress_time = start
 
-    def outstanding(self) -> list[tuple[float, int, float]]:
-        """Predicted ``(completion, rid, size)`` of every undrained request.
+    def outstanding(self) -> list[tuple[float, int, float, float]]:
+        """Predicted ``(completion, rid, size, start)`` of each undrained request.
 
-        The in-service request and then the queued block, in FCFS order,
-        with exactly the arithmetic :meth:`drain` performs at the current
-        rate — so the values are the completion times the next drains will
-        write, as long as the rate stays unchanged.  ``size`` is the full
-        service demand.  A frozen server (rate zero) predicts nothing.
+        The in-service request (with its ledger start) and then the queued
+        block, in FCFS order, with exactly the arithmetic :meth:`drain`
+        performs at the current rate — so the values are the timestamps the
+        next drains would write, as long as the rate stays unchanged.
+        ``size`` is the full service demand.  A frozen server (rate zero)
+        predicts nothing.
         """
         rate = self._rate
         if rate <= 0.0:
             return []
-        out: list[tuple[float, int, float]] = []
+        out: list[tuple[float, int, float, float]] = []
         f = -np.inf
-        if self.in_service is not None:
+        rid = self.in_service
+        if rid is not None:
             f = self._last_progress_time + self._remaining_work / rate
-            out.append((f, self.in_service, self.ledger.size_of(self.in_service)))
+            out.append((f, rid, self.ledger.size_of(rid), self.ledger.start_of(rid)))
         head, tail = self._head, self._tail
         sizes = self._sizes[head:tail]
-        folded = [
-            f := (a if a > f else f) + d
-            for a, d in zip(self._arrivals[head:tail].tolist(), (sizes / rate).tolist())
-        ]
-        out.extend(zip(folded, self._rids[head:tail].tolist(), sizes.tolist()))
+        for a, d, rid, size in zip(
+            self._arrivals[head:tail].tolist(),
+            (sizes / rate).tolist(),
+            self._rids[head:tail].tolist(),
+            sizes.tolist(),
+        ):
+            start = a if a > f else f
+            f = start + d
+            out.append((f, rid, size, start))
         return out
+
+    def settle(
+        self, now: float, count: int = 0, last_rid: int = -1, last_done: float = -np.inf
+    ) -> None:
+        """Advance to ``now`` past ``count`` completions booked elsewhere.
+
+        A cluster's completion calendar books this server's completions from
+        :meth:`outstanding` and the same fold, and writes their ledger rows.
+        They are the FCFS prefix (the request in service first), the last
+        with row id ``last_rid``, due at ``last_done <= now``.  A free
+        server's arrived head then starts at ``max(arrival, last_done)``: at
+        its arrival when nothing completed, as at rate 0.
+        """
+        carried = 1 if count and self.in_service is not None else 0
+        head = self._head + count - carried
+        if count:
+            if head > self._tail or last_done > now or last_rid != (
+                self._rids.item(head - 1) if head > self._head else self.in_service
+            ):
+                raise SimulationError(
+                    f"task server {self.class_index}: the booked run does not "
+                    f"match its queue at t={now:g}"
+                )
+            self.in_service = None
+            self._last_progress_time = last_done
+        if self.in_service is None and head < self._tail:
+            arrival = self._arrivals.item(head)
+            if arrival <= now:
+                self._begin_service(head, arrival if arrival > last_done else last_done)
+                head += 1
+        self._head = head
 
     def set_rate(self, rate: float) -> None:
         """Change the processing rate at the engine clock.
@@ -379,6 +411,5 @@ class FcfsTaskServer:
         if self.in_service is not None and self._rate > 0.0:
             elapsed = now - self._last_progress_time
             self._remaining_work = max(self._remaining_work - elapsed * self._rate, 0.0)
-            self.busy_time += elapsed
         self._last_progress_time = now
         self._rate = float(rate)

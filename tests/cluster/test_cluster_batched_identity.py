@@ -9,7 +9,8 @@ completion (:mod:`tests.reference`) — it must never change a single
 dispatch decision, rate vector, fleet transition or ledger byte.  These
 tests pin that contract across {every dispatch policy} x {every rate
 partitioner} x {static fleet, churn} x {serial, workers=2}, plus the
-fleet-event tie rule at an arrival instant.
+fleet-event tie rule at an arrival instant and a class frozen at rate zero
+on the completion calendar.
 """
 
 import numpy as np
@@ -20,7 +21,12 @@ from repro.cluster.partition import PARTITIONERS, build_partitioner
 from repro.core import PsdSpec
 from repro.distributions import BoundedPareto
 from repro.experiments import ClusterScalingBuild
-from repro.simulation import MeasurementConfig, ReplicationRunner, Scenario
+from repro.simulation import (
+    MeasurementConfig,
+    ReplicationRunner,
+    Scenario,
+    StaticRateController,
+)
 from repro.simulation.generator import TraceSource
 from repro.types import TrafficClass
 from tests.conftest import make_classes
@@ -183,3 +189,80 @@ class TestFleetEventAtArrivalInstant:
 
     def test_batched_matches_per_event(self):
         assert _fingerprint(self._run(Scenario)) == _fingerprint(self._run(ReferenceScenario))
+
+
+class ScriptedRates(StaticRateController):
+    """Window ``k`` (counted from 0) runs at ``script[min(k, len - 1)]``."""
+
+    def __init__(self, script) -> None:
+        super().__init__(script[0])
+        self.script = script
+
+    def observe_window(self, time, window_length, arrivals, work, slowdowns=None):
+        super().observe_window(time, window_length, arrivals, work, slowdowns)
+        self._rates = self.script[min(self.observations, len(self.script) - 1)]
+
+
+class TestZeroRateOnCalendar:
+    """A class frozen at rate zero, then thawed, on the completion calendar.
+
+    Class 1 has rate 0 for the first two windows: the calendar books none of
+    its completions, the head of each node's class-1 queue starts service at
+    its arrival (frozen) and later arrivals queue behind it.  At t=4 the
+    rate turns positive, the calendar is rebuilt from the members, and each
+    frozen head completes at its full size over the new per-node rate.
+    """
+
+    CLASSES = (
+        TrafficClass("gold", 0.5, BoundedPareto(0.3, 5.0, 1.5), 1.0),
+        TrafficClass("bronze", 0.5, BoundedPareto(0.3, 5.0, 1.5), 2.0),
+    )
+    ZERO_CFG = MeasurementConfig(warmup=0.0, horizon=12.0, window=2.0)
+    #: Off the arrival grid, so no completion ties an arrival.
+    SIZES = (np.sqrt(2) / 6, np.sqrt(3) / 4, np.sqrt(5) / 4)
+
+    def _run(self, scenario_class):
+        sources = [
+            TraceSource(0, interarrivals=[0.3, 0.7, 0.9, 1.1, 1.6, 2.4], sizes=self.SIZES * 2),
+            TraceSource(
+                1,
+                interarrivals=[0.55, 0.2, 0.6, 0.4, 1.5, 3.0],
+                sizes=self.SIZES[::-1] * 2,
+            ),
+        ]
+        cluster = make_cluster(2, "weighted_jsq", record_dispatch=True, seed=1)
+        result = scenario_class(
+            self.CLASSES,
+            self.ZERO_CFG,
+            server=cluster,
+            controller=ScriptedRates([(1.0, 0.0), (1.0, 0.0), (1.0, 1.0)]),
+            seed=5,
+            sources=sources,
+        ).run()
+        return cluster, result
+
+    def test_frozen_heads_start_at_arrival_and_complete_at_the_new_rate(self):
+        cluster, result = self._run(Scenario)
+        assert cluster._calendar is not None
+        ledger = result.ledger
+        log = np.asarray(result.dispatch_log)
+        frozen = 0
+        for node in (0, 1):
+            rows = np.flatnonzero((ledger.class_index == 1) & (log == node))
+            early = rows[ledger.arrival_time[rows] < 4.0]
+            assert early.size >= 2  # a frozen head with work queued behind it
+            head = int(early[0])
+            assert ledger.start_of(head) == ledger.arrival_of(head)
+            # Equal split of class 1's unit rate over two nodes: 0.5 each.
+            assert ledger.completion_of(head) == 4.0 + ledger.size_of(head) / 0.5
+            frozen += 1
+            # Nothing behind the frozen head started before the thaw.
+            assert np.all(ledger.service_start_time[early[1:]] >= 4.0)
+        assert frozen == 2
+        assert result.rate_history[:3] == [(0.0, (1.0, 0.0)), (2.0, (1.0, 0.0)), (4.0, (1.0, 1.0))]
+
+    def test_matches_the_per_event_reference(self):
+        _, batched = self._run(Scenario)
+        _, per_event = self._run(ReferenceScenario)
+        assert _fingerprint(batched) == _fingerprint(per_event)
+        assert batched.ledger.num_completed == len(batched.ledger)

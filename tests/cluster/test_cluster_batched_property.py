@@ -9,7 +9,10 @@ block segmentation.  Two invariants, per policy:
 * segmentation never reorders arrivals — the ledger's arrival column is
   byte-identical to the reference run's (:mod:`tests.reference`);
 * every dispatch decision matches the per-event reference exactly (same
-  log, same fleet timeline, same completion times).
+  log, same fleet timeline, same completion times);
+
+and both runs pass :func:`tests.invariants.check_run`, which serves each
+node's classes FCFS with the exact non-idling start.
 
 ``round_robin`` exercises the vectorised ``select_block`` route; ``jsq``,
 ``weighted_jsq``, ``least_work`` and ``fastest_available`` run on the
@@ -54,6 +57,7 @@ from repro.simulation import MeasurementConfig, Scenario, StaticRateController
 from repro.simulation.generator import TraceSource
 from repro.types import TrafficClass
 from tests.cluster.test_chooser_oracle import oracle as chooser_oracle
+from tests.invariants import check_run
 from tests.reference import ReferenceScenario
 
 SERVICE = BoundedPareto(0.3, 5.0, 1.5)
@@ -143,6 +147,9 @@ def test_batched_dispatch_replays_per_event_oracle(case, policy):
     traces, events = case
     batched = _run(_cluster(policy, events), traces)
     per_event = _run(_cluster(policy, events), traces, scenario_class=ReferenceScenario)
+    # Per node and class: FCFS and the exact non-idling start.
+    check_run(batched, per_class_servers=True)
+    check_run(per_event, per_class_servers=True)
     # Segmentation preserved arrival order, byte for byte.
     assert (
         batched.ledger.arrival_time.tobytes() == per_event.ledger.arrival_time.tobytes()
@@ -297,6 +304,7 @@ def test_calendar_books_tied_completions_like_the_oracle(case, policy):
     # the 0.25 arrival grid, so completions tie arrivals and fleet events.
     rates = (1.5,) * len(traces)
     result = _run(_cluster(policy, events), traces, controller=StaticRateController(rates))
+    check_run(result, per_class_servers=True)
     arrivals, log, starts, completions = _brute_force_run(policy, traces, events, rates)
     ledger = result.ledger
     assert ledger.arrival_time.tolist() == [t for t, _, _ in arrivals]

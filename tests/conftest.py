@@ -86,6 +86,7 @@ def short_measurement(moderate_bp) -> MeasurementConfig:
 def checked_runs(monkeypatch):
     """Check :func:`tests.invariants.check_run` on every ``Scenario.run``
     result the test produces in this process."""
+    from repro.cluster import ClusterServerModel
     from repro.simulation import RateScalableServers, Scenario
     from tests.invariants import check_run
     from tests.reference import _RateScalable
@@ -94,9 +95,13 @@ def checked_runs(monkeypatch):
 
     def run(self, *args, **kwargs):
         result = original(self, *args, **kwargs)
+        server = self.server
+        members = server.nodes if isinstance(server, ClusterServerModel) else (server,)
         check_run(
             result,
-            per_class_servers=isinstance(self.server, (RateScalableServers, _RateScalable)),
+            per_class_servers=all(
+                isinstance(member, (RateScalableServers, _RateScalable)) for member in members
+            ),
             telemetry=self.telemetry,
         )
         return result

@@ -13,6 +13,8 @@ to the same rules without trusting either:
   or after ``max(arrival, previous same-class completion)`` — with
   equality (the non-idling rule) when every class owns its own server, as
   in the paper's Fig. 1 model;
+* on clusters of such servers run with ``record_dispatch=True``, the same
+  exact rule per node and class, the dispatch log telling the nodes apart;
 * per class, the sample-path Little identity: the area under the number
   in system, integrated by an event sweep over ``[0, horizon]``, equals the
   summed sojourn times truncated at the horizon;
@@ -39,10 +41,12 @@ __all__ = ["check_run"]
 def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
     """Assert the run-end invariants on ``result``.
 
-    ``per_class_servers`` says every class owns its own FCFS server on a
-    single node, which makes each start exactly the non-idling
-    ``max(arrival, previous same-class completion)``.  ``telemetry`` is the
-    run's :class:`~repro.telemetry.Telemetry` facade, if any.
+    ``per_class_servers`` says every class owns its own FCFS server on
+    every node (a single ``RateScalableServers``, or a cluster of them),
+    which makes each start exactly the non-idling ``max(arrival, previous
+    same-class completion on the node)``; a cluster is checked per node
+    only when its run kept the dispatch log.  ``telemetry`` is the run's
+    :class:`~repro.telemetry.Telemetry` facade, if any.
     """
     ledger = result.ledger
     arrival = ledger.arrival_time
@@ -68,10 +72,22 @@ def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
 
     horizon = result.config.horizon
     single_node = result.fleet_timeline is None
+    node_of = None
+    if not single_node and per_class_servers and result.dispatch_log is not None:
+        # Every admitted row was dispatched once, in row order.
+        node_of = np.full(len(ledger), -1, dtype=np.int64)
+        assert len(result.dispatch_log) == int(np.count_nonzero(~shed)), (
+            "the dispatch log is not one entry per admitted row"
+        )
+        node_of[~shed] = result.dispatch_log
     for cls in range(len(result.classes)):
         rows = np.flatnonzero((classes == cls) & ~shed)
         if single_node:
             _check_fcfs(arrival[rows], start[rows], done[rows], exact=per_class_servers)
+        elif node_of is not None:
+            for node in np.unique(node_of[rows]).tolist():
+                on_node = rows[node_of[rows] == node]
+                _check_fcfs(arrival[on_node], start[on_node], done[on_node], exact=True)
         _check_little(arrival[rows], done[rows], horizon)
 
 

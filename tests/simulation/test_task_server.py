@@ -71,7 +71,7 @@ class TestFcfsService:
         advance(engine, server, 10.0)
         assert server.backlog == 0
         assert not server.is_busy
-        assert server.completed_count == 2
+        assert np.count_nonzero(~np.isnan(server.ledger.completion_time)) == 2
 
     def test_wrong_class_rejected(self):
         engine, server = make_server(1.0)
@@ -139,4 +139,43 @@ class TestRateChanges:
         engine, server = make_server(1.0)
         submit(server, 0.0, 1.5)
         advance(engine, server, 10.0)
-        assert server.busy_time == pytest.approx(1.5)
+        ledger = server.ledger
+        done = ledger.completed_ids
+        span = ledger.completion_time[done] - ledger.service_start_time[done]
+        assert float(span.sum()) == pytest.approx(1.5)
+
+
+class TestSettle:
+    """``settle`` moves a server past completions booked elsewhere (a
+    cluster's completion calendar) without folding anything."""
+
+    def test_settles_the_carried_request_and_starts_the_next(self):
+        engine, server = make_server(1.0)
+        first = submit(server, 0.0, 2.0)
+        second = submit(server, 1.0, 2.0)
+        advance(engine, server, 1.0)
+        assert server.in_service == first
+        # The first request completed at t=2 (booked elsewhere); at t=3 the
+        # second has been in service since then.
+        server.settle(3.0, 1, first, 2.0)
+        assert server.in_service == second
+        assert server.ledger.start_of(second) == 2.0
+        assert server.backlog == 0
+
+    def test_idle_server_starts_its_arrived_head_at_its_arrival(self):
+        engine, server = make_server(0.0)
+        rid = submit(server, 0.5, 1.0)
+        server.settle(0.25)
+        assert server.in_service is None
+        server.settle(1.0)
+        assert server.in_service == rid
+        assert server.ledger.start_of(rid) == 0.5
+
+    def test_rejects_a_run_that_is_not_its_queue(self):
+        engine, server = make_server(1.0)
+        first = submit(server, 0.0, 1.0)
+        second = submit(server, 0.0, 1.0)
+        with pytest.raises(SimulationError, match="does not match its queue"):
+            server.settle(1.0, 1, second, 1.0)
+        with pytest.raises(SimulationError, match="does not match its queue"):
+            server.settle(0.5, 1, first, 1.0)

@@ -165,6 +165,24 @@ class TestClusterIntegration:
         )
         assert dispatched <= len(result.dispatch_log)
 
+    def test_class_drain_lengths_sum_to_completed_rows(self, two_classes, short_measurement):
+        """``weighted_jsq`` runs on the completion calendar, which drains no
+        member: it observes ``class{c}.drain_length`` once per node and
+        class with bookings at each synchronisation, so each histogram
+        still sums to the class's completed rows."""
+        telemetry = Telemetry()
+        result, scenario = self.make_cluster_run(
+            two_classes, short_measurement, telemetry=telemetry
+        )
+        assert scenario.server._calendar is not None
+        ledger = result.ledger
+        completed = ledger.class_index[~np.isnan(ledger.completion_time)]
+        for class_index in range(len(two_classes)):
+            rows = int(np.count_nonzero(completed == class_index))
+            assert rows > 0
+            histogram = telemetry.registry.get(f"class{class_index}.drain_length")
+            assert histogram.total == rows
+
     def test_share_history_only_recorded_with_enabled_telemetry(
         self, two_classes, short_measurement
     ):
