@@ -28,7 +28,7 @@ from repro.core import (
     WindowedLoadEstimator,
 )
 from repro.experiments import render_table
-from repro.simulation import PsdServerSimulation, run_replications
+from repro.simulation import RateScalableServers, Scenario, run_replications
 
 TARGET_RATIO = 4.0
 LOAD = 0.7
@@ -74,7 +74,13 @@ def run_variant(bench_config, kind, *, window_multiplier=1.0, seed=101):
     factory = make_controller_factory(kind, classes, spec)
 
     def build(_, seed_seq):
-        return PsdServerSimulation(classes, measurement, controller=factory(), seed=seed_seq).run()
+        return Scenario(
+            classes,
+            measurement,
+            server=RateScalableServers(),
+            controller=factory(),
+            seed=seed_seq,
+        ).run()
 
     summary = run_replications(
         build, replications=bench_config.measurement.replications, base_seed=seed

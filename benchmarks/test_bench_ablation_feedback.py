@@ -15,7 +15,7 @@ import pytest
 from repro.core import FeedbackPsdController, PsdController, PsdSpec
 from repro.experiments import render_table
 from repro.metrics import percentile_band
-from repro.simulation import PsdServerSimulation, run_replications
+from repro.simulation import RateScalableServers, Scenario, run_replications
 
 LOAD = 0.7
 DELTAS = (1.0, 2.0)
@@ -34,8 +34,12 @@ def run_controller(bench_config, kind, *, seed=77):
         raise ValueError(kind)
 
     def build(_, seed_seq):
-        return PsdServerSimulation(
-            classes, measurement, controller=make_controller(), seed=seed_seq
+        return Scenario(
+            classes,
+            measurement,
+            server=RateScalableServers(),
+            controller=make_controller(),
+            seed=seed_seq,
         ).run()
 
     summary = run_replications(

@@ -27,7 +27,12 @@ from repro.core import (
 )
 from repro.experiments import render_table
 from repro.queueing import theorem1_task_server_slowdown
-from repro.simulation import PsdServerSimulation, StaticRateController, run_replications
+from repro.simulation import (
+    RateScalableServers,
+    Scenario,
+    StaticRateController,
+    run_replications,
+)
 
 LOAD = 0.7
 DELTAS = (1.0, 4.0)
@@ -45,8 +50,12 @@ def simulate_ratio(bench_config, classes, rates, seed):
     measurement = bench_config.scaled_measurement()
 
     def build(_, seed_seq):
-        return PsdServerSimulation(
-            classes, measurement, controller=StaticRateController(rates), seed=seed_seq
+        return Scenario(
+            classes,
+            measurement,
+            server=RateScalableServers(),
+            controller=StaticRateController(rates),
+            seed=seed_seq,
         ).run()
 
     summary = run_replications(

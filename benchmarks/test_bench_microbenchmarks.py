@@ -25,7 +25,7 @@ from repro.experiments.base import ScenarioBuild
 from repro.scheduling import WeightedFairQueueing
 from repro.simulation import (
     MeasurementConfig,
-    PsdServerSimulation,
+    RateScalableServers,
     ReplicationRunner,
     Scenario,
     WorkerPool,
@@ -119,7 +119,7 @@ def test_simulator_event_throughput(benchmark):
     ).scaled_to_time_units(classes[0].service.mean())
 
     def run():
-        return PsdServerSimulation(classes, config, seed=1).run()
+        return Scenario(classes, config, server=RateScalableServers(), seed=1).run()
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert sum(result.completed_counts) > 1_000

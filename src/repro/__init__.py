@@ -80,14 +80,12 @@ from .queueing import (
 )
 from .simulation import (
     MeasurementConfig,
-    PsdServerSimulation,
     RateScalableServers,
     ReplicationRunner,
     RequestLedger,
     Scenario,
     ServerModel,
     SharedProcessorServer,
-    SharedProcessorSimulation,
     SimulationResult,
     WorkerPool,
     load_trace,
@@ -123,8 +121,6 @@ __all__ = [
     "ServerModel",
     "RateScalableServers",
     "SharedProcessorServer",
-    "PsdServerSimulation",
-    "SharedProcessorSimulation",
     "SimulationResult",
     "ReplicationRunner",
     "WorkerPool",

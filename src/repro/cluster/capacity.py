@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..errors import SimulationError
+from ..validation import require_capacity
 
 __all__ = ["CAPACITY_MIXES", "resolve_capacities", "mix_label"]
 
@@ -73,13 +74,13 @@ def resolve_capacities(
     uniform caps — e.g. to watch a backlog-proportional split clamp against
     them — should pass absolute capacities straight to
     :func:`~repro.cluster.model.make_cluster`, which honours them verbatim.)
-    Explicit vectors must have one strictly positive weight per node — a
-    zero-capacity node could never serve anything and is rejected outright.
+    Explicit vectors must have one finite, strictly positive weight per
+    node — a zero-capacity node could never serve anything, and an infinite
+    one would leave every other node a zero share; both are rejected.
     """
     if num_nodes <= 0:
         raise SimulationError(f"num_nodes must be > 0, got {num_nodes}")
-    if total <= 0.0:
-        raise SimulationError(f"total capacity must be > 0, got {total}")
+    require_capacity(total, "total capacity")
     if capacities is None:
         return None
     if isinstance(capacities, str):
@@ -97,11 +98,7 @@ def resolve_capacities(
         if len(weights) != num_nodes:
             raise SimulationError(f"expected {num_nodes} per-node capacities, got {len(weights)}")
     for node, weight in enumerate(weights):
-        if not weight > 0.0:  # also rejects NaN
-            raise SimulationError(
-                f"node {node} has non-positive capacity {weight}; every node "
-                "must be able to serve (drop the node instead of zeroing it)"
-            )
+        require_capacity(weight, f"node {node} capacity")
     if min(weights) == max(weights):
         return None
     scale = total / sum(weights)

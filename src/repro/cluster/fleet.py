@@ -50,6 +50,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from ..errors import SimulationError
+from ..validation import require_capacity
 
 __all__ = [
     "NODE_LIVE",
@@ -91,8 +92,8 @@ _TOKEN = re.compile(
 class FleetEvent:
     """One scheduled change to the fleet: ``join``, ``leave`` or ``set_capacity``.
 
-    ``capacity`` is only meaningful for ``set_capacity``: a strictly positive
-    value, or ``None`` to restore the unconstrained idealisation.
+    ``capacity`` is only meaningful for ``set_capacity``: a finite, strictly
+    positive value, or ``None`` to restore the unconstrained idealisation.
     """
 
     time: float
@@ -113,12 +114,8 @@ class FleetEvent:
             raise SimulationError(f"fleet event node must be >= 0, got {self.node}")
         if self.action == "set_capacity":
             if self.capacity is not None:
-                object.__setattr__(self, "capacity", float(self.capacity))
-                if not self.capacity > 0.0:  # also rejects NaN
-                    raise SimulationError(
-                        f"set_capacity needs a strictly positive capacity "
-                        f"(or None for unconstrained), got {self.capacity}"
-                    )
+                capacity = require_capacity(self.capacity, "set_capacity capacity")
+                object.__setattr__(self, "capacity", capacity)
         elif self.capacity is not None:
             raise SimulationError(f"{self.action!r} events do not take a capacity")
 

@@ -84,6 +84,7 @@ from ..errors import ClusterDrainedError, SimulationError
 from ..simulation.server_models import RateScalableServers, ServerModel
 from ..simulation.task_server import _SCALAR_BATCH_LIMIT
 from ..telemetry.log import get_logger, log_event
+from ..validation import require_capacity
 from .dispatch import DispatchPolicy, RoundRobin, build_dispatch_policy
 from .fleet import NODE_DOWN, NODE_DRAINING, NODE_LIVE, FleetEvent, FleetSchedule
 from .partition import EqualSplit, RatePartitioner
@@ -809,8 +810,8 @@ def make_cluster(
     (``seed`` feeds randomised policies — spawn it from the scenario's master
     seed for reproducible runs) or an already-built policy instance.
 
-    ``capacities`` builds a heterogeneous fleet: one strictly positive
-    capacity per node, passed to ``node_factory(capacity=...)`` verbatim
+    ``capacities`` builds a heterogeneous fleet: one finite, strictly
+    positive capacity per node, passed to ``node_factory(capacity=...)`` verbatim
     (use :func:`~repro.cluster.capacity.resolve_capacities` to turn a named
     mix or relative weights into absolute capacities first).  Without it the
     factory is called with no arguments — the unconstrained homogeneous
@@ -830,14 +831,13 @@ def make_cluster(
     if capacities is None:
         nodes = [node_factory() for _ in range(num_nodes)]
     else:
-        capacities = tuple(float(c) for c in capacities)
+        capacities = tuple(
+            require_capacity(cap, f"node {node} capacity") for node, cap in enumerate(capacities)
+        )
         if len(capacities) != num_nodes:
             raise SimulationError(
                 f"expected {num_nodes} per-node capacities, got {len(capacities)}"
             )
-        for node, cap in enumerate(capacities):
-            if not cap > 0.0:  # also rejects NaN
-                raise SimulationError(f"node {node} has non-positive capacity {cap}")
         nodes = [node_factory(capacity=cap) for cap in capacities]
     return ClusterServerModel(
         nodes,

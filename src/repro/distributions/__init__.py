@@ -1,38 +1,27 @@
 """Service-time and job-size distributions.
 
 Everything needed to describe the workloads of the paper: the Bounded Pareto
-family (the central heavy-tailed model), its unbounded parent, light-tailed
-references (exponential, deterministic, uniform), additional Web-workload
-families (hyperexponential, Weibull, lognormal), empirical traces, numerical
-moment verification and reproducible RNG stream management.
+family (the central heavy-tailed model), the deterministic service of the
+M/D/1 session case (Eq. 15), the exponential of the M/M/1 contrast (Sec. 5),
+the hyperexponential of the e-commerce example, numerical moment
+verification and reproducible RNG stream management.
 """
 
 from .base import Distribution, RateScaledDistribution
 from .bounded_pareto import BoundedPareto
 from .deterministic import Deterministic
-from .empirical import Empirical
-from .exponential import BoundedExponential, Exponential
+from .exponential import Exponential
 from .hyperexponential import Hyperexponential
-from .lognormal import Lognormal
 from .moments import MomentReport, numerical_moment, sample_moments, verify_moments
-from .pareto import Pareto
-from .rng import child_generator, make_generator, spawn_generators, spawn_seed_sequences
-from .uniform import Uniform
-from .weibull import Weibull
+from .rng import make_generator, spawn_generators, spawn_seed_sequences
 
 __all__ = [
     "Distribution",
     "RateScaledDistribution",
     "BoundedPareto",
-    "Pareto",
     "Exponential",
-    "BoundedExponential",
     "Deterministic",
-    "Uniform",
     "Hyperexponential",
-    "Weibull",
-    "Lognormal",
-    "Empirical",
     "MomentReport",
     "numerical_moment",
     "sample_moments",
@@ -40,5 +29,4 @@ __all__ = [
     "make_generator",
     "spawn_generators",
     "spawn_seed_sequences",
-    "child_generator",
 ]

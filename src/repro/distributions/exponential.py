@@ -1,16 +1,10 @@
-"""Exponential and bounded (doubly truncated) exponential distributions.
+"""Exponential service-time distribution.
 
-Section 5 of the paper points out two facts that motivate the Bounded Pareto
-model and that these classes make concrete:
-
-* For an **unbounded** exponential service-time distribution ``E[1/X]`` does
-  not exist (the integral diverges at zero), so there is no finite expected
-  slowdown for an M/M/1 FCFS queue.  :meth:`Exponential.mean_inverse`
-  therefore returns ``math.inf``.
-* For a **bounded** exponential distribution ``E[1/X]`` is finite but only
-  once both truncation bounds are fixed; there is no bound-free closed form.
-  :class:`BoundedExponential` implements that truncated family (the
-  reciprocal moment uses the exponential-integral series).
+Section 5 of the paper points out that for an exponential service-time
+distribution ``E[1/X]`` does not exist (the integral diverges at zero), so
+there is no finite expected slowdown for an M/M/1 FCFS queue — one reason
+for the Bounded Pareto model.  :meth:`Exponential.mean_inverse` therefore
+returns ``math.inf``.
 """
 
 from __future__ import annotations
@@ -20,49 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DistributionError
 from ..validation import require_positive
 from .base import Distribution
 
-__all__ = ["Exponential", "BoundedExponential"]
-
-
-def _exp1(x: float) -> float:
-    """Exponential integral ``E1(x) = \\int_x^inf e^(-t)/t dt`` for ``x > 0``.
-
-    Implemented with the classic series for small arguments and the
-    continued-fraction (Lentz) expansion for large ones so the package does
-    not require SciPy at runtime.
-    """
-    if x <= 0.0:
-        raise DistributionError("E1(x) requires x > 0")
-    if x <= 1.0:
-        # Series:  E1(x) = -gamma - ln x + sum_{n>=1} (-1)^{n+1} x^n / (n * n!)
-        euler_gamma = 0.5772156649015328606
-        total = -euler_gamma - math.log(x)
-        term = 1.0
-        for n in range(1, 60):
-            term *= -x / n
-            contribution = -term / n
-            total += contribution
-            if abs(contribution) < 1e-18 * max(abs(total), 1.0):
-                break
-        return total
-    # Continued fraction: E1(x) = e^{-x} * 1/(x+1-1/(x+3-4/(x+5-...)))
-    b = x + 1.0
-    c = 1e308
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -float(i) * float(i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h * math.exp(-x)
+__all__ = ["Exponential"]
 
 
 @dataclass(frozen=True)
@@ -108,86 +63,3 @@ class Exponential(Distribution):
     def scaled(self, rate: float) -> "Exponential":
         require_positive(rate, "rate")
         return Exponential(self.mean_value / rate)
-
-
-@dataclass(frozen=True)
-class BoundedExponential(Distribution):
-    """Exponential distribution truncated to ``[low, high]``.
-
-    The density is ``mu e^{-mu x} / (e^{-mu low} - e^{-mu high})`` on the
-    interval.  Unlike the unbounded exponential its reciprocal moment is
-    finite, but — as the paper notes — it depends on both truncation bounds,
-    so there is no bound-free closed form for the slowdown.
-    """
-
-    mean_value: float
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        require_positive(self.mean_value, "mean_value")
-        require_positive(self.low, "low")
-        require_positive(self.high, "high")
-        if self.high <= self.low:
-            raise DistributionError(f"high={self.high!r} must exceed low={self.low!r}")
-
-    @property
-    def rate_parameter(self) -> float:
-        return 1.0 / self.mean_value
-
-    @property
-    def _mass(self) -> float:
-        mu = self.rate_parameter
-        return math.exp(-mu * self.low) - math.exp(-mu * self.high)
-
-    def mean(self) -> float:
-        mu = self.rate_parameter
-        a, b = self.low, self.high
-        numerator = (a + 1.0 / mu) * math.exp(-mu * a) - (b + 1.0 / mu) * math.exp(-mu * b)
-        return numerator / self._mass
-
-    def second_moment(self) -> float:
-        mu = self.rate_parameter
-        a, b = self.low, self.high
-
-        def antiderivative(x: float) -> float:
-            # -(x^2 + 2x/mu + 2/mu^2) e^{-mu x} is the antiderivative of
-            # x^2 mu e^{-mu x}.
-            return -(x * x + 2.0 * x / mu + 2.0 / (mu * mu)) * math.exp(-mu * x)
-
-        return (antiderivative(b) - antiderivative(a)) / self._mass
-
-    def mean_inverse(self) -> float:
-        mu = self.rate_parameter
-        # \int_a^b (1/x) mu e^{-mu x} dx = mu (E1(mu a) - E1(mu b))
-        return mu * (_exp1(mu * self.low) - _exp1(mu * self.high)) / self._mass
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        mu = self.rate_parameter
-        inside = (x >= self.low) & (x <= self.high)
-        return np.where(inside, mu * np.exp(-mu * x) / self._mass, 0.0)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        mu = self.rate_parameter
-        clipped = np.clip(x, self.low, self.high)
-        vals = (np.exp(-mu * self.low) - np.exp(-mu * clipped)) / self._mass
-        vals = np.where(x < self.low, 0.0, vals)
-        vals = np.where(x >= self.high, 1.0, vals)
-        return vals
-
-    def ppf(self, q):
-        q = np.asarray(q, dtype=float)
-        mu = self.rate_parameter
-        target = np.exp(-mu * self.low) - q * self._mass
-        x = -np.log(target) / mu
-        return np.clip(x, self.low, self.high)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return self.low, self.high
-
-    def scaled(self, rate: float) -> "BoundedExponential":
-        require_positive(rate, "rate")
-        return BoundedExponential(self.mean_value / rate, self.low / rate, self.high / rate)

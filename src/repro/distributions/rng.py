@@ -11,8 +11,6 @@ that every component of the library draws from an explicit
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from ..errors import ParameterError
@@ -21,7 +19,6 @@ __all__ = [
     "make_generator",
     "spawn_generators",
     "spawn_seed_sequences",
-    "child_generator",
 ]
 
 
@@ -61,24 +58,3 @@ def spawn_generators(
 ) -> list[np.random.Generator]:
     """Spawn ``count`` independent generators from a single ``seed``."""
     return [np.random.default_rng(ss) for ss in spawn_seed_sequences(seed, count)]
-
-
-def child_generator(
-    seed: int | np.random.SeedSequence | None, path: Sequence[int]
-) -> np.random.Generator:
-    """Return the generator reached by following ``path`` of spawn indices.
-
-    ``child_generator(seed, (run, klass))`` deterministically identifies the
-    stream used by class ``klass`` in replication ``run`` regardless of how
-    many other streams were spawned, which keeps replications reproducible
-    even when experiments are executed out of order or in parallel.
-    """
-    if isinstance(seed, np.random.SeedSequence):
-        node = seed
-    else:
-        node = np.random.SeedSequence(seed)
-    for index in path:
-        if index < 0:
-            raise ParameterError(f"spawn path indices must be >= 0, got {index}")
-        node = node.spawn(index + 1)[index]
-    return np.random.default_rng(node)

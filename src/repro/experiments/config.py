@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from ..cluster.admission import build_admission
 from ..cluster.autoscale import AutoscalerPolicy, build_autoscaler
-from ..cluster.capacity import CAPACITY_MIXES
+from ..cluster.capacity import CAPACITY_MIXES, resolve_capacities
 from ..cluster.dispatch import DISPATCH_POLICIES
 from ..cluster.fleet import FleetSchedule, parse_fleet_events
 from ..core.admission import AdmissionPolicy
@@ -112,11 +112,14 @@ class ExperimentConfig:
                         f"unknown capacity mix {mix!r}; "
                         f"available: {sorted(CAPACITY_MIXES)}"
                     )
-            elif not mix or any(not float(c) > 0.0 for c in mix):
-                raise ExperimentError(
-                    f"explicit capacity mixes need strictly positive node "
-                    f"speeds, got {mix!r}"
-                )
+            else:
+                try:
+                    resolve_capacities(mix, len(mix))
+                except SimulationError as error:
+                    raise ExperimentError(
+                        f"explicit capacity mixes need strictly positive, finite node "
+                        f"speeds, got {mix!r}: {error}"
+                    ) from None
         if self.fleet_events:
             try:
                 parse_fleet_events(self.fleet_events)

@@ -3,7 +3,8 @@
 Figures 5 and 6 of the paper report, for every system load, the 5th, 50th
 and 95th percentiles of the slowdown ratio between two classes measured over
 1000-time-unit windows.  :class:`PercentileBand` captures one such
-(5th, 50th, 95th) triple and the helpers compute them from ratio series.
+(5th, 50th, 95th) triple and :func:`percentile_band` computes it from a
+ratio series.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
-
-__all__ = ["PercentileBand", "percentile_band", "bands_by_parameter"]
+__all__ = ["PercentileBand", "percentile_band"]
 
 
 @dataclass(frozen=True)
@@ -50,16 +49,3 @@ def percentile_band(values: Sequence[float] | np.ndarray) -> PercentileBand:
         p95=float(np.percentile(arr, 95)),
         count=int(arr.size),
     )
-
-
-def bands_by_parameter(
-    samples: dict[float, Sequence[float] | np.ndarray]
-) -> dict[float, PercentileBand]:
-    """Percentile bands for a family of samples keyed by a sweep parameter.
-
-    Typical usage: ``samples`` maps system load -> per-window ratio series;
-    the result is the data behind one curve of Fig. 5 / Fig. 6.
-    """
-    if not samples:
-        raise ParameterError("samples must be non-empty")
-    return {key: percentile_band(vals) for key, vals in samples.items()}

@@ -3,8 +3,7 @@
 The PSD model is a statement about *ratios* of class slowdowns (Eq. 16), so
 most of the paper's evaluation is expressed as achieved-ratio curves.  These
 helpers compute achieved ratios, compare them against the differentiation
-targets and quantify the deviation, both for scalar summaries (Figs. 9-10)
-and per-window series (Figs. 5-6).
+targets and quantify the deviation (Figs. 9-10).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 from ..core.psd import PsdSpec
 from ..errors import ParameterError
 
-__all__ = ["RatioComparison", "achieved_ratios", "compare_to_targets", "ratio_series_to_first"]
+__all__ = ["RatioComparison", "achieved_ratios", "compare_to_targets"]
 
 
 def achieved_ratios(slowdowns: Sequence[float], *, reference: int = 0) -> tuple[float, ...]:
@@ -73,20 +72,3 @@ def compare_to_targets(slowdowns: Sequence[float], spec: PsdSpec) -> RatioCompar
         targets=spec.target_ratios_to_first(),
         achieved=achieved_ratios(slowdowns),
     )
-
-
-def ratio_series_to_first(
-    per_class_window_means: Sequence[np.ndarray], class_index: int
-) -> np.ndarray:
-    """Per-window ratio of ``class_index``'s mean slowdown to class 0's.
-
-    Windows in which either class has no completed request are dropped.
-    """
-    if class_index <= 0 or class_index >= len(per_class_window_means):
-        raise ParameterError("class_index must identify a non-reference class")
-    first = np.asarray(per_class_window_means[0], dtype=float)
-    other = np.asarray(per_class_window_means[class_index], dtype=float)
-    n = min(first.size, other.size)
-    first, other = first[:n], other[:n]
-    mask = (~np.isnan(first)) & (~np.isnan(other)) & (first > 0.0)
-    return other[mask] / first[mask]

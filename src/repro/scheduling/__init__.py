@@ -4,19 +4,14 @@ The paper's rate-allocation strategy assumes a mechanism (GPS, PGPS, lottery
 scheduling, ...) that can hand each per-class task server a configurable
 share of the processing capacity.  This package implements those mechanisms —
 a GPS fluid reference, WFQ/PGPS, start-time fair queueing, lottery and
-deficit weighted round robin — plus the priority-based schedulers from the
-related work that the experiments use as contrast (strict priority and
-waiting-time priority).
+deficit weighted round robin — plus strict priority, the related-work
+scheduler the scheduler ablation uses as contrast.
 """
 
 from .base import QueuedJob, Scheduler, WeightedScheduler
 from .gps import FluidJob, GpsResult, simulate_gps
 from .lottery import LotteryScheduler
-from .priority import (
-    SlowdownWtpScheduler,
-    StrictPriorityScheduler,
-    WaitingTimePriorityScheduler,
-)
+from .priority import StrictPriorityScheduler
 from .sfq import StartTimeFairQueueing
 from .wfq import WeightedFairQueueing
 from .wrr import DeficitWeightedRoundRobin
@@ -33,6 +28,4 @@ __all__ = [
     "LotteryScheduler",
     "DeficitWeightedRoundRobin",
     "StrictPriorityScheduler",
-    "WaitingTimePriorityScheduler",
-    "SlowdownWtpScheduler",
 ]

@@ -1,22 +1,13 @@
-"""Priority-based request schedulers from the related work.
+"""Strict priority scheduling from the related work.
 
-These are the server-side differentiation mechanisms the paper argues are
-*insufficient* for proportional slowdown differentiation (Secs. 1 and 5):
-
-* :class:`StrictPriorityScheduler` — lower-priority classes run only when no
-  higher-priority request is waiting (Almeida et al. 1998).  It differentiates
-  but cannot control the *spacing* between classes.
-* :class:`WaitingTimePriorityScheduler` (WTP, Dovrolis et al.) — the
-  time-dependent priority of a head-of-line request grows with its waiting
-  time scaled by the class differentiation parameter, which targets
-  proportional *delay* differentiation.
-* :class:`SlowdownWtpScheduler` — a what-if extension: WTP driven by
-  ``waiting_time / service_time`` (the request's instantaneous slowdown),
-  which requires knowing service times a priori.  The paper points out this
-  knowledge is costly or impossible on real servers; the scheduler is
-  provided as an oracle comparator for the benches.
-
-All of them reuse the per-class FCFS queues of :class:`~repro.scheduling.base.Scheduler`.
+:class:`StrictPriorityScheduler` is the server-side differentiation mechanism
+the paper argues is *insufficient* for proportional slowdown differentiation
+(Secs. 1 and 5): lower-priority classes run only when no higher-priority
+request is waiting (Almeida et al. 1998).  It differentiates but cannot
+control the *spacing* between classes, which is what the scheduler ablation
+bench and ``examples/scheduler_comparison.py`` show next to the
+proportional-share disciplines.  It reuses the per-class FCFS queues of
+:class:`~repro.scheduling.base.Scheduler`.
 """
 
 from __future__ import annotations
@@ -24,14 +15,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..errors import SchedulingError
-from ..validation import require_positive_sequence
 from .base import Scheduler
 
-__all__ = [
-    "StrictPriorityScheduler",
-    "WaitingTimePriorityScheduler",
-    "SlowdownWtpScheduler",
-]
+__all__ = ["StrictPriorityScheduler"]
 
 
 class StrictPriorityScheduler(Scheduler):
@@ -47,56 +33,3 @@ class StrictPriorityScheduler(Scheduler):
 
     def _select_class(self, now: float) -> int:
         return min(self.backlogged_classes(), key=lambda c: self._priorities[c])
-
-
-class WaitingTimePriorityScheduler(Scheduler):
-    """Waiting-time priority (WTP) for proportional *delay* differentiation.
-
-    The head-of-line request of class ``c`` has priority
-    ``waiting_time / delta_c``; the largest priority is served next, so a
-    class with a small delta (high class) accumulates priority quickly and
-    waits proportionally less.
-    """
-
-    def __init__(self, num_classes: int, deltas: Sequence[float]) -> None:
-        super().__init__(num_classes)
-        checked = require_positive_sequence(deltas, "deltas")
-        if len(checked) != num_classes:
-            raise SchedulingError("deltas must have one entry per class")
-        self.deltas = checked
-
-    def _priority(self, class_index: int, now: float) -> float:
-        head = self.peek(class_index)
-        if head is None:
-            return float("-inf")
-        waited = max(now - head.arrival_time, 0.0)
-        return waited / self.deltas[class_index]
-
-    def _select_class(self, now: float) -> int:
-        return max(self.backlogged_classes(), key=lambda c: (self._priority(c, now), -c))
-
-
-class SlowdownWtpScheduler(Scheduler):
-    """Oracle slowdown-based WTP: priority = (waiting / size) / delta.
-
-    Requires the true service demand of the head-of-line request, which a
-    real server generally does not know; useful only as an upper-bound
-    comparator in simulation.
-    """
-
-    def __init__(self, num_classes: int, deltas: Sequence[float]) -> None:
-        super().__init__(num_classes)
-        checked = require_positive_sequence(deltas, "deltas")
-        if len(checked) != num_classes:
-            raise SchedulingError("deltas must have one entry per class")
-        self.deltas = checked
-
-    def _priority(self, class_index: int, now: float) -> float:
-        head = self.peek(class_index)
-        if head is None:
-            return float("-inf")
-        waited = max(now - head.arrival_time, 0.0)
-        return (waited / head.size) / self.deltas[class_index]
-
-    def _select_class(self, now: float) -> int:
-        return max(self.backlogged_classes(), key=lambda c: (self._priority(c, now), -c))

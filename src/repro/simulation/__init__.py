@@ -18,9 +18,6 @@ The package is layered as *engine -> scenario -> server model -> runner*:
   substrates: :class:`RateScalableServers` (the paper's idealised Fig. 1
   model) and :class:`SharedProcessorServer` (one full-speed processor driven
   by any :mod:`repro.scheduling` discipline).
-* :mod:`repro.simulation.psd_server` / :mod:`repro.simulation.shared_server`
-  — thin named wrappers (``PsdServerSimulation``,
-  ``SharedProcessorSimulation``) that pre-select a server model.
 * :mod:`repro.simulation.monitor` / :mod:`repro.simulation.trace` —
   measurement: read-only views over the ledger.
 * :mod:`repro.simulation.trace_io` — :func:`load_trace` / :func:`save_trace`:
@@ -58,7 +55,6 @@ from .monitor import (
     WindowedMonitor,
     fleet_availability,
 )
-from .psd_server import PsdServerSimulation
 from .runner import (
     ReplicatedStatistic,
     ReplicationRunner,
@@ -79,7 +75,6 @@ from .server_models import (
     ServerModel,
     SharedProcessorServer,
 )
-from .shared_server import SharedProcessorSimulation
 from .task_server import FcfsTaskServer
 from .trace import RequestRecord, SimulationTrace
 from .trace_io import load_trace, save_trace, trace_sources_from_arrays
@@ -107,8 +102,6 @@ __all__ = [
     "ServerModel",
     "RateScalableServers",
     "SharedProcessorServer",
-    "PsdServerSimulation",
-    "SharedProcessorSimulation",
     "SimulationResult",
     "RateController",
     "StaticRateController",

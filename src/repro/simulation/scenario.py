@@ -12,9 +12,10 @@ processing rates, which are pushed back into the server model.
 :class:`Scenario` owns that skeleton once.  The serving substrate is a
 pluggable :class:`~repro.simulation.server_models.ServerModel`; the
 controller is any :class:`RateController` (the adaptive
-:class:`repro.core.PsdController` by default).  The legacy entry points
-``PsdServerSimulation`` and ``SharedProcessorSimulation`` are thin wrappers
-that pre-select the server model.
+:class:`repro.core.PsdController` by default).  The paper's Fig. 1 model is
+``Scenario(classes, config)`` (``server`` defaults to
+:class:`~repro.simulation.server_models.RateScalableServers`); a shared
+processor is ``server=SharedProcessorServer(scheduler, capacity=...)``.
 
 Columnar lifecycle
 ------------------

@@ -45,6 +45,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..scheduling.base import Scheduler, WeightedScheduler
 from ..types import TrafficClass
+from ..validation import require_capacity
 from .engine import SimulationEngine
 from .ledger import RequestLedger
 from .task_server import FcfsTaskServer
@@ -225,9 +226,7 @@ class RateScalableServers(ServerModel):
 
     def __init__(self, *, capacity: float | None = None) -> None:
         super().__init__()
-        if capacity is not None and not capacity > 0.0:  # also rejects NaN
-            raise SimulationError(f"capacity must be > 0, got {capacity}")
-        self.capacity = None if capacity is None else float(capacity)
+        self.capacity = None if capacity is None else require_capacity(capacity)
         self.servers: list[FcfsTaskServer] = []
 
     def _on_bind(self) -> None:
@@ -340,10 +339,8 @@ class SharedProcessorServer(ServerModel):
 
     def __init__(self, scheduler: Scheduler, *, capacity: float = 1.0) -> None:
         super().__init__()
-        if not capacity > 0.0:  # also rejects NaN
-            raise SimulationError(f"capacity must be > 0, got {capacity}")
         self.scheduler = scheduler
-        self.capacity = float(capacity)
+        self.capacity = require_capacity(capacity)
         self._in_service: int | None = None
         self._completion_time = 0.0
         # Arrivals not yet handed to the scheduler, consumed from

@@ -1,25 +1,25 @@
 """Small argument-validation helpers shared across the package.
 
-The validators raise :class:`repro.errors.ParameterError` with a message that
-names the offending argument, which keeps the call sites in the numeric code
-short while still producing actionable errors.
+The validators raise :class:`repro.errors.ParameterError` (a capacity check:
+:class:`repro.errors.SimulationError`) with a message that names the
+offending argument, which keeps the call sites in the numeric code short
+while still producing actionable errors.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from .errors import ParameterError
+from .errors import ParameterError, SimulationError
 
 __all__ = [
     "require_positive",
+    "require_capacity",
     "require_non_negative",
     "require_in_range",
     "require_probability",
     "require_positive_sequence",
-    "require_non_decreasing",
-    "require_same_length",
     "require_finite",
     "require_count",
     "as_float_tuple",
@@ -51,6 +51,21 @@ def require_positive(value: float, name: str) -> float:
     out = require_finite(value, name)
     if out <= 0.0:
         raise ParameterError(f"{name} must be > 0, got {value!r}")
+    return out
+
+
+def require_capacity(value: float, name: str = "capacity") -> float:
+    """Return a node or processor capacity as a float, requiring finite > 0.
+
+    Raises :class:`~repro.errors.SimulationError`: a node that cannot serve
+    (``<= 0``, NaN) or that serves any load at once (``inf``) is a malformed
+    fleet, not a bad numeric argument.
+    """
+    out = float(value)
+    if not (math.isfinite(out) and out > 0.0):
+        raise SimulationError(
+            f"non-positive or non-finite {name} {value!r}: a capacity must be finite and > 0"
+        )
     return out
 
 
@@ -102,24 +117,3 @@ def require_positive_sequence(values: Iterable[float], name: str) -> tuple[float
         if v <= 0.0:
             raise ParameterError(f"{name}[{i}] must be > 0, got {v!r}")
     return out
-
-
-def require_non_decreasing(values: Sequence[float], name: str) -> tuple[float, ...]:
-    """Require ``values`` to be sorted in non-decreasing order."""
-    out = as_float_tuple(values, name)
-    for i in range(1, len(out)):
-        if out[i] < out[i - 1]:
-            raise ParameterError(
-                f"{name} must be non-decreasing, but {name}[{i}]={out[i]!r} "
-                f"< {name}[{i - 1}]={out[i - 1]!r}"
-            )
-    return out
-
-
-def require_same_length(a: Sequence, b: Sequence, name_a: str, name_b: str) -> None:
-    """Require two sequences to have equal length."""
-    if len(a) != len(b):
-        raise ParameterError(
-            f"{name_a} and {name_b} must have the same length "
-            f"({len(a)} != {len(b)})"
-        )

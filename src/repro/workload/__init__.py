@@ -1,8 +1,7 @@
 """Workload factories: the paper's Web workload, session-based e-commerce,
-sweeps, and non-stationary arrival patterns (diurnal cycles, flash crowds)."""
+and non-stationary arrival patterns (diurnal cycles, flash crowds)."""
 
 from .ecommerce import DEFAULT_STATES, SessionProfile, SessionState, ecommerce_classes
-from .mixes import PAPER_LOAD_GRID, load_sweep, share_sweep, skewed_shares
 from .patterns import (
     DiurnalPattern,
     FlashCrowd,
@@ -25,8 +24,4 @@ __all__ = [
     "SessionProfile",
     "DEFAULT_STATES",
     "ecommerce_classes",
-    "PAPER_LOAD_GRID",
-    "load_sweep",
-    "share_sweep",
-    "skewed_shares",
 ]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PsdController, PsdSpec, allocate_rates, expected_slowdowns
-from repro.distributions import Exponential, Uniform
+from repro.distributions import Deterministic, Exponential
 from repro.errors import AllocationError, ParameterError, StabilityError
 from repro.queueing.mg1 import expected_slowdown
 from repro.queueing.mgb1 import theorem1_task_server_slowdown
@@ -138,7 +138,7 @@ class TestTheorem1Oracle:
         assert tuple(slowdowns) == pytest.approx(allocation.predicted_slowdowns)
 
     def test_generic_mg1_task_servers_meet_the_ratios(self):
-        service = Uniform(0.5, 1.5)
+        service = Deterministic(1.0)
         classes = (
             TrafficClass("a", 0.3, service, 1.0),
             TrafficClass("b", 0.3, service, 2.0),

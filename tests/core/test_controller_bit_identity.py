@@ -25,7 +25,7 @@ from repro.core import (
 )
 from repro.core.allocation import _apply_floor
 from repro.core.controller import ControllerDecision
-from repro.distributions import BoundedPareto, Uniform
+from repro.distributions import BoundedPareto, Deterministic
 from repro.errors import AllocationError, ParameterError, StabilityError
 from repro.types import TrafficClass
 
@@ -121,7 +121,7 @@ class LibraryEstimatorReference:
 SERVICES = (
     BoundedPareto.paper_default(),
     BoundedPareto(k=0.5, p=50.0, alpha=1.2),
-    Uniform(0.5, 1.5),
+    Deterministic(1.0),
 )
 
 

@@ -18,6 +18,8 @@ from repro.core import (
 from repro.errors import ParameterError
 from tests.conftest import make_classes
 
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 @pytest.fixture
 def classes(moderate_bp):
@@ -190,12 +192,12 @@ class TestAdmissionPolicies:
 
 class TestAdmissionInSimulation:
     def test_queue_limit_caps_backlog_and_records_rejections(self, moderate_bp):
-        from repro.simulation import MeasurementConfig, PsdServerSimulation
+        from repro.simulation import MeasurementConfig, Scenario
 
         classes = make_classes(moderate_bp, 0.95, (1.0, 2.0))
         policy = QueueLengthAdmission(limits=(5, 5))
         cfg = MeasurementConfig(warmup=200.0, horizon=3_000.0, window=200.0)
-        result = PsdServerSimulation(classes, cfg, admission=policy, seed=3).run()
+        result = Scenario(classes, cfg, admission=policy, seed=3).run()
         assert sum(result.rejected_counts) > 0
         assert sum(result.rejected_counts) == sum(policy.rejected)
         assert sum(result.completed_counts) > 0
@@ -206,17 +208,17 @@ class TestAdmissionInSimulation:
             assert generated >= completed + rejected - 1
 
     def test_no_admission_policy_never_rejects(self, moderate_bp):
-        from repro.simulation import MeasurementConfig, PsdServerSimulation
+        from repro.simulation import MeasurementConfig, Scenario
 
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=200.0, horizon=1_000.0, window=200.0)
-        result = PsdServerSimulation(classes, cfg, seed=1).run()
+        result = Scenario(classes, cfg, seed=1).run()
         assert result.rejected_counts == (0, 0)
 
 
 class TestFeedbackInSimulation:
     def test_feedback_controller_runs_and_records_corrections(self, moderate_bp):
-        from repro.simulation import MeasurementConfig, PsdServerSimulation
+        from repro.simulation import MeasurementConfig, Scenario
 
         classes = make_classes(moderate_bp, 0.7, (1.0, 2.0))
         spec = PsdSpec.of(1, 2)
@@ -224,7 +226,7 @@ class TestFeedbackInSimulation:
         cfg = MeasurementConfig(
             warmup=1_000.0, horizon=10_000.0, window=500.0
         ).scaled_to_time_units(moderate_bp.mean())
-        result = PsdServerSimulation(classes, cfg, controller=controller, seed=5).run()
+        result = Scenario(classes, cfg, controller=controller, seed=5).run()
         assert len(controller.correction_history) > 0
         slowdowns = result.per_class_mean_slowdowns()
         assert slowdowns[0] < slowdowns[1]

@@ -1,8 +1,7 @@
-"""Tests for the exponential and bounded (truncated) exponential distributions.
+"""Tests for the exponential distribution.
 
-These encode the Sec. 5 discussion: no finite slowdown for unbounded
-exponential service times, and a finite but bound-dependent reciprocal moment
-for the truncated variant.
+These encode the Sec. 5 discussion: no finite slowdown for exponential
+service times.
 """
 
 import math
@@ -10,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.distributions import BoundedExponential, Exponential, numerical_moment
-from repro.errors import DistributionError, ParameterError
+from repro.distributions import Exponential
+from repro.errors import ParameterError
 
 
 class TestExponential:
@@ -41,39 +40,3 @@ class TestExponential:
     def test_rejects_non_positive_mean(self):
         with pytest.raises(ParameterError):
             Exponential(0.0)
-
-
-class TestBoundedExponential:
-    def test_construction_requires_ordered_bounds(self):
-        with pytest.raises(DistributionError):
-            BoundedExponential(1.0, low=2.0, high=1.0)
-
-    def test_moments_match_numerical_integration(self):
-        be = BoundedExponential(1.0, low=0.05, high=20.0)
-        assert be.mean() == pytest.approx(numerical_moment(be, 1.0), rel=1e-5)
-        assert be.second_moment() == pytest.approx(numerical_moment(be, 2.0), rel=1e-5)
-        assert be.mean_inverse() == pytest.approx(numerical_moment(be, -1.0), rel=1e-4)
-
-    def test_mean_inverse_is_finite_but_depends_on_bounds(self):
-        tight = BoundedExponential(1.0, low=0.5, high=2.0)
-        wide = BoundedExponential(1.0, low=0.01, high=2.0)
-        assert math.isfinite(tight.mean_inverse())
-        assert math.isfinite(wide.mean_inverse())
-        # Pushing the lower bound toward zero inflates E[1/X]: the reason the
-        # paper says there is no bound-free closed form.
-        assert wide.mean_inverse() > tight.mean_inverse()
-
-    def test_cdf_ppf_roundtrip(self):
-        be = BoundedExponential(1.0, low=0.2, high=5.0)
-        qs = np.linspace(0.0, 1.0, 51)
-        np.testing.assert_allclose(be.cdf(be.ppf(qs)), qs, atol=1e-10)
-
-    def test_samples_respect_bounds(self, rng):
-        be = BoundedExponential(1.0, low=0.2, high=5.0)
-        samples = be.sample(rng, 20_000)
-        assert np.all(samples >= 0.2)
-        assert np.all(samples <= 5.0)
-
-    def test_scaling_scales_bounds(self):
-        be = BoundedExponential(1.0, low=0.2, high=5.0).scaled(0.5)
-        assert be.support == (pytest.approx(0.4), pytest.approx(10.0))

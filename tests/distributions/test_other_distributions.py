@@ -1,54 +1,12 @@
-"""Tests for the auxiliary distributions (Pareto, Deterministic, Uniform,
-Hyperexponential, Weibull, Lognormal)."""
+"""Tests for the auxiliary distributions (Deterministic, Hyperexponential)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.distributions import (
-    Deterministic,
-    Hyperexponential,
-    Lognormal,
-    Pareto,
-    Uniform,
-    Weibull,
-    numerical_moment,
-)
+from repro.distributions import Deterministic, Hyperexponential
 from repro.errors import DistributionError, ParameterError
-
-
-class TestPareto:
-    def test_moments_finite_and_infinite_regimes(self):
-        heavy = Pareto(k=1.0, alpha=1.5)
-        assert math.isinf(heavy.second_moment())
-        assert heavy.mean() == pytest.approx(3.0)
-        light = Pareto(k=1.0, alpha=3.0)
-        assert light.second_moment() == pytest.approx(3.0)
-
-    def test_mean_infinite_for_alpha_below_one(self):
-        assert math.isinf(Pareto(1.0, 0.9).mean())
-
-    def test_mean_inverse_closed_form(self):
-        p = Pareto(k=2.0, alpha=1.5)
-        assert p.mean_inverse() == pytest.approx(1.5 / (2.5 * 2.0))
-
-    def test_bounded_truncation(self):
-        p = Pareto(k=0.1, alpha=1.5)
-        bp = p.bounded(100.0)
-        assert bp.k == pytest.approx(0.1)
-        assert bp.p == pytest.approx(100.0)
-        assert bp.alpha == pytest.approx(1.5)
-
-    def test_sampling_above_minimum(self, rng):
-        p = Pareto(k=0.5, alpha=2.0)
-        samples = p.sample(rng, 10_000)
-        assert np.all(samples >= 0.5)
-
-    def test_cdf_ppf_roundtrip(self):
-        p = Pareto(k=1.0, alpha=2.0)
-        qs = np.linspace(0.0, 0.999, 50)
-        np.testing.assert_allclose(p.cdf(p.ppf(qs)), qs, atol=1e-12)
 
 
 class TestDeterministic:
@@ -71,25 +29,6 @@ class TestDeterministic:
     def test_rejects_non_positive(self):
         with pytest.raises(ParameterError):
             Deterministic(0.0)
-
-
-class TestUniform:
-    def test_moments_match_numerical(self):
-        u = Uniform(0.5, 4.0)
-        assert u.mean() == pytest.approx(numerical_moment(u, 1.0), rel=1e-6)
-        assert u.second_moment() == pytest.approx(numerical_moment(u, 2.0), rel=1e-6)
-        assert u.mean_inverse() == pytest.approx(numerical_moment(u, -1.0), rel=1e-6)
-
-    def test_requires_positive_ordered_bounds(self):
-        with pytest.raises(DistributionError):
-            Uniform(2.0, 2.0)
-        with pytest.raises(ParameterError):
-            Uniform(0.0, 2.0)
-
-    def test_sampling_within_bounds(self, rng):
-        u = Uniform(1.0, 2.0)
-        samples = u.sample(rng, 5_000)
-        assert np.all((samples >= 1.0) & (samples <= 2.0))
 
 
 class TestHyperexponential:
@@ -117,56 +56,3 @@ class TestHyperexponential:
         h = Hyperexponential(probabilities=(0.8, 0.2), means=(1.0, 5.0))
         samples = h.sample(rng, 100_000)
         assert np.mean(samples) == pytest.approx(h.mean(), rel=0.03)
-
-
-class TestWeibull:
-    def test_moments_match_numerical(self):
-        w = Weibull(scale=2.0, shape=1.5)
-        assert w.mean() == pytest.approx(numerical_moment(w, 1.0), rel=1e-4)
-        assert w.second_moment() == pytest.approx(numerical_moment(w, 2.0), rel=1e-4)
-        assert w.mean_inverse() == pytest.approx(numerical_moment(w, -1.0), rel=1e-3)
-
-    def test_mean_inverse_infinite_for_shape_at_most_one(self):
-        assert math.isinf(Weibull(scale=1.0, shape=0.8).mean_inverse())
-        assert math.isinf(Weibull(scale=1.0, shape=1.0).mean_inverse())
-
-    def test_cdf_ppf_roundtrip(self):
-        w = Weibull(scale=1.0, shape=0.7)
-        qs = np.linspace(0.001, 0.999, 50)
-        np.testing.assert_allclose(w.cdf(w.ppf(qs)), qs, atol=1e-10)
-
-    def test_scaling(self):
-        w = Weibull(scale=1.0, shape=1.5).scaled(0.5)
-        assert w.mean() == pytest.approx(Weibull(2.0, 1.5).mean())
-
-
-class TestLognormal:
-    def test_moments_closed_forms(self):
-        ln = Lognormal(mu=0.2, sigma=0.8)
-        assert ln.mean() == pytest.approx(math.exp(0.2 + 0.32))
-        assert ln.second_moment() == pytest.approx(math.exp(0.4 + 2 * 0.64))
-        assert ln.mean_inverse() == pytest.approx(math.exp(-0.2 + 0.32))
-
-    def test_moments_match_numerical(self):
-        ln = Lognormal(mu=0.0, sigma=0.5)
-        assert ln.mean() == pytest.approx(numerical_moment(ln, 1.0), rel=1e-4)
-        assert ln.mean_inverse() == pytest.approx(numerical_moment(ln, -1.0), rel=1e-4)
-
-    def test_from_mean_and_scv(self):
-        ln = Lognormal.from_mean_and_scv(2.0, 4.0)
-        assert ln.mean() == pytest.approx(2.0, rel=1e-10)
-        assert ln.squared_coefficient_of_variation() == pytest.approx(4.0, rel=1e-10)
-
-    def test_ppf_inverts_cdf(self):
-        ln = Lognormal(mu=0.0, sigma=1.0)
-        qs = np.linspace(0.001, 0.999, 101)
-        np.testing.assert_allclose(ln.cdf(ln.ppf(qs)), qs, atol=1e-7)
-
-    def test_sampling_mean(self, rng):
-        ln = Lognormal.from_mean_and_scv(1.0, 1.0)
-        samples = ln.sample(rng, 200_000)
-        assert np.mean(samples) == pytest.approx(1.0, rel=0.02)
-
-    def test_scaling_divides_mean(self):
-        ln = Lognormal(mu=0.0, sigma=0.5)
-        assert ln.scaled(0.5).mean() == pytest.approx(ln.mean() * 2.0)

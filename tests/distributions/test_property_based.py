@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributions import BoundedPareto, Uniform
+from repro.distributions import BoundedPareto
 
 # Strategy for Bounded Pareto parameters: keep the dynamic range moderate so
 # numerical integration in the oracle checks stays cheap and well-conditioned.
@@ -76,31 +76,3 @@ class TestBoundedParetoProperties:
         samples = bp.sample(np.random.default_rng(seed), 256)
         assert np.all(samples >= bp.k - 1e-12)
         assert np.all(samples <= bp.p + 1e-9)
-
-
-class TestUniformProperties:
-    @given(
-        st.floats(min_value=0.01, max_value=10.0),
-        st.floats(min_value=0.1, max_value=10.0),
-        st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_ppf_cdf_roundtrip(self, low, width, q):
-        u = Uniform(low, low + width)
-        x = float(u.ppf(q))
-        assert abs(float(u.cdf(x)) - q) < 1e-9
-
-    @given(
-        st.floats(min_value=0.01, max_value=10.0),
-        st.floats(min_value=0.1, max_value=10.0),
-        st.floats(min_value=0.05, max_value=1.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_scaling_preserves_scv(self, low, width, rate):
-        u = Uniform(low, low + width)
-        scaled = u.scaled(rate)
-        assert math.isclose(
-            u.squared_coefficient_of_variation(),
-            scaled.squared_coefficient_of_variation(),
-            rel_tol=1e-9,
-        )

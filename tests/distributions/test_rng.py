@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.distributions import (
-    child_generator,
     make_generator,
     spawn_generators,
     spawn_seed_sequences,
@@ -51,17 +50,3 @@ class TestSpawning:
         b = [g.random(4) for g in spawn_generators(9, 3)]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-
-    def test_child_generator_path_determinism(self):
-        a = child_generator(5, (2, 1)).random(6)
-        b = child_generator(5, (2, 1)).random(6)
-        np.testing.assert_array_equal(a, b)
-
-    def test_child_generator_distinct_paths_differ(self):
-        a = child_generator(5, (0, 0)).random(6)
-        b = child_generator(5, (0, 1)).random(6)
-        assert not np.allclose(a, b)
-
-    def test_child_generator_rejects_negative_index(self):
-        with pytest.raises(ParameterError):
-            child_generator(5, (-1,))

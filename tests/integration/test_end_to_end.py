@@ -19,8 +19,8 @@ from repro.metrics import compare_to_targets, percentile_band
 from repro.scheduling import WeightedFairQueueing
 from repro.simulation import (
     MeasurementConfig,
-    PsdServerSimulation,
-    SharedProcessorSimulation,
+    Scenario,
+    SharedProcessorServer,
     run_replications,
 )
 from repro.workload import web_classes
@@ -43,7 +43,7 @@ def run_summary(classes, spec, *, replications=4, seed=0, controller_factory=Non
 
     def build(_, seed_seq):
         controller = controller_factory() if controller_factory else None
-        sim = PsdServerSimulation(classes, cfg, spec=spec, controller=controller, seed=seed_seq)
+        sim = Scenario(classes, cfg, spec=spec, controller=controller, seed=seed_seq)
         return sim.run()
 
     return run_replications(build, replications=replications, base_seed=seed)
@@ -139,8 +139,12 @@ class TestSharedProcessorPipeline:
         cfg = measurement(horizon=12_000.0)
 
         def build(_, seed_seq):
-            return SharedProcessorSimulation(
-                classes, cfg, WeightedFairQueueing(2), spec=spec, seed=seed_seq
+            return Scenario(
+                classes,
+                cfg,
+                server=SharedProcessorServer(WeightedFairQueueing(2)),
+                spec=spec,
+                seed=seed_seq,
             ).run()
 
         summary = run_replications(build, replications=3, base_seed=19)
@@ -152,7 +156,7 @@ class TestSharedProcessorPipeline:
         classes = web_classes(2, 0.6, spec.deltas, service=SERVICE)
         allocation = allocate_rates(classes, spec)
         cfg = measurement(horizon=8_000.0)
-        sim = PsdServerSimulation(classes, cfg, spec=spec, seed=2)
+        sim = Scenario(classes, cfg, spec=spec, seed=2)
         sim.run()
         # The adaptive controller's long-run average rates stay close to the
         # static Eq. 17 rates for a stationary workload.

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.distributions import BoundedPareto, Deterministic, Exponential, Uniform
+from repro.distributions import BoundedPareto, Deterministic, Exponential
 from repro.errors import ParameterError, StabilityError
 from repro.queueing import (
     MG1Queue,
@@ -55,8 +55,8 @@ class TestWaitingTime:
     def test_waiting_time_increases_with_variability(self):
         # Same mean, higher variance -> longer waits (P-K formula).
         lam = 0.5
-        low_var = Deterministic(1.0)
-        high_var = Uniform(0.1, 1.9)  # mean 1.0
+        high_var = BoundedPareto(0.5, 5.0, 1.5)
+        low_var = Deterministic(high_var.mean())
         assert expected_waiting_time(lam, high_var) > expected_waiting_time(lam, low_var)
 
 
@@ -75,24 +75,24 @@ class TestSlowdownAndResponse:
         assert expected_slowdown(0.0, Exponential(1.0)) == 0.0
 
     def test_response_time_adds_service_mean(self):
-        u = Uniform(0.5, 1.5)
+        bp = BoundedPareto(0.5, 1.5, 2.0)
         lam = 0.4
-        assert expected_response_time(lam, u) == pytest.approx(
-            expected_waiting_time(lam, u) + u.mean()
+        assert expected_response_time(lam, bp) == pytest.approx(
+            expected_waiting_time(lam, bp) + bp.mean()
         )
 
     def test_response_time_with_rate_uses_scaled_mean(self):
-        u = Uniform(0.5, 1.5)
+        bp = BoundedPareto(0.5, 1.5, 2.0)
         lam = 0.2
         rate = 0.5
-        assert expected_response_time(lam, u, rate=rate) == pytest.approx(
-            expected_waiting_time(lam, u, rate=rate) + u.mean() / rate
+        assert expected_response_time(lam, bp, rate=rate) == pytest.approx(
+            expected_waiting_time(lam, bp, rate=rate) + bp.mean() / rate
         )
 
 
 class TestMG1QueueObject:
     def test_describe_keys(self):
-        q = MG1Queue(0.5, Uniform(0.5, 1.5))
+        q = MG1Queue(0.5, BoundedPareto(0.5, 1.5, 2.0))
         d = q.describe()
         assert set(d) == {
             "utilisation",
@@ -104,7 +104,7 @@ class TestMG1QueueObject:
         }
 
     def test_littles_law_consistency(self):
-        q = MG1Queue(0.5, Uniform(0.5, 1.5))
+        q = MG1Queue(0.5, BoundedPareto(0.5, 1.5, 2.0))
         assert q.mean_queue_length() == pytest.approx(q.arrival_rate * q.waiting_time())
         assert q.mean_number_in_system() == pytest.approx(q.arrival_rate * q.response_time())
 

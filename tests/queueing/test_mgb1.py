@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distributions import BoundedPareto, Uniform
+from repro.distributions import BoundedPareto, Deterministic
 from repro.errors import ParameterError, StabilityError
 from repro.queueing import (
     MG1Queue,
@@ -103,7 +103,7 @@ class TestSlowdownConstant:
 
     def test_requires_bounded_pareto(self):
         with pytest.raises(ParameterError):
-            slowdown_constant(Uniform(1.0, 2.0))  # type: ignore[arg-type]
+            slowdown_constant(Deterministic(1.0))  # type: ignore[arg-type]
 
 
 class TestMGB1QueueObject:
@@ -119,7 +119,7 @@ class TestMGB1QueueObject:
 
     def test_requires_bounded_pareto(self):
         with pytest.raises(ParameterError):
-            MGB1Queue(0.5, Uniform(1.0, 2.0))  # type: ignore[arg-type]
+            MGB1Queue(0.5, Deterministic(1.0))  # type: ignore[arg-type]
 
     def test_utilisation(self, bp):
         q = MGB1Queue(1.0, bp, rate=0.5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distributions import BoundedPareto, Deterministic, Uniform
+from repro.distributions import BoundedPareto, Deterministic
 from repro.errors import AllocationError, ParameterError, StabilityError
 from repro.queueing import (
     arrival_rate_for_load,
@@ -82,9 +82,9 @@ class TestRateVectors:
         assert rates[1] == pytest.approx(1.5)
 
     def test_scaled_service_distributions(self):
-        dists = [Uniform(1.0, 2.0), Deterministic(1.0)]
+        dists = [BoundedPareto(1.0, 2.0, 2.5), Deterministic(1.0)]
         scaled = scaled_service_distributions(dists, [0.5, 0.25])
-        assert scaled[0].mean() == pytest.approx(Uniform(1.0, 2.0).mean() / 0.5)
+        assert scaled[0].mean() == pytest.approx(dists[0].mean() / 0.5)
         assert scaled[1].mean() == pytest.approx(4.0)
 
     def test_scaled_service_length_mismatch(self):

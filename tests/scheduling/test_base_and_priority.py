@@ -1,14 +1,9 @@
-"""Tests for the scheduler base class and the priority schedulers."""
+"""Tests for the scheduler base class and the strict priority scheduler."""
 
 import pytest
 
 from repro.errors import SchedulingError
-from repro.scheduling import (
-    SlowdownWtpScheduler,
-    StrictPriorityScheduler,
-    WaitingTimePriorityScheduler,
-    WeightedFairQueueing,
-)
+from repro.scheduling import StrictPriorityScheduler, WeightedFairQueueing
 
 
 class TestSchedulerBase:
@@ -101,49 +96,3 @@ class TestStrictPriority:
             s.enqueue(0, 1.0, float(i))
         served = [s.select(10.0).class_index for _ in range(5)]
         assert served == [0, 0, 0, 0, 0]
-
-
-class TestWaitingTimePriority:
-    def test_longer_wait_scaled_by_delta_wins(self):
-        s = WaitingTimePriorityScheduler(2, deltas=[1.0, 2.0])
-        s.enqueue(0, 1.0, 0.0)   # class 1: waited 4 by t=4, priority 4
-        s.enqueue(1, 1.0, 0.0)   # class 2: waited 4, priority 2
-        assert s.select(4.0).class_index == 0
-
-    def test_low_class_eventually_served(self):
-        s = WaitingTimePriorityScheduler(2, deltas=[1.0, 2.0])
-        s.enqueue(1, 1.0, 0.0)
-        s.enqueue(0, 1.0, 9.5)  # class 1 arrived much later
-        # class 2 has waited 10/2 = 5 > class 1's 0.5/1.
-        assert s.select(10.0).class_index == 1
-
-    def test_requires_delta_per_class(self):
-        with pytest.raises(SchedulingError):
-            WaitingTimePriorityScheduler(2, deltas=[1.0])
-
-
-class TestSlowdownWtp:
-    def test_small_jobs_prioritised(self):
-        s = SlowdownWtpScheduler(1, deltas=[1.0])
-        s.enqueue(0, 10.0, 0.0, payload="big")
-        s.enqueue(0, 0.1, 0.0, payload="small")
-        # FCFS within a class: the big job is still at the head of its queue,
-        # so per-class FCFS order is preserved even though the small job has a
-        # larger instantaneous slowdown.
-        assert s.select(5.0).payload == "big"
-
-    def test_across_classes_prefers_higher_instantaneous_slowdown(self):
-        s = SlowdownWtpScheduler(2, deltas=[1.0, 1.0])
-        s.enqueue(0, 10.0, 0.0, payload="big")
-        s.enqueue(1, 0.1, 0.0, payload="small")
-        assert s.select(5.0).payload == "small"
-
-    def test_delta_scales_priority(self):
-        s = SlowdownWtpScheduler(2, deltas=[1.0, 8.0])
-        s.enqueue(0, 1.0, 0.0, payload="high-class")
-        s.enqueue(1, 1.0, 0.0, payload="low-class")
-        assert s.select(4.0).payload == "high-class"
-
-    def test_requires_delta_per_class(self):
-        with pytest.raises(SchedulingError):
-            SlowdownWtpScheduler(2, deltas=[1.0, 2.0, 3.0])

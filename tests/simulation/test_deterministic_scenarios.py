@@ -15,7 +15,7 @@ import pytest
 from repro.distributions import Deterministic
 from repro.simulation import (
     MeasurementConfig,
-    PsdServerSimulation,
+    Scenario,
     StaticRateController,
     TraceSource,
 )
@@ -31,7 +31,7 @@ def run_scenario(sources, rates, *, horizon=100.0, num_classes=2):
         for i in range(num_classes)
     )
     config = MeasurementConfig(warmup=0.0, horizon=horizon, window=horizon)
-    sim = PsdServerSimulation(
+    sim = Scenario(
         classes,
         config,
         controller=StaticRateController(rates),
@@ -111,7 +111,7 @@ class TestMeasurementSemantics:
         source = TraceSource(0, interarrivals=[0.0, 1.0, 50.0], sizes=[1.0, 1.0, 1.0])
         classes = (TrafficClass("c0", 0.0, Deterministic(1.0), 1.0),)
         config = MeasurementConfig(warmup=10.0, horizon=100.0, window=10.0)
-        sim = PsdServerSimulation(
+        sim = Scenario(
             classes,
             config,
             controller=StaticRateController([1.0]),

@@ -8,11 +8,7 @@ from repro.core import PsdSpec, allocate_rates, expected_slowdowns
 from repro.distributions import Deterministic
 from repro.errors import SimulationError
 from repro.queueing import md1_expected_slowdown
-from repro.simulation import (
-    MeasurementConfig,
-    PsdServerSimulation,
-    StaticRateController,
-)
+from repro.simulation import MeasurementConfig, Scenario, StaticRateController
 from repro.types import TrafficClass
 from tests.conftest import make_classes
 
@@ -24,7 +20,7 @@ class TestBasicRuns:
     def test_request_counts_roughly_match_rates(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=100.0, horizon=2_000.0, window=200.0)
-        result = PsdServerSimulation(classes, cfg, seed=1).run()
+        result = Scenario(classes, cfg, seed=1).run()
         for cls, generated in zip(classes, result.generated_counts):
             expected = cls.arrival_rate * cfg.horizon
             assert generated == pytest.approx(expected, rel=0.2)
@@ -36,22 +32,22 @@ class TestBasicRuns:
     def test_reproducible_with_same_seed(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=100.0, horizon=1_000.0, window=200.0)
-        a = PsdServerSimulation(classes, cfg, seed=7).run()
-        b = PsdServerSimulation(classes, cfg, seed=7).run()
+        a = Scenario(classes, cfg, seed=7).run()
+        b = Scenario(classes, cfg, seed=7).run()
         assert a.generated_counts == b.generated_counts
         assert a.per_class_mean_slowdowns() == pytest.approx(b.per_class_mean_slowdowns())
 
     def test_different_seeds_differ(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=100.0, horizon=1_000.0, window=200.0)
-        a = PsdServerSimulation(classes, cfg, seed=1).run()
-        b = PsdServerSimulation(classes, cfg, seed=2).run()
+        a = Scenario(classes, cfg, seed=1).run()
+        b = Scenario(classes, cfg, seed=2).run()
         assert a.generated_counts != b.generated_counts
 
     def test_rate_history_recorded_every_window(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=100.0, horizon=1_000.0, window=100.0)
-        result = PsdServerSimulation(classes, cfg, seed=3).run()
+        result = Scenario(classes, cfg, seed=3).run()
         # Initial rates + one entry per completed window boundary.
         assert len(result.rate_history) == 1 + 10
         for _, rates in result.rate_history:
@@ -59,12 +55,12 @@ class TestBasicRuns:
 
     def test_requires_classes(self, short_measurement):
         with pytest.raises(SimulationError):
-            PsdServerSimulation([], short_measurement)
+            Scenario([], short_measurement)
 
     def test_controller_class_mismatch_rejected(self, moderate_bp, short_measurement):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         with pytest.raises(SimulationError):
-            PsdServerSimulation(classes, short_measurement, controller=StaticRateController([1.0]))
+            Scenario(classes, short_measurement, controller=StaticRateController([1.0]))
 
 
 class TestAgainstClosedForms:
@@ -72,7 +68,7 @@ class TestAgainstClosedForms:
         service = Deterministic(1.0)
         classes = (TrafficClass("only", 0.7, service, 1.0),)
         cfg = MeasurementConfig(warmup=2_000.0, horizon=20_000.0, window=1_000.0)
-        result = PsdServerSimulation(classes, cfg, seed=11).run()
+        result = Scenario(classes, cfg, seed=11).run()
         simulated = result.per_class_mean_slowdowns()[0]
         assert simulated == pytest.approx(md1_expected_slowdown(0.7, 1.0), rel=0.1)
 
@@ -86,7 +82,7 @@ class TestAgainstClosedForms:
         ).scaled_to_time_units(moderate_bp.mean())
 
         def build(_, seed):
-            return PsdServerSimulation(classes, cfg, spec=spec, seed=seed).run()
+            return Scenario(classes, cfg, spec=spec, seed=seed).run()
 
         summary = run_replications(build, replications=4, base_seed=5)
         simulated = summary.mean_slowdowns
@@ -104,7 +100,7 @@ class TestAgainstClosedForms:
         cfg = MeasurementConfig(
             warmup=2_000.0, horizon=20_000.0, window=1_000.0
         ).scaled_to_time_units(moderate_bp.mean())
-        result = PsdServerSimulation(
+        result = Scenario(
             classes, cfg, controller=StaticRateController(rates), seed=9
         ).run()
         expected = expected_slowdowns(classes, spec)
@@ -116,7 +112,7 @@ class TestAgainstClosedForms:
         cfg = MeasurementConfig(
             warmup=1_000.0, horizon=10_000.0, window=500.0
         ).scaled_to_time_units(moderate_bp.mean())
-        result = PsdServerSimulation(classes, cfg, spec=PsdSpec.of(1, 4), seed=13).run()
+        result = Scenario(classes, cfg, spec=PsdSpec.of(1, 4), seed=13).run()
         slowdowns = result.per_class_mean_slowdowns()
         assert slowdowns[0] < slowdowns[1]
 
@@ -144,7 +140,7 @@ class TestSimulationResultAccessors:
     def test_summary_accessors(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=200.0, horizon=3_000.0, window=200.0)
-        result = PsdServerSimulation(classes, cfg, seed=21).run()
+        result = Scenario(classes, cfg, seed=21).run()
         slowdowns = result.per_class_mean_slowdowns()
         ratios = result.slowdown_ratios_to_first()
         assert ratios[0] == pytest.approx(1.0)

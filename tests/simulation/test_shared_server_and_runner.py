@@ -14,15 +14,18 @@ from repro.scheduling import (
 )
 from repro.simulation import (
     MeasurementConfig,
-    PsdServerSimulation,
+    RateScalableServers,
     ReplicatedStatistic,
     ReplicationSummary,
-    SharedProcessorSimulation,
+    Scenario,
+    SharedProcessorServer,
     run_replications,
     summarise_replications,
 )
 from repro.types import TrafficClass
 from tests.conftest import make_classes
+
+pytestmark = pytest.mark.usefixtures("checked_runs")
 
 
 class TestSharedProcessorSimulation:
@@ -30,7 +33,7 @@ class TestSharedProcessorSimulation:
         service = Deterministic(1.0)
         classes = (TrafficClass("only", 0.7, service, 1.0),)
         cfg = MeasurementConfig(warmup=2_000.0, horizon=20_000.0, window=1_000.0)
-        sim = SharedProcessorSimulation(classes, cfg, WeightedFairQueueing(1), seed=3)
+        sim = Scenario(classes, cfg, server=SharedProcessorServer(WeightedFairQueueing(1)), seed=3)
         result = sim.run()
         assert result.per_class_mean_slowdowns()[0] == pytest.approx(
             md1_expected_slowdown(0.7, 1.0), rel=0.1
@@ -42,7 +45,9 @@ class TestSharedProcessorSimulation:
         cfg = MeasurementConfig(
             warmup=1_000.0, horizon=12_000.0, window=1_000.0
         ).scaled_to_time_units(moderate_bp.mean())
-        sim = SharedProcessorSimulation(classes, cfg, WeightedFairQueueing(2), spec=spec, seed=17)
+        sim = Scenario(
+            classes, cfg, server=SharedProcessorServer(WeightedFairQueueing(2)), spec=spec, seed=17
+        )
         result = sim.run()
         slowdowns = result.per_class_mean_slowdowns()
         assert slowdowns[0] < slowdowns[1]
@@ -51,13 +56,14 @@ class TestSharedProcessorSimulation:
         classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=500.0, horizon=4_000.0, window=500.0)
         scheduler = LotteryScheduler(2, rng=np.random.default_rng(4))
-        result = SharedProcessorSimulation(classes, cfg, scheduler, seed=4).run()
+        result = Scenario(classes, cfg, server=SharedProcessorServer(scheduler), seed=4).run()
         assert sum(result.completed_counts) > 0
 
     def test_strict_priority_starves_low_class_under_high_load(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.9, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=500.0, horizon=6_000.0, window=500.0)
-        result = SharedProcessorSimulation(classes, cfg, StrictPriorityScheduler(2), seed=6).run()
+        server = SharedProcessorServer(StrictPriorityScheduler(2))
+        result = Scenario(classes, cfg, server=server, seed=6).run()
         slowdowns = result.per_class_mean_slowdowns()
         # Strict priority gives the high class near-zero queueing but cannot
         # control the spacing: the ratio is far larger than any target.
@@ -66,13 +72,14 @@ class TestSharedProcessorSimulation:
     def test_scheduler_class_count_mismatch(self, moderate_bp, short_measurement):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         with pytest.raises(SimulationError):
-            SharedProcessorSimulation(classes, short_measurement, WeightedFairQueueing(3))
+            server = SharedProcessorServer(WeightedFairQueueing(3))
+            Scenario(classes, short_measurement, server=server)
 
     def test_rates_pushed_into_scheduler_weights(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=500.0, horizon=3_000.0, window=500.0)
         scheduler = WeightedFairQueueing(2)
-        sim = SharedProcessorSimulation(classes, cfg, scheduler, seed=8)
+        sim = Scenario(classes, cfg, server=SharedProcessorServer(scheduler), seed=8)
         sim.run()
         # After the run the scheduler's weights equal the last allocated rates.
         last_rates = sim.rate_history[-1][1]
@@ -84,9 +91,9 @@ class TestSharedProcessorSimulation:
         cfg = MeasurementConfig(
             warmup=1_000.0, horizon=10_000.0, window=1_000.0
         ).scaled_to_time_units(moderate_bp.mean())
-        dedicated = PsdServerSimulation(classes, cfg, spec=spec, seed=23).run()
-        shared = SharedProcessorSimulation(
-            classes, cfg, WeightedFairQueueing(2), spec=spec, seed=23
+        dedicated = Scenario(classes, cfg, server=RateScalableServers(), spec=spec, seed=23).run()
+        shared = Scenario(
+            classes, cfg, server=SharedProcessorServer(WeightedFairQueueing(2)), spec=spec, seed=23
         ).run()
         assert dedicated.per_class_mean_slowdowns()[0] < dedicated.per_class_mean_slowdowns()[1]
         assert shared.per_class_mean_slowdowns()[0] < shared.per_class_mean_slowdowns()[1]
@@ -95,7 +102,7 @@ class TestSharedProcessorSimulation:
 class TestReplicationRunner:
     def build(self, classes, cfg):
         def _build(i, seed):
-            return PsdServerSimulation(classes, cfg, seed=seed).run()
+            return Scenario(classes, cfg, server=RateScalableServers(), seed=seed).run()
 
         return _build
 
@@ -141,8 +148,8 @@ class TestReplicationRunner:
 
     def test_summarise_requires_consistent_classes(self, moderate_bp):
         cfg = MeasurementConfig(warmup=200.0, horizon=1_000.0, window=200.0)
-        one = PsdServerSimulation(make_classes(moderate_bp, 0.5, (1.0,)), cfg, seed=1).run()
-        two = PsdServerSimulation(make_classes(moderate_bp, 0.5, (1.0, 2.0)), cfg, seed=1).run()
+        one = Scenario(make_classes(moderate_bp, 0.5, (1.0,)), cfg, seed=1).run()
+        two = Scenario(make_classes(moderate_bp, 0.5, (1.0, 2.0)), cfg, seed=1).run()
         with pytest.raises(SimulationError):
             summarise_replications([one, two])
 

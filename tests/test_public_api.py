@@ -1,6 +1,19 @@
 """Tests for the top-level package surface."""
 
+import importlib
+import pkgutil
+
+import pytest
+
 import repro
+
+#: The package and every module under it (the CLI entry point excepted):
+#: each ``__all__`` must name only attributes the module really has.
+MODULES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if not info.name.endswith("__main__")
+)
 
 
 class TestPublicApi:
@@ -8,9 +21,11 @@ class TestPublicApi:
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
 
-    def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    @pytest.mark.parametrize("module_name", MODULES)
+    def test_all_names_resolve(self, module_name):
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module_name}.__all__ names missing {name!r}"
 
     def test_quickstart_docstring_example(self):
         """The quickstart in the package docstring must actually work."""

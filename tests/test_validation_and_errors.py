@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from repro.cluster import build_admission, build_autoscaler
+from repro.cluster import (
+    FleetEvent,
+    build_admission,
+    build_autoscaler,
+    make_cluster,
+    parse_fleet_events,
+    resolve_capacities,
+)
 from repro.errors import (
     AllocationError,
     DistributionError,
@@ -15,17 +22,17 @@ from repro.errors import (
     SimulationError,
     StabilityError,
 )
+from repro.scheduling import WeightedFairQueueing
+from repro.simulation import RateScalableServers, SharedProcessorServer
 from repro.validation import (
     as_float_tuple,
     require_count,
     require_finite,
     require_in_range,
-    require_non_decreasing,
     require_non_negative,
     require_positive,
     require_positive_sequence,
     require_probability,
-    require_same_length,
 )
 
 
@@ -140,6 +147,30 @@ class TestCountParameters:
         assert build_admission("queue_length", ["limits=20,20"]).limits == (20, 20)
 
 
+#: Every entry point that takes a node or processor capacity.
+CAPACITY_ENTRY_POINTS = {
+    "FleetEvent": lambda cap: FleetEvent(50.0, "set_capacity", 0, capacity=cap),
+    "parse_fleet_events": lambda cap: parse_fleet_events(f"set_capacity:0={cap}@50"),
+    "make_cluster": lambda cap: make_cluster(2, "round_robin", capacities=(cap, 0.5)),
+    "resolve_capacities": lambda cap: resolve_capacities((cap, 1.0), 2),
+    "RateScalableServers": lambda cap: RateScalableServers(capacity=cap),
+    "SharedProcessorServer": lambda cap: SharedProcessorServer(
+        WeightedFairQueueing(1), capacity=cap
+    ),
+}
+
+
+class TestCapacities:
+    """A capacity must be finite and > 0 wherever it enters: an infinite
+    node would give capacity-weighted dispatch NaN weights."""
+
+    @pytest.mark.parametrize("entry", sorted(CAPACITY_ENTRY_POINTS))
+    @pytest.mark.parametrize("capacity", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_rejected(self, entry, capacity):
+        with pytest.raises(SimulationError, match="must be finite and > 0"):
+            CAPACITY_ENTRY_POINTS[entry](capacity)
+
+
 class TestSequenceValidators:
     def test_as_float_tuple(self):
         assert as_float_tuple([1, 2], "x") == (1.0, 2.0)
@@ -152,13 +183,3 @@ class TestSequenceValidators:
         assert require_positive_sequence([0.5, 1.0], "x") == (0.5, 1.0)
         with pytest.raises(ParameterError):
             require_positive_sequence([0.5, 0.0], "x")
-
-    def test_require_non_decreasing(self):
-        assert require_non_decreasing([1.0, 1.0, 2.0], "x") == (1.0, 1.0, 2.0)
-        with pytest.raises(ParameterError):
-            require_non_decreasing([2.0, 1.0], "x")
-
-    def test_require_same_length(self):
-        require_same_length([1], [2], "a", "b")
-        with pytest.raises(ParameterError):
-            require_same_length([1], [2, 3], "a", "b")

@@ -1,4 +1,4 @@
-"""Tests for the workload factories (web, e-commerce, sweeps)."""
+"""Tests for the workload factories (web, e-commerce)."""
 
 import pytest
 
@@ -7,14 +7,10 @@ from repro.errors import ParameterError
 from repro.queueing import md1_expected_slowdown
 from repro.types import TrafficClass, scale_arrival_rates, total_offered_load
 from repro.workload import (
-    PAPER_LOAD_GRID,
     SessionProfile,
     SessionState,
     ecommerce_classes,
-    load_sweep,
     paper_service_distribution,
-    share_sweep,
-    skewed_shares,
     web_classes,
     web_classes_with_shares,
 )
@@ -94,38 +90,6 @@ class TestSessionWorkload:
             ecommerce_classes(1.2, (1.0, 2.0))
         with pytest.raises(ParameterError):
             ecommerce_classes(0.5, ())
-
-
-class TestSweeps:
-    def test_paper_load_grid_feasible(self):
-        assert all(0.0 < load < 1.0 for load in PAPER_LOAD_GRID)
-        assert PAPER_LOAD_GRID == tuple(sorted(PAPER_LOAD_GRID))
-
-    def test_load_sweep(self):
-        points = list(load_sweep((0.3, 0.6), (1.0, 2.0)))
-        assert [load for load, _ in points] == [0.3, 0.6]
-        for load, classes in points:
-            assert total_offered_load(classes) == pytest.approx(load)
-
-    def test_load_sweep_validates(self):
-        with pytest.raises(ParameterError):
-            list(load_sweep((), (1.0, 2.0)))
-        with pytest.raises(ParameterError):
-            list(load_sweep((1.5,), (1.0, 2.0)))
-
-    def test_share_sweep(self):
-        points = list(share_sweep([(0.5, 0.5), (0.8, 0.2)], 0.6, (1.0, 2.0)))
-        assert len(points) == 2
-        shares, classes = points[1]
-        assert classes[0].offered_load == pytest.approx(0.48)
-
-    def test_skewed_shares(self):
-        shares = skewed_shares(3, skew=2.0)
-        assert sum(shares) == pytest.approx(1.0)
-        assert shares[0] > shares[1] > shares[2]
-        assert skewed_shares(2, skew=1.0) == (0.5, 0.5)
-        with pytest.raises(ParameterError):
-            skewed_shares(0)
 
 
 class TestTrafficClassHelpers:
