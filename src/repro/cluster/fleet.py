@@ -45,6 +45,7 @@ expressed in the paper's abstract time units with
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -92,8 +93,9 @@ _TOKEN = re.compile(
 class FleetEvent:
     """One scheduled change to the fleet: ``join``, ``leave`` or ``set_capacity``.
 
-    ``capacity`` is only meaningful for ``set_capacity``: a finite, strictly
-    positive value, or ``None`` to restore the unconstrained idealisation.
+    ``time`` is finite and ``>= 0``.  ``capacity`` is only meaningful for
+    ``set_capacity``: a finite, strictly positive value, or ``None`` to
+    restore the unconstrained idealisation.
     """
 
     time: float
@@ -108,8 +110,9 @@ class FleetEvent:
             raise SimulationError(
                 f"unknown fleet event action {self.action!r}; available: {ACTIONS}"
             )
-        if not self.time >= 0.0:  # also rejects NaN
-            raise SimulationError(f"fleet event time must be >= 0, got {self.time}")
+        if not (math.isfinite(self.time) and self.time >= 0.0):
+            # An event at ``inf`` could never fire: reject it like NaN.
+            raise SimulationError(f"fleet event time must be finite and >= 0, got {self.time}")
         if self.node < 0:
             raise SimulationError(f"fleet event node must be >= 0, got {self.node}")
         if self.action == "set_capacity":

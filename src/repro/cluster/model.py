@@ -35,21 +35,25 @@ fleet is static, and each block takes one of two routes:
 * counter/weight policies with a ``select_block`` vectorise their choices
   over the whole block, over any member type;
 * backlog-dependent policies (JSQ, least-work, fastest-available, custom
-  ``select_node`` overrides) run on a *completion calendar*: a heap of the
-  predicted start and completion of every dispatched request not yet
-  booked.  Between two rate changes an FCFS class server's completions are
-  a fixed fold of its arrivals, so before each decision the calendar books
+  ``select_node`` overrides) run on a *completion calendar*.  Between two
+  rate changes an FCFS class server's completions are a fixed,
+  non-decreasing fold of its arrivals, so the calendar's heap holds one
+  entry per (node, class) server — the predicted start and completion of
+  its earliest unbooked request, the *head* — and the requests behind it
+  wait, unpredicted, in the server's FCFS deque.  The earliest completion
+  is always some server's head, so before each decision the calendar books
   everything due by the arrival instant (``time <= arrival``, popped in
-  ``(time, node, class)`` order), and the new request's completion is
-  pushed as soon as it is placed.  Each decision therefore reads the
-  pending/work state of its instant, exactly as a one-event-per-request
-  cluster would, taken from the policy's
-  :meth:`~repro.cluster.dispatch.DispatchPolicy.chooser`, fetched once per
-  block.  The bookings are the completion log: members receive one
-  sub-block per node and fold nothing when drained (they settle past their
-  bookings); every rate change rebuilds the calendar from their state.
-  The calendar needs members that predict their completions
-  (:meth:`~repro.simulation.ServerModel.outstanding` — every
+  ``(time, node, class)`` order), each booking promoting the next request
+  of its server to head; a request placed on a server without a head
+  becomes its head.  Each decision therefore reads the pending/work state
+  of its instant, exactly as a one-event-per-request cluster would, taken
+  from the policy's :meth:`~repro.cluster.dispatch.DispatchPolicy.chooser`,
+  fetched once per block.  The bookings are the completion log: members
+  receive one sub-block per node and fold nothing when drained (they
+  settle past their bookings); every rate change re-predicts the heads
+  alone, from the members' in-service state.  The calendar needs members
+  that predict their completions
+  (:meth:`~repro.simulation.ServerModel.service_head` — every
   :class:`~repro.simulation.RateScalableServers`); binding a
   backlog-dependent policy over any other member (a shared processor,
   whose completions depend on future arrivals, or a nested cluster) raises
@@ -73,9 +77,11 @@ series.  An empty schedule is bit-identical to a cluster built without one.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from collections.abc import Callable, Sequence
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import chain
 from math import isnan
 
 import numpy as np
@@ -96,6 +102,9 @@ __all__ = ["ClusterServerModel", "make_cluster"]
 RATE_CONSERVATION_TOL = 1e-9
 
 _log = get_logger("cluster")
+
+#: The empty arrival block :meth:`ClusterServerModel._book_completions` replays.
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class ClusterServerModel(ServerModel):
@@ -279,14 +288,16 @@ class ClusterServerModel(ServerModel):
         self._chooser = self._mirror_of_select_node("chooser") or partial(
             DispatchPolicy.chooser, self.dispatch
         )
-        # Completion calendar (backlog-dependent policy): a heap of
-        # ``(completion, node, class, rid, size, start)`` per unbooked
-        # request, each class server's rate and last prediction, and the
-        # booked entries (per node and class) and ids awaiting the next sync.
+        # Completion calendar (backlog-dependent policy): a heap holding the
+        # ``(completion, node, class, rid, size, start)`` of each class
+        # server's head — its earliest unbooked request — and, per class
+        # server, the FCFS deque of its unbooked ``(rid, arrival, size)``
+        # (head first), its rate and last booked completion, plus the booked
+        # entries (per node and class) and ids awaiting the next sync.
         self._calendar: list[tuple[float, int, int, int, float, float]] | None = None
         if self._select_block is None:
             for node in self.nodes:
-                if node.outstanding() is None:
+                if node.service_head(0) is None:
                     raise SimulationError(
                         f"dispatch policy {type(self.dispatch).__name__} may read "
                         f"the live backlog, so its decisions replay on a completion "
@@ -296,6 +307,7 @@ class ClusterServerModel(ServerModel):
                         f"or RateScalableServers members"
                     )
             self._calendar = []
+            self._queues = [[deque() for _ in range(c)] for _ in range(n)]
             self._class_rates = [[0.0] * c for _ in range(n)]
             self._class_free = [[-np.inf] * c for _ in range(n)]
             self._booked: list[list[list[tuple]]] = [[[] for _ in range(c)] for _ in range(n)]
@@ -529,47 +541,90 @@ class ClusterServerModel(ServerModel):
         self._dispatch_counts += pair_counts
         return pair_counts
 
-    def _dispatch_predicted(self, rids: np.ndarray, classes: np.ndarray) -> None:
+    def _dispatch_predicted(
+        self, rids: np.ndarray, classes: np.ndarray, until: float = -np.inf
+    ) -> None:
         """Replay the exact per-request decision sequence on the calendar.
 
         Before each decision the calendar books every completion due by the
         arrival instant (``<= t``: completions tied with an arrival land
-        first, the single-server convention); after it, the request's start
-        and completion are predicted with the fold
+        first, the single-server convention); after the block, every one due
+        by ``until`` (how :meth:`_book_completions` runs, with no arrivals).
+        Booking pops a head in ``(time, node, class)`` order and promotes
+        the next request of its class server with the fold
         :meth:`~repro.simulation.task_server.FcfsTaskServer.drain` performs
         — ``start = max(arrival, previous completion)``, ``completion =
-        start + size / rate`` — and pushed.  A request queued behind a
-        frozen (zero-rate) class server gets no entry until the next rate
-        change rebuilds the calendar.  The members receive the block as one
+        start + size / rate``.  A request placed on a server without a head
+        becomes its head if the server runs (``start = max(arrival, last
+        booked completion)``); any other waits, unpredicted, in the server's
+        deque — behind a frozen (zero-rate) server until the next rate change
+        rebuilds the calendar.  The members receive the block as one
         sub-block per node and fold nothing, so the per-request cost is one
-        chooser call, two heap operations and list bookkeeping.
+        chooser call, at most one heap operation per placement and per
+        booking, and list bookkeeping.
         """
-        ledger = self.ledger
-        times = ledger.arrivals_of(rids).tolist()
-        sizes = ledger.sizes_of(rids).tolist()
         calendar = self._calendar
+        queues = self._queues
         rates = self._class_rates
         free = self._class_free
         pending = self._pending
         work_left = self._work_left
-        choose = self._chooser()
-        book = self._book_completions
+        node_state = self._node_state
+        booked = self._booked
+        log = self._booked_order.append
         choices: list[int] = []
         chose = choices.append
-        for t, rid, cls, size in zip(times, rids.tolist(), classes.tolist(), sizes):
-            if calendar and calendar[0][0] <= t:
-                book(t)
+        if rids.size:
+            ledger = self.ledger
+            choose = self._chooser()
+            arrivals = zip(
+                ledger.arrivals_of(rids).tolist(),
+                rids.tolist(),
+                classes.tolist(),
+                ledger.sizes_of(rids).tolist(),
+            )
+        else:
+            arrivals = ()
+        # The closing row (rid -1) books up to ``until`` and ends the loop.
+        for t, rid, cls, size in chain(arrivals, ((until, -1, 0, 0.0),)):
+            while calendar and calendar[0][0] <= t:
+                entry = calendar[0]
+                done, node, c, r, s, _ = entry
+                queue = queues[node][c]
+                queue.popleft()
+                if queue:
+                    head, a, z = queue[0]
+                    start = a if a > done else done
+                    heapreplace(calendar, (start + z / rates[node][c], node, c, head, z, start))
+                else:
+                    heappop(calendar)
+                    free[node][c] = done
+                booked[node][c].append(entry)
+                log(r)
+                row = pending[node]
+                row[c] -= 1
+                # Clamp (as ``max(work, 0.0)``): summation order can leave
+                # ~1e-16 residuals behind.
+                work = work_left[node] - s
+                work_left[node] = 0.0 if work < 0.0 else work
+                if node_state[node] == NODE_DRAINING and not any(row):
+                    self._mark_drained(node, done)
+            if rid < 0:
+                break
             node = choose(rid, cls)
             pending[node][cls] += 1
             work_left[node] += size
             chose(node)
-            rate = rates[node][cls]
-            if rate > 0.0:
-                last = free[node][cls]
-                start = t if t > last else last
-                done = start + size / rate
-                free[node][cls] = done
-                heappush(calendar, (done, node, cls, rid, size, start))
+            queue = queues[node][cls]
+            if not queue:
+                rate = rates[node][cls]
+                if rate > 0.0:
+                    last = free[node][cls]
+                    start = t if t > last else last
+                    heappush(calendar, (start + size / rate, node, cls, rid, size, start))
+            queue.append((rid, t, size))
+        if not choices:
+            return
         chosen = np.asarray(choices, dtype=np.int64)
         self._count_dispatches(chosen, classes)
         for node in np.unique(chosen).tolist():
@@ -582,57 +637,57 @@ class ClusterServerModel(ServerModel):
 
         Entries pop in ``(time, node, class)`` order — the per-event
         completion order — and wait for :meth:`_sync_nodes` to write them.
+        The booking rule has one copy: this replays an empty arrival block
+        through :meth:`_dispatch_predicted`.
         """
-        calendar = self._calendar
-        pending = self._pending
-        work_left = self._work_left
-        node_state = self._node_state
-        booked = self._booked
-        log = self._booked_order.append
-        while calendar and calendar[0][0] <= now:
-            entry = heappop(calendar)
-            done, node, cls, rid, size, _ = entry
-            booked[node][cls].append(entry)
-            log(rid)
-            row = pending[node]
-            row[cls] -= 1
-            # Clamp (as ``max(work, 0.0)``): summation order can leave
-            # ~1e-16 residuals behind.
-            work = work_left[node] - size
-            work_left[node] = 0.0 if work < 0.0 else work
-            if node_state[node] == NODE_DRAINING and not any(row):
-                self._mark_drained(node, done)
+        self._dispatch_predicted(_NO_ROWS, _NO_ROWS, now)
 
     def _rebuild_calendar(self) -> None:
-        """Re-predict every unbooked completion from the members' state.
+        """Re-predict each class server's head at the new rates.
 
         A prediction holds only while the rates stay put, so every
         :meth:`apply_rates` rebuilds the calendar — always right after a
-        full synchronisation, when the members' outstanding requests are
-        exactly the unbooked ones.
+        full synchronisation, when the members' in-service requests are
+        exactly the arrived heads.  A head in service completes where its
+        member says (``last progress + remaining / rate``, re-based by
+        ``set_rate``); a head that has not started yet at ``arrival + size /
+        rate``; a frozen server's head gets no entry.  The requests queued
+        behind the heads stay unpredicted, so a rebuild costs one member
+        query per class server, not one prediction per waiting request.
         """
         calendar = self._calendar
         calendar.clear()
-        for node, member in enumerate(self.nodes):
+        ledger = self.ledger
+        for node, (member, queues) in enumerate(zip(self.nodes, self._queues)):
             rates = self._class_rates[node]
-            free = self._class_free[node]
-            for cls, (rate, items) in enumerate(member.outstanding()):
+            for cls, queue in enumerate(queues):
+                rate, busy, done = member.service_head(cls)
                 rates[cls] = rate
-                free[cls] = items[-1][0] if items else -np.inf
-                calendar.extend(
-                    (done, node, cls, rid, size, start) for done, rid, size, start in items
-                )
+                if not queue or rate <= 0.0:
+                    continue
+                rid, arrival, size = queue[0]
+                if busy is None:
+                    start = arrival
+                    done = arrival + size / rate
+                elif busy == rid:
+                    start = ledger.start_of(rid)
+                else:
+                    raise SimulationError(
+                        f"node {node} serves row {busy} of class {cls}, but the "
+                        f"calendar's head is row {rid}"
+                    )
+                calendar.append((done, node, cls, rid, size, start))
         heapify(calendar)
 
     def _drain_node(self, node: int, now: float) -> tuple[float, int] | None:
         """Drain one member to ``now`` and book its completions (block route).
 
         Buffers the member's completion run for the next cluster-level
-        merge, applies the per-completion bookkeeping (pending decrement,
-        work-left clamp), and returns a pending ``(time, node)``
-        drain-complete flip — at the run's last completion time, since a
-        draining node gets no new work — for the caller to apply in global
-        time order.
+        merge, applies its bookkeeping in bulk (one ``bincount`` of pending
+        decrements, one work-left fold), and returns a pending ``(time,
+        node)`` drain-complete flip — at the run's last completion time,
+        since a draining node gets no new work — for the caller to apply in
+        global time order.
         """
         ledger = self.ledger
         run = self.nodes[node].drain(now)
@@ -641,14 +696,17 @@ class ClusterServerModel(ServerModel):
         self._run_rids.append(run)
         self._run_times.append(ledger.completion_time[run])
         pending = self._pending[node]
-        work = self._work_left[node]
-        for cls, size in zip(
-            ledger.classes_of(run).tolist(), ledger.sizes_of(run).tolist()
-        ):
-            pending[cls] -= 1
-            # Clamp: summation order can leave ~1e-16 residuals behind.
-            work = max(work - size, 0.0)
-        self._work_left[node] = work
+        counts = np.bincount(ledger.classes_of(run), minlength=self.num_classes).tolist()
+        for cls, k in enumerate(counts):
+            pending[cls] -= k
+        # The scalar fold ``work = max(work - size, 0.0)`` over the run, bit
+        # for bit: ``subtract.accumulate`` subtracts left to right, and as
+        # sizes are non-negative the unclamped fold never rises — once it
+        # dips below zero (summation order can leave ~1e-16 residuals) it
+        # stays there, where the clamped fold ends at 0.0.
+        sizes = ledger.sizes_of(run)
+        work = np.subtract.accumulate(np.concatenate(([self._work_left[node]], sizes)))[-1]
+        self._work_left[node] = 0.0 if work < 0.0 else float(work)
         if self._node_state[node] == NODE_DRAINING and not any(pending):
             return (float(ledger.completion_time[run[-1]]), node)
         return None

@@ -7,7 +7,7 @@ the hyperexponential of the e-commerce example, numerical moment
 verification and reproducible RNG stream management.
 """
 
-from .base import Distribution, RateScaledDistribution
+from .base import Distribution
 from .bounded_pareto import BoundedPareto
 from .deterministic import Deterministic
 from .exponential import Exponential
@@ -17,7 +17,6 @@ from .rng import make_generator, spawn_generators, spawn_seed_sequences
 
 __all__ = [
     "Distribution",
-    "RateScaledDistribution",
     "BoundedPareto",
     "Exponential",
     "Deterministic",

@@ -9,23 +9,18 @@ usual ``pdf``/``cdf``/``ppf``/``sample`` interface.
 Lemma 2 of the paper describes what happens to a service-time distribution
 when the work is executed by a task server that owns only a fraction ``r`` of
 the full processing capacity: every service time is stretched by ``1/r``.
-:meth:`Distribution.scaled` returns exactly that stretched distribution, and
-:class:`RateScaledDistribution` provides a generic implementation for
-distributions without a closed-form scaled family.
+:meth:`Distribution.scaled` returns exactly that stretched distribution; every
+distribution implements it in closed form, as a member of its own family.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DistributionError
-from ..validation import require_positive
-
-__all__ = ["Distribution", "RateScaledDistribution"]
+__all__ = ["Distribution"]
 
 
 class Distribution(abc.ABC):
@@ -103,17 +98,15 @@ class Distribution(abc.ABC):
     # ------------------------------------------------------------------ #
     # Rate scaling (Lemma 2)
     # ------------------------------------------------------------------ #
+    @abc.abstractmethod
     def scaled(self, rate: float) -> "Distribution":
         """Return the distribution of ``X / rate``.
 
         ``rate`` is the normalised processing rate of a task server
         (``0 < rate <= 1`` in the paper, although any positive rate is
-        accepted).  The generic implementation wraps ``self`` in a
-        :class:`RateScaledDistribution`; distributions with a closed-form
-        scaled family (e.g. Bounded Pareto, whose bounds simply divide by the
-        rate) override this to return a member of the same family.
+        accepted).  The result is a member of the same family (e.g. Bounded
+        Pareto, whose bounds simply divide by the rate).
         """
-        return RateScaledDistribution(self, rate)
 
     # ------------------------------------------------------------------ #
     # Introspection helpers
@@ -127,58 +120,3 @@ class Distribution(abc.ABC):
             "variance": self.variance(),
             "scv": self.squared_coefficient_of_variation(),
         }
-
-
-@dataclass(frozen=True)
-class RateScaledDistribution(Distribution):
-    """The distribution of ``X / rate`` for an arbitrary base distribution.
-
-    If ``X`` has density ``f`` then ``Y = X / rate`` has density
-    ``rate * f(rate * y)``; the moments follow Lemma 2 of the paper:
-
-    * ``E[Y]    = E[X] / rate``
-    * ``E[Y^2]  = E[X^2] / rate^2``
-    * ``E[1/Y]  = rate * E[1/X]``
-    """
-
-    base: Distribution
-    rate: float
-
-    def __post_init__(self) -> None:
-        require_positive(self.rate, "rate")
-        if not isinstance(self.base, Distribution):
-            raise DistributionError(f"base must be a Distribution, got {type(self.base).__name__}")
-
-    def mean(self) -> float:
-        return self.base.mean() / self.rate
-
-    def second_moment(self) -> float:
-        return self.base.second_moment() / (self.rate * self.rate)
-
-    def mean_inverse(self) -> float:
-        return self.rate * self.base.mean_inverse()
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.rate * self.base.pdf(self.rate * x)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.base.cdf(self.rate * x)
-
-    def ppf(self, q):
-        return np.asarray(self.base.ppf(q), dtype=float) / self.rate
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return np.asarray(self.base.sample(rng, size), dtype=float) / self.rate
-
-    @property
-    def support(self) -> tuple[float, float]:
-        lo, hi = self.base.support
-        return lo / self.rate, hi / self.rate
-
-    def scaled(self, rate: float) -> Distribution:
-        # Collapse nested scalings so repeated re-allocation in the adaptive
-        # controller does not build an ever-deeper wrapper chain.
-        require_positive(rate, "rate")
-        return RateScaledDistribution(self.base, self.rate * rate)

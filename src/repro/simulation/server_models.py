@@ -31,8 +31,9 @@ front of the processor) means subclassing :class:`ServerModel` and
 implementing its five abstract methods (``_on_bind``, ``submit_batch``,
 ``drain``, ``apply_rates`` and ``backlogs``); every scenario, experiment
 driver and replication runner then works with it unchanged.  A model that
-also implements :meth:`ServerModel.outstanding` can sit under a cluster's
-backlog-dependent dispatch.
+also answers :meth:`ServerModel.service_head` (each class's rate, row in
+service and its completion) can sit under a cluster's backlog-dependent
+dispatch.
 """
 
 from __future__ import annotations
@@ -152,8 +153,9 @@ class ServerModel(abc.ABC):
     def drain(self, now: float) -> np.ndarray:
         """Advance the model to ``now``; returns the completed row ids in
         global completion-time order (the caller logs them via
-        ``ledger.log_completions``).  A model whose :meth:`outstanding`
-        predicts must also take ``drain(now, booked)`` (see there)."""
+        ``ledger.log_completions``).  A model that answers
+        :meth:`service_head` must also take ``drain(now, booked)`` (see
+        there)."""
 
     @abc.abstractmethod
     def apply_rates(self, rates: Sequence[float]) -> None:
@@ -174,24 +176,23 @@ class ServerModel(abc.ABC):
         """
         self.submit_batch(np.asarray([rid], dtype=np.int64))
 
-    def outstanding(
-        self,
-    ) -> tuple[tuple[float, list[tuple[float, int, float, float]]], ...] | None:
-        """Per class: the FCFS service rate and the predicted
-        ``(completion, rid, size, start)`` of every request not yet served.
+    def service_head(self, class_index: int) -> tuple[float, int | None, float] | None:
+        """Class ``class_index``'s FCFS service rate, the row it serves
+        (``None`` when free) and that row's predicted completion.
 
         Models serving each class FCFS at a fixed rate between two
         :meth:`apply_rates` calls know every completion the moment a request
-        is queued.  A cluster's calendar starts from these predictions,
-        predicts each request it queues afterwards (``start = max(arrival,
-        last)``, ``completion = start + size / rate``) and writes the ledger
-        rows itself.  So a model that predicts must also take
-        ``drain(now, booked)``: ``booked`` holds, per class, ``(count,
-        last_rid, last_completion)`` of the completions booked since the
-        last drain (``None`` for a class with none); the model moves past
-        them without writing the ledger, starts arrived heads, and returns
-        no rows.  ``None`` (the default) means the model cannot predict, and
-        a cluster refuses to bind a backlog-dependent dispatch policy over it.
+        is queued.  A cluster's calendar starts each class server from this
+        query after every rate change, predicts the requests it queues
+        behind (``start = max(arrival, last)``, ``completion = start + size
+        / rate``) and writes the ledger rows itself.  So a model that
+        predicts must also take ``drain(now, booked)``: ``booked`` holds,
+        per class, ``(count, last_rid, last_completion)`` of the completions
+        booked since the last drain (``None`` for a class with none); the
+        model moves past them without writing the ledger, starts arrived
+        heads, and returns no rows.  ``None`` (the default) means the model
+        cannot predict, and a cluster refuses to bind a backlog-dependent
+        dispatch policy over it.
         """
         return None
 
@@ -245,8 +246,8 @@ class RateScalableServers(ServerModel):
     def submit_one(self, rid: int, class_index: int, arrival: float, size: float) -> None:
         self.servers[class_index].push(rid, arrival, size)
 
-    def outstanding(self) -> tuple[tuple[float, list[tuple[float, int, float, float]]], ...]:
-        return tuple((server.rate, server.outstanding()) for server in self.servers)
+    def service_head(self, class_index: int) -> tuple[float, int | None, float]:
+        return self.servers[class_index].service_head()
 
     def drain(
         self, now: float, booked: Sequence[tuple[int, int, float] | None] | None = None
@@ -260,7 +261,7 @@ class RateScalableServers(ServerModel):
         deterministic trace scenarios; for continuous workloads exact ties
         have probability zero).
 
-        ``booked`` (a cluster calendar's bookings, see :meth:`outstanding`)
+        ``booked`` (a cluster calendar's bookings, see :meth:`service_head`)
         folds nothing: each class server with bookings or an arrived head
         settles past them (:meth:`FcfsTaskServer.settle`).
         """

@@ -336,37 +336,15 @@ class FcfsTaskServer:
         self._remaining_work = self._sizes.item(pos)
         self._last_progress_time = start
 
-    def outstanding(self) -> list[tuple[float, int, float, float]]:
-        """Predicted ``(completion, rid, size, start)`` of each undrained request.
-
-        The in-service request (with its ledger start) and then the queued
-        block, in FCFS order, with exactly the arithmetic :meth:`drain`
-        performs at the current rate — so the values are the timestamps the
-        next drains would write, as long as the rate stays unchanged.
-        ``size`` is the full service demand.  A frozen server (rate zero)
-        predicts nothing.
-        """
+    def service_head(self) -> tuple[float, int | None, float]:
+        """The rate, the row in service (``None`` when free) and its
+        completion at that rate (``inf`` when free or frozen at rate zero),
+        with exactly the arithmetic :meth:`drain` performs."""
         rate = self._rate
-        if rate <= 0.0:
-            return []
-        out: list[tuple[float, int, float, float]] = []
-        f = -np.inf
         rid = self.in_service
-        if rid is not None:
-            f = self._last_progress_time + self._remaining_work / rate
-            out.append((f, rid, self.ledger.size_of(rid), self.ledger.start_of(rid)))
-        head, tail = self._head, self._tail
-        sizes = self._sizes[head:tail]
-        for a, d, rid, size in zip(
-            self._arrivals[head:tail].tolist(),
-            (sizes / rate).tolist(),
-            self._rids[head:tail].tolist(),
-            sizes.tolist(),
-        ):
-            start = a if a > f else f
-            f = start + d
-            out.append((f, rid, size, start))
-        return out
+        if rid is None or rate <= 0.0:
+            return rate, rid, np.inf
+        return rate, rid, self._last_progress_time + self._remaining_work / rate
 
     def settle(
         self, now: float, count: int = 0, last_rid: int = -1, last_done: float = -np.inf
@@ -374,7 +352,7 @@ class FcfsTaskServer:
         """Advance to ``now`` past ``count`` completions booked elsewhere.
 
         A cluster's completion calendar books this server's completions from
-        :meth:`outstanding` and the same fold, and writes their ledger rows.
+        :meth:`service_head` and the same fold, and writes their ledger rows.
         They are the FCFS prefix (the request in service first), the last
         with row id ``last_rid``, due at ``last_done <= now``.  A free
         server's arrived head then starts at ``max(arrival, last_done)``: at

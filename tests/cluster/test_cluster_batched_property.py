@@ -17,7 +17,12 @@ node's classes FCFS with the exact non-idling start.
 ``round_robin`` exercises the vectorised ``select_block`` route; ``jsq``,
 ``weighted_jsq``, ``least_work`` and ``fastest_available`` run on the
 completion calendar (every member is a ``RateScalableServers``), whose
-predictions every ``set_capacity`` re-partition must rebuild.
+predictions every ``set_capacity`` re-partition must rebuild.  Multi-window
+variants drive the rates with a per-window script that freezes classes at
+rate zero, so every boundary rebuilds the calendar's heads (in service,
+frozen and thawed, or on empty servers) against the same reference; the
+block route's bulk bookkeeping is audited after every sync against a
+scalar fold.
 
 Service sizes are deliberately off the arrival grid (sqrt(2)/6, sqrt(3)/4
 and sqrt(5)/4 versus 0.25-grid arrivals) and incommensurable, so no sum of
@@ -48,15 +53,23 @@ import math
 from bisect import bisect_right
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import make_cluster, parse_fleet_events
+from repro.cluster import ClusterServerModel, make_cluster, parse_fleet_events
+from repro.cluster.dispatch import build_dispatch_policy
 from repro.distributions import BoundedPareto
-from repro.simulation import MeasurementConfig, Scenario, StaticRateController
+from repro.simulation import (
+    MeasurementConfig,
+    RateScalableServers,
+    Scenario,
+    StaticRateController,
+)
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.generator import TraceSource
 from repro.types import TrafficClass
 from tests.cluster.test_chooser_oracle import oracle as chooser_oracle
+from tests.cluster.test_cluster_batched_identity import ScriptedRates
 from tests.invariants import check_run
 from tests.reference import ReferenceScenario
 
@@ -116,14 +129,14 @@ def _cases(draw, sizes):
     return traces, draw(_events(traces))
 
 
-def _run(cluster, traces, controller=None, scenario_class=Scenario):
+def _run(cluster, traces, controller=None, scenario_class=Scenario, cfg=CFG):
     sources = [
         TraceSource(index, interarrivals=gaps, sizes=sizes)
         for index, (gaps, sizes) in enumerate(traces)
     ]
     return scenario_class(
         CLASSES[len(traces)],
-        CFG,
+        cfg,
         server=cluster,
         controller=controller,
         seed=11,
@@ -161,6 +174,202 @@ def test_batched_dispatch_replays_per_event_oracle(case, policy):
     assert batched.ledger.completion_time.tobytes() == (
         per_event.ledger.completion_time.tobytes()
     )
+
+
+#: Ten windows whose boundaries re-rate the cluster, each class's per-window
+#: rate drawn from ``RATE_STEPS`` — zero included, so class servers freeze
+#: and thaw with requests waiting.
+MULTI_CFG = MeasurementConfig(warmup=0.0, horizon=30.0, window=3.0)
+RATE_STEPS = (0.0, 0.75, 1.5, 3.0)
+CALENDAR_POLICIES = ["jsq", "weighted_jsq", "least_work", "fastest_available"]
+
+
+#: One size per request, square roots of distinct primes: a rate change
+#: starts the frozen heads of several nodes at one instant, and repeated
+#: sizes would then tie their completions exactly (``a + b`` vs ``b + a``),
+#: where the reference's order is a scheduling-sequence artifact.
+DISTINCT_SIZES = tuple(
+    float(np.sqrt(p) / 6) for p in range(2, 114) if all(p % d for d in range(2, p))
+)
+
+
+@st.composite
+def _rate_cases(draw):
+    traces, events = draw(_cases(OFF_GRID_SIZES))
+    pool = iter(draw(st.permutations(DISTINCT_SIZES)))
+    traces = [(gaps, [next(pool) for _ in gaps]) for gaps, _ in traces]
+    vectors = st.tuples(*[st.sampled_from(RATE_STEPS)] * len(traces))
+    return traces, events, draw(st.lists(vectors, min_size=2, max_size=10))
+
+
+#: Class 1 frozen for two windows while its requests arrive, then thawed
+#: (each node's frozen head completes at the new rate, its queue behind it);
+#: class 0 keeps long jobs in service across every boundary; node 1 leaves,
+#: so its class servers empty out and later rebuilds find nothing there.
+_THAW = (
+    [
+        ([0.5, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 1.0], [4 * size for size in DISTINCT_SIZES[:8]]),
+        ([0.125, 0.5, 0.5, 1.0, 0.5, 0.5, 1.0, 3.0], list(DISTINCT_SIZES[8:16])),
+    ],
+    "leave:1@4.25",
+    [(0.75, 0.0), (0.75, 0.0), (0.75, 3.0), (1.5, 1.5)],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=_THAW, policy="jsq")
+@given(case=_rate_cases(), policy=st.sampled_from(CALENDAR_POLICIES))
+def test_rate_changes_replay_per_event_oracle(case, policy):
+    """Every window boundary rebuilds the calendar at the scripted rates:
+    heads in service re-based, frozen servers thawed with work waiting,
+    empty servers skipped — and every ledger column, the completion log,
+    the dispatch log and the fleet timeline match the per-event reference.
+    """
+    traces, events, script = case
+    runs = [
+        _run(
+            _cluster(policy, events),
+            traces,
+            controller=ScriptedRates(script),
+            scenario_class=scenario_class,
+            cfg=MULTI_CFG,
+        )
+        for scenario_class in (Scenario, ReferenceScenario)
+    ]
+    for result in runs:
+        check_run(result, per_class_servers=True)
+    batched, per_event = (result.ledger for result in runs)
+    for column in (
+        "class_index",
+        "arrival_time",
+        "size",
+        "service_start_time",
+        "completion_time",
+        "disposition",
+        "completed_ids",
+    ):
+        assert getattr(batched, column).tobytes() == getattr(per_event, column).tobytes(), column
+    assert runs[0].dispatch_log == runs[1].dispatch_log
+    assert runs[0].fleet_timeline == runs[1].fleet_timeline
+    assert runs[0].rate_history == runs[1].rate_history
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    traces=_traces(1, OFF_GRID_SIZES),
+    policy=st.sampled_from(CALENDAR_POLICIES),
+    rate=st.sampled_from(RATE_STEPS[1:]),
+)
+def test_rebuild_before_the_heads_arrive(traces, policy, rate):
+    """A block dispatched to frozen servers ahead of the clock, then a
+    rate change before any of it arrives: each head that has not started
+    completes at ``arrival + size / rate`` and the queue behind it folds
+    from there.  (A scenario never rebuilds ahead of its dispatched
+    arrivals: its blocks end at the next boundary or fleet event.)"""
+    gaps, sizes = traces[0]
+    arrivals = (1.0 + np.cumsum(gaps)).tolist()
+    cluster = make_cluster(3, policy, record_dispatch=True, seed=3)
+    cluster.bind(SimulationEngine(), CLASSES[1])
+    cluster.apply_rates((0.0,))
+    ledger = cluster.ledger
+    classes = np.zeros(len(gaps), dtype=np.int64)
+    cluster.submit_batch(ledger.append_batch(classes, np.asarray(arrivals), np.asarray(sizes)))
+    cluster.drain(0.0)
+    cluster.apply_rates((rate,))
+    ledger.log_completions(cluster.drain(100.0))
+    share = rate / 3  # the equal split of every calendar policy's partitioner
+    free = [-math.inf] * 3
+    starts, completions = [], []
+    for node, arrival, size in zip(cluster.dispatch_log, arrivals, sizes):
+        starts.append(max(arrival, free[node]))
+        free[node] = starts[-1] + size / share
+        completions.append(free[node])
+    assert ledger.service_start_time.tolist() == starts
+    assert ledger.completion_time.tolist() == completions
+
+
+class _AuditedCluster(ClusterServerModel):
+    """A cluster that checks its pending counts and work left after every
+    sync against a scalar left fold over its ledger: a dispatched block
+    adds, per node, the sum of its sizes in arrival order; a completion
+    subtracts its size, clamped at zero (``max(work - size, 0.0)``), in the
+    node's completion order (time, then class, then FCFS)."""
+
+    def _on_bind(self):
+        super()._on_bind()
+        n, c = self.num_nodes, self.num_classes
+        self.node_of = {}
+        self.expected_pending = [[0] * c for _ in range(n)]
+        self.expected_work = [0.0] * n
+        self.folded = set()
+        self.syncs = 0
+
+    def submit_batch(self, rids):
+        before = len(self.dispatch_log)
+        super().submit_batch(rids)
+        ledger = self.ledger
+        sums = {}
+        for rid, node in zip(rids.tolist(), self.dispatch_log[before:]):
+            self.node_of[rid] = node
+            self.expected_pending[node][ledger.class_of(rid)] += 1
+            sums[node] = sums.get(node, 0.0) + ledger.size_of(rid)
+        for node, total in sums.items():
+            self.expected_work[node] += total
+
+    def _sync_nodes(self, now):
+        super()._sync_nodes(now)
+        ledger = self.ledger
+        done = [
+            rid
+            for rid in np.flatnonzero(ledger.completion_time <= now).tolist()
+            if rid not in self.folded
+        ]
+        done.sort(key=lambda rid: (ledger.completion_of(rid), ledger.class_of(rid), rid))
+        for rid in done:
+            node = self.node_of[rid]
+            self.expected_pending[node][ledger.class_of(rid)] -= 1
+            self.expected_work[node] = max(self.expected_work[node] - ledger.size_of(rid), 0.0)
+            self.folded.add(rid)
+        assert self.pending_table == self.expected_pending
+        assert self.work_left_table == self.expected_work
+        self.syncs += 1
+
+
+def _audited(policy, events="", num_nodes=3):
+    return _AuditedCluster(
+        [RateScalableServers() for _ in range(num_nodes)],
+        dispatch=build_dispatch_policy(policy, seed=3),
+        fleet=parse_fleet_events(events) if events else None,
+        record_dispatch=True,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_rate_cases(), policy=st.sampled_from(["round_robin", "weighted_random", "affinity"]))
+def test_block_route_bookkeeping_matches_a_scalar_fold(case, policy):
+    """The block route books each member drain in bulk (a ``bincount`` of
+    pending decrements, one ``subtract.accumulate`` of work left); after
+    every sync both tables equal the per-completion scalar fold."""
+    traces, events, script = case
+    cluster = _audited(policy, events)
+    result = _run(cluster, traces, controller=ScriptedRates(script), cfg=MULTI_CFG)
+    check_run(result, per_class_servers=True)
+    assert cluster._calendar is None
+    assert cluster.syncs >= MULTI_CFG.horizon / MULTI_CFG.window
+
+
+def test_block_route_work_left_clamps_a_negative_residual():
+    # 0.3, 0.2 and 0.1 reach node 0 in one block, adding up to 0.6; the
+    # first sync (t=30) drains all three and subtracts them in FCFS order,
+    # leaving -2.8e-17 unclamped.
+    assert 0.0 + 0.3 + 0.2 + 0.1 - 0.3 - 0.2 - 0.1 < 0.0
+    cluster = _audited("round_robin", num_nodes=1)
+    result = _run(
+        cluster, [([0.0, 0.0, 0.0], [0.3, 0.2, 0.1])], controller=StaticRateController((1.0,))
+    )
+    assert result.ledger.completion_time.tolist() == [0.3, 0.5, 0.6]
+    assert cluster.work_left(0) == 0.0
+    assert cluster.pending(0, 0) == 0
 
 
 def _fleet_script(events):

@@ -270,6 +270,29 @@ class TestAggregation:
         ):
             cluster.bind(SimulationEngine(), classes)
 
+    def test_rate_change_without_a_drain_is_refused(self):
+        """The calendar re-predicts each class server's head from the
+        member's in-service row, which matches only after a drain to the
+        clock; a rate change without one must not re-predict a stale row."""
+        from repro.distributions import Deterministic
+
+        classes = make_classes(Deterministic(1.0), 0.5, (1.0,))
+        cluster = make_cluster(1, "jsq")
+        cluster.bind(SimulationEngine(), classes)
+        cluster.apply_rates((1.0,))
+        ledger = cluster.ledger
+
+        def arrive(*arrivals):
+            times = np.asarray(arrivals)
+            column = np.zeros(len(times), dtype=np.int64)
+            cluster.submit_batch(ledger.append_batch(column, times, np.ones_like(times)))
+
+        arrive(0.0, 0.5)
+        cluster.drain(0.0)  # row 0 enters service
+        arrive(2.0)  # books rows 0 and 1 ahead of the clock; row 2 is the head
+        with pytest.raises(SimulationError, match="serves row 0 of class 0.*head is row 2"):
+            cluster.apply_rates((2.0,))
+
     @pytest.mark.parametrize("members", ["shared", "nested"])
     @pytest.mark.parametrize("policy", [RoundRobin, WeightedRandom, ClassAffinity])
     def test_block_route_over_any_members_matches_per_event(self, moderate_bp, members, policy):

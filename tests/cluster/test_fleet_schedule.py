@@ -91,6 +91,15 @@ class TestParsing:
         with pytest.raises(SimulationError, match="initial_down"):
             FleetSchedule(initial_down=(1, 1))
 
+    @pytest.mark.parametrize("time", ["inf", "-inf", "nan"])
+    def test_event_time_must_be_finite(self, time):
+        # An event at ``inf`` could never fire; it used to build and be
+        # silently ignored.
+        with pytest.raises(SimulationError, match="finite"):
+            parse_fleet_events(f"leave:0@{time}")
+        with pytest.raises(SimulationError, match="finite"):
+            FleetEvent(time=float(time), action="leave", node=0)
+
     def test_scaled_to_time_units(self):
         schedule = parse_fleet_events("leave:0@200 join:0@400")
         scaled = schedule.scaled_to_time_units(0.5)

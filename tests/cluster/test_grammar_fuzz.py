@@ -9,6 +9,7 @@ non-finite and garbage values, plus free text.
 """
 
 import inspect
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,7 +67,7 @@ def _policy_args(registry):
 
 
 NODES = st.integers(0, 12).map(str)
-TIMES = NUMBERS.map("@{}".format)
+TIMES = st.one_of(NUMBERS, st.sampled_from(["inf", "-inf", "nan"])).map("@{}".format)
 FLEET_TOKENS = st.one_of(
     st.builds(
         "{}:{}{}".format, st.sampled_from(["join", "leave", "kill", "restore"]), NODES, TIMES
@@ -85,15 +86,18 @@ FLEET_TOKENS = st.one_of(
 
 def _builds_or_repro_error(build, *args):
     try:
-        build(*args)
+        return build(*args)
     except ReproError:
-        pass
+        return None
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(FLEET_TOKENS, max_size=4))
 def test_fleet_event_tokens(tokens):
-    _builds_or_repro_error(parse_fleet_events, tokens)
+    schedule = _builds_or_repro_error(parse_fleet_events, tokens)
+    if schedule is not None:
+        # Every event that builds can fire: its time is finite and >= 0.
+        assert all(math.isfinite(event.time) and event.time >= 0.0 for event in schedule.events)
 
 
 @settings(max_examples=300, deadline=None)

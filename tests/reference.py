@@ -25,6 +25,7 @@ translates into its per-event twin — or wrap an experiment build with
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import deque
 from functools import partial
@@ -61,10 +62,10 @@ class _PerEvent(ServerModel):
         # Completions log themselves as their events fire.
         return np.empty(0, dtype=np.int64)
 
-    def outstanding(self) -> tuple:
+    def service_head(self, class_index: int) -> tuple[float, None, float]:
         # A reference cluster books completions through the member sinks,
         # never from predictions, so its (unused) calendar stays empty.
-        return ()
+        return 0.0, None, math.inf
 
 
 class _TaskServer:
