@@ -18,10 +18,11 @@ Xu — IPDPS 2004), built as a reusable library:
   (the idealised Fig. 1 task servers, a scheduler-driven shared processor)
   plus a serial/parallel :class:`ReplicationRunner`.
 * :mod:`repro.cluster` — the multi-node serving substrate:
-  :class:`ClusterServerModel` dispatches requests across N member server
-  models through pluggable dispatch policies (round-robin, weighted random,
-  join-shortest-queue, least-work-left, class affinity) and fans the
-  controller's rate allocation out via rate partitioners.
+  :class:`ClusterServerModel` dispatches requests across N member
+  :class:`RateScalableServers` nodes through pluggable dispatch policies
+  (round-robin, weighted random, join-shortest-queue, least-work-left,
+  class affinity) and fans the controller's rate allocation out via rate
+  partitioners.
 * :mod:`repro.workload`, :mod:`repro.metrics`, :mod:`repro.experiments` —
   workload factories, evaluation statistics, and drivers regenerating every
   figure of the paper's evaluation.

@@ -5,10 +5,9 @@ serving substrate; real hosting platforms run the same control loop over a
 *cluster* of processors.  This package provides that substrate as just
 another :class:`~repro.simulation.ServerModel`:
 
-* :mod:`repro.cluster.model` — :class:`ClusterServerModel`, N member server
-  models (idealised task servers, scheduler-driven shared processors, or
-  nested clusters; backlog-dependent dispatch needs the first) behind one
-  dispatch point.
+* :mod:`repro.cluster.model` — :class:`ClusterServerModel`, N member nodes
+  (each a :class:`~repro.simulation.RateScalableServers`: the paper's
+  per-class rate-scalable task servers) behind one dispatch point.
 * :mod:`repro.cluster.dispatch` — pluggable :class:`DispatchPolicy` routing:
   round-robin, seeded weighted-random (capacity-weighted by default),
   join-shortest-queue (raw and capacity-normalised), fastest-available,

@@ -76,7 +76,8 @@ def resolve_capacities(
     :func:`~repro.cluster.model.make_cluster`, which honours them verbatim.)
     Explicit vectors must have one finite, strictly positive weight per
     node — a zero-capacity node could never serve anything, and an infinite
-    one would leave every other node a zero share; both are rejected.
+    one would leave every other node a zero share; both are rejected, as is
+    a mix so widely spread that a node's normalised capacity underflows.
     """
     if num_nodes <= 0:
         raise SimulationError(f"num_nodes must be > 0, got {num_nodes}")
@@ -102,4 +103,7 @@ def resolve_capacities(
     if min(weights) == max(weights):
         return None
     scale = total / sum(weights)
-    return tuple(weight * scale for weight in weights)
+    return tuple(
+        require_capacity(weight * scale, f"resolved node {node} capacity")
+        for node, weight in enumerate(weights)
+    )

@@ -6,7 +6,7 @@ ledger row id is handed to :meth:`DispatchPolicy.select_node`, which returns
 the index of the member node that will serve it.  Policies see the cluster
 through a small read-only view (node/class counts, per-node pending work,
 the shared :class:`~repro.simulation.ledger.RequestLedger` for per-request
-columns) so the same policy works over any mix of member server models.
+columns).
 
 Determinism contract: given the same cluster state and, for randomised
 policies, the same seed, ``select_node`` returns the same node.  All ties are
@@ -64,8 +64,11 @@ class DispatchPolicy(abc.ABC):
     ``live_nodes``, ``ledger``).  It then routes each admitted request
     through ``select_block`` when the policy has one, and through the
     :meth:`chooser` it fetches once per arrival block otherwise.
-    Implementing :meth:`select_node` is enough: the default chooser calls
-    it once per request, with the request's ledger row id.
+    Implementing :meth:`select_node` is enough for a policy with neither:
+    the default chooser calls it once per request, with the request's
+    ledger row id.  The cluster routes through ``select_block`` or
+    :meth:`chooser` whenever one exists, so a subclass that overrides
+    :meth:`select_node` must override those too.
     """
 
     def __init__(self) -> None:
@@ -127,8 +130,8 @@ class DispatchPolicy(abc.ABC):
         The cluster fetches it once per arrival block and calls it once per
         request, with the row id and class.  This default wraps
         :meth:`select_node` and validates every choice (a live node index,
-        never a bool), so custom policies keep working unchanged — as does
-        a subclass or instance patch overriding only :meth:`select_node`.
+        never a bool), so a custom policy implementing only
+        :meth:`select_node` works unchanged.
 
         Built-in backlog-dependent policies return a closure over the
         cluster's own state instead: ``pending_table`` and

@@ -18,9 +18,8 @@ simulation times:
 ``set_capacity``
     The node's advertised capacity changes in place — degradation when it
     shrinks, recovery when it grows, ``None`` restoring the unconstrained
-    idealisation (only meaningful for models that accept ``capacity=None``,
-    i.e. not a shared-processor node).  Capacity-aware dispatch policies and
-    partitioners re-read the vector at the event time.
+    idealisation.  Capacity-aware dispatch policies and partitioners re-read
+    the vector at the event time.
 
 At every event the cluster re-normalises: the rate partitioner re-splits the
 controller's current per-class rates over the *live* capacity vector, and

@@ -1,21 +1,17 @@
 """A multi-node cluster serving substrate.
 
 :class:`ClusterServerModel` is a :class:`~repro.simulation.ServerModel` that
-owns N member server models (any mix of
-:class:`~repro.simulation.RateScalableServers` and
-:class:`~repro.simulation.SharedProcessorServer`, or further clusters) and
-routes every admitted request through a pluggable
+owns N member nodes, each the paper's Fig. 1 model
+(:class:`~repro.simulation.RateScalableServers`: one rate-scalable FCFS task
+server per class), and routes every admitted request through a pluggable
 :class:`~repro.cluster.dispatch.DispatchPolicy`.  The controller's per-class
 rate allocation is fanned out to the nodes by a
 :class:`~repro.cluster.partition.RatePartitioner`, so the PSD feedback loop
 closes over the whole cluster; ``backlogs()`` aggregates the per-class
 counts, so the existing monitor/estimator stack works unchanged.
 
-Capacity semantics: member rates are *absolute* for rate-scalable nodes (the
-equal-split cluster of N such nodes has the same total capacity as the
-single server) and *relative weights* for shared-processor nodes (whose
-capacity is fixed at construction) — size shared-processor nodes at
-``capacity = 1 / N`` for a cluster comparable to one unit-capacity server.
+Capacity semantics: member rates are *absolute* (the equal-split cluster of
+N nodes has the same total capacity as the single server).
 Heterogeneous fleets declare per-node capacities (the maximum total rate a
 node can sustain; assignments past it are served at the node's physical
 speed): build them with ``make_cluster(..., capacities=...)``, read them via
@@ -33,10 +29,10 @@ Block dispatch: arrival blocks arrive pre-segmented at fleet event instants
 fleet is static, and each block takes one of two routes:
 
 * counter/weight policies with a ``select_block`` vectorise their choices
-  over the whole block, over any member type;
-* backlog-dependent policies (JSQ, least-work, fastest-available, custom
-  ``select_node`` overrides) run on a *completion calendar*.  Between two
-  rate changes an FCFS class server's completions are a fixed,
+  over the whole block;
+* every other policy (JSQ, least-work, fastest-available, custom policies
+  implementing only ``select_node``) runs on a *completion calendar*.
+  Between two rate changes an FCFS class server's completions are a fixed,
   non-decreasing fold of its arrivals, so the calendar's heap holds one
   entry per (node, class) server — the predicted start and completion of
   its earliest unbooked request, the *head* — and the requests behind it
@@ -51,13 +47,8 @@ fleet is static, and each block takes one of two routes:
   fetched once per block.  The bookings are the completion log: members
   receive one sub-block per node and fold nothing when drained (they
   settle past their bookings); every rate change re-predicts the heads
-  alone, from the members' in-service state.  The calendar needs members
-  that predict their completions
-  (:meth:`~repro.simulation.ServerModel.service_head` — every
-  :class:`~repro.simulation.RateScalableServers`); binding a
-  backlog-dependent policy over any other member (a shared processor,
-  whose completions depend on future arrivals, or a nested cluster) raises
-  :class:`~repro.errors.SimulationError`.
+  alone, from the members' in-service state
+  (:meth:`~repro.simulation.RateScalableServers.service_head`).
 
 Either way completions are logged in ``(time, node, class)`` order, so the
 dispatch log, fleet timeline, rate histories and aggregates are
@@ -78,7 +69,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
@@ -108,12 +99,14 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class ClusterServerModel(ServerModel):
-    """N member server models behind a dispatch policy and a rate partitioner.
+    """N member nodes behind a dispatch policy and a rate partitioner.
 
     Parameters
     ----------
     nodes:
-        The member server models, fresh instances (they hold per-run state).
+        The member nodes, fresh
+        :class:`~repro.simulation.RateScalableServers` instances (they hold
+        per-run state).
     dispatch:
         Routing policy; defaults to :class:`~repro.cluster.dispatch.RoundRobin`.
     partitioner:
@@ -134,7 +127,7 @@ class ClusterServerModel(ServerModel):
 
     def __init__(
         self,
-        nodes: Sequence[ServerModel],
+        nodes: Sequence[RateScalableServers],
         *,
         dispatch: DispatchPolicy | None = None,
         partitioner: RatePartitioner | None = None,
@@ -145,20 +138,14 @@ class ClusterServerModel(ServerModel):
         if not nodes:
             raise SimulationError("a cluster needs at least one member node")
         for node in nodes:
-            if not isinstance(node, ServerModel):
+            if not isinstance(node, RateScalableServers):
                 raise SimulationError(
-                    f"cluster nodes must be ServerModel instances, got "
+                    f"cluster nodes must be RateScalableServers instances, got "
                     f"{type(node).__name__}"
                 )
             if node.engine is not None:
                 raise SimulationError("cluster nodes must be fresh, unbound server models")
         self.nodes = tuple(nodes)
-        declared = [node.capacity for node in self.nodes]
-        if all(cap is not None for cap in declared):
-            # A cluster is itself a ServerModel; when every member declares a
-            # capacity the cluster's own is their sum, so nested clusters
-            # participate in capacity-aware dispatch at the outer level too.
-            self.capacity = float(sum(declared))
         self.dispatch = dispatch if dispatch is not None else RoundRobin()
         if partitioner is None:
             partitioner = self.dispatch.preferred_partitioner() or EqualSplit()
@@ -239,10 +226,6 @@ class ClusterServerModel(ServerModel):
         """Per-node relative capacities (1.0 for undeclared nodes)."""
         return tuple(self.node_capacity(node) for node in range(self.num_nodes))
 
-    def node_backlogs(self, node: int) -> tuple[int, ...]:
-        """The member node's own per-class queued counts."""
-        return self.nodes[node].backlogs()
-
     def node_state(self, node: int) -> str:
         """The member node's fleet state (``live`` / ``draining`` / ``down``)."""
         return self._node_state[node]
@@ -284,28 +267,16 @@ class ClusterServerModel(ServerModel):
         # here so the per-request path never repeats the attribute lookups.
         self._run_rids: list[np.ndarray] = []
         self._run_times: list[np.ndarray] = []
-        self._select_block = self._mirror_of_select_node("select_block")
-        self._chooser = self._mirror_of_select_node("chooser") or partial(
-            DispatchPolicy.chooser, self.dispatch
-        )
-        # Completion calendar (backlog-dependent policy): a heap holding the
-        # ``(completion, node, class, rid, size, start)`` of each class
-        # server's head — its earliest unbooked request — and, per class
-        # server, the FCFS deque of its unbooked ``(rid, arrival, size)``
-        # (head first), its rate and last booked completion, plus the booked
-        # entries (per node and class) and ids awaiting the next sync.
+        self._select_block = getattr(self.dispatch, "select_block", None)
+        self._chooser = self.dispatch.chooser
+        # Completion calendar (policy without ``select_block``): a heap
+        # holding the ``(completion, node, class, rid, size, start)`` of each
+        # class server's head — its earliest unbooked request — and, per
+        # class server, the FCFS deque of its unbooked ``(rid, arrival,
+        # size)`` (head first), its rate and last booked completion, plus the
+        # booked entries (per node and class) and ids awaiting the next sync.
         self._calendar: list[tuple[float, int, int, int, float, float]] | None = None
         if self._select_block is None:
-            for node in self.nodes:
-                if node.service_head(0) is None:
-                    raise SimulationError(
-                        f"dispatch policy {type(self.dispatch).__name__} may read "
-                        f"the live backlog, so its decisions replay on a completion "
-                        f"calendar, which needs every member to predict its "
-                        f"completions; {type(node).__name__} does not.  Use a "
-                        f"backlog-blind policy with select_block (e.g. round_robin) "
-                        f"or RateScalableServers members"
-                    )
             self._calendar = []
             self._queues = [[deque() for _ in range(c)] for _ in range(n)]
             self._class_rates = [[0.0] * c for _ in range(n)]
@@ -317,35 +288,6 @@ class ClusterServerModel(ServerModel):
             self.engine.schedule_at(
                 event.time, partial(self._apply_fleet_event, event), label="fleet"
             )
-
-    def _mirror_of_select_node(self, name: str) -> Callable | None:
-        """The policy's ``select_block`` or ``chooser``, if it mirrors
-        ``select_node``.
-
-        Both must reproduce ``select_node``'s choice sequence; a subclass
-        (or instance patch) overriding ``select_node`` without redefining
-        the mirror would silently bypass its own logic, so the mirror is
-        used only when the class defining it sits at or below the one
-        defining ``select_node`` in the policy's MRO.  Otherwise the caller
-        falls back to a route that calls ``select_node`` itself.
-        """
-        dispatch = self.dispatch
-        if "select_node" in vars(dispatch) and name not in vars(dispatch):
-            return None
-        cls = type(dispatch)
-        if getattr(cls, name, None) is None:
-            return None
-
-        def definer(attr: str) -> type | None:
-            for klass in cls.__mro__:
-                if attr in vars(klass):
-                    return klass
-            return None
-
-        mirror_cls, node_cls = definer(name), definer("select_node")
-        if mirror_cls is None or node_cls is None or not issubclass(mirror_cls, node_cls):
-            return None
-        return getattr(dispatch, name)
 
     def _mark_drained(self, node: int, time: float) -> None:
         """Drain complete: the leaving node served its last queued request
@@ -419,13 +361,7 @@ class ClusterServerModel(ServerModel):
             # queue simply counts as pending work again.
             self._node_state[event.node] = NODE_LIVE
         else:  # set_capacity: degradation or recovery, applied in place
-            node = self.nodes[event.node]
-            if event.capacity is None and not node.supports_unconstrained:
-                raise SimulationError(
-                    f"fleet event {event.spec()!r}: {type(node).__name__} cannot "
-                    f"run unconstrained (capacity=None); give it a positive capacity"
-                )
-            node.capacity = event.capacity
+            self.nodes[event.node].capacity = event.capacity
         self._refresh_fleet()
         log_event(
             _log,
@@ -735,8 +671,16 @@ class ClusterServerModel(ServerModel):
             return
         self._book_completions(now)
         booked: list[tuple] = []
-        for member, runs in zip(self.nodes, self._booked):
-            member.drain(now, [(len(run), run[-1][3], run[-1][0]) if run else None for run in runs])
+        for node, (member, runs) in enumerate(zip(self.nodes, self._booked)):
+            tails = [(len(run), run[-1][3], run[-1][0]) if run else None for run in runs]
+            for tail in tails:
+                if tail is not None and tail[2] > now:
+                    raise SimulationError(
+                        f"node {node}: a completion is booked at t={tail[2]:g}, after "
+                        f"the drain to t={now:g}; the drain is behind completions "
+                        f"that dispatch already booked"
+                    )
+            member.drain(now, tails)
             for run in runs:
                 booked += run
                 run.clear()
@@ -786,17 +730,14 @@ class ClusterServerModel(ServerModel):
         return merged
 
     def block_boundaries(self, start: float, end: float) -> tuple[float, ...]:
-        """Fleet-event instants (own and nested) strictly inside the span.
+        """Fleet-event instants strictly inside the span.
 
         Arrival blocks are cut here so every arrival at or after an event
         instant is dispatched under the post-event fleet — fleet events
         (scheduled at bind time, hence with lower sequence numbers) fire
         before same-instant arrivals.
         """
-        cuts = set(self.fleet.times_between(start, end))
-        for node in self.nodes:
-            cuts.update(node.block_boundaries(start, end))
-        return tuple(sorted(cuts))
+        return self.fleet.times_between(start, end)
 
     def apply_rates(self, rates: Sequence[float]) -> None:
         if len(rates) != self.num_classes:
@@ -855,25 +796,23 @@ def make_cluster(
     num_nodes: int,
     policy: str | DispatchPolicy = "round_robin",
     *,
-    node_factory: Callable[..., ServerModel] = RateScalableServers,
     capacities: Sequence[float] | None = None,
     partitioner: RatePartitioner | None = None,
     seed: int | np.random.SeedSequence | np.random.Generator | None = 0,
     record_dispatch: bool = False,
     fleet: FleetSchedule | None = None,
 ) -> ClusterServerModel:
-    """Build a cluster of ``num_nodes`` fresh member models.
+    """Build a cluster of ``num_nodes`` fresh :class:`RateScalableServers`.
 
     ``policy`` is a :data:`~repro.cluster.dispatch.DISPATCH_POLICIES` name
     (``seed`` feeds randomised policies — spawn it from the scenario's master
     seed for reproducible runs) or an already-built policy instance.
 
     ``capacities`` builds a heterogeneous fleet: one finite, strictly
-    positive capacity per node, passed to ``node_factory(capacity=...)`` verbatim
-    (use :func:`~repro.cluster.capacity.resolve_capacities` to turn a named
-    mix or relative weights into absolute capacities first).  Without it the
-    factory is called with no arguments — the unconstrained homogeneous
-    cluster, unchanged.
+    positive capacity per node, passed to ``RateScalableServers(capacity=...)``
+    verbatim (use :func:`~repro.cluster.capacity.resolve_capacities` to turn
+    a named mix or relative weights into absolute capacities first).  Without
+    it every node is unconstrained — the homogeneous cluster.
 
     ``fleet`` attaches a :class:`~repro.cluster.fleet.FleetSchedule` of node
     join/leave/degradation events (build one with
@@ -887,7 +826,7 @@ def make_cluster(
     else:
         dispatch = build_dispatch_policy(policy, seed=seed)
     if capacities is None:
-        nodes = [node_factory() for _ in range(num_nodes)]
+        nodes = [RateScalableServers() for _ in range(num_nodes)]
     else:
         capacities = tuple(
             require_capacity(cap, f"node {node} capacity") for node, cap in enumerate(capacities)
@@ -896,7 +835,7 @@ def make_cluster(
             raise SimulationError(
                 f"expected {num_nodes} per-node capacities, got {len(capacities)}"
             )
-        nodes = [node_factory(capacity=cap) for cap in capacities]
+        nodes = [RateScalableServers(capacity=cap) for cap in capacities]
     return ClusterServerModel(
         nodes,
         dispatch=dispatch,

@@ -31,12 +31,21 @@ from ..cluster.dispatch import DISPATCH_POLICIES
 from ..cluster.fleet import FleetSchedule, parse_fleet_events
 from ..core.admission import AdmissionPolicy
 from ..distributions.bounded_pareto import BoundedPareto
-from ..errors import ExperimentError, SimulationError
+from ..errors import ExperimentError, ParameterError, SimulationError
 from ..simulation.monitor import MeasurementConfig
 from ..types import TrafficClass
+from ..validation import require_count
 from ..workload.webserver import web_classes
 
 __all__ = ["ExperimentConfig", "PRESETS", "get_preset"]
+
+
+def _node_counts(nodes: Sequence[int]) -> tuple[int, ...]:
+    """Whole node counts >= 1; a fractional count is refused, never truncated."""
+    try:
+        return tuple(require_count(n, "cluster node count", 1) for n in nodes)
+    except ParameterError as error:
+        raise ExperimentError(str(error)) from None
 
 
 @dataclass(frozen=True)
@@ -232,9 +241,7 @@ class ExperimentConfig:
         """Copy with a different cluster-scaling sweep grid."""
         return replace(
             self,
-            cluster_nodes=self.cluster_nodes
-            if nodes is None
-            else tuple(int(n) for n in nodes),
+            cluster_nodes=self.cluster_nodes if nodes is None else _node_counts(nodes),
             dispatch_policies=self.dispatch_policies
             if policies is None
             else tuple(str(p) for p in policies),

@@ -26,14 +26,13 @@ Two implementations are provided:
   :mod:`repro.scheduling` (WFQ, SFQ, lottery, DRR, priority, ...)
   whose weights track the allocated rates.
 
-Adding a new model (a multi-server cluster, an async backend, a cache in
-front of the processor) means subclassing :class:`ServerModel` and
-implementing its five abstract methods (``_on_bind``, ``submit_batch``,
-``drain``, ``apply_rates`` and ``backlogs``); every scenario, experiment
-driver and replication runner then works with it unchanged.  A model that
-also answers :meth:`ServerModel.service_head` (each class's rate, row in
-service and its completion) can sit under a cluster's backlog-dependent
-dispatch.
+Adding a new model (an async backend, a cache in front of the processor)
+means subclassing :class:`ServerModel` and implementing its five abstract
+methods (``_on_bind``, ``submit_batch``, ``drain``, ``apply_rates`` and
+``backlogs``); every scenario, experiment driver and replication runner then
+works with it unchanged.  A cluster
+(:class:`~repro.cluster.ClusterServerModel`) is itself a model whose member
+nodes are :class:`RateScalableServers`.
 """
 
 from __future__ import annotations
@@ -82,12 +81,6 @@ class ServerModel(abc.ABC):
 
     #: Maximum sustainable total processing rate (``None`` = unconstrained).
     capacity: float | None = None
-
-    #: Whether the model can run with ``capacity=None`` (the paper's
-    #: unconstrained idealisation).  Models whose service arithmetic divides
-    #: by the capacity — a real processor — set this ``False`` so a fleet
-    #: ``set_capacity`` event cannot silently hand them ``None``.
-    supports_unconstrained: bool = True
 
     def __init__(self) -> None:
         self.engine: SimulationEngine | None = None
@@ -153,9 +146,7 @@ class ServerModel(abc.ABC):
     def drain(self, now: float) -> np.ndarray:
         """Advance the model to ``now``; returns the completed row ids in
         global completion-time order (the caller logs them via
-        ``ledger.log_completions``).  A model that answers
-        :meth:`service_head` must also take ``drain(now, booked)`` (see
-        there)."""
+        ``ledger.log_completions``)."""
 
     @abc.abstractmethod
     def apply_rates(self, rates: Sequence[float]) -> None:
@@ -176,32 +167,12 @@ class ServerModel(abc.ABC):
         """
         self.submit_batch(np.asarray([rid], dtype=np.int64))
 
-    def service_head(self, class_index: int) -> tuple[float, int | None, float] | None:
-        """Class ``class_index``'s FCFS service rate, the row it serves
-        (``None`` when free) and that row's predicted completion.
-
-        Models serving each class FCFS at a fixed rate between two
-        :meth:`apply_rates` calls know every completion the moment a request
-        is queued.  A cluster's calendar starts each class server from this
-        query after every rate change, predicts the requests it queues
-        behind (``start = max(arrival, last)``, ``completion = start + size
-        / rate``) and writes the ledger rows itself.  So a model that
-        predicts must also take ``drain(now, booked)``: ``booked`` holds,
-        per class, ``(count, last_rid, last_completion)`` of the completions
-        booked since the last drain (``None`` for a class with none); the
-        model moves past them without writing the ledger, starts arrived
-        heads, and returns no rows.  ``None`` (the default) means the model
-        cannot predict, and a cluster refuses to bind a backlog-dependent
-        dispatch policy over it.
-        """
-        return None
-
     def block_boundaries(self, start: float, end: float) -> tuple[float, ...]:
         """Instants strictly inside ``(start, end)`` where a pre-drawn
         arrival block must be cut so later arrivals are dispatched under
         updated model state (cluster fleet events).  Plain servers have
-        none; composite models return their scheduled change points, sorted
-        ascending and deduplicated.
+        none; a cluster returns its fleet event times, sorted ascending and
+        deduplicated.
         """
         return ()
 
@@ -247,6 +218,17 @@ class RateScalableServers(ServerModel):
         self.servers[class_index].push(rid, arrival, size)
 
     def service_head(self, class_index: int) -> tuple[float, int | None, float]:
+        """Class ``class_index``'s FCFS service rate, the row it serves
+        (``None`` when free) and that row's predicted completion.
+
+        Each class is served FCFS at a fixed rate between two
+        :meth:`apply_rates` calls, so every completion is known the moment a
+        request is queued.  A cluster's calendar starts each class server
+        from this query after every rate change, predicts the requests it
+        queues behind (``start = max(arrival, last)``, ``completion = start
+        + size / rate``), writes the ledger rows itself and drains the node
+        with its bookings (see :meth:`drain`).
+        """
         return self.servers[class_index].service_head()
 
     def drain(
@@ -262,8 +244,11 @@ class RateScalableServers(ServerModel):
         have probability zero).
 
         ``booked`` (a cluster calendar's bookings, see :meth:`service_head`)
-        folds nothing: each class server with bookings or an arrived head
-        settles past them (:meth:`FcfsTaskServer.settle`).
+        holds, per class, ``(count, last_rid, last_completion)`` of the
+        completions booked since the last drain (``None`` for a class with
+        none).  It folds nothing and returns no rows: each class server with
+        bookings or an arrived head settles past them without writing the
+        ledger (:meth:`FcfsTaskServer.settle`).
         """
         telemetry = self.telemetry
         if booked is not None:
@@ -335,8 +320,6 @@ class SharedProcessorServer(ServerModel):
     sustainable total rate" every :class:`ServerModel` advertises, just
     always binding because a real processor cannot scale with the allocation.
     """
-
-    supports_unconstrained = False
 
     def __init__(self, scheduler: Scheduler, *, capacity: float = 1.0) -> None:
         super().__init__()

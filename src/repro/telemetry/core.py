@@ -169,8 +169,8 @@ class Telemetry:
         reg.gauge("server.backlog_total").set(sum(obs.backlogs))
         for index, rate in enumerate(obs.rates):
             reg.gauge(f"class{index}.rate").set(rate)
-        capacity = scenario.server.capacity
-        if capacity:
+        capacity = obs.live_capacity
+        if capacity > 0.0:
             reg.gauge("server.utilisation").set(sum(obs.rates) / capacity)
         self._observe_cluster(scenario.server)
 

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
+    DISPATCH_POLICIES,
     AffinityPartitioner,
     BacklogProportional,
     CapacityWeightedJsq,
     ClassAffinity,
     ClusterServerModel,
+    DispatchPolicy,
     EqualSplit,
-    FastestAvailable,
-    JoinShortestQueue,
-    LeastWorkLeft,
     RatePartitioner,
     RoundRobin,
-    WeightedRandom,
+    build_dispatch_policy,
     make_cluster,
     parse_fleet_events,
 )
@@ -30,14 +29,9 @@ from repro.simulation import (
     SimulationEngine,
     StaticRateController,
 )
-from tests.cluster.test_cluster_batched_identity import CHURN, _fingerprint
 from tests.conftest import make_classes
-from tests.reference import ReferenceScenario
 
 pytestmark = pytest.mark.usefixtures("checked_runs")
-
-#: The differential suite's horizon: its churn events all fall inside it.
-CHURN_CFG = MeasurementConfig(warmup=300.0, horizon=1_500.0, window=300.0)
 
 
 def submit(cluster, class_index=0, size=1.0):
@@ -69,12 +63,24 @@ def shared_processor():
     return SharedProcessorServer(WeightedFairQueueing(2), capacity=0.5)
 
 
-def inner_cluster(policy=RoundRobin):
-    return ClusterServerModel([RateScalableServers(), RateScalableServers()], dispatch=policy())
+def inner_cluster():
+    return ClusterServerModel([RateScalableServers(), RateScalableServers()])
 
 
-class LastLive(RoundRobin):
-    """A custom policy overriding only ``select_node``."""
+class Pinned(DispatchPolicy):
+    """A custom policy implementing only ``select_node``: every request goes
+    to ``node``, valid or not."""
+
+    def __init__(self, node):
+        super().__init__()
+        self.node = node
+
+    def select_node(self, rid):
+        return self.node
+
+
+class LastLive(DispatchPolicy):
+    """A custom policy implementing only ``select_node``."""
 
     def select_node(self, rid):
         return self.cluster.live_nodes[-1]
@@ -92,8 +98,27 @@ class TestConstruction:
             ClusterServerModel([])
 
     def test_rejects_non_server_model_nodes(self):
-        with pytest.raises(SimulationError, match="ServerModel"):
+        with pytest.raises(SimulationError, match="RateScalableServers"):
             ClusterServerModel([object()])
+
+    @pytest.mark.parametrize(
+        ("members", "culprit"),
+        [
+            ([shared_processor, shared_processor], "SharedProcessorServer"),
+            ([RateScalableServers, inner_cluster], "ClusterServerModel"),
+            ([RateScalableServers, shared_processor, inner_cluster], "SharedProcessorServer"),
+        ],
+        ids=["shared", "nested", "mixed"],
+    )
+    @pytest.mark.parametrize("policy", [*sorted(DISPATCH_POLICIES), "custom"])
+    def test_rejects_non_rate_scalable_members(self, members, culprit, policy):
+        """Every member must be a ``RateScalableServers`` whatever the
+        dispatch route: the constructor names the first other member
+        before the policy is bound."""
+        dispatch = LastLive() if policy == "custom" else build_dispatch_policy(policy)
+        with pytest.raises(SimulationError, match=rf"RateScalableServers.*got {culprit}$"):
+            ClusterServerModel([member() for member in members], dispatch=dispatch)
+        assert dispatch.cluster is None
 
     def test_rejects_already_bound_nodes(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
@@ -111,17 +136,13 @@ class TestConstruction:
         assert isinstance(make_cluster(2, "affinity").partitioner, AffinityPartitioner)
 
     def test_invalid_node_choice_is_rejected(self, moderate_bp):
-        class Broken(RoundRobin):
-            def select_node(self, request):
-                return 7
-
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=100.0, horizon=500.0, window=100.0)
         scenario = Scenario(
             classes,
             cfg,
             server=ClusterServerModel(
-                [RateScalableServers(), RateScalableServers()], dispatch=Broken()
+                [RateScalableServers(), RateScalableServers()], dispatch=Pinned(7)
             ),
             seed=1,
         )
@@ -228,48 +249,6 @@ class TestAggregation:
         assert cluster.dispatch_log == [0, 1, 0, 1, 0, 1]
         assert cluster.work_left(0) + cluster.work_left(1) == pytest.approx(6.0)
 
-    def test_mixed_node_types_compose(self, moderate_bp):
-        classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
-        cfg = MeasurementConfig(warmup=300.0, horizon=2_000.0, window=300.0)
-        cluster = ClusterServerModel(
-            [
-                RateScalableServers(),
-                SharedProcessorServer(WeightedFairQueueing(2), capacity=0.5),
-            ],
-            dispatch=RoundRobin(),
-        )
-        result = Scenario(classes, cfg, server=cluster, seed=4).run()
-        assert sum(result.completed_counts) > 0
-
-    @pytest.mark.parametrize(
-        ("members", "culprit"),
-        [
-            ([shared_processor, shared_processor], "SharedProcessorServer"),
-            ([RateScalableServers, inner_cluster], "ClusterServerModel"),
-            ([RateScalableServers, shared_processor, inner_cluster], "SharedProcessorServer"),
-        ],
-        ids=["shared", "nested", "mixed"],
-    )
-    @pytest.mark.parametrize(
-        "policy",
-        [JoinShortestQueue, CapacityWeightedJsq, LeastWorkLeft, FastestAvailable, LastLive],
-        ids=["jsq", "weighted-jsq", "least-work", "fastest-available", "custom"],
-    )
-    def test_backlog_dispatch_needs_predicting_members(self, members, policy, culprit):
-        """A policy without ``select_block`` replays on the completion
-        calendar, so binding it over a member that cannot predict its
-        completions fails, naming the policy, the first such member and
-        the fixes."""
-        from repro.distributions import Deterministic
-
-        classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
-        cluster = ClusterServerModel([member() for member in members], dispatch=policy())
-        with pytest.raises(
-            SimulationError,
-            match=rf"{policy.__name__} .*; {culprit} does not.*round_robin.*RateScalableServers",
-        ):
-            cluster.bind(SimulationEngine(), classes)
-
     def test_rate_change_without_a_drain_is_refused(self):
         """The calendar re-predicts each class server's head from the
         member's in-service row, which matches only after a drain to the
@@ -293,40 +272,23 @@ class TestAggregation:
         with pytest.raises(SimulationError, match="serves row 0 of class 0.*head is row 2"):
             cluster.apply_rates((2.0,))
 
-    @pytest.mark.parametrize("members", ["shared", "nested"])
-    @pytest.mark.parametrize("policy", [RoundRobin, WeightedRandom, ClassAffinity])
-    def test_block_route_over_any_members_matches_per_event(self, moderate_bp, members, policy):
-        """Backlog-blind policies dispatch on the block route over members
-        that predict nothing — shared processors under churn, and clusters
-        whose own JSQ runs on their own calendars — and must match the
-        per-event reference bit for bit."""
-        classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
+    def test_drain_behind_booked_completions_is_refused(self):
+        """The calendar books completions up to each dispatched arrival,
+        ahead of the clock; a drain to an earlier instant must name that
+        cause, not a queue mismatch."""
+        from repro.distributions import Deterministic
 
-        def build():
-            if members == "shared":
-                nodes = [
-                    SharedProcessorServer(WeightedFairQueueing(2), capacity=1.0 / 3.0)
-                    for _ in range(3)
-                ]
-                return ClusterServerModel(
-                    nodes, dispatch=policy(), record_dispatch=True, fleet=CHURN
-                )
-            nodes = [inner_cluster(JoinShortestQueue) for _ in range(2)]
-            return ClusterServerModel(nodes, dispatch=policy(), record_dispatch=True)
-
-        def run(scenario_class, server):
-            return scenario_class(
-                classes, CHURN_CFG, server=server, spec=PsdSpec.of(1, 2), seed=3
-            ).run()
-
-        cluster = build()
-        batched = run(Scenario, cluster)
-        assert cluster._calendar is None
-        assert _fingerprint(batched) == _fingerprint(run(ReferenceScenario, build()))
-        if members == "shared":
-            assert any(state[0] != "live" for _, state, _ in batched.fleet_timeline)
-        else:
-            assert all(inner._calendar is not None for inner in cluster.nodes)
+        classes = make_classes(Deterministic(1.0), 0.5, (1.0,))
+        cluster = make_cluster(1, "jsq")
+        cluster.bind(SimulationEngine(), classes)
+        cluster.apply_rates((1.0,))
+        times = np.array([1.0, 1.0, 2.0])
+        column = np.zeros(3, dtype=np.int64)
+        cluster.submit_batch(cluster.ledger.append_batch(column, times, np.ones(3)))
+        with pytest.raises(
+            SimulationError, match=r"booked at t=2, after the drain to t=0; the drain is behind"
+        ):
+            cluster.drain(0.0)
 
     def test_single_node_cluster_matches_bare_server(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
@@ -362,7 +324,7 @@ class TestAggregation:
         assert len(cluster.dispatch_log) == sum(sum(row) for row in counts)
         assert cluster.pending(2, 0) == 0 and cluster.pending(2, 1) == 0
         assert cluster.work_left(2) == 0.0
-        assert cluster.node_backlogs(2) == (0, 0)
+        assert cluster.nodes[2].backlogs() == (0, 0)
         # Cluster-level backlogs aggregate cleanly over the idle node.
         assert len(cluster.backlogs()) == 2
 
@@ -387,12 +349,7 @@ class TestAggregation:
 
     def test_boolean_node_choice_is_rejected(self):
         """select_node returning True must not silently dispatch to node 1."""
-
-        class Sneaky(RoundRobin):
-            def select_node(self, request):
-                return True
-
-        _, cluster = calendar_cluster(Sneaky(), num_nodes=2)
+        _, cluster = calendar_cluster(Pinned(True), num_nodes=2)
         with pytest.raises(SimulationError, match="invalid.*node"):
             submit(cluster)
 
@@ -410,11 +367,20 @@ class TestAggregation:
 
 
 class TestCustomPolicyRouting:
-    """Custom policies on the completion calendar: overrides of
-    ``select_node`` are honoured, and their choices are validated."""
+    """Custom policies implementing only ``select_node`` run on the
+    completion calendar through the default chooser, which calls
+    ``select_node`` per request and validates every choice."""
 
-    def test_subclass_select_node_override_is_honoured(self):
+    def test_select_node_only_policy_is_honoured(self):
+        engine, cluster = calendar_cluster(LastLive())
+        submit_block(cluster, engine, [0, 1, 0, 1, 0])
+        assert cluster.dispatch_log == [2] * 5
+        assert cluster.dispatch_counts() == ((0, 0), (0, 0), (3, 2))
+
+    def test_subclass_overriding_select_node_and_its_chooser_is_honoured(self):
         class LastLiveJsq(CapacityWeightedJsq):
+            chooser = DispatchPolicy.chooser
+
             def select_node(self, rid):
                 return self.cluster.live_nodes[-1]
 
@@ -425,7 +391,7 @@ class TestCustomPolicyRouting:
         assert cluster.dispatch_counts() == ((0, 0), (0, 0), (3, 2))
 
     def test_instance_patched_select_node_is_honoured(self):
-        policy = CapacityWeightedJsq()
+        policy = LastLive()
         policy.select_node = lambda rid: 1
         engine, cluster = calendar_cluster(policy)
         submit_block(cluster, engine, [0, 1, 0])
@@ -433,20 +399,12 @@ class TestCustomPolicyRouting:
 
     @pytest.mark.parametrize("choice", [True, 3, -1, 1.0])
     def test_invalid_custom_choice_is_rejected(self, choice):
-        class Fixed(JoinShortestQueue):
-            def select_node(self, rid):
-                return choice
-
-        engine, cluster = calendar_cluster(Fixed())
+        engine, cluster = calendar_cluster(Pinned(choice))
         with pytest.raises(SimulationError, match="invalid.*node"):
             submit_block(cluster, engine, [0])
 
     def test_draining_custom_choice_is_rejected(self):
-        class Pinned(RoundRobin):
-            def select_node(self, rid):
-                return 1
-
-        engine, cluster = calendar_cluster(Pinned(), fleet=parse_fleet_events("leave:1@1"))
+        engine, cluster = calendar_cluster(Pinned(1), fleet=parse_fleet_events("leave:1@1"))
         submit_block(cluster, engine, [0])  # node 1 live: accepted
         engine.run_until(1.5)  # node 1 leaves with work queued
         assert cluster.node_state(1) == "draining"

@@ -290,23 +290,6 @@ class TestSetCapacity:
         assert cluster.nodes[0].capacity is None
         assert cluster.node_capacity(0) == 1.0
 
-    def test_capacity_none_rejected_for_capacity_mandatory_nodes(self):
-        # A shared-processor node divides by its capacity on every dispatch;
-        # handing it None must fail loudly at the event, not as a TypeError
-        # at the next service.
-        from repro.scheduling import WeightedFairQueueing
-        from repro.simulation import SharedProcessorServer
-
-        engine, cluster = bound_cluster(
-            num_nodes=2,
-            node_factory=lambda: SharedProcessorServer(WeightedFairQueueing(2)),
-            fleet=parse_fleet_events("set_capacity:0=none@1"),
-        )
-        cluster.apply_rates((1.0, 1.0))
-        with pytest.raises(SimulationError, match="unconstrained"):
-            engine.run_until(2.0)
-        assert cluster.nodes[0].capacity == 1.0  # untouched by the rejected event
-
 
 class TestClusterDrained:
     """Regression: a fully drained fleet raises ClusterDrainedError.

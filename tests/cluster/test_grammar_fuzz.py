@@ -1,27 +1,32 @@
 """Fuzzing of the CLI string grammars: fleet events, admission and autoscaler
-arguments.
+arguments, and the cluster sweep flags.
 
 Every token list must either build or fail with a :class:`ReproError`
 subclass (the CLI turns those into a clean usage error); any other exception
 would surface as a traceback.  Tokens are drawn from the real vocabulary —
-actions, policy names and constructor parameter names — with numeric,
-non-finite and garbage values, plus free text.
+actions, policy and capacity-mix names and constructor parameter names —
+with numeric, non-finite and garbage values, plus free text.
 """
 
 import inspect
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
     ADMISSION_POLICIES,
     AUTOSCALERS,
+    CAPACITY_MIXES,
+    DISPATCH_POLICIES,
     build_admission,
     build_autoscaler,
+    make_cluster,
     parse_fleet_events,
+    resolve_capacities,
 )
 from repro.errors import ReproError
+from repro.experiments import get_preset
 
 NUMBERS = st.one_of(
     st.integers(-3, 40).map(str),
@@ -110,3 +115,46 @@ def test_admission_arguments(case):
 @given(_policy_args(AUTOSCALERS))
 def test_autoscaler_arguments(case):
     _builds_or_repro_error(build_autoscaler, *case)
+
+
+#: ``--capacities`` tokens: relative speeds, mix names and garbage, mixed.
+CAPACITY_TOKENS = st.lists(
+    st.one_of(NUMBERS, st.sampled_from(sorted(CAPACITY_MIXES) + ["3:1"]), GARBAGE),
+    min_size=1,
+    max_size=4,
+)
+#: ``--cluster-nodes`` counts, including fractional and non-finite ones.
+NODE_COUNTS = st.lists(
+    st.one_of(st.integers(-1, 6), st.floats(allow_nan=True, allow_infinity=True)),
+    min_size=1,
+    max_size=3,
+)
+DISPATCH_NAMES = st.lists(
+    st.sampled_from(sorted(DISPATCH_POLICIES) + ["unknown"]), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CAPACITY_TOKENS, st.none() | NODE_COUNTS, st.none() | DISPATCH_NAMES)
+@example(["1e-300", "1e300"], None, None)
+@example(["2", "1"], [2.5], None)
+def test_cluster_flags(capacities, nodes, policies):
+    # The CLI's reading of ``--capacities``: all numeric tokens are one
+    # explicit mix of relative speeds, anything else a list of mix names.
+    try:
+        mixes = (tuple(float(token) for token in capacities),)
+    except ValueError:
+        mixes = tuple(capacities)
+    config = _builds_or_repro_error(
+        lambda: get_preset("quick").with_cluster(
+            nodes=nodes, policies=policies, capacity_mixes=mixes
+        )
+    )
+    if config is None:
+        return
+    assert all(isinstance(n, int) and n >= 1 for n in config.cluster_nodes)
+    if nodes is not None:
+        assert list(config.cluster_nodes) == nodes
+    for mix in config.capacity_mixes:
+        if not isinstance(mix, str):
+            make_cluster(len(mix), capacities=resolve_capacities(mix, len(mix)))

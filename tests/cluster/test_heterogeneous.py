@@ -82,24 +82,10 @@ class TestCapacityPlumbing:
         cluster = bound_cluster(capacities=(0.75, 0.25))
         assert cluster.capacities == (0.75, 0.25)
         assert cluster.node_capacity(0) == 0.75
-        # The cluster itself advertises the fleet total, so nested clusters
-        # participate in capacity-aware decisions one level up.
-        assert cluster.capacity == pytest.approx(1.0)
 
     def test_undeclared_capacities_weigh_one(self):
         cluster = ClusterServerModel([RateScalableServers(), RateScalableServers()])
         assert cluster.capacities == (1.0, 1.0)
-        assert cluster.capacity is None
-
-    def test_shared_processor_capacity_feeds_the_cluster_view(self):
-        cluster = ClusterServerModel(
-            [
-                SharedProcessorServer(WeightedFairQueueing(2), capacity=0.5),
-                SharedProcessorServer(WeightedFairQueueing(2), capacity=0.25),
-            ]
-        )
-        assert cluster.capacities == (0.5, 0.25)
-        assert cluster.capacity == pytest.approx(0.75)
 
     def test_make_cluster_validates_capacities(self):
         with pytest.raises(SimulationError, match="expected 2"):

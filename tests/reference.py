@@ -62,11 +62,6 @@ class _PerEvent(ServerModel):
         # Completions log themselves as their events fire.
         return np.empty(0, dtype=np.int64)
 
-    def service_head(self, class_index: int) -> tuple[float, None, float]:
-        # A reference cluster books completions through the member sinks,
-        # never from predictions, so its (unused) calendar stays empty.
-        return 0.0, None, math.inf
-
 
 class _TaskServer:
     """One class's FCFS queue and service position at a mutable rate."""
@@ -128,12 +123,16 @@ class _TaskServer:
         self._start_next()
 
 
-class _RateScalable(_PerEvent):
-    """Fig. 1: one FCFS task server per class at its allocated rate."""
+class _RateScalable(_PerEvent, RateScalableServers):
+    """Fig. 1: one FCFS task server per class at its allocated rate.
+
+    A :class:`RateScalableServers` so a reference cluster accepts it as a
+    member; ``_PerEvent`` comes first in the MRO, so its per-event
+    ``submit_batch`` and ``drain`` override the batched ones.
+    """
 
     def __init__(self, capacity: float | None) -> None:
-        super().__init__()
-        self.capacity = capacity
+        super().__init__(capacity=capacity)
 
     def _on_bind(self) -> None:
         self.servers = [
@@ -145,6 +144,11 @@ class _RateScalable(_PerEvent):
 
     def submit(self, rid: int) -> None:
         self.servers[self.ledger.class_of(rid)].submit(rid)
+
+    def service_head(self, class_index: int) -> tuple[float, None, float]:
+        # A reference cluster books completions through the member sinks,
+        # never from predictions, so its (unused) calendar stays empty.
+        return 0.0, None, math.inf
 
     def apply_rates(self, rates) -> None:
         if self.capacity is not None and sum(rates) > self.capacity:
@@ -159,8 +163,6 @@ class _RateScalable(_PerEvent):
 
 class _SharedProcessor(_PerEvent):
     """One full-speed processor; the scheduler picks whenever it frees up."""
-
-    supports_unconstrained = False
 
     def __init__(self, scheduler, capacity: float) -> None:
         super().__init__()

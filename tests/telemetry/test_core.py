@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import MeasurementConfig, PsdSpec, Scenario, make_cluster, parse_fleet_events
+from repro.cluster import resolve_capacities
 from repro.core.admission import QueueLengthAdmission
 from repro.errors import ParameterError
 from repro.telemetry import Telemetry
@@ -75,9 +76,12 @@ class TestScenarioIntegration:
         assert len(registry.get("class0.rate").series) == windows
         assert registry.get("scenario.simulated_time").value == scenario.engine.now
         assert len(registry.get("server.backlog_total").series) == windows
-        # The default server is unconstrained (capacity None), so the
-        # utilisation gauge is never created.
-        assert registry.get("server.utilisation") is None
+        # The default server is one live node of unit capacity, so the
+        # utilisation gauge reads the allocated total rate at every window.
+        rates = dict(result.rate_history)
+        assert registry.get("server.utilisation").series == [
+            (time, sum(rates[time])) for time, _ in registry.get("class0.rate").series
+        ]
         assert telemetry.batch_marks and telemetry.drain_marks
         assert registry.get("scenario.batch_size").count == len(telemetry.batch_marks)
         assert registry.get("scenario.drain_length").count == len(telemetry.drain_marks)
@@ -164,6 +168,30 @@ class TestClusterIntegration:
             registry.get(f"cluster.node{node}.dispatched").value for node in range(3)
         )
         assert dispatched <= len(result.dispatch_log)
+
+    def test_utilisation_follows_live_capacity(self, two_classes, short_measurement):
+        """``server.utilisation`` divides the allocated total rate by the
+        capacity of the live nodes at each window, through degradation and
+        a leave."""
+        window = short_measurement.window
+        telemetry = Telemetry()
+        cluster = make_cluster(
+            2,
+            "weighted_jsq",
+            capacities=resolve_capacities("2:1", 2),
+            fleet=parse_fleet_events(
+                [f"set_capacity:0=0.5@{1.5 * window!r}", f"leave:1@{2.5 * window!r}"]
+            ),
+        )
+        result, _ = run_scenario(
+            two_classes, short_measurement, telemetry=telemetry, server=cluster
+        )
+        rates = dict(result.rate_history)
+        series = telemetry.registry.get("server.utilisation").series
+        assert len(series) == len(result.rate_history) - 1
+        for time, value in series:
+            live = 1.0 if time < 1.5 * window else 0.5 + 1.0 / 3.0 if time < 2.5 * window else 0.5
+            assert value == pytest.approx(sum(rates[time]) / live)
 
     def test_class_drain_lengths_sum_to_completed_rows(self, two_classes, short_measurement):
         """``weighted_jsq`` runs on the completion calendar, which drains no
