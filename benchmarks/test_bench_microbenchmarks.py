@@ -195,11 +195,11 @@ def test_replication_runner_serial_vs_parallel(benchmark):
 
 @pytest.mark.benchmark(group="micro")
 def test_worker_pool_reuse_across_batches(benchmark):
-    """Per-batch forking vs a persistent pool over a multi-batch sweep.
+    """A fresh pool per batch vs one persistent pool over a multi-batch sweep.
 
     The pool amortises the fork cost that dominates small (quick-preset)
     batches; the hard assertion is again the determinism contract — the pool
-    must reproduce the per-batch-fork summaries bit-for-bit for every batch
+    must reproduce the fresh-pool summaries bit-for-bit for every batch
     of the sweep.  Wall-times are printed for the record; no speedup is
     asserted (with one CPU the pool saves only the forks).
     """

@@ -61,7 +61,7 @@ cluster health to a directory (see README's Observability section)::
         --telemetry --telemetry-out telemetry/
 
 Structured engine logs (fleet transitions, dispatch changes, worker-pool
-fallbacks) go to stderr at the chosen level::
+re-forks and retries) go to stderr at the chosen level::
 
     python -m repro.experiments --preset quick --only cluster --log-level DEBUG
 """
@@ -216,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="LEVEL",
         help="emit the engine's structured logs (fleet transitions, dispatch "
-        "changes, worker-pool fallbacks) to stderr at LEVEL "
+        "changes, worker-pool re-forks and retries) to stderr at LEVEL "
         "(DEBUG/INFO/WARNING/...)",
     )
     args = parser.parse_args(argv)

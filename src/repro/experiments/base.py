@@ -113,10 +113,11 @@ class ScenarioBuild:
 
     Being a module-level callable dataclass (rather than a closure) lets the
     parallel :class:`~repro.simulation.runner.ReplicationRunner` ship it to
-    the persistent worker pool, which amortises the per-batch fork cost
-    across every sweep point of an experiment.  ``server_factory`` must
-    itself be picklable (``None``, a class, or a module-level callable) for
-    the pool path; a closure factory silently degrades to per-batch forking.
+    the persistent worker pool's running workers, which amortises the fork
+    cost across every sweep point of an experiment.  ``server_factory``
+    should itself be picklable (``None``, a class, or a module-level
+    callable); a closure factory makes the pool re-fork its workers for
+    every batch.
     """
 
     classes: tuple[TrafficClass, ...]

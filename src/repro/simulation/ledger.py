@@ -88,7 +88,6 @@ class RequestLedger:
         "_disposition",
         "_completed",
         "_order",
-        "_buffer_owner",
     )
 
     def __init__(self, num_classes: int | None = None, *, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -108,10 +107,6 @@ class RequestLedger:
         self._completion = np.full(capacity, math.nan, dtype=np.float64)
         self._disposition = np.zeros(capacity, dtype=np.uint8)
         self._order = np.empty(capacity, dtype=np.int64)
-        # Opaque keep-alive for zero-copy transports: when the columns are
-        # views into a shared-memory segment, the decoder parks the segment's
-        # owner here so the mapping outlives the ledger.  Never pickled.
-        self._buffer_owner = None
 
     # ------------------------------------------------------------------ #
     # Sizes
@@ -510,7 +505,6 @@ class RequestLedger:
         order = np.empty(max(self._n, 1), dtype=np.int64)
         order[: self._completed] = state["order"]
         self._order = order
-        self._buffer_owner = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -14,36 +14,24 @@ aggregation.  A run with ``workers=N`` therefore produces *bit-for-bit* the
 same :class:`ReplicationSummary` statistics as ``workers=1`` for the same
 ``base_seed``, regardless of worker count or completion order.
 
-Parallel execution uses ``fork``-start multiprocessing so that arbitrary
-build closures (the common idiom throughout the experiments) need not be
-picklable; on platforms without ``fork`` the runner silently degrades to
-serial execution, preserving results exactly.  Note that in parallel mode
-any mutation the build callable performs on enclosing state happens in the
-child process and is *not* visible to the parent — return everything you
-need through the :class:`SimulationResult`.
+Parallel execution runs on a persistent :class:`WorkerPool` of
+``fork``-started workers, reused across batches to amortise the fork and
+import cost that dominates small (``quick``-preset) batches.  A picklable
+build (a module-level function or callable dataclass, as the experiment
+drivers use) crosses the pool's task queue as bytes.  A build the current
+workers cannot run — a closure, or one whose module was imported after they
+forked — is inherited instead: the pool re-forks its workers with the build
+in a module global.  On platforms without ``fork`` the runner silently
+degrades to serial execution, preserving results exactly.  Note that in
+parallel mode any mutation the build callable performs on enclosing state
+happens in a worker and is *not* visible to the parent — return everything
+you need through the :class:`SimulationResult`.
 
-Result transport: since the ledger refactor a worker's
-:class:`SimulationResult` is dominated by a handful of NumPy columns (the
-run's :class:`~repro.simulation.ledger.RequestLedger`) instead of lists of
-per-request objects.  Results are pickled with protocol 5 so those columns
-are extracted as out-of-band buffers; when the buffers of one result exceed
-:data:`SHM_MIN_BYTES` they are shipped through one
-``multiprocessing.shared_memory`` segment instead of the result queue's
-pipe, which large trace-replay runs cross far faster.  Either route (and
-any fallback when shared memory is unavailable) reassembles byte-identical
-arrays, so aggregates never depend on the transport.  Workers also run each
-result's cached measurement pass before encoding, so the parent reads no
-ledger rows; serial runs measure lazily.
-
-When the build callable *is* picklable (a module-level function or callable
-dataclass — the experiment drivers' builds are), parallel batches are routed
-through a persistent :class:`WorkerPool` of forked workers that is reused
-across batches, amortising the fork + import cost that dominates small
-(``quick``-preset) replication batches.  The pool changes nothing about the
-results: the same child seeds are spawned in the same order and the results
-are re-assembled by replication index, so the aggregates stay bit-for-bit
-identical to serial execution.  Unpicklable builds transparently fall back
-to the per-batch fork path.
+Result transport: a worker runs each result's cached measurement pass, then
+pickles the result (protocol 5, column buffers in band) and sends it home
+over the result queue's pipe, so the parent reads no ledger rows; serial
+runs measure lazily.  A worker that dies mid-batch costs the batch one
+retry on fresh workers; a second death raises :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -83,207 +71,47 @@ BuildFn = Callable[[int, np.random.SeedSequence], SimulationResult]
 
 _log = get_logger("runner")
 
-try:  # pragma: no cover - import guard exercised via the fallback test
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - platforms without shm support
-    _shared_memory = None
 
-#: A worker result whose out-of-band buffers total at least this many bytes
-#: is routed through one ``multiprocessing.shared_memory`` segment instead
-#: of the result queue's pipe.  Below it (the common case for the paper's
-#: protocol) the pipe wins: a segment costs a file create/map/unlink.
-SHM_MIN_BYTES = 1 << 20
+class _Chunks(list):
+    """A pickle sink that keeps every write, column buffers uncopied."""
 
-
-class _SegmentOwner:
-    """Keeps a decoded result's shared-memory mapping alive (zero-copy).
-
-    The decoder maps a worker's column buffers straight out of the shared
-    segment and unlinks the file immediately — POSIX keeps the mapping valid
-    until the last close — so this object's only job is to delay that close
-    until the result (which parks the owner on itself and its ledger) is
-    garbage collected.
-    """
-
-    __slots__ = ("_segment",)
-
-    def __init__(self, segment) -> None:
-        self._segment = segment
-
-    def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
-        try:
-            self._segment.close()
-        except BufferError:
-            # Some column view still references the mapping (the caller kept
-            # a raw array past the result).  Detach our handles instead of
-            # closing: the mmap is freed when the last view goes, and the
-            # segment's own finaliser now has nothing left to close.
-            self._segment._buf = None
-            self._segment._mmap = None
-        except Exception:
-            pass
+    write = list.append
 
 
 def _encode_result(result: SimulationResult, build_seconds: float | None = None) -> tuple:
-    """Serialise one worker result for the trip back to the parent.
+    """Serialise one worker result for the trip home: ``(body, meta)``.
 
-    Protocol-5 pickling splits the result into a small object-graph body and
-    the raw NumPy column buffers.  Large buffer sets go to a shared-memory
-    segment, each span aligned to 64 bytes so the parent can map the columns
-    in place; everything else is shipped inline.  Both forms reassemble
-    byte-identical arrays.
-
-    The payload's *last* element is a profiling meta dict (transport route,
-    payload bytes, encode/build wall-clock) that :func:`_decode_result`
-    turns into the result's ``worker_profile``; it rides at the end so the
-    positional accesses in :func:`_release_payload` (kind at 0, segment name
-    at 2) stay valid.
+    ``body`` is one protocol-5 pickle with the ledger's column buffers in
+    band; ``meta`` (payload bytes, encode/build wall-clock, worker pid)
+    becomes the decoded result's ``worker_profile``.  The body is the bytes
+    ``pickle.dumps`` would return, but joined from the pickler's writes in
+    one allocation: ``pickle.dumps`` grows its buffer by reallocation, which
+    page-faults afresh on every MiB-sized result (≈3 ms per ``paper_single``
+    replication on a 2-vCPU VM, against ≈1 ms joined).
     """
     encode_start = time.perf_counter()
-    buffers: list[pickle.PickleBuffer] = []
-    body = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
-    views = [memoryview(b.raw()).cast("B") for b in buffers]
-    total = sum(view.nbytes for view in views)
+    chunks = _Chunks()
+    pickler = pickle.Pickler(chunks, protocol=5)
+    pickler.dump(result)
+    body = b"".join(chunks)  # while the pickler's memo keeps every source alive
     meta = {
-        "payload_bytes": len(body) + total,
+        "transport": "inline",
+        "payload_bytes": len(body),
         "build_seconds": build_seconds,
         "worker_pid": os.getpid(),
+        "encode_seconds": time.perf_counter() - encode_start,
     }
-    if _shared_memory is not None and total >= SHM_MIN_BYTES:
-        spans = []
-        position = 0
-        for view in views:
-            position = (position + 63) & ~63
-            spans.append((position, view.nbytes))
-            position += view.nbytes
-        try:
-            segment = _shared_memory.SharedMemory(create=True, size=max(position, 1))
-        except OSError:
-            segment = None  # e.g. /dev/shm missing or full: ship inline
-        if segment is not None:
-            for view, (start, nbytes) in zip(views, spans):
-                segment.buf[start : start + nbytes] = view
-            segment.close()
-            meta["transport"] = "shm"
-            meta["encode_seconds"] = time.perf_counter() - encode_start
-            return "shm", body, segment.name, spans, meta
-    inline = [bytes(view) for view in views]
-    meta["transport"] = "inline"
-    meta["encode_seconds"] = time.perf_counter() - encode_start
-    return "inline", body, inline, meta
+    return body, meta
 
 
 def _decode_result(payload: tuple) -> SimulationResult:
-    """Reassemble a worker result encoded by :func:`_encode_result`.
-
-    Shared-memory results are decoded zero-copy: the pickle buffers are
-    memoryview slices of the mapped segment, so the parent's ledger columns
-    *are* the worker's bytes — no copy, no allocation.  The parent takes
-    ownership of the segment (unlinked immediately, mapping kept alive by a
-    :class:`_SegmentOwner` parked on the result and its ledger) and the old
-    copy-out path remains as the fallback if in-place reassembly fails.
-    """
+    """Reassemble a worker result encoded by :func:`_encode_result`."""
     decode_start = time.perf_counter()
-    kind = payload[0]
-    if kind == "shm":
-        _, body, name, spans, meta = payload
-        segment = _shared_memory.SharedMemory(name=name)
-        try:
-            result = pickle.loads(
-                body, buffers=[segment.buf[pos : pos + size] for pos, size in spans]
-            )
-        except Exception:
-            # Fall back to independent copies; then drop the mapping (any
-            # half-built views die with the exception's object graph).
-            buffers = [bytearray(segment.buf[pos : pos + size]) for pos, size in spans]
-            _close_segment(segment, unlink=True)
-            result = pickle.loads(body, buffers=buffers)
-            return _stamp_profile(result, meta, decode_start)
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reaped
-            pass
-        owner = _SegmentOwner(segment)
-        ledger = getattr(result, "ledger", None)
-        if ledger is not None:
-            ledger._buffer_owner = owner
-        result._buffer_owner = owner
-        return _stamp_profile(result, meta, decode_start)
-    _, body, buffers, meta = payload
-    result = pickle.loads(body, buffers=[bytearray(b) for b in buffers])
-    return _stamp_profile(result, meta, decode_start)
-
-
-def _stamp_profile(result, meta: dict, decode_start: float):
-    """Attach transport + timing meta as the result's ``worker_profile``."""
+    body, meta = payload
+    result = pickle.loads(body)
     if hasattr(result, "worker_profile"):
         result.worker_profile = {**meta, "decode_seconds": time.perf_counter() - decode_start}
     return result
-
-
-def _close_segment(segment, *, unlink: bool) -> None:
-    """Close (and optionally unlink) a segment, tolerating exported views."""
-    try:
-        segment.close()
-    except BufferError:  # pragma: no cover - exported views still alive
-        segment._buf = None
-        segment._mmap = None
-    if unlink:
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reaped
-            pass
-
-
-def _ensure_resource_tracker() -> None:
-    """Start the multiprocessing resource tracker before forking workers.
-
-    Shared-memory segments are created in forked children and unlinked in
-    the parent.  If the tracker is first spawned lazily *inside* a child,
-    each child gets a private tracker that never sees the parent's unlink
-    and warns about "leaked" (actually long-gone) segments at shutdown;
-    spawning it up front gives every fork the same tracker, so register
-    (child) and unregister (parent) balance — and crash cleanup still works.
-    """
-    if _shared_memory is None:
-        return
-    try:  # pragma: no branch
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:  # pragma: no cover - tracker is an optimisation only
-        pass
-
-
-def _release_payload(payload: tuple) -> None:
-    """Free transport resources of a result that will never be decoded."""
-    if payload and payload[0] == "shm":
-        try:
-            segment = _shared_memory.SharedMemory(name=payload[2])
-        except FileNotFoundError:  # pragma: no cover - already reaped
-            return
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - concurrent reap
-            pass
-
-
-def _drain_undecoded(out: "multiprocessing.Queue") -> None:
-    """Best-effort: release transport resources of results still queued.
-
-    Called on teardown paths (worker failure, pool close) after the workers
-    were stopped — possibly terminated mid-``put`` — so *any* error reading
-    the queue (empty, torn pipe, truncated pickle) just ends the drain; it
-    must never mask the failure that brought us here.
-    """
-    while True:
-        try:
-            _, undelivered, _ = out.get_nowait()
-        except Exception:
-            return
-        if undelivered is not None:
-            _release_payload(undelivered)
 
 
 @dataclass(frozen=True)
@@ -320,16 +148,6 @@ class ReplicationSummary:
         return tuple(s.mean for s in self.per_class_slowdowns)
 
     @property
-    def mean_ratios_to_first(self) -> tuple[float, ...]:
-        """Mean over replications of each replication's own slowdown ratios.
-
-        Heavy-tailed workloads make this estimator noisy (a replication with
-        an unusually small class-1 slowdown dominates); prefer
-        :attr:`ratio_of_mean_slowdowns` when a single robust ratio is needed.
-        """
-        return tuple(s.mean for s in self.ratios_to_first)
-
-    @property
     def ratio_of_mean_slowdowns(self) -> tuple[float, ...]:
         """Ratios of the replication-averaged slowdowns to class 1's (NaN if 0 or NaN)."""
         return _ratios_to_first(self.mean_slowdowns)
@@ -350,51 +168,23 @@ def _run_and_encode(build: BuildFn, index: int, seed: np.random.SeedSequence) ->
     return _encode_result(result, build_seconds=build_seconds)
 
 
-def _worker(
-    build: BuildFn,
-    seeds: Sequence[np.random.SeedSequence],
-    indices: Sequence[int],
-    out: "multiprocessing.Queue",
-) -> None:
-    """Run a contiguous-by-stride slice of replications in a forked child.
-
-    Results are pre-pickled inside the try block: the queue's feeder thread
-    serialises asynchronously, so an unpicklable result would otherwise be
-    dropped silently and surface as an uninformative dead-worker error.
-    KeyboardInterrupt/SystemExit are deliberately not caught — they kill the
-    child, which the parent's dead-worker check reports.
-    """
-    for index in indices:
-        try:
-            payload = _run_and_encode(build, index, seeds[index])
-        except Exception:
-            out.put((index, None, traceback.format_exc()))
-            return
-        out.put((index, payload, None))
-
-
-class _PoolFallback(Exception):
-    """Internal: a pool batch could not run; retry on the per-batch fork path.
-
-    Raised for conditions that do not indicate a build failure — the build
-    could not be deserialised in a worker (e.g. its module was imported
-    after the pool forked) or a worker process died.  Retrying via the
-    per-batch fork path yields identical results, so callers recover
-    silently.
-    """
+#: The build a re-forked pool's workers inherit, so their tasks carry
+#: ``None`` instead of its bytes.  Set in the parent only while it forks.
+_inherited_build: BuildFn | None = None
 
 
 def _pool_worker(tasks: "multiprocessing.Queue", out: "multiprocessing.Queue") -> None:
     """Long-lived worker loop: execute batches of replications until told to stop.
 
     Each task is ``(build_bytes, [(index, seed), ...])`` — only the worker's
-    own slice of the seed tree crosses the queue.  The worker reports exactly
-    one ``(index, payload, error)`` message per assigned index, where
-    ``error`` is ``None`` or ``(kind, traceback_text)`` with kind
-    ``"deserialize"`` (build could not be unpickled here — the parent falls
-    back to per-batch forking) or ``"build"`` (the build itself raised).
-    Unlike the one-shot :func:`_worker`, errors do not kill the worker: the
-    pool outlives failed batches.
+    own slice of the seed tree crosses the queue, and ``build_bytes`` is
+    ``None`` when the worker inherited the build at fork.  The worker
+    reports exactly one ``(index, payload, error)`` message per assigned
+    index, where ``error`` is ``None`` or ``(kind, traceback_text)`` with
+    kind ``"deserialize"`` (the build could not be unpickled here — the pool
+    re-forks with it inherited) or ``"build"`` (the build raised, or its
+    result would not pickle).  Errors do not kill the worker: the pool
+    outlives failed batches.
     """
     while True:
         task = tasks.get()
@@ -402,7 +192,7 @@ def _pool_worker(tasks: "multiprocessing.Queue", out: "multiprocessing.Queue") -
             return
         build_bytes, assignments = task
         try:
-            build = pickle.loads(build_bytes)
+            build = _inherited_build if build_bytes is None else pickle.loads(build_bytes)
         except Exception:
             error = ("deserialize", traceback.format_exc())
             for index, _ in assignments:
@@ -417,22 +207,26 @@ def _pool_worker(tasks: "multiprocessing.Queue", out: "multiprocessing.Queue") -
             out.put((index, payload, None))
 
 
+class _WorkerDied(SimulationError):
+    """A pool worker died before reporting its slice of a batch."""
+
+
 class WorkerPool:
     """A persistent pool of forked replication workers, reusable across batches.
 
     The workers are forked lazily at the first :meth:`run_batch` (so they
     inherit every module imported up to that point) and then stay alive,
-    amortising the fork cost over all subsequent batches.  Builds must be
-    picklable to cross the task queue; :class:`ReplicationRunner` checks
-    that and falls back to per-batch forking otherwise, so the pool never
-    changes results — only wall-time.
+    amortising the fork cost over all subsequent batches.  A build that
+    does not pickle, or that the workers cannot unpickle, makes the pool
+    re-fork its workers with the build inherited; either way the pool
+    never changes results — only wall-time.
 
-    Two consequences of the one-time fork to be aware of:
+    Two consequences of forking once to be aware of:
 
-    * workers carry the parent's state *as of the first batch* — a build
-      must be a pure function of ``(index, seed)`` and its own pickled
-      fields (already required by the determinism contract); one that reads
-      module-level globals mutated between batches would see stale values;
+    * workers carry the parent's state *as of their fork* — a build must be
+      a pure function of ``(index, seed)`` and its own fields (already
+      required by the determinism contract); one that reads module-level
+      globals mutated between batches would see stale values;
     * the daemon workers (and their copy-on-write memory snapshot) stay
       alive until :meth:`close` or interpreter exit — long-lived host
       processes that are done replicating should close their pools (the
@@ -455,12 +249,18 @@ class WorkerPool:
     def started(self) -> bool:
         return bool(self._processes)
 
-    def _ensure_started(self) -> None:
-        if self.closed or self.broken:
-            raise SimulationError("worker pool is closed")
-        if self._processes:
-            return
-        _ensure_resource_tracker()
+    def _fork(self, inherited: BuildFn | None = None) -> None:
+        """(Re)fork the workers; they inherit ``inherited`` as their build."""
+        global _inherited_build
+        self._stop()
+        if inherited is not None:
+            log_event(
+                _log,
+                logging.INFO,
+                "runner.pool_refork",
+                build=type(inherited).__name__,
+                workers=self.workers,
+            )
         ctx = multiprocessing.get_context("fork")
         self._out = ctx.Queue()
         self._task_queues = [ctx.Queue() for _ in range(self.workers)]
@@ -468,79 +268,115 @@ class WorkerPool:
             ctx.Process(target=_pool_worker, args=(tasks, self._out), daemon=True)
             for tasks in self._task_queues
         ]
-        for process in self._processes:
-            process.start()
+        _inherited_build = inherited
+        try:
+            for process in self._processes:
+                process.start()
+        finally:
+            _inherited_build = None
 
     def run_batch(
-        self, build_payload: bytes, seeds: Sequence[np.random.SeedSequence]
+        self, build: BuildFn, seeds: Sequence[np.random.SeedSequence]
     ) -> list[SimulationResult]:
-        """Run one batch of replications (one pickled build, one seed per index).
+        """Run one batch of replications (one build, one seed per index).
 
-        Unlike the per-batch fork path, a failing build does not abort the
-        rest of the batch: the pool must drain every in-flight message to
-        stay reusable, so the error is raised only after the batch
-        completes (with the lowest failing index, deterministically).
+        A failing build does not abort the rest of the batch: the pool
+        drains every in-flight message to stay reusable, so the error is
+        raised only after the batch completes (with the lowest failing
+        index, deterministically).  Any other exception while the batch
+        runs — a dead worker, a result the parent cannot unpickle, Ctrl-C —
+        leaves its messages queued, so it closes the pool and marks it
+        broken.
         """
-        self._ensure_started()
-        # Strided slices, a pure function of (len(seeds), workers) — the
-        # same deterministic split the per-batch fork path uses.
-        for start, tasks in enumerate(self._task_queues):
-            assignments = [
-                (index, seeds[index]) for index in range(start, len(seeds), self.workers)
-            ]
-            if assignments:
-                tasks.put((build_payload, assignments))
+        if self.closed or self.broken:
+            raise SimulationError("worker pool is closed")
+        try:
+            payload = pickle.dumps(build)
+        except Exception:
+            payload = None
+        if payload is None:
+            self._fork(build)
+        elif not self._processes:
+            self._fork()
+        results = self._collect(payload, seeds)
+        if results is None:
+            # The workers predate the build's module: inherit it instead.
+            self._fork(build)
+            results = self._collect(None, seeds)
+        return results
+
+    def _collect(
+        self, payload: bytes | None, seeds: Sequence[np.random.SeedSequence]
+    ) -> list[SimulationResult] | None:
+        """Run a batch on the current workers; ``None`` if they could not
+        unpickle its build."""
         results: list[SimulationResult | None] = [None] * len(seeds)
+        pending = set(range(len(seeds)))
         failures: list[tuple[int, str]] = []
-        fallback = False
-        remaining = len(seeds)
-        while remaining:
-            try:
-                index, payload, error = self._out.get(timeout=1.0)
-            except queue_module.Empty:
-                if not all(p.is_alive() for p in self._processes):
-                    # A dead worker cannot report its slice; the batch is
-                    # unrecoverable here but deterministic to re-run.
-                    self.broken = True
-                    self.close()
-                    raise _PoolFallback("a pool worker died mid-batch") from None
-                continue
-            remaining -= 1
-            if error is not None:
-                kind, text = error
-                if kind == "deserialize":
-                    fallback = True
+        undeserialisable = False
+        try:
+            # Strided slices balance heterogeneous replication costs and are
+            # a pure function of (len(seeds), workers) — never of timing.
+            for start, tasks in enumerate(self._task_queues):
+                assignments = [
+                    (index, seeds[index]) for index in range(start, len(seeds), self.workers)
+                ]
+                if assignments:
+                    tasks.put((payload, assignments))
+            while pending:
+                try:
+                    index, encoded, error = self._out.get(timeout=1.0)
+                except queue_module.Empty:
+                    dead = {w for w, p in enumerate(self._processes) if not p.is_alive()}
+                    lost = sorted(i for i in pending if i % self.workers in dead)
+                    if lost:
+                        raise _WorkerDied(
+                            f"a pool worker died mid-batch; replications {lost} never reported"
+                        ) from None
+                    continue
+                pending.discard(index)
+                if error is None:
+                    try:
+                        results[index] = _decode_result(encoded)
+                    except Exception as exc:
+                        raise SimulationError(
+                            f"replication {index}'s result could not be unpickled: {exc!r}"
+                        ) from exc
+                elif error[0] == "deserialize":
+                    undeserialisable = True
                 else:
-                    failures.append((index, text))
-            else:
-                results[index] = _decode_result(payload)
-        if fallback:
-            raise _PoolFallback("build could not be deserialised in pool workers")
+                    failures.append((index, error[1]))
+        except BaseException:
+            self.broken = True
+            self.close()
+            raise
+        if undeserialisable:
+            return None
         if failures:
             index, text = min(failures)
             raise SimulationError(f"replication {index} failed in a worker process:\n{text}")
         return results  # type: ignore[return-value]
 
-    def close(self) -> None:
-        """Stop the workers and release the queues; the pool is single-use."""
-        if self.closed:
-            return
-        self.closed = True
+    def _stop(self) -> None:
+        """Stop the current workers; a broken pool's are terminated at once."""
         for tasks in self._task_queues:
             try:
                 tasks.put(None)
             except (ValueError, OSError):  # pragma: no cover - queue torn down
                 pass
         for process in self._processes:
-            process.join(timeout=2.0)
+            if not self.broken:
+                process.join(timeout=2.0)
             if process.is_alive():
                 process.terminate()
-                process.join()
-        # Results still queued when the pool goes down (dead-worker batches,
-        # host processes closing early) are never decoded; release the
-        # shared-memory segments they may hold.
-        if self._out is not None:
-            _drain_undecoded(self._out)
+            process.join()
+        self._processes, self._task_queues, self._out = [], [], None
+
+    def close(self) -> None:
+        """Stop the workers and release the queues; the pool is single-use."""
+        if not self.closed:
+            self.closed = True
+            self._stop()
 
 
 _shared_pool: WorkerPool | None = None
@@ -549,9 +385,9 @@ _shared_pool: WorkerPool | None = None
 def shared_pool(workers: int) -> WorkerPool:
     """The process-wide worker pool, (re)sized to at least ``workers``.
 
-    Reused by every :class:`ReplicationRunner` whose build is picklable; a
-    request for more workers than the current pool has replaces it (an
-    over-sized pool serves smaller batches by leaving workers idle, so
+    Serves every :class:`ReplicationRunner` without a usable pool of its
+    own; a request for more workers than the current pool has replaces it
+    (an over-sized pool serves smaller batches by leaving workers idle, so
     shrinking is never necessary).
     """
     global _shared_pool
@@ -582,20 +418,20 @@ class ReplicationRunner:
         Root of the seed tree; one child ``SeedSequence`` is spawned per
         replication, in replication order.
     workers:
-        ``1`` (default) runs serially in-process.  ``N > 1`` forks ``N``
-        worker processes, each executing a deterministic slice of the
+        ``1`` (default) runs serially in-process.  ``N > 1`` runs on ``N``
+        forked worker processes, each executing a deterministic slice of the
         replication indices.  ``0`` or ``None`` auto-sizes to the CPU count;
         negative values are rejected.  The aggregated summary is bit-for-bit
         identical for every value.
     pool:
         Optional persistent :class:`WorkerPool` to execute parallel batches
-        on.  ``None`` (default) uses the process-wide :func:`shared_pool`
-        when the build is picklable, otherwise forks per batch; either way
-        the results are identical.
+        on.  ``None`` (default), or a pool that is closed or broken, uses
+        the process-wide :func:`shared_pool`; either way the results are
+        identical.
 
     Error contract: an exception raised by ``build`` propagates unchanged in
     serial mode; in parallel mode it surfaces as a :class:`SimulationError`
-    carrying the failing replication index and the child's traceback (the
+    carrying the failing replication index and the worker's traceback (the
     original exception object cannot cross the process boundary reliably).
     """
 
@@ -638,39 +474,19 @@ class ReplicationRunner:
                 )
             return self._run_serial(build, seeds)
         try:
-            payload = pickle.dumps(build)
-        except Exception:
-            # Closures et al.: the per-batch fork path handles them.
-            log_event(
-                _log,
-                logging.DEBUG,
-                "runner.unpicklable_build",
-                build=type(build).__name__,
-            )
-            payload = None
-        if payload is not None:
-            pool = self.pool if self.pool is not None else shared_pool(workers)
-            # An explicit pool that was closed (or broke in an earlier
-            # batch) degrades to per-batch forking instead of erroring —
-            # the pool only ever changes wall-time, never availability.
-            if not (pool.closed or pool.broken):
-                try:
-                    return pool.run_batch(payload, seeds)
-                except _PoolFallback as fallback:
-                    # A deserialize fallback means the workers pre-date the
-                    # build's module; retiring the *shared* pool lets the
-                    # next batch re-fork with the module imported and regain
-                    # pooling (an explicit pool is the caller's to manage).
-                    log_event(
-                        _log,
-                        logging.INFO,
-                        "runner.pool_fallback",
-                        reason=str(fallback),
-                        workers=workers,
-                    )
-                    if self.pool is None and not pool.closed:
-                        pool.close()
-        return self._run_parallel(build, seeds, workers)
+            return self._pool_for(workers).run_batch(build, seeds)
+        except _WorkerDied as died:
+            # The pool that lost a worker closed itself; retry once on a
+            # fresh one.  A second death propagates.
+            log_event(_log, logging.WARNING, "runner.worker_died", reason=str(died))
+            return self._pool_for(workers).run_batch(build, seeds)
+
+    def _pool_for(self, workers: int) -> WorkerPool:
+        """The explicit pool while it is usable, else the shared one."""
+        pool = self.pool
+        if pool is None or pool.closed or pool.broken:
+            return shared_pool(workers)
+        return pool
 
     @staticmethod
     def _run_serial(
@@ -689,58 +505,6 @@ class ReplicationRunner:
                 }
             results.append(result)
         return results
-
-    # ------------------------------------------------------------------ #
-    # Parallel execution
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _run_parallel(
-        build: BuildFn, seeds: list[np.random.SeedSequence], workers: int
-    ) -> list[SimulationResult]:
-        _ensure_resource_tracker()
-        ctx = multiprocessing.get_context("fork")
-        out: multiprocessing.Queue = ctx.Queue()
-        # Strided slices balance heterogeneous replication costs and are a
-        # pure function of (replications, workers) — never of timing.
-        slices = [list(range(start, len(seeds), workers)) for start in range(workers)]
-        processes = [
-            ctx.Process(target=_worker, args=(build, seeds, indices, out), daemon=True)
-            for indices in slices
-            if indices
-        ]
-        for process in processes:
-            process.start()
-        results: list[SimulationResult | None] = [None] * len(seeds)
-        failure: tuple[int, str] | None = None
-        remaining = len(seeds)
-        try:
-            while remaining and failure is None:
-                try:
-                    index, result, error = out.get(timeout=1.0)
-                except queue_module.Empty:
-                    if not any(p.is_alive() for p in processes) and out.empty():
-                        raise SimulationError(
-                            "a replication worker died without reporting a result"
-                        ) from None
-                    continue
-                remaining -= 1
-                if error is not None:
-                    failure = (index, error)
-                else:
-                    results[index] = _decode_result(result)
-        finally:
-            if failure is not None or remaining:
-                for process in processes:
-                    process.terminate()
-            for process in processes:
-                process.join()
-            # Results still queued after a failure are never decoded; free
-            # any shared-memory segments they carry.
-            _drain_undecoded(out)
-        if failure is not None:
-            index, error = failure
-            raise SimulationError(f"replication {index} failed in a worker process:\n{error}")
-        return results  # type: ignore[return-value]
 
 
 def run_replications(

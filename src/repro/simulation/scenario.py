@@ -203,14 +203,6 @@ class SimulationResult:
     #: keeps the decision sequence itself diffable across worker counts.
     autoscale_events: list | None = None
 
-    def __getstate__(self):
-        # A zero-copy-decoded result carries a shared-memory keeper in
-        # ``_buffer_owner`` (see ``runner._decode_result``); it is
-        # process-local and must not ride a re-pickle.
-        state = self.__dict__.copy()
-        state.pop("_buffer_owner", None)
-        return state
-
     # ------------------------------------------------------------------ #
     # Post-warm-up summaries (the quantities the paper reports)
     # ------------------------------------------------------------------ #

@@ -10,13 +10,13 @@ analytic predictions of Sec. 2-3 and the simulation of Sec. 4.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .distributions.base import Distribution
 from .errors import ParameterError
 from .validation import require_non_negative, require_positive
 
-__all__ = ["TrafficClass", "ClassMetrics", "scale_arrival_rates", "total_offered_load"]
+__all__ = ["TrafficClass", "scale_arrival_rates", "total_offered_load"]
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,3 @@ def scale_arrival_rates(classes: Sequence[TrafficClass], factor: float) -> tuple
     """Scale every class's arrival rate by ``factor`` (used for load sweeps)."""
     require_non_negative(factor, "factor")
     return tuple(cls.with_arrival_rate(cls.arrival_rate * factor) for cls in classes)
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    """Per-class summary statistics produced by analysis or simulation."""
-
-    name: str
-    arrival_rate: float
-    utilisation: float
-    mean_slowdown: float
-    mean_waiting_time: float = float("nan")
-    mean_response_time: float = float("nan")
-    request_count: int = 0
-    extra: dict = field(default_factory=dict)

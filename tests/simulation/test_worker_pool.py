@@ -1,7 +1,10 @@
 """Tests for the persistent replication worker pool."""
 
 import multiprocessing
+import os
+import pickle
 import sys
+import time
 import types
 
 import numpy as np
@@ -33,6 +36,16 @@ def build(request):
     classes = make_classes(BoundedPareto(k=0.1, p=10.0, alpha=1.5), 0.5, (1.0, 2.0))
     cfg = MeasurementConfig(warmup=200.0, horizon=1_500.0, window=200.0)
     return ScenarioBuild(tuple(classes), cfg, PsdSpec.of(1, 2))
+
+
+@pytest.fixture
+def fresh_shared_pool():
+    """Reset the process-wide pool: earlier tests may have grown it."""
+    import repro.simulation.runner as runner_module
+
+    if runner_module._shared_pool is not None:
+        runner_module._shared_pool.close()
+        runner_module._shared_pool = None
 
 
 class FailingBuild:
@@ -86,7 +99,7 @@ class TestWorkerPool:
         finally:
             pool.close()
 
-    def test_unpicklable_build_falls_back_to_per_batch_fork(self, build):
+    def test_unpicklable_build_is_inherited_by_reforked_workers(self, build):
         def closure_build(i, seed):  # local function: not picklable
             return build(i, seed)
 
@@ -95,19 +108,21 @@ class TestWorkerPool:
             summary = ReplicationRunner(
                 replications=2, base_seed=3, workers=2, pool=pool
             ).run(closure_build)
-            assert not pool.started  # the pool was never engaged
+            assert pool.started and not pool.broken
             serial = ReplicationRunner(replications=2, base_seed=3, workers=1).run(closure_build)
             assert summary.per_class_slowdowns == serial.per_class_slowdowns
+            # The re-forked workers still take picklable builds as bytes.
+            again = ReplicationRunner(replications=2, base_seed=3, workers=2, pool=pool).run(build)
+            assert again.per_class_slowdowns == serial.per_class_slowdowns
         finally:
             pool.close()
 
-    def test_deserialize_failure_falls_back(self, build):
+    def test_deserialize_failure_reforks_with_the_build_inherited(self, build):
         """A build whose module the forked workers never imported still runs.
 
         The pool forks lazily at the first batch; a module created *after*
-        that cannot be unpickled inside the workers, so the runner must
-        silently retry the batch on the per-batch fork path (whose children
-        inherit the new module).
+        that cannot be unpickled inside the workers, so the pool must
+        silently re-fork its workers with the build inherited.
         """
         pool = WorkerPool(workers=2)
         try:
@@ -132,11 +147,11 @@ class TestWorkerPool:
             finally:
                 del sys.modules["repro_test_late_module"]
             assert summary.per_class_slowdowns == first.per_class_slowdowns
-            assert not pool.broken  # deserialize fallback is not an error
+            assert not pool.broken  # a deserialize failure is not an error
         finally:
             pool.close()
 
-    def test_closed_pool_degrades_to_per_batch_fork(self, build):
+    def test_closed_pool_degrades_to_shared_pool(self, build):
         pool = WorkerPool(workers=1)
         pool.close()
         pool.close()  # idempotent
@@ -146,168 +161,94 @@ class TestWorkerPool:
         assert not pool.started  # the closed pool was never revived
         # Driving a closed pool directly is still an error.
         with pytest.raises(SimulationError, match="closed"):
-            pool.run_batch(b"", [])
+            pool.run_batch(build, [])
+
+    def test_successive_closures_each_run_on_their_own_workers(self, build):
+        """Each closure re-forks the workers, so none runs a build it inherited
+        for an earlier batch."""
+
+        def tagged(tag):
+            def closure_build(index, seed):
+                result = build(index, seed)
+                result.tag = tag
+                return result
+
+            return closure_build
+
+        serial = ReplicationRunner(replications=3, base_seed=7, workers=1).run(build)
+        pool = WorkerPool(workers=2)
+        try:
+            for tag in ("first", "second"):
+                summary = ReplicationRunner(
+                    replications=3, base_seed=7, workers=2, pool=pool
+                ).run(tagged(tag))
+                assert [r.tag for r in summary.results] == [tag] * 3
+                assert_measurements_equal(summary, serial)
+            # Picklable builds still cross as bytes to the last re-forked workers.
+            again = ReplicationRunner(replications=3, base_seed=7, workers=2, pool=pool).run(build)
+            assert not any(hasattr(r, "tag") for r in again.results)
+            assert_measurements_equal(again, serial)
+        finally:
+            pool.close()
+
+    def test_without_fork_runs_serially(self, build, monkeypatch):
+        from repro.simulation import runner as runner_module
+
+        serial = ReplicationRunner(replications=2, base_seed=8, workers=1).run(build)
+        monkeypatch.setattr(runner_module, "_fork_available", lambda: False)
+        with pytest.raises(SimulationError, match="fork"):
+            WorkerPool(workers=2)
+        degraded = ReplicationRunner(replications=2, base_seed=8, workers=2).run(build)
+        assert_measurements_equal(degraded, serial)
+        assert all(r.worker_profile["transport"] == "serial" for r in degraded.results)
 
     def test_worker_count_validated(self):
         with pytest.raises(SimulationError):
             WorkerPool(workers=0)
 
 
-class TestSharedMemoryTransport:
-    """Result transport: shared-memory routing must never change results."""
-
-    def serial_summary(self, build):
-        return ReplicationRunner(replications=4, base_seed=77, workers=1).run(build)
-
-    def test_forced_shm_path_is_bit_identical(self, build, monkeypatch):
-        """With the threshold at zero every result rides shared memory; the
-        aggregates must match serial execution bit-for-bit."""
-        from repro.simulation import runner as runner_module
-
-        if runner_module._shared_memory is None:
-            pytest.skip("multiprocessing.shared_memory unavailable")
-        monkeypatch.setattr(runner_module, "SHM_MIN_BYTES", 0)
-        pool = WorkerPool(workers=2)
-        try:
-            shm = ReplicationRunner(replications=4, base_seed=77, workers=2, pool=pool).run(build)
-        finally:
-            pool.close()
-        serial = self.serial_summary(build)
-        assert shm.per_class_slowdowns == serial.per_class_slowdowns
-        assert shm.system_slowdown == serial.system_slowdown
-        assert shm.ratios_to_first == serial.ratios_to_first
-        for a, b in zip(shm.results, serial.results):
-            assert a.per_class_mean_slowdowns() == b.per_class_mean_slowdowns()
-            np.testing.assert_array_equal(a.ledger.completion_time, b.ledger.completion_time)
-            # Transported columns stay writable (zero-copy shared-memory
-            # mappings, or bytearray copies on the fallback route).
-            assert a.ledger.arrival_time.base.flags.writeable
-
-    def test_forced_shm_path_per_batch_fork(self, build, monkeypatch):
-        """The per-batch fork path (unpicklable build) also routes via shm."""
-        from repro.simulation import runner as runner_module
-
-        if runner_module._shared_memory is None:
-            pytest.skip("multiprocessing.shared_memory unavailable")
-        monkeypatch.setattr(runner_module, "SHM_MIN_BYTES", 0)
-
-        def closure_build(index, seed):  # closures cannot use the pool
-            return build(index, seed)
-
-        shm = ReplicationRunner(replications=3, base_seed=5, workers=2).run(closure_build)
-        serial = ReplicationRunner(replications=3, base_seed=5, workers=1).run(build)
-        assert shm.per_class_slowdowns == serial.per_class_slowdowns
-        assert shm.system_slowdown == serial.system_slowdown
-
-    def test_unavailable_shm_falls_back_inline(self, build, monkeypatch):
-        """Without shared memory the inline route produces the same results."""
-        from repro.simulation import runner as runner_module
-
-        monkeypatch.setattr(runner_module, "_shared_memory", None)
-        monkeypatch.setattr(runner_module, "SHM_MIN_BYTES", 0)
-        pool = WorkerPool(workers=2)
-        try:
-            inline = ReplicationRunner(
-                replications=4, base_seed=77, workers=2, pool=pool
-            ).run(build)
-        finally:
-            pool.close()
-        serial = self.serial_summary(build)
-        assert inline.per_class_slowdowns == serial.per_class_slowdowns
-        assert inline.system_slowdown == serial.system_slowdown
-
-    def test_encode_decode_round_trip_in_process(self, build, monkeypatch):
-        """encode/decode is the identity on a result, on both routes."""
+class TestResultTransport:
+    def test_encode_decode_round_trip_in_process(self, build):
+        """encode/decode is the identity on a result, and the decoded ledger
+        stays writable and growable."""
         from repro.distributions.rng import spawn_seed_sequences
         from repro.simulation import runner as runner_module
 
         result = build(0, spawn_seed_sequences(123, 1)[0])
-        for threshold in (0, 1 << 60):
-            monkeypatch.setattr(runner_module, "SHM_MIN_BYTES", threshold)
-            clone = runner_module._decode_result(runner_module._encode_result(result))
-            assert clone.per_class_mean_slowdowns() == result.per_class_mean_slowdowns()
-            np.testing.assert_array_equal(clone.ledger.completed_ids, result.ledger.completed_ids)
-            np.testing.assert_array_equal(clone.ledger.size, result.ledger.size)
-
-
-class TestZeroCopyDecode:
-    """Shared-memory results map straight into the parent's ledger columns."""
-
-    @pytest.fixture
-    def decoded(self, build, monkeypatch):
-        from repro.distributions.rng import spawn_seed_sequences
-        from repro.simulation import runner as runner_module
-
-        if runner_module._shared_memory is None:
-            pytest.skip("multiprocessing.shared_memory unavailable")
-        monkeypatch.setattr(runner_module, "SHM_MIN_BYTES", 0)
-        result = build(0, spawn_seed_sequences(123, 1)[0])
-        payload = runner_module._encode_result(result)
-        assert payload[0] == "shm"
-        return result, runner_module._decode_result(payload)
-
-    def test_columns_are_segment_mappings_not_copies(self, decoded):
-        original, clone = decoded
-        # The parent took segment ownership: a keeper rides the result and
-        # its ledger, and the columns alias the mapping instead of owning
-        # fresh allocations.
-        assert clone._buffer_owner is not None
-        assert clone.ledger._buffer_owner is clone._buffer_owner
-        column = clone.ledger._arrival_time
-        assert not column.flags.owndata
-        assert column.flags.writeable
-        np.testing.assert_array_equal(clone.ledger.arrival_time, original.ledger.arrival_time)
-        # The segment file itself is already unlinked (ownership means the
-        # mapping, not the name).
-        import os
-
-        name = clone._buffer_owner._segment.name.lstrip("/")
-        assert not os.path.exists(os.path.join("/dev/shm", name))
-
-    def test_decoded_ledger_still_grows_and_mutates(self, decoded):
-        _, clone = decoded
+        clone = runner_module._decode_result(runner_module._encode_result(result))
+        assert clone.per_class_mean_slowdowns() == result.per_class_mean_slowdowns()
+        np.testing.assert_array_equal(clone.ledger.completed_ids, result.ledger.completed_ids)
+        np.testing.assert_array_equal(clone.ledger.size, result.ledger.size)
+        np.testing.assert_array_equal(
+            clone.ledger.completion_time, result.ledger.completion_time
+        )
         ledger = clone.ledger
+        assert ledger._completion.flags.writeable
         before = len(ledger)
         for i in range(before, 2 * before + 4):  # force at least one _grow
             ledger.append(0, 1e9 + i, 1.0)
         assert len(ledger) == 2 * before + 4
         assert ledger.arrival_of(before) == 1e9 + before
 
-    def test_repickle_drops_the_keeper_and_preserves_data(self, decoded):
-        import pickle
-
-        original, clone = decoded
-        again = pickle.loads(pickle.dumps(clone, protocol=5))
-        assert not hasattr(again, "_buffer_owner")
-        assert again.ledger._buffer_owner is None
-        assert again.per_class_mean_slowdowns() == original.per_class_mean_slowdowns()
-        np.testing.assert_array_equal(
-            again.ledger.completion_time, original.ledger.completion_time
-        )
-
-    def test_inline_route_attaches_no_keeper(self, build, monkeypatch):
+    def test_decoded_result_pickles_again_with_its_data(self, build):
+        """A result that crossed the pipe can be pickled once more (to cache
+        it, say) and keeps its columns and its worker profile."""
         from repro.distributions.rng import spawn_seed_sequences
         from repro.simulation import runner as runner_module
 
-        monkeypatch.setattr(runner_module, "SHM_MIN_BYTES", 1 << 60)
         result = build(0, spawn_seed_sequences(123, 1)[0])
-        payload = runner_module._encode_result(result)
-        assert payload[0] == "inline"
-        clone = runner_module._decode_result(payload)
-        assert not hasattr(clone, "_buffer_owner")
+        clone = runner_module._decode_result(runner_module._encode_result(result, 0.5))
+        again = pickle.loads(pickle.dumps(clone, protocol=5))
+        assert again.per_class_mean_slowdowns() == result.per_class_mean_slowdowns()
+        np.testing.assert_array_equal(
+            again.ledger.completion_time, result.ledger.completion_time
+        )
+        np.testing.assert_array_equal(again.ledger.completed_ids, result.ledger.completed_ids)
+        assert again.worker_profile == clone.worker_profile
 
 
+@pytest.mark.usefixtures("fresh_shared_pool")
 class TestSharedPool:
-    @pytest.fixture(autouse=True)
-    def fresh_shared_pool(self):
-        """Reset the process-wide pool: earlier tests may have grown it."""
-        import repro.simulation.runner as runner_module
-
-        if runner_module._shared_pool is not None:
-            runner_module._shared_pool.close()
-            runner_module._shared_pool = None
-        yield
-
     def test_shared_pool_reused_and_grows(self):
         first = shared_pool(1)
         again = shared_pool(1)
@@ -363,10 +304,167 @@ class TestMeasurementCrossesTheTransport:
         finally:
             pool.close()
 
-    def test_per_batch_fork_route_matches_serial(self, build):
-        def closure_build(index, seed):  # closures cannot use the pool
+    def test_closure_route_matches_serial(self, build):
+        def closure_build(index, seed):  # inherited by re-forked workers
             return build(index, seed)
 
         forked = ReplicationRunner(replications=3, base_seed=32, workers=2).run(closure_build)
         serial = ReplicationRunner(replications=3, base_seed=32, workers=1).run(build)
         assert_measurements_equal(forked, serial)
+
+
+def _refuse_to_load():
+    raise RuntimeError("this object cannot be unpickled")
+
+
+class Unloadable:
+    """Pickles fine in a worker; raises when the parent unpickles it."""
+
+    def __reduce__(self):
+        return (_refuse_to_load, ())
+
+
+class UnloadableResultBuild:
+    """Replication 0's result carries an :class:`Unloadable`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, index, seed):
+        result = self.inner(index, seed)
+        if index == 0:
+            result.unloadable = Unloadable()
+        return result
+
+
+class ExitingBuild:
+    """Kills its worker process on one replication index.
+
+    With a ``marker`` path it does so only until the marker exists (the
+    first attempt creates it); without one, on every attempt.
+    """
+
+    def __init__(self, inner, index, marker=None):
+        self.inner = inner
+        self.index = index
+        self.marker = marker
+
+    def __call__(self, index, seed):
+        if index == self.index and (self.marker is None or not os.path.exists(self.marker)):
+            if self.marker is not None:
+                open(self.marker, "w").close()
+            os._exit(1)
+        return self.inner(index, seed)
+
+
+class LambdaResultBuild:
+    """Replication 2's result carries a lambda, which cannot be pickled."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, index, seed):
+        result = self.inner(index, seed)
+        if index == 2:
+            result.callback = lambda: None
+        return result
+
+
+class TestStaleResultsAfterAFailedBatch:
+    def test_next_batch_on_the_pool_matches_serial(self, build):
+        """A batch that raises while its results are collected leaves its
+        other messages queued; the pool must never hand them to a later
+        batch."""
+        pool = WorkerPool(workers=2)
+        try:
+            with pytest.raises(SimulationError, match="replication 0's result could not"):
+                ReplicationRunner(replications=6, base_seed=40, workers=2, pool=pool).run(
+                    UnloadableResultBuild(build)
+                )
+            assert pool.broken and pool.closed and not pool.started
+            second = ReplicationRunner(replications=6, base_seed=41, workers=2, pool=pool).run(
+                build
+            )
+        finally:
+            pool.close()
+        serial = ReplicationRunner(replications=6, base_seed=41, workers=1).run(build)
+        assert_measurements_equal(second, serial)
+
+    def test_interrupt_while_collecting_breaks_the_pool(self, build, monkeypatch):
+        """Ctrl-C while results arrive stops the pool's workers at once, and
+        the next runner on that pool gets fresh ones."""
+        from repro.simulation import runner as runner_module
+
+        pool = WorkerPool(workers=2)
+        try:
+            ReplicationRunner(replications=2, base_seed=42, workers=2, pool=pool).run(build)
+            workers = list(pool._processes)
+
+            def interrupt(payload):
+                raise KeyboardInterrupt
+
+            with monkeypatch.context() as patch:
+                patch.setattr(runner_module, "_decode_result", interrupt)
+                with pytest.raises(KeyboardInterrupt):
+                    ReplicationRunner(replications=6, base_seed=43, workers=2, pool=pool).run(
+                        build
+                    )
+            assert pool.broken and pool.closed and not pool.started
+            assert not any(process.is_alive() for process in workers)
+            second = ReplicationRunner(replications=6, base_seed=43, workers=2, pool=pool).run(
+                build
+            )
+        finally:
+            pool.close()
+        serial = ReplicationRunner(replications=6, base_seed=43, workers=1).run(build)
+        assert_measurements_equal(second, serial)
+
+
+@pytest.mark.usefixtures("fresh_shared_pool")
+class TestFaultInjection:
+    def test_worker_killed_once_is_retried_bit_for_bit(self, build, tmp_path):
+        marker = tmp_path / "killed-once"
+        pool = WorkerPool(workers=2)
+        try:
+            retried = ReplicationRunner(replications=4, base_seed=50, workers=2, pool=pool).run(
+                ExitingBuild(build, 1, str(marker))
+            )
+            assert marker.exists()
+            assert pool.broken and pool.closed  # the retry ran on fresh workers
+        finally:
+            pool.close()
+        serial = ReplicationRunner(replications=4, base_seed=50, workers=1).run(build)
+        assert_measurements_equal(retried, serial)
+        for a, b in zip(retried.results, serial.results):
+            np.testing.assert_array_equal(a.ledger.completion_time, b.ledger.completion_time)
+
+    def test_worker_killed_every_time_names_the_lost_replications(self, build):
+        with pytest.raises(SimulationError, match=r"replications \[1, 3\] never reported"):
+            ReplicationRunner(replications=4, base_seed=51, workers=2).run(ExitingBuild(build, 1))
+        assert not multiprocessing.active_children()
+
+    def test_unpicklable_result_names_index_and_worker_traceback(self, build):
+        pool = WorkerPool(workers=2)
+        try:
+            with pytest.raises(SimulationError, match="replication 2 failed") as raised:
+                ReplicationRunner(replications=4, base_seed=52, workers=2, pool=pool).run(
+                    LambdaResultBuild(build)
+                )
+            assert "Traceback" in str(raised.value)
+            assert "pickle" in str(raised.value)
+            assert not pool.broken  # a build failure leaves the pool usable
+        finally:
+            pool.close()
+
+    def test_closure_failures_report_the_lowest_index_every_run(self, build):
+        def closure_build(index, seed):
+            if index == 1:
+                time.sleep(0.3)  # replication 2's failure arrives first
+                raise ValueError("boom in replication 1")
+            if index == 2:
+                raise ValueError("boom in replication 2")
+            return build(index, seed)
+
+        for _ in range(3):
+            with pytest.raises(SimulationError, match="replication 1 failed"):
+                ReplicationRunner(replications=4, base_seed=53, workers=2).run(closure_build)

@@ -2,13 +2,14 @@
 
 import multiprocessing
 import os
+import pickle
 
 import pytest
 
 from repro.core import PsdSpec
 from repro.experiments.base import ScenarioBuild
 from repro.simulation import MeasurementConfig, ReplicationRunner
-from repro.simulation.runner import SHM_MIN_BYTES, _decode_result, _encode_result
+from repro.simulation.runner import _decode_result, _encode_result
 from tests.conftest import make_classes
 
 needs_fork = pytest.mark.skipif(
@@ -47,7 +48,7 @@ class TestParallelProfile:
         results = ReplicationRunner(replications=2, base_seed=5, workers=2).run_raw(build)
         for result in results:
             profile = result.worker_profile
-            assert profile["transport"] in ("shm", "inline")
+            assert profile["transport"] == "inline"
             assert profile["worker_pid"] != os.getpid()
             assert profile["payload_bytes"] > 0
             assert profile["build_seconds"] > 0.0
@@ -67,28 +68,13 @@ class TestEncodeDecodeRoundTrip:
 
         result = build(0, np.random.SeedSequence(3))
         payload = _encode_result(result, build_seconds=0.125)
-        assert payload[0] in ("shm", "inline")
-        meta = payload[-1]
+        body, meta = payload
+        assert body == pickle.dumps(result, protocol=5)
+        assert meta["transport"] == "inline"
+        assert meta["payload_bytes"] == len(body)
         assert meta["build_seconds"] == 0.125
         assert meta["worker_pid"] == os.getpid()
         decoded = _decode_result(payload)
         assert decoded.per_class_mean_slowdowns() == result.per_class_mean_slowdowns()
-        assert decoded.worker_profile["transport"] == meta["transport"]
+        assert decoded.worker_profile["transport"] == "inline"
         assert decoded.worker_profile["decode_seconds"] >= 0.0
-
-    def test_large_results_route_through_shared_memory(self, build):
-        import numpy as np
-
-        from repro.simulation import runner as runner_module
-
-        if runner_module._shared_memory is None:
-            pytest.skip("shared memory unavailable")
-        result = build(0, np.random.SeedSequence(3))
-        # Grow the result's buffer set past the shm threshold (the ledger has
-        # __slots__, but the result's __dict__ rides the pickle body).
-        result._padding_for_test = np.zeros(SHM_MIN_BYTES // 8 + 16, dtype=np.float64)
-        payload = _encode_result(result)
-        assert payload[0] == "shm"
-        decoded = _decode_result(payload)
-        assert decoded.worker_profile["transport"] == "shm"
-        assert decoded.worker_profile["payload_bytes"] >= SHM_MIN_BYTES

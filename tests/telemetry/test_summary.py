@@ -29,13 +29,13 @@ class TestTelemetrySummary:
 
     def test_worker_profile_rows_sorted_and_formatted(self):
         result = _FakeResult(
-            worker_profile={"transport": "shm", "build_seconds": 0.25, "payload_bytes": 2048}
+            worker_profile={"transport": "inline", "build_seconds": 0.25, "payload_bytes": 2048}
         )
         summary = TelemetrySummary.from_run(self.build_telemetry(), result)
         assert summary.profile == (
             ("build_seconds", "0.25"),
             ("payload_bytes", "2048"),
-            ("transport", "shm"),
+            ("transport", "inline"),
         )
 
     def test_to_text_sections(self):
