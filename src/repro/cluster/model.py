@@ -44,11 +44,11 @@ fleet is static, and each block takes one of two routes:
   becomes its head.  Each decision therefore reads the pending/work state
   of its instant, exactly as a one-event-per-request cluster would, taken
   from the policy's :meth:`~repro.cluster.dispatch.DispatchPolicy.chooser`,
-  fetched once per block.  The bookings are the completion log: members
-  receive one sub-block per node and fold nothing when drained (they
-  settle past their bookings); every rate change re-predicts the heads
-  alone, from the members' in-service state
-  (:meth:`~repro.simulation.RateScalableServers.service_head`).
+  fetched once per block.  The bookings are the completion log and the
+  deques the only queue: members receive no rows and, at each
+  synchronisation, just take their arrived heads into service; every rate
+  change re-bases those and re-predicts the heads alone, from the members'
+  in-service state (:meth:`~repro.simulation.RateScalableServers.service_head`).
 
 Either way completions are logged in ``(time, node, class)`` order, so the
 dispatch log, fleet timeline, rate histories and aggregates are
@@ -68,7 +68,7 @@ series.  An empty schedule is bit-identical to a cluster built without one.
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Sequence
 from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
@@ -273,15 +273,16 @@ class ClusterServerModel(ServerModel):
         # holding the ``(completion, node, class, rid, size, start)`` of each
         # class server's head — its earliest unbooked request — and, per
         # class server, the FCFS deque of its unbooked ``(rid, arrival,
-        # size)`` (head first), its rate and last booked completion, plus the
-        # booked entries (per node and class) and ids awaiting the next sync.
+        # size)`` (head first; the only queue on this route), its rate and
+        # last booked completion, plus the entries booked since the last sync
+        # (in booking order) and the booked ids awaiting the next drain.
         self._calendar: list[tuple[float, int, int, int, float, float]] | None = None
         if self._select_block is None:
             self._calendar = []
             self._queues = [[deque() for _ in range(c)] for _ in range(n)]
             self._class_rates = [[0.0] * c for _ in range(n)]
             self._class_free = [[-np.inf] * c for _ in range(n)]
-            self._booked: list[list[list[tuple]]] = [[[] for _ in range(c)] for _ in range(n)]
+            self._booked: list[tuple[float, int, int, int, float, float]] = []
             self._booked_order: list[int] = []
         self._record_fleet_state()
         for event in self.fleet.events:
@@ -494,10 +495,9 @@ class ClusterServerModel(ServerModel):
         becomes its head if the server runs (``start = max(arrival, last
         booked completion)``); any other waits, unpredicted, in the server's
         deque — behind a frozen (zero-rate) server until the next rate change
-        rebuilds the calendar.  The members receive the block as one
-        sub-block per node and fold nothing, so the per-request cost is one
-        chooser call, at most one heap operation per placement and per
-        booking, and list bookkeeping.
+        rebuilds the calendar.  The members receive no rows, so the
+        per-request cost is one chooser call, at most one heap operation per
+        placement and per booking, and list bookkeeping.
         """
         calendar = self._calendar
         queues = self._queues
@@ -506,8 +506,7 @@ class ClusterServerModel(ServerModel):
         pending = self._pending
         work_left = self._work_left
         node_state = self._node_state
-        booked = self._booked
-        log = self._booked_order.append
+        book = self._booked.append
         choices: list[int] = []
         chose = choices.append
         if rids.size:
@@ -525,18 +524,17 @@ class ClusterServerModel(ServerModel):
         for t, rid, cls, size in chain(arrivals, ((until, -1, 0, 0.0),)):
             while calendar and calendar[0][0] <= t:
                 entry = calendar[0]
-                done, node, c, r, s, _ = entry
+                done, node, c, _, s, _ = entry
                 queue = queues[node][c]
                 queue.popleft()
+                free[node][c] = done
                 if queue:
                     head, a, z = queue[0]
                     start = a if a > done else done
                     heapreplace(calendar, (start + z / rates[node][c], node, c, head, z, start))
                 else:
                     heappop(calendar)
-                    free[node][c] = done
-                booked[node][c].append(entry)
-                log(r)
+                book(entry)
                 row = pending[node]
                 row[c] -= 1
                 # Clamp (as ``max(work, 0.0)``): summation order can leave
@@ -561,10 +559,7 @@ class ClusterServerModel(ServerModel):
             queue.append((rid, t, size))
         if not choices:
             return
-        chosen = np.asarray(choices, dtype=np.int64)
-        self._count_dispatches(chosen, classes)
-        for node in np.unique(chosen).tolist():
-            self.nodes[node].submit_batch(rids[chosen == node])
+        self._count_dispatches(np.asarray(choices, dtype=np.int64), classes)
         if self.record_dispatch:
             self.dispatch_log.extend(choices)
 
@@ -651,18 +646,18 @@ class ClusterServerModel(ServerModel):
         """Fully synchronise every member to ``now`` (rate-change points).
 
         On the calendar route the calendar books every completion up to
-        ``now``, and each member is drained with its bookings (per class:
-        count, last row id, last completion), which folds nothing
-        (:meth:`~repro.simulation.RateScalableServers.drain`); a frozen
-        (zero-rate) head, which has no calendar entry, thus starts at its
-        arrival before any ``set_rate`` re-bases it.  The rows booked since
-        the last sync reach the ledger in one checked ``serve_batch`` (rows
-        already in service: ``complete_batch``; short syncs row by row) and
-        wait in booking order for :meth:`drain`.  On the block route each member is drained
-        by :meth:`_drain_node`, and the drain-complete flips are applied in
-        ``(time, node)`` order, as the calendar pops them.  Called wherever
-        :meth:`apply_rates` may follow — the cluster-level drain and fleet
-        events.
+        ``now`` and hands each member its arrived heads
+        (:meth:`~repro.simulation.RateScalableServers.drain`), starting a new
+        head at ``max(arrival, last booked completion)`` — a frozen
+        (zero-rate) head, which has no calendar entry, thus starts before
+        any ``set_rate`` re-bases it.  The rows booked since the last sync
+        reach the ledger in one checked ``serve_batch`` (rows already in
+        service: ``complete_batch``; short syncs row by row) and wait in
+        booking order for :meth:`drain`.  On the block route each member is
+        drained by :meth:`_drain_node`, and the drain-complete flips are
+        applied in ``(time, node)`` order, as the calendar pops them.
+        Called wherever :meth:`apply_rates` may follow — the cluster-level
+        drain and fleet events.
         """
         if self._calendar is None:
             flips = [self._drain_node(node, now) for node in range(self.num_nodes)]
@@ -670,30 +665,43 @@ class ClusterServerModel(ServerModel):
                 self._mark_drained(node, time)
             return
         self._book_completions(now)
-        booked: list[tuple] = []
-        for node, (member, runs) in enumerate(zip(self.nodes, self._booked)):
-            tails = [(len(run), run[-1][3], run[-1][0]) if run else None for run in runs]
-            for tail in tails:
-                if tail is not None and tail[2] > now:
-                    raise SimulationError(
-                        f"node {node}: a completion is booked at t={tail[2]:g}, after "
-                        f"the drain to t={now:g}; the drain is behind completions "
-                        f"that dispatch already booked"
-                    )
-            member.drain(now, tails)
-            for run in runs:
-                booked += run
-                run.clear()
+        booked = self._booked
+        # Bookings pop in time order, so the last one is the latest.
+        if booked and booked[-1][0] > now:
+            raise SimulationError(
+                f"node {booked[-1][1]}: a completion is booked at t={booked[-1][0]:g}, "
+                f"after the drain to t={now:g}; the drain is behind completions "
+                f"that dispatch already booked"
+            )
+        for member, queues, free in zip(self.nodes, self._queues, self._class_free):
+            heads = [
+                (q[0][0], max(q[0][1], last), q[0][2]) if q and q[0][1] <= now else None
+                for q, last in zip(queues, free)
+            ]
+            member.drain(now, heads)
+        if not booked:
+            return
+        self._booked = []
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.enabled:
+            # One drain-length observation per node and class with bookings.
+            c = self.num_classes
+            counts = Counter(entry[1] * c + entry[2] for entry in booked)
+            for key in sorted(counts):
+                telemetry.on_server_drain(key % c, counts[key])
         ledger = self.ledger
         # Short syncs (the admission walk syncs at every arrival) write row
         # by row, as short task-server drains do.
         if len(booked) < _SCALAR_BATCH_LIMIT:
+            order = self._booked_order.append
             for done, _, _, rid, _, start in booked:
                 if isnan(ledger.start_of(rid)):  # else carried in service: only completes
                     ledger.start_service(rid, start)
                 ledger.complete_unlogged(rid, done)
+                order(rid)
             return
         done, _, _, rids, _, starts = zip(*booked)
+        self._booked_order += rids
         rids = np.array(rids, dtype=np.int64)
         done = np.array(done)
         # Rows carried in service since an earlier sync only complete.
@@ -785,10 +793,12 @@ class ClusterServerModel(ServerModel):
             self._rebuild_calendar()
 
     def backlogs(self) -> tuple[int, ...]:
+        # Pending counts queued plus in service; on the calendar route the
+        # members queue nothing, but each holds its arrived heads in service.
         totals = [0] * self.num_classes
-        for node in self.nodes:
-            for c, count in enumerate(node.backlogs()):
-                totals[c] += count
+        for row, node in zip(self._pending, self.nodes):
+            for c, (count, server) in enumerate(zip(row, node.servers)):
+                totals[c] += count - (server.in_service is not None)
         return tuple(totals)
 
 

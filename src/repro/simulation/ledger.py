@@ -478,16 +478,18 @@ class RequestLedger:
     # Compact pickling: only the live rows cross process boundaries
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
+        # Pickling a contiguous slice writes only its rows, and unpickling
+        # builds fresh, writable arrays, so the views need no copy here.
         n, m = self._n, self._completed
         return {
             "num_classes": self.num_classes,
-            "class_index": self._class_index[:n].copy(),
-            "arrival_time": self._arrival_time[:n].copy(),
-            "size": self._size[:n].copy(),
-            "service_start": self._service_start[:n].copy(),
-            "completion": self._completion[:n].copy(),
-            "disposition": self._disposition[:n].copy(),
-            "order": self._order[:m].copy(),
+            "class_index": self._class_index[:n],
+            "arrival_time": self._arrival_time[:n],
+            "size": self._size[:n],
+            "service_start": self._service_start[:n],
+            "completion": self._completion[:n],
+            "disposition": self._disposition[:n],
+            "order": self._order[:m],
         }
 
     def __setstate__(self, state: dict) -> None:

@@ -42,7 +42,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import time
 import traceback
 from collections.abc import Callable, Sequence
@@ -310,6 +309,8 @@ class WorkerPool:
     ) -> list[SimulationResult] | None:
         """Run a batch on the current workers; ``None`` if they could not
         unpickle its build."""
+        from multiprocessing.connection import wait  # loaded by the queues, not by serial runs
+
         results: list[SimulationResult | None] = [None] * len(seeds)
         pending = set(range(len(seeds)))
         failures: list[tuple[int, str]] = []
@@ -323,17 +324,22 @@ class WorkerPool:
                 ]
                 if assignments:
                     tasks.put((payload, assignments))
+            # Wait on the result pipe and every worker's exit at once.  The
+            # pipe is read first: what a dead worker sent still counts, and
+            # only a quiet pipe leaves its unreported replications lost.
+            reader = self._out._reader
+            alive = {process.sentinel: worker for worker, process in enumerate(self._processes)}
             while pending:
-                try:
-                    index, encoded, error = self._out.get(timeout=1.0)
-                except queue_module.Empty:
-                    dead = {w for w, p in enumerate(self._processes) if not p.is_alive()}
+                ready = wait([reader, *alive])
+                if reader not in ready:
+                    dead = {alive.pop(sentinel) for sentinel in ready}
                     lost = sorted(i for i in pending if i % self.workers in dead)
                     if lost:
                         raise _WorkerDied(
                             f"a pool worker died mid-batch; replications {lost} never reported"
-                        ) from None
+                        )
                     continue
+                index, encoded, error = self._out.get()
                 pending.discard(index)
                 if error is None:
                     try:

@@ -223,16 +223,16 @@ class RateScalableServers(ServerModel):
 
         Each class is served FCFS at a fixed rate between two
         :meth:`apply_rates` calls, so every completion is known the moment a
-        request is queued.  A cluster's calendar starts each class server
-        from this query after every rate change, predicts the requests it
-        queues behind (``start = max(arrival, last)``, ``completion = start
-        + size / rate``), writes the ledger rows itself and drains the node
-        with its bookings (see :meth:`drain`).
+        request is queued.  A cluster's calendar keeps the class servers'
+        queues itself: it starts each server from this query after every
+        rate change, predicts the requests queued behind (``start =
+        max(arrival, last)``, ``completion = start + size / rate``), writes
+        the ledger rows, and hands the node its heads (see :meth:`drain`).
         """
         return self.servers[class_index].service_head()
 
     def drain(
-        self, now: float, booked: Sequence[tuple[int, int, float] | None] | None = None
+        self, now: float, heads: Sequence[tuple[int, float, float] | None] | None = None
     ) -> np.ndarray:
         """Drain every class's task server and merge the runs by time.
 
@@ -243,23 +243,18 @@ class RateScalableServers(ServerModel):
         deterministic trace scenarios; for continuous workloads exact ties
         have probability zero).
 
-        ``booked`` (a cluster calendar's bookings, see :meth:`service_head`)
-        holds, per class, ``(count, last_rid, last_completion)`` of the
-        completions booked since the last drain (``None`` for a class with
-        none).  It folds nothing and returns no rows: each class server with
-        bookings or an arrived head settles past them without writing the
-        ledger (:meth:`FcfsTaskServer.settle`).
+        ``heads`` (from a cluster calendar, see :meth:`service_head`) holds,
+        per class, the ``(row id, start, size)`` of the calendar's unbooked
+        head if it has arrived by ``now``, else ``None``.  The node then
+        folds nothing and returns no rows: each class server just holds its
+        head in service (:meth:`FcfsTaskServer.serve`), so that
+        :meth:`apply_rates` re-bases it.
         """
-        telemetry = self.telemetry
-        if booked is not None:
-            for index, (server, tail) in enumerate(zip(self.servers, booked)):
-                if tail is not None:
-                    if telemetry is not None:
-                        telemetry.on_server_drain(index, tail[0])
-                    server.settle(now, *tail)
-                elif server.in_service is None and server.backlog:
-                    server.settle(now)
+        if heads is not None:
+            for server, head in zip(self.servers, heads):
+                server.serve(head)
             return np.empty(0, dtype=np.int64)
+        telemetry = self.telemetry
         live = []
         for index, server in enumerate(self.servers):
             if server.idle:

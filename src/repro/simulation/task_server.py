@@ -33,8 +33,9 @@ write.  Short blocks — the admission walk drains one or two requests per
 call — take a scalar loop instead, which stops at the first request still
 in service and writes the ledger row by row: there NumPy's per-call
 overhead would cost more than the run.  (Under a cluster's completion
-calendar nothing is folded here: the calendar books the same fold's
-completions and :meth:`FcfsTaskServer.settle` moves the server past them.)
+calendar the server queues nothing: the calendar keeps the queue, books
+the same fold's completions, and hands the server each head it must hold
+in service with :meth:`FcfsTaskServer.serve`.)
 
 The recursion itself stays a per-request fold on purpose.  The operation
 order ``max(arrival, f) + size / rate`` must be kept per request: max-plus
@@ -330,11 +331,7 @@ class FcfsTaskServer:
 
     def _begin_service(self, pos: int, start: float) -> None:
         """Put the queued request in slot ``pos`` into service at ``start``."""
-        rid = self._rids.item(pos)
-        self.ledger.start_service(rid, start)
-        self.in_service = rid
-        self._remaining_work = self._sizes.item(pos)
-        self._last_progress_time = start
+        self.serve((self._rids.item(pos), start, self._sizes.item(pos)))
 
     def service_head(self) -> tuple[float, int | None, float]:
         """The rate, the row in service (``None`` when free) and its
@@ -346,36 +343,23 @@ class FcfsTaskServer:
             return rate, rid, np.inf
         return rate, rid, self._last_progress_time + self._remaining_work / rate
 
-    def settle(
-        self, now: float, count: int = 0, last_rid: int = -1, last_done: float = -np.inf
-    ) -> None:
-        """Advance to ``now`` past ``count`` completions booked elsewhere.
+    def serve(self, head: tuple[int, float, float] | None) -> None:
+        """Hold ``head`` — ``(row id, start, size)`` — in the service position.
 
-        A cluster's completion calendar books this server's completions from
-        :meth:`service_head` and the same fold, and writes their ledger rows.
-        They are the FCFS prefix (the request in service first), the last
-        with row id ``last_rid``, due at ``last_done <= now``.  A free
-        server's arrived head then starts at ``max(arrival, last_done)``: at
-        its arrival when nothing completed, as at rate 0.
+        A cluster's completion calendar keeps this class server's queue and
+        books its completions; after each synchronisation it hands over the
+        arrived head (``None`` when none has arrived), so that
+        :meth:`set_rate` re-bases the right request.  A head already in
+        service keeps its progress; a new one starts at ``start``.
         """
-        carried = 1 if count and self.in_service is not None else 0
-        head = self._head + count - carried
-        if count:
-            if head > self._tail or last_done > now or last_rid != (
-                self._rids.item(head - 1) if head > self._head else self.in_service
-            ):
-                raise SimulationError(
-                    f"task server {self.class_index}: the booked run does not "
-                    f"match its queue at t={now:g}"
-                )
+        if head is None:
             self.in_service = None
-            self._last_progress_time = last_done
-        if self.in_service is None and head < self._tail:
-            arrival = self._arrivals.item(head)
-            if arrival <= now:
-                self._begin_service(head, arrival if arrival > last_done else last_done)
-                head += 1
-        self._head = head
+        elif head[0] != self.in_service:
+            rid, start, size = head
+            self.ledger.start_service(rid, start)
+            self.in_service = rid
+            self._remaining_work = size
+            self._last_progress_time = start
 
     def set_rate(self, rate: float) -> None:
         """Change the processing rate at the engine clock.

@@ -277,6 +277,34 @@ class TestLiveAdmissionWalk:
         _assert_same_run(walk, reference)
         assert sum(walk.rejected_counts) > 0
 
+    def test_calendar_members_queue_nothing_and_backlogs_match_reference(self):
+        """On the completion calendar the calendar's deques are the only
+        queue: the members hold at most their heads in service, yet every
+        live backlog read equals the per-event reference's."""
+
+        def run(scenario_class):
+            scenario = scenario_class(
+                CLASSES,
+                CONFIG,
+                server=_cluster(),
+                spec=SPEC,
+                seed=11,
+                admission=POLICIES["queue_length"](),
+            )
+            cluster = scenario.server
+            reads = []
+            backlogs = cluster.backlogs
+            cluster.backlogs = lambda: reads.append(backlogs()) or reads[-1]
+            return scenario.run(), cluster, reads
+
+        walk, cluster, walk_reads = run(Scenario)
+        reference, _, reference_reads = run(ReferenceScenario)
+        _assert_same_run(walk, reference)
+        assert cluster._calendar is not None
+        assert all(server.backlog == 0 for node in cluster.nodes for server in node.servers)
+        assert len(walk_reads) > 100 and any(map(any, walk_reads))
+        assert walk_reads == reference_reads
+
     def test_walk_segments_at_fleet_cuts_match_reference(self):
         # CHURN's events fall mid-window, so segments start at fleet cuts.
         classes = make_classes(BoundedPareto(0.1, 10.0, 1.5), 0.9, (1.0, 2.0))

@@ -253,6 +253,24 @@ class TestLedgerPickling:
         clone.complete(8, 9.0)
         assert clone.num_completed == 8
 
+    @pytest.mark.parametrize("protocol", [4, 5])
+    def test_pickle_round_trip_owns_writable_columns(self, protocol):
+        """The pickled state holds views of the live rows, not copies; the
+        unpickled columns are still equal, writable and the clone's own."""
+        ledger = RequestLedger(2, capacity=64)
+        for i in range(10):
+            rid = ledger.append(i % 2, float(i), 1.0)
+            ledger.start_service(rid, float(i))
+            ledger.complete(rid, float(i) + 1.0)
+        clone = pickle.loads(pickle.dumps(ledger, protocol=protocol))
+        state = ledger.__getstate__()
+        for name, column in clone.__getstate__().items():
+            if name == "num_classes":
+                continue
+            np.testing.assert_array_equal(column, state[name])
+            assert column.flags.writeable
+            assert not np.shares_memory(column, state[name])
+
     def test_pickled_result_keeps_its_views_on_one_ledger(self):
         """The trace and monitor of a result that crossed a process boundary
         still read the result's own ledger (pickle's memo keeps the one

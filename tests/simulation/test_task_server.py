@@ -145,37 +145,51 @@ class TestRateChanges:
         assert float(span.sum()) == pytest.approx(1.5)
 
 
-class TestSettle:
-    """``settle`` moves a server past completions booked elsewhere (a
-    cluster's completion calendar) without folding anything."""
+class TestServe:
+    """``serve`` holds a head kept elsewhere (a cluster's completion
+    calendar) in the service position, so that ``set_rate`` re-bases it."""
 
-    def test_settles_the_carried_request_and_starts_the_next(self):
+    def test_the_next_head_replaces_the_carried_request(self):
         engine, server = make_server(1.0)
         first = submit(server, 0.0, 2.0)
-        second = submit(server, 1.0, 2.0)
         advance(engine, server, 1.0)
         assert server.in_service == first
-        # The first request completed at t=2 (booked elsewhere); at t=3 the
-        # second has been in service since then.
-        server.settle(3.0, 1, first, 2.0)
+        # The first request completed at t=2 (booked elsewhere); the next
+        # head, arrived at t=1, starts at max(arrival, last) = 2.
+        second = server.ledger.append(0, 1.0, 2.0)
+        server.serve((second, 2.0, 2.0))
         assert server.in_service == second
         assert server.ledger.start_of(second) == 2.0
-        assert server.backlog == 0
+        assert server.service_head() == (1.0, second, 4.0)
+        engine.run_until(3.0)
+        server.set_rate(2.0)  # one unit of work left at t=3
+        assert server.service_head() == (2.0, second, 3.5)
 
-    def test_idle_server_starts_its_arrived_head_at_its_arrival(self):
-        engine, server = make_server(0.0)
-        rid = submit(server, 0.5, 1.0)
-        server.settle(0.25)
-        assert server.in_service is None
-        server.settle(1.0)
-        assert server.in_service == rid
-        assert server.ledger.start_of(rid) == 0.5
-
-    def test_rejects_a_run_that_is_not_its_queue(self):
+    def test_a_head_already_in_service_keeps_its_progress(self):
         engine, server = make_server(1.0)
-        first = submit(server, 0.0, 1.0)
-        second = submit(server, 0.0, 1.0)
-        with pytest.raises(SimulationError, match="does not match its queue"):
-            server.settle(1.0, 1, second, 1.0)
-        with pytest.raises(SimulationError, match="does not match its queue"):
-            server.settle(0.5, 1, first, 1.0)
+        rid = server.ledger.append(0, 0.0, 2.0)
+        server.serve((rid, 0.0, 2.0))
+        engine.run_until(1.0)
+        server.set_rate(0.5)
+        server.serve((rid, 0.5, 2.0))
+        assert server.ledger.start_of(rid) == 0.0
+        assert server.service_head() == (0.5, rid, 3.0)
+
+    def test_a_frozen_head_starts_at_its_arrival(self):
+        engine, server = make_server(0.0)
+        rid = server.ledger.append(0, 0.5, 1.0)
+        server.serve((rid, 0.5, 1.0))
+        assert server.ledger.start_of(rid) == 0.5
+        assert server.service_head() == (0.0, rid, np.inf)
+        engine.run_until(2.0)
+        server.set_rate(1.0)
+        assert server.service_head() == (1.0, rid, 3.0)
+
+    def test_none_frees_the_service_position(self):
+        engine, server = make_server(1.0)
+        rid = server.ledger.append(0, 0.0, 1.0)
+        server.serve((rid, 0.0, 1.0))
+        server.serve(None)
+        assert server.in_service is None
+        assert server.service_head() == (1.0, None, np.inf)
+        assert server.backlog == 0
