@@ -37,117 +37,118 @@ Quickstart
 >>> allocation = allocate_rates(classes, PsdSpec.of(1, 2))
 >>> round(sum(allocation.rates), 10)
 1.0
+
+Imports are lazy: ``import repro`` loads only the version, and each public
+name (here and in every subpackage) imports its own submodule on first use
+(PEP 562 module ``__getattr__``).  A run therefore compiles only the modules
+it reaches: a cluster experiment loads about half of the package.
 """
 
-from ._version import __version__
-from .cluster import (
-    ClusterServerModel,
-    DispatchPolicy,
-    FleetEvent,
-    FleetSchedule,
-    RatePartitioner,
-    build_dispatch_policy,
-    build_partitioner,
-    make_cluster,
-    parse_fleet_events,
-    resolve_capacities,
-)
-from .core import (
-    PsdController,
-    PsdSpec,
-    RateAllocation,
-    allocate_rates,
-    expected_slowdowns,
-)
-from .distributions import BoundedPareto, Deterministic, Distribution, Exponential
-from .errors import (
-    AllocationError,
-    ClusterDrainedError,
-    DistributionError,
-    ExperimentError,
-    ParameterError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    StabilityError,
-)
-from .queueing import (
-    MD1Queue,
-    MG1Queue,
-    MGB1Queue,
-    MM1Queue,
-    lemma1_expected_slowdown,
-    theorem1_task_server_slowdown,
-)
-from .simulation import (
-    MeasurementConfig,
-    RateScalableServers,
-    ReplicationRunner,
-    RequestLedger,
-    Scenario,
-    ServerModel,
-    SharedProcessorServer,
-    SimulationResult,
-    WorkerPool,
-    load_trace,
-    run_replications,
-    save_trace,
-)
-from .types import TrafficClass
+from ._version import __version__ as __version__
 
-__all__ = [
-    "__version__",
-    # distributions
-    "Distribution",
-    "BoundedPareto",
-    "Deterministic",
-    "Exponential",
-    # queueing
-    "MG1Queue",
-    "MGB1Queue",
-    "MD1Queue",
-    "MM1Queue",
-    "lemma1_expected_slowdown",
-    "theorem1_task_server_slowdown",
-    # core
-    "PsdSpec",
-    "RateAllocation",
-    "allocate_rates",
-    "expected_slowdowns",
-    "PsdController",
-    # simulation
-    "MeasurementConfig",
-    "RequestLedger",
-    "Scenario",
-    "ServerModel",
-    "RateScalableServers",
-    "SharedProcessorServer",
-    "SimulationResult",
-    "ReplicationRunner",
-    "WorkerPool",
-    "run_replications",
-    "load_trace",
-    "save_trace",
-    # cluster
-    "ClusterServerModel",
-    "make_cluster",
-    "resolve_capacities",
-    "DispatchPolicy",
-    "RatePartitioner",
-    "build_dispatch_policy",
-    "build_partitioner",
-    "FleetEvent",
-    "FleetSchedule",
-    "parse_fleet_events",
-    # shared types and errors
-    "TrafficClass",
-    "ReproError",
-    "ParameterError",
-    "DistributionError",
-    "StabilityError",
-    "AllocationError",
-    "SchedulingError",
-    "SimulationError",
-    "ClusterDrainedError",
-    "ExperimentError",
-]
+
+def _lazy_exports(package: str, namespace: dict, table: dict[str, tuple[str, ...]]):
+    """PEP 562 hooks for a package whose public names load on first use.
+
+    ``table`` maps each submodule (relative to ``package``) to the public
+    names it defines; every name is written there once.  Returns
+    ``(__getattr__, __dir__, __all__)``.  The first access to a name imports
+    its submodule and caches the object in ``namespace`` (the package's
+    globals), so later reads never reach ``__getattr__``.  Any other name is
+    tried as a submodule, so ``repro.simulation.runner`` stays reachable
+    without an explicit import; what is neither raises ``AttributeError``.
+    """
+    import sys
+
+    source = {name: package + module for module, names in table.items() for name in names}
+
+    def load(module: str):
+        # ``__import__``, not ``importlib.import_module``: only imports made
+        # through it show in ``python -X importtime``.
+        __import__(module)
+        return sys.modules[module]
+
+    def __getattr__(name: str):
+        if name in source:
+            value = getattr(load(source[name]), name)
+        else:
+            value = submodule(name)
+        namespace[name] = value
+        return value
+
+    def submodule(name: str):
+        if not name.startswith("__"):
+            try:
+                return load(f"{package}.{name}")
+            except ModuleNotFoundError as error:
+                if error.name != f"{package}.{name}":
+                    raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | source.keys())
+
+    return __getattr__, __dir__, list(source)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".distributions": ("Distribution", "BoundedPareto", "Deterministic", "Exponential"),
+        ".queueing": (
+            "MG1Queue",
+            "MGB1Queue",
+            "MD1Queue",
+            "MM1Queue",
+            "lemma1_expected_slowdown",
+            "theorem1_task_server_slowdown",
+        ),
+        ".core": (
+            "PsdSpec",
+            "RateAllocation",
+            "allocate_rates",
+            "expected_slowdowns",
+            "PsdController",
+        ),
+        ".simulation": (
+            "MeasurementConfig",
+            "RequestLedger",
+            "Scenario",
+            "ServerModel",
+            "RateScalableServers",
+            "SharedProcessorServer",
+            "SimulationResult",
+            "ReplicationRunner",
+            "WorkerPool",
+            "run_replications",
+            "load_trace",
+            "save_trace",
+        ),
+        ".cluster": (
+            "ClusterServerModel",
+            "make_cluster",
+            "resolve_capacities",
+            "DispatchPolicy",
+            "RatePartitioner",
+            "build_dispatch_policy",
+            "build_partitioner",
+            "FleetEvent",
+            "FleetSchedule",
+            "parse_fleet_events",
+        ),
+        ".types": ("TrafficClass",),
+        ".errors": (
+            "ReproError",
+            "ParameterError",
+            "DistributionError",
+            "StabilityError",
+            "AllocationError",
+            "SchedulingError",
+            "SimulationError",
+            "ClusterDrainedError",
+            "ExperimentError",
+        ),
+    },
+)
+__all__.insert(0, "__version__")

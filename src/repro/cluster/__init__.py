@@ -44,93 +44,58 @@ dynamic fleets another:
 ``make_cluster(2, "weighted_jsq", fleet=parse_fleet_events("kill:0@200 restore:0@400"))``.
 """
 
-from .admission import (
-    ADMISSION_POLICIES,
-    AdmissionController,
-    build_admission,
-    parse_admission_args,
-)
-from .autoscale import (
-    AUTOSCALERS,
-    AutoscalerPolicy,
-    PredictiveEwma,
-    StepScaling,
-    TargetTracking,
-    build_autoscaler,
-    node_hours,
-    parse_autoscaler_args,
-)
-from .capacity import CAPACITY_MIXES, mix_label, resolve_capacities
-from .dispatch import (
-    DISPATCH_POLICIES,
-    CapacityWeightedJsq,
-    ClassAffinity,
-    DispatchPolicy,
-    FastestAvailable,
-    JoinShortestQueue,
-    LeastWorkLeft,
-    RoundRobin,
-    WeightedRandom,
-    build_dispatch_policy,
-)
-from .fleet import (
-    NODE_DOWN,
-    NODE_DRAINING,
-    NODE_LIVE,
-    FleetEvent,
-    FleetSchedule,
-    parse_fleet_events,
-)
-from .model import ClusterServerModel, make_cluster
-from .partition import (
-    PARTITIONERS,
-    AffinityPartitioner,
-    BacklogProportional,
-    CapacityProportional,
-    EqualSplit,
-    RatePartitioner,
-    build_partitioner,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ClusterServerModel",
-    "make_cluster",
-    "DispatchPolicy",
-    "RoundRobin",
-    "WeightedRandom",
-    "JoinShortestQueue",
-    "CapacityWeightedJsq",
-    "FastestAvailable",
-    "LeastWorkLeft",
-    "ClassAffinity",
-    "DISPATCH_POLICIES",
-    "build_dispatch_policy",
-    "RatePartitioner",
-    "EqualSplit",
-    "BacklogProportional",
-    "CapacityProportional",
-    "AffinityPartitioner",
-    "PARTITIONERS",
-    "build_partitioner",
-    "CAPACITY_MIXES",
-    "resolve_capacities",
-    "mix_label",
-    "FleetEvent",
-    "FleetSchedule",
-    "parse_fleet_events",
-    "NODE_LIVE",
-    "NODE_DRAINING",
-    "NODE_DOWN",
-    "AdmissionController",
-    "ADMISSION_POLICIES",
-    "build_admission",
-    "parse_admission_args",
-    "AutoscalerPolicy",
-    "TargetTracking",
-    "StepScaling",
-    "PredictiveEwma",
-    "AUTOSCALERS",
-    "build_autoscaler",
-    "parse_autoscaler_args",
-    "node_hours",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".admission": (
+            "AdmissionController",
+            "ADMISSION_POLICIES",
+            "build_admission",
+            "parse_admission_args",
+        ),
+        ".autoscale": (
+            "AutoscalerPolicy",
+            "TargetTracking",
+            "StepScaling",
+            "PredictiveEwma",
+            "AUTOSCALERS",
+            "build_autoscaler",
+            "parse_autoscaler_args",
+            "node_hours",
+        ),
+        ".capacity": ("CAPACITY_MIXES", "resolve_capacities", "mix_label"),
+        ".dispatch": (
+            "DispatchPolicy",
+            "RoundRobin",
+            "WeightedRandom",
+            "JoinShortestQueue",
+            "CapacityWeightedJsq",
+            "FastestAvailable",
+            "LeastWorkLeft",
+            "ClassAffinity",
+            "DISPATCH_POLICIES",
+            "build_dispatch_policy",
+        ),
+        ".fleet": (
+            "FleetEvent",
+            "FleetSchedule",
+            "parse_fleet_events",
+            "NODE_LIVE",
+            "NODE_DRAINING",
+            "NODE_DOWN",
+        ),
+        ".model": ("ClusterServerModel", "make_cluster"),
+        ".partition": (
+            "RatePartitioner",
+            "EqualSplit",
+            "BacklogProportional",
+            "CapacityProportional",
+            "AffinityPartitioner",
+            "PARTITIONERS",
+            "build_partitioner",
+        ),
+    },
+)

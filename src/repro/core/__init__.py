@@ -18,74 +18,45 @@
 * :mod:`repro.core.planning` — capacity planning by inverting Eq. 18.
 """
 
-from .admission import (
-    AdmissionDecision,
-    AdmissionPolicy,
-    AlwaysAdmit,
-    LoadThresholdAdmission,
-    QueueLengthAdmission,
-)
-from .allocation import RateAllocation, allocate_rates
-from .baselines import demand_proportional_split, equal_split, weighted_demand_split
-from .controller import ControllerDecision, PsdController
-from .feedback import FeedbackPsdController
-from .load_estimator import (
-    ExponentialSmoothingEstimator,
-    LoadEstimate,
-    LoadEstimator,
-    OracleLoadEstimator,
-    WindowedLoadEstimator,
-)
-from .observation import WindowObservation
-from .pdd import PddAllocation, allocate_pdd_rates
-from .planning import (
-    PlanningResult,
-    max_load_for_slowdown_target,
-    required_capacity,
-    slowdown_at_load,
-)
-from .properties import (
-    PropertyCheck,
-    check_all_properties,
-    check_delta_increase_effect,
-    check_higher_class_impact,
-    check_monotone_in_own_arrival_rate,
-)
-from .psd import PsdSpec, expected_slowdowns, psd_error, slowdown_ratio_matrix
+from .. import _lazy_exports
 
-__all__ = [
-    "PsdSpec",
-    "expected_slowdowns",
-    "psd_error",
-    "slowdown_ratio_matrix",
-    "RateAllocation",
-    "allocate_rates",
-    "LoadEstimate",
-    "LoadEstimator",
-    "WindowedLoadEstimator",
-    "ExponentialSmoothingEstimator",
-    "OracleLoadEstimator",
-    "PsdController",
-    "ControllerDecision",
-    "PropertyCheck",
-    "check_all_properties",
-    "check_monotone_in_own_arrival_rate",
-    "check_delta_increase_effect",
-    "check_higher_class_impact",
-    "PddAllocation",
-    "allocate_pdd_rates",
-    "equal_split",
-    "demand_proportional_split",
-    "weighted_demand_split",
-    "FeedbackPsdController",
-    "AdmissionDecision",
-    "AdmissionPolicy",
-    "AlwaysAdmit",
-    "LoadThresholdAdmission",
-    "QueueLengthAdmission",
-    "WindowObservation",
-    "PlanningResult",
-    "slowdown_at_load",
-    "max_load_for_slowdown_target",
-    "required_capacity",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".admission": (
+            "AdmissionDecision",
+            "AdmissionPolicy",
+            "AlwaysAdmit",
+            "LoadThresholdAdmission",
+            "QueueLengthAdmission",
+        ),
+        ".allocation": ("RateAllocation", "allocate_rates"),
+        ".baselines": ("equal_split", "demand_proportional_split", "weighted_demand_split"),
+        ".controller": ("PsdController", "ControllerDecision"),
+        ".feedback": ("FeedbackPsdController",),
+        ".load_estimator": (
+            "LoadEstimate",
+            "LoadEstimator",
+            "WindowedLoadEstimator",
+            "ExponentialSmoothingEstimator",
+            "OracleLoadEstimator",
+        ),
+        ".observation": ("WindowObservation",),
+        ".pdd": ("PddAllocation", "allocate_pdd_rates"),
+        ".planning": (
+            "PlanningResult",
+            "slowdown_at_load",
+            "max_load_for_slowdown_target",
+            "required_capacity",
+        ),
+        ".properties": (
+            "PropertyCheck",
+            "check_all_properties",
+            "check_monotone_in_own_arrival_rate",
+            "check_delta_increase_effect",
+            "check_higher_class_impact",
+        ),
+        ".psd": ("PsdSpec", "expected_slowdowns", "psd_error", "slowdown_ratio_matrix"),
+    },
+)

@@ -7,25 +7,18 @@ the hyperexponential of the e-commerce example, numerical moment
 verification and reproducible RNG stream management.
 """
 
-from .base import Distribution
-from .bounded_pareto import BoundedPareto
-from .deterministic import Deterministic
-from .exponential import Exponential
-from .hyperexponential import Hyperexponential
-from .moments import MomentReport, numerical_moment, sample_moments, verify_moments
-from .rng import make_generator, spawn_generators, spawn_seed_sequences
+from .. import _lazy_exports
 
-__all__ = [
-    "Distribution",
-    "BoundedPareto",
-    "Exponential",
-    "Deterministic",
-    "Hyperexponential",
-    "MomentReport",
-    "numerical_moment",
-    "sample_moments",
-    "verify_moments",
-    "make_generator",
-    "spawn_generators",
-    "spawn_seed_sequences",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".base": ("Distribution",),
+        ".bounded_pareto": ("BoundedPareto",),
+        ".deterministic": ("Deterministic",),
+        ".exponential": ("Exponential",),
+        ".hyperexponential": ("Hyperexponential",),
+        ".moments": ("MomentReport", "numerical_moment", "sample_moments", "verify_moments"),
+        ".rng": ("make_generator", "spawn_generators", "spawn_seed_sequences"),
+    },
+)

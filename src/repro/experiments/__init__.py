@@ -4,78 +4,41 @@
 ``python -m repro.experiments`` regenerates EXPERIMENTS.md.
 """
 
-from .autoscale import AutoscaleBuild, autoscale, default_patterns, run_autoscale
-from .base import (
-    ExperimentResult,
-    ScenarioBuild,
-    ServerFactory,
-    pooled_window_ratios,
-    simulate_psd_point,
-)
-from .cluster import ClusterScalingBuild, cluster_scaling, run_cluster_scaling
-from .config import PRESETS, ExperimentConfig, get_preset
-from .controllability import figure9, figure10, run_controllability
-from .effectiveness import figure2, figure3, figure4, run_effectiveness
-from .predictability import (
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    run_individual_requests,
-    run_ratio_percentiles,
-)
-from .registry import EXPERIMENTS, available_experiments, run, run_all
-from .report import PAPER_CLAIMS, build_report, write_report
-from .sensitivity import (
-    DEFAULT_SENSITIVITY_LOAD,
-    figure11,
-    figure12,
-    run_shape_sensitivity,
-    run_upper_bound_sensitivity,
-)
-from .tables import format_value, render_table
+from .. import _lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "ExperimentConfig",
-    "ServerFactory",
-    "PRESETS",
-    "get_preset",
-    "simulate_psd_point",
-    "pooled_window_ratios",
-    "run",
-    "run_all",
-    "available_experiments",
-    "EXPERIMENTS",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
-    "cluster_scaling",
-    "run_cluster_scaling",
-    "ClusterScalingBuild",
-    "autoscale",
-    "run_autoscale",
-    "AutoscaleBuild",
-    "default_patterns",
-    "ScenarioBuild",
-    "run_effectiveness",
-    "run_ratio_percentiles",
-    "run_individual_requests",
-    "run_controllability",
-    "run_shape_sensitivity",
-    "run_upper_bound_sensitivity",
-    "DEFAULT_SENSITIVITY_LOAD",
-    "PAPER_CLAIMS",
-    "build_report",
-    "write_report",
-    "render_table",
-    "format_value",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".autoscale": ("run_autoscale", "AutoscaleBuild", "default_patterns"),
+        ".base": (
+            "ExperimentResult",
+            "ServerFactory",
+            "simulate_psd_point",
+            "pooled_window_ratios",
+            "ScenarioBuild",
+        ),
+        ".cluster": ("cluster_scaling", "run_cluster_scaling", "ClusterScalingBuild"),
+        ".config": ("ExperimentConfig", "PRESETS", "get_preset"),
+        ".controllability": ("figure9", "figure10", "run_controllability"),
+        ".effectiveness": ("figure2", "figure3", "figure4", "run_effectiveness"),
+        ".predictability": (
+            "figure5",
+            "figure6",
+            "figure7",
+            "figure8",
+            "run_ratio_percentiles",
+            "run_individual_requests",
+        ),
+        ".registry": ("run", "run_all", "available_experiments", "EXPERIMENTS"),
+        ".report": ("PAPER_CLAIMS", "build_report", "write_report"),
+        ".sensitivity": (
+            "figure11",
+            "figure12",
+            "run_shape_sensitivity",
+            "run_upper_bound_sensitivity",
+            "DEFAULT_SENSITIVITY_LOAD",
+        ),
+        ".tables": ("render_table", "format_value"),
+    },
+)

@@ -4,13 +4,13 @@ Percentile bands of windowed slowdown ratios (Figs. 5-6) and
 achieved-vs-target ratio comparisons (Figs. 9-10).
 """
 
-from .percentile import PercentileBand, percentile_band
-from .ratios import RatioComparison, achieved_ratios, compare_to_targets
+from .. import _lazy_exports
 
-__all__ = [
-    "PercentileBand",
-    "percentile_band",
-    "RatioComparison",
-    "achieved_ratios",
-    "compare_to_targets",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".percentile": ("PercentileBand", "percentile_band"),
+        ".ratios": ("RatioComparison", "achieved_ratios", "compare_to_targets"),
+    },
+)

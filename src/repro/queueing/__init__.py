@@ -10,61 +10,45 @@
 * :mod:`repro.queueing.sensitivity` — analytic parameter sweeps for Figs. 11-12.
 """
 
-from .md1 import MD1Queue, md1_expected_slowdown, md1_expected_waiting_time
-from .mg1 import MG1Queue, expected_response_time, expected_slowdown, expected_waiting_time
-from .mgb1 import (
-    MGB1Queue,
-    lemma1_expected_slowdown,
-    lemma2_scaled_moments,
-    slowdown_constant,
-    theorem1_task_server_slowdown,
-)
-from .mm1 import MM1Queue
-from .scaling import (
-    check_rate_vector,
-    normalise_rates,
-    per_class_utilisations,
-    scaled_service_distributions,
-)
-from .sensitivity import (
-    SweepPoint,
-    shape_parameter_sweep,
-    slowdown_elasticity,
-    upper_bound_sweep,
-)
-from .stability import (
-    arrival_rate_for_load,
-    check_stability,
-    is_stable,
-    total_utilisation,
-    utilisation,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "MG1Queue",
-    "MGB1Queue",
-    "MD1Queue",
-    "MM1Queue",
-    "expected_waiting_time",
-    "expected_response_time",
-    "expected_slowdown",
-    "lemma1_expected_slowdown",
-    "lemma2_scaled_moments",
-    "theorem1_task_server_slowdown",
-    "slowdown_constant",
-    "md1_expected_slowdown",
-    "md1_expected_waiting_time",
-    "check_rate_vector",
-    "normalise_rates",
-    "per_class_utilisations",
-    "scaled_service_distributions",
-    "utilisation",
-    "total_utilisation",
-    "is_stable",
-    "check_stability",
-    "arrival_rate_for_load",
-    "SweepPoint",
-    "shape_parameter_sweep",
-    "upper_bound_sweep",
-    "slowdown_elasticity",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".md1": ("MD1Queue", "md1_expected_slowdown", "md1_expected_waiting_time"),
+        ".mg1": (
+            "MG1Queue",
+            "expected_waiting_time",
+            "expected_response_time",
+            "expected_slowdown",
+        ),
+        ".mgb1": (
+            "MGB1Queue",
+            "lemma1_expected_slowdown",
+            "lemma2_scaled_moments",
+            "theorem1_task_server_slowdown",
+            "slowdown_constant",
+        ),
+        ".mm1": ("MM1Queue",),
+        ".scaling": (
+            "check_rate_vector",
+            "normalise_rates",
+            "per_class_utilisations",
+            "scaled_service_distributions",
+        ),
+        ".sensitivity": (
+            "SweepPoint",
+            "shape_parameter_sweep",
+            "upper_bound_sweep",
+            "slowdown_elasticity",
+        ),
+        ".stability": (
+            "utilisation",
+            "total_utilisation",
+            "is_stable",
+            "check_stability",
+            "arrival_rate_for_load",
+        ),
+    },
+)

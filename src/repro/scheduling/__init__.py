@@ -8,24 +8,18 @@ deficit weighted round robin — plus strict priority, the related-work
 scheduler the scheduler ablation uses as contrast.
 """
 
-from .base import QueuedJob, Scheduler, WeightedScheduler
-from .gps import FluidJob, GpsResult, simulate_gps
-from .lottery import LotteryScheduler
-from .priority import StrictPriorityScheduler
-from .sfq import StartTimeFairQueueing
-from .wfq import WeightedFairQueueing
-from .wrr import DeficitWeightedRoundRobin
+from .. import _lazy_exports
 
-__all__ = [
-    "QueuedJob",
-    "Scheduler",
-    "WeightedScheduler",
-    "FluidJob",
-    "GpsResult",
-    "simulate_gps",
-    "WeightedFairQueueing",
-    "StartTimeFairQueueing",
-    "LotteryScheduler",
-    "DeficitWeightedRoundRobin",
-    "StrictPriorityScheduler",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".base": ("QueuedJob", "Scheduler", "WeightedScheduler"),
+        ".gps": ("FluidJob", "GpsResult", "simulate_gps"),
+        ".lottery": ("LotteryScheduler",),
+        ".priority": ("StrictPriorityScheduler",),
+        ".sfq": ("StartTimeFairQueueing",),
+        ".wfq": ("WeightedFairQueueing",),
+        ".wrr": ("DeficitWeightedRoundRobin",),
+    },
+)

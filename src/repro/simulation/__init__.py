@@ -38,80 +38,37 @@ timestamps into the ledger, and return the completed ids), ``apply_rates``
 experiment driver, example and bench composes through that same path.
 """
 
-from .engine import SimulationEngine
-from .events import Event, EventQueue
-from .generator import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    PoissonArrivals,
-    RequestSource,
-    TraceSource,
-    sources_from_classes,
-)
-from .ledger import RequestLedger
-from .monitor import (
-    MeasurementConfig,
-    WindowSample,
-    WindowedMonitor,
-    fleet_availability,
-)
-from .runner import (
-    ReplicatedStatistic,
-    ReplicationRunner,
-    ReplicationSummary,
-    WorkerPool,
-    run_replications,
-    shared_pool,
-    summarise_replications,
-)
-from .scenario import (
-    RateController,
-    Scenario,
-    SimulationResult,
-    StaticRateController,
-)
-from .server_models import (
-    RateScalableServers,
-    ServerModel,
-    SharedProcessorServer,
-)
-from .task_server import FcfsTaskServer
-from .trace import RequestRecord, SimulationTrace
-from .trace_io import load_trace, save_trace, trace_sources_from_arrays
+from .. import _lazy_exports
 
-__all__ = [
-    "SimulationEngine",
-    "Event",
-    "EventQueue",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DeterministicArrivals",
-    "RequestSource",
-    "TraceSource",
-    "sources_from_classes",
-    "load_trace",
-    "save_trace",
-    "trace_sources_from_arrays",
-    "MeasurementConfig",
-    "WindowSample",
-    "WindowedMonitor",
-    "fleet_availability",
-    "RequestLedger",
-    "FcfsTaskServer",
-    "Scenario",
-    "ServerModel",
-    "RateScalableServers",
-    "SharedProcessorServer",
-    "SimulationResult",
-    "RateController",
-    "StaticRateController",
-    "SimulationTrace",
-    "RequestRecord",
-    "ReplicationRunner",
-    "ReplicationSummary",
-    "ReplicatedStatistic",
-    "WorkerPool",
-    "shared_pool",
-    "run_replications",
-    "summarise_replications",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".engine": ("SimulationEngine",),
+        ".events": ("Event", "EventQueue"),
+        ".generator": (
+            "ArrivalProcess",
+            "PoissonArrivals",
+            "DeterministicArrivals",
+            "RequestSource",
+            "TraceSource",
+            "sources_from_classes",
+        ),
+        ".ledger": ("RequestLedger",),
+        ".monitor": ("MeasurementConfig", "WindowSample", "WindowedMonitor", "fleet_availability"),
+        ".runner": (
+            "ReplicationRunner",
+            "ReplicationSummary",
+            "ReplicatedStatistic",
+            "WorkerPool",
+            "shared_pool",
+            "run_replications",
+            "summarise_replications",
+        ),
+        ".scenario": ("Scenario", "SimulationResult", "RateController", "StaticRateController"),
+        ".server_models": ("ServerModel", "RateScalableServers", "SharedProcessorServer"),
+        ".task_server": ("FcfsTaskServer",),
+        ".trace": ("SimulationTrace", "RequestRecord"),
+        ".trace_io": ("load_trace", "save_trace", "trace_sources_from_arrays"),
+    },
+)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import atexit
 import logging
 import math
-import multiprocessing
 import os
 import pickle
 import time
@@ -153,6 +152,8 @@ class ReplicationSummary:
 
 
 def _fork_available() -> bool:
+    import multiprocessing  # only a pool needs it: serial runs never load it
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -172,7 +173,7 @@ def _run_and_encode(build: BuildFn, index: int, seed: np.random.SeedSequence) ->
 _inherited_build: BuildFn | None = None
 
 
-def _pool_worker(tasks: "multiprocessing.Queue", out: "multiprocessing.Queue") -> None:
+def _pool_worker(tasks, out) -> None:
     """Long-lived worker loop: execute batches of replications until told to stop.
 
     Each task is ``(build_bytes, [(index, seed), ...])`` — only the worker's
@@ -260,6 +261,8 @@ class WorkerPool:
                 build=type(inherited).__name__,
                 workers=self.workers,
             )
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         self._out = ctx.Queue()
         self._task_queues = [ctx.Queue() for _ in range(self.workers)]

@@ -13,28 +13,17 @@ module level (the simulation layer imports *us*); the health and tracing
 builders import the helpers they need lazily.
 """
 
-from .core import Telemetry
-from .health import ClusterHealthSnapshot, build_health_snapshots
-from .log import ROOT_LOGGER, configure_logging, get_logger, log_event
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .summary import TelemetrySummary
-from .tracing import chrome_trace_events, sample_mask, trace_seed, write_chrome_trace
+from .. import _lazy_exports
 
-__all__ = [
-    "Telemetry",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "TelemetrySummary",
-    "ClusterHealthSnapshot",
-    "build_health_snapshots",
-    "chrome_trace_events",
-    "sample_mask",
-    "trace_seed",
-    "write_chrome_trace",
-    "ROOT_LOGGER",
-    "configure_logging",
-    "get_logger",
-    "log_event",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".core": ("Telemetry",),
+        ".health": ("ClusterHealthSnapshot", "build_health_snapshots"),
+        ".log": ("ROOT_LOGGER", "configure_logging", "get_logger", "log_event"),
+        ".metrics": ("MetricsRegistry", "Counter", "Gauge", "Histogram"),
+        ".summary": ("TelemetrySummary",),
+        ".tracing": ("chrome_trace_events", "sample_mask", "trace_seed", "write_chrome_trace"),
+    },
+)

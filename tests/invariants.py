@@ -21,7 +21,11 @@ to the same rules without trusting either:
 * admission counts reconcile with the ledger's dispositions: the result's
   shed and degraded-into counts, and with a live telemetry facade its
   ``admission.rejected``, ``admission.degraded`` and ``scenario.arrivals``
-  counters.
+  counters;
+* on clusters, from the fleet timeline alone: ``node_hours`` equals the
+  integral of the live and draining node count over ``[0, horizon]``, and,
+  when every node declares a capacity, the work completed by the horizon
+  is at most the integral of the live and draining nodes' capacity.
 
 The ``checked_runs`` fixture in ``tests/conftest.py`` applies it to every
 ``Scenario.run`` of a test.
@@ -33,6 +37,8 @@ import math
 
 import numpy as np
 
+from repro.cluster.autoscale import node_hours
+from repro.cluster.fleet import NODE_DRAINING, NODE_LIVE
 from repro.simulation.ledger import DISPOSITION_DEGRADED, DISPOSITION_SHED
 
 __all__ = ["check_run"]
@@ -72,6 +78,10 @@ def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
 
     horizon = result.config.horizon
     single_node = result.fleet_timeline is None
+    if not single_node:
+        _check_fleet_integrals(
+            result.fleet_timeline, ledger.size[completed & (done <= horizon)], horizon
+        )
     node_of = None
     if not single_node and per_class_servers and result.dispatch_log is not None:
         # Every admitted row was dispatched once, in row order.
@@ -115,6 +125,30 @@ def _check_admission_counts(result, shed, telemetry) -> None:
     assert count("scenario.arrivals") == len(ledger) - num_shed, (
         "telemetry arrival count disagrees with the admitted rows"
     )
+
+
+def _check_fleet_integrals(timeline, completed_sizes, horizon: float) -> None:
+    """Integrate the piecewise-constant fleet timeline over ``[0, horizon]``
+    without ``node_state_spans``, which ``node_hours`` uses."""
+    entries = sorted(timeline, key=lambda entry: entry[0])
+    declared = all(None not in capacities for _, _, capacities in entries)
+    ends = [time for time, _, _ in entries[1:]] + [horizon]
+    node_time, capacity_time = [], []
+    for (time, states, capacities), end in zip(entries, ends):
+        span = max(min(end, horizon) - time, 0.0)
+        serving = [node for node, state in enumerate(states) if state in (NODE_LIVE, NODE_DRAINING)]
+        node_time.append(span * len(serving))
+        if declared:
+            capacity_time.extend(span * capacities[node] for node in serving)
+    hours = node_hours(timeline, horizon=horizon)
+    assert math.isclose(hours, math.fsum(node_time), rel_tol=1e-9, abs_tol=1e-9), (
+        f"node_hours {hours} disagrees with the fleet timeline's integral {math.fsum(node_time)}"
+    )
+    if declared:
+        work, bound = math.fsum(completed_sizes.tolist()), math.fsum(capacity_time)
+        assert work <= bound * (1.0 + 1e-9), (
+            f"completed work {work} exceeds the integral of live and draining capacity {bound}"
+        )
 
 
 def _check_fcfs(arrival, start, done, *, exact: bool) -> None:
