@@ -226,26 +226,35 @@ class AdmissionController(AdmissionPolicy):
         times: np.ndarray,
         obs: WindowObservation,
     ) -> np.ndarray:
+        """The ladder over a block in a fixed handful of NumPy calls.
+
+        Decisions start at ACCEPT; one cumulative sum per class (the
+        reserves) and one for the block's overflow (the pool) move the rest,
+        each the exact ``_charge`` left fold of the scalar ``+=`` adds, and
+        the three per-class counters come from one ``bincount``.
+        """
         classes = np.asarray(classes, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.float64)
         k = classes.shape[0]
-        decisions = np.empty(k, dtype=np.int64)
+        num_classes = self.num_classes
+        decisions = np.zeros(k, dtype=np.int64)  # AdmissionDecision.ACCEPT
         if k == 0:
             return decisions
-        if int(classes.min()) < 0 or int(classes.max()) >= self.num_classes:
+        if int(classes.min()) < 0 or int(classes.max()) >= num_classes:
+            # Name the first offending arrival's class, as ``decide`` would.
+            bad = (classes < 0) | (classes >= num_classes)
             raise ParameterError(
-                f"class {int(classes.max())} has no quota share configured "
-                f"(policy covers {self.num_classes} classes)"
+                f"class {int(classes[bad.argmax()])} has no quota share configured "
+                f"(policy covers {num_classes} classes)"
             )
         # Stage 1 — reserves: each class's cumulative demand (in time order)
         # against its reserve.  Every arrival is charged, admitted or not.
         reserve_fit = np.empty(k, dtype=bool)
-        for c in np.unique(classes):
+        for c in range(num_classes):
             mask = classes == c
             totals = self._charge(self._reserve_used[c], sizes[mask])
             reserve_fit[mask] = totals[1:] <= self._reserve[c]
             self._reserve_used[c] = totals[-1]
-        decisions[reserve_fit] = int(AdmissionDecision.ACCEPT)
         overflow = ~reserve_fit
         if overflow.any():
             if self._util >= self.shed_threshold:
@@ -253,42 +262,34 @@ class AdmissionController(AdmissionPolicy):
                 decisions[overflow] = int(AdmissionDecision.SHED)
             else:
                 # Stage 2 — the shared pool, charged in time order across
-                # classes.
+                # classes.  Overflow that fits is accepted, or degraded
+                # (every class but the lowest) past ``degrade_threshold``.
                 totals = self._charge(self._pool_used, sizes[overflow])
-                pool_fit = totals[1:] <= self._pool
                 self._pool_used = float(totals[-1])
-                overflow_classes = classes[overflow]
+                outcome = int(AdmissionDecision.ACCEPT)
                 if self._util >= self.degrade_threshold:
                     outcome = np.where(
-                        overflow_classes < self.num_classes - 1,
+                        classes[overflow] < num_classes - 1,
                         int(AdmissionDecision.DEGRADE),
-                        int(AdmissionDecision.ACCEPT),
-                    )
-                else:
-                    outcome = np.full(
-                        overflow_classes.shape[0], int(AdmissionDecision.ACCEPT)
+                        outcome,
                     )
                 decisions[overflow] = np.where(
-                    pool_fit, outcome, int(AdmissionDecision.SHED)
+                    totals[1:] <= self._pool, outcome, int(AdmissionDecision.SHED)
                 )
-        # Admitted work: one left fold over the admitted subsequence, in
-        # time order — the same adds the scalar ladder performs.
-        admitted = decisions != int(AdmissionDecision.SHED)
-        if admitted.any():
-            self._admitted_work = float(self._charge(self._admitted_work, sizes[admitted])[-1])
-        # Counters are order-free integers.
-        for c, count in enumerate(
-            np.bincount(classes[decisions == int(AdmissionDecision.ACCEPT)], minlength=self.num_classes)
-        ):
-            self.accepted[c] += int(count)
-        for c, count in enumerate(
-            np.bincount(classes[decisions == int(AdmissionDecision.DEGRADE)], minlength=self.num_classes)
-        ):
-            self.degraded[c] += int(count)
-        for c, count in enumerate(
-            np.bincount(classes[~admitted], minlength=self.num_classes)
-        ):
-            self.rejected[c] += int(count)
+            # Admitted work: one left fold over the admitted subsequence,
+            # in time order — the same adds the scalar ladder performs.
+            admitted = sizes[decisions != int(AdmissionDecision.SHED)]
+        else:
+            admitted = sizes
+        if admitted.size:
+            self._admitted_work = float(self._charge(self._admitted_work, admitted)[-1])
+        # Counters are order-free integers: row ``d`` of the table counts
+        # decision ``d`` per origin class.
+        counts = np.bincount(decisions * num_classes + classes, minlength=3 * num_classes)
+        table = counts.reshape(3, num_classes).tolist()
+        for counter, row in zip((self.accepted, self.degraded, self.rejected), table):
+            for c, count in enumerate(row):
+                counter[c] += count
         return decisions
 
     # ------------------------------------------------------------------ #

@@ -26,12 +26,14 @@ division), the fold is a comprehension over Python floats (in doubling
 chunks, so a long queue behind a request still in service is not folded in
 full), the run is cut at ``now`` on the completions (``bisect_right``), and
 the starts are derived afterwards as ``np.maximum(arrival, previous
-completion)`` — a max is exact, so no timestamp moves.  Starts and
-completions then reach the :class:`~repro.simulation.ledger.RequestLedger`
-in one checked :meth:`~repro.simulation.ledger.RequestLedger.serve_batch`
-write.  Short blocks — the admission walk drains one or two requests per
-call — take a scalar loop instead, which stops at the first request still
-in service and writes the ledger row by row: there NumPy's per-call
+completion)`` — a max is exact, so no timestamp moves.  The fresh run
+goes back to the node unwritten, and its starts and completions reach the
+:class:`~repro.simulation.ledger.RequestLedger` in one checked
+:meth:`~repro.simulation.ledger.RequestLedger.serve_batch` per node drain
+(:meth:`repro.simulation.RateScalableServers.drain`), whatever the number
+of classes.  Short blocks — the admission walk drains one or two requests
+per call — take a scalar loop instead, which stops at the first request
+still in service and writes the ledger row by row: there NumPy's per-call
 overhead would cost more than the run.  (Under a cluster's completion
 calendar the server queues nothing: the calendar keeps the queue, books
 the same fold's completions, and hands the server each head it must hold
@@ -52,7 +54,6 @@ from bisect import bisect_right
 
 import numpy as np
 
-from ..errors import SimulationError
 from ..validation import require_non_negative
 from .engine import SimulationEngine
 from .ledger import RequestLedger
@@ -60,10 +61,11 @@ from .ledger import RequestLedger
 __all__ = ["FcfsTaskServer"]
 
 #: Shared zero-length drain result: most drain calls on the admission
-#: walk's per-arrival cadence return nothing, so the empty pair is allocated
+#: walk's per-arrival cadence return nothing, so the empty run is allocated
 #: once (callers only read it).
 _EMPTY_RIDS = np.empty(0, dtype=np.int64)
 _EMPTY_TIMES = np.empty(0, dtype=np.float64)
+_EMPTY_RUN = (_EMPTY_RIDS, _EMPTY_TIMES, _EMPTY_TIMES)
 
 #: Drains with fewer arrived requests than this (and cluster syncs with
 #: fewer booked rows) take the scalar loop.
@@ -86,14 +88,12 @@ class FcfsTaskServer:
     def __init__(
         self,
         engine: SimulationEngine,
-        class_index: int,
         rate: float,
         *,
         ledger: RequestLedger | None = None,
     ) -> None:
         require_non_negative(rate, "rate")
         self.engine = engine
-        self.class_index = int(class_index)
         self.ledger = ledger if ledger is not None else RequestLedger()
         self._rate = float(rate)
         self.in_service: int | None = None
@@ -151,33 +151,23 @@ class FcfsTaskServer:
         self._head = 0
         self._tail = live
 
-    def submit_batch(self, rids: np.ndarray) -> None:
-        """Queue a time-ordered block of this class's row ids."""
-        rids = np.asarray(rids, dtype=np.int64)
+    def submit_batch(self, rids: np.ndarray, arrivals: np.ndarray, sizes: np.ndarray) -> None:
+        """Queue a time-ordered block of this class's rows.
+
+        The caller hands over the rows' arrival and size columns and has
+        checked their class
+        (:meth:`~repro.simulation.RateScalableServers.submit_batch` does
+        both once per node block), so the block costs three slice stores.
+        """
         k = rids.shape[0]
         if k == 0:
             return
-        ledger = self.ledger
-        if k == 1:
-            # The admission walk hands a cluster's members one row at a
-            # time: scalar reads beat four one-element gathers.  A foreign
-            # row falls through to the block check, which rejects it.
-            rid = rids.item(0)
-            if ledger.class_of(rid) == self.class_index:
-                self.push(rid, ledger.arrival_of(rid), ledger.size_of(rid))
-                return
-        foreign = ledger.classes_of(rids) != self.class_index
-        if foreign.any():
-            raise SimulationError(
-                f"request of class {ledger.class_of(int(rids[foreign][0]))} "
-                f"submitted to task server {self.class_index}"
-            )
         if self._tail + k > self._rids.shape[0]:
             self._reserve(k)
         tail = self._tail
         self._rids[tail : tail + k] = rids
-        self._arrivals[tail : tail + k] = ledger.arrivals_of(rids)
-        self._sizes[tail : tail + k] = ledger.sizes_of(rids)
+        self._arrivals[tail : tail + k] = arrivals
+        self._sizes[tail : tail + k] = sizes
         self._tail = tail + k
 
     def push(self, rid: int, arrival: float, size: float) -> None:
@@ -195,8 +185,8 @@ class FcfsTaskServer:
         self._sizes[tail] = size
         self._tail = tail + 1
 
-    def drain(self, now: float) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the server to ``now``; returns the completions.
+    def drain(self, now: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance the server to ``now``; returns the run ``(rids, starts, times)``.
 
         Serves everything due between the last drain and ``now`` at the
         current (unchanged) rate: the request carried in service completes
@@ -208,29 +198,33 @@ class FcfsTaskServer:
         head of the line enters service (frozen until the next
         re-allocation) and later arrivals queue.
 
-        Returns ``(rids, times)`` in completion order; the caller owns the
+        ``rids`` and ``times`` are the completed rows in completion order.
+        The last ``len(starts)`` of them — the fresh rows the bulk fold
+        started and completed — are *not* written to the ledger: the caller
+        writes them with ``serve_batch(rids[-n:], starts, times[-n:])``
+        (:meth:`~repro.simulation.RateScalableServers.drain` does so once
+        for all its class servers).  Every earlier row — the request
+        carried in service, and each row of a short scalar drain — is
+        already written (``complete_unlogged``).  The caller also owns the
         completion log (the runs of several servers must be merged by time
         first).
         """
         rate = self._rate
         ledger = self.ledger
-        done_rids: list[int] = []
-        done_times: list[float] = []
+        carried: int | None = None
         free = -np.inf
         # Phase 1: the request carried in service from before this drain.
         if self.in_service is not None:
             if rate <= 0.0:
-                return _EMPTY_RIDS, _EMPTY_TIMES
+                return _EMPTY_RUN
             completion = self._last_progress_time + self._remaining_work / rate
             if completion > now:
-                return _EMPTY_RIDS, _EMPTY_TIMES
-            rid = self.in_service
-            ledger.complete_unlogged(rid, completion)
+                return _EMPTY_RUN
+            carried = self.in_service
+            ledger.complete_unlogged(carried, completion)
             self._last_progress_time = completion
             self.in_service = None
             self._remaining_work = 0.0
-            done_rids.append(rid)
-            done_times.append(completion)
             free = completion
         # Phase 2: fold the queue up to ``now``.
         head, tail = self._head, self._tail
@@ -241,17 +235,14 @@ class FcfsTaskServer:
             if head < tail and arrivals.item(head) <= now:
                 self._begin_service(head, arrivals.item(head))
                 self._head = head + 1
-            return _EMPTY_RIDS, _EMPTY_TIMES
+            return _EMPTY_RUN
         limit = head + _SCALAR_BATCH_LIMIT
         if limit <= tail and arrivals.item(limit - 1) <= now:
-            rids, times = self._fold_block(now, head, free)
-            if not done_rids:
-                return rids, times
-            return (
-                np.concatenate((np.array(done_rids, dtype=np.int64), rids)),
-                np.concatenate((np.array(done_times), times)),
-            )
-        # Fewer than ``_SCALAR_BATCH_LIMIT`` requests have arrived.
+            return self._fold_block(now, head, carried, free)
+        # Fewer than ``_SCALAR_BATCH_LIMIT`` requests have arrived: a
+        # scalar loop that writes each row itself.
+        done_rids: list[int] = [] if carried is None else [carried]
+        done_times: list[float] = [] if carried is None else [free]
         sizes = self._sizes
         queued = self._rids
         pos = head
@@ -275,18 +266,29 @@ class FcfsTaskServer:
             pos += 1
         self._head = pos
         if not done_rids:
-            return _EMPTY_RIDS, _EMPTY_TIMES
+            return _EMPTY_RUN
         if self.in_service is None:
             self._last_progress_time = free
-        return np.array(done_rids, dtype=np.int64), np.array(done_times, dtype=np.float64)
+        return (
+            np.array(done_rids, dtype=np.int64),
+            _EMPTY_TIMES,
+            np.array(done_times, dtype=np.float64),
+        )
 
-    def _fold_block(self, now: float, head: int, free: float) -> tuple[np.ndarray, np.ndarray]:
+    def _fold_block(
+        self, now: float, head: int, carried: int | None, free: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fold the queue from slot ``head`` on in bulk, after completion
-        ``free``; updates the cursor and service state, returns the run.
+        ``free`` of the row ``carried`` (``None``, ``free = -inf``: nothing
+        was carried); updates the cursor and service state, returns the run
+        as :meth:`drain` does, its fresh rows unwritten.
 
         The fold runs in doubling chunks and stops after the first chunk
         that ends past ``now``, so a long queue behind a request still in
-        service is not folded in full.
+        service is not folded in full.  It starts from ``free``, so
+        ``folded[i]`` is the completion before slot ``head + i``: the
+        starts are ``max(arrival, folded[:-1])`` and the carried row leads
+        the run without a concatenation.
         """
         tail = self._tail
         arrivals = self._arrivals
@@ -297,7 +299,7 @@ class FcfsTaskServer:
         else:
             end = head + int(np.searchsorted(arrivals[head:tail], now, side="right"))
         f = free
-        folded: list[float] = []
+        folded: list[float] = [free]
         lo, hi = head, head + 4 * _SCALAR_BATCH_LIMIT
         while True:
             if hi > end:
@@ -309,17 +311,9 @@ class FcfsTaskServer:
             if hi == end or f > now:
                 break
             lo, hi = hi, 2 * hi - head
-        k = bisect_right(folded, now)
-        rids, times = _EMPTY_RIDS, _EMPTY_TIMES
+        k = bisect_right(folded, now, 1) - 1
+        free = folded[k]
         if k:
-            times = np.array(folded[:k])
-            previous = np.empty(k)
-            previous[0] = free
-            previous[1:] = times[:-1]
-            starts = np.maximum(arrivals[head : head + k], previous)
-            rids = self._rids[head : head + k].copy()
-            self.ledger.serve_batch(rids, starts, times)
-            free = folded[k - 1]
             self._last_progress_time = free
         self._head = head + k
         if head + k < end:
@@ -327,7 +321,17 @@ class FcfsTaskServer:
             arrival = arrivals.item(head + k)
             self._begin_service(head + k, arrival if arrival > free else free)
             self._head += 1
-        return rids, times
+        lead = carried is not None
+        if not (k or lead):
+            return _EMPTY_RUN
+        times = np.fromiter(folded, np.float64, k + 1)
+        starts = np.maximum(arrivals[head : head + k], times[:-1])
+        rids = np.empty(k + lead, dtype=np.int64)
+        rids[lead:] = self._rids[head : head + k]
+        if lead:
+            rids[0] = carried
+            return rids, starts, times
+        return rids, starts, times[1:]
 
     def _begin_service(self, pos: int, start: float) -> None:
         """Put the queued request in slot ``pos`` into service at ``start``."""

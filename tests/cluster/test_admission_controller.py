@@ -151,6 +151,19 @@ class TestLadder:
                 np.array([0, 2]), np.array([1.0, 1.0]), np.zeros(2), snapshot()
             )
 
+    @pytest.mark.parametrize(
+        ("classes", "offending"), [([0, -1, 1], -1), ([0, 1, 2], 2), ([1, 3, -2], 3)]
+    )
+    def test_block_names_its_first_out_of_range_class(self, classes, offending):
+        ctrl = budgeted(AdmissionController((0.5, 0.5)))
+        with pytest.raises(ParameterError, match=rf"^class {offending} has no quota share"):
+            ctrl.decide_block(
+                np.array(classes), np.ones(len(classes)), np.zeros(len(classes)), snapshot()
+            )
+        # Nothing was charged or counted.
+        assert ctrl._reserve_used.tolist() == [0.0, 0.0]
+        assert ctrl.accepted == ctrl.degraded == ctrl.rejected == [0, 0]
+
     def test_wait_hint_without_demand_history_points_at_next_boundary(self):
         ctrl = AdmissionController((0.5, 0.5))
         assert ctrl.wait_hint(0, 3.0) is None  # never budgeted

@@ -266,3 +266,68 @@ class TestZeroRateOnCalendar:
         _, per_event = self._run(ReferenceScenario)
         assert _fingerprint(batched) == _fingerprint(per_event)
         assert batched.ledger.num_completed == len(batched.ledger)
+
+
+class TestExactCompletionTies:
+    """Deterministic traces whose completions tie exactly: two classes on
+    one node, and two nodes of a block-route cluster, finish at the same
+    instants.  The completion log keeps ``(time, node, class)`` order, and
+    the run matches the per-event reference.
+
+    Class 0 arrives at t=7 and class 1 at t=7.5 with shorter first requests,
+    so at rate 0.5 every class server completes at t = 9, 11, 13, ...  The
+    first window boundary (t=8) re-applies the rates while every server is
+    busy, which schedules the reference's completion events in ``(node,
+    class)`` order, the order they keep from then on.  Each class server
+    queues 40 rows at once, so the early drains take the bulk fold, and
+    each later boundary (t = 16, 24, ...) carries a row of every class
+    server and folds three fresh ones behind it.
+    """
+
+    CLASSES = tuple(
+        TrafficClass(f"c{i}", 0.5, BoundedPareto(0.3, 5.0, 1.5), float(i + 1)) for i in range(2)
+    )
+    TIE_CFG = MeasurementConfig(warmup=0.0, horizon=96.0, window=8.0)
+
+    def _run(self, scenario_class, nodes):
+        # A node's class server queues 40 rows; its first request of class
+        # 1 is 0.5 shorter, so it completes at t=3 like class 0's.
+        per_class = 40 * nodes
+        sources = [
+            TraceSource(0, interarrivals=[7.0] + [0.0] * (per_class - 1), sizes=[1.0] * per_class),
+            TraceSource(
+                1,
+                interarrivals=[7.5] + [0.0] * (per_class - 1),
+                sizes=[0.75] * nodes + [1.0] * (per_class - nodes),
+            ),
+        ]
+        server = make_cluster(nodes, "round_robin", record_dispatch=True, seed=1)
+        result = scenario_class(
+            self.CLASSES,
+            self.TIE_CFG,
+            server=server,
+            controller=StaticRateController((0.5 * nodes, 0.5 * nodes)),
+            seed=5,
+            sources=sources,
+        ).run()
+        return result
+
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_ties_keep_time_node_class_order(self, nodes):
+        result = self._run(Scenario, nodes)
+        ledger = result.ledger
+        done = ledger.completed_ids
+        assert done.size == 80 * nodes
+        times = ledger.completion_time[done]
+        node_of = np.asarray(result.dispatch_log)[done]
+        class_of = ledger.class_index[done]
+        # Every instant t = 9, 11, ..., 87 completes one row per class server.
+        assert times.tolist() == [float(t) for t in range(9, 89, 2) for _ in range(2 * nodes)]
+        keys = list(zip(times.tolist(), node_of.tolist(), class_of.tolist()))
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_matches_the_per_event_reference(self, nodes):
+        assert _fingerprint(self._run(Scenario, nodes)) == _fingerprint(
+            self._run(ReferenceScenario, nodes)
+        )

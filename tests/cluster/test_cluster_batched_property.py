@@ -11,8 +11,9 @@ block segmentation.  Two invariants, per policy:
 * every dispatch decision matches the per-event reference exactly (same
   log, same fleet timeline, same completion times);
 
-and both runs pass :func:`tests.invariants.check_run`, which serves each
-node's classes FCFS with the exact non-idling start.
+and every run passes :func:`tests.invariants.check_run` (the
+``checked_runs`` fixture), which serves each node's classes FCFS with the
+exact non-idling start.
 
 ``round_robin`` exercises the vectorised ``select_block`` route; ``jsq``,
 ``weighted_jsq``, ``least_work`` and ``fastest_available`` run on the
@@ -53,6 +54,7 @@ import math
 from bisect import bisect_right
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -70,8 +72,10 @@ from repro.simulation.generator import TraceSource
 from repro.types import TrafficClass
 from tests.cluster.test_chooser_oracle import oracle as chooser_oracle
 from tests.cluster.test_cluster_batched_identity import ScriptedRates
-from tests.invariants import check_run
 from tests.reference import ReferenceScenario
+
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
 
 SERVICE = BoundedPareto(0.3, 5.0, 1.5)
 CLASSES = {
@@ -160,9 +164,6 @@ def test_batched_dispatch_replays_per_event_oracle(case, policy):
     traces, events = case
     batched = _run(_cluster(policy, events), traces)
     per_event = _run(_cluster(policy, events), traces, scenario_class=ReferenceScenario)
-    # Per node and class: FCFS and the exact non-idling start.
-    check_run(batched, per_class_servers=True)
-    check_run(per_event, per_class_servers=True)
     # Segmentation preserved arrival order, byte for byte.
     assert (
         batched.ledger.arrival_time.tobytes() == per_event.ledger.arrival_time.tobytes()
@@ -236,8 +237,6 @@ def test_rate_changes_replay_per_event_oracle(case, policy):
         )
         for scenario_class in (Scenario, ReferenceScenario)
     ]
-    for result in runs:
-        check_run(result, per_class_servers=True)
     batched, per_event = (result.ledger for result in runs)
     for column in (
         "class_index",
@@ -353,7 +352,6 @@ def test_block_route_bookkeeping_matches_a_scalar_fold(case, policy):
     traces, events, script = case
     cluster = _audited(policy, events)
     result = _run(cluster, traces, controller=ScriptedRates(script), cfg=MULTI_CFG)
-    check_run(result, per_class_servers=True)
     assert cluster._calendar is None
     assert cluster.syncs >= MULTI_CFG.horizon / MULTI_CFG.window
 
@@ -513,7 +511,6 @@ def test_calendar_books_tied_completions_like_the_oracle(case, policy):
     # the 0.25 arrival grid, so completions tie arrivals and fleet events.
     rates = (1.5,) * len(traces)
     result = _run(_cluster(policy, events), traces, controller=StaticRateController(rates))
-    check_run(result, per_class_servers=True)
     arrivals, log, starts, completions = _brute_force_run(policy, traces, events, rates)
     ledger = result.ledger
     assert ledger.arrival_time.tolist() == [t for t, _, _ in arrivals]

@@ -17,6 +17,9 @@ from tests.conftest import make_classes
 
 POLICIES = sorted(DISPATCH_POLICIES)
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 @pytest.fixture(scope="module")
 def det_classes():

@@ -22,6 +22,9 @@ from tests.conftest import make_classes
 
 POLICIES = sorted(DISPATCH_POLICIES)
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 CFG = MeasurementConfig(warmup=300.0, horizon=2_500.0, window=300.0)
 
 #: Kill node 0 mid-measurement, restore it two windows later, and degrade

@@ -52,6 +52,23 @@ def make_classes(service, load: float, deltas) -> tuple[TrafficClass, ...]:
     )
 
 
+def submit_rows(server, rids) -> None:
+    """Queue ledger rows on an :class:`~repro.simulation.FcfsTaskServer`
+    with their arrival and size columns, as its node does."""
+    rids = np.asarray(rids, dtype=np.int64)
+    ledger = server.ledger
+    server.submit_batch(rids, ledger.arrivals_of(rids), ledger.sizes_of(rids))
+
+
+def drain_rows(server, now: float) -> tuple[np.ndarray, np.ndarray]:
+    """Drain an :class:`~repro.simulation.FcfsTaskServer` to ``now`` and
+    write its fresh rows, as its node does; returns ``(rids, times)``."""
+    rids, starts, times = server.drain(now)
+    if starts.size:
+        server.ledger.serve_batch(rids[-starts.size :], starts, times[-starts.size :])
+    return rids, times
+
+
 @pytest.fixture
 def two_classes(moderate_bp) -> tuple[TrafficClass, ...]:
     """Two equal-load classes (deltas 1, 2) at 60% system load."""

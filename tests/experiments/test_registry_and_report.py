@@ -13,6 +13,7 @@ from repro.experiments import (
     run_all,
     write_report,
 )
+from tests.test_public_api import fresh_python
 
 
 class TestRegistry:
@@ -33,6 +34,22 @@ class TestRegistry:
             "overload",
             "autoscale",
         )
+
+    def test_the_cli_imports_only_the_driver_it_runs(self):
+        loaded = fresh_python(
+            "import contextlib, io, json, runpy, sys\n"
+            "sys.argv = ['repro.experiments', '--preset', 'quick', '--only', 'fig2']\n"
+            "try:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        runpy.run_module('repro.experiments', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    assert not exit.code, exit.code\n"
+            "print(json.dumps(sorted(sys.modules)))"
+        )
+        modules = sorted({driver.module for driver in EXPERIMENTS.values()})
+        assert len(modules) == 7
+        drivers = [name for name in modules if f"repro.experiments.{name}" in loaded]
+        assert drivers == ["effectiveness"]
 
     def test_every_experiment_has_a_paper_claim(self):
         assert set(PAPER_CLAIMS) == set(EXPERIMENTS)

@@ -28,6 +28,7 @@ from repro.errors import SimulationError
 from repro.simulation import FcfsTaskServer, RequestLedger, SimulationEngine
 from repro.simulation.ledger import DISPOSITION_SHED
 from repro.simulation.task_server import _SCALAR_BATCH_LIMIT
+from tests.conftest import drain_rows, submit_rows
 
 GRID = 0.25
 RATES = (0.0, 0.3, 0.5, 1.0, 2.0)
@@ -77,7 +78,7 @@ def run_script(initial_rate, steps):
     """
     engine = SimulationEngine()
     ledger = RequestLedger(1)
-    server = FcfsTaskServer(engine, 0, initial_rate, ledger=ledger)
+    server = FcfsTaskServer(engine, initial_rate, ledger=ledger)
     requests: list[tuple[float, float]] = []
     changes = [(0.0, initial_rate)]
     drains = []
@@ -97,7 +98,7 @@ def run_script(initial_rate, steps):
                 requests.append((last_arrival, size * GRID))
             k = len(arrivals)
             sizes = [size * GRID for _, size in step[1]]
-            server.submit_batch(ledger.append_batch(np.zeros(k, dtype=np.int64), arrivals, sizes))
+            submit_rows(server, ledger.append_batch(np.zeros(k, dtype=np.int64), arrivals, sizes))
         elif kind == "push":
             gap, size = step[1]
             last_arrival = arrival_after(gap)
@@ -106,7 +107,7 @@ def run_script(initial_rate, steps):
         else:
             now += step[1] * GRID
             engine.run_until(now)
-            rids, done = server.drain(now)
+            rids, done = drain_rows(server, now)
             ledger.log_completions(rids)
             drains.append(
                 (

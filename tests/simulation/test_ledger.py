@@ -22,7 +22,7 @@ from repro.simulation.ledger import (
     DISPOSITION_DEGRADED,
     DISPOSITION_SHED,
 )
-from tests.conftest import make_classes
+from tests.conftest import drain_rows, make_classes, submit_rows
 
 
 class TestLedgerBasics:
@@ -134,7 +134,7 @@ class TestZeroRateFreeze:
     @staticmethod
     def advance(engine, server, time):
         engine.run_until(time)
-        rids, _ = server.drain(time)
+        rids, _ = drain_rows(server, time)
         server.ledger.log_completions(rids)
 
     def test_zero_rate_freeze_and_resume_accounting(self):
@@ -142,9 +142,9 @@ class TestZeroRateFreeze:
         in service and completes with the post-resume timestamps."""
         engine = SimulationEngine()
         ledger = RequestLedger(1)
-        server = FcfsTaskServer(engine, 0, 1.0, ledger=ledger)
+        server = FcfsTaskServer(engine, 1.0, ledger=ledger)
         rid = ledger.append(0, 0.0, 2.0)
-        server.submit_batch(np.asarray([rid]))
+        submit_rows(server, [rid])
         self.advance(engine, server, 1.0)
         server.set_rate(0.0)
         self.advance(engine, server, 5.0)
@@ -164,10 +164,10 @@ class TestZeroRateFreeze:
     def test_work_queued_behind_frozen_request_waits(self):
         engine = SimulationEngine()
         ledger = RequestLedger(1)
-        server = FcfsTaskServer(engine, 0, 1.0, ledger=ledger)
+        server = FcfsTaskServer(engine, 1.0, ledger=ledger)
         first = ledger.append(0, 0.0, 1.0)
         second = ledger.append(0, 0.0, 1.0)
-        server.submit_batch(np.asarray([first, second]))
+        submit_rows(server, [first, second])
         self.advance(engine, server, 0.5)
         server.set_rate(0.0)
         self.advance(engine, server, 10.0)

@@ -3,19 +3,31 @@
 import numpy as np
 import pytest
 
+from repro.cluster import make_cluster
+from repro.distributions import BoundedPareto, Deterministic
 from repro.errors import SimulationError
-from repro.simulation import FcfsTaskServer, RequestLedger, SimulationEngine, SimulationTrace
+from repro.simulation import (
+    FcfsTaskServer,
+    MeasurementConfig,
+    RateScalableServers,
+    RequestLedger,
+    Scenario,
+    SimulationEngine,
+    SimulationTrace,
+)
+from repro.types import TrafficClass
+from tests.conftest import drain_rows, make_classes, submit_rows
 
 
-def make_server(rate, class_index=0):
+def make_server(rate):
     engine = SimulationEngine()
-    server = FcfsTaskServer(engine, class_index, rate, ledger=RequestLedger(4))
+    server = FcfsTaskServer(engine, rate, ledger=RequestLedger(4))
     return engine, server
 
 
 def submit(server, arrival, size, class_index=0):
     rid = server.ledger.append(class_index, arrival, size)
-    server.submit_batch(np.asarray([rid], dtype=np.int64))
+    submit_rows(server, [rid])
     return rid
 
 
@@ -26,7 +38,7 @@ def advance(engine, server, time):
     order (the drain's completions are logged into the ledger too).
     """
     engine.run_until(time)
-    rids, _ = server.drain(time)
+    rids, _ = drain_rows(server, time)
     ledger = server.ledger
     ledger.log_completions(rids)
     records = SimulationTrace(ledger.num_classes, ledger=ledger).records
@@ -72,11 +84,6 @@ class TestFcfsService:
         assert server.backlog == 0
         assert not server.is_busy
         assert np.count_nonzero(~np.isnan(server.ledger.completion_time)) == 2
-
-    def test_wrong_class_rejected(self):
-        engine, server = make_server(1.0)
-        with pytest.raises(SimulationError):
-            submit(server, 0.0, 1.0, class_index=3)
 
 
 class TestRateChanges:
@@ -193,3 +200,135 @@ class TestServe:
         assert server.in_service is None
         assert server.service_head() == (1.0, None, np.inf)
         assert server.backlog == 0
+
+
+class TestDrainContract:
+    """A bulk drain hands its fresh rows back unwritten; the carried row and
+    short scalar drains write themselves."""
+
+    def test_the_bulk_fold_leaves_its_fresh_rows_to_the_caller(self):
+        engine, server = make_server(1.0)
+        ledger = server.ledger
+        # 80 rows at once: both drains below take the bulk fold.
+        rids = ledger.append_batch(np.zeros(80, dtype=np.int64), np.zeros(80), np.ones(80))
+        submit_rows(server, rids)
+        engine.run_until(10.5)
+        done, starts, times = server.drain(10.5)
+        assert done.tolist() == list(range(10))
+        assert starts.tolist() == [float(i) for i in range(10)]
+        assert times.tolist() == [float(i + 1) for i in range(10)]
+        assert np.isnan(ledger.service_start_time[:10]).all()
+        assert np.isnan(ledger.completion_time[:10]).all()
+        # The row caught mid-service at ``now`` is started right away.
+        assert server.in_service == 10 and ledger.start_of(10) == 10.0
+        ledger.serve_batch(done, starts, times)
+        # The carried row leads the next run, already completed; the fresh
+        # rows behind it are again the caller's to write.
+        engine.run_until(12.5)
+        done, starts, times = server.drain(12.5)
+        assert done.tolist() == [10, 11]
+        assert starts.tolist() == [11.0]
+        assert times.tolist() == [11.0, 12.0]
+        assert ledger.completion_of(10) == 11.0
+        assert np.isnan(ledger.start_of(11))
+
+    def test_a_short_drain_writes_its_rows(self):
+        engine, server = make_server(1.0)
+        first = submit(server, 0.0, 1.0)
+        second = submit(server, 0.0, 1.0)
+        engine.run_until(5.0)
+        done, starts, times = server.drain(5.0)
+        assert done.tolist() == [first, second]
+        assert starts.size == 0
+        assert times.tolist() == [1.0, 2.0]
+        assert server.ledger.start_of(second) == 1.0
+        assert server.ledger.completion_of(second) == 2.0
+
+
+def make_node(num_classes=3):
+    classes = tuple(
+        TrafficClass(f"c{i}", 0.0, Deterministic(1.0), float(i + 1)) for i in range(num_classes)
+    )
+    node = RateScalableServers()
+    node.bind(SimulationEngine(), classes)
+    node.apply_rates([1.0] * num_classes)
+    return node
+
+
+class TestNodeSubmitAndDrain:
+    def test_a_block_is_split_by_class_in_arrival_order(self):
+        node = make_node()
+        ledger = node.ledger
+        classes = [2, 0, 1, 0, 2, 2]
+        rids = ledger.append_batch(classes, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5], [1.0] * 6)
+        node.submit_batch(rids)
+        assert node.backlogs() == (2, 1, 3)
+        node.engine.run_until(20.0)
+        done = node.drain(20.0)
+        ledger.log_completions(done)
+        # Class 2 serves rows 0, 4 and 5 FCFS: 0-1, 2-3, 3-4.
+        assert ledger.completion_time[[0, 4, 5]].tolist() == [1.0, 3.0, 4.0]
+        assert ledger.completion_time[[1, 3]].tolist() == [1.5, 2.5]
+        assert ledger.completion_of(2) == 2.0
+        np.testing.assert_array_equal(done, [0, 1, 2, 3, 4, 5])
+
+    @pytest.mark.parametrize("foreign", [-1, 3])
+    def test_a_row_of_a_foreign_class_is_rejected(self, foreign):
+        node = make_node()
+        ledger = node.ledger
+        rids = ledger.append_batch([0, 1], [0.0, 1.0], [1.0, 1.0])
+        # The ledger refuses such a class on append: forge it in the column.
+        ledger._class_index[rids[1]] = foreign
+        with pytest.raises(SimulationError, match=f"request of class {foreign} submitted"):
+            node.submit_batch(rids)
+        assert node.backlogs() == (0, 0, 0)
+
+    def test_exact_ties_merge_in_class_order(self):
+        node = make_node(2)
+        ledger = node.ledger
+        # Both classes complete at t = 2, 3, ... 41: class 1 arrives later
+        # with a shorter first request.  The 40 rows queued per class take
+        # the bulk fold, and the drain at 10.5 carries a row of each class.
+        rids = ledger.append_batch(
+            [0] * 40 + [1] * 40, [1.0] * 40 + [1.5] * 40, [1.0] * 40 + [0.5] + [1.0] * 39
+        )
+        node.submit_batch(rids)
+        for now in (10.5, 60.0):
+            node.engine.run_until(now)
+            ledger.log_completions(node.drain(now))
+        done = ledger.completed_ids
+        expected = [float(t) for t in range(2, 42) for _ in (0, 1)]
+        assert ledger.completion_time[done].tolist() == expected
+        assert ledger.class_index[done].tolist() == [0, 1] * 40
+
+
+class TestOneLedgerWritePerNodeDrain:
+    """A node drain writes its class servers' fresh rows in at most one
+    ``serve_batch``, on one node and on each member of a block-route
+    cluster."""
+
+    @pytest.mark.parametrize("nodes", [None, 2])
+    def test_at_most_one_serve_batch_per_drain(self, monkeypatch, nodes):
+        writes: list[int] = []
+        serve_batch = RequestLedger.serve_batch
+        drain = RateScalableServers.drain
+
+        def counted_serve_batch(self, *args):
+            writes[-1] += 1
+            return serve_batch(self, *args)
+
+        def counted_drain(self, *args):
+            writes.append(0)
+            return drain(self, *args)
+
+        monkeypatch.setattr(RequestLedger, "serve_batch", counted_serve_batch)
+        monkeypatch.setattr(RateScalableServers, "drain", counted_drain)
+        classes = make_classes(BoundedPareto(0.1, 10.0, 1.5), 0.8, (1.0, 2.0, 4.0))
+        server = RateScalableServers() if nodes is None else make_cluster(nodes, "round_robin")
+        config = MeasurementConfig(warmup=0.0, horizon=1_000.0, window=200.0)
+        result = Scenario(classes, config, server=server, seed=3).run()
+        assert result.ledger.num_completed > 100
+        assert max(writes) == 1
+        # A window brings ~100 rows to each class server: every drain at a
+        # boundary takes the bulk fold, so each node writes once a window.
+        assert sum(writes) >= len(result.rate_history) - 1
