@@ -46,10 +46,7 @@ def _replicate(build):
 
 def _pooled_p95(summary) -> float:
     slowdowns = np.concatenate(
-        [
-            np.asarray([r.slowdown for r in result.measured_records()], dtype=float)
-            for result in summary.results
-        ]
+        [result.ledger.slowdowns(result.measured_ids()) for result in summary.results]
     )
     return float(np.percentile(slowdowns, 95))
 

@@ -59,10 +59,7 @@ def _replicate(build):
 
 def _pooled_p95(summary) -> float:
     slowdowns = np.concatenate(
-        [
-            np.asarray([r.slowdown for r in result.measured_records()], dtype=float)
-            for result in summary.results
-        ]
+        [result.ledger.slowdowns(result.measured_ids()) for result in summary.results]
     )
     return float(np.percentile(slowdowns, 95))
 
@@ -153,7 +150,7 @@ def test_homogeneous_capacities_bit_identical(benchmark):
     scaled = CONFIG.scaled_measurement()
 
     def run(capacities):
-        server = make_cluster(NUM_NODES, "round_robin", capacities=capacities, record_dispatch=True)
+        server = make_cluster(NUM_NODES, "round_robin", capacities=capacities)
         result = Scenario(classes, scaled, server=server, spec=spec, seed=CONFIG.base_seed).run()
         return server, result
 
@@ -161,7 +158,7 @@ def test_homogeneous_capacities_bit_identical(benchmark):
         return run(None), run((1.0, 1.0))
 
     (bare_server, bare), (cap_server, capped) = benchmark.pedantic(both, rounds=1, iterations=1)
-    assert cap_server.dispatch_log == bare_server.dispatch_log
+    assert np.array_equal(cap_server.ledger.node, bare_server.ledger.node)
     assert capped.per_class_mean_slowdowns() == bare.per_class_mean_slowdowns()
     assert capped.rate_history == bare.rate_history
     assert capped.generated_counts == bare.generated_counts

@@ -19,8 +19,8 @@ the bench contrasts two ways of living through the overload:
 A second test pins the hot-path contract that makes admission affordable:
 with the quota controller in front, the batched dispatch pipeline and the
 per-event reference simulator (``tests/reference.py``) must produce
-*bit-identical* ledgers (every column, including the disposition column),
-dispatch logs and shed/degrade counters.  A third records the throughput of
+*bit-identical* ledgers (every column, including the disposition and node
+columns) and shed/degrade counters.  A third records the throughput of
 the live-admission walk (queue-length caps decided arrival by arrival) for
 the baseline's throughput gate.
 """
@@ -97,7 +97,7 @@ def _unfinished(summary) -> int:
     )
 
 
-def _build(admission, admission_args, *, record_dispatch=False):
+def _build(admission, admission_args):
     spec = PsdSpec.of(1, 2)
     classes = CONFIG.classes_for_load(LOAD, spec.deltas, allow_overload=True)
     return ClusterScalingBuild(
@@ -109,7 +109,6 @@ def _build(admission, admission_args, *, record_dispatch=False):
         dispatch_entropy=CONFIG.base_seed,
         capacities=resolve_capacities(MIX, NUM_NODES),
         partitioner="capacity",
-        record_dispatch=record_dispatch,
         admission=admission,
         admission_args=admission_args,
     )
@@ -173,14 +172,14 @@ def test_overload_admission_batched_bit_identical(benchmark):
     """Admission on the batched hot path must not perturb a single bit.
 
     The same quota-defended overloaded cell, batched pipeline vs the
-    per-event reference: every ledger column (including disposition), the
-    dispatch log, the completion set and the shed/degrade counters must be
+    per-event reference: every ledger column (including disposition and
+    node), the completion set and the shed/degrade counters must be
     *equal*, not approximately equal — the vectorised block decisions
     replay the scalar ladder exactly.
     """
 
     def both():
-        build = _build(ADMISSION, ADMISSION_ARGS, record_dispatch=True)
+        build = _build(ADMISSION, ADMISSION_ARGS)
         return _replicate(build), _replicate(reference_build(build))
 
     batched, scalar = benchmark.pedantic(both, rounds=1, iterations=1)
@@ -196,7 +195,7 @@ def test_overload_admission_batched_bit_identical(benchmark):
         assert np.array_equal(b.service_start_time, s.service_start_time, equal_nan=True)
         assert np.array_equal(b.completion_time, s.completion_time, equal_nan=True)
         assert np.array_equal(b.disposition, s.disposition)
-        assert batched_result.dispatch_log == scalar_result.dispatch_log
+        assert np.array_equal(b.node, s.node)
         assert batched_result.rejected_counts == scalar_result.rejected_counts
         assert batched_result.degraded_counts == scalar_result.degraded_counts
         assert batched_result.generated_counts == scalar_result.generated_counts

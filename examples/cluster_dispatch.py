@@ -72,8 +72,8 @@ def main() -> None:
             cluster = make_cluster(NUM_NODES, name, seed=2004)
             result = Scenario(classes, config, server=cluster, spec=spec, seed=7).run()
             gold, silver = result.per_class_mean_slowdowns()
-            slowdowns = [r.slowdown for r in result.measured_records()]
-            p95 = float(np.percentile(slowdowns, 95)) if slowdowns else float("nan")
+            slowdowns = result.ledger.slowdowns(result.measured_ids())
+            p95 = float(np.percentile(slowdowns, 95)) if slowdowns.size else float("nan")
             print(
                 f"  {name:<16} {gold:8.2f} {silver:8.2f} "
                 f"{silver / gold:7.2f} {p95:8.2f}"
@@ -102,8 +102,8 @@ def main() -> None:
         )
         result = Scenario(classes, config, server=cluster, spec=spec, seed=7).run()
         gold, silver = result.per_class_mean_slowdowns()
-        slowdowns = [r.slowdown for r in result.measured_records()]
-        p95 = float(np.percentile(slowdowns, 95)) if slowdowns else float("nan")
+        slowdowns = result.ledger.slowdowns(result.measured_ids())
+        p95 = float(np.percentile(slowdowns, 95)) if slowdowns.size else float("nan")
         print(
             f"  {name + ' + ' + partitioner:<30} {gold:8.2f} {silver:8.2f} "
             f"{silver / gold:7.2f} {p95:8.2f}"

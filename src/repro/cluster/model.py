@@ -50,9 +50,11 @@ fleet is static, and each block takes one of two routes:
   change re-bases those and re-predicts the heads alone, from the members'
   in-service state (:meth:`~repro.simulation.RateScalableServers.service_head`).
 
-Either way completions are logged in ``(time, node, class)`` order, so the
-dispatch log, fleet timeline, rate histories and aggregates are
-bit-identical to the per-event reference simulator the test suite keeps.
+Either way completions are logged in ``(time, node, class)`` order, and
+each block's node choices are written once into the ledger's ``node``
+column (created at bind, ``-1`` for rows never dispatched), so the node
+column, fleet timeline, rate histories and aggregates are bit-identical to
+the per-event reference simulator the test suite keeps.
 
 Dynamic fleets: a :class:`~repro.cluster.fleet.FleetSchedule` makes the
 member set time-varying.  At every event the cluster updates its per-node
@@ -112,12 +114,6 @@ class ClusterServerModel(ServerModel):
     partitioner:
         How the controller's per-class rates are split across nodes; defaults
         to the dispatch policy's preferred partitioner, or an equal split.
-    record_dispatch:
-        When true, every dispatched request's node index is appended to
-        :attr:`dispatch_log` (one entry per request for the whole run — the
-        determinism tests diff these logs).  Off by default so large
-        trace-replay runs do not grow an unbounded list nobody reads;
-        :meth:`dispatch_counts` is always maintained.
     fleet:
         Optional :class:`~repro.cluster.fleet.FleetSchedule` of node
         join/leave/degradation events applied at their simulation times.
@@ -131,7 +127,6 @@ class ClusterServerModel(ServerModel):
         *,
         dispatch: DispatchPolicy | None = None,
         partitioner: RatePartitioner | None = None,
-        record_dispatch: bool = False,
         fleet: FleetSchedule | None = None,
     ) -> None:
         super().__init__()
@@ -150,19 +145,13 @@ class ClusterServerModel(ServerModel):
         if partitioner is None:
             partitioner = self.dispatch.preferred_partitioner() or EqualSplit()
         self.partitioner = partitioner
-        self.record_dispatch = bool(record_dispatch)
         self.fleet = fleet if fleet is not None else FleetSchedule()
         self.fleet.validate_for(len(self.nodes))
         self._pending: list[list[int]] = []
         self._work_left: list[float] = []
-        self._dispatch_counts = np.zeros((0, 0), dtype=np.int64)
         self._node_state: list[str] = []
         self._live: tuple[int, ...] = ()
         self._last_rates: tuple[float, ...] | None = None
-        #: Node index chosen for every submitted request, in submission order
-        #: (only populated with ``record_dispatch=True``; the determinism
-        #: tests compare this log between runs).
-        self.dispatch_log: list[int] = []
         #: Fleet history: one ``(time, node_states, capacities)`` entry per
         #: state or capacity change, starting with the bind-time snapshot.
         #: States are the :data:`~repro.cluster.fleet.NODE_LIVE` /
@@ -208,8 +197,14 @@ class ClusterServerModel(ServerModel):
         return self._work_left
 
     def dispatch_counts(self) -> tuple[tuple[int, ...], ...]:
-        """Total requests dispatched per node per class over the whole run."""
-        return tuple(tuple(row) for row in self._dispatch_counts.tolist())
+        """Requests dispatched so far per node per class, from the ledger's
+        node and class columns."""
+        n, c = self.num_nodes, self.num_classes
+        node = self.ledger.node
+        dispatched = node >= 0
+        pairs = node[dispatched].astype(np.int64) * c + self.ledger.class_index[dispatched]
+        counts = np.bincount(pairs, minlength=n * c)
+        return tuple(tuple(row) for row in counts.reshape(n, c).tolist())
 
     def node_capacity(self, node: int) -> float:
         """The member node's relative capacity (1.0 when undeclared).
@@ -246,8 +241,7 @@ class ClusterServerModel(ServerModel):
         n, c = self.num_nodes, self.num_classes
         self._pending = [[0] * c for _ in range(n)]
         self._work_left = [0.0] * n
-        self._dispatch_counts = np.zeros((n, c), dtype=np.int64)
-        self.dispatch_log = []
+        self.ledger.track_nodes(n)
         down = set(self.fleet.initial_down)
         self._node_state = [NODE_DOWN if i in down else NODE_LIVE for i in range(n)]
         self._live = tuple(i for i in range(n) if self._node_state[i] == NODE_LIVE)
@@ -448,15 +442,17 @@ class ClusterServerModel(ServerModel):
         The policy's ``select_block`` produces the same node sequence its
         ``select_node`` would (cursor walks, RNG draws and home lookups do
         not depend on completions), so no completion interleaving is needed:
-        the whole block's bookkeeping collapses to two bincounts and one
-        per-node sub-block submission.  ``select_block`` implementations
-        guarantee live choices, so the per-request validation of
-        :meth:`_checked_node` is skipped here.
+        the whole block's bookkeeping collapses to two bincounts, one node
+        column scatter and one per-node sub-block submission.
+        ``select_block`` implementations guarantee live choices, so the
+        per-request validation of :meth:`_checked_node` is skipped here.
         """
         choices = self._select_block(rids, classes)
-        n = self.num_nodes
-        sizes = self.ledger.sizes_of(rids)
-        pair_counts = self._count_dispatches(choices, classes).tolist()
+        n, c = self.num_nodes, self.num_classes
+        ledger = self.ledger
+        ledger.assign_nodes(rids, choices)
+        sizes = ledger.sizes_of(rids)
+        pair_counts = np.bincount(choices * c + classes, minlength=n * c).reshape(n, c).tolist()
         work_add = np.bincount(choices, weights=sizes, minlength=n)
         for node in range(n):
             row_counts = pair_counts[node]
@@ -467,16 +463,6 @@ class ClusterServerModel(ServerModel):
                 row_pending[cls] += k
             self._work_left[node] += float(work_add[node])
             self.nodes[node].submit_batch(rids[choices == node])
-        if self.record_dispatch:
-            self.dispatch_log.extend(choices.tolist())
-
-    def _count_dispatches(self, choices: np.ndarray, classes: np.ndarray) -> np.ndarray:
-        """Add a block's choices to :meth:`dispatch_counts`; returns the
-        block's own ``(node, class)`` counts."""
-        n, c = self.num_nodes, self.num_classes
-        pair_counts = np.bincount(choices * c + classes, minlength=n * c).reshape(n, c)
-        self._dispatch_counts += pair_counts
-        return pair_counts
 
     def _dispatch_predicted(
         self, rids: np.ndarray, classes: np.ndarray, until: float = -np.inf
@@ -557,11 +543,8 @@ class ClusterServerModel(ServerModel):
                     start = t if t > last else last
                     heappush(calendar, (start + size / rate, node, cls, rid, size, start))
             queue.append((rid, t, size))
-        if not choices:
-            return
-        self._count_dispatches(np.asarray(choices, dtype=np.int64), classes)
-        if self.record_dispatch:
-            self.dispatch_log.extend(choices)
+        if choices:
+            self.ledger.assign_nodes(rids, choices)
 
     def _book_completions(self, now: float) -> None:
         """Book every calendar entry due by ``now`` into pending/work left.
@@ -809,7 +792,6 @@ def make_cluster(
     capacities: Sequence[float] | None = None,
     partitioner: RatePartitioner | None = None,
     seed: int | np.random.SeedSequence | np.random.Generator | None = 0,
-    record_dispatch: bool = False,
     fleet: FleetSchedule | None = None,
 ) -> ClusterServerModel:
     """Build a cluster of ``num_nodes`` fresh :class:`RateScalableServers`.
@@ -850,6 +832,5 @@ def make_cluster(
         nodes,
         dispatch=dispatch,
         partitioner=partitioner,
-        record_dispatch=record_dispatch,
         fleet=fleet,
     )

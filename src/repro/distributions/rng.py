@@ -43,14 +43,25 @@ def make_generator(
 def spawn_seed_sequences(
     seed: int | np.random.SeedSequence | None, count: int
 ) -> list[np.random.SeedSequence]:
-    """Spawn ``count`` independent child seed sequences from ``seed``."""
+    """Spawn ``count`` independent child seed sequences from ``seed``.
+
+    A seed is a value: the children are derived from a passed
+    ``SeedSequence``'s entropy and spawn key without advancing it (which
+    ``SeedSequence.spawn`` would), so the same seed always gives the same
+    children — for a fresh sequence, exactly the ones ``spawn`` gives.
+    """
     if count <= 0:
         raise ParameterError(f"count must be > 0, got {count}")
     if isinstance(seed, np.random.SeedSequence):
         root = seed
     else:
         root = np.random.SeedSequence(seed)
-    return root.spawn(count)
+    return [
+        np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (i,), pool_size=root.pool_size
+        )
+        for i in range(count)
+    ]
 
 
 def spawn_generators(

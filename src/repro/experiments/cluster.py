@@ -72,9 +72,6 @@ class ClusterScalingBuild:
     #: Churn: a :class:`repro.cluster.FleetSchedule` already scaled to the
     #: measurement's raw time units; ``None`` keeps the fleet static.
     fleet: FleetSchedule | None = None
-    #: Record every dispatch decision into the result's ``dispatch_log``
-    #: (the determinism matrix diffs these across worker counts).
-    record_dispatch: bool = False
     #: Admission policy registry name (:data:`repro.cluster.
     #: ADMISSION_POLICIES`) plus its ``key=value`` argument tokens; the
     #: policy is built *fresh per replication* inside :meth:`__call__`, so
@@ -98,7 +95,6 @@ class ClusterScalingBuild:
                 else build_partitioner(self.partitioner),
                 seed=dispatch_seed,
                 fleet=self.fleet,
-                record_dispatch=self.record_dispatch,
             )
         controller = FeedbackPsdController(self.classes, self.spec)
         admission = (

@@ -19,18 +19,20 @@ Three presets are provided:
     figures are preserved.  This is what EXPERIMENTS.md is generated with.
 ``quick``
     A smoke-test preset used by the test-suite and the pytest benches.
+
+The cluster fields (dispatch policies, capacity mixes, fleet events,
+admission and autoscaler) import their :mod:`repro.cluster` modules where
+they are validated or built, and the presets are built on first use, so a
+single-node figure run compiles no cluster module until it builds a config.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cache
+from typing import TYPE_CHECKING
 
-from ..cluster.admission import build_admission
-from ..cluster.autoscale import AutoscalerPolicy, build_autoscaler
-from ..cluster.capacity import CAPACITY_MIXES, resolve_capacities
-from ..cluster.dispatch import DISPATCH_POLICIES
-from ..cluster.fleet import FleetSchedule, parse_fleet_events
 from ..core.admission import AdmissionPolicy
 from ..distributions.bounded_pareto import BoundedPareto
 from ..errors import ExperimentError, ParameterError, SimulationError
@@ -39,7 +41,17 @@ from ..types import TrafficClass
 from ..validation import require_count
 from ..workload.webserver import web_classes
 
+if TYPE_CHECKING:
+    from ..cluster.autoscale import AutoscalerPolicy
+    from ..cluster.fleet import FleetSchedule
+
 __all__ = ["ExperimentConfig", "PRESETS", "get_preset"]
+
+
+def _dispatch_policy_names() -> tuple[str, ...]:
+    from ..cluster.dispatch import DISPATCH_POLICIES
+
+    return tuple(DISPATCH_POLICIES)
 
 
 def _node_counts(nodes: Sequence[int]) -> tuple[int, ...]:
@@ -68,7 +80,7 @@ class ExperimentConfig:
     cluster_nodes: tuple[int, ...] = (1, 2, 4)
     #: Dispatch policies swept by the cluster-scaling experiment; defaults to
     #: every registered :data:`repro.cluster.DISPATCH_POLICIES` name.
-    dispatch_policies: tuple[str, ...] = field(default_factory=lambda: tuple(DISPATCH_POLICIES))
+    dispatch_policies: tuple[str, ...] = field(default_factory=_dispatch_policy_names)
     #: Capacity mixes swept by the heterogeneous section of the cluster
     #: experiment: named mixes (:data:`repro.cluster.CAPACITY_MIXES`) run on
     #: the largest node count of :attr:`cluster_nodes`; an explicit tuple of
@@ -110,12 +122,14 @@ class ExperimentConfig:
             raise ExperimentError("cluster_nodes must be a non-empty tuple of counts >= 1")
         if not self.dispatch_policies:
             raise ExperimentError("dispatch_policies must be non-empty")
-        unknown = [p for p in self.dispatch_policies if p not in DISPATCH_POLICIES]
+        known = _dispatch_policy_names()
+        unknown = [p for p in self.dispatch_policies if p not in known]
         if unknown:
             raise ExperimentError(
-                f"unknown dispatch policies {unknown}; "
-                f"available: {sorted(DISPATCH_POLICIES)}"
+                f"unknown dispatch policies {unknown}; available: {sorted(known)}"
             )
+        from ..cluster.capacity import CAPACITY_MIXES, resolve_capacities
+
         for mix in self.capacity_mixes:
             if isinstance(mix, str):
                 if mix not in CAPACITY_MIXES:
@@ -133,23 +147,21 @@ class ExperimentConfig:
                     ) from None
         if self.fleet_events:
             try:
-                parse_fleet_events(self.fleet_events)
+                self.fleet_schedule()
             except SimulationError as error:
                 raise ExperimentError(f"bad fleet_events: {error}") from None
         if self.admission_args and self.admission is None:
             raise ExperimentError("admission_args given without an admission policy")
-        if self.admission is not None:
-            try:
-                build_admission(self.admission, self.admission_args)
-            except Exception as error:
-                raise ExperimentError(f"bad admission policy: {error}") from None
+        try:
+            self.build_admission_policy()
+        except Exception as error:
+            raise ExperimentError(f"bad admission policy: {error}") from None
         if self.autoscaler_args and self.autoscaler is None:
             raise ExperimentError("autoscaler_args given without an autoscaler policy")
-        if self.autoscaler is not None:
-            try:
-                build_autoscaler(self.autoscaler, self.autoscaler_args)
-            except Exception as error:
-                raise ExperimentError(f"bad autoscaler policy: {error}") from None
+        try:
+            self.build_autoscaler_policy()
+        except Exception as error:
+            raise ExperimentError(f"bad autoscaler policy: {error}") from None
 
     # ------------------------------------------------------------------ #
     # Workload helpers
@@ -185,9 +197,11 @@ class ExperimentConfig:
         """
         if self.admission is None:
             return None
+        from ..cluster.admission import build_admission
+
         return build_admission(self.admission, self.admission_args)
 
-    def build_autoscaler_policy(self) -> AutoscalerPolicy | None:
+    def build_autoscaler_policy(self) -> "AutoscalerPolicy | None":
         """A fresh autoscaler instance, or ``None`` when unset.
 
         Built fresh on every call (policies hold cooldown/warm-up state),
@@ -195,9 +209,11 @@ class ExperimentConfig:
         """
         if self.autoscaler is None:
             return None
+        from ..cluster.autoscale import build_autoscaler
+
         return build_autoscaler(self.autoscaler, self.autoscaler_args)
 
-    def fleet_schedule(self) -> FleetSchedule | None:
+    def fleet_schedule(self) -> "FleetSchedule | None":
         """The parsed churn schedule, still in abstract time units.
 
         Scale it alongside the measurement protocol
@@ -207,6 +223,8 @@ class ExperimentConfig:
         """
         if not self.fleet_events:
             return None
+        from ..cluster.fleet import parse_fleet_events
+
         return parse_fleet_events(self.fleet_events)
 
     # ------------------------------------------------------------------ #
@@ -283,33 +301,44 @@ class ExperimentConfig:
         )
 
 
-PRESETS: dict[str, ExperimentConfig] = {
-    "paper": ExperimentConfig(
-        measurement=MeasurementConfig.paper(),
-        name="paper",
-    ),
-    "default": ExperimentConfig(
-        measurement=MeasurementConfig(
-            warmup=4_000.0, horizon=24_000.0, window=1_000.0, replications=10
+@cache
+def _presets() -> dict[str, ExperimentConfig]:
+    return {
+        "paper": ExperimentConfig(
+            measurement=MeasurementConfig.paper(),
+            name="paper",
         ),
-        name="default",
-    ),
-    "quick": ExperimentConfig(
-        measurement=MeasurementConfig(
-            warmup=500.0, horizon=4_000.0, window=500.0, replications=2
+        "default": ExperimentConfig(
+            measurement=MeasurementConfig(
+                warmup=4_000.0, horizon=24_000.0, window=1_000.0, replications=10
+            ),
+            name="default",
         ),
-        load_grid=(0.3, 0.6, 0.9),
-        name="quick",
-        cluster_nodes=(1, 2),
-        dispatch_policies=("round_robin", "jsq"),
-        capacity_mixes=("uniform", "2:1"),
-    ),
-}
+        "quick": ExperimentConfig(
+            measurement=MeasurementConfig(
+                warmup=500.0, horizon=4_000.0, window=500.0, replications=2
+            ),
+            load_grid=(0.3, 0.6, 0.9),
+            name="quick",
+            cluster_nodes=(1, 2),
+            dispatch_policies=("round_robin", "jsq"),
+            capacity_mixes=("uniform", "2:1"),
+        ),
+    }
+
+
+def __getattr__(name: str):
+    # ``PRESETS`` is built on first access: the default presets validate
+    # the cluster fields, which import cluster modules.
+    if name == "PRESETS":
+        return _presets()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def get_preset(name: str) -> ExperimentConfig:
     """Look up a preset by name (``paper``, ``default`` or ``quick``)."""
+    presets = _presets()
     try:
-        return PRESETS[name]
+        return presets[name]
     except KeyError:
-        raise ExperimentError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
+        raise ExperimentError(f"unknown preset {name!r}; available: {sorted(presets)}") from None

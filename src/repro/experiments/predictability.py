@@ -170,8 +170,12 @@ def run_individual_requests(
         measurement=measurement,
         server_factory=server_factory,
     )
-    run = summary.results[0]
-    records = run.trace.in_window(window_start, measurement.horizon, by="completion")
+    ledger = summary.results[0].ledger
+    ids = ledger.completed_ids
+    done = ledger.completion_time[ids]
+    ids = ids[(window_start <= done) & (done < measurement.horizon)]
+    span_classes = ledger.class_index[ids]
+    span_slowdowns = ledger.slowdowns(ids)
 
     result = ExperimentResult(
         experiment_id=experiment_id,
@@ -186,7 +190,7 @@ def run_individual_requests(
     )
     per_class_slowdowns: list[np.ndarray] = []
     for c in range(spec.num_classes):
-        values = np.asarray([r.slowdown for r in records if r.class_index == c])
+        values = span_slowdowns[span_classes == c]
         per_class_slowdowns.append(values)
         result.add_row(
             **{

@@ -100,7 +100,6 @@ def run_telemetry_probe(
         capacities=resolve_capacities("2:1", PROBE_NODES),
         seed=np.random.SeedSequence(entropy=(config.base_seed, 1)),
         fleet=_probe_fleet(config, config.measurement.warmup),
-        record_dispatch=True,
     )
     result = Scenario(
         classes,

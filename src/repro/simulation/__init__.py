@@ -7,19 +7,20 @@ The package is layered as *engine -> scenario -> server model -> runner*:
 * :mod:`repro.simulation.ledger` — :class:`RequestLedger`, the columnar
   (struct-of-arrays) request store and the only record of a run: every
   request is one row across preallocated NumPy columns, addressed by integer
-  row id; the whole lifecycle (servers, cluster dispatch, monitor, trace)
-  moves ids, never objects.
+  row id; the whole lifecycle (servers, cluster dispatch, monitor) moves
+  ids, never objects, and a clustered run's ledger also holds each row's
+  serving node.
 * :mod:`repro.simulation.generator` — per-class request sources (Poisson,
   deterministic, trace replay).
 * :mod:`repro.simulation.scenario` — :class:`Scenario`, the composable
   assembly every simulation shares: sources, admission, windowed monitor,
-  trace, estimation-window ticks and the controller hookup.
+  estimation-window ticks and the controller hookup.
 * :mod:`repro.simulation.server_models` — pluggable :class:`ServerModel`
   substrates: :class:`RateScalableServers` (the paper's idealised Fig. 1
   model) and :class:`SharedProcessorServer` (one full-speed processor driven
   by any :mod:`repro.scheduling` discipline).
-* :mod:`repro.simulation.monitor` / :mod:`repro.simulation.trace` —
-  measurement: read-only views over the ledger.
+* :mod:`repro.simulation.monitor` — measurement: a read-only view over the
+  ledger.
 * :mod:`repro.simulation.trace_io` — :func:`load_trace` / :func:`save_trace`:
   CSV/NPZ arrival logs parsed columnar into per-class :class:`TraceSource`s,
   and completed runs written back out as replayable logs.
@@ -68,7 +69,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         ".scenario": ("Scenario", "SimulationResult", "RateController", "StaticRateController"),
         ".server_models": ("ServerModel", "RateScalableServers", "SharedProcessorServer"),
         ".task_server": ("FcfsTaskServer",),
-        ".trace": ("SimulationTrace", "RequestRecord"),
         ".trace_io": ("load_trace", "save_trace", "trace_sources_from_arrays"),
     },
 )

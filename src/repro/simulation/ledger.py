@@ -7,14 +7,23 @@ so nothing in the pipeline ever needs a per-request Python object.
 set of preallocated, geometrically grown NumPy columns
 
     ``class_index | arrival_time | size |
-    service_start_time | completion_time | disposition``
+    service_start_time | completion_time | disposition [| node]``
 
 and the whole simulation stack addresses requests by integer row id — the
 row id is the request's only identity:
 :class:`~repro.simulation.scenario.Scenario` appends a row per arrival, the
-server models queue and serve row ids, and the monitor/trace layer computes
-every statistic with vectorised NumPy over the columns.  The ledger is the
-only record of a run.
+server models queue and serve row ids, and the monitor computes every
+statistic with vectorised NumPy over the columns.  The ledger is the only
+record of a run's requests: per-request readers (the individual-request
+figures, the Chrome trace, the run-end invariants) filter its columns.
+
+The ``node`` column exists only on a clustered run's ledger: the cluster
+creates it when it binds (:meth:`RequestLedger.track_nodes`), and writes
+each dispatched block's node choices into it once
+(:meth:`RequestLedger.assign_nodes`).  It is ``int16`` and holds ``-1`` for
+every row not dispatched — shed rows, and rows of a block not yet
+dispatched.  A single-server ledger has no node column (``node`` is
+``None``), so its rows pickle no wider.
 
 The ``disposition`` column records each request's admission outcome
 (:data:`DISPOSITION_ADMITTED` / :data:`DISPOSITION_DEGRADED` /
@@ -86,6 +95,7 @@ class RequestLedger:
         "_service_start",
         "_completion",
         "_disposition",
+        "_node",
         "_completed",
         "_order",
     )
@@ -106,6 +116,7 @@ class RequestLedger:
         self._service_start = np.full(capacity, math.nan, dtype=np.float64)
         self._completion = np.full(capacity, math.nan, dtype=np.float64)
         self._disposition = np.zeros(capacity, dtype=np.uint8)
+        self._node: np.ndarray | None = None
         self._order = np.empty(capacity, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
@@ -157,6 +168,12 @@ class RequestLedger:
         return self._view(self._disposition, self._n)
 
     @property
+    def node(self) -> np.ndarray | None:
+        """Serving node per row (``-1``: not dispatched); ``None`` unless a
+        cluster tracks nodes on this ledger."""
+        return None if self._node is None else self._view(self._node, self._n)
+
+    @property
     def completed_ids(self) -> np.ndarray:
         """Row ids of completed requests, in completion (= time) order."""
         return self._view(self._order, self._completed)
@@ -188,10 +205,23 @@ class RequestLedger:
     # ------------------------------------------------------------------ #
     # Appending rows
     # ------------------------------------------------------------------ #
+    def track_nodes(self, num_nodes: int) -> None:
+        """Add the ``node`` column, every row ``-1`` (called by a cluster at
+        bind; ``int16`` holds the node index of up to 32,767 nodes)."""
+        if not 0 < num_nodes <= np.iinfo(np.int16).max:
+            raise SimulationError(
+                f"the node column holds 1 to {np.iinfo(np.int16).max} nodes, got {num_nodes}"
+            )
+        self._node = np.full(self.capacity, -1, dtype=np.int16)
+
+    def assign_nodes(self, rids, nodes) -> None:
+        """Write the serving node of a dispatched row or block of rows."""
+        self._node[rids] = nodes
+
     def _grow(self) -> None:
         old_capacity = self.capacity
         new_capacity = max(old_capacity * 2, 16)
-        for name in (
+        names = [
             "_class_index",
             "_arrival_time",
             "_size",
@@ -199,7 +229,10 @@ class RequestLedger:
             "_completion",
             "_disposition",
             "_order",
-        ):
+        ]
+        if self._node is not None:
+            names.append("_node")
+        for name in names:
             old = getattr(self, name)
             grown = np.empty(new_capacity, dtype=old.dtype)
             # Column lengths can differ after unpickling (the completion log
@@ -210,6 +243,8 @@ class RequestLedger:
         self._service_start[old_capacity:] = math.nan
         self._completion[old_capacity:] = math.nan
         self._disposition[old_capacity:] = DISPOSITION_ADMITTED
+        if self._node is not None:
+            self._node[old_capacity:] = -1
 
     def append_batch(
         self,
@@ -481,7 +516,7 @@ class RequestLedger:
         # Pickling a contiguous slice writes only its rows, and unpickling
         # builds fresh, writable arrays, so the views need no copy here.
         n, m = self._n, self._completed
-        return {
+        state = {
             "num_classes": self.num_classes,
             "class_index": self._class_index[:n],
             "arrival_time": self._arrival_time[:n],
@@ -491,6 +526,9 @@ class RequestLedger:
             "disposition": self._disposition[:n],
             "order": self._order[:m],
         }
+        if self._node is not None:
+            state["node"] = self._node[:n]
+        return state
 
     def __setstate__(self, state: dict) -> None:
         self.num_classes = state["num_classes"]
@@ -500,6 +538,7 @@ class RequestLedger:
         self._service_start = state["service_start"]
         self._completion = state["completion"]
         self._disposition = state["disposition"]
+        self._node = state.get("node")
         self._n = int(self._class_index.shape[0])
         self._completed = int(state["order"].shape[0])
         # Pad the completion log back to full capacity so rows that were

@@ -90,7 +90,6 @@ from .generator import RequestSource, sources_from_classes
 from .ledger import DISPOSITION_DEGRADED, DISPOSITION_SHED, RequestLedger
 from .monitor import MeasurementConfig, WindowedMonitor
 from .server_models import RateScalableServers, ServerModel
-from .trace import SimulationTrace
 
 __all__ = [
     "RateController",
@@ -159,14 +158,13 @@ class SimulationResult:
     """Everything a single simulation run produced.
 
     ``ledger`` is the run's columnar request store and its only record of
-    requests: ``trace`` and ``monitor`` are views over it, and the
-    post-warm-up summaries below are computed with vectorised NumPy over its
-    columns.
+    requests (a clustered run's ledger also holds each row's serving node):
+    ``monitor`` is a view over it, and the post-warm-up summaries below are
+    computed with vectorised NumPy over its columns.
     """
 
     classes: tuple[TrafficClass, ...]
     config: MeasurementConfig
-    trace: SimulationTrace
     monitor: WindowedMonitor
     controller: RateController
     ledger: RequestLedger
@@ -184,10 +182,6 @@ class SimulationResult:
     #: entries copied from :attr:`repro.cluster.ClusterServerModel.
     #: fleet_timeline`; ``None`` for non-cluster servers.
     fleet_timeline: list[tuple[float, tuple[str, ...], tuple[float | None, ...]]] | None = None
-    #: Per-request node choices of a clustered run built with
-    #: ``record_dispatch=True`` (``None`` otherwise); rides replication
-    #: results so determinism tests can diff dispatch across worker counts.
-    dispatch_log: list[int] | None = None
     #: Per-node rate-share history of a clustered run with telemetry
     #: attached — ``(time, ((node0 per-class shares), ...))`` per
     #: ``apply_rates`` call; ``None`` otherwise.  Health snapshots derive
@@ -206,17 +200,10 @@ class SimulationResult:
     # ------------------------------------------------------------------ #
     # Post-warm-up summaries (the quantities the paper reports)
     # ------------------------------------------------------------------ #
-    def measured_records(self):
-        """Completed requests whose completion falls after the warm-up.
-
-        Materialises one :class:`~repro.simulation.trace.RequestRecord` per
-        request — use the vectorised summaries below when aggregates are all
-        that is needed.
-        """
-        return self.trace.in_window(self.config.warmup, float("inf"), by="completion")
-
-    def _measured_ids(self) -> np.ndarray:
-        """Ledger row ids measured by the protocol, in completion order."""
+    def measured_ids(self) -> np.ndarray:
+        """Ledger row ids measured by the protocol (completed after the
+        warm-up), in completion order: ``ledger.slowdowns(measured_ids())``
+        are the measured requests' slowdowns."""
         ids = self.ledger.completed_ids
         completion = self.ledger.completion_time[ids]
         return ids[completion >= self.config.warmup]
@@ -225,7 +212,7 @@ class SimulationResult:
         return self.monitor._measurement().class_means
 
     def per_class_mean_waiting_times(self) -> tuple[float, ...]:
-        ids = self._measured_ids()
+        ids = self.measured_ids()
         cls = self.ledger.class_index[ids]
         values = self.ledger.waiting_times(ids)
         return tuple(
@@ -235,7 +222,7 @@ class SimulationResult:
 
     def per_class_completed_work(self) -> tuple[float, ...]:
         """Total full-rate service demand completed per class after warm-up."""
-        ids = self._measured_ids()
+        ids = self.measured_ids()
         work = np.bincount(
             self.ledger.class_index[ids],
             weights=self.ledger.size[ids],
@@ -368,7 +355,6 @@ class Scenario:
         self.sources = list(sources)
 
         self.ledger = RequestLedger(len(self.classes))
-        self.trace = SimulationTrace(len(self.classes), ledger=self.ledger)
         self.monitor = WindowedMonitor(
             len(self.classes),
             warmup=config.warmup,
@@ -744,7 +730,6 @@ class Scenario:
         return SimulationResult(
             classes=self.classes,
             config=self.config,
-            trace=self.trace,
             monitor=self.monitor,
             controller=self.controller,
             rate_history=self.rate_history,
@@ -758,9 +743,6 @@ class Scenario:
             degraded_into_counts=tuple(self._degraded_to),
             ledger=self.ledger,
             fleet_timeline=getattr(self.server, "fleet_timeline", None),
-            dispatch_log=getattr(self.server, "dispatch_log", None)
-            if getattr(self.server, "record_dispatch", False)
-            else None,
             node_share_history=getattr(self.server, "share_history", None),
             autoscale_events=list(self.autoscale_events) if self.autoscaler is not None else None,
         )

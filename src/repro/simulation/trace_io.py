@@ -150,10 +150,10 @@ def save_trace(path: str | os.PathLike, source) -> str:
 
     ``source`` is a :class:`~repro.simulation.ledger.RequestLedger` or any
     object exposing one as ``.ledger`` (a completed
-    :class:`~repro.simulation.SimulationResult`, a scenario, a ledger-backed
-    trace).  The format follows the extension, exactly as in
-    :func:`load_trace`; both formats round-trip bit-identically
-    (the CSV uses ``%.17g``, the shortest exact rendering of a double).
+    :class:`~repro.simulation.SimulationResult` or a scenario).  The format
+    follows the extension, exactly as in :func:`load_trace`; both formats
+    round-trip bit-identically (the CSV uses ``%.17g``, the shortest exact
+    rendering of a double).
     """
     path = os.fspath(path)
     classes, arrivals, sizes = _arrival_columns(source)

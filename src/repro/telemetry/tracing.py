@@ -1,13 +1,14 @@
 """Span-based request tracing exported as Chrome trace-event JSON.
 
 Traces are assembled *after* the run, from artefacts the simulation records
-anyway (the ledger's lifecycle columns, ``rate_history``, ``dispatch_log``,
-``fleet_timeline`` and — optionally — a :class:`~repro.telemetry.Telemetry`
-facade's batch/drain marks).  Building post-run has two consequences worth
-the design: the hot path pays nothing for tracing, and the trace is a pure
-function of the :class:`~repro.simulation.SimulationResult` — a run under
-``workers=N`` produces byte-identical events to the serial run because the
-results themselves are bit-identical.
+anyway (the ledger's lifecycle columns and, on clustered runs, its ``node``
+column, ``rate_history``, ``fleet_timeline`` and — optionally — a
+:class:`~repro.telemetry.Telemetry` facade's batch/drain marks).  Building
+post-run has two consequences worth the design: the hot path pays nothing
+for tracing, and the trace is a pure function of the
+:class:`~repro.simulation.SimulationResult` — a run under ``workers=N``
+produces byte-identical events to the serial run because the results
+themselves are bit-identical.
 
 Sampling is deterministic and seed-stable: each request's keep/drop decision
 is a `splitmix64 <https://prng.di.unimi.it/splitmix64.c>`_ hash of
@@ -116,8 +117,8 @@ def chrome_trace_events(
     Event layout: ``pid 0`` carries run phases (estimation-window spans,
     batch/drain instants), ``pid 1`` the sampled request lifecycles (one
     ``queued`` + one ``service`` complete-span per request; ``tid`` is the
-    serving node for clustered runs with a dispatch log, the request's class
-    otherwise), ``pid 2`` per-node fleet state (draining/down spans and
+    serving node, read from the ledger's ``node`` column, on clustered runs,
+    the request's class otherwise), ``pid 2`` per-node fleet state (draining/down spans and
     fleet-event instants).
     """
     if sample_rate is None:
@@ -134,16 +135,14 @@ def chrome_trace_events(
     # --- request lifecycle spans (deterministically sampled) ---------- #
     ids = ledger.completed_ids
     keep = sample_mask(ids, seed, sample_rate)
-    dispatch_log = result.dispatch_log
+    nodes = ledger.node
     for rid in ids[keep]:
         rid = int(rid)
         arrival = float(ledger.arrival_time[rid])
         start = float(ledger.service_start_time[rid])
         completion = float(ledger.completion_time[rid])
         class_index = int(ledger.class_index[rid])
-        # dispatch_log is rid-dense: every ledger row is submitted exactly
-        # once in row order, so row id indexes the node choices directly.
-        node = int(dispatch_log[rid]) if dispatch_log is not None else None
+        node = int(nodes[rid]) if nodes is not None else None
         tid = node if node is not None else class_index
         args = {"rid": rid, "class": class_index}
         if node is not None:

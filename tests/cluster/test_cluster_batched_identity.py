@@ -62,7 +62,6 @@ def _run(det_classes, policy, partitioner, fleet, scenario_class=Scenario):
         policy,
         partitioner=None if partitioner is None else build_partitioner(partitioner),
         seed=77,
-        record_dispatch=True,
         fleet=fleet,
     )
     return scenario_class(
@@ -84,7 +83,7 @@ def _fingerprint(result) -> str:
         repr(result.rate_history),
         repr(result.generated_counts),
         repr(result.completed_counts),
-        repr(result.dispatch_log),
+        repr(None if ledger.node is None else ledger.node.tolist()),
         repr(result.fleet_timeline),
         repr(len(ledger)),
         repr(ledger.num_completed),
@@ -129,7 +128,6 @@ class TestReplicatedMatrix:
             policy=policy,
             dispatch_entropy=123,
             fleet=CHURN,
-            record_dispatch=True,
         )
         parallel = ReplicationRunner(replications=3, base_seed=31, workers=2).run(build)
         serial = ReplicationRunner(replications=3, base_seed=31, workers=1).run(
@@ -138,7 +136,7 @@ class TestReplicatedMatrix:
         assert parallel.per_class_slowdowns == serial.per_class_slowdowns
         assert parallel.system_slowdown == serial.system_slowdown
         for batched_result, per_event_result in zip(parallel.results, serial.results):
-            assert batched_result.dispatch_log == per_event_result.dispatch_log
+            assert np.array_equal(batched_result.ledger.node, per_event_result.ledger.node)
             assert batched_result.rate_history == per_event_result.rate_history
             assert batched_result.fleet_timeline == per_event_result.fleet_timeline
             assert batched_result.generated_counts == per_event_result.generated_counts
@@ -165,7 +163,6 @@ class TestFleetEventAtArrivalInstant:
             3,
             "round_robin",
             fleet=parse_fleet_events("leave:1@5.0"),
-            record_dispatch=True,
             seed=1,
         )
         result = scenario_class(
@@ -184,7 +181,7 @@ class TestFleetEventAtArrivalInstant:
         result = self._run(scenario_class)
         # Round-robin cursor sits at node 1 for the t=5 arrival, but node 1
         # is already down at that instant — the arrival must skip to node 2.
-        assert result.dispatch_log == [0, 2, 0]
+        assert result.ledger.node.tolist() == [0, 2, 0]
         assert result.fleet_timeline[-1][1] == ("live", "down", "live")
 
     def test_batched_matches_per_event(self):
@@ -230,7 +227,7 @@ class TestZeroRateOnCalendar:
                 sizes=self.SIZES[::-1] * 2,
             ),
         ]
-        cluster = make_cluster(2, "weighted_jsq", record_dispatch=True, seed=1)
+        cluster = make_cluster(2, "weighted_jsq", seed=1)
         result = scenario_class(
             self.CLASSES,
             self.ZERO_CFG,
@@ -245,10 +242,9 @@ class TestZeroRateOnCalendar:
         cluster, result = self._run(Scenario)
         assert cluster._calendar is not None
         ledger = result.ledger
-        log = np.asarray(result.dispatch_log)
         frozen = 0
         for node in (0, 1):
-            rows = np.flatnonzero((ledger.class_index == 1) & (log == node))
+            rows = np.flatnonzero((ledger.class_index == 1) & (ledger.node == node))
             early = rows[ledger.arrival_time[rows] < 4.0]
             assert early.size >= 2  # a frozen head with work queued behind it
             head = int(early[0])
@@ -301,7 +297,7 @@ class TestExactCompletionTies:
                 sizes=[0.75] * nodes + [1.0] * (per_class - nodes),
             ),
         ]
-        server = make_cluster(nodes, "round_robin", record_dispatch=True, seed=1)
+        server = make_cluster(nodes, "round_robin", seed=1)
         result = scenario_class(
             self.CLASSES,
             self.TIE_CFG,
@@ -319,7 +315,7 @@ class TestExactCompletionTies:
         done = ledger.completed_ids
         assert done.size == 80 * nodes
         times = ledger.completion_time[done]
-        node_of = np.asarray(result.dispatch_log)[done]
+        node_of = ledger.node[done]
         class_of = ledger.class_index[done]
         # Every instant t = 9, 11, ..., 87 completes one row per class server.
         assert times.tolist() == [float(t) for t in range(9, 89, 2) for _ in range(2 * nodes)]

@@ -153,7 +153,6 @@ def _cluster(policy, events):
         3,
         policy,
         fleet=parse_fleet_events(events) if events else None,
-        record_dispatch=True,
         seed=3,
     )
 
@@ -169,7 +168,7 @@ def test_batched_dispatch_replays_per_event_oracle(case, policy):
         batched.ledger.arrival_time.tobytes() == per_event.ledger.arrival_time.tobytes()
     )
     # Every dispatch decision matches the per-event oracle.
-    assert batched.dispatch_log == per_event.dispatch_log
+    assert np.array_equal(batched.ledger.node, per_event.ledger.node)
     assert batched.fleet_timeline == per_event.fleet_timeline
     assert batched.rate_history == per_event.rate_history
     assert batched.ledger.completion_time.tobytes() == (
@@ -223,8 +222,9 @@ _THAW = (
 def test_rate_changes_replay_per_event_oracle(case, policy):
     """Every window boundary rebuilds the calendar at the scripted rates:
     heads in service re-based, frozen servers thawed with work waiting,
-    empty servers skipped — and every ledger column, the completion log,
-    the dispatch log and the fleet timeline match the per-event reference.
+    empty servers skipped — and every ledger column (the node column
+    included), the completion log and the fleet timeline match the
+    per-event reference.
     """
     traces, events, script = case
     runs = [
@@ -245,10 +245,10 @@ def test_rate_changes_replay_per_event_oracle(case, policy):
         "service_start_time",
         "completion_time",
         "disposition",
+        "node",
         "completed_ids",
     ):
         assert getattr(batched, column).tobytes() == getattr(per_event, column).tobytes(), column
-    assert runs[0].dispatch_log == runs[1].dispatch_log
     assert runs[0].fleet_timeline == runs[1].fleet_timeline
     assert runs[0].rate_history == runs[1].rate_history
 
@@ -267,7 +267,7 @@ def test_rebuild_before_the_heads_arrive(traces, policy, rate):
     arrivals: its blocks end at the next boundary or fleet event.)"""
     gaps, sizes = traces[0]
     arrivals = (1.0 + np.cumsum(gaps)).tolist()
-    cluster = make_cluster(3, policy, record_dispatch=True, seed=3)
+    cluster = make_cluster(3, policy, seed=3)
     cluster.bind(SimulationEngine(), CLASSES[1])
     cluster.apply_rates((0.0,))
     ledger = cluster.ledger
@@ -279,7 +279,7 @@ def test_rebuild_before_the_heads_arrive(traces, policy, rate):
     share = rate / 3  # the equal split of every calendar policy's partitioner
     free = [-math.inf] * 3
     starts, completions = [], []
-    for node, arrival, size in zip(cluster.dispatch_log, arrivals, sizes):
+    for node, arrival, size in zip(ledger.node.tolist(), arrivals, sizes):
         starts.append(max(arrival, free[node]))
         free[node] = starts[-1] + size / share
         completions.append(free[node])
@@ -304,11 +304,10 @@ class _AuditedCluster(ClusterServerModel):
         self.syncs = 0
 
     def submit_batch(self, rids):
-        before = len(self.dispatch_log)
         super().submit_batch(rids)
         ledger = self.ledger
         sums = {}
-        for rid, node in zip(rids.tolist(), self.dispatch_log[before:]):
+        for rid, node in zip(rids.tolist(), ledger.node[rids].tolist()):
             self.node_of[rid] = node
             self.expected_pending[node][ledger.class_of(rid)] += 1
             sums[node] = sums.get(node, 0.0) + ledger.size_of(rid)
@@ -339,7 +338,6 @@ def _audited(policy, events="", num_nodes=3):
         [RateScalableServers() for _ in range(num_nodes)],
         dispatch=build_dispatch_policy(policy, seed=3),
         fleet=parse_fleet_events(events) if events else None,
-        record_dispatch=True,
     )
 
 
@@ -455,7 +453,7 @@ def _serve(arrival, size, previous, segments):
 
 
 def _brute_force_run(policy, traces, events, rates):
-    """Arrivals, dispatch log, starts and completions of the run, from
+    """Arrivals, node choices, starts and completions of the run, from
     scratch: before each arrival every completion ``<= t`` leaves the
     pending counts and work left, then :func:`chooser_oracle` picks among
     the nodes live at ``t``."""
@@ -515,6 +513,6 @@ def test_calendar_books_tied_completions_like_the_oracle(case, policy):
     ledger = result.ledger
     assert ledger.arrival_time.tolist() == [t for t, _, _ in arrivals]
     assert ledger.class_index.tolist() == [cls for _, cls, _ in arrivals]
-    assert result.dispatch_log == log
+    assert result.ledger.node.tolist() == log
     assert ledger.service_start_time.tobytes() == starts.tobytes()
     assert ledger.completion_time.tobytes() == completions.tobytes()

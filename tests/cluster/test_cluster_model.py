@@ -50,7 +50,6 @@ def calendar_cluster(dispatch, *, num_nodes=3, fleet=None):
     cluster = ClusterServerModel(
         [RateScalableServers(capacity=0.5) for _ in range(num_nodes)],
         dispatch=dispatch,
-        record_dispatch=True,
         fleet=fleet,
     )
     engine = SimulationEngine()
@@ -232,7 +231,6 @@ class TestAggregation:
         cluster = ClusterServerModel(
             [RateScalableServers(), RateScalableServers()],
             dispatch=RoundRobin(),
-            record_dispatch=True,
         )
         cluster.bind(SimulationEngine(), classes)
         # Rates stay zero, so every submitted request occupies its node.
@@ -246,7 +244,7 @@ class TestAggregation:
         assert cluster.backlogs() == (2, 2)
         assert cluster.pending(0, 0) == 3 and cluster.pending(1, 1) == 3
         assert cluster.dispatch_counts() == ((3, 0), (0, 3))
-        assert cluster.dispatch_log == [0, 1, 0, 1, 0, 1]
+        assert cluster.ledger.node.tolist() == [0, 1, 0, 1, 0, 1]
         assert cluster.work_left(0) + cluster.work_left(1) == pytest.approx(6.0)
 
     def test_rate_change_without_a_drain_is_refused(self):
@@ -309,19 +307,19 @@ class TestAggregation:
         with more nodes than classes leaves the spare node permanently idle,
         and every aggregate the policies, partitioners and monitor stack
         read — ``backlogs``, ``pending``, ``work_left``, ``dispatch_counts``,
-        the dispatch log — must stay consistent (and the spare node's rate
+        the ledger's node column — must stay consistent (and the spare node's rate
         share must not break conservation).
         """
         classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=300.0, horizon=2_500.0, window=300.0)
-        cluster = make_cluster(3, "affinity", record_dispatch=True)
+        cluster = make_cluster(3, "affinity")
         result = Scenario(classes, cfg, server=cluster, spec=PsdSpec.of(1, 2), seed=8).run()
         assert sum(result.completed_counts) > 0
         counts = cluster.dispatch_counts()
         # Classes 0/1 live on nodes 0/1; node 2 never sees a request.
         assert counts[2] == (0, 0)
-        assert 2 not in cluster.dispatch_log
-        assert len(cluster.dispatch_log) == sum(sum(row) for row in counts)
+        assert 2 not in cluster.ledger.node
+        assert len(cluster.ledger) == sum(sum(row) for row in counts)
         assert cluster.pending(2, 0) == 0 and cluster.pending(2, 1) == 0
         assert cluster.work_left(2) == 0.0
         assert cluster.nodes[2].backlogs() == (0, 0)
@@ -334,11 +332,11 @@ class TestAggregation:
 
         classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
         for policy in ("round_robin", "jsq", "least_work", "weighted_jsq"):
-            cluster = make_cluster(5, policy, record_dispatch=True)
+            cluster = make_cluster(5, policy)
             cluster.bind(SimulationEngine(), classes)
             submit(cluster)
             assert cluster.drain(0.0).size == 0
-            assert cluster.dispatch_log == [0]
+            assert cluster.ledger.node.tolist() == [0]
             assert cluster.backlogs() == (0, 0)  # in service, not queued
             for node in range(1, 5):
                 assert cluster.work_left(node) == 0.0
@@ -374,7 +372,7 @@ class TestCustomPolicyRouting:
     def test_select_node_only_policy_is_honoured(self):
         engine, cluster = calendar_cluster(LastLive())
         submit_block(cluster, engine, [0, 1, 0, 1, 0])
-        assert cluster.dispatch_log == [2] * 5
+        assert cluster.ledger.node.tolist() == [2] * 5
         assert cluster.dispatch_counts() == ((0, 0), (0, 0), (3, 2))
 
     def test_subclass_overriding_select_node_and_its_chooser_is_honoured(self):
@@ -387,7 +385,7 @@ class TestCustomPolicyRouting:
         engine, cluster = calendar_cluster(LastLiveJsq())
         submit_block(cluster, engine, [0, 1, 0, 1, 0])
         # Weighted JSQ would have spread the block over every node.
-        assert cluster.dispatch_log == [2] * 5
+        assert cluster.ledger.node.tolist() == [2] * 5
         assert cluster.dispatch_counts() == ((0, 0), (0, 0), (3, 2))
 
     def test_instance_patched_select_node_is_honoured(self):
@@ -395,7 +393,7 @@ class TestCustomPolicyRouting:
         policy.select_node = lambda rid: 1
         engine, cluster = calendar_cluster(policy)
         submit_block(cluster, engine, [0, 1, 0])
-        assert cluster.dispatch_log == [1, 1, 1]
+        assert cluster.ledger.node.tolist() == [1, 1, 1]
 
     @pytest.mark.parametrize("choice", [True, 3, -1, 1.0])
     def test_invalid_custom_choice_is_rejected(self, choice):

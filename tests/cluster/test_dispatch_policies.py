@@ -31,7 +31,6 @@ def bound_cluster(num_nodes, dispatch, num_classes=2, moderate_bp=None):
     cluster = ClusterServerModel(
         [RateScalableServers() for _ in range(num_nodes)],
         dispatch=dispatch,
-        record_dispatch=True,
     )
     cluster.bind(SimulationEngine(), classes)
     return cluster
@@ -84,7 +83,7 @@ class TestJoinShortestQueue:
         submit(cluster, class_index=0)  # JSQ all-zero -> node 0
         submit(cluster, class_index=0)  # node 1 now shortest
         submit(cluster, class_index=0)  # node 2
-        assert cluster.dispatch_log == [0, 1, 2]
+        assert cluster.ledger.node.tolist() == [0, 1, 2]
 
     def test_ties_break_to_lowest_node_index(self):
         cluster = bound_cluster(4, JoinShortestQueue())

@@ -4,14 +4,15 @@ Three guarantees, per dispatch policy:
 
 * two serial runs of the same churn schedule from one master seed make
   bit-identical dispatch decisions, rate histories and statistics;
-* ``workers=N`` replication of a churn build yields the identical dispatch
-  logs, rate histories and aggregates as serial execution (the fleet events
+* ``workers=N`` replication of a churn build yields the identical node
+  columns, rate histories and aggregates as serial execution (the fleet events
   replay deterministically inside each forked worker);
 * a cluster built with the *empty* ``FleetSchedule`` is bit-identical to a
   cluster built without one — the pre-fleet (PR 4) behaviour is preserved
   exactly, not approximately.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster import DISPATCH_POLICIES, FleetSchedule, make_cluster, parse_fleet_events
@@ -48,7 +49,6 @@ def churn_build(det_classes, policy, *, fleet=CHURN):
         policy=policy,
         dispatch_entropy=123,
         fleet=fleet,
-        record_dispatch=True,
     )
 
 
@@ -58,15 +58,15 @@ class TestSerialChurnDeterminism:
         spec = PsdSpec.of(1, 2)
 
         def run():
-            server = make_cluster(3, policy, seed=77, record_dispatch=True, fleet=CHURN)
+            server = make_cluster(3, policy, seed=77, fleet=CHURN)
             result = Scenario(det_classes, CFG, server=server, spec=spec, seed=42).run()
             return server, result
 
         server_a, result_a = run()
         server_b, result_b = run()
-        assert server_a.dispatch_log, "no requests were dispatched"
-        assert server_a.dispatch_log == server_b.dispatch_log
-        assert result_a.dispatch_log == server_a.dispatch_log
+        assert (server_a.ledger.node >= 0).any(), "no requests were dispatched"
+        assert np.array_equal(server_a.ledger.node, server_b.ledger.node)
+        assert result_a.ledger is server_a.ledger
         assert result_a.rate_history == result_b.rate_history
         assert result_a.per_class_mean_slowdowns() == result_b.per_class_mean_slowdowns()
         assert result_a.fleet_timeline == result_b.fleet_timeline
@@ -86,7 +86,7 @@ class TestParallelChurnDeterminism:
         assert parallel.system_slowdown == serial.system_slowdown
         assert parallel.ratios_to_first == serial.ratios_to_first
         for parallel_result, serial_result in zip(parallel.results, serial.results):
-            assert parallel_result.dispatch_log == serial_result.dispatch_log
+            assert np.array_equal(parallel_result.ledger.node, serial_result.ledger.node)
             assert parallel_result.rate_history == serial_result.rate_history
             assert parallel_result.fleet_timeline == serial_result.fleet_timeline
             assert parallel_result.generated_counts == serial_result.generated_counts
@@ -98,13 +98,13 @@ class TestEmptySchedulePreFleetBitIdentity:
         spec = PsdSpec.of(1, 2)
 
         def run(fleet):
-            server = make_cluster(3, policy, seed=7, record_dispatch=True, fleet=fleet)
+            server = make_cluster(3, policy, seed=7, fleet=fleet)
             result = Scenario(det_classes, CFG, server=server, spec=spec, seed=9).run()
             return server, result
 
         bare_server, bare = run(None)
         empty_server, empty = run(FleetSchedule())
-        assert empty_server.dispatch_log == bare_server.dispatch_log
+        assert np.array_equal(empty_server.ledger.node, bare_server.ledger.node)
         assert empty_server.dispatch_counts() == bare_server.dispatch_counts()
         assert empty.rate_history == bare.rate_history
         assert empty.per_class_mean_slowdowns() == bare.per_class_mean_slowdowns()
@@ -122,4 +122,5 @@ class TestEmptySchedulePreFleetBitIdentity:
         )
         assert empty.per_class_slowdowns == bare.per_class_slowdowns
         assert empty.system_slowdown == bare.system_slowdown
-        assert [r.dispatch_log for r in empty.results] == [r.dispatch_log for r in bare.results]
+        for empty_result, bare_result in zip(empty.results, bare.results):
+            assert np.array_equal(empty_result.ledger.node, bare_result.ledger.node)

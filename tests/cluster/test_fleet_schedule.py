@@ -144,7 +144,7 @@ def bound_cluster(num_nodes=2, policy="round_robin", fleet=None, **kwargs):
     from repro.distributions import Deterministic
 
     classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
-    cluster = make_cluster(num_nodes, policy, fleet=fleet, record_dispatch=True, **kwargs)
+    cluster = make_cluster(num_nodes, policy, fleet=fleet, **kwargs)
     engine = SimulationEngine()
     cluster.bind(engine, classes)
     return engine, cluster
@@ -177,7 +177,7 @@ class TestDrainSemantics:
         # New work skips the draining node deterministically.
         submit_request(cluster, engine)
         submit_request(cluster, engine)
-        assert cluster.dispatch_log == [0, 1, 0, 1, 1, 1]
+        assert cluster.ledger.node.tolist() == [0, 1, 0, 1, 1, 1]
         run_until(engine, cluster, 20.0)
         assert cluster.node_state(0) == NODE_DOWN
         assert cluster.pending(0, 0) == 0 and cluster.work_left(0) == 0.0
@@ -214,7 +214,7 @@ class TestDrainSemantics:
         assert cluster.live_nodes == (0, 1)
         assert [s.rate for s in cluster.nodes[0].servers] == pytest.approx([0.5, 0.5])
         submit_request(cluster, engine)
-        assert cluster.dispatch_log[-1] == 0
+        assert cluster.ledger.node[-1] == 0
 
     def test_join_cancels_a_drain_in_progress(self):
         engine, cluster = bound_cluster(fleet=parse_fleet_events("leave:0@1.0 join:0@1.5"))
@@ -231,11 +231,11 @@ class TestDrainSemantics:
         cluster.apply_rates((1.0, 1.0))
         submit_request(cluster, engine)
         submit_request(cluster, engine)
-        assert cluster.dispatch_log == [0, 0]
+        assert cluster.ledger.node.tolist() == [0, 0]
         engine.run_until(6.0)
         submit_request(cluster, engine)
         submit_request(cluster, engine)
-        assert cluster.dispatch_log[-2:] == [1, 0]
+        assert cluster.ledger.node[-2:].tolist() == [1, 0]
 
     def test_invalid_transitions_fail_loudly(self):
         engine, cluster = bound_cluster(fleet=parse_fleet_events("leave:0@1 leave:0@2"))

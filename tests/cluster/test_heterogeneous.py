@@ -53,7 +53,6 @@ def bound_cluster(dispatch=None, capacities=(1.0, 1.0), num_classes=2, **kwargs)
         len(capacities),
         dispatch if dispatch is not None else "round_robin",
         capacities=capacities,
-        record_dispatch=True,
         **kwargs,
     )
     cluster.bind(SimulationEngine(), classes)
@@ -180,16 +179,16 @@ class TestCapacityAwareDispatch:
         # node 1 (0 < 1/2).
         submit(cluster)
         submit(cluster)
-        assert cluster.dispatch_log == [0, 1]
+        assert cluster.ledger.node.tolist() == [0, 1]
         # Pending (1, 1): normalised loads 1/2 vs 1/1 -> node 0; then
         # (2, 1): 2/2 vs 1/1 ties -> node 0 again.  Plain JSQ would have
         # sent this fourth request to node 1.
         submit(cluster)
         submit(cluster)
-        assert cluster.dispatch_log == [0, 1, 0, 0]
+        assert cluster.ledger.node.tolist() == [0, 1, 0, 0]
         # Pending (3, 1): 3/2 vs 1/1 -> node 1 finally catches up.
         submit(cluster)
-        assert cluster.dispatch_log == [0, 1, 0, 0, 1]
+        assert cluster.ledger.node.tolist() == [0, 1, 0, 0, 1]
 
     def test_weighted_jsq_prefers_capacity_partitioner(self):
         cluster = make_cluster(2, "weighted_jsq", capacities=(2.0, 1.0))
@@ -201,19 +200,19 @@ class TestCapacityAwareDispatch:
         classes = make_classes(_unit_service(), 0.7, (1.0, 2.0))
         runs = {}
         for policy in ("jsq", "weighted_jsq"):
-            server = make_cluster(3, policy, record_dispatch=True)
+            server = make_cluster(3, policy)
             Scenario(classes, CFG, server=server, spec=PsdSpec.of(1, 2), seed=9).run()
-            runs[policy] = server.dispatch_log
-        assert runs["jsq"] == runs["weighted_jsq"]
+            runs[policy] = server.ledger.node
+        assert np.array_equal(runs["jsq"], runs["weighted_jsq"])
 
     def test_fastest_available_picks_fastest_idle_node(self):
         cluster = bound_cluster(FastestAvailable(), capacities=(1.0, 3.0, 2.0))
         submit(cluster)
-        assert cluster.dispatch_log == [1]
+        assert cluster.ledger.node.tolist() == [1]
         submit(cluster)
-        assert cluster.dispatch_log == [1, 2]
+        assert cluster.ledger.node.tolist() == [1, 2]
         submit(cluster)
-        assert cluster.dispatch_log == [1, 2, 0]
+        assert cluster.ledger.node.tolist() == [1, 2, 0]
 
     def test_fastest_available_busy_fallback_is_capacity_normalised_eta(self):
         cluster = bound_cluster(FastestAvailable(), capacities=(1.0, 4.0))
@@ -221,7 +220,7 @@ class TestCapacityAwareDispatch:
         submit(cluster, size=1.0)  # -> node 0 (idle)
         # Both busy with 1 unit of work: ETAs 1/1 vs 1/4 -> node 1 again.
         submit(cluster, size=1.0)
-        assert cluster.dispatch_log == [1, 0, 1]
+        assert cluster.ledger.node.tolist() == [1, 0, 1]
 
     def test_weighted_random_defaults_to_capacity_weights(self):
         fast_cluster = bound_cluster(WeightedRandom(seed=3), capacities=(1000.0, 1.0))
@@ -296,13 +295,13 @@ class TestHeterogeneousDeterminism:
         classes = make_classes(_moderate_service(), 0.7, (1.0, 2.0))
 
         def run(capacities):
-            server = make_cluster(3, policy, capacities=capacities, seed=77, record_dispatch=True)
+            server = make_cluster(3, policy, capacities=capacities, seed=77)
             result = Scenario(classes, CFG, server=server, spec=PsdSpec.of(1, 2), seed=42).run()
             return server, result
 
         bare_server, bare = run(None)
         cap_server, capped = run((1.0, 1.0, 1.0))
-        assert cap_server.dispatch_log == bare_server.dispatch_log
+        assert np.array_equal(cap_server.ledger.node, bare_server.ledger.node)
         assert cap_server.dispatch_counts() == bare_server.dispatch_counts()
         assert capped.per_class_mean_slowdowns() == bare.per_class_mean_slowdowns()
         assert capped.rate_history == bare.rate_history

@@ -50,3 +50,24 @@ class TestSpawning:
         b = [g.random(4) for g in spawn_generators(9, 3)]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    def test_a_seed_sequence_is_a_value(self):
+        """Spawning from a passed ``SeedSequence`` does not advance it, so a
+        second call gives the same children, and a fresh root's children
+        are the ones ``SeedSequence.spawn`` gives."""
+        root = np.random.SeedSequence(2004)
+        first = spawn_seed_sequences(root, 3)
+        second = spawn_seed_sequences(root, 3)
+        assert root.n_children_spawned == 0
+        spawned = np.random.SeedSequence(2004).spawn(3)
+        for a, b, c in zip(first, second, spawned):
+            assert a.spawn_key == b.spawn_key == c.spawn_key
+            np.testing.assert_array_equal(a.generate_state(4), c.generate_state(4))
+            np.testing.assert_array_equal(b.generate_state(4), c.generate_state(4))
+
+    def test_children_of_a_child_extend_its_spawn_key(self):
+        (child,) = np.random.SeedSequence(7).spawn(1)
+        grandchildren = spawn_seed_sequences(child, 2)
+        assert [g.spawn_key for g in grandchildren] == [(0, 0), (0, 1)]
+        for derived, spawned in zip(grandchildren, child.spawn(2)):
+            np.testing.assert_array_equal(derived.generate_state(4), spawned.generate_state(4))

@@ -13,8 +13,9 @@ to the same rules without trusting either:
   or after ``max(arrival, previous same-class completion)`` — with
   equality (the non-idling rule) when every class owns its own server, as
   in the paper's Fig. 1 model;
-* on clusters of such servers run with ``record_dispatch=True``, the same
-  exact rule per node and class, the dispatch log telling the nodes apart;
+* on clusters of such servers, the same exact rule per node and class, the
+  ledger's ``node`` column telling the nodes apart; that column holds
+  exactly one node per admitted row, and ``-1`` on every shed row;
 * per class, the sample-path Little identity: the area under the number
   in system, integrated by an event sweep over ``[0, horizon]``, equals the
   summed sojourn times truncated at the horizon;
@@ -28,7 +29,9 @@ to the same rules without trusting either:
   is at most the integral of the live and draining nodes' capacity.
 
 The ``checked_runs`` fixture in ``tests/conftest.py`` applies it to every
-``Scenario.run`` of a test.
+``Scenario.run`` of a test in the test's own process; :class:`CheckedBuild`
+applies it to every result of a replication build wherever the build runs,
+so results made on the worker pool are checked too.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.cluster.autoscale import node_hours
 from repro.cluster.fleet import NODE_DRAINING, NODE_LIVE
 from repro.simulation.ledger import DISPOSITION_DEGRADED, DISPOSITION_SHED
 
-__all__ = ["check_run"]
+__all__ = ["check_run", "CheckedBuild"]
 
 
 def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
@@ -51,7 +54,7 @@ def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
     every node (a single ``RateScalableServers``, or a cluster of them),
     which makes each start exactly the non-idling ``max(arrival, previous
     same-class completion on the node)``; a cluster is checked per node
-    only when its run kept the dispatch log.  ``telemetry`` is the run's
+    from its ledger's ``node`` column.  ``telemetry`` is the run's
     :class:`~repro.telemetry.Telemetry` facade, if any.
     """
     ledger = result.ledger
@@ -82,23 +85,37 @@ def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
         _check_fleet_integrals(
             result.fleet_timeline, ledger.size[completed & (done <= horizon)], horizon
         )
-    node_of = None
-    if not single_node and per_class_servers and result.dispatch_log is not None:
-        # Every admitted row was dispatched once, in row order.
-        node_of = np.full(len(ledger), -1, dtype=np.int64)
-        assert len(result.dispatch_log) == int(np.count_nonzero(~shed)), (
-            "the dispatch log is not one entry per admitted row"
+    node_of = ledger.node
+    if single_node:
+        assert node_of is None, "a single-server ledger has a node column"
+    else:
+        num_nodes = len(result.fleet_timeline[0][1])
+        assert np.array_equal(node_of < 0, shed), (
+            "the node column is not set on exactly the admitted rows"
         )
-        node_of[~shed] = result.dispatch_log
+        assert np.all(node_of < num_nodes), "the node column names a node the cluster lacks"
     for cls in range(len(result.classes)):
         rows = np.flatnonzero((classes == cls) & ~shed)
         if single_node:
             _check_fcfs(arrival[rows], start[rows], done[rows], exact=per_class_servers)
-        elif node_of is not None:
+        elif per_class_servers:
             for node in np.unique(node_of[rows]).tolist():
                 on_node = rows[node_of[rows] == node]
                 _check_fcfs(arrival[on_node], start[on_node], done[on_node], exact=True)
         _check_little(arrival[rows], done[rows], horizon)
+
+
+class CheckedBuild:
+    """A picklable replication build over per-class FCFS servers whose
+    every result passes :func:`check_run` in the process that built it."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __call__(self, index, seed):
+        result = self.build(index, seed)
+        check_run(result, per_class_servers=True)
+        return result
 
 
 def _check_admission_counts(result, shed, telemetry) -> None:

@@ -234,9 +234,7 @@ class _Cluster(_PerEvent, ClusterServerModel):
         class_index = self.ledger.class_of(rid)
         self._pending[node][class_index] += 1
         self._work_left[node] += self.ledger.size_of(rid)
-        self._dispatch_counts[node][class_index] += 1
-        if self.record_dispatch:
-            self.dispatch_log.append(node)
+        self.ledger.assign_nodes(rid, node)
         self.nodes[node].submit(rid)
 
     def _done(self, node: int, rid: int) -> None:
@@ -261,7 +259,6 @@ def per_event_model(server: ServerModel) -> _PerEvent:
             [per_event_model(node) for node in server.nodes],
             dispatch=server.dispatch,
             partitioner=server.partitioner,
-            record_dispatch=server.record_dispatch,
             fleet=server.fleet,
         )
     if isinstance(server, SharedProcessorServer):

@@ -12,7 +12,7 @@ per arrival event.  These tests pin the integration contract end to end:
 
 * every shipped policy (always / load_threshold / quota / queue_length) is
   bit-identical to the reference — full ledger (including the disposition
-  column), dispatch log, shed/degrade counters — and the live walk stays
+  and node columns), shed/degrade counters — and the live walk stays
   identical across fleet cuts;
 * live decisions read the backlog of the arrival instant, not of the
   window boundary;
@@ -77,7 +77,6 @@ def _cluster():
         "weighted_jsq",
         capacities=resolve_capacities("2:1", 2),
         seed=np.random.SeedSequence(entropy=5),
-        record_dispatch=True,
     )
 
 
@@ -128,7 +127,7 @@ class TestBatchedIdentity:
         batched = _run(policy_key)
         scalar = _run(policy_key, "reference")
         assert _ledger_bytes(batched) == _ledger_bytes(scalar)
-        assert batched.dispatch_log == scalar.dispatch_log
+        assert np.array_equal(batched.ledger.node, scalar.ledger.node)
         assert batched.rejected_counts == scalar.rejected_counts
         assert batched.degraded_counts == scalar.degraded_counts
         assert batched.degraded_into_counts == scalar.degraded_into_counts
@@ -252,7 +251,7 @@ class TestWorkers:
 
 def _assert_same_run(walk, reference):
     assert _ledger_bytes(walk) == _ledger_bytes(reference)
-    assert walk.dispatch_log == reference.dispatch_log
+    assert np.array_equal(walk.ledger.node, reference.ledger.node)
     assert walk.fleet_timeline == reference.fleet_timeline
     assert walk.rate_history == reference.rate_history
     assert walk.rejected_counts == reference.rejected_counts
@@ -311,7 +310,7 @@ class TestLiveAdmissionWalk:
         config = MeasurementConfig(warmup=300.0, horizon=1_500.0, window=300.0)
 
         def run(scenario_class):
-            cluster = make_cluster(3, "round_robin", fleet=CHURN, record_dispatch=True, seed=2)
+            cluster = make_cluster(3, "round_robin", fleet=CHURN, seed=2)
             return scenario_class(
                 classes,
                 config,

@@ -10,6 +10,7 @@ within a class, rate scaling of service times, and the slowdown definition
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.distributions import Deterministic
@@ -46,32 +47,35 @@ class TestSingleClassTrace:
         # Three requests of size 2 arriving at t = 0, 1, 2 on a full-rate server.
         source = TraceSource(0, interarrivals=[0.0, 1.0, 1.0], sizes=[2.0, 2.0, 2.0])
         result = run_scenario([source], rates=[1.0], num_classes=1)
-        records = sorted(result.trace.records, key=lambda r: r.arrival_time)
-        assert [r.arrival_time for r in records] == [0.0, 1.0, 2.0]
-        assert [r.service_start_time for r in records] == [0.0, 2.0, 4.0]
-        assert [r.completion_time for r in records] == [2.0, 4.0, 6.0]
-        assert [r.waiting_time for r in records] == [0.0, 1.0, 2.0]
-        assert [r.slowdown for r in records] == [0.0, 0.5, 1.0]
+        ledger = result.ledger
+        rows = np.arange(len(ledger))  # rows are in arrival order
+        assert ledger.arrival_time.tolist() == [0.0, 1.0, 2.0]
+        assert ledger.service_start_time.tolist() == [0.0, 2.0, 4.0]
+        assert ledger.completion_time.tolist() == [2.0, 4.0, 6.0]
+        assert ledger.waiting_times(rows).tolist() == [0.0, 1.0, 2.0]
+        assert ledger.slowdowns(rows).tolist() == [0.0, 0.5, 1.0]
 
     def test_half_rate_task_server_doubles_everything(self):
         source = TraceSource(0, interarrivals=[0.0, 1.0], sizes=[1.0, 1.0])
         result = run_scenario([source], rates=[0.5], num_classes=1)
-        records = sorted(result.trace.records, key=lambda r: r.arrival_time)
+        ledger = result.ledger
+        rows = np.arange(len(ledger))
         # First request served 0 -> 2 (size 1 at rate 0.5); second arrives at
         # t=1, waits 1, served 2 -> 4.
-        assert records[0].completion_time == pytest.approx(2.0)
-        assert records[1].waiting_time == pytest.approx(1.0)
-        assert records[1].completion_time == pytest.approx(4.0)
-        # Slowdown divides by the *scaled* service duration (2.0).
-        assert records[1].slowdown == pytest.approx(0.5)
-        assert records[1].demand_slowdown == pytest.approx(1.0)
+        assert ledger.completion_of(0) == pytest.approx(2.0)
+        assert ledger.waiting_times(rows)[1] == pytest.approx(1.0)
+        assert ledger.completion_of(1) == pytest.approx(4.0)
+        # Slowdown divides by the *scaled* service duration (2.0), not by
+        # the full-rate demand (size 1.0).
+        assert ledger.slowdowns(rows)[1] == pytest.approx(0.5)
+        assert ledger.waiting_times(rows)[1] / ledger.size_of(1) == pytest.approx(1.0)
 
     def test_idle_gap_resets_queueing(self):
         source = TraceSource(0, interarrivals=[0.0, 10.0], sizes=[1.0, 1.0])
         result = run_scenario([source], rates=[1.0], num_classes=1)
-        records = sorted(result.trace.records, key=lambda r: r.arrival_time)
-        assert records[1].waiting_time == 0.0
-        assert records[1].slowdown == 0.0
+        rows = np.arange(len(result.ledger))
+        assert result.ledger.waiting_times(rows)[1] == 0.0
+        assert result.ledger.slowdowns(rows)[1] == 0.0
 
 
 class TestTwoClassTraces:
@@ -81,22 +85,23 @@ class TestTwoClassTraces:
         source_a = TraceSource(0, interarrivals=[0.0, 0.5], sizes=[1.0, 1.0])
         source_b = TraceSource(1, interarrivals=[0.0, 0.5], sizes=[1.0, 1.0])
         result = run_scenario([source_a, source_b], rates=[0.5, 0.5])
+        ledger = result.ledger
         for class_index, rate in ((0, 0.5), (1, 0.5)):
-            records = sorted(result.trace.for_class(class_index), key=lambda r: r.arrival_time)
-            assert records[0].service_duration == pytest.approx(1.0 / rate)
+            first, second = np.flatnonzero(ledger.class_index == class_index)
+            assert ledger.completion_of(first) - ledger.start_of(first) == pytest.approx(1.0 / rate)
             # Second request arrives at 0.5, first finishes at 2.0.
-            assert records[1].waiting_time == pytest.approx(1.5)
-            assert records[1].slowdown == pytest.approx(1.5 / 2.0)
+            assert ledger.waiting_times([second])[0] == pytest.approx(1.5)
+            assert ledger.slowdowns([second])[0] == pytest.approx(1.5 / 2.0)
 
     def test_unequal_rates_produce_proportional_service_durations(self):
         source_a = TraceSource(0, interarrivals=[0.0], sizes=[1.0])
         source_b = TraceSource(1, interarrivals=[0.0], sizes=[1.0])
         result = run_scenario([source_a, source_b], rates=[0.8, 0.2])
-        fast = result.trace.for_class(0)[0]
-        slow = result.trace.for_class(1)[0]
-        assert fast.service_duration == pytest.approx(1.25)
-        assert slow.service_duration == pytest.approx(5.0)
-        assert fast.waiting_time == 0.0 and slow.waiting_time == 0.0
+        ledger = result.ledger
+        fast, slow = (int(np.flatnonzero(ledger.class_index == c)[0]) for c in (0, 1))
+        assert ledger.completion_of(fast) - ledger.start_of(fast) == pytest.approx(1.25)
+        assert ledger.completion_of(slow) - ledger.start_of(slow) == pytest.approx(5.0)
+        assert ledger.waiting_times([fast, slow]).tolist() == [0.0, 0.0]
 
     def test_exhausted_trace_stops_generating(self):
         source_a = TraceSource(0, interarrivals=[0.0], sizes=[1.0])
@@ -121,9 +126,8 @@ class TestMeasurementSemantics:
         result = sim.run()
         # All three complete, but only the request finishing after the warm-up
         # (the one arriving at t=51) contributes to the measured mean.
-        assert len(result.trace) == 3
-        measured = result.measured_records()
-        assert len(measured) == 1
+        assert result.ledger.num_completed == 3
+        assert result.measured_ids().tolist() == [2]
         assert result.per_class_mean_slowdowns()[0] == pytest.approx(0.0)
 
     def test_unfinished_requests_are_not_recorded(self):
@@ -132,5 +136,5 @@ class TestMeasurementSemantics:
         result = run_scenario([source], rates=[1.0], num_classes=1, horizon=10.0)
         assert result.generated_counts == (1,)
         assert result.completed_counts == (0,)
-        assert len(result.trace) == 0
+        assert result.ledger.num_completed == 0
         assert math.isnan(result.per_class_mean_slowdowns()[0])

@@ -13,7 +13,6 @@ from repro.simulation import (
     RequestLedger,
     Scenario,
     SimulationEngine,
-    SimulationTrace,
     WindowedMonitor,
 )
 from repro.simulation.generator import TraceSource
@@ -120,14 +119,11 @@ class TestLifecycleInvariants:
         ledger.start_service(rid, 5.0)
         ledger.complete(rid, 9.0)
         assert ledger.is_complete(rid)
-        (record,) = SimulationTrace(2, ledger=ledger).records
-        # The record's request id is the ledger row.
-        assert (record.request_id, record.class_index) == (rid, 1)
-        assert (record.arrival_time, record.size) == (3.0, 2.0)
-        assert (record.service_start_time, record.completion_time) == (5.0, 9.0)
-        assert record.waiting_time == 2.0
-        assert record.service_duration == 4.0
-        assert record.slowdown == pytest.approx(0.5)
+        assert ledger.completed_ids.tolist() == [rid]
+        assert (ledger.class_of(rid), ledger.arrival_of(rid), ledger.size_of(rid)) == (1, 3.0, 2.0)
+        assert (ledger.start_of(rid), ledger.completion_of(rid)) == (5.0, 9.0)
+        assert ledger.waiting_times().tolist() == [2.0]
+        assert ledger.slowdowns().tolist() == [0.5]
 
 
 class TestZeroRateFreeze:
@@ -211,7 +207,7 @@ class TestWarmupBoundary:
         rid = result.ledger.completed_ids[0]
         assert result.ledger.completion_of(rid) == pytest.approx(10.0)
         assert result.per_class_mean_slowdowns() == (pytest.approx(0.0),)
-        assert len(result.measured_records()) == 1
+        assert result.measured_ids().tolist() == [rid]
 
 
 class TestOutOfOrderCompletions:
@@ -272,20 +268,17 @@ class TestLedgerPickling:
             assert not np.shares_memory(column, state[name])
 
     def test_pickled_result_keeps_its_views_on_one_ledger(self):
-        """The trace and monitor of a result that crossed a process boundary
-        still read the result's own ledger (pickle's memo keeps the one
-        object), so record ids stay the ledger's row ids."""
+        """The monitor of a result that crossed a process boundary still
+        reads the result's own ledger (pickle's memo keeps the one object),
+        so the clone's rows are the original's."""
         from repro.distributions import Deterministic
 
         classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=10.0, horizon=60.0, window=10.0)
         result = Scenario(classes, cfg, seed=3).run()
         clone = pickle.loads(pickle.dumps(result))
-        assert clone.trace.ledger is clone.ledger
         assert clone.monitor.ledger is clone.ledger
-        np.testing.assert_array_equal(
-            clone.trace.to_arrays()["request_id"], result.ledger.completed_ids
-        )
+        np.testing.assert_array_equal(clone.measured_ids(), result.measured_ids())
         assert clone.monitor.samples() == result.monitor.samples()
 
     def test_slowdowns_and_waiting_times_follow_completion_order(self):
@@ -492,3 +485,43 @@ class TestDispositionColumn:
         assert len(ledger) == 1
         rids = ledger.append_batch(np.zeros(k, dtype=np.int64), arrivals, np.ones(k))
         assert ledger.disposition[rids].tolist() == [DISPOSITION_ADMITTED] * k
+
+
+class TestNodeColumn:
+    def test_a_single_server_ledger_has_no_node_column(self):
+        ledger = RequestLedger(1)
+        ledger.append(0, 0.0, 1.0)
+        assert ledger.node is None
+        assert "node" not in ledger.__getstate__()
+        assert pickle.loads(pickle.dumps(ledger)).node is None
+
+    def test_untouched_rows_read_minus_one_across_growth(self):
+        ledger = RequestLedger(1, capacity=2)
+        ledger.track_nodes(3)
+        rids = ledger.append_batch(np.zeros(5, dtype=np.int64), np.arange(5.0), np.ones(5))
+        ledger.assign_nodes(rids[[0, 2]], np.array([2, 1]))
+        for i in range(5, 40):
+            ledger.append(0, float(i), 1.0)
+        ledger.assign_nodes(39, 0)
+        assert ledger.node.dtype == np.int16
+        assert ledger.node[:5].tolist() == [2, -1, 1, -1, -1]
+        assert ledger.node[5:39].tolist() == [-1] * 34
+        assert ledger.node[39] == 0
+        assert not ledger.node.flags.writeable
+
+    def test_node_column_survives_pickling_and_grows_after(self):
+        ledger = RequestLedger(1)
+        ledger.track_nodes(2)
+        rids = ledger.append_batch(np.zeros(3, dtype=np.int64), np.arange(3.0), np.ones(3))
+        ledger.assign_nodes(rids, [1, 0, 1])
+        clone = pickle.loads(pickle.dumps(ledger))
+        assert clone.node.tolist() == [1, 0, 1]
+        # Two bytes per row: the only growth of a clustered run's payload.
+        assert clone.__getstate__()["node"].nbytes == 2 * len(clone)
+        clone.append_batch(np.zeros(40, dtype=np.int64), np.arange(3.0, 43.0), np.ones(40))
+        assert clone.node.tolist() == [1, 0, 1] + [-1] * 40
+
+    @pytest.mark.parametrize("num_nodes", [0, 2**15])
+    def test_track_nodes_rejects_counts_int16_cannot_hold(self, num_nodes):
+        with pytest.raises(SimulationError, match="node column"):
+            RequestLedger(1).track_nodes(num_nodes)

@@ -26,7 +26,6 @@ from repro.simulation.monitor import (
     windowed_time_average,
 )
 from repro.simulation.scenario import StaticRateController
-from repro.simulation.trace import SimulationTrace
 from repro.types import TrafficClass
 
 
@@ -231,7 +230,6 @@ def ledger_result(rows):
             TrafficClass(f"class-{c + 1}", 1.0, Deterministic(1.0), float(c + 1)) for c in range(3)
         ),
         config=MeasurementConfig(warmup=WARMUP, horizon=WARMUP + 100 * WINDOW, window=WINDOW),
-        trace=SimulationTrace(3, ledger=monitor.ledger),
         monitor=monitor,
         controller=StaticRateController((1.0, 1.0, 1.0)),
         ledger=monitor.ledger,

@@ -148,4 +148,4 @@ class TestSimulationResultAccessors:
         waits = result.per_class_mean_waiting_times()
         assert all(w >= 0 for w in waits)
         assert result.system_mean_slowdown() > 0
-        assert len(result.measured_records()) > 0
+        assert result.measured_ids().size > 0

@@ -13,7 +13,6 @@ from repro.simulation import (
     RequestLedger,
     Scenario,
     SimulationEngine,
-    SimulationTrace,
 )
 from repro.types import TrafficClass
 from tests.conftest import drain_rows, make_classes, submit_rows
@@ -34,15 +33,13 @@ def submit(server, arrival, size, class_index=0):
 def advance(engine, server, time):
     """Move the clock to ``time`` and drain the server there.
 
-    Returns records of the requests completed by the drain, in completion
-    order (the drain's completions are logged into the ledger too).
+    Returns the row ids completed by the drain, in completion order (the
+    drain's completions are logged into the ledger too).
     """
     engine.run_until(time)
     rids, _ = drain_rows(server, time)
-    ledger = server.ledger
-    ledger.log_completions(rids)
-    records = SimulationTrace(ledger.num_classes, ledger=ledger).records
-    return list(records[len(records) - len(rids) :])
+    server.ledger.log_completions(rids)
+    return rids.tolist()
 
 
 class TestFcfsService:
@@ -51,27 +48,27 @@ class TestFcfsService:
         submit(server, 0.0, 2.0)
         done = advance(engine, server, 10.0)
         assert len(done) == 1
-        assert done[0].completion_time == pytest.approx(2.0)
-        assert done[0].waiting_time == pytest.approx(0.0)
+        assert server.ledger.completion_of(done[0]) == pytest.approx(2.0)
+        assert server.ledger.waiting_times([done[0]])[0] == pytest.approx(0.0)
 
     def test_half_rate_doubles_service_time(self):
         engine, server = make_server(0.5)
         submit(server, 0.0, 2.0)
         done = advance(engine, server, 10.0)
-        assert done[0].completion_time == pytest.approx(4.0)
-        assert done[0].service_duration == pytest.approx(4.0)
+        assert server.ledger.completion_of(done[0]) == pytest.approx(4.0)
+        assert server.ledger.start_of(done[0]) == 0.0  # served 0 -> 4
         # Slowdown uses the scaled service time: no queueing -> slowdown 0.
-        assert done[0].slowdown == pytest.approx(0.0)
+        assert server.ledger.slowdowns([done[0]])[0] == pytest.approx(0.0)
 
     def test_fcfs_order_and_waiting(self):
         engine, server = make_server(1.0)
         first = submit(server, 0.0, 2.0)
         second = submit(server, 0.0, 1.0)
         done = advance(engine, server, 10.0)
-        assert [r.request_id for r in done] == [first, second]
-        assert done[1].waiting_time == pytest.approx(2.0)
-        assert done[1].completion_time == pytest.approx(3.0)
-        assert done[1].slowdown == pytest.approx(2.0)
+        assert done == [first, second]
+        assert server.ledger.waiting_times([done[1]])[0] == pytest.approx(2.0)
+        assert server.ledger.completion_of(done[1]) == pytest.approx(3.0)
+        assert server.ledger.slowdowns([done[1]])[0] == pytest.approx(2.0)
 
     def test_backlog_accounting(self):
         engine, server = make_server(1.0)
@@ -95,7 +92,7 @@ class TestRateChanges:
         advance(engine, server, 1.0)
         server.set_rate(0.5)
         done = advance(engine, server, 10.0)
-        assert done[0].completion_time == pytest.approx(3.0)
+        assert server.ledger.completion_of(done[0]) == pytest.approx(3.0)
 
     def test_rate_increase_mid_service(self):
         engine, server = make_server(0.5)
@@ -104,7 +101,7 @@ class TestRateChanges:
         advance(engine, server, 2.0)
         server.set_rate(2.0)
         done = advance(engine, server, 10.0)
-        assert done[0].completion_time == pytest.approx(2.5)
+        assert server.ledger.completion_of(done[0]) == pytest.approx(2.5)
 
     def test_zero_rate_freezes_service(self):
         engine, server = make_server(1.0)
@@ -115,7 +112,7 @@ class TestRateChanges:
         server.set_rate(1.0)
         done = advance(engine, server, 20.0)
         # 1 unit done before the freeze, 1 unit after it lifts at t=5.
-        assert done[0].completion_time == pytest.approx(6.0)
+        assert server.ledger.completion_of(done[0]) == pytest.approx(6.0)
 
     def test_multiple_rate_changes_conserve_work(self):
         engine, server = make_server(0.8)
@@ -125,7 +122,7 @@ class TestRateChanges:
             server.set_rate(rate)
         done = advance(engine, server, 50.0)
         # Work done: 0.8 + 0.4 + 1.0 = 2.2 by t=3; remaining 1.8 at 0.6 -> 3 more.
-        assert done[0].completion_time == pytest.approx(6.0)
+        assert server.ledger.completion_of(done[0]) == pytest.approx(6.0)
 
     def test_rate_change_while_idle_is_harmless(self):
         engine, server = make_server(1.0)
@@ -135,7 +132,7 @@ class TestRateChanges:
         server2.set_rate(0.5)
         submit(server2, 0.0, 1.0)
         done = advance(engine, server2, 10.0)
-        assert done[0].completion_time == pytest.approx(2.0)
+        assert server2.ledger.completion_of(done[0]) == pytest.approx(2.0)
 
     def test_negative_rate_rejected(self):
         engine, server = make_server(1.0)

@@ -17,6 +17,9 @@ from repro.simulation import (
 )
 from repro.types import TrafficClass
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 def write_csv(path, rows, header="class_index,arrival_time,size"):
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
@@ -156,14 +159,17 @@ class TestTraceSourcesFromArrays:
 
 
 class TestSaveTrace:
-    def run_scenario(self):
+    def make_scenario(self):
         service = Deterministic(0.4)
         classes = (
             TrafficClass("a", 0.8, service, 1.0),
             TrafficClass("b", 0.5, service, 2.0),
         )
         cfg = MeasurementConfig(warmup=20.0, horizon=200.0, window=20.0)
-        return Scenario(classes, cfg, seed=42).run()
+        return Scenario(classes, cfg, seed=42)
+
+    def run_scenario(self):
+        return self.make_scenario().run()
 
     @pytest.mark.parametrize("extension", ["csv", "npz"])
     def test_round_trip_through_load_trace(self, tmp_path, extension):
@@ -195,15 +201,16 @@ class TestSaveTrace:
         np.testing.assert_array_equal(replay.ledger.arrival_time, result.ledger.arrival_time)
         assert replay.per_class_mean_slowdowns() == result.per_class_mean_slowdowns()
 
-    def test_accepts_ledger_scenario_and_trace(self, tmp_path):
+    def test_accepts_ledger_scenario_and_result(self, tmp_path):
         """Every artefact carrying a ledger is accepted as a source."""
         ledger = RequestLedger(2)
         ledger.append(0, 1.0, 2.0)
         ledger.append(1, 1.5, 0.5)
         path = save_trace(tmp_path / "direct.npz", ledger)
         assert [len(s) for s in load_trace(path)] == [1, 1]
-        result = self.run_scenario()
-        for name, artefact in [("result", result), ("trace", result.trace)]:
+        scenario = self.make_scenario()
+        result = scenario.run()
+        for name, artefact in [("result", result), ("scenario", scenario)]:
             loaded = load_trace(save_trace(tmp_path / f"{name}.csv", artefact))
             assert sum(len(s) for s in loaded) == len(result.ledger)
 

@@ -1,4 +1,4 @@
-"""Tests for trace records, trace queries, measurement config and monitors."""
+"""Tests for ledger row queries, measurement config and monitors."""
 
 import math
 
@@ -11,11 +11,13 @@ from repro.simulation import (
     MeasurementConfig,
     RequestLedger,
     Scenario,
-    SimulationTrace,
     WindowedMonitor,
 )
 from tests.conftest import make_classes
 from tests.simulation.test_monitor_windows import assert_samples_match_oracle, oracle_samples
+
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
 
 
 def completed_ledger(num_classes, jobs):
@@ -34,28 +36,12 @@ def monitor_over(num_classes, jobs, *, warmup, window):
     return WindowedMonitor(num_classes, warmup=warmup, window=window, ledger=ledger)
 
 
-class TestRequestRecord:
-    def test_record_from_ledger_row(self):
-        ledger = completed_ledger(1, [(0, 10.0, 3.0, 1.5)])
-        (rec,) = SimulationTrace(1, ledger=ledger).records
-        assert rec.request_id == 0  # the ledger row
-        assert rec.waiting_time == pytest.approx(3.0)
-        assert rec.slowdown == pytest.approx(2.0)
-        assert rec.demand_slowdown == pytest.approx(2.0)
-        assert rec.response_time == pytest.approx(4.5)
+class TestLedgerRowQueries:
+    """Per-request readers filter the ledger's columns; there is no
+    per-request object."""
 
-    def test_incomplete_rows_are_not_recorded(self):
-        ledger = completed_ledger(1, [(0, 0.0, 1.0, 1.0)])
-        ledger.append(0, 5.0, 1.0)
-        trace = SimulationTrace(1, ledger=ledger)
-        assert len(trace) == 1
-        assert [r.request_id for r in trace] == [0]
-        assert trace.to_arrays()["request_id"].tolist() == [0]
-
-
-class TestSimulationTrace:
-    def build_trace(self):
-        ledger = completed_ledger(
+    def build_ledger(self):
+        return completed_ledger(
             2,
             [
                 (0, 0.0, 1.0, 1.0),  # slowdown 1
@@ -63,63 +49,54 @@ class TestSimulationTrace:
                 (1, 5.0, 9.0, 3.0),  # slowdown 3
             ],
         )
-        return SimulationTrace(2, ledger=ledger)
 
-    def test_counts_and_iteration(self):
-        trace = self.build_trace()
-        assert len(trace) == 3
-        assert trace.per_class_counts() == (2, 1)
-        assert len(list(iter(trace))) == 3
+    def test_row_metrics(self):
+        ledger = completed_ledger(1, [(0, 10.0, 3.0, 1.5)])
+        assert ledger.completed_ids.tolist() == [0]
+        assert ledger.waiting_times().tolist() == [3.0]
+        assert ledger.slowdowns().tolist() == [2.0]
+        assert ledger.completion_of(0) - ledger.arrival_of(0) == pytest.approx(4.5)
+
+    def test_incomplete_rows_are_not_completed(self):
+        ledger = completed_ledger(1, [(0, 0.0, 1.0, 1.0)])
+        ledger.append(0, 5.0, 1.0)
+        assert len(ledger) == 2
+        assert ledger.completed_ids.tolist() == [0]
+        assert ledger.slowdowns().tolist() == [1.0]
 
     def test_per_class_slowdowns(self):
-        trace = self.build_trace()
-        assert trace.mean_slowdown(0) == pytest.approx(1.5)
-        assert trace.mean_slowdown(1) == pytest.approx(3.0)
-        assert trace.per_class_mean_slowdowns() == (pytest.approx(1.5), pytest.approx(3.0))
-        assert trace.weighted_system_slowdown() == pytest.approx(2.0)
+        ledger = self.build_ledger()
+        ids = ledger.completed_ids
+        classes = ledger.class_index[ids]
+        slowdowns = ledger.slowdowns(ids)
+        assert np.bincount(classes).tolist() == [2, 1]
+        assert slowdowns[classes == 0].mean() == pytest.approx(1.5)
+        assert slowdowns[classes == 1].mean() == pytest.approx(3.0)
+        assert slowdowns.mean() == pytest.approx(2.0)
 
-    def test_empty_class_gives_nan(self):
-        trace = SimulationTrace(2, ledger=completed_ledger(2, [(0, 0.0, 1.0, 1.0)]))
-        assert math.isnan(trace.mean_slowdown(1))
-
-    def test_window_filters(self):
-        trace = self.build_trace()
-        early = trace.in_window(0.0, 5.0, by="completion")
-        assert [r.request_id for r in early] == [0]
-        by_arrival = trace.in_window(5.0, 6.0, by="arrival")
-        assert sorted(r.request_id for r in by_arrival) == [1, 2]
-        with pytest.raises(SimulationError):
-            trace.in_window(0.0, 1.0, by="departure")
-
-    def test_to_arrays(self):
-        arrays = self.build_trace().to_arrays()
-        assert arrays["slowdown"].shape == (3,)
-        assert arrays["class_index"].dtype.kind == "i"
-        np.testing.assert_allclose(arrays["slowdown"], [1.0, 2.0, 3.0])
-        # Record ids are the ledger rows, in completion order.
-        np.testing.assert_array_equal(arrays["request_id"], [0, 1, 2])
-
-    def test_record_ids_are_ledger_rows_in_a_run(self):
+    def test_measured_ids_are_the_rows_completed_after_warmup(self):
         classes = make_classes(Deterministic(1.0), 0.6, (1.0, 2.0))
         cfg = MeasurementConfig(warmup=10.0, horizon=80.0, window=10.0)
         result = Scenario(classes, cfg, seed=5).run()
         ids = result.ledger.completed_ids
         assert ids.size > 0
-        np.testing.assert_array_equal(result.trace.to_arrays()["request_id"], ids)
-        records = result.measured_records()
-        assert [r.request_id for r in records] == [
+        measured = result.measured_ids()
+        assert measured.tolist() == [
             int(rid) for rid in ids if result.ledger.completion_of(rid) >= cfg.warmup
         ]
+        assert float(np.mean(result.ledger.slowdowns(measured))) == pytest.approx(
+            result.system_mean_slowdown()
+        )
 
     def test_class_out_of_range_rejected(self):
         ledger = RequestLedger(1)
         with pytest.raises(SimulationError):
             ledger.append(3, 0.0, 1.0)
-        assert len(SimulationTrace(1, ledger=ledger)) == 0
+        assert len(ledger) == 0
 
     def test_invalid_construction(self):
         with pytest.raises(SimulationError):
-            SimulationTrace(0, ledger=RequestLedger(1))
+            RequestLedger(0)
 
 
 class TestMeasurementConfig:

@@ -21,6 +21,7 @@ from repro.simulation import (
 )
 from repro.simulation.ledger import RequestLedger
 from tests.conftest import make_classes
+from tests.invariants import CheckedBuild
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -30,12 +31,13 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def build(request):
-    """A picklable build over a short two-class scenario."""
+    """A picklable build over a short two-class scenario whose every result
+    passes the run-end invariants (tests/invariants.py) where it ran."""
     from repro.distributions import BoundedPareto
 
     classes = make_classes(BoundedPareto(k=0.1, p=10.0, alpha=1.5), 0.5, (1.0, 2.0))
     cfg = MeasurementConfig(warmup=200.0, horizon=1_500.0, window=200.0)
-    return ScenarioBuild(tuple(classes), cfg, PsdSpec.of(1, 2))
+    return CheckedBuild(ScenarioBuild(tuple(classes), cfg, PsdSpec.of(1, 2)))
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from repro.experiments.base import ScenarioBuild
 from repro.simulation import MeasurementConfig, ReplicationRunner
 from repro.simulation.runner import _decode_result, _encode_result
 from tests.conftest import make_classes
+from tests.invariants import CheckedBuild
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -20,11 +21,13 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def build():
+    """Every result passes the run-end invariants (tests/invariants.py)
+    where it ran."""
     from repro.distributions import BoundedPareto
 
     classes = make_classes(BoundedPareto(k=0.1, p=10.0, alpha=1.5), 0.5, (1.0, 2.0))
     cfg = MeasurementConfig(warmup=200.0, horizon=1_200.0, window=200.0)
-    return ScenarioBuild(tuple(classes), cfg, PsdSpec.of(1, 2))
+    return CheckedBuild(ScenarioBuild(tuple(classes), cfg, PsdSpec.of(1, 2)))
 
 
 class TestSerialProfile:

@@ -134,7 +134,6 @@ class TestClusterIntegration:
             3,
             "weighted_jsq",
             seed=np.random.SeedSequence(3),
-            record_dispatch=True,
             fleet=fleet,
         )
         return run_scenario(
@@ -147,7 +146,7 @@ class TestClusterIntegration:
             two_classes, short_measurement, telemetry=Telemetry()
         )
         assert result.per_class_mean_slowdowns() == baseline.per_class_mean_slowdowns()
-        assert result.dispatch_log == baseline.dispatch_log
+        assert np.array_equal(result.ledger.node, baseline.ledger.node)
         assert result.rate_history == baseline.rate_history
         assert result.fleet_timeline == baseline.fleet_timeline
 
@@ -167,7 +166,7 @@ class TestClusterIntegration:
         dispatched = sum(
             registry.get(f"cluster.node{node}.dispatched").value for node in range(3)
         )
-        assert dispatched <= len(result.dispatch_log)
+        assert dispatched <= np.count_nonzero(result.ledger.node >= 0)
 
     def test_utilisation_follows_live_capacity(self, two_classes, short_measurement):
         """``server.utilisation`` divides the allocated total rate by the

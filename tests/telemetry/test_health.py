@@ -8,6 +8,9 @@ from repro.cluster.capacity import resolve_capacities
 from repro.errors import ParameterError
 from repro.telemetry import ClusterHealthSnapshot, Telemetry, build_health_snapshots
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 def run_churn_cluster(classes, measurement, *, telemetry=None, capacities=None):
     warmup = measurement.warmup

@@ -13,7 +13,10 @@ from repro import (
     parse_fleet_events,
     run_replications,
 )
+from repro.cluster import AdmissionController, resolve_capacities
+from repro.distributions import BoundedPareto
 from repro.errors import ParameterError
+from repro.simulation.ledger import DISPOSITION_SHED
 from repro.telemetry import (
     Telemetry,
     chrome_trace_events,
@@ -21,6 +24,10 @@ from repro.telemetry import (
     trace_seed,
     write_chrome_trace,
 )
+from repro.types import TrafficClass
+
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
 
 PHASES = {"B", "E", "X", "i", "M"}
 
@@ -88,7 +95,7 @@ def run_cluster_scenario(classes, measurement, seed, *, telemetry=None):
         f"kill:1@{measurement.warmup * 2:g} restore:1@{measurement.warmup * 4:g}"
     )
     cluster = make_cluster(
-        3, "round_robin", seed=np.random.SeedSequence(3), record_dispatch=True, fleet=fleet
+        3, "round_robin", seed=np.random.SeedSequence(3), fleet=fleet
     )
     scenario = Scenario(
         classes,
@@ -125,9 +132,10 @@ class TestChromeTraceEvents:
         assert any(n.startswith("queued c") for n in names)
         assert any(n.startswith("service c") for n in names)
         assert any(n.startswith("window ") for n in names)
-        # Request spans carry node attribution from the dispatch log.
+        # Request spans carry node attribution from the ledger's node column.
         request_events = [e for e in events if e.get("cat") == "request"]
-        assert all("node" in e["args"] for e in request_events)
+        node = result.ledger.node
+        assert all(e["tid"] == e["args"]["node"] == node[e["args"]["rid"]] for e in request_events)
         # Two spans (queued + service) per sampled completed request.
         assert len(request_events) == 2 * len(result.ledger.completed_ids)
 
@@ -169,6 +177,42 @@ class TestChromeTraceEvents:
         # Sampled spans are a subset of the full set.
         full_keys = {json.dumps(e, sort_keys=True) for e in full_requests}
         assert all(json.dumps(e, sort_keys=True) in full_keys for e in sampled_requests)
+
+
+    def test_spans_name_each_row_own_node_when_rows_are_shed(self):
+        """Shed rows have ledger rows but are never dispatched, so a span
+        reads its node from its own row, not from a list of the admitted
+        rows' choices."""
+        service = BoundedPareto(0.3, 10.0, 1.5)
+        classes = (
+            TrafficClass("gold", 2.5, service, 1.0),
+            TrafficClass("silver", 2.5, service, 2.0),
+        )
+        cluster = make_cluster(
+            2,
+            "weighted_random",
+            capacities=resolve_capacities("2:1", 2),
+            seed=np.random.SeedSequence(5),
+        )
+        result = Scenario(
+            classes,
+            MeasurementConfig(warmup=20.0, horizon=300.0, window=20.0),
+            server=cluster,
+            spec=PsdSpec.of(1, 2),
+            seed=11,
+            admission=AdmissionController((0.45, 0.45), target_utilisation=0.95),
+        ).run()
+        ledger = result.ledger
+        shed = ledger.disposition == DISPOSITION_SHED
+        # Shed rows early in the run shift every later row off a list of
+        # the admitted rows' choices.
+        assert 0 < np.count_nonzero(shed[: len(ledger) // 2])
+        assert np.array_equal(ledger.node < 0, shed)
+        events = chrome_trace_events(result, seed=11, sample_rate=1.0)
+        spans = [e for e in events if e.get("cat") == "request"]
+        assert len(spans) == 2 * ledger.num_completed
+        node = ledger.node
+        assert all(e["tid"] == e["args"]["node"] == node[e["args"]["rid"]] for e in spans)
 
 
 class _TraceBuild:

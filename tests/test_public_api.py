@@ -133,6 +133,16 @@ class TestLazyExports:
         )
         assert loaded == []
 
+    def test_a_single_node_figure_driver_loads_no_cluster_module(self):
+        """The experiment config imports its cluster modules where a
+        cluster field is validated or built, not when it is imported."""
+        loaded = fresh_python(
+            "import json, sys\n"
+            "import repro.experiments.effectiveness\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('repro.cluster')]))"
+        )
+        assert loaded == []
+
     def test_every_package_binds_every_name_by_star_import(self):
         missing = fresh_python(
             "import importlib, json\n"

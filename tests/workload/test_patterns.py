@@ -16,6 +16,9 @@ from repro.workload import (
 from tests.conftest import make_classes
 from tests.reference import ReferenceScenario
 
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
+
 
 @pytest.fixture(scope="module")
 def classes():
