@@ -156,15 +156,14 @@ class ClusterServerModel(ServerModel):
         #: state or capacity change, starting with the bind-time snapshot.
         #: States are the :data:`~repro.cluster.fleet.NODE_LIVE` /
         #: ``NODE_DRAINING`` / ``NODE_DOWN`` strings; feed the timeline to
-        #: :meth:`repro.simulation.WindowedMonitor.availability_series` for a
-        #: per-window per-node availability matrix.
+        #: :func:`repro.simulation.fleet_availability` for a per-window
+        #: per-node availability matrix.
         self.fleet_timeline: list[tuple[float, tuple[str, ...], tuple[float | None, ...]]] = []
-        #: Rate-partition history: one ``(time, per-node share vectors)``
-        #: entry per :meth:`apply_rates` call — recorded only while an
-        #: *enabled* telemetry facade is attached, and consumed by
-        #: :func:`repro.telemetry.build_health_snapshots` for per-window
-        #: per-node utilisation.
-        self.share_history: list[tuple[float, tuple[tuple[float, ...], ...]]] = []
+        #: The last partition :meth:`apply_rates` made: one per-class share
+        #: vector per node, before the capacity clamp (zeros for non-live
+        #: nodes); ``None`` before the first.  The scenario's window table
+        #: copies it at every boundary.
+        self.shares: list[tuple[float, ...]] | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -247,7 +246,7 @@ class ClusterServerModel(ServerModel):
         self._live = tuple(i for i in range(n) if self._node_state[i] == NODE_LIVE)
         self._last_rates = None
         self.fleet_timeline = []
-        self.share_history = []
+        self.shares = None
         for node in self.nodes:
             if self.telemetry is not None:
                 node.attach_telemetry(self.telemetry)
@@ -760,13 +759,7 @@ class ClusterServerModel(ServerModel):
                     f"partitioner does not conserve class {c}'s rate: allocated "
                     f"{rate}, distributed {assigned}"
                 )
-        if self.telemetry is not None and self.telemetry.enabled:
-            self.share_history.append(
-                (
-                    float(self.engine.now),
-                    tuple(tuple(float(value) for value in share) for share in shares),
-                )
-            )
+        self.shares = shares
         for index, (node, share) in enumerate(zip(self.nodes, shares)):
             # Non-live nodes keep their last rates: a draining node must
             # finish its queued work, and a down node holds none.

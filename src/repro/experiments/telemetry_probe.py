@@ -9,14 +9,22 @@ facade attached, then packages every exporter the telemetry layer offers:
 * a :class:`repro.telemetry.TelemetrySummary` for the terminal,
 * Chrome trace-event JSON (``trace.json``, open in Perfetto / about:tracing),
 * the metric stream (``metrics.jsonl``) and per-window cluster health
-  snapshots (``health.jsonl``) when an output directory is given.
+  rows (``health.jsonl``, see :func:`health_rows`) when an output
+  directory is given.
 
 The probe seeds everything from ``config.base_seed``, so its artefacts are
 as reproducible as the experiment tables themselves.
+
+A health row's ``assigned_rates`` average the run's window table, which
+holds the partition of each window boundary.  A fleet event strictly
+inside a window re-partitions the rates without a table row, so until the
+next boundary ``assigned_rates`` show the boundary's partition;
+``availability`` reads the fleet timeline and still sees the event.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,17 +34,12 @@ import numpy as np
 from ..cluster import make_cluster, parse_fleet_events, resolve_capacities
 from ..core.feedback import FeedbackPsdController
 from ..core.psd import PsdSpec
+from ..simulation.monitor import window_span, windowed_time_average
 from ..simulation.scenario import Scenario, SimulationResult
-from ..telemetry import (
-    Telemetry,
-    TelemetrySummary,
-    build_health_snapshots,
-    chrome_trace_events,
-    write_chrome_trace,
-)
+from ..telemetry import Telemetry, TelemetrySummary, chrome_trace_events, write_chrome_trace
 from .config import ExperimentConfig, get_preset
 
-__all__ = ["TelemetryProbeResult", "run_telemetry_probe"]
+__all__ = ["TelemetryProbeResult", "health_rows", "run_telemetry_probe"]
 
 #: Fleet geometry of the probe: enough nodes for churn to matter, small
 #: enough that the trace stays readable in a viewer.
@@ -50,18 +53,20 @@ class TelemetryProbeResult:
     summary: TelemetrySummary
     result: SimulationResult
     trace_events: list[dict]
-    snapshots: tuple
+    #: The :func:`health_rows` of the run, one per measurement window.
+    snapshots: list[dict]
     #: Files written under ``--telemetry-out`` (empty without an out dir).
     paths: dict[str, Path] = field(default_factory=dict)
 
     def to_text(self) -> str:
         lines = [self.summary.to_text()]
-        if self.snapshots:
-            worst = min(self.snapshots, key=lambda s: s.live_fraction)
+        availability = self.result.per_node_availability()
+        if availability is not None and availability.size:
+            live = availability.sum(axis=1) / availability.shape[1]
+            worst = int(np.argmin(live))
             lines.append(
-                f"# cluster health: {len(self.snapshots)} windows, "
-                f"lowest live fraction {worst.live_fraction:.2f} "
-                f"in window {worst.window_index}"
+                f"# cluster health: {len(live)} windows, "
+                f"lowest live fraction {live[worst]:.2f} in window {worst}"
             )
         for kind, path in sorted(self.paths.items()):
             lines.append(f"# wrote {kind}: {path}")
@@ -77,6 +82,51 @@ def _probe_fleet(config: ExperimentConfig, warmup: float):
         )
     schedule.validate_for(PROBE_NODES)
     return schedule.scaled_to_time_units(config.service_distribution().mean())
+
+
+def health_rows(result: SimulationResult) -> list[dict]:
+    """One ``health.jsonl`` row per measurement window of a clustered run.
+
+    ``availability`` is each node's live fraction of the window,
+    ``assigned_rates`` the time average of its total rate share from the
+    window table, ``utilisation`` that over its time-averaged capacity and
+    ``backlogs`` its pending requests in the table row at the window's end.
+    """
+    availability = result.per_node_availability()
+    table = result.window_table
+    warmup, window = float(result.config.warmup), float(result.config.window)
+    span = {"warmup": warmup, "window": window, "num_windows": availability.shape[0]}
+    assigned = windowed_time_average(
+        list(zip(table.time.tolist(), table.node_shares.sum(axis=-1))), **span
+    )
+    capacities = windowed_time_average(
+        [
+            (time, [1.0 if cap is None else float(cap) for cap in caps])
+            for time, _states, caps in result.fleet_timeline
+        ],
+        **span,
+    )
+    utilisation = np.divide(
+        assigned, capacities, out=np.zeros_like(assigned), where=capacities > 0.0
+    )
+    rows = []
+    for index in range(availability.shape[0]):
+        start, end = window_span(index, warmup=warmup, window=window)
+        # Boundaries land on window ends up to float jitter, hence the
+        # engine's 1e-9 tolerance.
+        at = int(np.searchsorted(table.time, end + 1e-9)) - 1
+        rows.append(
+            {
+                "window": index,
+                "start": start,
+                "end": end,
+                "availability": availability[index].tolist(),
+                "assigned_rates": assigned[index].tolist(),
+                "utilisation": utilisation[index].tolist(),
+                "backlogs": table.node_backlog[at].tolist(),
+            }
+        )
+    return rows
 
 
 def run_telemetry_probe(
@@ -111,7 +161,7 @@ def run_telemetry_probe(
     ).run()
 
     trace = chrome_trace_events(result, seed=config.base_seed, telemetry=telemetry)
-    snapshots = tuple(build_health_snapshots(result, telemetry=telemetry))
+    snapshots = health_rows(result)
     probe = TelemetryProbeResult(
         summary=TelemetrySummary.from_run(telemetry, result),
         result=result,
@@ -126,9 +176,7 @@ def run_telemetry_probe(
         probe.paths["metrics"] = out / "metrics.jsonl"
         telemetry.registry.write_jsonl(probe.paths["metrics"])
         probe.paths["health"] = out / "health.jsonl"
-        import json
-
         with probe.paths["health"].open("w") as stream:
-            for snapshot in snapshots:
-                stream.write(json.dumps(snapshot.to_row()) + "\n")
+            for row in snapshots:
+                stream.write(json.dumps(row) + "\n")
     return probe

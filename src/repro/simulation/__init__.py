@@ -14,7 +14,8 @@ The package is layered as *engine -> scenario -> server model -> runner*:
   deterministic, trace replay).
 * :mod:`repro.simulation.scenario` — :class:`Scenario`, the composable
   assembly every simulation shares: sources, admission, windowed monitor,
-  estimation-window ticks and the controller hookup.
+  estimation-window ticks and the controller hookup; each run's
+  per-boundary control record is one :class:`WindowTable`.
 * :mod:`repro.simulation.server_models` — pluggable :class:`ServerModel`
   substrates: :class:`RateScalableServers` (the paper's idealised Fig. 1
   model) and :class:`SharedProcessorServer` (one full-speed processor driven
@@ -66,7 +67,13 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "run_replications",
             "summarise_replications",
         ),
-        ".scenario": ("Scenario", "SimulationResult", "RateController", "StaticRateController"),
+        ".scenario": (
+            "Scenario",
+            "SimulationResult",
+            "RateController",
+            "StaticRateController",
+            "WindowTable",
+        ),
         ".server_models": ("ServerModel", "RateScalableServers", "SharedProcessorServer"),
         ".task_server": ("FcfsTaskServer",),
         ".trace_io": ("load_trace", "save_trace", "trace_sources_from_arrays"),

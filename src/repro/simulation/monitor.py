@@ -55,7 +55,8 @@ def windowed_time_average(
     ``(num_windows, len(values))`` matrix whose row ``i`` is the series'
     time average over :func:`window_span`'s window ``i``.  This is the one
     window-overlap computation behind :func:`fleet_availability` and the
-    cluster health snapshots' assigned-rate/capacity columns.
+    assigned-rate and capacity columns of
+    :func:`repro.experiments.telemetry_probe.health_rows`.
     """
     require_non_negative(warmup, "warmup")
     require_positive(window, "window")
@@ -289,23 +290,6 @@ class WindowedMonitor:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(den == 0.0, np.nan, num / den)
         return ratios[~np.isnan(ratios)]
-
-    def availability_series(self, timeline, num_windows: int) -> np.ndarray:
-        """Per-window, per-node live fractions aligned with this monitor's windows.
-
-        ``timeline`` is a cluster's
-        :attr:`~repro.cluster.ClusterServerModel.fleet_timeline`; window
-        index 0 spans ``[warmup, warmup + window)``, exactly like
-        :meth:`samples` (map a :class:`WindowSample` to its index via
-        ``round((sample.start - warmup) / window)`` — ``round``, not floor:
-        window starts are ``warmup + k * window`` up to float jitter, and a
-        hair-below start must not land in the previous window).  Reading the slowdown
-        ratio series against this matrix shows when differentiation error is
-        the controller's fault and when the fleet simply had fewer nodes.
-        """
-        return fleet_availability(
-            timeline, warmup=self.warmup, window=self.window, num_windows=num_windows
-        )
 
     def per_class_window_means(self, *, drop_nan: bool = False) -> list[np.ndarray]:
         """For each class, the vector of its per-window mean slowdowns.

@@ -59,7 +59,8 @@ The controller observes the window and its new rates are applied; then one
 :class:`~repro.core.WindowObservation` goes to telemetry, the autoscaler
 (re-captured after any fleet event) and admission, in that order, before
 the next arrival block is drawn.  With none of the three attached nothing
-is captured.
+is captured.  Every boundary, telemetry or not, ends with one row of the
+run's :class:`WindowTable`.
 
 All durations (warm-up, horizon, window) are interpreted in the same units
 as the service-time distributions — use
@@ -74,6 +75,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,7 +90,7 @@ from ..validation import require_non_negative
 from .engine import SimulationEngine
 from .generator import RequestSource, sources_from_classes
 from .ledger import DISPOSITION_DEGRADED, DISPOSITION_SHED, RequestLedger
-from .monitor import MeasurementConfig, WindowedMonitor
+from .monitor import MeasurementConfig, WindowedMonitor, fleet_availability
 from .server_models import RateScalableServers, ServerModel
 
 __all__ = [
@@ -96,6 +98,7 @@ __all__ = [
     "StaticRateController",
     "SimulationResult",
     "Scenario",
+    "WindowTable",
 ]
 
 
@@ -153,6 +156,31 @@ def _ratios_to_first(means: Sequence[float]) -> tuple[float, ...]:
     return tuple(m / first for m in means)
 
 
+class WindowTable(NamedTuple):
+    """A run's control record: one row at t=0 and one per window boundary.
+
+    Each boundary row is written after the boundary's new rates and any
+    autoscaler fleet events are applied, so it describes the allocation
+    and the fleet that serve the next window.  ``time`` ``(W,)`` and
+    ``rates`` ``(W, C)`` (the controller's allocation) exist for every run.
+    A clustered run adds ``node_shares`` ``(W, N, C)``, the partition the
+    cluster last applied (before the capacity clamp; zeros for non-live
+    nodes, and before the first partition), and ``node_backlog`` ``(W, N)``,
+    each node's pending requests; a single-server run has ``None`` there.
+    A fleet event strictly inside a window re-partitions the rates without
+    writing a row.
+    """
+
+    time: np.ndarray
+    rates: np.ndarray
+    node_shares: np.ndarray | None = None
+    node_backlog: np.ndarray | None = None
+
+
+def _empty_table() -> WindowTable:
+    return WindowTable(np.empty(0), np.empty((0, 0)))
+
+
 @dataclass
 class SimulationResult:
     """Everything a single simulation run produced.
@@ -168,7 +196,8 @@ class SimulationResult:
     monitor: WindowedMonitor
     controller: RateController
     ledger: RequestLedger
-    rate_history: list[tuple[float, tuple[float, ...]]] = field(default_factory=list)
+    #: The run's per-window control record (see :class:`WindowTable`).
+    window_table: WindowTable = field(default_factory=_empty_table)
     generated_counts: tuple[int, ...] = ()
     completed_counts: tuple[int, ...] = ()
     #: Shed requests per *origin* class (the admission ladder's SHED leg).
@@ -182,11 +211,6 @@ class SimulationResult:
     #: entries copied from :attr:`repro.cluster.ClusterServerModel.
     #: fleet_timeline`; ``None`` for non-cluster servers.
     fleet_timeline: list[tuple[float, tuple[str, ...], tuple[float | None, ...]]] | None = None
-    #: Per-node rate-share history of a clustered run with telemetry
-    #: attached — ``(time, ((node0 per-class shares), ...))`` per
-    #: ``apply_rates`` call; ``None`` otherwise.  Health snapshots derive
-    #: per-node assigned rates and utilisation from it.
-    node_share_history: list[tuple[float, tuple[tuple[float, ...], ...]]] | None = None
     #: Wall-clock transport/build profile stamped by the replication runner
     #: (``None`` for results built outside it): transport route, payload
     #: bytes, encode/decode/build seconds, worker pid.
@@ -196,6 +220,12 @@ class SimulationResult:
     #: also appear in ``fleet_timeline`` as state transitions; this list
     #: keeps the decision sequence itself diffable across worker counts.
     autoscale_events: list | None = None
+
+    @property
+    def rate_history(self) -> list[tuple[float, tuple[float, ...]]]:
+        """``(time, rates)`` per row of :attr:`window_table`, as Python floats."""
+        table = self.window_table
+        return [(t, tuple(row)) for t, row in zip(table.time.tolist(), table.rates.tolist())]
 
     # ------------------------------------------------------------------ #
     # Post-warm-up summaries (the quantities the paper reports)
@@ -251,19 +281,25 @@ class SimulationResult:
         """Per-window per-node live fractions, or ``None`` without fleet data.
 
         ``num_windows`` defaults to every full measurement window between
-        warm-up and the horizon; the matrix is aligned with the monitor's
-        window indexing (see :meth:`WindowedMonitor.availability_series`).
+        warm-up and the horizon.  Row ``i`` is the monitor's window ``i``,
+        ``[warmup + i * window, warmup + (i + 1) * window)``; map a
+        :class:`~repro.simulation.WindowSample` to it with ``round((start -
+        warmup) / window)``, since window starts carry float jitter.
         """
         if self.fleet_timeline is None:
             return None
+        config = self.config
         if num_windows is None:
             # Floor with a jitter epsilon: scaled (horizon - warmup) / window
             # lands a hair below the exact count for many service-time means,
             # and a bare floor would silently drop the last full window.
-            num_windows = int(
-                (self.config.horizon - self.config.warmup) / self.config.window + 1e-9
-            )
-        return self.monitor.availability_series(self.fleet_timeline, num_windows)
+            num_windows = int((config.horizon - config.warmup) / config.window + 1e-9)
+        return fleet_availability(
+            self.fleet_timeline,
+            warmup=self.monitor.warmup,
+            window=self.monitor.window,
+            num_windows=num_windows,
+        )
 
 
 class Scenario:
@@ -389,8 +425,14 @@ class Scenario:
         if telemetry is not None:
             self.server.attach_telemetry(telemetry)
         self.server.bind(self.engine, self.classes, ledger=self.ledger)
+        # A cluster (read duck-typed, like WindowObservation.capture) adds
+        # its partition and per-node backlog to every window-table row.
+        clustered = getattr(self.server, "live_nodes", None) is not None
+        self._node_shares: list | None = [] if clustered else None
+        self._node_backlog: list[list[int]] = []
         self.server.apply_rates(initial_rates)
         self.rate_history.append((0.0, tuple(initial_rates)))
+        self._record_fleet()
 
     # ------------------------------------------------------------------ #
     # Arrival blocks
@@ -680,12 +722,38 @@ class Scenario:
             if self.admission is not None:
                 self._admission_obs = obs
                 self.admission.observe_window(obs)
+        self._record_fleet()
         next_boundary = self.engine.now + self.config.window
         bound = min(next_boundary, self.config.horizon)
         if bound > self.engine.now:
             self._queue_block(bound)
         if next_boundary <= self.config.horizon:
             self.engine.schedule_at(next_boundary, self._window_boundary, label="window")
+
+    def _record_fleet(self) -> None:
+        """A cluster's columns of the :class:`WindowTable` row, written after
+        the boundary's fleet events: the fleet that serves the next window."""
+        if self._node_shares is not None:
+            self._node_shares.append(self.server.shares)
+            self._node_backlog.append([sum(row) for row in self.server.pending_table])
+
+    def _window_table(self) -> WindowTable:
+        history = self.rate_history
+        table = WindowTable(
+            np.array([time for time, _ in history], dtype=np.float64),
+            np.array([rates for _, rates in history], dtype=np.float64),
+        )
+        if self._node_shares is None:
+            return table
+        shape = (len(history), self.server.num_nodes, len(self.classes))
+        shares = np.zeros(shape)
+        for row, partition in enumerate(self._node_shares):
+            if partition is not None:
+                shares[row] = partition
+        return table._replace(
+            node_shares=shares,
+            node_backlog=np.array(self._node_backlog, dtype=np.int64).reshape(shape[:2]),
+        )
 
     # ------------------------------------------------------------------ #
     # Run
@@ -732,7 +800,7 @@ class Scenario:
             config=self.config,
             monitor=self.monitor,
             controller=self.controller,
-            rate_history=self.rate_history,
+            window_table=self._window_table(),
             generated_counts=tuple(
                 int(n) + source - target
                 for n, source, target in zip(rows, self._degraded_from, self._degraded_to)
@@ -743,6 +811,5 @@ class Scenario:
             degraded_into_counts=tuple(self._degraded_to),
             ledger=self.ledger,
             fleet_timeline=getattr(self.server, "fleet_timeline", None),
-            node_share_history=getattr(self.server, "share_history", None),
             autoscale_events=list(self.autoscale_events) if self.autoscaler is not None else None,
         )

@@ -38,7 +38,7 @@ __all__ = ["Telemetry"]
 
 
 class Telemetry:
-    """Injectable metrics + tracing + health collection for one simulation run.
+    """Injectable metrics + tracing collection for one simulation run.
 
     Parameters
     ----------
@@ -52,8 +52,11 @@ class Telemetry:
         itself is deterministic in the replication seed and request id, see
         :func:`repro.telemetry.sample_mask`).
 
-    A telemetry object holds per-run state (gauge series, drain marks);
-    build a fresh one per scenario, exactly like server models.
+    A telemetry object holds per-run state (gauge series, drain marks, the
+    dispatched-row cursor); build a fresh one per scenario, exactly like
+    server models.  Per-window rates, node shares and node backlogs are not
+    kept here: every run records them in its
+    :class:`~repro.simulation.scenario.WindowTable`.
     """
 
     def __init__(self, *, enabled: bool = True, trace_sample_rate: float = 1.0) -> None:
@@ -68,11 +71,10 @@ class Telemetry:
         self.batch_marks: list[tuple[float, int]] = []
         #: ``(sim_time, completions)`` per bulk drain.
         self.drain_marks: list[tuple[float, int]] = []
-        #: ``(sim_time, per-node pending totals)`` sampled at every window
-        #: boundary of a clustered run — the backlog series
-        #: :func:`repro.telemetry.build_health_snapshots` consumes.
-        self.node_backlog_marks: list[tuple[float, tuple[int, ...]]] = []
         self._seen_completed = 0
+        # Ledger rows already counted into the per-node dispatched gauges.
+        self._node_cursor = 0
+        self._dispatched: np.ndarray | int = 0
 
     def attach_clock(self, clock: Callable[[], float]) -> None:
         """Stamp gauge samples with this simulated-time source."""
@@ -172,27 +174,27 @@ class Telemetry:
         capacity = obs.live_capacity
         if capacity > 0.0:
             reg.gauge("server.utilisation").set(sum(obs.rates) / capacity)
-        self._observe_cluster(scenario.server)
+        self._observe_cluster(scenario.server, scenario.ledger)
 
-    def _observe_cluster(self, server) -> None:
-        """Per-node gauges + the backlog mark series for clustered servers."""
+    def _observe_cluster(self, server, ledger) -> None:
+        """Per-node gauges for clustered servers."""
         live = getattr(server, "live_nodes", None)
         if live is None:
             return
         reg = self.registry
         reg.gauge("cluster.live_nodes").set(len(live))
-        now = float(server.engine.now)
-        num_nodes, num_classes = server.num_nodes, server.num_classes
-        pending = tuple(
-            sum(server.pending(node, c) for c in range(num_classes)) for node in range(num_nodes)
-        )
-        self.node_backlog_marks.append((now, pending))
-        counts = server.dispatch_counts()
-        share_history = getattr(server, "share_history", None)
-        shares = share_history[-1][1] if share_history else None
-        for node in range(num_nodes):
-            reg.gauge(f"cluster.node{node}.backlog").set(pending[node])
-            reg.gauge(f"cluster.node{node}.dispatched").set(sum(counts[node]))
+        num_nodes = server.num_nodes
+        # At a boundary every appended row is dispatched or shed (node -1),
+        # so counting only the rows since the last boundary keeps the
+        # running totals exact.
+        end = len(ledger)
+        nodes = ledger.node[self._node_cursor : end]
+        self._node_cursor = end
+        self._dispatched += np.bincount(nodes[nodes >= 0], minlength=num_nodes)
+        shares = server.shares
+        for node, pending in enumerate(server.pending_table):
+            reg.gauge(f"cluster.node{node}.backlog").set(sum(pending))
+            reg.gauge(f"cluster.node{node}.dispatched").set(int(self._dispatched[node]))
             if shares is not None:
                 assigned = sum(shares[node])
                 reg.gauge(f"cluster.node{node}.utilisation").set(

@@ -24,6 +24,7 @@ from repro.cluster import (
     make_cluster,
     parse_fleet_events,
 )
+from repro.distributions import Deterministic
 from repro.errors import ClusterDrainedError, SimulationError
 from repro.simulation import (
     MeasurementConfig,
@@ -33,6 +34,7 @@ from repro.simulation import (
     fleet_availability,
 )
 from tests.conftest import make_classes
+from tests.invariants import check_run
 
 pytestmark = pytest.mark.usefixtures("checked_runs")
 
@@ -454,3 +456,23 @@ class TestStaticFleetCompatibility:
             fleet=FleetSchedule(),
         )
         assert not cluster.fleet
+
+
+class TestLiveDispatchInvariant:
+    def test_check_run_rejects_a_row_on_a_node_that_was_down(self):
+        """``check_run`` reads each admitted row's node against the fleet
+        timeline, so a row relabelled onto a node in its outage fails it."""
+        classes = make_classes(Deterministic(1.0), 0.6, (1.0, 2.0))
+        cfg = MeasurementConfig(warmup=200.0, horizon=1_200.0, window=200.0)
+        cluster = make_cluster(
+            2, "round_robin", fleet=parse_fleet_events("kill:1@400 restore:1@800")
+        )
+        result = Scenario(classes, cfg, server=cluster, seed=5).run()
+        ledger = result.ledger
+        arrival = ledger.arrival_time
+        (outage,) = np.flatnonzero((arrival >= 400.0) & (arrival < 800.0))[:1]
+        assert ledger.node[outage] == 0
+        ledger.assign_nodes(int(outage), 1)
+        with pytest.raises(AssertionError, match="not live"):
+            check_run(result, per_class_servers=True)
+

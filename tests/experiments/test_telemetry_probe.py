@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments.config import get_preset
 from repro.experiments.telemetry_probe import PROBE_NODES, run_telemetry_probe
+
+#: Every run also passes the run-end invariants (tests/invariants.py).
+pytestmark = pytest.mark.usefixtures("checked_runs")
 
 
 class TestRunTelemetryProbe:
@@ -14,9 +18,9 @@ class TestRunTelemetryProbe:
         assert probe.result.fleet_timeline is not None
         assert probe.trace_events
         assert probe.snapshots
-        assert all(s.num_nodes == PROBE_NODES for s in probe.snapshots)
+        assert all(len(row["availability"]) == PROBE_NODES for row in probe.snapshots)
         # The default schedule kills a node mid-run: some window sees it.
-        assert any(s.live_fraction < 1.0 for s in probe.snapshots)
+        assert any(min(row["availability"]) < 1.0 for row in probe.snapshots)
         # Artifacts on disk: valid Chrome trace JSON + one row per metric /
         # window in the JSONL streams.
         doc = json.loads((tmp_path / "trace.json").read_text())
@@ -24,14 +28,40 @@ class TestRunTelemetryProbe:
         metrics = (tmp_path / "metrics.jsonl").read_text().splitlines()
         assert metrics and all(json.loads(line)["name"] for line in metrics)
         health = [json.loads(line) for line in (tmp_path / "health.jsonl").read_text().splitlines()]
-        assert len(health) == len(probe.snapshots)
-        assert health[0]["availability"] == list(probe.snapshots[0].availability)
+        assert health == probe.snapshots
 
     def test_probe_availability_matches_monitor(self):
         probe = run_telemetry_probe(get_preset("quick"))
         series = probe.result.per_node_availability()
-        for window, snapshot in enumerate(probe.snapshots):
-            assert snapshot.availability == tuple(series[window])
+        assert len(probe.snapshots) == series.shape[0]
+        for window, row in enumerate(probe.snapshots):
+            assert row["window"] == window
+            assert row["availability"] == series[window].tolist()
+
+    def test_backlogs_are_the_table_row_at_the_window_end(self):
+        probe = run_telemetry_probe(get_preset("quick"))
+        table = probe.result.window_table
+        for row in probe.snapshots:
+            # Window ends are boundaries, up to float jitter.
+            (at,) = np.flatnonzero(np.isclose(table.time, row["end"], rtol=0.0, atol=1e-6))
+            assert row["backlogs"] == table.node_backlog[at].tolist()
+
+    def test_utilisation_is_assigned_rate_over_capacity(self):
+        probe = run_telemetry_probe(get_preset("quick"))
+        capacities = probe.result.fleet_timeline[0][2]
+        assert len(set(capacities)) == 2  # the probe's 2:1 fleet
+        live = 0
+        for row in probe.snapshots:
+            for node, capacity in enumerate(capacities):
+                if row["availability"][node] == 1.0:
+                    live += 1
+                    expected = row["assigned_rates"][node] / capacity
+                    assert row["utilisation"][node] == pytest.approx(expected)
+            # A node down for the whole window was assigned nothing.
+            for node, fraction in enumerate(row["availability"]):
+                if fraction == 0.0:
+                    assert row["assigned_rates"][node] == row["utilisation"][node] == 0.0
+        assert live
 
     def test_to_text_sections(self):
         probe = run_telemetry_probe(get_preset("quick"))
@@ -46,9 +76,9 @@ class TestRunTelemetryProbe:
         # The custom schedule targets node 0 (the default schedule kills 1).
         dead_nodes = {
             node
-            for snapshot in probe.snapshots
-            for node in range(snapshot.num_nodes)
-            if snapshot.availability[node] == 0.0
+            for row in probe.snapshots
+            for node, fraction in enumerate(row["availability"])
+            if fraction == 0.0
         }
         assert dead_nodes == {0}
 

@@ -15,7 +15,9 @@ to the same rules without trusting either:
   in the paper's Fig. 1 model;
 * on clusters of such servers, the same exact rule per node and class, the
   ledger's ``node`` column telling the nodes apart; that column holds
-  exactly one node per admitted row, and ``-1`` on every shed row;
+  exactly one node per admitted row, and ``-1`` on every shed row, and
+  every admitted row's node was live at the row's arrival (read from the
+  fleet timeline: fleet events fire before same-instant arrivals);
 * per class, the sample-path Little identity: the area under the number
   in system, integrated by an event sweep over ``[0, horizon]``, equals the
   summed sojourn times truncated at the horizon;
@@ -94,6 +96,7 @@ def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
             "the node column is not set on exactly the admitted rows"
         )
         assert np.all(node_of < num_nodes), "the node column names a node the cluster lacks"
+        _check_live_dispatch(result.fleet_timeline, arrival[~shed], node_of[~shed])
     for cls in range(len(result.classes)):
         rows = np.flatnonzero((classes == cls) & ~shed)
         if single_node:
@@ -142,6 +145,16 @@ def _check_admission_counts(result, shed, telemetry) -> None:
     assert count("scenario.arrivals") == len(ledger) - num_shed, (
         "telemetry arrival count disagrees with the admitted rows"
     )
+
+
+def _check_live_dispatch(timeline, arrival, node) -> None:
+    """Every row went to a node that was live at its arrival.  An entry at
+    time ``t`` is in force for arrivals at ``t``: fleet events fire first."""
+    entries = sorted(timeline, key=lambda entry: entry[0])
+    live = np.array([[state == NODE_LIVE for state in states] for _, states, _ in entries])
+    in_force = np.searchsorted([time for time, _, _ in entries], arrival, side="right") - 1
+    assert np.all(in_force >= 0), "a row arrived before the fleet timeline starts"
+    assert np.all(live[in_force, node]), "a row was dispatched to a node that was not live"
 
 
 def _check_fleet_integrals(timeline, completed_sizes, horizon: float) -> None:

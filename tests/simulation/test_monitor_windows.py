@@ -85,17 +85,6 @@ class TestAvailabilityBoundaryRegression:
         assert series[1].tolist() == [1.0, 0.0]
         assert series[2].tolist() == [1.0, 1.0]
 
-    def test_monitor_series_agrees_with_module_function(self):
-        timeline = [
-            (0.0, ("live",), (None,)),
-            (12.5, ("down",), (None,)),
-        ]
-        monitor = WindowedMonitor(1, warmup=10.0, window=5.0, ledger=RequestLedger(1))
-        assert np.array_equal(
-            monitor.availability_series(timeline, 2),
-            fleet_availability(timeline, warmup=10.0, window=5.0, num_windows=2),
-        )
-
 
 def oracle_samples(rows, *, num_classes, warmup, window):
     """Brute-force per-window samples: ``[(start, end, counts, means)]``.

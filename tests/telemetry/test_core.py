@@ -151,22 +151,37 @@ class TestClusterIntegration:
         assert result.fleet_timeline == baseline.fleet_timeline
 
     def test_cluster_gauges_and_marks(self, two_classes, short_measurement):
-        telemetry = Telemetry()
+        class CountingTelemetry(Telemetry):
+            """Reads the cluster's whole-ledger dispatch counts at every boundary."""
+
+            def __init__(self):
+                super().__init__()
+                self.counts = []
+
+            def on_window(self, scenario, obs):
+                super().on_window(scenario, obs)
+                self.counts.append(scenario.server.dispatch_counts())
+
+        telemetry = CountingTelemetry()
         result, scenario = self.make_cluster_run(
             two_classes, short_measurement, telemetry=telemetry
         )
         registry = telemetry.registry
         assert registry.get("fleet.events").value == 2
         assert registry.get("cluster.live_nodes").value == 3.0
-        assert telemetry.node_backlog_marks
-        assert all(len(marks) == 3 for _, marks in telemetry.node_backlog_marks)
+        backlog = result.window_table.node_backlog
         for node in range(3):
-            assert registry.get(f"cluster.node{node}.backlog") is not None
+            # The backlog gauge reads what the window table records.
+            gauge = registry.get(f"cluster.node{node}.backlog").series
+            assert [value for _, value in gauge] == backlog[1:, node].tolist()
             assert registry.get(f"cluster.node{node}.utilisation") is not None
-        dispatched = sum(
-            registry.get(f"cluster.node{node}.dispatched").value for node in range(3)
-        )
-        assert dispatched <= np.count_nonzero(result.ledger.node >= 0)
+            # The dispatched gauge counts only the rows since the last
+            # boundary, yet equals the whole-ledger count at every boundary.
+            dispatched = registry.get(f"cluster.node{node}.dispatched").series
+            assert len(dispatched) == len(telemetry.counts) == len(result.rate_history) - 1
+            assert [value for _, value in dispatched] == [
+                sum(counts[node]) for counts in telemetry.counts
+            ]
 
     def test_utilisation_follows_live_capacity(self, two_classes, short_measurement):
         """``server.utilisation`` divides the allocated total rate by the
@@ -209,24 +224,6 @@ class TestClusterIntegration:
             assert rows > 0
             histogram = telemetry.registry.get(f"class{class_index}.drain_length")
             assert histogram.total == rows
-
-    def test_share_history_only_recorded_with_enabled_telemetry(
-        self, two_classes, short_measurement
-    ):
-        off, _ = self.make_cluster_run(two_classes, short_measurement)
-        assert off.node_share_history == []
-        on, _ = self.make_cluster_run(
-            two_classes, short_measurement, telemetry=Telemetry()
-        )
-        assert on.node_share_history
-        time0, shares0 = on.node_share_history[0]
-        assert time0 == 0.0
-        assert len(shares0) == 3
-        # Shares conserve each class's rate.
-        for class_index in range(len(two_classes)):
-            total = sum(share[class_index] for share in shares0)
-            expected = on.rate_history[0][1][class_index]
-            assert total == pytest.approx(expected, abs=1e-9)
 
 
 class TestAutoscaleIntegration:

@@ -121,7 +121,7 @@ class TestLazyExports:
         unused = [
             "repro.queueing.mgb1",
             "repro.experiments.report",
-            "repro.telemetry.health",
+            "repro.telemetry.tracing",
             "repro.scheduling.wfq",
             "repro.workload.ecommerce",
             "multiprocessing",
