@@ -1,11 +1,13 @@
 """A multi-node cluster serving substrate.
 
-:class:`ClusterServerModel` is a :class:`~repro.simulation.ServerModel` that
-owns N member nodes, each the paper's Fig. 1 model
-(:class:`~repro.simulation.RateScalableServers`: one rate-scalable FCFS task
-server per class), and routes every admitted request through a pluggable
-:class:`~repro.cluster.dispatch.DispatchPolicy`.  The controller's per-class
-rate allocation is fanned out to the nodes by a
+:class:`ClusterServerModel` is a :class:`~repro.simulation.ServerModel` over
+N nodes, each the paper's Fig. 1 model (one rate-scalable FCFS task server
+per class), and routes every admitted request through a pluggable
+:class:`~repro.cluster.dispatch.DispatchPolicy`.  All N * C class servers
+live in one :class:`~repro.simulation.RateScalableServers` *bank*
+(:attr:`ClusterServerModel.bank`, server ``node * C + class``), so a sync
+drains, writes and merges every (node, class) server in one pass.  The
+controller's per-class rate allocation is fanned out to the nodes by a
 :class:`~repro.cluster.partition.RatePartitioner`, so the PSD feedback loop
 closes over the whole cluster; ``backlogs()`` aggregates the per-class
 counts, so the existing monitor/estimator stack works unchanged.
@@ -45,10 +47,10 @@ fleet is static, and each block takes one of two routes:
   of its instant, exactly as a one-event-per-request cluster would, taken
   from the policy's :meth:`~repro.cluster.dispatch.DispatchPolicy.chooser`,
   fetched once per block.  The bookings are the completion log and the
-  deques the only queue: members receive no rows and, at each
-  synchronisation, just take their arrived heads into service; every rate
-  change re-bases those and re-predicts the heads alone, from the members'
-  in-service state (:meth:`~repro.simulation.RateScalableServers.service_head`).
+  deques the only queue: the bank receives no rows and, at each
+  synchronisation, just takes the arrived heads into service; every rate
+  change re-bases those and re-predicts the heads alone, from the bank's
+  in-service state.
 
 Either way completions are logged in ``(time, node, class)`` order, and
 each block's node choices are written once into the ledger's ``node``
@@ -80,8 +82,7 @@ from math import isnan
 import numpy as np
 
 from ..errors import ClusterDrainedError, SimulationError
-from ..simulation.server_models import RateScalableServers, ServerModel
-from ..simulation.task_server import _SCALAR_BATCH_LIMIT
+from ..simulation.server_models import _SCALAR_BATCH_LIMIT, RateScalableServers, ServerModel
 from ..telemetry.log import get_logger, log_event
 from ..validation import require_capacity
 from .dispatch import DispatchPolicy, RoundRobin, build_dispatch_policy
@@ -101,14 +102,13 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class ClusterServerModel(ServerModel):
-    """N member nodes behind a dispatch policy and a rate partitioner.
+    """N nodes' class servers behind a dispatch policy and a rate partitioner.
 
     Parameters
     ----------
     nodes:
-        The member nodes, fresh
-        :class:`~repro.simulation.RateScalableServers` instances (they hold
-        per-run state).
+        One fresh one-node :class:`~repro.simulation.RateScalableServers`
+        per node; the cluster reads their capacities into its bank.
     dispatch:
         Routing policy; defaults to :class:`~repro.cluster.dispatch.RoundRobin`.
     partitioner:
@@ -140,13 +140,15 @@ class ClusterServerModel(ServerModel):
                 )
             if node.engine is not None:
                 raise SimulationError("cluster nodes must be fresh, unbound server models")
-        self.nodes = tuple(nodes)
+        #: Every node's class servers, one bank; fleet events write its
+        #: capacity column.
+        self.bank = RateScalableServers.of_nodes([node.capacity for node in nodes])
         self.dispatch = dispatch if dispatch is not None else RoundRobin()
         if partitioner is None:
             partitioner = self.dispatch.preferred_partitioner() or EqualSplit()
         self.partitioner = partitioner
         self.fleet = fleet if fleet is not None else FleetSchedule()
-        self.fleet.validate_for(len(self.nodes))
+        self.fleet.validate_for(self.num_nodes)
         self._pending: list[list[int]] = []
         self._work_left: list[float] = []
         self._node_state: list[str] = []
@@ -167,7 +169,7 @@ class ClusterServerModel(ServerModel):
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.bank.capacities)
 
     # ------------------------------------------------------------------ #
     # Read-only view consumed by policies and partitioners
@@ -212,7 +214,7 @@ class ClusterServerModel(ServerModel):
         fleet with no declared capacities therefore weights every node at
         exactly 1.0, reproducing the capacity-blind behaviour bit-for-bit.
         """
-        capacity = self.nodes[node].capacity
+        capacity = self.bank.capacities[node]
         return 1.0 if capacity is None else capacity
 
     @property
@@ -247,19 +249,17 @@ class ClusterServerModel(ServerModel):
         self._last_rates = None
         self.fleet_timeline = []
         self.shares = None
-        for node in self.nodes:
-            if self.telemetry is not None:
-                node.attach_telemetry(self.telemetry)
-            # Member nodes share the cluster's ledger, so row ids are valid
-            # cluster-wide and the dispatch/pending bookkeeping never needs
-            # a per-request object.
-            node.bind(self.engine, self.classes, ledger=self.ledger)
+        if self.telemetry is not None:
+            self.bank.attach_telemetry(self.telemetry)
+        # The bank shares the cluster's ledger, so row ids are valid
+        # cluster-wide and the dispatch/pending bookkeeping never needs a
+        # per-request object.
+        self.bank.bind(self.engine, self.classes, ledger=self.ledger)
         self.dispatch.bind(self)
-        # Dispatch state: buffered member drain runs awaiting the next
-        # merge, and the policy methods the dispatch loops call — bound once
+        # Dispatch state: the completion runs of the syncs since the last
+        # drain, and the policy methods the dispatch loops call — bound once
         # here so the per-request path never repeats the attribute lookups.
-        self._run_rids: list[np.ndarray] = []
-        self._run_times: list[np.ndarray] = []
+        self._runs: list[np.ndarray] = []
         self._select_block = getattr(self.dispatch, "select_block", None)
         self._chooser = self.dispatch.chooser
         # Completion calendar (policy without ``select_block``): a heap
@@ -323,12 +323,12 @@ class ClusterServerModel(ServerModel):
             (
                 self.engine.now if time is None else time,
                 tuple(self._node_state),
-                tuple(node.capacity for node in self.nodes),
+                tuple(self.bank.capacities),
             )
         )
 
     def _apply_fleet_event(self, event: FleetEvent) -> None:
-        # Everything the members finished strictly *before* the event
+        # Everything the bank finished strictly *before* the event
         # instant must be booked first: drain-complete transitions land
         # before this event's timeline entry, and the re-partition below
         # reads the pending counts of that instant.  A completion tied
@@ -355,7 +355,7 @@ class ClusterServerModel(ServerModel):
             # queue simply counts as pending work again.
             self._node_state[event.node] = NODE_LIVE
         else:  # set_capacity: degradation or recovery, applied in place
-            self.nodes[event.node].capacity = event.capacity
+            self.bank.capacities[event.node] = event.capacity
         self._refresh_fleet()
         log_event(
             _log,
@@ -442,7 +442,7 @@ class ClusterServerModel(ServerModel):
         ``select_node`` would (cursor walks, RNG draws and home lookups do
         not depend on completions), so no completion interleaving is needed:
         the whole block's bookkeeping collapses to two bincounts, one node
-        column scatter and one per-node sub-block submission.
+        column scatter and one bank submission of the gathered columns.
         ``select_block`` implementations guarantee live choices, so the
         per-request validation of :meth:`_checked_node` is skipped here.
         """
@@ -461,7 +461,7 @@ class ClusterServerModel(ServerModel):
             for cls, k in enumerate(row_counts):
                 row_pending[cls] += k
             self._work_left[node] += float(work_add[node])
-            self.nodes[node].submit_batch(rids[choices == node])
+        self.bank.submit_batch(rids, choices, classes, ledger.arrivals_of(rids), sizes)
 
     def _dispatch_predicted(
         self, rids: np.ndarray, classes: np.ndarray, until: float = -np.inf
@@ -473,14 +473,13 @@ class ClusterServerModel(ServerModel):
         first, the single-server convention); after the block, every one due
         by ``until`` (how :meth:`_book_completions` runs, with no arrivals).
         Booking pops a head in ``(time, node, class)`` order and promotes
-        the next request of its class server with the fold
-        :meth:`~repro.simulation.task_server.FcfsTaskServer.drain` performs
-        — ``start = max(arrival, previous completion)``, ``completion =
+        the next request of its class server with the bank's fold —
+        ``start = max(arrival, previous completion)``, ``completion =
         start + size / rate``.  A request placed on a server without a head
         becomes its head if the server runs (``start = max(arrival, last
         booked completion)``); any other waits, unpredicted, in the server's
         deque — behind a frozen (zero-rate) server until the next rate change
-        rebuilds the calendar.  The members receive no rows, so the
+        rebuilds the calendar.  The bank receives no rows, so the
         per-request cost is one chooser call, at most one heap operation per
         placement and per booking, and list bookkeeping.
         """
@@ -560,30 +559,34 @@ class ClusterServerModel(ServerModel):
 
         A prediction holds only while the rates stay put, so every
         :meth:`apply_rates` rebuilds the calendar — always right after a
-        full synchronisation, when the members' in-service requests are
-        exactly the arrived heads.  A head in service completes where its
-        member says (``last progress + remaining / rate``, re-based by
-        ``set_rate``); a head that has not started yet at ``arrival + size /
-        rate``; a frozen server's head gets no entry.  The requests queued
-        behind the heads stay unpredicted, so a rebuild costs one member
-        query per class server, not one prediction per waiting request.
+        full synchronisation, when the bank's in-service requests are
+        exactly the arrived heads.  A head in service completes where the
+        bank's drain would complete it (``progress + remaining / rate``,
+        re-based by the rate change); a head that has not started yet at
+        ``arrival + size / rate``; a frozen server's head gets no entry.
+        The requests queued behind the heads stay unpredicted, so a rebuild
+        costs one look per class server, not one prediction per waiting
+        request.
         """
         calendar = self._calendar
         calendar.clear()
         ledger = self.ledger
-        for node, (member, queues) in enumerate(zip(self.nodes, self._queues)):
-            rates = self._class_rates[node]
+        bank = self.bank
+        c = self.num_classes
+        for node, (queues, rates) in enumerate(zip(self._queues, self._class_rates)):
             for cls, queue in enumerate(queues):
-                rate, busy, done = member.service_head(cls)
-                rates[cls] = rate
+                s = node * c + cls
+                rate = rates[cls] = bank.rates[s]
                 if not queue or rate <= 0.0:
                     continue
                 rid, arrival, size = queue[0]
+                busy = bank.in_service[s]
                 if busy is None:
                     start = arrival
                     done = arrival + size / rate
                 elif busy == rid:
                     start = ledger.start_of(rid)
+                    done = bank.progress[s] + bank.remaining[s] / rate
                 else:
                     raise SimulationError(
                         f"node {node} serves row {busy} of class {cls}, but the "
@@ -592,59 +595,35 @@ class ClusterServerModel(ServerModel):
                 calendar.append((done, node, cls, rid, size, start))
         heapify(calendar)
 
-    def _drain_node(self, node: int, now: float) -> tuple[float, int] | None:
-        """Drain one member to ``now`` and book its completions (block route).
-
-        Buffers the member's completion run for the next cluster-level
-        merge, applies its bookkeeping in bulk (one ``bincount`` of pending
-        decrements, one work-left fold), and returns a pending ``(time,
-        node)`` drain-complete flip — at the run's last completion time,
-        since a draining node gets no new work — for the caller to apply in
-        global time order.
-        """
-        ledger = self.ledger
-        run = self.nodes[node].drain(now)
-        if run.size == 0:
-            return None
-        self._run_rids.append(run)
-        self._run_times.append(ledger.completion_time[run])
-        pending = self._pending[node]
-        counts = np.bincount(ledger.classes_of(run), minlength=self.num_classes).tolist()
-        for cls, k in enumerate(counts):
-            pending[cls] -= k
-        # The scalar fold ``work = max(work - size, 0.0)`` over the run, bit
-        # for bit: ``subtract.accumulate`` subtracts left to right, and as
-        # sizes are non-negative the unclamped fold never rises — once it
-        # dips below zero (summation order can leave ~1e-16 residuals) it
-        # stays there, where the clamped fold ends at 0.0.
-        sizes = ledger.sizes_of(run)
-        work = np.subtract.accumulate(np.concatenate(([self._work_left[node]], sizes)))[-1]
-        self._work_left[node] = 0.0 if work < 0.0 else float(work)
-        if self._node_state[node] == NODE_DRAINING and not any(pending):
-            return (float(ledger.completion_time[run[-1]]), node)
-        return None
-
     def _sync_nodes(self, now: float) -> None:
-        """Fully synchronise every member to ``now`` (rate-change points).
+        """Fully synchronise the bank to ``now`` (rate-change points).
 
         On the calendar route the calendar books every completion up to
-        ``now`` and hands each member its arrived heads
-        (:meth:`~repro.simulation.RateScalableServers.drain`), starting a new
+        ``now`` and hands the bank every server's arrived head in one
+        :meth:`~repro.simulation.RateScalableServers.drain`, starting a new
         head at ``max(arrival, last booked completion)`` — a frozen
         (zero-rate) head, which has no calendar entry, thus starts before
-        any ``set_rate`` re-bases it.  The rows booked since the last sync
+        any rate change re-bases it.  The rows booked since the last sync
         reach the ledger in one checked ``serve_batch`` (rows already in
         service: ``complete_batch``; short syncs row by row) and wait in
-        booking order for :meth:`drain`.  On the block route each member is
-        drained by :meth:`_drain_node`, and the drain-complete flips are
-        applied in ``(time, node)`` order, as the calendar pops them.
+        booking order for :meth:`drain`.
+
+        On the block route one bank drain serves every (node, class)
+        server and returns their merged run, which waits for :meth:`drain`.
+        Its bookkeeping follows from the run: each server's pending count
+        drops by its run length (``bank.drained``), and each node's work
+        left folds over the node's rows in merged order.  The drain-complete
+        flips land at each emptied node's last completion, applied in
+        ``(time, node)`` order, as the calendar pops them.
+
         Called wherever :meth:`apply_rates` may follow — the cluster-level
         drain and fleet events.
         """
         if self._calendar is None:
-            flips = [self._drain_node(node, now) for node in range(self.num_nodes)]
-            for time, node in sorted(flip for flip in flips if flip is not None):
-                self._mark_drained(node, time)
+            run = self.bank.drain(now)
+            if run.size:
+                self._runs.append(run)
+                self._book_run(run)
             return
         self._book_completions(now)
         booked = self._booked
@@ -655,12 +634,14 @@ class ClusterServerModel(ServerModel):
                 f"after the drain to t={now:g}; the drain is behind completions "
                 f"that dispatch already booked"
             )
-        for member, queues, free in zip(self.nodes, self._queues, self._class_free):
-            heads = [
+        self.bank.drain(
+            now,
+            [
                 (q[0][0], max(q[0][1], last), q[0][2]) if q and q[0][1] <= now else None
+                for queues, free in zip(self._queues, self._class_free)
                 for q, last in zip(queues, free)
-            ]
-            member.drain(now, heads)
+            ],
+        )
         if not booked:
             return
         self._booked = []
@@ -673,7 +654,7 @@ class ClusterServerModel(ServerModel):
                 telemetry.on_server_drain(key % c, counts[key])
         ledger = self.ledger
         # Short syncs (the admission walk syncs at every arrival) write row
-        # by row, as short task-server drains do.
+        # by row, as short bank drains do.
         if len(booked) < _SCALAR_BATCH_LIMIT:
             order = self._booked_order.append
             for done, _, _, rid, _, start in booked:
@@ -692,32 +673,56 @@ class ClusterServerModel(ServerModel):
         ledger.serve_batch(rids[fresh], np.array(starts)[fresh], done[fresh])
         ledger.complete_batch(rids[started], done[started])
 
-    def drain(self, now: float) -> np.ndarray:
-        """Advance every member to ``now``; returns completions in time order.
+    def _book_run(self, run: np.ndarray) -> None:
+        """Book a block-route bank drain's merged ``run`` into pending and
+        work left, and apply the drain-complete flips it causes."""
+        c = self.num_classes
+        pending = self._pending
+        nodes: list[int] = []
+        for s, k in self.bank.drained:
+            node, cls = divmod(s, c)
+            pending[node][cls] -= k
+            if not nodes or nodes[-1] != node:
+                nodes.append(node)
+        ledger = self.ledger
+        sizes = ledger.sizes_of(run)
+        of_node = ledger.node[run] if len(nodes) > 1 else None
+        flips = []
+        for node in nodes:
+            mine = slice(None) if of_node is None else of_node == node
+            # The scalar fold ``work = max(work - size, 0.0)`` over the
+            # node's rows in completion order, bit for bit:
+            # ``subtract.accumulate`` subtracts left to right, and as sizes
+            # are non-negative the unclamped fold never rises — once it dips
+            # below zero (summation order can leave ~1e-16 residuals) it
+            # stays there, where the clamped fold ends at 0.0.
+            work = np.subtract.accumulate(np.concatenate(([self._work_left[node]], sizes[mine])))
+            self._work_left[node] = 0.0 if work[-1] < 0.0 else float(work[-1])
+            if self._node_state[node] == NODE_DRAINING and not any(pending[node]):
+                # A draining node gets no new work: it empties at its last
+                # completion.
+                flips.append((float(ledger.completion_time[run[mine][-1]]), node))
+        for time, node in sorted(flips):
+            self._mark_drained(node, time)
 
-        On the calendar route that is the booking order.  On the block
-        route the buffered per-node runs are merged by a stable sort on
-        their ledger completion times — each run is already internally
-        ordered, so the merge reproduces the global completion order
-        (stable: on exact ties the lower node wins).
+    def drain(self, now: float) -> np.ndarray:
+        """Advance every node to ``now``; returns completions in time order.
+
+        On the calendar route that is the booking order; on the block route
+        the runs of the syncs since the last drain, in sync order (a sync
+        completes every row due by its instant, so each run ends before the
+        next begins).
         """
         self._sync_nodes(now)
         if self._calendar is not None:
             order = self._booked_order
             self._booked_order = []
             return np.array(order, dtype=np.int64)
-        runs = self._run_rids
+        runs = self._runs
         if not runs:
-            return np.empty(0, dtype=np.int64)
-        if len(runs) == 1:
-            merged = runs[0]
-        else:
-            merged = np.concatenate(runs)
-            times = np.concatenate(self._run_times)
-            merged = merged[np.argsort(times, kind="stable")]
-        self._run_rids = []
-        self._run_times = []
-        return merged
+            return _NO_ROWS
+        self._runs = []
+        return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
     def block_boundaries(self, start: float, end: float) -> tuple[float, ...]:
         """Fleet-event instants strictly inside the span.
@@ -760,21 +765,22 @@ class ClusterServerModel(ServerModel):
                     f"{rate}, distributed {assigned}"
                 )
         self.shares = shares
-        for index, (node, share) in enumerate(zip(self.nodes, shares)):
-            # Non-live nodes keep their last rates: a draining node must
-            # finish its queued work, and a down node holds none.
-            if self._node_state[index] == NODE_LIVE:
-                node.apply_rates(share)
+        # Non-live nodes keep their last rates: a draining node must finish
+        # its queued work, and a down node holds none.
+        for node in self._live:
+            self.bank.apply_rates(shares[node], node)
         if self._calendar is not None:
             self._rebuild_calendar()
 
     def backlogs(self) -> tuple[int, ...]:
         # Pending counts queued plus in service; on the calendar route the
-        # members queue nothing, but each holds its arrived heads in service.
-        totals = [0] * self.num_classes
-        for row, node in zip(self._pending, self.nodes):
-            for c, (count, server) in enumerate(zip(row, node.servers)):
-                totals[c] += count - (server.in_service is not None)
+        # bank queues nothing, but holds the arrived heads in service.
+        c = self.num_classes
+        in_service = self.bank.in_service
+        totals = [0] * c
+        for node, row in enumerate(self._pending):
+            for cls, count in enumerate(row):
+                totals[cls] += count - (in_service[node * c + cls] is not None)
         return tuple(totals)
 
 

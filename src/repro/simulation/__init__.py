@@ -75,7 +75,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "WindowTable",
         ),
         ".server_models": ("ServerModel", "RateScalableServers", "SharedProcessorServer"),
-        ".task_server": ("FcfsTaskServer",),
         ".trace_io": ("load_trace", "save_trace", "trace_sources_from_arrays"),
     },
 )

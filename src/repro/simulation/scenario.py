@@ -161,7 +161,8 @@ class WindowTable(NamedTuple):
 
     Each boundary row is written after the boundary's new rates and any
     autoscaler fleet events are applied, so it describes the allocation
-    and the fleet that serve the next window.  ``time`` ``(W,)`` and
+    and the fleet that serve the next window; row 0's cluster columns
+    likewise follow the fleet events scheduled at t=0.  ``time`` ``(W,)`` and
     ``rates`` ``(W, C)`` (the controller's allocation) exist for every run.
     A clustered run adds ``node_shares`` ``(W, N, C)``, the partition the
     cluster last applied (before the capacity clamp; zeros for non-live
@@ -432,7 +433,6 @@ class Scenario:
         self._node_backlog: list[list[int]] = []
         self.server.apply_rates(initial_rates)
         self.rate_history.append((0.0, tuple(initial_rates)))
-        self._record_fleet()
 
     # ------------------------------------------------------------------ #
     # Arrival blocks
@@ -506,34 +506,35 @@ class Scenario:
         Returns the admitted row ids and their arrival times.
         """
         decisions = self._decide_block(classes, sizes, times)
+        n = len(self.classes)
+        # Per (decision, origin class) counts, one pass: ACCEPT, DEGRADE and
+        # SHED are 0, 1 and 2.
+        counts = np.bincount(decisions * n + classes, minlength=3 * n).tolist()
+        degraded, shed = counts[n : 2 * n], counts[2 * n :]
         served = classes
-        degrade = decisions == int(AdmissionDecision.DEGRADE)
-        if degrade.any():
-            if bool((classes[degrade] == len(self.classes) - 1).any()):
+        if any(degraded):
+            if degraded[-1]:
                 raise SimulationError(
                     f"{type(self.admission).__name__} degraded class "
-                    f"{len(self.classes) - 1}, which has no lower class"
+                    f"{n - 1}, which has no lower class"
                 )
+            lut = self._degrade_lut()
+            degrade = decisions == int(AdmissionDecision.DEGRADE)
             served = classes.copy()
-            served[degrade] = self._degrade_lut()[classes[degrade]]
-            for origin, count in enumerate(
-                np.bincount(classes[degrade], minlength=len(self.classes))
-            ):
-                self._degraded_from[origin] += int(count)
-            for target, count in enumerate(
-                np.bincount(served[degrade], minlength=len(self.classes))
-            ):
-                self._degraded_to[target] += int(count)
-        shed = decisions == int(AdmissionDecision.SHED)
-        if shed.any():
-            for origin, count in enumerate(np.bincount(classes[shed], minlength=len(self.classes))):
-                self._rejected[origin] += int(count)
+            served[degrade] = lut[classes[degrade]]
+            for origin, target in enumerate(lut.tolist()):
+                self._degraded_from[origin] += degraded[origin]
+                self._degraded_to[target] += degraded[origin]
+        for origin, count in enumerate(shed):
+            self._rejected[origin] += count
         all_rids = self.ledger.append_batch(
             served, times, sizes, dispositions=decisions.astype(np.uint8)
         )
         if self.telemetry is not None:
             self.telemetry.on_admission_block(classes, decisions)
-        admitted = ~shed
+        if not any(shed):
+            return all_rids, times
+        admitted = decisions != int(AdmissionDecision.SHED)
         return all_rids[admitted], times[admitted]
 
     def _admit_walk(self, times: np.ndarray, sizes: np.ndarray, classes: np.ndarray) -> None:
@@ -730,6 +731,11 @@ class Scenario:
         if next_boundary <= self.config.horizon:
             self.engine.schedule_at(next_boundary, self._window_boundary, label="window")
 
+    def _first_block(self) -> None:
+        """t=0: row 0's fleet columns, then the first window's arrivals."""
+        self._record_fleet()
+        self._queue_block(min(self.config.window, self.config.horizon))
+
     def _record_fleet(self) -> None:
         """A cluster's columns of the :class:`WindowTable` row, written after
         the boundary's fleet events: the fleet that serves the next window."""
@@ -771,12 +777,9 @@ class Scenario:
             self.admission.observe_window(self._admission_obs)
         # Scheduled rather than submitted synchronously: fleet events at t=0
         # were scheduled at bind time (lower sequence numbers), so they
-        # apply before the first block is dispatched.
-        self.engine.schedule_at(
-            0.0,
-            partial(self._queue_block, min(self.config.window, self.config.horizon)),
-            label="block",
-        )
+        # apply before row 0's fleet columns are written and the first
+        # block is dispatched.
+        self.engine.schedule_at(0.0, self._first_block, label="block")
         self.engine.schedule_at(self.config.window, self._window_boundary, label="window")
         self.engine.run_until(self.config.horizon)
         # Arrivals landing exactly on the horizon come after the final

@@ -20,7 +20,11 @@ Two implementations are provided:
 
 * :class:`RateScalableServers` — the paper's Fig. 1 model: one rate-scalable
   FCFS task server per class, each running at exactly the allocated rate
-  (the fluid idealisation behind Eq. 17).
+  (the fluid idealisation behind Eq. 17).  It is a *bank*: one object holds
+  the servers of every (node, class) pair in shared per-server columns, so
+  the paper's single server is a one-node bank and a cluster
+  (:class:`~repro.cluster.ClusterServerModel`) drives one bank of all its
+  nodes.
 * :class:`SharedProcessorServer` — a realistic variant: one full-speed
   processor and a proportional-share scheduler from
   :mod:`repro.scheduling` (WFQ, SFQ, lottery, DRR, priority, ...)
@@ -30,14 +34,50 @@ Adding a new model (an async backend, a cache in front of the processor)
 means subclassing :class:`ServerModel` and implementing its five abstract
 methods (``_on_bind``, ``submit_batch``, ``drain``, ``apply_rates`` and
 ``backlogs``); every scenario, experiment driver and replication runner then
-works with it unchanged.  A cluster
-(:class:`~repro.cluster.ClusterServerModel`) is itself a model whose member
-nodes are :class:`RateScalableServers`.
+works with it unchanged.
+
+How the bank serves
+-------------------
+Each class server's queued requests live in three growable NumPy columns
+(row id, arrival, size) consumed from a head cursor; appends write slices
+or scalars at the tail, and the columns compact or double only when the
+tail runs out of room, so appends are amortised O(1) and the queue is never
+concatenated.
+
+Completions are computed in bulk by a drain — legal because between two
+rate changes an FCFS run is the Lindley recursion ``completion =
+max(arrival, previous completion) + size / rate``, a deterministic left fold
+of the arrival block.  A drain folds each request's *completion* exactly
+once and does everything else in bulk: the block is cut at ``now`` on the
+arrivals (``searchsorted``), the service times come from array divisions
+(correctly rounded, so bit-equal to the scalar division), the fold is a
+comprehension over Python floats (in doubling chunks, so a long queue behind
+a request still in service is not folded in full), the run is cut at
+``now`` on the completions (``bisect_right``), and the starts are derived
+afterwards as ``np.maximum(arrival, previous completion)`` — a max is exact,
+so no timestamp moves.  One drain of the bank folds every busy server,
+writes all their fresh rows in one checked ``serve_batch`` and merges the
+runs with one stable argsort.  Short blocks — the admission walk drains one
+or two requests per call — take a scalar loop instead, which stops at the
+first request still in service and writes the ledger row by row: there
+NumPy's per-call overhead would cost more than the run.  (Under a cluster's
+completion calendar the bank queues nothing: the calendar keeps the queues,
+books the same fold's completions, and hands the bank each head it must
+hold in service.)
+
+The recursion itself stays a per-request fold on purpose.  The operation
+order ``max(arrival, f) + size / rate`` must be kept per request: max-plus
+or ``cumsum`` forms of the recursion round differently and would move
+timestamps, and an exact vectorised form (busy periods from a max-plus
+estimate, then length-bucketed ``np.add.accumulate``) is bit-identical but
+was measured 1.6–25× slower than the comprehension on drains of 30–1000
+requests.
 """
 
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right
 from collections.abc import Sequence
 
 import numpy as np
@@ -45,12 +85,25 @@ import numpy as np
 from ..errors import SimulationError
 from ..scheduling.base import Scheduler, WeightedScheduler
 from ..types import TrafficClass
-from ..validation import require_capacity
+from ..validation import require_capacity, require_non_negative
 from .engine import SimulationEngine
 from .ledger import RequestLedger
-from .task_server import FcfsTaskServer
 
 __all__ = ["ServerModel", "RateScalableServers", "SharedProcessorServer"]
+
+#: Shared zero-length drain results: most drain calls on the admission
+#: walk's per-arrival cadence return nothing, so the empty run is allocated
+#: once (callers only read it).
+_EMPTY_RIDS = np.empty(0, dtype=np.int64)
+_EMPTY_TIMES = np.empty(0, dtype=np.float64)
+_EMPTY_RUN = (_EMPTY_RIDS, _EMPTY_TIMES, _EMPTY_TIMES)
+
+#: Drains with fewer arrived requests than this (and cluster syncs with
+#: fewer booked rows) take the scalar loop.
+_SCALAR_BATCH_LIMIT = 32
+
+#: Initial slots of a class server's queue columns; they double on demand.
+_INITIAL_CAPACITY = 64
 
 #: Weights pushed into a :class:`WeightedScheduler` are floored at this value
 #: so that a class with zero allocated rate (no estimated traffic) keeps the
@@ -178,123 +231,202 @@ class ServerModel(abc.ABC):
 
 
 class RateScalableServers(ServerModel):
-    """The paper's idealised model: one rate-scalable task server per class.
+    """The paper's Fig. 1 model: a bank of rate-scalable FCFS class servers.
 
-    Each class owns a :class:`~repro.simulation.task_server.FcfsTaskServer`
-    whose processing rate is set to the class's allocated rate; a rate change
-    mid-service rescales the in-service request's remaining work, exactly as
-    the fluid analysis of Eq. 17 assumes.  All task servers share the
-    scenario's ledger, so queue entries are plain row ids.
+    Every class of every node owns one FCFS task server, ``s = node *
+    num_classes + class``, running at the rate :meth:`apply_rates` last
+    set; a rate change mid-service re-bases the in-service request's
+    remaining work, exactly as the fluid analysis of Eq. 17 assumes.  The
+    paper's single server is a one-node bank (``RateScalableServers()``);
+    a cluster drives one bank of all its nodes (:meth:`of_nodes`).  All
+    servers share the scenario's ledger, so queue entries are plain row
+    ids.
 
-    ``capacity`` bounds the total rate the node can actually deliver: when
-    the assigned rates sum past it, every class's effective rate is scaled
-    down by ``capacity / sum(rates)`` — the node serves at its physical
-    speed, proportionally shared, exactly as an over-subscribed processor
-    would.  Rates within capacity are realised verbatim (bit-identical to an
-    unconstrained node), so ``capacity=None`` (the default) reproduces the
-    paper's idealised server and a homogeneous cluster of adequately sized
-    nodes behaves identically with and without declared capacities.
+    ``capacity`` bounds the total rate a node can actually deliver: when
+    the rates assigned to a node sum past it, every class's effective rate
+    is scaled down by ``capacity / sum(rates)`` — the node serves at its
+    physical speed, proportionally shared, exactly as an over-subscribed
+    processor would.  Rates within capacity are realised verbatim
+    (bit-identical to an unconstrained node), so ``capacity=None`` (the
+    default) reproduces the paper's idealised server and a homogeneous
+    cluster of adequately sized nodes behaves identically with and without
+    declared capacities.
+
+    Per-server state, read-only outside the bank: :attr:`rates`,
+    :attr:`in_service` (the row in service, ``None`` when free), and the
+    in-service row's :attr:`remaining` work as of :attr:`progress`, so it
+    completes at ``progress + remaining / rate``.
     """
 
     def __init__(self, *, capacity: float | None = None) -> None:
         super().__init__()
-        self.capacity = None if capacity is None else require_capacity(capacity)
-        self.servers: list[FcfsTaskServer] = []
+        #: Per-node capacity (``None``: unconstrained); a cluster's
+        #: ``set_capacity`` fleet events write it in place.
+        self.capacities: list[float | None] = [
+            None if capacity is None else require_capacity(capacity)
+        ]
+        #: ``(server, rows)`` of each server whose completions the last
+        #: :meth:`drain` returned, in server order.
+        self.drained: list[tuple[int, int]] = []
+
+    @classmethod
+    def of_nodes(cls, capacities: Sequence[float | None]) -> RateScalableServers:
+        """An unbound bank of one node per (already validated) capacity."""
+        bank = cls()
+        bank.capacities = list(capacities)
+        return bank
+
+    @property
+    def capacity(self) -> float | None:
+        """The bank's total capacity; ``None`` when a node is unconstrained."""
+        return None if None in self.capacities else sum(self.capacities)
 
     def _on_bind(self) -> None:
-        self.servers = [
-            FcfsTaskServer(self.engine, 0.0, ledger=self.ledger) for _ in range(self.num_classes)
-        ]
+        n = len(self.capacities) * self.num_classes
+        self.rates = [0.0] * n
+        self.in_service: list[int | None] = [None] * n
+        self.remaining = [0.0] * n
+        self.progress = [0.0] * n
+        # Server ``s`` queues slots [_head[s], _tail[s]) of its columns;
+        # drains advance the head, appends the tail.
+        self._rids = [np.empty(_INITIAL_CAPACITY, dtype=np.int64) for _ in range(n)]
+        self._arrivals = [np.empty(_INITIAL_CAPACITY) for _ in range(n)]
+        self._sizes = [np.empty(_INITIAL_CAPACITY) for _ in range(n)]
+        self._head = [0] * n
+        self._tail = [0] * n
 
-    def submit_batch(self, rids: np.ndarray) -> None:
+    def _reserve(self, s: int, k: int) -> None:
+        """Make room for ``k`` more slots at server ``s``'s tail.
+
+        The live slots move to the front of the columns, which double until
+        at least half of them is free afterwards — so the copy is paid at
+        most once per half-capacity of appends.
+        """
+        head, tail = self._head[s], self._tail[s]
+        live = tail - head
+        capacity = self._rids[s].shape[0]
+        new_capacity = capacity
+        while 2 * (live + k) > new_capacity:
+            new_capacity *= 2
+        for columns in (self._rids, self._arrivals, self._sizes):
+            old = columns[s]
+            column = old if new_capacity == capacity else np.empty(new_capacity, dtype=old.dtype)
+            column[:live] = old[head:tail]
+            columns[s] = column
+        self._head[s] = 0
+        self._tail[s] = live
+
+    def submit_batch(
+        self,
+        rids: np.ndarray,
+        nodes: np.ndarray | None = None,
+        classes: np.ndarray | None = None,
+        arrivals: np.ndarray | None = None,
+        sizes: np.ndarray | None = None,
+    ) -> None:
         """Queue a time-ordered block of rows on their class servers.
 
-        The block's classes are gathered once; one mask per class picks
-        that class's rows, still in arrival order, and their arrivals and
-        sizes are gathered once for its class server.  A row of a class the
-        node does not serve falls in no class's rows, so one comparison of
-        the counts rejects it.  (Picking by masks measured faster than one
-        stable sort by class into slices on blocks of 150-300 rows.)
+        A cluster hands over each row's node and its gathered class,
+        arrival and size columns; without them every row goes to node 0
+        and the columns are gathered here.  One index per server picks its
+        rows, still in arrival order, and three slice stores queue them.
+        A row of a class the bank does not serve falls in no server's rows,
+        so one comparison of the counts rejects it.  (Picking by indices
+        measured faster than boolean masks, and than one stable sort by
+        server into slices on blocks of 3000 rows.)
         """
         rids = np.asarray(rids, dtype=np.int64)
-        ledger = self.ledger
-        classes = ledger.classes_of(rids)
-        blocks = [rids[classes == index] for index in range(len(self.servers))]
-        if sum(block.size for block in blocks) != rids.size:
-            foreign = (classes < 0) | (classes >= len(self.servers))
+        if nodes is None:
+            ledger = self.ledger
+            classes = servers = ledger.classes_of(rids)
+            arrivals, sizes = ledger.arrivals_of(rids), ledger.sizes_of(rids)
+        else:
+            servers = nodes * self.num_classes + classes
+        blocks = []
+        for s in range(len(self.rates)):
+            rows = np.flatnonzero(servers == s)
+            if rows.size:
+                blocks.append((s, rows))
+        if sum(rows.size for _, rows in blocks) != rids.size:
+            foreign = (classes < 0) | (classes >= self.num_classes)
             raise SimulationError(
                 f"request of class {int(classes[foreign.argmax()])} submitted to a "
-                f"node serving {len(self.servers)} classes"
+                f"node serving {self.num_classes} classes"
             )
-        for server, block in zip(self.servers, blocks):
-            if block.size:
-                server.submit_batch(block, ledger.arrivals_of(block), ledger.sizes_of(block))
+        for s, rows in blocks:
+            k = rows.size
+            if self._tail[s] + k > self._rids[s].shape[0]:
+                self._reserve(s, k)
+            tail = self._tail[s]
+            self._rids[s][tail : tail + k] = rids[rows]
+            self._arrivals[s][tail : tail + k] = arrivals[rows]
+            self._sizes[s][tail : tail + k] = sizes[rows]
+            self._tail[s] = tail + k
 
     def submit_one(self, rid: int, class_index: int, arrival: float, size: float) -> None:
-        self.servers[class_index].push(rid, arrival, size)
-
-    def service_head(self, class_index: int) -> tuple[float, int | None, float]:
-        """Class ``class_index``'s FCFS service rate, the row it serves
-        (``None`` when free) and that row's predicted completion.
-
-        Each class is served FCFS at a fixed rate between two
-        :meth:`apply_rates` calls, so every completion is known the moment a
-        request is queued.  A cluster's calendar keeps the class servers'
-        queues itself: it starts each server from this query after every
-        rate change, predicts the requests queued behind (``start =
-        max(arrival, last)``, ``completion = start + size / rate``), writes
-        the ledger rows, and hands the node its heads (see :meth:`drain`).
-        """
-        return self.servers[class_index].service_head()
+        # Node 0's server of the class: three scalar stores.
+        tail = self._tail[class_index]
+        if tail == self._rids[class_index].shape[0]:
+            self._reserve(class_index, 1)
+            tail = self._tail[class_index]
+        self._rids[class_index][tail] = rid
+        self._arrivals[class_index][tail] = arrival
+        self._sizes[class_index][tail] = size
+        self._tail[class_index] = tail + 1
 
     def drain(
         self, now: float, heads: Sequence[tuple[int, float, float] | None] | None = None
     ) -> np.ndarray:
-        """Drain every class's task server, write the ledger once and merge
-        the runs by time.
+        """Drain every class server to ``now``; returns the completed rows
+        in completion order.
 
-        Each class server hands back its run with the fresh rows of a bulk
-        fold unwritten (:meth:`FcfsTaskServer.drain`); the node writes them
-        for every class in one checked
-        :meth:`~repro.simulation.ledger.RequestLedger.serve_batch`.  The
-        row a class server carried in service, and the rows of a short
-        scalar drain, wrote themselves and join the merge as they are.
+        Each busy server folds its queue (:meth:`_drain_server`); the fresh
+        rows of every bulk fold reach the ledger in one checked
+        :meth:`~repro.simulation.ledger.RequestLedger.serve_batch`, and the
+        runs, concatenated in server order, are merged by one stable
+        argsort on their times.  So completions with equal timestamps come
+        in ``(node, class)`` order — the order one engine event per
+        completion gives when the tied completion events were scheduled in
+        that order (true for every workload whose classes are started in
+        class order, e.g. the deterministic trace scenarios; for continuous
+        workloads exact ties have probability zero).  :attr:`drained` then
+        names the servers that completed rows and how many.
 
-        The merge is a stable argsort, so completions with equal timestamps
-        keep class order — the order one engine event per completion gives
-        when the tied completion events were scheduled in class order (true
-        for every workload whose classes are started in class order, e.g. the
-        deterministic trace scenarios; for continuous workloads exact ties
-        have probability zero).
-
-        ``heads`` (from a cluster calendar, see :meth:`service_head`) holds,
-        per class, the ``(row id, start, size)`` of the calendar's unbooked
-        head if it has arrived by ``now``, else ``None``.  The node then
-        folds nothing and returns no rows: each class server just holds its
-        head in service (:meth:`FcfsTaskServer.serve`), so that
-        :meth:`apply_rates` re-bases it.
+        ``heads`` (from a cluster's completion calendar) holds, per server,
+        the ``(row id, start, size)`` of the calendar's unbooked head if it
+        has arrived by ``now``, else ``None``.  The bank then folds nothing
+        and returns no rows: each server holds its head in service (a head
+        already in service keeps its progress, a new one starts at
+        ``start``), so that :meth:`apply_rates` re-bases it.
         """
+        in_service = self.in_service
         if heads is not None:
-            for server, head in zip(self.servers, heads):
-                server.serve(head)
-            return np.empty(0, dtype=np.int64)
+            for s, head in enumerate(heads):
+                if head is None:
+                    in_service[s] = None
+                elif head[0] != in_service[s]:
+                    self._start(s, *head)
+            return _EMPTY_RIDS
         telemetry = self.telemetry
+        head, tail = self._head, self._tail
         runs = []
-        for index, server in enumerate(self.servers):
-            if server.idle:
+        drained = []
+        for s, busy in enumerate(in_service):
+            if busy is None and head[s] == tail[s]:
                 # Idle with nothing queued: no completions to emit and no
-                # zero-rate freeze to materialise, so skip the call entirely
-                # (the admission walk drains before every arrival, and most
-                # class servers are in exactly this state).
+                # zero-rate freeze to materialise (the admission walk drains
+                # before every arrival, and most servers are in this state).
                 continue
-            run = server.drain(now)
-            if run[0].size:
+            run = self._drain_server(s, now)
+            k = run[0].size
+            if k:
                 if telemetry is not None:
-                    telemetry.on_server_drain(index, int(run[0].size))
+                    telemetry.on_server_drain(s % self.num_classes, k)
                 runs.append(run)
+                drained.append((s, k))
+        self.drained = drained
         if not runs:
-            return np.empty(0, dtype=np.int64)
-        # The fresh rows of every class, written in one checked call.
+            return _EMPTY_RIDS
         fresh = [
             (rids[-starts.size :], starts, times[-starts.size :])
             for rids, starts, times in runs
@@ -305,30 +437,198 @@ class RateScalableServers(ServerModel):
         elif fresh:
             self.ledger.serve_batch(*fresh[0])
         if len(runs) == 1:
-            # One contributing class: its run is already in time order (the
+            # One contributing server: its run is already in time order (the
             # admission walk's tiny drains land here almost every time).
             return runs[0][0]
         rids = np.concatenate([run[0] for run in runs])
         times = np.concatenate([run[2] for run in runs])
         return rids[np.argsort(times, kind="stable")]
 
-    def apply_rates(self, rates: Sequence[float]) -> None:
-        if len(rates) != len(self.servers):
-            raise SimulationError(f"expected {len(self.servers)} rates, got {len(rates)}")
-        if self.capacity is not None:
+    def _drain_server(self, s: int, now: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance server ``s`` to ``now``; returns its run ``(rids, starts, times)``.
+
+        The request carried in service completes at ``progress + remaining
+        / rate``, then the queue is folded (see the module docstring), by
+        :meth:`_fold_block` when at least :data:`_SCALAR_BATCH_LIMIT`
+        requests have arrived.  The first request whose completion lies
+        past ``now`` takes the service position with its full size as
+        remaining work.  At rate zero the head of the line enters service
+        (frozen until the next re-allocation) and later arrivals queue.
+
+        ``rids`` and ``times`` are the completed rows in completion order.
+        The last ``len(starts)`` of them — the fresh rows the bulk fold
+        started and completed — are *not* written to the ledger (the caller
+        writes them); every earlier row — the request carried in service,
+        and each row of a short scalar drain — is (``complete_unlogged``).
+        """
+        rate = self.rates[s]
+        ledger = self.ledger
+        carried = self.in_service[s]
+        free = -np.inf
+        # Phase 1: the request carried in service from before this drain.
+        if carried is not None:
+            if rate <= 0.0:
+                return _EMPTY_RUN
+            free = self.progress[s] + self.remaining[s] / rate
+            if free > now:
+                return _EMPTY_RUN
+            ledger.complete_unlogged(carried, free)
+            self.progress[s] = free
+            self.in_service[s] = None
+            self.remaining[s] = 0.0
+        # Phase 2: fold the queue up to ``now``.
+        head, tail = self._head[s], self._tail[s]
+        arrivals = self._arrivals[s]
+        sizes = self._sizes[s]
+        queued = self._rids[s]
+        if rate <= 0.0:
+            # Zero rate: the head occupies the service position, frozen
+            # (nothing was carried, so it starts at its arrival).
+            if head < tail and arrivals.item(head) <= now:
+                self._start(s, queued.item(head), arrivals.item(head), sizes.item(head))
+                self._head[s] = head + 1
+            return _EMPTY_RUN
+        limit = head + _SCALAR_BATCH_LIMIT
+        if limit <= tail and arrivals.item(limit - 1) <= now:
+            return self._fold_block(s, now, head, carried, free)
+        # Fewer than ``_SCALAR_BATCH_LIMIT`` requests have arrived: a
+        # scalar loop that writes each row itself.
+        done_rids: list[int] = [] if carried is None else [carried]
+        done_times: list[float] = [] if carried is None else [free]
+        pos = head
+        while pos < tail:
+            arrival = arrivals.item(pos)
+            if arrival > now:
+                break
+            start = arrival if arrival > free else free
+            completion = start + sizes.item(pos) / rate
+            if completion > now:
+                # Mid-service at ``now``: carry the work into the next drain.
+                self._start(s, queued.item(pos), start, sizes.item(pos))
+                pos += 1
+                break
+            rid = queued.item(pos)
+            ledger.start_service(rid, start)
+            ledger.complete_unlogged(rid, completion)
+            done_rids.append(rid)
+            done_times.append(completion)
+            free = completion
+            pos += 1
+        self._head[s] = pos
+        if not done_rids:
+            return _EMPTY_RUN
+        if self.in_service[s] is None:
+            self.progress[s] = free
+        return (
+            np.array(done_rids, dtype=np.int64),
+            _EMPTY_TIMES,
+            np.array(done_times, dtype=np.float64),
+        )
+
+    def _fold_block(
+        self, s: int, now: float, head: int, carried: int | None, free: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fold server ``s``'s queue from slot ``head`` on in bulk, after
+        completion ``free`` of the row ``carried`` (``None``, ``free =
+        -inf``: nothing was carried); updates the cursor and service state,
+        returns the run as :meth:`_drain_server` does, its fresh rows
+        unwritten.
+
+        The fold runs in doubling chunks and stops after the first chunk
+        that ends past ``now``, so a long queue behind a request still in
+        service is not folded in full.  It starts from ``free``, so
+        ``folded[i]`` is the completion before slot ``head + i``: the
+        starts are ``max(arrival, folded[:-1])`` and the carried row leads
+        the run without a concatenation.
+        """
+        tail = self._tail[s]
+        arrivals = self._arrivals[s]
+        sizes = self._sizes[s]
+        rate = self.rates[s]
+        if arrivals.item(tail - 1) <= now:
+            end = tail
+        else:
+            end = head + int(np.searchsorted(arrivals[head:tail], now, side="right"))
+        f = free
+        folded: list[float] = [free]
+        lo, hi = head, head + 4 * _SCALAR_BATCH_LIMIT
+        while True:
+            if hi > end:
+                hi = end
+            folded += [
+                f := (a if a > f else f) + d
+                for a, d in zip(arrivals[lo:hi].tolist(), (sizes[lo:hi] / rate).tolist())
+            ]
+            if hi == end or f > now:
+                break
+            lo, hi = hi, 2 * hi - head
+        k = bisect_right(folded, now, 1) - 1
+        free = folded[k]
+        if k:
+            self.progress[s] = free
+        pos = head + k
+        self._head[s] = pos
+        if pos < end:
+            # Mid-service at ``now``: carry the work into the next drain.
+            arrival = arrivals.item(pos)
+            start = arrival if arrival > free else free
+            self._start(s, self._rids[s].item(pos), start, sizes.item(pos))
+            self._head[s] = pos + 1
+        lead = carried is not None
+        if not (k or lead):
+            return _EMPTY_RUN
+        times = np.fromiter(folded, np.float64, k + 1)
+        starts = np.maximum(arrivals[head:pos], times[:-1])
+        rids = np.empty(k + lead, dtype=np.int64)
+        rids[lead:] = self._rids[s][head:pos]
+        if lead:
+            rids[0] = carried
+            return rids, starts, times
+        return rids, starts, times[1:]
+
+    def _start(self, s: int, rid: int, start: float, size: float) -> None:
+        """Put row ``rid`` into server ``s``'s service position at ``start``."""
+        self.ledger.start_service(rid, start)
+        self.in_service[s] = rid
+        self.remaining[s] = size
+        self.progress[s] = start
+
+    def apply_rates(self, rates: Sequence[float], node: int = 0) -> None:
+        """Set the rates of ``node``'s class servers at the engine clock.
+
+        Each in-service request is first re-based: its remaining work drops
+        by the progress made at the old rate, and the next drain completes
+        it at the new rate.  The caller drains the bank to the engine clock
+        first, so that progress is accounted.
+        """
+        c = self.num_classes
+        if len(rates) != c:
+            raise SimulationError(f"expected {c} rates, got {len(rates)}")
+        capacity = self.capacities[node]
+        if capacity is not None:
             total = sum(rates)
-            if total > self.capacity:
+            if total > capacity:
                 # Over-subscribed: the node serves at its physical speed,
                 # shared in proportion to the assigned rates.  Rates within
                 # capacity take the untouched fast path below, so adequately
                 # provisioned nodes stay bit-identical to unconstrained ones.
-                scale = self.capacity / total
+                scale = capacity / total
                 rates = [rate * scale for rate in rates]
-        for server, rate in zip(self.servers, rates):
-            server.set_rate(rate)
+        now = self.engine.now
+        for s, rate in enumerate(rates, node * c):
+            rate = require_non_negative(rate, "rate")
+            old = self.rates[s]
+            if self.in_service[s] is not None and old > 0.0:
+                elapsed = now - self.progress[s]
+                self.remaining[s] = max(self.remaining[s] - elapsed * old, 0.0)
+            self.progress[s] = now
+            self.rates[s] = rate
 
     def backlogs(self) -> tuple[int, ...]:
-        return tuple(server.backlog for server in self.servers)
+        """Per-class queued rows over every node (excluding those in service)."""
+        c = self.num_classes
+        queued = [tail - head for head, tail in zip(self._head, self._tail)]
+        return tuple(sum(queued[cls::c]) for cls in range(c))
 
 
 class SharedProcessorServer(ServerModel):

@@ -18,7 +18,9 @@ from repro.cluster import (
     make_cluster,
     parse_fleet_events,
 )
+from repro.cluster.fleet import NODE_DOWN, NODE_DRAINING
 from repro.core import PsdSpec
+from repro.distributions import Deterministic
 from repro.errors import SimulationError
 from repro.scheduling import WeightedFairQueueing
 from repro.simulation import (
@@ -29,7 +31,8 @@ from repro.simulation import (
     SimulationEngine,
     StaticRateController,
 )
-from tests.conftest import make_classes
+from repro.simulation.generator import TraceSource
+from tests.conftest import make_classes, node_rates
 
 pytestmark = pytest.mark.usefixtures("checked_runs")
 
@@ -165,8 +168,8 @@ class TestRateFanOut:
     def test_equal_split_conserves_rates(self):
         cluster = self.bound(EqualSplit(), num_nodes=4)
         cluster.apply_rates((0.6, 0.4))
-        for node in cluster.nodes:
-            assert [s.rate for s in node.servers] == pytest.approx([0.15, 0.1])
+        for node in range(4):
+            assert node_rates(cluster, node) == pytest.approx([0.15, 0.1])
 
     def test_backlog_proportional_tracks_pending(self):
         cluster = self.bound(BacklogProportional(smoothing=0.0))
@@ -196,8 +199,8 @@ class TestRateFanOut:
         cluster = self.bound(dispatch=affinity)
         assert isinstance(cluster.partitioner, AffinityPartitioner)
         cluster.apply_rates((0.7, 0.3))
-        assert [s.rate for s in cluster.nodes[0].servers] == pytest.approx([0.0, 0.3])
-        assert [s.rate for s in cluster.nodes[1].servers] == pytest.approx([0.7, 0.0])
+        assert node_rates(cluster, 0) == pytest.approx([0.0, 0.3])
+        assert node_rates(cluster, 1) == pytest.approx([0.7, 0.0])
 
     def test_non_conserving_partitioner_is_rejected(self):
         class Leaky(RatePartitioner):
@@ -322,7 +325,7 @@ class TestAggregation:
         assert len(cluster.ledger) == sum(sum(row) for row in counts)
         assert cluster.pending(2, 0) == 0 and cluster.pending(2, 1) == 0
         assert cluster.work_left(2) == 0.0
-        assert cluster.nodes[2].backlogs() == (0, 0)
+        assert cluster.bank.in_service[4:] == [None, None]
         # Cluster-level backlogs aggregate cleanly over the idle node.
         assert len(cluster.backlogs()) == 2
 
@@ -408,3 +411,47 @@ class TestCustomPolicyRouting:
         assert cluster.node_state(1) == "draining"
         with pytest.raises(SimulationError, match="draining node 1"):
             submit_block(cluster, engine, [0])
+
+
+class TestTieOrder:
+    """Exact ties on the block route's single merge of every (node, class)
+    server: completions log in ``(time, node, class)`` order, and nodes
+    that finish draining at one instant flip in node order."""
+
+    @staticmethod
+    def run(fleet=None):
+        # Four requests per class at t=0; round robin alternates the nodes,
+        # so every (node, class) server serves two of them at rate 0.5: all
+        # four servers complete at t=1 and again at t=2.  The unit node
+        # capacities clamp a lone survivor's doubled shares back to 0.5.
+        classes = make_classes(Deterministic(0.5), 0.5, (1.0, 2.0))
+        sources = [TraceSource(c, interarrivals=[0.0] * 4, sizes=[0.5] * 4) for c in (0, 1)]
+        cluster = make_cluster(2, "round_robin", capacities=(1.0, 1.0), fleet=fleet)
+        config = MeasurementConfig(warmup=0.0, horizon=5.0, window=5.0)
+        controller = StaticRateController((1.0, 1.0))
+        return Scenario(
+            classes, config, server=cluster, controller=controller, sources=sources
+        ).run()
+
+    def test_tied_completions_log_in_time_node_class_order(self):
+        ledger = self.run().ledger
+        done = ledger.completed_ids
+        keys = list(
+            zip(
+                ledger.completion_time[done].tolist(),
+                ledger.node[done].tolist(),
+                ledger.class_index[done].tolist(),
+            )
+        )
+        assert keys == [(t, n, c) for t in (1.0, 2.0) for n in (0, 1) for c in (0, 1)]
+        # Within a server the rows still complete FCFS.
+        assert done.tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
+
+    def test_nodes_emptying_at_one_instant_flip_in_node_order(self):
+        # Both nodes leave mid-service and keep serving at rate 0.5.
+        result = self.run(parse_fleet_events("leave:1@0.5 leave:0@0.5"))
+        states = [(time, states) for time, states, _ in result.fleet_timeline]
+        assert states[-2:] == [
+            (2.0, (NODE_DOWN, NODE_DRAINING)),
+            (2.0, (NODE_DOWN, NODE_DOWN)),
+        ]

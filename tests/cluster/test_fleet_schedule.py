@@ -33,7 +33,7 @@ from repro.simulation import (
     SimulationEngine,
     fleet_availability,
 )
-from tests.conftest import make_classes
+from tests.conftest import make_classes, node_rates
 from tests.invariants import check_run
 
 pytestmark = pytest.mark.usefixtures("checked_runs")
@@ -195,10 +195,10 @@ class TestDrainSemantics:
     def test_rates_renormalise_over_live_nodes_at_event_time(self):
         engine, cluster = bound_cluster(fleet=parse_fleet_events("leave:0@1.0"))
         cluster.apply_rates((0.6, 0.4))
-        assert [s.rate for s in cluster.nodes[1].servers] == pytest.approx([0.3, 0.2])
+        assert node_rates(cluster, 1) == pytest.approx([0.3, 0.2])
         engine.run_until(1.5)
         # The survivor now receives each class's whole rate, immediately.
-        assert [s.rate for s in cluster.nodes[1].servers] == pytest.approx([0.6, 0.4])
+        assert node_rates(cluster, 1) == pytest.approx([0.6, 0.4])
 
     def test_draining_node_keeps_its_last_rates(self):
         engine, cluster = bound_cluster(fleet=parse_fleet_events("leave:0@1.0"))
@@ -206,7 +206,7 @@ class TestDrainSemantics:
         submit_request(cluster, engine)  # node 0, class 0, keeps it busy
         engine.run_until(1.5)
         assert cluster.node_state(0) == NODE_DRAINING
-        assert [s.rate for s in cluster.nodes[0].servers] == pytest.approx([0.3, 0.2])
+        assert node_rates(cluster, 0) == pytest.approx([0.3, 0.2])
 
     def test_join_restores_dispatch_and_rates(self):
         engine, cluster = bound_cluster(fleet=parse_fleet_events("leave:0@1.0 join:0@2.0"))
@@ -214,7 +214,7 @@ class TestDrainSemantics:
         engine.run_until(2.5)
         assert cluster.node_state(0) == NODE_LIVE
         assert cluster.live_nodes == (0, 1)
-        assert [s.rate for s in cluster.nodes[0].servers] == pytest.approx([0.5, 0.5])
+        assert node_rates(cluster, 0) == pytest.approx([0.5, 0.5])
         submit_request(cluster, engine)
         assert cluster.ledger.node[-1] == 0
 
@@ -275,11 +275,11 @@ class TestSetCapacity:
         # Rates kept within every node's physical capacity, so the realised
         # server rates mirror the partition exactly.
         cluster.apply_rates((0.4, 0.0))
-        assert cluster.nodes[0].servers[0].rate == pytest.approx(0.3)
+        assert node_rates(cluster, 0)[0] == pytest.approx(0.3)
         engine.run_until(2.0)
         # Equal capacities now: the re-partition fired at the event time.
-        assert cluster.nodes[0].servers[0].rate == pytest.approx(0.2)
-        assert cluster.nodes[1].servers[0].rate == pytest.approx(0.2)
+        assert node_rates(cluster, 0)[0] == pytest.approx(0.2)
+        assert node_rates(cluster, 1)[0] == pytest.approx(0.2)
 
     def test_capacity_none_restores_unconstrained(self):
         engine, cluster = bound_cluster(
@@ -289,7 +289,7 @@ class TestSetCapacity:
         )
         cluster.apply_rates((1.0, 1.0))
         engine.run_until(2.0)
-        assert cluster.nodes[0].capacity is None
+        assert cluster.bank.capacities[0] is None
         assert cluster.node_capacity(0) == 1.0
 
 
@@ -370,10 +370,10 @@ class TestClusterDrained:
         # Class 1's home (node 1) is down: fail over upwards to node 2, and
         # the rate follows through the affinity partitioner.
         assert cluster.dispatch.effective_home(1) == 2
-        assert cluster.nodes[2].servers[1].rate == pytest.approx(1.0)
+        assert node_rates(cluster, 2)[1] == pytest.approx(1.0)
         engine.run_until(4.0)
         assert cluster.dispatch.effective_home(1) == 1
-        assert cluster.nodes[1].servers[1].rate == pytest.approx(1.0)
+        assert node_rates(cluster, 1)[1] == pytest.approx(1.0)
 
 
 class TestFleetTimelineAndAvailability:

@@ -143,7 +143,7 @@ class TestCapacityClamp:
             make_classes(_unit_service(), 0.5, (1.0, 2.0)),
         )
         node.apply_rates((0.6, 0.4))
-        assert [s.rate for s in node.servers] == [0.6, 0.4]
+        assert node.rates == [0.6, 0.4]
 
     def test_oversubscribed_rates_scale_to_capacity(self):
         node = RateScalableServers(capacity=0.5)
@@ -153,8 +153,8 @@ class TestCapacityClamp:
         )
         node.apply_rates((0.6, 0.4))
         # Proportional sharing of the physical speed: 0.5 / (0.6 + 0.4).
-        assert [s.rate for s in node.servers] == pytest.approx([0.3, 0.2])
-        assert sum(s.rate for s in node.servers) == pytest.approx(0.5)
+        assert node.rates == pytest.approx([0.3, 0.2])
+        assert sum(node.rates) == pytest.approx(0.5)
 
     def test_unconstrained_node_never_clamps(self):
         node = RateScalableServers()
@@ -163,7 +163,7 @@ class TestCapacityClamp:
             make_classes(_unit_service(), 0.5, (1.0, 2.0)),
         )
         node.apply_rates((5.0, 7.0))
-        assert [s.rate for s in node.servers] == [5.0, 7.0]
+        assert node.rates == [5.0, 7.0]
 
 
 def _unit_service():

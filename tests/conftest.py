@@ -15,7 +15,7 @@ import pytest
 from repro.core import PsdSpec
 from repro.distributions import BoundedPareto, Deterministic
 from repro.queueing import arrival_rate_for_load
-from repro.simulation import MeasurementConfig
+from repro.simulation import MeasurementConfig, RateScalableServers, SimulationEngine
 from repro.types import TrafficClass
 
 
@@ -52,21 +52,20 @@ def make_classes(service, load: float, deltas) -> tuple[TrafficClass, ...]:
     )
 
 
-def submit_rows(server, rids) -> None:
-    """Queue ledger rows on an :class:`~repro.simulation.FcfsTaskServer`
-    with their arrival and size columns, as its node does."""
-    rids = np.asarray(rids, dtype=np.int64)
-    ledger = server.ledger
-    server.submit_batch(rids, ledger.arrivals_of(rids), ledger.sizes_of(rids))
+def class_server(rate: float, ledger=None):
+    """A bound one-node, one-class bank at ``rate`` — one class server
+    alone — and its engine; ``ledger`` defaults to a private one."""
+    engine = SimulationEngine()
+    server = RateScalableServers()
+    server.bind(engine, (TrafficClass("only", 0.0, Deterministic(1.0), 1.0),), ledger=ledger)
+    server.apply_rates([rate])
+    return engine, server
 
 
-def drain_rows(server, now: float) -> tuple[np.ndarray, np.ndarray]:
-    """Drain an :class:`~repro.simulation.FcfsTaskServer` to ``now`` and
-    write its fresh rows, as its node does; returns ``(rids, times)``."""
-    rids, starts, times = server.drain(now)
-    if starts.size:
-        server.ledger.serve_batch(rids[-starts.size :], starts, times[-starts.size :])
-    return rids, times
+def node_rates(cluster, node: int) -> list[float]:
+    """The rates ``node``'s class servers run at in the cluster's bank."""
+    c = cluster.num_classes
+    return cluster.bank.rates[node * c : (node + 1) * c]
 
 
 @pytest.fixture
@@ -106,19 +105,15 @@ def checked_runs(monkeypatch):
     from repro.cluster import ClusterServerModel
     from repro.simulation import RateScalableServers, Scenario
     from tests.invariants import check_run
-    from tests.reference import _RateScalable
 
     original = Scenario.run
 
     def run(self, *args, **kwargs):
         result = original(self, *args, **kwargs)
-        server = self.server
-        members = server.nodes if isinstance(server, ClusterServerModel) else (server,)
         check_run(
             result,
-            per_class_servers=all(
-                isinstance(member, (RateScalableServers, _RateScalable)) for member in members
-            ),
+            # A cluster serves from a bank of per-class servers.
+            per_class_servers=isinstance(self.server, (RateScalableServers, ClusterServerModel)),
             telemetry=self.telemetry,
         )
         return result

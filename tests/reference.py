@@ -25,7 +25,6 @@ translates into its per-event twin — or wrap an experiment build with
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import deque
 from functools import partial
@@ -124,41 +123,42 @@ class _TaskServer:
 
 
 class _RateScalable(_PerEvent, RateScalableServers):
-    """Fig. 1: one FCFS task server per class at its allocated rate.
+    """Fig. 1: one FCFS task server per (node, class) at its allocated rate.
 
-    A :class:`RateScalableServers` so a reference cluster accepts it as a
-    member; ``_PerEvent`` comes first in the MRO, so its per-event
+    A :class:`RateScalableServers`, so it keeps the bank's capacity column
+    and :meth:`~RateScalableServers.of_nodes` builds a reference cluster's
+    bank; ``_PerEvent`` comes first in the MRO, so its per-event
     ``submit_batch`` and ``drain`` override the batched ones.
     """
 
-    def __init__(self, capacity: float | None) -> None:
-        super().__init__(capacity=capacity)
-
     def _on_bind(self) -> None:
         self.servers = [
-            _TaskServer(self.engine, self.ledger, self._done) for _ in range(self.num_classes)
+            _TaskServer(self.engine, self.ledger, self._done)
+            for _ in range(len(self.capacities) * self.num_classes)
         ]
+
+    @property
+    def in_service(self) -> list[int | None]:
+        return [server.in_service for server in self.servers]
 
     def _done(self, rid: int) -> None:
         self.on_done(rid)
 
-    def submit(self, rid: int) -> None:
-        self.servers[self.ledger.class_of(rid)].submit(rid)
+    def submit(self, rid: int, node: int = 0) -> None:
+        self.servers[node * self.num_classes + self.ledger.class_of(rid)].submit(rid)
 
-    def service_head(self, class_index: int) -> tuple[float, None, float]:
-        # A reference cluster books completions through the member sinks,
-        # never from predictions, so its (unused) calendar stays empty.
-        return 0.0, None, math.inf
-
-    def apply_rates(self, rates) -> None:
-        if self.capacity is not None and sum(rates) > self.capacity:
-            scale = self.capacity / sum(rates)
+    def apply_rates(self, rates, node: int = 0) -> None:
+        capacity = self.capacities[node]
+        if capacity is not None and sum(rates) > capacity:
+            scale = capacity / sum(rates)
             rates = [rate * scale for rate in rates]
-        for server, rate in zip(self.servers, rates):
+        c = self.num_classes
+        for server, rate in zip(self.servers[node * c : (node + 1) * c], rates):
             server.set_rate(rate)
 
     def backlogs(self) -> tuple[int, ...]:
-        return tuple(len(server.queue) for server in self.servers)
+        c = self.num_classes
+        return tuple(sum(len(server.queue) for server in self.servers[cls::c]) for cls in range(c))
 
 
 class _SharedProcessor(_PerEvent):
@@ -212,16 +212,23 @@ class _Cluster(_PerEvent, ClusterServerModel):
 
     Fleet events, rate partitioning, the live set and the policy view are
     inherited unchanged; only request routing and completion booking are
-    restated, one request at a time.
+    restated, one request at a time, on a per-event bank.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.bank = _RateScalable.of_nodes(self.bank.capacities)
 
     def _on_bind(self) -> None:
         super()._on_bind()
-        for index, node in enumerate(self.nodes):
-            node.on_done = partial(self._done, index)
+        self.bank.on_done = self._done
 
     def _sync_nodes(self, now: float) -> None:
-        # Completions are booked by the member sinks as their events fire.
+        # Completions are booked by the bank's sink as their events fire.
+        pass
+
+    def _rebuild_calendar(self) -> None:
+        # Nothing is predicted: the (unused) calendar stays empty.
         pass
 
     def submit(self, rid: int) -> None:
@@ -235,9 +242,10 @@ class _Cluster(_PerEvent, ClusterServerModel):
         self._pending[node][class_index] += 1
         self._work_left[node] += self.ledger.size_of(rid)
         self.ledger.assign_nodes(rid, node)
-        self.nodes[node].submit(rid)
+        self.bank.submit(rid, node)
 
-    def _done(self, node: int, rid: int) -> None:
+    def _done(self, rid: int) -> None:
+        node = int(self.ledger.node[rid])
         pending = self._pending[node]
         pending[self.ledger.class_of(rid)] -= 1
         self._work_left[node] = max(self._work_left[node] - self.ledger.size_of(rid), 0.0)
@@ -256,7 +264,7 @@ def per_event_model(server: ServerModel) -> _PerEvent:
         raise SimulationError("the reference needs a fresh, unbound server model")
     if isinstance(server, ClusterServerModel):
         return _Cluster(
-            [per_event_model(node) for node in server.nodes],
+            [RateScalableServers(capacity=capacity) for capacity in server.bank.capacities],
             dispatch=server.dispatch,
             partitioner=server.partitioner,
             fleet=server.fleet,
@@ -264,7 +272,7 @@ def per_event_model(server: ServerModel) -> _PerEvent:
     if isinstance(server, SharedProcessorServer):
         return _SharedProcessor(server.scheduler, server.capacity)
     if isinstance(server, RateScalableServers):
-        return _RateScalable(server.capacity)
+        return _RateScalable.of_nodes(server.capacities)
     raise TypeError(f"no per-event reference for {type(server).__name__}")
 
 

@@ -32,6 +32,8 @@ import pytest
 from repro.cluster import AdmissionController, make_cluster, resolve_capacities
 from repro.core import PsdSpec
 from repro.core.admission import (
+    AdmissionDecision,
+    AdmissionPolicy,
     AlwaysAdmit,
     LoadThresholdAdmission,
     QueueLengthAdmission,
@@ -181,6 +183,49 @@ class TestDispositionAccounting:
         ledger = _run(None).ledger
         assert int(ledger.disposition.max(initial=0)) == DISPOSITION_ADMITTED
 
+    def test_block_counts_match_a_scalar_count_of_the_decisions(self):
+        """Block decisions tally shed, degraded-origin and degraded-target
+        counts per class, with degrade targets other than the last class."""
+
+        class Cycling(AdmissionPolicy):
+            """Cycles ACCEPT, DEGRADE, SHED per class, logging each decision
+            (the last class accepts instead of degrading)."""
+
+            window_scoped = True
+            targets = {0: 2, 1: 2, 2: 3}
+
+            def __init__(self):
+                self.log = []
+                self.turns = [0] * 4
+
+            def decide(self, class_index, size, obs):
+                decision = AdmissionDecision(self.turns[class_index] % 3)
+                self.turns[class_index] += 1
+                if decision is AdmissionDecision.DEGRADE and class_index == 3:
+                    decision = AdmissionDecision.ACCEPT
+                self.log.append((class_index, decision))
+                return decision
+
+            def degrade_target(self, class_index):
+                return self.targets[class_index]
+
+        policy = Cycling()
+        classes = make_classes(Deterministic(0.2), 0.8, (1.0, 2.0, 3.0, 4.0))
+        config = MeasurementConfig(warmup=0.0, horizon=100.0, window=10.0)
+        result = Scenario(classes, config, seed=4, admission=policy).run()
+        shed, degraded, into = [0] * 4, [0] * 4, [0] * 4
+        for origin, decision in policy.log:
+            if decision is AdmissionDecision.SHED:
+                shed[origin] += 1
+            elif decision is AdmissionDecision.DEGRADE:
+                degraded[origin] += 1
+                into[policy.targets[origin]] += 1
+        assert min(shed) > 0 and min(degraded[:3]) > 0
+        assert result.rejected_counts == tuple(shed)
+        assert result.degraded_counts == tuple(degraded)
+        assert result.degraded_into_counts == tuple(into)
+        assert sum(result.generated_counts) == len(policy.log)
+
 
 class TestTelemetryAgreement:
     @pytest.mark.parametrize("policy_key", ["quota", "queue_length"])
@@ -300,7 +345,7 @@ class TestLiveAdmissionWalk:
         reference, _, reference_reads = run(ReferenceScenario)
         _assert_same_run(walk, reference)
         assert cluster._calendar is not None
-        assert all(server.backlog == 0 for node in cluster.nodes for server in node.servers)
+        assert not any(cluster.bank.backlogs())
         assert len(walk_reads) > 100 and any(map(any, walk_reads))
         assert walk_reads == reference_reads
 

@@ -1,13 +1,14 @@
-"""The FCFS task server against an independent Lindley-recursion oracle.
+"""A bank's FCFS class server against an independent Lindley-recursion oracle.
 
-The oracle below shares no code with :mod:`repro.simulation.task_server`:
+The oracle below shares no code with :mod:`repro.simulation.server_models`:
 it takes the whole script of arrivals and rate changes and computes every
 request's start and completion with the textbook recursion
 ``start = max(arrival, previous completion)``, integrating the remaining
 work across the piecewise-constant rate (a rate change charges the work done
 at the old rate, ``remaining - elapsed * rate`` clamped at zero; rate zero
-does no work).  The server, driven by the same script through ``submit_batch``
-/ ``push`` / ``drain`` / ``set_rate``, must write bit-equal timestamps.
+does no work).  A one-class bank, driven by the same script through
+``submit_batch`` / ``submit_one`` / ``drain`` / ``apply_rates``, must write
+bit-equal timestamps.
 
 Times, gaps and sizes sit on a 0.25 grid and most rates are powers of two,
 so arrivals and completions land exactly on drain instants (``arrival ==
@@ -25,10 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.simulation import FcfsTaskServer, RequestLedger, SimulationEngine
+from repro.simulation import RequestLedger
 from repro.simulation.ledger import DISPOSITION_SHED
-from repro.simulation.task_server import _SCALAR_BATCH_LIMIT
-from tests.conftest import drain_rows, submit_rows
+from repro.simulation.server_models import _SCALAR_BATCH_LIMIT
+from tests.conftest import class_server
 
 GRID = 0.25
 RATES = (0.0, 0.3, 0.5, 1.0, 2.0)
@@ -76,9 +77,8 @@ def run_script(initial_rate, steps):
     from the later of the last arrival and the clock, so no request arrives
     before a drain already passed.
     """
-    engine = SimulationEngine()
     ledger = RequestLedger(1)
-    server = FcfsTaskServer(engine, initial_rate, ledger=ledger)
+    engine, server = class_server(initial_rate, ledger)
     requests: list[tuple[float, float]] = []
     changes = [(0.0, initial_rate)]
     drains = []
@@ -98,31 +98,33 @@ def run_script(initial_rate, steps):
                 requests.append((last_arrival, size * GRID))
             k = len(arrivals)
             sizes = [size * GRID for _, size in step[1]]
-            submit_rows(server, ledger.append_batch(np.zeros(k, dtype=np.int64), arrivals, sizes))
+            server.submit_batch(ledger.append_batch(np.zeros(k, dtype=np.int64), arrivals, sizes))
         elif kind == "push":
             gap, size = step[1]
             last_arrival = arrival_after(gap)
             requests.append((last_arrival, size * GRID))
-            server.push(ledger.append(0, last_arrival, size * GRID), last_arrival, size * GRID)
+            rid = ledger.append(0, last_arrival, size * GRID)
+            server.submit_one(rid, 0, last_arrival, size * GRID)
         else:
             now += step[1] * GRID
             engine.run_until(now)
-            rids, done = drain_rows(server, now)
+            rids = server.drain(now)
             ledger.log_completions(rids)
+            (backlog,), (in_service,) = server.backlogs(), server.in_service
             drains.append(
                 (
                     now,
                     len(changes),
                     len(requests),
                     rids.tolist(),
-                    done.tolist(),
-                    server.backlog,
-                    server.in_service,
-                    server.idle,
+                    ledger.completion_time[rids].tolist(),
+                    backlog,
+                    in_service,
+                    in_service is None and backlog == 0,
                 )
             )
             if kind == "rate":
-                server.set_rate(step[2])
+                server.apply_rates([step[2]])
                 changes.append((now, step[2]))
     return ledger, requests, changes, drains
 

@@ -8,11 +8,9 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simulation import (
-    FcfsTaskServer,
     MeasurementConfig,
     RequestLedger,
     Scenario,
-    SimulationEngine,
     WindowedMonitor,
 )
 from repro.simulation.generator import TraceSource
@@ -21,7 +19,7 @@ from repro.simulation.ledger import (
     DISPOSITION_DEGRADED,
     DISPOSITION_SHED,
 )
-from tests.conftest import drain_rows, make_classes, submit_rows
+from tests.conftest import class_server, make_classes
 
 
 class TestLedgerBasics:
@@ -130,21 +128,19 @@ class TestZeroRateFreeze:
     @staticmethod
     def advance(engine, server, time):
         engine.run_until(time)
-        rids, _ = drain_rows(server, time)
-        server.ledger.log_completions(rids)
+        server.ledger.log_completions(server.drain(time))
 
     def test_zero_rate_freeze_and_resume_accounting(self):
         """A frozen task server holds remaining work; the ledger row stays
         in service and completes with the post-resume timestamps."""
-        engine = SimulationEngine()
         ledger = RequestLedger(1)
-        server = FcfsTaskServer(engine, 1.0, ledger=ledger)
+        engine, server = class_server(1.0, ledger)
         rid = ledger.append(0, 0.0, 2.0)
-        submit_rows(server, [rid])
+        server.submit_batch([rid])
         self.advance(engine, server, 1.0)
-        server.set_rate(0.0)
+        server.apply_rates([0.0])
         self.advance(engine, server, 5.0)
-        server.set_rate(0.5)
+        server.apply_rates([0.5])
         self.advance(engine, server, 50.0)
         # 1 unit of work done before the freeze; the second unit runs at
         # rate 0.5 from t=5, finishing at t=7.
@@ -158,19 +154,18 @@ class TestZeroRateFreeze:
         assert ledger.slowdowns()[0] == pytest.approx(0.0)
 
     def test_work_queued_behind_frozen_request_waits(self):
-        engine = SimulationEngine()
         ledger = RequestLedger(1)
-        server = FcfsTaskServer(engine, 1.0, ledger=ledger)
+        engine, server = class_server(1.0, ledger)
         first = ledger.append(0, 0.0, 1.0)
         second = ledger.append(0, 0.0, 1.0)
-        submit_rows(server, [first, second])
+        server.submit_batch([first, second])
         self.advance(engine, server, 0.5)
-        server.set_rate(0.0)
+        server.apply_rates([0.0])
         self.advance(engine, server, 10.0)
         # Still frozen at the horizon: nothing completed, backlog intact.
         assert ledger.num_completed == 0
-        assert server.backlog == 1 and server.in_service == first
-        server.set_rate(1.0)
+        assert server.backlogs() == (1,) and server.in_service == [first]
+        server.apply_rates([1.0])
         self.advance(engine, server, 20.0)
         np.testing.assert_array_equal(ledger.completed_ids, [first, second])
 

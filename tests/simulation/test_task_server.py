@@ -1,4 +1,6 @@
-"""Tests for the rate-scalable FCFS task server."""
+"""Tests for the rate-scalable FCFS class servers of a
+:class:`~repro.simulation.RateScalableServers` bank: one server alone, a
+node of several classes, and a cluster's bank."""
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from repro.cluster import make_cluster
 from repro.distributions import BoundedPareto, Deterministic
 from repro.errors import SimulationError
 from repro.simulation import (
-    FcfsTaskServer,
     MeasurementConfig,
     RateScalableServers,
     RequestLedger,
@@ -15,19 +16,26 @@ from repro.simulation import (
     SimulationEngine,
 )
 from repro.types import TrafficClass
-from tests.conftest import drain_rows, make_classes, submit_rows
+from tests.conftest import class_server, make_classes
 
 
 def make_server(rate):
-    engine = SimulationEngine()
-    server = FcfsTaskServer(engine, rate, ledger=RequestLedger(4))
-    return engine, server
+    return class_server(rate, RequestLedger(4))
 
 
 def submit(server, arrival, size, class_index=0):
     rid = server.ledger.append(class_index, arrival, size)
-    submit_rows(server, [rid])
+    server.submit_batch([rid])
     return rid
+
+
+def service_head(server):
+    """The server's rate, the row it serves (``None`` when free) and that
+    row's completion at that rate (``inf`` when free or frozen)."""
+    rate, rid = server.rates[0], server.in_service[0]
+    if rid is None or rate <= 0.0:
+        return rate, rid, np.inf
+    return rate, rid, server.progress[0] + server.remaining[0] / rate
 
 
 def advance(engine, server, time):
@@ -37,7 +45,7 @@ def advance(engine, server, time):
     drain's completions are logged into the ledger too).
     """
     engine.run_until(time)
-    rids, _ = drain_rows(server, time)
+    rids = server.drain(time)
     server.ledger.log_completions(rids)
     return rids.tolist()
 
@@ -75,11 +83,11 @@ class TestFcfsService:
         submit(server, 0.0, 1.0)
         submit(server, 0.0, 1.0)
         advance(engine, server, 0.0)
-        assert server.is_busy
-        assert server.backlog == 1
+        assert server.in_service[0] is not None
+        assert server.backlogs() == (1,)
         advance(engine, server, 10.0)
-        assert server.backlog == 0
-        assert not server.is_busy
+        assert server.backlogs() == (0,)
+        assert server.in_service[0] is None
         assert np.count_nonzero(~np.isnan(server.ledger.completion_time)) == 2
 
 
@@ -90,7 +98,7 @@ class TestRateChanges:
         # After 1 time unit (half the work done) the rate drops to 0.5, so the
         # remaining 1 unit of work takes 2 more time units.
         advance(engine, server, 1.0)
-        server.set_rate(0.5)
+        server.apply_rates([0.5])
         done = advance(engine, server, 10.0)
         assert server.ledger.completion_of(done[0]) == pytest.approx(3.0)
 
@@ -99,7 +107,7 @@ class TestRateChanges:
         submit(server, 0.0, 2.0)
         # After 2 time units, 1 unit of work remains; at rate 2 it takes 0.5.
         advance(engine, server, 2.0)
-        server.set_rate(2.0)
+        server.apply_rates([2.0])
         done = advance(engine, server, 10.0)
         assert server.ledger.completion_of(done[0]) == pytest.approx(2.5)
 
@@ -107,9 +115,9 @@ class TestRateChanges:
         engine, server = make_server(1.0)
         submit(server, 0.0, 2.0)
         advance(engine, server, 1.0)
-        server.set_rate(0.0)
+        server.apply_rates([0.0])
         assert advance(engine, server, 5.0) == []
-        server.set_rate(1.0)
+        server.apply_rates([1.0])
         done = advance(engine, server, 20.0)
         # 1 unit done before the freeze, 1 unit after it lifts at t=5.
         assert server.ledger.completion_of(done[0]) == pytest.approx(6.0)
@@ -119,17 +127,17 @@ class TestRateChanges:
         submit(server, 0.0, 4.0)
         for t, rate in ((1.0, 0.4), (2.0, 1.0), (3.0, 0.6)):
             advance(engine, server, t)
-            server.set_rate(rate)
+            server.apply_rates([rate])
         done = advance(engine, server, 50.0)
         # Work done: 0.8 + 0.4 + 1.0 = 2.2 by t=3; remaining 1.8 at 0.6 -> 3 more.
         assert server.ledger.completion_of(done[0]) == pytest.approx(6.0)
 
     def test_rate_change_while_idle_is_harmless(self):
         engine, server = make_server(1.0)
-        server.set_rate(0.3)
-        assert server.rate == pytest.approx(0.3)
+        server.apply_rates([0.3])
+        assert server.rates[0] == pytest.approx(0.3)
         engine, server2 = make_server(1.0)
-        server2.set_rate(0.5)
+        server2.apply_rates([0.5])
         submit(server2, 0.0, 1.0)
         done = advance(engine, server2, 10.0)
         assert server2.ledger.completion_of(done[0]) == pytest.approx(2.0)
@@ -137,7 +145,7 @@ class TestRateChanges:
     def test_negative_rate_rejected(self):
         engine, server = make_server(1.0)
         with pytest.raises(Exception):
-            server.set_rate(-0.1)
+            server.apply_rates([-0.1])
 
     def test_busy_time_accounting(self):
         engine, server = make_server(1.0)
@@ -150,94 +158,103 @@ class TestRateChanges:
 
 
 class TestServe:
-    """``serve`` holds a head kept elsewhere (a cluster's completion
-    calendar) in the service position, so that ``set_rate`` re-bases it."""
+    """A drain with ``heads`` holds a head kept elsewhere (a cluster's
+    completion calendar) in the service position, so that ``apply_rates``
+    re-bases it."""
 
     def test_the_next_head_replaces_the_carried_request(self):
         engine, server = make_server(1.0)
         first = submit(server, 0.0, 2.0)
         advance(engine, server, 1.0)
-        assert server.in_service == first
+        assert server.in_service == [first]
         # The first request completed at t=2 (booked elsewhere); the next
         # head, arrived at t=1, starts at max(arrival, last) = 2.
         second = server.ledger.append(0, 1.0, 2.0)
-        server.serve((second, 2.0, 2.0))
-        assert server.in_service == second
+        server.drain(1.0, [(second, 2.0, 2.0)])
+        assert server.in_service == [second]
         assert server.ledger.start_of(second) == 2.0
-        assert server.service_head() == (1.0, second, 4.0)
+        assert service_head(server) == (1.0, second, 4.0)
         engine.run_until(3.0)
-        server.set_rate(2.0)  # one unit of work left at t=3
-        assert server.service_head() == (2.0, second, 3.5)
+        server.apply_rates([2.0])  # one unit of work left at t=3
+        assert service_head(server) == (2.0, second, 3.5)
 
     def test_a_head_already_in_service_keeps_its_progress(self):
         engine, server = make_server(1.0)
         rid = server.ledger.append(0, 0.0, 2.0)
-        server.serve((rid, 0.0, 2.0))
+        server.drain(0.0, [(rid, 0.0, 2.0)])
         engine.run_until(1.0)
-        server.set_rate(0.5)
-        server.serve((rid, 0.5, 2.0))
+        server.apply_rates([0.5])
+        server.drain(1.0, [(rid, 0.5, 2.0)])
         assert server.ledger.start_of(rid) == 0.0
-        assert server.service_head() == (0.5, rid, 3.0)
+        assert service_head(server) == (0.5, rid, 3.0)
 
     def test_a_frozen_head_starts_at_its_arrival(self):
         engine, server = make_server(0.0)
         rid = server.ledger.append(0, 0.5, 1.0)
-        server.serve((rid, 0.5, 1.0))
+        server.drain(0.5, [(rid, 0.5, 1.0)])
         assert server.ledger.start_of(rid) == 0.5
-        assert server.service_head() == (0.0, rid, np.inf)
+        assert service_head(server) == (0.0, rid, np.inf)
         engine.run_until(2.0)
-        server.set_rate(1.0)
-        assert server.service_head() == (1.0, rid, 3.0)
+        server.apply_rates([1.0])
+        assert service_head(server) == (1.0, rid, 3.0)
 
     def test_none_frees_the_service_position(self):
         engine, server = make_server(1.0)
         rid = server.ledger.append(0, 0.0, 1.0)
-        server.serve((rid, 0.0, 1.0))
-        server.serve(None)
-        assert server.in_service is None
-        assert server.service_head() == (1.0, None, np.inf)
-        assert server.backlog == 0
+        server.drain(0.0, [(rid, 0.0, 1.0)])
+        assert server.drain(0.5, [None]).size == 0
+        assert server.in_service == [None]
+        assert service_head(server) == (1.0, None, np.inf)
+        assert server.backlogs() == (0,)
 
 
 class TestDrainContract:
-    """A bulk drain hands its fresh rows back unwritten; the carried row and
-    short scalar drains write themselves."""
+    """A drain writes every row it completes: the fresh rows of a bulk fold
+    in one ``serve_batch``, the carried row and a short scalar drain's rows
+    one by one."""
 
-    def test_the_bulk_fold_leaves_its_fresh_rows_to_the_caller(self):
+    @staticmethod
+    def recorded_writes(monkeypatch):
+        writes = []
+        serve_batch = RequestLedger.serve_batch
+
+        def recording(self, rids, starts, times):
+            writes.append(rids.tolist())
+            serve_batch(self, rids, starts, times)
+
+        monkeypatch.setattr(RequestLedger, "serve_batch", recording)
+        return writes
+
+    def test_the_bulk_fold_writes_its_fresh_rows_in_one_call(self, monkeypatch):
         engine, server = make_server(1.0)
         ledger = server.ledger
+        writes = self.recorded_writes(monkeypatch)
         # 80 rows at once: both drains below take the bulk fold.
         rids = ledger.append_batch(np.zeros(80, dtype=np.int64), np.zeros(80), np.ones(80))
-        submit_rows(server, rids)
+        server.submit_batch(rids)
         engine.run_until(10.5)
-        done, starts, times = server.drain(10.5)
-        assert done.tolist() == list(range(10))
-        assert starts.tolist() == [float(i) for i in range(10)]
-        assert times.tolist() == [float(i + 1) for i in range(10)]
-        assert np.isnan(ledger.service_start_time[:10]).all()
-        assert np.isnan(ledger.completion_time[:10]).all()
+        assert server.drain(10.5).tolist() == list(range(10))
+        assert writes == [list(range(10))]
+        assert ledger.service_start_time[:10].tolist() == [float(i) for i in range(10)]
+        assert ledger.completion_time[:10].tolist() == [float(i + 1) for i in range(10)]
         # The row caught mid-service at ``now`` is started right away.
-        assert server.in_service == 10 and ledger.start_of(10) == 10.0
-        ledger.serve_batch(done, starts, times)
-        # The carried row leads the next run, already completed; the fresh
-        # rows behind it are again the caller's to write.
+        assert server.in_service == [10] and ledger.start_of(10) == 10.0
+        # The carried row leads the next run and completes itself; the
+        # fresh row behind it is the one written in bulk.
         engine.run_until(12.5)
-        done, starts, times = server.drain(12.5)
-        assert done.tolist() == [10, 11]
-        assert starts.tolist() == [11.0]
-        assert times.tolist() == [11.0, 12.0]
+        assert server.drain(12.5).tolist() == [10, 11]
+        assert writes[1:] == [[11]]
         assert ledger.completion_of(10) == 11.0
-        assert np.isnan(ledger.start_of(11))
+        assert (ledger.start_of(11), ledger.completion_of(11)) == (11.0, 12.0)
 
-    def test_a_short_drain_writes_its_rows(self):
+    def test_a_short_drain_writes_its_rows_one_by_one(self, monkeypatch):
         engine, server = make_server(1.0)
+        writes = self.recorded_writes(monkeypatch)
         first = submit(server, 0.0, 1.0)
         second = submit(server, 0.0, 1.0)
         engine.run_until(5.0)
-        done, starts, times = server.drain(5.0)
-        assert done.tolist() == [first, second]
-        assert starts.size == 0
-        assert times.tolist() == [1.0, 2.0]
+        assert server.drain(5.0).tolist() == [first, second]
+        assert writes == []
         assert server.ledger.start_of(second) == 1.0
         assert server.ledger.completion_of(second) == 2.0
 
@@ -300,9 +317,9 @@ class TestNodeSubmitAndDrain:
 
 
 class TestOneLedgerWritePerNodeDrain:
-    """A node drain writes its class servers' fresh rows in at most one
-    ``serve_batch``, on one node and on each member of a block-route
-    cluster."""
+    """A bank drain writes its class servers' fresh rows in at most one
+    ``serve_batch``, on one node and on a block-route cluster's bank of
+    every node."""
 
     @pytest.mark.parametrize("nodes", [None, 2])
     def test_at_most_one_serve_batch_per_drain(self, monkeypatch, nodes):
@@ -327,5 +344,5 @@ class TestOneLedgerWritePerNodeDrain:
         assert result.ledger.num_completed > 100
         assert max(writes) == 1
         # A window brings ~100 rows to each class server: every drain at a
-        # boundary takes the bulk fold, so each node writes once a window.
+        # boundary takes the bulk fold, so the bank writes once a window.
         assert sum(writes) >= len(result.rate_history) - 1

@@ -93,6 +93,16 @@ class TestClusterColumns:
         # The always-live node carries a share in every row.
         assert (shares[:, 0].sum(axis=-1) > 0.0).all()
 
+    def test_row_0_follows_fleet_events_at_t0(self, two_classes, short_measurement):
+        cluster = make_cluster(3, "round_robin", fleet=parse_fleet_events("kill:1@0"))
+        result = Scenario(
+            two_classes, short_measurement, server=cluster, spec=PsdSpec.of(1, 2), seed=5
+        ).run()
+        table = result.window_table
+        assert [time for time, _, _ in result.fleet_timeline[:2]] == [0.0, 0.0]
+        assert not table.node_shares[0, 1].any() and table.node_shares[0, 0].all()
+        np.testing.assert_allclose(table.node_shares.sum(axis=1), table.rates, rtol=0, atol=1e-9)
+
     def test_backlog_counts_unfinished_rows_per_node(self, two_classes, short_measurement):
         result = run_churn(two_classes, short_measurement)
         ledger, table = result.ledger, result.window_table
