@@ -402,3 +402,42 @@ class TestLiveAdmissionWalk:
         ]
         assert walk.rejected_counts == (2,)
         _assert_same_run(walk, run(ReferenceScenario))
+
+    class Degrading(AdmissionPolicy):
+        """A live policy on both non-accept legs: class 0 degrades to class
+        1 once its backlog reaches 2, class 1 is shed once its backlog
+        reaches 3."""
+
+        window_scoped = False
+
+        def decide(self, class_index, size, obs):
+            if class_index == 0:
+                if obs.backlogs[0] >= 2:
+                    return AdmissionDecision.DEGRADE
+                return AdmissionDecision.ACCEPT
+            if obs.backlogs[1] >= 3:
+                return AdmissionDecision.SHED
+            return AdmissionDecision.ACCEPT
+
+    @pytest.mark.parametrize("server_key", ["fcfs", "weighted_jsq-2:1", "round_robin-churn"])
+    def test_a_degrading_policy_matches_reference(self, server_key):
+        classes, config = CLASSES, CONFIG
+        if server_key == "round_robin-churn":
+            classes = make_classes(BoundedPareto(0.1, 10.0, 1.5), 0.9, (1.0, 2.0))
+            config = MeasurementConfig(warmup=300.0, horizon=1_500.0, window=300.0)
+
+        def run(scenario_class):
+            if server_key == "round_robin-churn":
+                server = make_cluster(3, "round_robin", fleet=CHURN, seed=2)
+            else:
+                server = self.SERVERS[server_key]()
+            return scenario_class(
+                classes, config, server=server, spec=SPEC, seed=4, admission=self.Degrading()
+            ).run()
+
+        walk = run(Scenario)
+        reference = run(ReferenceScenario)
+        _assert_same_run(walk, reference)
+        assert walk.degraded_counts == reference.degraded_counts
+        assert walk.degraded_into_counts == reference.degraded_into_counts
+        assert walk.degraded_counts[0] > 0 and walk.rejected_counts[1] > 0
