@@ -207,9 +207,9 @@ def test_overload_admission_batched_bit_identical(benchmark):
 
 
 #: The live-admission cell: per-class queue-length caps are read at every
-#: arrival instant, so the scenario drains the cluster before each decision
-#: and submits arrivals one at a time.  No ``bench/`` workload runs this
-#: walk, so its throughput is pinned here (quick preset: seconds).
+#: arrival instant from the cluster's completion calendar, and each segment
+#: is recorded as one block.  No ``bench/`` workload runs this walk, so its
+#: throughput is pinned here (quick preset: seconds).
 WALK_ADMISSION_ARGS = ("limits=20,20",)
 
 

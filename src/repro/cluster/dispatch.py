@@ -141,6 +141,12 @@ class DispatchPolicy(abc.ABC):
         blocks are cut at every fleet event, so one fetch serves a whole
         block.  A built-in chooser picks only from the live tuple, so its
         choices skip validation (the trust contract of ``select_block``).
+
+        Under live-state admission the cluster chooses a request's node
+        before its ledger row is written (:meth:`~repro.cluster.model.
+        ClusterServerModel.walk`), so a chooser takes the class from its
+        argument; a ``select_node`` that reads the row needs a chooser of
+        its own to run behind such a policy.
         """
         select_node = self.select_node
         checked = self.cluster._checked_node
@@ -524,6 +530,12 @@ class ClassAffinity(DispatchPolicy):
 
     def select_node(self, rid: int) -> int:
         return self.effective_home(self.cluster.ledger.class_of(rid))
+
+    def chooser(self) -> Callable[[int, int], int]:
+        # The home of the class argument: no ledger read, so it also routes
+        # rows a live admission walk has not written yet.
+        effective_home = self.effective_home
+        return lambda rid, class_index: effective_home(class_index)
 
     def select_block(self, rids: np.ndarray, classes: np.ndarray) -> np.ndarray:
         """Whole-block affinity routing via a per-class home table.

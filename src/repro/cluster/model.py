@@ -10,7 +10,8 @@ drains, writes and merges every (node, class) server in one pass.  The
 controller's per-class rate allocation is fanned out to the nodes by a
 :class:`~repro.cluster.partition.RatePartitioner`, so the PSD feedback loop
 closes over the whole cluster; ``backlogs()`` aggregates the per-class
-counts, so the existing monitor/estimator stack works unchanged.
+counts from the pending table, so the existing monitor/estimator stack works
+unchanged.
 
 Capacity semantics: member rates are *absolute* (the equal-split cluster of
 N nodes has the same total capacity as the single server).
@@ -58,6 +59,11 @@ column (created at bind, ``-1`` for rows never dispatched), so the node
 column, fleet timeline, rate histories and aggregates are bit-identical to
 the per-event reference simulator the test suite keeps.
 
+Live-state admission (:meth:`ClusterServerModel.walk`) runs on the calendar
+whatever the policy, as its pending table after booking to an arrival
+instant is the backlog that arrival's decision reads; a backlog-blind
+policy then routes through its ``chooser``.
+
 Dynamic fleets: a :class:`~repro.cluster.fleet.FleetSchedule` makes the
 member set time-varying.  At every event the cluster updates its per-node
 states (live / draining / down), notifies the dispatch policy to refresh any
@@ -73,16 +79,15 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
-from math import isnan
 
 import numpy as np
 
 from ..errors import ClusterDrainedError, SimulationError
-from ..simulation.server_models import _SCALAR_BATCH_LIMIT, RateScalableServers, ServerModel
+from ..simulation.server_models import _EMPTY_RIDS, RateScalableServers, ServerModel
 from ..telemetry.log import get_logger, log_event
 from ..validation import require_capacity
 from .dispatch import DispatchPolicy, RoundRobin, build_dispatch_policy
@@ -97,18 +102,14 @@ RATE_CONSERVATION_TOL = 1e-9
 
 _log = get_logger("cluster")
 
-#: The empty arrival block :meth:`ClusterServerModel._book_completions` replays.
-_NO_ROWS = np.empty(0, dtype=np.int64)
-
-
 class ClusterServerModel(ServerModel):
     """N nodes' class servers behind a dispatch policy and a rate partitioner.
 
     Parameters
     ----------
-    nodes:
-        One fresh one-node :class:`~repro.simulation.RateScalableServers`
-        per node; the cluster reads their capacities into its bank.
+    capacities:
+        One capacity per node (the maximum total rate it can sustain; each
+        finite and > 0, or ``None`` for an unconstrained node).
     dispatch:
         Routing policy; defaults to :class:`~repro.cluster.dispatch.RoundRobin`.
     partitioner:
@@ -123,26 +124,23 @@ class ClusterServerModel(ServerModel):
 
     def __init__(
         self,
-        nodes: Sequence[RateScalableServers],
+        capacities: Sequence[float | None],
         *,
         dispatch: DispatchPolicy | None = None,
         partitioner: RatePartitioner | None = None,
         fleet: FleetSchedule | None = None,
     ) -> None:
         super().__init__()
-        if not nodes:
-            raise SimulationError("a cluster needs at least one member node")
-        for node in nodes:
-            if not isinstance(node, RateScalableServers):
-                raise SimulationError(
-                    f"cluster nodes must be RateScalableServers instances, got "
-                    f"{type(node).__name__}"
-                )
-            if node.engine is not None:
-                raise SimulationError("cluster nodes must be fresh, unbound server models")
+        if not capacities:
+            raise SimulationError("a cluster needs at least one node")
         #: Every node's class servers, one bank; fleet events write its
         #: capacity column.
-        self.bank = RateScalableServers.of_nodes([node.capacity for node in nodes])
+        self.bank = RateScalableServers.of_nodes(
+            [
+                None if capacity is None else require_capacity(capacity, f"node {node} capacity")
+                for node, capacity in enumerate(capacities)
+            ]
+        )
         self.dispatch = dispatch if dispatch is not None else RoundRobin()
         if partitioner is None:
             partitioner = self.dispatch.preferred_partitioner() or EqualSplit()
@@ -262,26 +260,32 @@ class ClusterServerModel(ServerModel):
         self._runs: list[np.ndarray] = []
         self._select_block = getattr(self.dispatch, "select_block", None)
         self._chooser = self.dispatch.chooser
-        # Completion calendar (policy without ``select_block``): a heap
-        # holding the ``(completion, node, class, rid, size, start)`` of each
-        # class server's head — its earliest unbooked request — and, per
-        # class server, the FCFS deque of its unbooked ``(rid, arrival,
-        # size)`` (head first; the only queue on this route), its rate and
-        # last booked completion, plus the entries booked since the last sync
-        # (in booking order) and the booked ids awaiting the next drain.
         self._calendar: list[tuple[float, int, int, int, float, float]] | None = None
         if self._select_block is None:
-            self._calendar = []
-            self._queues = [[deque() for _ in range(c)] for _ in range(n)]
-            self._class_rates = [[0.0] * c for _ in range(n)]
-            self._class_free = [[-np.inf] * c for _ in range(n)]
-            self._booked: list[tuple[float, int, int, int, float, float]] = []
-            self._booked_order: list[int] = []
+            self._start_calendar()
         self._record_fleet_state()
         for event in self.fleet.events:
             self.engine.schedule_at(
                 event.time, partial(self._apply_fleet_event, event), label="fleet"
             )
+
+    def _start_calendar(self) -> None:
+        """Start an empty completion calendar: a heap holding the
+        ``(completion, node, class, rid, size, start)`` of each class
+        server's head — its earliest unbooked request — and, per class
+        server, the FCFS deque of its unbooked ``(rid, arrival, size)``
+        (head first; the only queue on this route), its rate and last
+        booked completion, plus the entries booked since the last sync and
+        the booked ids awaiting the next drain."""
+        n, c = self.num_nodes, self.num_classes
+        self._select_block = None
+        self._calendar = []
+        self._queues = [[deque() for _ in range(c)] for _ in range(n)]
+        self._class_rates = [[0.0] * c for _ in range(n)]
+        self._class_free = [[-np.inf] * c for _ in range(n)]
+        self._booked: list[tuple[float, int, int, int, float, float]] = []
+        self._booked_order: list[int] = []
+        self._rebuild_calendar()
 
     def _mark_drained(self, node: int, time: float) -> None:
         """Drain complete: the leaving node served its last queued request
@@ -429,11 +433,43 @@ class ClusterServerModel(ServerModel):
                 f"cluster is draining or down; keep at least one node live "
                 f"while traffic flows"
             )
-        classes = self.ledger.classes_of(rids)
+        ledger = self.ledger
+        classes = ledger.classes_of(rids)
         if self._calendar is None:
             self._dispatch_block(rids, classes)
-        else:
-            self._dispatch_predicted(rids, classes)
+            return
+        rows = zip(
+            ledger.arrivals_of(rids).tolist(),
+            rids.tolist(),
+            classes.tolist(),
+            ledger.sizes_of(rids).tolist(),
+        )
+        ledger.assign_nodes(rids, self._dispatch_predicted(rows, self._chooser()))
+
+    def walk(
+        self,
+        times: np.ndarray,
+        sizes: np.ndarray,
+        classes: np.ndarray,
+        first: int,
+        admit: Callable[[float, int, float, tuple[int, ...]], int],
+    ) -> list[int]:
+        """Live-state admission over one arrival segment, on the calendar.
+
+        As :meth:`~repro.simulation.RateScalableServers.walk`, with
+        :meth:`backlogs` read after booking to each arrival instant and
+        each admitted row (arrival ``i`` is row ``first + i``) placed by
+        :meth:`_dispatch_predicted`.  Only the calendar books completions
+        between syncs, so a block-route cluster moves to it at its first
+        walk, before any row is queued.  Returns the admitted rows' nodes,
+        for the caller's one ``assign_nodes`` once the rows are appended.
+        """
+        if self._calendar is None:
+            self._start_calendar()
+        rows = zip(
+            times.tolist(), range(first, first + times.shape[0]), classes.tolist(), sizes.tolist()
+        )
+        return self._dispatch_predicted(rows, self._chooser(), admit=admit)
 
     def _dispatch_block(self, rids: np.ndarray, classes: np.ndarray) -> None:
         """Vectorised block dispatch for backlog-blind policies.
@@ -464,24 +500,31 @@ class ClusterServerModel(ServerModel):
         self.bank.submit_batch(rids, choices, classes, ledger.arrivals_of(rids), sizes)
 
     def _dispatch_predicted(
-        self, rids: np.ndarray, classes: np.ndarray, until: float = -np.inf
-    ) -> None:
+        self,
+        rows: Iterable[tuple[float, int, int, float]],
+        choose: Callable[[int, int], int] | None = None,
+        until: float = -np.inf,
+        admit: Callable[[float, int, float, tuple[int, ...]], int] | None = None,
+    ) -> list[int]:
         """Replay the exact per-request decision sequence on the calendar.
 
-        Before each decision the calendar books every completion due by the
-        arrival instant (``<= t``: completions tied with an arrival land
-        first, the single-server convention); after the block, every one due
-        by ``until`` (how :meth:`_book_completions` runs, with no arrivals).
-        Booking pops a head in ``(time, node, class)`` order and promotes
-        the next request of its class server with the bank's fold —
-        ``start = max(arrival, previous completion)``, ``completion =
-        start + size / rate``.  A request placed on a server without a head
-        becomes its head if the server runs (``start = max(arrival, last
-        booked completion)``); any other waits, unpredicted, in the server's
-        deque — behind a frozen (zero-rate) server until the next rate change
-        rebuilds the calendar.  The bank receives no rows, so the
+        ``rows`` are ``(arrival, rid, class, size)`` in time order, routed
+        by ``choose``.  Before each decision the calendar books every
+        completion due by the arrival instant (``<= t``: completions tied
+        with an arrival land first, the single-server convention); after
+        the block, every one due by ``until`` (how :meth:`_sync_nodes`
+        books, with no rows).  ``admit`` (:meth:`walk`) re-classes or drops
+        each row first.  Booking pops a head in ``(time, node, class)``
+        order and promotes the next request of its class server with the
+        bank's fold — ``start = max(arrival, previous completion)``,
+        ``completion = start + size / rate``.  A request placed on a server
+        without a head becomes its head if the server runs (``start =
+        max(arrival, last booked completion)``); any other waits,
+        unpredicted, in the server's deque — behind a frozen (zero-rate)
+        server until the next rate change rebuilds the calendar.  The bank receives no rows, so the
         per-request cost is one chooser call, at most one heap operation per
-        placement and per booking, and list bookkeeping.
+        placement and per booking, and list bookkeeping.  Returns the nodes
+        chosen, in row order.
         """
         calendar = self._calendar
         queues = self._queues
@@ -493,19 +536,8 @@ class ClusterServerModel(ServerModel):
         book = self._booked.append
         choices: list[int] = []
         chose = choices.append
-        if rids.size:
-            ledger = self.ledger
-            choose = self._chooser()
-            arrivals = zip(
-                ledger.arrivals_of(rids).tolist(),
-                rids.tolist(),
-                classes.tolist(),
-                ledger.sizes_of(rids).tolist(),
-            )
-        else:
-            arrivals = ()
         # The closing row (rid -1) books up to ``until`` and ends the loop.
-        for t, rid, cls, size in chain(arrivals, ((until, -1, 0, 0.0),)):
+        for t, rid, cls, size in chain(rows, ((until, -1, 0, 0.0),)):
             while calendar and calendar[0][0] <= t:
                 entry = calendar[0]
                 done, node, c, _, s, _ = entry
@@ -529,6 +561,10 @@ class ClusterServerModel(ServerModel):
                     self._mark_drained(node, done)
             if rid < 0:
                 break
+            if admit is not None:
+                cls = admit(t, cls, size, self.backlogs())
+                if cls < 0:
+                    continue
             node = choose(rid, cls)
             pending[node][cls] += 1
             work_left[node] += size
@@ -541,18 +577,7 @@ class ClusterServerModel(ServerModel):
                     start = t if t > last else last
                     heappush(calendar, (start + size / rate, node, cls, rid, size, start))
             queue.append((rid, t, size))
-        if choices:
-            self.ledger.assign_nodes(rids, choices)
-
-    def _book_completions(self, now: float) -> None:
-        """Book every calendar entry due by ``now`` into pending/work left.
-
-        Entries pop in ``(time, node, class)`` order — the per-event
-        completion order — and wait for :meth:`_sync_nodes` to write them.
-        The booking rule has one copy: this replays an empty arrival block
-        through :meth:`_dispatch_predicted`.
-        """
-        self._dispatch_predicted(_NO_ROWS, _NO_ROWS, now)
+        return choices
 
     def _rebuild_calendar(self) -> None:
         """Re-predict each class server's head at the new rates.
@@ -605,8 +630,8 @@ class ClusterServerModel(ServerModel):
         (zero-rate) head, which has no calendar entry, thus starts before
         any rate change re-bases it.  The rows booked since the last sync
         reach the ledger in one checked ``serve_batch`` (rows already in
-        service: ``complete_batch``; short syncs row by row) and wait in
-        booking order for :meth:`drain`.
+        service: ``complete_batch``) and wait in booking order for
+        :meth:`drain`.
 
         On the block route one bank drain serves every (node, class)
         server and returns their merged run, which waits for :meth:`drain`.
@@ -625,7 +650,8 @@ class ClusterServerModel(ServerModel):
                 self._runs.append(run)
                 self._book_run(run)
             return
-        self._book_completions(now)
+        # The booking rule has one copy: replay an empty block.
+        self._dispatch_predicted((), until=now)
         booked = self._booked
         # Bookings pop in time order, so the last one is the latest.
         if booked and booked[-1][0] > now:
@@ -653,16 +679,6 @@ class ClusterServerModel(ServerModel):
             for key in sorted(counts):
                 telemetry.on_server_drain(key % c, counts[key])
         ledger = self.ledger
-        # Short syncs (the admission walk syncs at every arrival) write row
-        # by row, as short bank drains do.
-        if len(booked) < _SCALAR_BATCH_LIMIT:
-            order = self._booked_order.append
-            for done, _, _, rid, _, start in booked:
-                if isnan(ledger.start_of(rid)):  # else carried in service: only completes
-                    ledger.start_service(rid, start)
-                ledger.complete_unlogged(rid, done)
-                order(rid)
-            return
         done, _, _, rids, _, starts = zip(*booked)
         self._booked_order += rids
         rids = np.array(rids, dtype=np.int64)
@@ -720,7 +736,7 @@ class ClusterServerModel(ServerModel):
             return np.array(order, dtype=np.int64)
         runs = self._runs
         if not runs:
-            return _NO_ROWS
+            return _EMPTY_RIDS
         self._runs = []
         return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
@@ -773,14 +789,14 @@ class ClusterServerModel(ServerModel):
             self._rebuild_calendar()
 
     def backlogs(self) -> tuple[int, ...]:
-        # Pending counts queued plus in service; on the calendar route the
-        # bank queues nothing, but holds the arrived heads in service.
-        c = self.num_classes
-        in_service = self.bank.in_service
-        totals = [0] * c
-        for node, row in enumerate(self._pending):
+        # Queued requests, not those in service: each server's pending count
+        # but one.  No drain needed: the live admission walk reads it at
+        # every arrival instant.
+        totals = [0] * self.num_classes
+        for row in self._pending:
             for cls, count in enumerate(row):
-                totals[cls] += count - (in_service[node * c + cls] is not None)
+                if count > 1:
+                    totals[cls] += count - 1
         return tuple(totals)
 
 
@@ -793,15 +809,15 @@ def make_cluster(
     seed: int | np.random.SeedSequence | np.random.Generator | None = 0,
     fleet: FleetSchedule | None = None,
 ) -> ClusterServerModel:
-    """Build a cluster of ``num_nodes`` fresh :class:`RateScalableServers`.
+    """Build a cluster of ``num_nodes`` nodes.
 
     ``policy`` is a :data:`~repro.cluster.dispatch.DISPATCH_POLICIES` name
     (``seed`` feeds randomised policies — spawn it from the scenario's master
     seed for reproducible runs) or an already-built policy instance.
 
     ``capacities`` builds a heterogeneous fleet: one finite, strictly
-    positive capacity per node, passed to ``RateScalableServers(capacity=...)``
-    verbatim (use :func:`~repro.cluster.capacity.resolve_capacities` to turn
+    positive capacity per node, taken verbatim (use
+    :func:`~repro.cluster.capacity.resolve_capacities` to turn
     a named mix or relative weights into absolute capacities first).  Without
     it every node is unconstrained — the homogeneous cluster.
 
@@ -817,18 +833,11 @@ def make_cluster(
     else:
         dispatch = build_dispatch_policy(policy, seed=seed)
     if capacities is None:
-        nodes = [RateScalableServers() for _ in range(num_nodes)]
-    else:
-        capacities = tuple(
-            require_capacity(cap, f"node {node} capacity") for node, cap in enumerate(capacities)
-        )
-        if len(capacities) != num_nodes:
-            raise SimulationError(
-                f"expected {num_nodes} per-node capacities, got {len(capacities)}"
-            )
-        nodes = [RateScalableServers(capacity=cap) for cap in capacities]
+        capacities = [None] * num_nodes
+    elif len(capacities) != num_nodes:
+        raise SimulationError(f"expected {num_nodes} per-node capacities, got {len(capacities)}")
     return ClusterServerModel(
-        nodes,
+        capacities,
         dispatch=dispatch,
         partitioner=partitioner,
         fleet=fleet,

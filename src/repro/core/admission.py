@@ -41,9 +41,12 @@ boundary; the default implementation replays ``decide`` scalar-for-scalar
 (vectorised overrides must reproduce the exact same decision sequence and
 float accumulation order).  Policies reading live state
 (:class:`QueueLengthAdmission`) keep ``window_scoped = False``: the
-scenario walks their arrivals one by one, draining the server to each
-arrival instant before calling ``decide`` with the boundary's observation
-re-stamped to that instant (``obs._replace(time=t, backlogs=...)``).
+scenario walks their arrivals one by one, calling ``decide`` with the
+boundary's observation re-stamped to each arrival instant and its backlog
+(``obs._replace(time=t, backlogs=...)``).  The server model reads that
+backlog from state it keeps between drains (a cluster's completion
+calendar, the bank's predicted completions), so such a policy runs on
+:class:`~repro.simulation.RateScalableServers` and clusters only.
 """
 
 from __future__ import annotations

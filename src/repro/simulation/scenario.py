@@ -50,8 +50,10 @@ only boundary state, so each arrival block gets one
 :meth:`~repro.core.AdmissionPolicy.decide_block` call at the window
 boundary, before the block is cut.  Policies reading live per-arrival state
 (``window_scoped = False``) are walked arrival by arrival inside each
-segment instead: the server is drained to the arrival instant, ``decide``
-reads the backlog of that instant, and an admitted row is submitted alone.
+segment instead: the server model's ``walk`` hands ``decide`` the backlog
+of each arrival instant from state it already keeps (a cluster's completion
+calendar, a bank's predicted completions) without draining anything, and
+the segment's decisions are then recorded like a decided block.
 
 The window boundary
 -------------------
@@ -89,7 +91,7 @@ from ..types import TrafficClass
 from ..validation import require_non_negative
 from .engine import SimulationEngine
 from .generator import RequestSource, sources_from_classes
-from .ledger import DISPOSITION_DEGRADED, DISPOSITION_SHED, RequestLedger
+from .ledger import DISPOSITION_SHED, RequestLedger
 from .monitor import MeasurementConfig, WindowedMonitor, fleet_availability
 from .server_models import RateScalableServers, ServerModel
 
@@ -423,6 +425,12 @@ class Scenario:
                 f"events (no apply_fleet_event); autoscalers require a cluster "
                 f"server model"
             )
+        self._walks = admission is not None and not getattr(admission, "window_scoped", False)
+        if self._walks and not hasattr(self.server, "walk"):
+            raise SimulationError(
+                f"{type(admission).__name__} reads the backlog at every arrival, which "
+                f"{type(self.server).__name__} keeps only when drained; use a bank or cluster"
+            )
         if telemetry is not None:
             self.server.attach_telemetry(telemetry)
         self.server.bind(self.engine, self.classes, ledger=self.ledger)
@@ -459,7 +467,7 @@ class Scenario:
         classes = np.repeat(np.arange(len(self.sources), dtype=np.int64), sizes_per_class)
         order = np.argsort(times, kind="stable")
         times, sizes, classes = times[order], sizes[order], classes[order]
-        if self.admission is not None and not getattr(self.admission, "window_scoped", False):
+        if self._walks:
             # Live-state admission: every decision is taken at its arrival
             # instant by the walk, segment by segment.
             def segment(lo: int, hi: int) -> None:
@@ -468,7 +476,8 @@ class Scenario:
             seg_times = times
         else:
             if self.admission is not None:
-                rids, seg_times = self._admit_block(times, sizes, classes)
+                decisions = self._decide_block(classes, sizes, times)
+                rids, seg_times = self._admit_block(times, sizes, classes, decisions)
             else:
                 rids, seg_times = self.ledger.append_batch(classes, times, sizes), times
 
@@ -496,16 +505,13 @@ class Scenario:
             self.telemetry.on_batch(self.engine.now, total)
 
     def _admit_block(
-        self, times: np.ndarray, sizes: np.ndarray, classes: np.ndarray
+        self, times: np.ndarray, sizes: np.ndarray, classes: np.ndarray, decisions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One block-level decision pass for a ``window_scoped`` policy.
-
-        Runs before any fleet cut: such policies see only boundary state,
-        so the whole block is decidable here.  Shed rows are appended
-        (origin class, SHED disposition) but excluded from submission.
-        Returns the admitted row ids and their arrival times.
+        """Record a decided block or walked segment: tallies, ledger rows
+        (degraded under their target class; shed under their origin class,
+        never submitted) and telemetry.  Returns the admitted row ids and
+        their arrival times.
         """
-        decisions = self._decide_block(classes, sizes, times)
         n = len(self.classes)
         # Per (decision, origin class) counts, one pass: ACCEPT, DEGRADE and
         # SHED are 0, 1 and 2.
@@ -538,47 +544,42 @@ class Scenario:
         return all_rids[admitted], times[admitted]
 
     def _admit_walk(self, times: np.ndarray, sizes: np.ndarray, classes: np.ndarray) -> None:
-        """Decide, record and submit one segment arrival by arrival.
+        """Decide one segment arrival by arrival, then record it as a block.
 
-        For live-state policies: before each decision the server is drained
-        to the arrival instant and the boundary's observation is re-stamped
-        with that instant and its backlog (completions tied with the arrival
-        land first).  The segment lies inside one estimation window and
-        between two fleet events, so the rates and the fleet stay put while
-        the walk runs ahead of the engine clock.
+        For live-state policies: the server's ``walk`` hands every arrival
+        the backlog of its instant, and ``decide`` gets the boundary's
+        observation re-stamped with that instant and backlog.  The segment
+        lies inside one estimation window and between two fleet events, so
+        the rates and the fleet stay put while the walk runs ahead of the
+        engine clock.  A one-node bank then queues the admitted rows; a
+        cluster's calendar placed them during the walk, so only their nodes
+        are written.
         """
         decide = self.admission.decide
-        ledger = self.ledger
-        server = self.server
-        submit = server.submit_one
         stamp = self._admission_obs._replace
-        decisions = np.empty(classes.shape[0], dtype=np.int64)
-        for i, (t, size, class_index) in enumerate(
-            zip(times.tolist(), sizes.tolist(), classes.tolist())
-        ):
-            self._sync_completions(t)
-            decision = decide(class_index, size, stamp(time=t, backlogs=server.backlogs()))
+        accept, shed = AdmissionDecision.ACCEPT, AdmissionDecision.SHED
+        decisions: list[int] = []
+        record = decisions.append
+
+        def admit(t: float, class_index: int, size: float, backlogs: tuple[int, ...]) -> int:
+            decision = decide(class_index, size, stamp(time=t, backlogs=backlogs))
             if not isinstance(decision, AdmissionDecision):
                 raise SimulationError(
                     f"{type(self.admission).__name__}.decide() returned "
                     f"{decision!r}; an AdmissionDecision is required"
                 )
-            decisions[i] = decision
-            if decision is AdmissionDecision.SHED:
-                ledger.append(class_index, t, size, disposition=DISPOSITION_SHED)
-                self._rejected[class_index] += 1
-                continue
-            if decision is AdmissionDecision.DEGRADE:
-                target = self._degrade_target(class_index)
-                self._degraded_from[class_index] += 1
-                self._degraded_to[target] += 1
-                rid = ledger.append(target, t, size, disposition=DISPOSITION_DEGRADED)
-            else:
-                target = class_index
-                rid = ledger.append(class_index, t, size)
-            submit(rid, target, t, size)
-        if self.telemetry is not None:
-            self.telemetry.on_admission_block(classes, decisions)
+            record(decision)
+            if decision is accept:
+                return class_index
+            return -1 if decision is shed else self._degrade_target(class_index)
+
+        nodes = self.server.walk(times, sizes, classes, len(self.ledger), admit)
+        decided = np.fromiter(decisions, np.int64, len(decisions))
+        rids, _ = self._admit_block(times, sizes, classes, decided)
+        if nodes is None:
+            self.server.submit_batch(rids)
+        else:
+            self.ledger.assign_nodes(rids, nodes)
 
     def _sync_completions(self, now: float) -> None:
         """Drain the server model to ``now`` and log the merged completions."""

@@ -34,15 +34,15 @@ Adding a new model (an async backend, a cache in front of the processor)
 means subclassing :class:`ServerModel` and implementing its five abstract
 methods (``_on_bind``, ``submit_batch``, ``drain``, ``apply_rates`` and
 ``backlogs``); every scenario, experiment driver and replication runner then
-works with it unchanged.
+works with it unchanged.  Live-state admission also needs ``walk`` (see
+:meth:`RateScalableServers.walk`).
 
 How the bank serves
 -------------------
 Each class server's queued requests live in three growable NumPy columns
 (row id, arrival, size) consumed from a head cursor; appends write slices
-or scalars at the tail, and the columns compact or double only when the
-tail runs out of room, so appends are amortised O(1) and the queue is never
-concatenated.
+at the tail, and the columns compact or double only when the tail runs out
+of room, so appends are amortised O(1) and the queue is never concatenated.
 
 Completions are computed in bulk by a drain — legal because between two
 rate changes an FCFS run is the Lindley recursion ``completion =
@@ -57,10 +57,8 @@ a request still in service is not folded in full), the run is cut at
 afterwards as ``np.maximum(arrival, previous completion)`` — a max is exact,
 so no timestamp moves.  One drain of the bank folds every busy server,
 writes all their fresh rows in one checked ``serve_batch`` and merges the
-runs with one stable argsort.  Short blocks — the admission walk drains one
-or two requests per call — take a scalar loop instead, which stops at the
-first request still in service and writes the ledger row by row: there
-NumPy's per-call overhead would cost more than the run.  (Under a cluster's
+runs with one stable argsort.  The scenario drains at window boundaries,
+fleet events and the horizon only, never per arrival.  (Under a cluster's
 completion calendar the bank queues nothing: the calendar keeps the queues,
 books the same fold's completions, and hands the bank each head it must
 hold in service.)
@@ -78,7 +76,8 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -91,16 +90,13 @@ from .ledger import RequestLedger
 
 __all__ = ["ServerModel", "RateScalableServers", "SharedProcessorServer"]
 
-#: Shared zero-length drain results: most drain calls on the admission
-#: walk's per-arrival cadence return nothing, so the empty run is allocated
-#: once (callers only read it).
+#: Shared zero-length drain results, allocated once (callers only read them).
 _EMPTY_RIDS = np.empty(0, dtype=np.int64)
 _EMPTY_TIMES = np.empty(0, dtype=np.float64)
 _EMPTY_RUN = (_EMPTY_RIDS, _EMPTY_TIMES, _EMPTY_TIMES)
 
-#: Drains with fewer arrived requests than this (and cluster syncs with
-#: fewer booked rows) take the scalar loop.
-_SCALAR_BATCH_LIMIT = 32
+#: Requests in the drain fold's first chunk; later chunks double the span.
+_FOLD_CHUNK = 128
 
 #: Initial slots of a class server's queue columns; they double on demand.
 _INITIAL_CAPACITY = 64
@@ -208,17 +204,6 @@ class ServerModel(abc.ABC):
     @abc.abstractmethod
     def backlogs(self) -> tuple[int, ...]:
         """Per-class queued request counts (excluding any in service)."""
-
-    def submit_one(self, rid: int, class_index: int, arrival: float, size: float) -> None:
-        """Queue a single pre-gathered arrival.
-
-        The scenario's live-state admission walk submits one admitted
-        arrival at a time and hands over the already-gathered ledger
-        columns, so the built-in models implement this as a plain buffer
-        append — no per-request ledger lookups.  The default submits a
-        one-row block.
-        """
-        self.submit_batch(np.asarray([rid], dtype=np.int64))
 
     def block_boundaries(self, start: float, end: float) -> tuple[float, ...]:
         """Instants strictly inside ``(start, end)`` where a pre-drawn
@@ -363,17 +348,6 @@ class RateScalableServers(ServerModel):
             self._sizes[s][tail : tail + k] = sizes[rows]
             self._tail[s] = tail + k
 
-    def submit_one(self, rid: int, class_index: int, arrival: float, size: float) -> None:
-        # Node 0's server of the class: three scalar stores.
-        tail = self._tail[class_index]
-        if tail == self._rids[class_index].shape[0]:
-            self._reserve(class_index, 1)
-            tail = self._tail[class_index]
-        self._rids[class_index][tail] = rid
-        self._arrivals[class_index][tail] = arrival
-        self._sizes[class_index][tail] = size
-        self._tail[class_index] = tail + 1
-
     def drain(
         self, now: float, heads: Sequence[tuple[int, float, float] | None] | None = None
     ) -> np.ndarray:
@@ -381,7 +355,7 @@ class RateScalableServers(ServerModel):
         in completion order.
 
         Each busy server folds its queue (:meth:`_drain_server`); the fresh
-        rows of every bulk fold reach the ledger in one checked
+        rows of every fold reach the ledger in one checked
         :meth:`~repro.simulation.ledger.RequestLedger.serve_batch`, and the
         runs, concatenated in server order, are merged by one stable
         argsort on their times.  So completions with equal timestamps come
@@ -414,8 +388,7 @@ class RateScalableServers(ServerModel):
         for s, busy in enumerate(in_service):
             if busy is None and head[s] == tail[s]:
                 # Idle with nothing queued: no completions to emit and no
-                # zero-rate freeze to materialise (the admission walk drains
-                # before every arrival, and most servers are in this state).
+                # zero-rate freeze to materialise.
                 continue
             run = self._drain_server(s, now)
             k = run[0].size
@@ -437,8 +410,7 @@ class RateScalableServers(ServerModel):
         elif fresh:
             self.ledger.serve_batch(*fresh[0])
         if len(runs) == 1:
-            # One contributing server: its run is already in time order (the
-            # admission walk's tiny drains land here almost every time).
+            # One contributing server: its run is already in time order.
             return runs[0][0]
         rids = np.concatenate([run[0] for run in runs])
         times = np.concatenate([run[2] for run in runs])
@@ -448,18 +420,19 @@ class RateScalableServers(ServerModel):
         """Advance server ``s`` to ``now``; returns its run ``(rids, starts, times)``.
 
         The request carried in service completes at ``progress + remaining
-        / rate``, then the queue is folded (see the module docstring), by
-        :meth:`_fold_block` when at least :data:`_SCALAR_BATCH_LIMIT`
-        requests have arrived.  The first request whose completion lies
-        past ``now`` takes the service position with its full size as
-        remaining work.  At rate zero the head of the line enters service
-        (frozen until the next re-allocation) and later arrivals queue.
+        / rate``, then the queue is folded (see the module docstring) in
+        doubling chunks, stopping after the first chunk that ends past
+        ``now``, so a long queue behind a request still in service is not
+        folded in full.  The first request whose completion lies past
+        ``now`` takes the service position with its full size as remaining
+        work.  At rate zero the head of the line enters service (frozen
+        until the next re-allocation) and later arrivals queue.
 
         ``rids`` and ``times`` are the completed rows in completion order.
-        The last ``len(starts)`` of them — the fresh rows the bulk fold
-        started and completed — are *not* written to the ledger (the caller
-        writes them); every earlier row — the request carried in service,
-        and each row of a short scalar drain — is (``complete_unlogged``).
+        The last ``len(starts)`` of them — the fresh rows the fold started
+        and completed — are *not* written to the ledger (the caller writes
+        them); the request carried in service, which leads the run, is
+        (``complete_unlogged``).
         """
         rate = self.rates[s]
         ledger = self.ledger
@@ -480,78 +453,28 @@ class RateScalableServers(ServerModel):
         head, tail = self._head[s], self._tail[s]
         arrivals = self._arrivals[s]
         sizes = self._sizes[s]
-        queued = self._rids[s]
+        if head == tail or arrivals.item(head) > now:
+            # Nothing (more) has arrived.
+            if carried is None:
+                return _EMPTY_RUN
+            return np.array([carried]), _EMPTY_TIMES, np.array([free])
         if rate <= 0.0:
             # Zero rate: the head occupies the service position, frozen
             # (nothing was carried, so it starts at its arrival).
-            if head < tail and arrivals.item(head) <= now:
-                self._start(s, queued.item(head), arrivals.item(head), sizes.item(head))
-                self._head[s] = head + 1
+            self._start(s, self._rids[s].item(head), arrivals.item(head), sizes.item(head))
+            self._head[s] = head + 1
             return _EMPTY_RUN
-        limit = head + _SCALAR_BATCH_LIMIT
-        if limit <= tail and arrivals.item(limit - 1) <= now:
-            return self._fold_block(s, now, head, carried, free)
-        # Fewer than ``_SCALAR_BATCH_LIMIT`` requests have arrived: a
-        # scalar loop that writes each row itself.
-        done_rids: list[int] = [] if carried is None else [carried]
-        done_times: list[float] = [] if carried is None else [free]
-        pos = head
-        while pos < tail:
-            arrival = arrivals.item(pos)
-            if arrival > now:
-                break
-            start = arrival if arrival > free else free
-            completion = start + sizes.item(pos) / rate
-            if completion > now:
-                # Mid-service at ``now``: carry the work into the next drain.
-                self._start(s, queued.item(pos), start, sizes.item(pos))
-                pos += 1
-                break
-            rid = queued.item(pos)
-            ledger.start_service(rid, start)
-            ledger.complete_unlogged(rid, completion)
-            done_rids.append(rid)
-            done_times.append(completion)
-            free = completion
-            pos += 1
-        self._head[s] = pos
-        if not done_rids:
-            return _EMPTY_RUN
-        if self.in_service[s] is None:
-            self.progress[s] = free
-        return (
-            np.array(done_rids, dtype=np.int64),
-            _EMPTY_TIMES,
-            np.array(done_times, dtype=np.float64),
-        )
-
-    def _fold_block(
-        self, s: int, now: float, head: int, carried: int | None, free: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fold server ``s``'s queue from slot ``head`` on in bulk, after
-        completion ``free`` of the row ``carried`` (``None``, ``free =
-        -inf``: nothing was carried); updates the cursor and service state,
-        returns the run as :meth:`_drain_server` does, its fresh rows
-        unwritten.
-
-        The fold runs in doubling chunks and stops after the first chunk
-        that ends past ``now``, so a long queue behind a request still in
-        service is not folded in full.  It starts from ``free``, so
-        ``folded[i]`` is the completion before slot ``head + i``: the
-        starts are ``max(arrival, folded[:-1])`` and the carried row leads
-        the run without a concatenation.
-        """
-        tail = self._tail[s]
-        arrivals = self._arrivals[s]
-        sizes = self._sizes[s]
-        rate = self.rates[s]
         if arrivals.item(tail - 1) <= now:
             end = tail
         else:
             end = head + int(np.searchsorted(arrivals[head:tail], now, side="right"))
+        # The fold starts from ``free``, so ``folded[i]`` is the completion
+        # before slot ``head + i``: the starts are ``max(arrival,
+        # folded[:-1])`` and the carried row leads the run without a
+        # concatenation.
         f = free
         folded: list[float] = [free]
-        lo, hi = head, head + 4 * _SCALAR_BATCH_LIMIT
+        lo, hi = head, head + _FOLD_CHUNK
         while True:
             if hi > end:
                 hi = end
@@ -585,6 +508,65 @@ class RateScalableServers(ServerModel):
             rids[0] = carried
             return rids, starts, times
         return rids, starts, times[1:]
+
+    def walk(
+        self,
+        times: np.ndarray,
+        sizes: np.ndarray,
+        classes: np.ndarray,
+        first: int,
+        admit: Callable[[float, int, float, tuple[int, ...]], int],
+    ) -> None:
+        """Live-state admission over one arrival segment of a one-node bank.
+
+        ``admit(t, class_index, size, backlogs)`` decides each arrival in
+        turn and returns the class that serves it, or -1 to shed it.
+        ``backlogs`` is what :meth:`backlogs` reads after a drain to ``t``,
+        counted without one: per class server, the predicted completions
+        of its unfinished rows (:meth:`_unfinished`, then ``max(t, last) +
+        size / rate`` per admitted row; never at rate zero), less those at
+        or before ``t``, less the one in service.  The rates hold for the
+        whole segment, so each count is exact.  The bank changes nothing:
+        the caller appends the rows (the first is row ``first``) and
+        submits the admitted ones.
+        """
+        unfinished = [self._unfinished(s) for s in range(self.num_classes)]
+        rates = self.rates
+        for t, size, class_index in zip(times.tolist(), sizes.tolist(), classes.tolist()):
+            for done in unfinished:
+                while done and done[0] <= t:
+                    done.popleft()
+            backlogs = tuple(len(done) - 1 if done else 0 for done in unfinished)
+            served = admit(t, class_index, size, backlogs)
+            if served < 0:
+                continue
+            done = unfinished[served]
+            rate = rates[served]
+            if rate > 0.0:
+                last = done[-1] if done else t
+                done.append((t if t > last else last) + size / rate)
+            else:
+                done.append(np.inf)
+
+    def _unfinished(self, s: int) -> deque[float]:
+        """Predicted completions of server ``s``'s unfinished rows at its
+        current rate, as a drain would compute them: the row in service at
+        ``progress + remaining / rate``, then the queue by the fold (all
+        ``inf`` at rate zero)."""
+        rate = self.rates[s]
+        head, tail = self._head[s], self._tail[s]
+        busy = self.in_service[s] is not None
+        if rate <= 0.0:
+            return deque([np.inf] * (busy + tail - head))
+        f = self.progress[s] + self.remaining[s] / rate if busy else -np.inf
+        done = deque([f] if busy else ())
+        done += [
+            f := (a if a > f else f) + d
+            for a, d in zip(
+                self._arrivals[s][head:tail].tolist(), (self._sizes[s][head:tail] / rate).tolist()
+            )
+        ]
+        return done
 
     def _start(self, s: int, rid: int, start: float, size: float) -> None:
         """Put row ``rid`` into server ``s``'s service position at ``start``."""
@@ -657,9 +639,8 @@ class SharedProcessorServer(ServerModel):
         self._in_service: int | None = None
         self._completion_time = 0.0
         # Arrivals not yet handed to the scheduler, consumed from
-        # ``_pending_pos`` as the drain's virtual clock advances.
-        # Plain Python lists so the admission walk's one-at-a-time pushes
-        # are O(1) appends (the drain replay reads scalars regardless).
+        # ``_pending_pos`` as the drain's virtual clock advances: plain
+        # Python lists, as the drain replay reads them scalar by scalar.
         self._pending_rids: list[int] = []
         self._pending_times: list[float] = []
         self._pending_classes: list[int] = []
@@ -691,12 +672,6 @@ class SharedProcessorServer(ServerModel):
         self._pending_times.extend(self.ledger.arrivals_of(rids).tolist())
         self._pending_classes.extend(self.ledger.classes_of(rids).tolist())
         self._pending_sizes.extend(self.ledger.sizes_of(rids).tolist())
-
-    def submit_one(self, rid: int, class_index: int, arrival: float, size: float) -> None:
-        self._pending_rids.append(rid)
-        self._pending_times.append(arrival)
-        self._pending_classes.append(class_index)
-        self._pending_sizes.append(size)
 
     def drain(self, now: float) -> np.ndarray:
         """Replay the processor's event loop to ``now`` in virtual time.

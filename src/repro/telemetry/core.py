@@ -13,9 +13,8 @@ Hook frequency is the design constraint.  Everything here fires at
 window-boundary, batch or fleet-event frequency — never per request:
 admission decisions arrive as one block-level call per arrival block (or
 per block segment for live-state policies, see
-:meth:`Telemetry.on_admission_block`).  The one exception is the live-state
-admission walk, which drains the server before every decision and reports
-each drain through :meth:`Telemetry.on_drain`.
+:meth:`Telemetry.on_admission_block`), and :meth:`Telemetry.on_drain`
+fires at the scenario's drains only (window boundaries and the horizon).
 """
 
 from __future__ import annotations

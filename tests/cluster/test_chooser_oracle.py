@@ -18,7 +18,7 @@ from repro.cluster import ClusterServerModel, build_dispatch_policy
 from repro.cluster.fleet import FleetEvent
 from repro.distributions import Deterministic
 from repro.errors import ClusterDrainedError
-from repro.simulation import RateScalableServers, SimulationEngine
+from repro.simulation import SimulationEngine
 from tests.conftest import make_classes
 
 BACKLOG_POLICIES = ("jsq", "weighted_jsq", "least_work", "fastest_available")
@@ -93,7 +93,7 @@ def build(name, state):
     capacities, changed, pending, work_left, live = state
     classes = make_classes(Deterministic(1.0), 0.5, tuple(range(1, len(pending[0]) + 1)))
     cluster = ClusterServerModel(
-        [RateScalableServers(capacity=cap) for cap in capacities],
+        capacities,
         dispatch=build_dispatch_policy(name),
     )
     cluster.bind(SimulationEngine(), classes)

@@ -275,9 +275,9 @@ class TestExactCompletionTies:
     first window boundary (t=8) re-applies the rates while every server is
     busy, which schedules the reference's completion events in ``(node,
     class)`` order, the order they keep from then on.  Each class server
-    queues 40 rows at once, so the early drains take the bulk fold, and
-    each later boundary (t = 16, 24, ...) carries a row of every class
-    server and folds three fresh ones behind it.
+    queues 40 rows at once, and each boundary after the first (t = 16, 24,
+    ...) carries a row of every class server and folds three fresh ones
+    behind it.
     """
 
     CLASSES = tuple(

@@ -17,13 +17,12 @@ exact non-idling start.
 
 ``round_robin`` exercises the vectorised ``select_block`` route; ``jsq``,
 ``weighted_jsq``, ``least_work`` and ``fastest_available`` run on the
-completion calendar (every member is a ``RateScalableServers``), whose
-predictions every ``set_capacity`` re-partition must rebuild.  Multi-window
-variants drive the rates with a per-window script that freezes classes at
-rate zero, so every boundary rebuilds the calendar's heads (in service,
-frozen and thawed, or on empty servers) against the same reference; the
-block route's bulk bookkeeping is audited after every sync against a
-scalar fold.
+completion calendar, whose predictions every ``set_capacity`` re-partition
+must rebuild.  Multi-window variants drive the rates with a per-window
+script that freezes classes at rate zero, so every boundary rebuilds the
+calendar's heads (in service, frozen and thawed, or on empty servers)
+against the same reference; the block route's bulk bookkeeping is audited
+after every sync against a scalar fold.
 
 Service sizes are deliberately off the arrival grid (sqrt(2)/6, sqrt(3)/4
 and sqrt(5)/4 versus 0.25-grid arrivals) and incommensurable, so no sum of
@@ -63,7 +62,6 @@ from repro.cluster.dispatch import build_dispatch_policy
 from repro.distributions import BoundedPareto
 from repro.simulation import (
     MeasurementConfig,
-    RateScalableServers,
     Scenario,
     StaticRateController,
 )
@@ -335,7 +333,7 @@ class _AuditedCluster(ClusterServerModel):
 
 def _audited(policy, events="", num_nodes=3):
     return _AuditedCluster(
-        [RateScalableServers() for _ in range(num_nodes)],
+        [None] * num_nodes,
         dispatch=build_dispatch_policy(policy, seed=3),
         fleet=parse_fleet_events(events) if events else None,
     )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
-    DISPATCH_POLICIES,
     AffinityPartitioner,
     BacklogProportional,
     CapacityWeightedJsq,
@@ -14,7 +13,6 @@ from repro.cluster import (
     EqualSplit,
     RatePartitioner,
     RoundRobin,
-    build_dispatch_policy,
     make_cluster,
     parse_fleet_events,
 )
@@ -22,12 +20,10 @@ from repro.cluster.fleet import NODE_DOWN, NODE_DRAINING
 from repro.core import PsdSpec
 from repro.distributions import Deterministic
 from repro.errors import SimulationError
-from repro.scheduling import WeightedFairQueueing
 from repro.simulation import (
     MeasurementConfig,
     RateScalableServers,
     Scenario,
-    SharedProcessorServer,
     SimulationEngine,
     StaticRateController,
 )
@@ -51,7 +47,7 @@ def calendar_cluster(dispatch, *, num_nodes=3, fleet=None):
 
     classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
     cluster = ClusterServerModel(
-        [RateScalableServers(capacity=0.5) for _ in range(num_nodes)],
+        [0.5] * num_nodes,
         dispatch=dispatch,
         fleet=fleet,
     )
@@ -59,14 +55,6 @@ def calendar_cluster(dispatch, *, num_nodes=3, fleet=None):
     cluster.bind(engine, classes)
     assert cluster._calendar is not None
     return engine, cluster
-
-
-def shared_processor():
-    return SharedProcessorServer(WeightedFairQueueing(2), capacity=0.5)
-
-
-def inner_cluster():
-    return ClusterServerModel([RateScalableServers(), RateScalableServers()])
 
 
 class Pinned(DispatchPolicy):
@@ -99,35 +87,9 @@ class TestConstruction:
         with pytest.raises(SimulationError, match="at least one"):
             ClusterServerModel([])
 
-    def test_rejects_non_server_model_nodes(self):
-        with pytest.raises(SimulationError, match="RateScalableServers"):
-            ClusterServerModel([object()])
-
-    @pytest.mark.parametrize(
-        ("members", "culprit"),
-        [
-            ([shared_processor, shared_processor], "SharedProcessorServer"),
-            ([RateScalableServers, inner_cluster], "ClusterServerModel"),
-            ([RateScalableServers, shared_processor, inner_cluster], "SharedProcessorServer"),
-        ],
-        ids=["shared", "nested", "mixed"],
-    )
-    @pytest.mark.parametrize("policy", [*sorted(DISPATCH_POLICIES), "custom"])
-    def test_rejects_non_rate_scalable_members(self, members, culprit, policy):
-        """Every member must be a ``RateScalableServers`` whatever the
-        dispatch route: the constructor names the first other member
-        before the policy is bound."""
-        dispatch = LastLive() if policy == "custom" else build_dispatch_policy(policy)
-        with pytest.raises(SimulationError, match=rf"RateScalableServers.*got {culprit}$"):
-            ClusterServerModel([member() for member in members], dispatch=dispatch)
-        assert dispatch.cluster is None
-
-    def test_rejects_already_bound_nodes(self, moderate_bp):
-        classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
-        node = RateScalableServers()
-        node.bind(SimulationEngine(), classes)
-        with pytest.raises(SimulationError, match="fresh"):
-            ClusterServerModel([node])
+    def test_rejects_a_non_positive_capacity(self):
+        with pytest.raises(SimulationError, match="node 1 capacity"):
+            ClusterServerModel([1.0, 0.0])
 
     def test_make_cluster_validates_node_count(self):
         with pytest.raises(SimulationError):
@@ -143,9 +105,7 @@ class TestConstruction:
         scenario = Scenario(
             classes,
             cfg,
-            server=ClusterServerModel(
-                [RateScalableServers(), RateScalableServers()], dispatch=Pinned(7)
-            ),
+            server=ClusterServerModel([None, None], dispatch=Pinned(7)),
             seed=1,
         )
         with pytest.raises(SimulationError, match="invalid.*node"):
@@ -158,7 +118,7 @@ class TestRateFanOut:
 
         classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
         cluster = ClusterServerModel(
-            [RateScalableServers() for _ in range(num_nodes)],
+            [None] * num_nodes,
             dispatch=dispatch if dispatch is not None else RoundRobin(),
             partitioner=partitioner,
         )
@@ -231,18 +191,17 @@ class TestAggregation:
         from repro.distributions import Deterministic
 
         classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
-        cluster = ClusterServerModel(
-            [RateScalableServers(), RateScalableServers()],
-            dispatch=RoundRobin(),
-        )
+        cluster = ClusterServerModel([None, None], dispatch=RoundRobin())
         cluster.bind(SimulationEngine(), classes)
         # Rates stay zero, so every submitted request occupies its node.
         # Round-robin interleaving sends the three class-0 requests to node 0
-        # and the three class-1 requests to node 1; once drained to t=0, on
-        # each node one request is (frozen) in service and two queue.
+        # and the three class-1 requests to node 1; on each node one request
+        # is (frozen) in service and two queue.  The backlog comes from the
+        # pending table, so it reads the same before the drain to t=0 puts
+        # the heads in service and after.
         for i in range(6):
             submit(cluster, class_index=i % 2)
-        assert cluster.backlogs() == (3, 3)
+        assert cluster.backlogs() == (2, 2)
         assert cluster.drain(0.0).size == 0
         assert cluster.backlogs() == (2, 2)
         assert cluster.pending(0, 0) == 3 and cluster.pending(1, 1) == 3

@@ -15,7 +15,7 @@ from repro.cluster import (
     make_cluster,
 )
 from repro.errors import SimulationError
-from repro.simulation import RateScalableServers, SimulationEngine
+from repro.simulation import SimulationEngine
 from tests.conftest import make_classes
 
 #: Every run also passes the run-end invariants (tests/invariants.py).
@@ -29,7 +29,7 @@ def bound_cluster(num_nodes, dispatch, num_classes=2, moderate_bp=None):
     service = moderate_bp if moderate_bp is not None else Deterministic(1.0)
     classes = make_classes(service, 0.5, tuple(range(1, num_classes + 1)))
     cluster = ClusterServerModel(
-        [RateScalableServers() for _ in range(num_nodes)],
+        [None] * num_nodes,
         dispatch=dispatch,
     )
     cluster.bind(SimulationEngine(), classes)

@@ -452,7 +452,7 @@ class TestStaticFleetCompatibility:
 
     def test_cluster_server_model_accepts_explicit_schedule(self):
         cluster = ClusterServerModel(
-            [RateScalableServers(), RateScalableServers()],
+            [None, None],
             fleet=FleetSchedule(),
         )
         assert not cluster.fleet

@@ -83,7 +83,7 @@ class TestCapacityPlumbing:
         assert cluster.node_capacity(0) == 0.75
 
     def test_undeclared_capacities_weigh_one(self):
-        cluster = ClusterServerModel([RateScalableServers(), RateScalableServers()])
+        cluster = ClusterServerModel([None, None])
         assert cluster.capacities == (1.0, 1.0)
 
     def test_make_cluster_validates_capacities(self):

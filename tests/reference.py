@@ -231,6 +231,10 @@ class _Cluster(_PerEvent, ClusterServerModel):
         # Nothing is predicted: the (unused) calendar stays empty.
         pass
 
+    def backlogs(self) -> tuple[int, ...]:
+        # The per-event bank's queues, not the pending table.
+        return self.bank.backlogs()
+
     def submit(self, rid: int) -> None:
         if not self._live:
             raise ClusterDrainedError(
@@ -264,7 +268,7 @@ def per_event_model(server: ServerModel) -> _PerEvent:
         raise SimulationError("the reference needs a fresh, unbound server model")
     if isinstance(server, ClusterServerModel):
         return _Cluster(
-            [RateScalableServers(capacity=capacity) for capacity in server.bank.capacities],
+            server.bank.capacities,
             dispatch=server.dispatch,
             partitioner=server.partitioner,
             fleet=server.fleet,

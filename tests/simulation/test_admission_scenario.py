@@ -5,7 +5,8 @@ The scenario decides admission in one of two ways:
 * ``window_scoped`` policies get one ``decide_block()`` per arrival block
   at the window boundary;
 * live-state policies (``QueueLengthAdmission``) are walked arrival by
-  arrival, the server drained to each arrival instant before ``decide()``.
+  arrival, ``decide()`` reading the backlog of each arrival instant from
+  the state the server keeps (no drain), then recorded as a block.
 
 The per-event reference (:mod:`tests.reference`) calls ``decide()`` once
 per arrival event.  These tests pin the integration contract end to end:
@@ -39,6 +40,7 @@ from repro.core.admission import (
     QueueLengthAdmission,
 )
 from repro.distributions import BoundedPareto, Deterministic
+from repro.errors import SimulationError
 from repro.scheduling import WeightedFairQueueing
 from repro.simulation import (
     MeasurementConfig,
@@ -309,7 +311,6 @@ class TestLiveAdmissionWalk:
 
     SERVERS = {
         "fcfs": lambda: RateScalableServers(),
-        "shared-wfq": lambda: SharedProcessorServer(WeightedFairQueueing(2), capacity=3.0),
         "weighted_jsq-2:1": _cluster,
     }
 
@@ -321,33 +322,54 @@ class TestLiveAdmissionWalk:
         _assert_same_run(walk, reference)
         assert sum(walk.rejected_counts) > 0
 
-    def test_calendar_members_queue_nothing_and_backlogs_match_reference(self):
-        """On the completion calendar the calendar's deques are the only
-        queue: the members hold at most their heads in service, yet every
-        live backlog read equals the per-event reference's."""
+    class Recording(QueueLengthAdmission):
+        """Queue-length admission that logs every backlog it decides on."""
+
+        def __init__(self, limits):
+            super().__init__(limits)
+            self.reads = []
+
+        def decide(self, class_index, size, obs):
+            self.reads.append(obs.backlogs)
+            return super().decide(class_index, size, obs)
+
+    @pytest.mark.parametrize("server_key", sorted(SERVERS))
+    def test_backlog_reads_match_reference(self, server_key):
+        """Every backlog a live decision reads equals the per-event
+        reference's, read from its queues at the arrival event."""
 
         def run(scenario_class):
+            policy = self.Recording((4, 4))
             scenario = scenario_class(
                 CLASSES,
                 CONFIG,
-                server=_cluster(),
+                server=self.SERVERS[server_key](),
                 spec=SPEC,
                 seed=11,
-                admission=POLICIES["queue_length"](),
+                admission=policy,
             )
-            cluster = scenario.server
-            reads = []
-            backlogs = cluster.backlogs
-            cluster.backlogs = lambda: reads.append(backlogs()) or reads[-1]
-            return scenario.run(), cluster, reads
+            return scenario.run(), scenario.server, policy.reads
 
-        walk, cluster, walk_reads = run(Scenario)
+        walk, server, walk_reads = run(Scenario)
         reference, _, reference_reads = run(ReferenceScenario)
         _assert_same_run(walk, reference)
-        assert cluster._calendar is not None
-        assert not any(cluster.bank.backlogs())
         assert len(walk_reads) > 100 and any(map(any, walk_reads))
         assert walk_reads == reference_reads
+        if server_key != "fcfs":
+            # On the completion calendar the calendar's deques are the only
+            # queue: the bank holds at most the heads in service.
+            assert server._calendar is not None
+            assert not any(server.bank.backlogs())
+
+    def test_a_shared_processor_refuses_a_live_policy(self):
+        with pytest.raises(SimulationError, match="QueueLengthAdmission.*SharedProcessorServer"):
+            Scenario(
+                CLASSES,
+                CONFIG,
+                server=SharedProcessorServer(WeightedFairQueueing(2), capacity=3.0),
+                spec=SPEC,
+                admission=QueueLengthAdmission((4, 4)),
+            )
 
     def test_walk_segments_at_fleet_cuts_match_reference(self):
         # CHURN's events fall mid-window, so segments start at fleet cuts.
@@ -419,8 +441,12 @@ class TestLiveAdmissionWalk:
                 return AdmissionDecision.SHED
             return AdmissionDecision.ACCEPT
 
-    @pytest.mark.parametrize("server_key", ["fcfs", "weighted_jsq-2:1", "round_robin-churn"])
+    @pytest.mark.parametrize(
+        "server_key", ["fcfs", "weighted_jsq-2:1", "round_robin-churn", "affinity"]
+    )
     def test_a_degrading_policy_matches_reference(self, server_key):
+        """Also on ``affinity``, whose chooser routes a degraded row by the
+        class it is served at before the row is written."""
         classes, config = CLASSES, CONFIG
         if server_key == "round_robin-churn":
             classes = make_classes(BoundedPareto(0.1, 10.0, 1.5), 0.9, (1.0, 2.0))
@@ -429,6 +455,8 @@ class TestLiveAdmissionWalk:
         def run(scenario_class):
             if server_key == "round_robin-churn":
                 server = make_cluster(3, "round_robin", fleet=CHURN, seed=2)
+            elif server_key == "affinity":
+                server = make_cluster(2, "affinity")
             else:
                 server = self.SERVERS[server_key]()
             return scenario_class(

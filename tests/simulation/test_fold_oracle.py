@@ -7,8 +7,8 @@ request's start and completion with the textbook recursion
 work across the piecewise-constant rate (a rate change charges the work done
 at the old rate, ``remaining - elapsed * rate`` clamped at zero; rate zero
 does no work).  A one-class bank, driven by the same script through
-``submit_batch`` / ``submit_one`` / ``drain`` / ``apply_rates``, must write
-bit-equal timestamps.
+``submit_batch`` / ``drain`` / ``apply_rates``, must write bit-equal
+timestamps.
 
 Times, gaps and sizes sit on a 0.25 grid and most rates are powers of two,
 so arrivals and completions land exactly on drain instants (``arrival ==
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.simulation import RequestLedger
 from repro.simulation.ledger import DISPOSITION_SHED
-from repro.simulation.server_models import _SCALAR_BATCH_LIMIT
+from repro.simulation.server_models import _FOLD_CHUNK
 from tests.conftest import class_server
 
 GRID = 0.25
@@ -72,7 +72,7 @@ def run_script(initial_rate, steps):
     """Drive a server through ``steps``; returns what the oracle needs.
 
     Steps: ``("submit", [(gap, size), ...])`` queues a block, ``("push",
-    (gap, size))`` one request, ``("drain", dt)`` advances the clock and
+    (gap, size))`` a one-row block, ``("drain", dt)`` advances the clock and
     drains, ``("rate", dt, rate)`` drains then changes the rate.  Gaps count
     from the later of the last arrival and the clock, so no request arrives
     before a drain already passed.
@@ -104,7 +104,7 @@ def run_script(initial_rate, steps):
             last_arrival = arrival_after(gap)
             requests.append((last_arrival, size * GRID))
             rid = ledger.append(0, last_arrival, size * GRID)
-            server.submit_one(rid, 0, last_arrival, size * GRID)
+            server.submit_batch(np.array([rid]))
         else:
             now += step[1] * GRID
             engine.run_until(now)
@@ -165,7 +165,8 @@ def check_against_oracle(initial_rate, steps):
     np.testing.assert_array_equal(ledger.completed_ids, np.arange(reported))
 
 
-LIMIT = _SCALAR_BATCH_LIMIT
+#: Scripts are sized in units of a quarter of the fold's first chunk.
+LIMIT = _FOLD_CHUNK // 4
 request = st.tuples(st.integers(0, 3), st.integers(1, 8))
 steps = st.lists(
     st.one_of(
@@ -178,8 +179,8 @@ steps = st.lists(
     max_size=16,
 )
 
-#: Scripts that pin the bulk fold (drains with at least ``LIMIT`` arrived
-#: requests) on its edge cases.  Gaps and sizes are in grid units.
+#: Scripts that pin the fold on its edge cases (drains of ``LIMIT`` or more
+#: requests).  Gaps and sizes are in grid units.
 SCRIPTS = {
     # Service time equals the gap at rate 1: at the first drain request
     # 38 completes exactly at ``now`` and request 39 arrives exactly then,
@@ -226,7 +227,6 @@ class TestFoldOracle:
     @pytest.mark.parametrize("script", sorted(SCRIPTS))
     def test_bulk_fold_edge_cases(self, script, rate):
         _, _, _, drains = run_script(rate, SCRIPTS[script])
-        # A drain completing ``LIMIT`` or more requests took the bulk fold.
         assert max(len(rids) for _, _, _, rids, *_ in drains) >= LIMIT
         check_against_oracle(rate, SCRIPTS[script])
 

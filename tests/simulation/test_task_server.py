@@ -209,9 +209,8 @@ class TestServe:
 
 
 class TestDrainContract:
-    """A drain writes every row it completes: the fresh rows of a bulk fold
-    in one ``serve_batch``, the carried row and a short scalar drain's rows
-    one by one."""
+    """A drain writes every row it completes: the fresh rows of the fold in
+    one ``serve_batch``, the carried row by itself."""
 
     @staticmethod
     def recorded_writes(monkeypatch):
@@ -229,7 +228,7 @@ class TestDrainContract:
         engine, server = make_server(1.0)
         ledger = server.ledger
         writes = self.recorded_writes(monkeypatch)
-        # 80 rows at once: both drains below take the bulk fold.
+        # 80 rows at once.
         rids = ledger.append_batch(np.zeros(80, dtype=np.int64), np.zeros(80), np.ones(80))
         server.submit_batch(rids)
         engine.run_until(10.5)
@@ -246,17 +245,6 @@ class TestDrainContract:
         assert writes[1:] == [[11]]
         assert ledger.completion_of(10) == 11.0
         assert (ledger.start_of(11), ledger.completion_of(11)) == (11.0, 12.0)
-
-    def test_a_short_drain_writes_its_rows_one_by_one(self, monkeypatch):
-        engine, server = make_server(1.0)
-        writes = self.recorded_writes(monkeypatch)
-        first = submit(server, 0.0, 1.0)
-        second = submit(server, 0.0, 1.0)
-        engine.run_until(5.0)
-        assert server.drain(5.0).tolist() == [first, second]
-        assert writes == []
-        assert server.ledger.start_of(second) == 1.0
-        assert server.ledger.completion_of(second) == 2.0
 
 
 def make_node(num_classes=3):
@@ -301,8 +289,8 @@ class TestNodeSubmitAndDrain:
         node = make_node(2)
         ledger = node.ledger
         # Both classes complete at t = 2, 3, ... 41: class 1 arrives later
-        # with a shorter first request.  The 40 rows queued per class take
-        # the bulk fold, and the drain at 10.5 carries a row of each class.
+        # with a shorter first request.  The drain at 10.5 carries a row of
+        # each class.
         rids = ledger.append_batch(
             [0] * 40 + [1] * 40, [1.0] * 40 + [1.5] * 40, [1.0] * 40 + [0.5] + [1.0] * 39
         )
@@ -343,6 +331,6 @@ class TestOneLedgerWritePerNodeDrain:
         result = Scenario(classes, config, server=server, seed=3).run()
         assert result.ledger.num_completed > 100
         assert max(writes) == 1
-        # A window brings ~100 rows to each class server: every drain at a
-        # boundary takes the bulk fold, so the bank writes once a window.
+        # A window brings ~100 rows to each class server, so every drain
+        # at a boundary completes some and the bank writes once a window.
         assert sum(writes) >= len(result.rate_history) - 1
