@@ -41,7 +41,7 @@ def submit(cluster, class_index=0, size=1.0):
 
 
 def calendar_cluster(dispatch, *, num_nodes=3, fleet=None):
-    """A bound cluster of rate-scalable members on the completion calendar;
+    """A bound cluster of 0.5-capacity nodes on the completion calendar;
     rates stay zero, so every dispatched request stays pending."""
     from repro.distributions import Deterministic
 
