@@ -278,7 +278,6 @@ class ClusterServerModel(ServerModel):
         booked completion, plus the entries booked since the last sync and
         the booked ids awaiting the next drain."""
         n, c = self.num_nodes, self.num_classes
-        self._select_block = None
         self._calendar = []
         self._queues = [[deque() for _ in range(c)] for _ in range(n)]
         self._class_rates = [[0.0] * c for _ in range(n)]
