@@ -87,9 +87,23 @@ class TestConstruction:
         with pytest.raises(SimulationError, match="at least one"):
             ClusterServerModel([])
 
-    def test_rejects_a_non_positive_capacity(self):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_non_positive_capacity(self, bad):
+        """A node that cannot serve, or that serves any load at once, is
+        named by its index before the dispatch policy is bound."""
+        dispatch = RoundRobin()
         with pytest.raises(SimulationError, match="node 1 capacity"):
-            ClusterServerModel([1.0, 0.0])
+            ClusterServerModel([1.0, bad], dispatch=dispatch)
+        assert dispatch.cluster is None
+
+    def test_takes_capacities_as_given(self):
+        """Declared capacities become floats; an undeclared node (``None``)
+        stays unconstrained and weighs 1.0 in capacity-aware policies."""
+        cluster = ClusterServerModel([2, None, 1.5])
+        assert cluster.num_nodes == 3
+        assert cluster.bank.capacities == [2.0, None, 1.5]
+        assert cluster.bank.capacity is None
+        assert cluster.capacities == (2.0, 1.0, 1.5)
 
     def test_make_cluster_validates_node_count(self):
         with pytest.raises(SimulationError):

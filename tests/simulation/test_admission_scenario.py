@@ -30,7 +30,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import AdmissionController, make_cluster, resolve_capacities
+from repro.cluster import (
+    DISPATCH_POLICIES,
+    AdmissionController,
+    DispatchPolicy,
+    make_cluster,
+    resolve_capacities,
+)
 from repro.core import PsdSpec
 from repro.core.admission import (
     AdmissionDecision,
@@ -469,3 +475,68 @@ class TestLiveAdmissionWalk:
         assert walk.degraded_counts == reference.degraded_counts
         assert walk.degraded_into_counts == reference.degraded_into_counts
         assert walk.degraded_counts[0] > 0 and walk.rejected_counts[1] > 0
+
+    class ByRowId(DispatchPolicy):
+        """A custom policy implementing only ``select_node``, on the row id
+        alone: the walk must hand it the id the row is then written under."""
+
+        def select_node(self, rid):
+            live = self.cluster.live_nodes
+            return live[rid % len(live)]
+
+    @pytest.mark.parametrize("live_policy", ["queue_length", "degrading"])
+    @pytest.mark.parametrize("dispatch", [*sorted(DISPATCH_POLICIES), "custom"])
+    def test_every_dispatch_policy_walks_on_the_calendar(self, dispatch, live_policy):
+        """Under a live policy every dispatch policy, blind ones included,
+        routes the walk's admitted rows through its chooser on the
+        completion calendar, as the reference routes them one by one."""
+
+        def run(scenario_class):
+            policy = self.ByRowId() if dispatch == "custom" else dispatch
+            cluster = make_cluster(
+                3,
+                policy,
+                capacities=resolve_capacities([3.0, 2.0, 1.0], 3),
+                seed=np.random.SeedSequence(entropy=5),
+            )
+            admission = (
+                QueueLengthAdmission((3, 3)) if live_policy == "queue_length" else self.Degrading()
+            )
+            scenario = scenario_class(
+                CLASSES, CONFIG, server=cluster, spec=SPEC, seed=4, admission=admission
+            )
+            return scenario.run(), cluster
+
+        walk, cluster = run(Scenario)
+        reference, _ = run(ReferenceScenario)
+        _assert_same_run(walk, reference)
+        assert walk.degraded_counts == reference.degraded_counts
+        assert cluster._calendar is not None
+        assert not any(cluster.bank.backlogs())
+        assert sum(walk.rejected_counts) > 0
+        assert len(set(walk.ledger.node[walk.ledger.node >= 0].tolist())) > 1
+
+    def test_a_zero_rate_class_never_completes_in_the_walk(self):
+        """On the single-node bank a class held at rate 0 keeps every
+        admitted row unfinished: its backlog only grows, so the walk sheds
+        each of its arrivals once the limit is reached, as the reference."""
+
+        def run(scenario_class):
+            policy = self.Recording((3, 3))
+            result = scenario_class(
+                CLASSES,
+                CONFIG,
+                server=RateScalableServers(),
+                controller=StaticRateController((1.0, 0.0)),
+                seed=4,
+                admission=policy,
+            ).run()
+            return result, policy.reads
+
+        walk, walk_reads = run(Scenario)
+        reference, reference_reads = run(ReferenceScenario)
+        _assert_same_run(walk, reference)
+        assert walk_reads == reference_reads
+        assert max(read[1] for read in walk_reads) == 3
+        assert [read[1] for read in walk_reads] == sorted(read[1] for read in walk_reads)
+        assert walk.rejected_counts[1] > 0

@@ -246,6 +246,19 @@ class TestDrainContract:
         assert ledger.completion_of(10) == 11.0
         assert (ledger.start_of(11), ledger.completion_of(11)) == (11.0, 12.0)
 
+    def test_a_short_drain_writes_its_rows_in_one_batch(self, monkeypatch):
+        """Two rows take the same fold as eighty: one ``serve_batch``."""
+        engine, server = make_server(1.0)
+        writes = self.recorded_writes(monkeypatch)
+        first = submit(server, 0.0, 1.0)
+        second = submit(server, 0.0, 1.0)
+        engine.run_until(5.0)
+        assert server.drain(5.0).tolist() == [first, second]
+        assert writes == [[first, second]]
+        assert (server.ledger.start_of(first), server.ledger.completion_of(first)) == (0.0, 1.0)
+        assert server.ledger.start_of(second) == 1.0
+        assert server.ledger.completion_of(second) == 2.0
+
 
 def make_node(num_classes=3):
     classes = tuple(
