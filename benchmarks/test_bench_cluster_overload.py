@@ -206,28 +206,26 @@ def test_overload_admission_batched_bit_identical(benchmark):
     assert batched.system_slowdown == scalar.system_slowdown
 
 
-#: The live-admission cell: per-class queue-length caps are read at every
-#: arrival instant from the cluster's completion calendar, and each segment
-#: is recorded as one block.  No ``bench/`` workload runs this walk, so its
-#: throughput is pinned here (quick preset: seconds).
+#: The live-admission cells: per-class queue-length caps are read at every
+#: arrival instant from the bank's completion calendar, and each segment is
+#: recorded as one block.  No ``bench/`` workload runs this walk, so its
+#: throughput is pinned here, on the 2:1 cluster and on one node (quick
+#: preset: seconds).
 WALK_ADMISSION_ARGS = ("limits=20,20",)
 
 
-@pytest.mark.benchmark(group="cluster")
-def test_queue_length_admission_walk_throughput(benchmark):
+def _walk_throughput(benchmark, prefix, **cluster):
+    """Time the quick preset's replications of one queue-length cell and
+    record ``{prefix}requests_per_sec`` for the baseline's throughput gate."""
     config = get_preset("quick")
     spec = PsdSpec.of(1, 2)
     build = ClusterScalingBuild(
         config.classes_for_load(LOAD, spec.deltas, allow_overload=True),
         config.scaled_measurement(),
         spec,
-        num_nodes=NUM_NODES,
-        policy="weighted_jsq",
-        dispatch_entropy=config.base_seed,
-        capacities=resolve_capacities(MIX, NUM_NODES),
-        partitioner="capacity",
         admission="queue_length",
         admission_args=WALK_ADMISSION_ARGS,
+        **cluster,
     )
     runner = ReplicationRunner(
         replications=config.measurement.replications,
@@ -245,11 +243,31 @@ def test_queue_length_admission_walk_throughput(benchmark):
     rps = walked / elapsed
     shed = _shed_fraction(summary)
     print()
-    print(f"  walk: {walked} arrivals in {elapsed:.2f}s = {rps:,.0f} req/s, shed={shed:.3f}")
-    benchmark.extra_info["walk_requests_per_sec"] = round(rps, 1)
-    benchmark.extra_info["walk_shed_fraction"] = round(shed, 4)
+    label = prefix.rstrip("_")
+    print(f"  {label}: {walked} arrivals in {elapsed:.2f}s = {rps:,.0f} req/s, shed={shed:.3f}")
+    benchmark.extra_info[f"{prefix}requests_per_sec"] = round(rps, 1)
+    benchmark.extra_info[f"{prefix}shed_fraction"] = round(shed, 4)
 
     # Every arrival went through a live decision: at load 1.2 the caps bind
     # and shed part of the traffic, and what is admitted is served.
     assert 0.0 < shed < 0.5, shed
     assert _unfinished(summary) < 0.05 * walked
+
+
+@pytest.mark.benchmark(group="cluster")
+def test_queue_length_admission_walk_throughput(benchmark):
+    _walk_throughput(
+        benchmark,
+        "walk_",
+        num_nodes=NUM_NODES,
+        policy="weighted_jsq",
+        dispatch_entropy=get_preset("quick").base_seed,
+        capacities=resolve_capacities(MIX, NUM_NODES),
+        partitioner="capacity",
+    )
+
+
+@pytest.mark.benchmark(group="cluster")
+def test_queue_length_admission_one_node_walk_throughput(benchmark):
+    """The same walk on the paper's single server: a one-node bank."""
+    _walk_throughput(benchmark, "one_node_walk_")

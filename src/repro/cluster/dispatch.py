@@ -2,8 +2,8 @@
 
 A :class:`DispatchPolicy` is the routing brain of a
 :class:`~repro.cluster.model.ClusterServerModel`: every admitted request's
-ledger row id is handed to :meth:`DispatchPolicy.select_node`, which returns
-the index of the member node that will serve it.  Policies see the cluster
+ledger row id and class are handed to :meth:`DispatchPolicy.select_node`,
+which returns the index of the member node that will serve it.  Policies see the cluster
 through a small read-only view (node/class counts, per-node pending work,
 the shared :class:`~repro.simulation.ledger.RequestLedger` for per-request
 columns).
@@ -66,8 +66,8 @@ class DispatchPolicy(abc.ABC):
     :meth:`chooser` it fetches once per arrival block otherwise.
     Implementing :meth:`select_node` is enough for a policy with neither:
     the default chooser calls it once per request, with the request's
-    ledger row id.  The cluster routes through ``select_block`` or
-    :meth:`chooser` whenever one exists, so a subclass that overrides
+    ledger row id and class.  The cluster routes through ``select_block``
+    or :meth:`chooser` whenever one exists, so a subclass that overrides
     :meth:`select_node` must override those too.
     """
 
@@ -121,8 +121,14 @@ class DispatchPolicy(abc.ABC):
         return None
 
     @abc.abstractmethod
-    def select_node(self, rid: int) -> int:
-        """The index of the member node that will serve ledger row ``rid``."""
+    def select_node(self, rid: int, class_index: int) -> int:
+        """The index of the member node that will serve ledger row ``rid``
+        of class ``class_index``.
+
+        Under live-state admission the node is chosen before the row is
+        written to the ledger, so a policy must take the class from its
+        argument, never from the row.
+        """
 
     def chooser(self) -> Callable[[int, int], int]:
         """The policy's decision as ``choose(rid, class_index) -> node``.
@@ -141,18 +147,12 @@ class DispatchPolicy(abc.ABC):
         blocks are cut at every fleet event, so one fetch serves a whole
         block.  A built-in chooser picks only from the live tuple, so its
         choices skip validation (the trust contract of ``select_block``).
-
-        Under live-state admission the cluster chooses a request's node
-        before its ledger row is written (:meth:`~repro.cluster.model.
-        ClusterServerModel.walk`), so a chooser takes the class from its
-        argument; a ``select_node`` that reads the row needs a chooser of
-        its own to run behind such a policy.
         """
         select_node = self.select_node
         checked = self.cluster._checked_node
 
         def choose(rid: int, class_index: int) -> int:
-            return checked(select_node(rid))
+            return checked(select_node(rid, class_index))
 
         return choose
 
@@ -169,7 +169,7 @@ class _BacklogPolicy(DispatchPolicy):
 
     Subclasses implement :meth:`_build_chooser` over a non-empty live tuple;
     the chooser is cached and rebuilt at every fleet event, and
-    :meth:`select_node` is the same chooser applied to the row's class.
+    :meth:`select_node` is the same chooser.
     """
 
     def _on_bind(self) -> None:
@@ -190,8 +190,8 @@ class _BacklogPolicy(DispatchPolicy):
     def chooser(self) -> Callable[[int, int], int]:
         return self._choose
 
-    def select_node(self, rid: int) -> int:
-        return self._choose(rid, self.cluster.ledger.class_of(rid))
+    def select_node(self, rid: int, class_index: int) -> int:
+        return self._choose(rid, class_index)
 
     def _inverse_capacities(self) -> tuple[float, ...]:
         cluster = self.cluster
@@ -215,7 +215,7 @@ class RoundRobin(DispatchPolicy):
         super().__init__()
         self._next = 0
 
-    def select_node(self, rid: int) -> int:
+    def select_node(self, rid: int, class_index: int) -> int:
         cluster = self.cluster
         n = cluster.num_nodes
         is_live = getattr(cluster, "is_live", None)
@@ -313,7 +313,7 @@ class WeightedRandom(DispatchPolicy):
         self._cumulative = np.cumsum(weights)
         self._cumulative /= self._cumulative[-1]
 
-    def select_node(self, rid: int) -> int:
+    def select_node(self, rid: int, class_index: int) -> int:
         if self._cumulative is None:
             raise ClusterDrainedError("weighted-random draw has no live node weight")
         return int(np.searchsorted(self._cumulative, self.rng.random(), side="right"))
@@ -528,14 +528,8 @@ class ClassAffinity(DispatchPolicy):
             f"draining or down"
         )
 
-    def select_node(self, rid: int) -> int:
-        return self.effective_home(self.cluster.ledger.class_of(rid))
-
-    def chooser(self) -> Callable[[int, int], int]:
-        # The home of the class argument: no ledger read, so it also routes
-        # rows a live admission walk has not written yet.
-        effective_home = self.effective_home
-        return lambda rid, class_index: effective_home(class_index)
+    def select_node(self, rid: int, class_index: int) -> int:
+        return self.effective_home(class_index)
 
     def select_block(self, rids: np.ndarray, classes: np.ndarray) -> np.ndarray:
         """Whole-block affinity routing via a per-class home table.

@@ -5,13 +5,17 @@ N nodes, each the paper's Fig. 1 model (one rate-scalable FCFS task server
 per class), and routes every admitted request through a pluggable
 :class:`~repro.cluster.dispatch.DispatchPolicy`.  All N * C class servers
 live in one :class:`~repro.simulation.RateScalableServers` *bank*
-(:attr:`ClusterServerModel.bank`, server ``node * C + class``), so a sync
-drains, writes and merges every (node, class) server in one pass.  The
-controller's per-class rate allocation is fanned out to the nodes by a
+(:attr:`ClusterServerModel.bank`, server ``node * C + class``), which owns
+every server's state: queues, service positions, last completions, and the
+per-node pending counts per class (queued plus in service) and outstanding
+full-rate work that the backlog-aware policies and partitioners read
+(:attr:`~ClusterServerModel.pending_table`,
+:attr:`~ClusterServerModel.work_left_table`).  The controller's per-class
+rate allocation is fanned out to the nodes by a
 :class:`~repro.cluster.partition.RatePartitioner`, so the PSD feedback loop
-closes over the whole cluster; ``backlogs()`` aggregates the per-class
-counts from the pending table, so the existing monitor/estimator stack works
-unchanged.
+closes over the whole cluster.  The cluster keeps what is a cluster's: the
+fleet states and timeline, the dispatch policy, the partition, and the
+ledger's ``node`` column.
 
 Capacity semantics: member rates are *absolute* (the equal-split cluster of
 N nodes has the same total capacity as the single server).
@@ -23,46 +27,35 @@ speed): build them with ``make_cluster(..., capacities=...)``, read them via
 capacity-aware partitioner (``CapacityProportional``) so each node receives
 rates and requests in proportion to what it can actually absorb.
 
-The cluster additionally tracks, per node, the pending request count per
-class (queued plus in service) and the outstanding full-rate work, which is
-what the backlog-aware policies and partitioners consume.
-
 Block dispatch: arrival blocks arrive pre-segmented at fleet event instants
 (see :meth:`ClusterServerModel.block_boundaries`); within a segment the
-fleet is static, and each block takes one of two routes:
+fleet is static, and each block takes one of the bank's two routes:
 
 * counter/weight policies with a ``select_block`` vectorise their choices
-  over the whole block;
+  over the whole block, and the bank queues the block on its servers;
 * every other policy (JSQ, least-work, fastest-available, custom policies
-  implementing only ``select_node``) runs on a *completion calendar*.
-  Between two rate changes an FCFS class server's completions are a fixed,
-  non-decreasing fold of its arrivals, so the calendar's heap holds one
-  entry per (node, class) server — the predicted start and completion of
-  its earliest unbooked request, the *head* — and the requests behind it
-  wait, unpredicted, in the server's FCFS deque.  The earliest completion
-  is always some server's head, so before each decision the calendar books
-  everything due by the arrival instant (``time <= arrival``, popped in
-  ``(time, node, class)`` order), each booking promoting the next request
-  of its server to head; a request placed on a server without a head
-  becomes its head.  Each decision therefore reads the pending/work state
-  of its instant, exactly as a one-event-per-request cluster would, taken
-  from the policy's :meth:`~repro.cluster.dispatch.DispatchPolicy.chooser`,
-  fetched once per block.  The bookings are the completion log and the
-  deques the only queue: the bank receives no rows and, at each
-  synchronisation, just takes the arrived heads into service; every rate
-  change re-bases those and re-predicts the heads alone, from the bank's
-  in-service state.
+  implementing only ``select_node``) places the block on the bank's
+  *completion calendar*
+  (:meth:`~repro.simulation.RateScalableServers.dispatch`), which books
+  every completion due by each arrival instant before the policy's
+  :meth:`~repro.cluster.dispatch.DispatchPolicy.chooser` (fetched once per
+  block) picks that arrival's node.  Each decision therefore reads the
+  pending/work state of its instant, exactly as a one-event-per-request
+  cluster would.
 
-Either way completions are logged in ``(time, node, class)`` order, and
-each block's node choices are written once into the ledger's ``node``
-column (created at bind, ``-1`` for rows never dispatched), so the node
-column, fleet timeline, rate histories and aggregates are bit-identical to
-the per-event reference simulator the test suite keeps.
+Either way a sync is one bank drain, which writes the completed rows and
+returns them in ``(time, node, class)`` order; then every draining node
+left with nothing pending flips to down at its last completion, flips
+applied in ``(time, node)`` order.  Each block's node choices are written
+once into the ledger's ``node`` column (created at bind, ``-1`` for rows
+never dispatched), so the node column, fleet timeline, rate histories and
+aggregates are bit-identical to the per-event reference simulator the test
+suite keeps.
 
-Live-state admission (:meth:`ClusterServerModel.walk`) runs on the calendar
-whatever the policy, as its pending table after booking to an arrival
-instant is the backlog that arrival's decision reads; a backlog-blind
-policy then routes through its ``chooser``.
+Live-state admission (:meth:`ClusterServerModel.walk`) runs the bank's
+walk on the calendar whatever the policy, as the pending table after
+booking to an arrival instant is the backlog that arrival's decision reads;
+a backlog-blind policy then routes through its ``chooser``.
 
 Dynamic fleets: a :class:`~repro.cluster.fleet.FleetSchedule` makes the
 member set time-varying.  At every event the cluster updates its per-node
@@ -78,11 +71,8 @@ series.  An empty schedule is bit-identical to a cluster built without one.
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from functools import partial
-from heapq import heapify, heappop, heappush, heapreplace
-from itertools import chain
 
 import numpy as np
 
@@ -147,8 +137,6 @@ class ClusterServerModel(ServerModel):
         self.partitioner = partitioner
         self.fleet = fleet if fleet is not None else FleetSchedule()
         self.fleet.validate_for(self.num_nodes)
-        self._pending: list[list[int]] = []
-        self._work_left: list[float] = []
         self._node_state: list[str] = []
         self._live: tuple[int, ...] = ()
         self._last_rates: tuple[float, ...] | None = None
@@ -175,25 +163,26 @@ class ClusterServerModel(ServerModel):
     def pending(self, node: int, class_index: int) -> int:
         """Requests of ``class_index`` dispatched to ``node`` and not yet done
         (queued plus in service)."""
-        return self._pending[node][class_index]
+        return self.bank.pending[node][class_index]
 
     def work_left(self, node: int) -> float:
         """Outstanding full-rate service demand dispatched to ``node``."""
-        return self._work_left[node]
+        return self.bank.work_left[node]
 
     @property
     def pending_table(self) -> list[list[int]]:
-        """The live ``[node][class]`` pending counts, shared, not copied.
+        """The bank's live ``[node][class]`` pending counts, shared, not copied.
 
         Dispatch choosers close over it once and read it per decision; the
-        cluster updates it in place.  Read it, never write it.
+        bank updates it in place.  Read it, never write it.
         """
-        return self._pending
+        return self.bank.pending
 
     @property
     def work_left_table(self) -> list[float]:
-        """The live per-node outstanding work, shared like :attr:`pending_table`."""
-        return self._work_left
+        """The bank's live per-node outstanding work, shared like
+        :attr:`pending_table`."""
+        return self.bank.work_left
 
     def dispatch_counts(self) -> tuple[tuple[int, ...], ...]:
         """Requests dispatched so far per node per class, from the ledger's
@@ -237,9 +226,7 @@ class ClusterServerModel(ServerModel):
     # ServerModel interface
     # ------------------------------------------------------------------ #
     def _on_bind(self) -> None:
-        n, c = self.num_nodes, self.num_classes
-        self._pending = [[0] * c for _ in range(n)]
-        self._work_left = [0.0] * n
+        n = self.num_nodes
         self.ledger.track_nodes(n)
         down = set(self.fleet.initial_down)
         self._node_state = [NODE_DOWN if i in down else NODE_LIVE for i in range(n)]
@@ -254,37 +241,16 @@ class ClusterServerModel(ServerModel):
         # per-request object.
         self.bank.bind(self.engine, self.classes, ledger=self.ledger)
         self.dispatch.bind(self)
-        # Dispatch state: the completion runs of the syncs since the last
-        # drain, and the policy methods the dispatch loops call — bound once
-        # here so the per-request path never repeats the attribute lookups.
+        # The completion runs of the syncs since the last drain, and the
+        # policy methods dispatch calls, bound once.
         self._runs: list[np.ndarray] = []
         self._select_block = getattr(self.dispatch, "select_block", None)
         self._chooser = self.dispatch.chooser
-        self._calendar: list[tuple[float, int, int, int, float, float]] | None = None
-        if self._select_block is None:
-            self._start_calendar()
         self._record_fleet_state()
         for event in self.fleet.events:
             self.engine.schedule_at(
                 event.time, partial(self._apply_fleet_event, event), label="fleet"
             )
-
-    def _start_calendar(self) -> None:
-        """Start an empty completion calendar: a heap holding the
-        ``(completion, node, class, rid, size, start)`` of each class
-        server's head — its earliest unbooked request — and, per class
-        server, the FCFS deque of its unbooked ``(rid, arrival, size)``
-        (head first; the only queue on this route), its rate and last
-        booked completion, plus the entries booked since the last sync and
-        the booked ids awaiting the next drain."""
-        n, c = self.num_nodes, self.num_classes
-        self._calendar = []
-        self._queues = [[deque() for _ in range(c)] for _ in range(n)]
-        self._class_rates = [[0.0] * c for _ in range(n)]
-        self._class_free = [[-np.inf] * c for _ in range(n)]
-        self._booked: list[tuple[float, int, int, int, float, float]] = []
-        self._booked_order: list[int] = []
-        self._rebuild_calendar()
 
     def _mark_drained(self, node: int, time: float) -> None:
         """Drain complete: the leaving node served its last queued request
@@ -347,7 +313,7 @@ class ClusterServerModel(ServerModel):
                     f"{state}, only a live node can leave"
                 )
             self._node_state[event.node] = (
-                NODE_DRAINING if any(self._pending[event.node]) else NODE_DOWN
+                NODE_DRAINING if any(self.bank.pending[event.node]) else NODE_DOWN
             )
         elif event.action == "join":
             if state == NODE_LIVE:
@@ -419,9 +385,11 @@ class ClusterServerModel(ServerModel):
         Blocks arrive pre-segmented at fleet-event instants (see
         :meth:`block_boundaries`), so the live set is constant across the
         block and the empty-fleet check runs once.  Policies exposing
-        ``select_block`` (whose decisions ignore backlog state) vectorise
-        over the whole block; the rest replay the exact per-request decision
-        sequence on the completion calendar (:meth:`_dispatch_predicted`).
+        ``select_block`` (whose decisions ignore backlog state, so their
+        node sequence equals ``select_node``'s) choose the whole block at
+        once and the bank queues it; the rest replay the exact per-request
+        decision sequence on the bank's completion calendar
+        (:meth:`~repro.simulation.RateScalableServers.dispatch`).
         """
         rids = np.asarray(rids, dtype=np.int64)
         if rids.size == 0:
@@ -434,16 +402,17 @@ class ClusterServerModel(ServerModel):
             )
         ledger = self.ledger
         classes = ledger.classes_of(rids)
-        if self._calendar is None:
-            self._dispatch_block(rids, classes)
+        arrivals, sizes = ledger.arrivals_of(rids), ledger.sizes_of(rids)
+        if self._select_block is None:
+            nodes = self.bank.dispatch(rids, classes, arrivals, sizes, self._chooser())
+            ledger.assign_nodes(rids, nodes)
+            self._flip_drained()
             return
-        rows = zip(
-            ledger.arrivals_of(rids).tolist(),
-            rids.tolist(),
-            classes.tolist(),
-            ledger.sizes_of(rids).tolist(),
-        )
-        ledger.assign_nodes(rids, self._dispatch_predicted(rows, self._chooser()))
+        # ``select_block`` implementations guarantee live choices, so the
+        # per-request validation of :meth:`_checked_node` is skipped.
+        nodes = self._select_block(rids, classes)
+        ledger.assign_nodes(rids, nodes)
+        self.bank.submit_batch(rids, nodes, classes, arrivals, sizes)
 
     def walk(
         self,
@@ -453,286 +422,47 @@ class ClusterServerModel(ServerModel):
         first: int,
         admit: Callable[[float, int, float, tuple[int, ...]], int],
     ) -> list[int]:
-        """Live-state admission over one arrival segment, on the calendar.
+        """Live-state admission over one arrival segment: the bank's
+        :meth:`~repro.simulation.RateScalableServers.walk`, each admitted
+        row placed by the policy's chooser.  Returns the admitted rows'
+        nodes, for the caller's one ``assign_nodes`` once the rows are
+        appended."""
+        nodes = self.bank.walk(times, sizes, classes, first, admit, self._chooser())
+        self._flip_drained()
+        return nodes
 
-        As :meth:`~repro.simulation.RateScalableServers.walk`, with
-        :meth:`backlogs` read after booking to each arrival instant and
-        each admitted row (arrival ``i`` is row ``first + i``) placed by
-        :meth:`_dispatch_predicted`.  Only the calendar books completions
-        between syncs, so a block-route cluster moves to it at its first
-        walk, before any row is queued.  Returns the admitted rows' nodes,
-        for the caller's one ``assign_nodes`` once the rows are appended.
-        """
-        if self._calendar is None:
-            self._start_calendar()
-        rows = zip(
-            times.tolist(), range(first, first + times.shape[0]), classes.tolist(), sizes.tolist()
-        )
-        return self._dispatch_predicted(rows, self._chooser(), admit=admit)
-
-    def _dispatch_block(self, rids: np.ndarray, classes: np.ndarray) -> None:
-        """Vectorised block dispatch for backlog-blind policies.
-
-        The policy's ``select_block`` produces the same node sequence its
-        ``select_node`` would (cursor walks, RNG draws and home lookups do
-        not depend on completions), so no completion interleaving is needed:
-        the whole block's bookkeeping collapses to two bincounts, one node
-        column scatter and one bank submission of the gathered columns.
-        ``select_block`` implementations guarantee live choices, so the
-        per-request validation of :meth:`_checked_node` is skipped here.
-        """
-        choices = self._select_block(rids, classes)
-        n, c = self.num_nodes, self.num_classes
-        ledger = self.ledger
-        ledger.assign_nodes(rids, choices)
-        sizes = ledger.sizes_of(rids)
-        pair_counts = np.bincount(choices * c + classes, minlength=n * c).reshape(n, c).tolist()
-        work_add = np.bincount(choices, weights=sizes, minlength=n)
-        for node in range(n):
-            row_counts = pair_counts[node]
-            if not any(row_counts):
-                continue
-            row_pending = self._pending[node]
-            for cls, k in enumerate(row_counts):
-                row_pending[cls] += k
-            self._work_left[node] += float(work_add[node])
-        self.bank.submit_batch(rids, choices, classes, ledger.arrivals_of(rids), sizes)
-
-    def _dispatch_predicted(
-        self,
-        rows: Iterable[tuple[float, int, int, float]],
-        choose: Callable[[int, int], int] | None = None,
-        until: float = -np.inf,
-        admit: Callable[[float, int, float, tuple[int, ...]], int] | None = None,
-    ) -> list[int]:
-        """Replay the exact per-request decision sequence on the calendar.
-
-        ``rows`` are ``(arrival, rid, class, size)`` in time order, routed
-        by ``choose``.  Before each decision the calendar books every
-        completion due by the arrival instant (``<= t``: completions tied
-        with an arrival land first, the single-server convention); after
-        the block, every one due by ``until`` (how :meth:`_sync_nodes`
-        books, with no rows).  ``admit`` (:meth:`walk`) re-classes or drops
-        each row first.  Booking pops a head in ``(time, node, class)``
-        order and promotes the next request of its class server with the
-        bank's fold — ``start = max(arrival, previous completion)``,
-        ``completion = start + size / rate``.  A request placed on a server
-        without a head becomes its head if the server runs (``start =
-        max(arrival, last booked completion)``); any other waits,
-        unpredicted, in the server's deque — behind a frozen (zero-rate)
-        server until the next rate change rebuilds the calendar.  The bank receives no rows, so the
-        per-request cost is one chooser call, at most one heap operation per
-        placement and per booking, and list bookkeeping.  Returns the nodes
-        chosen, in row order.
-        """
-        calendar = self._calendar
-        queues = self._queues
-        rates = self._class_rates
-        free = self._class_free
-        pending = self._pending
-        work_left = self._work_left
-        node_state = self._node_state
-        book = self._booked.append
-        choices: list[int] = []
-        chose = choices.append
-        # The closing row (rid -1) books up to ``until`` and ends the loop.
-        for t, rid, cls, size in chain(rows, ((until, -1, 0, 0.0),)):
-            while calendar and calendar[0][0] <= t:
-                entry = calendar[0]
-                done, node, c, _, s, _ = entry
-                queue = queues[node][c]
-                queue.popleft()
-                free[node][c] = done
-                if queue:
-                    head, a, z = queue[0]
-                    start = a if a > done else done
-                    heapreplace(calendar, (start + z / rates[node][c], node, c, head, z, start))
-                else:
-                    heappop(calendar)
-                book(entry)
-                row = pending[node]
-                row[c] -= 1
-                # Clamp (as ``max(work, 0.0)``): summation order can leave
-                # ~1e-16 residuals behind.
-                work = work_left[node] - s
-                work_left[node] = 0.0 if work < 0.0 else work
-                if node_state[node] == NODE_DRAINING and not any(row):
-                    self._mark_drained(node, done)
-            if rid < 0:
-                break
-            if admit is not None:
-                cls = admit(t, cls, size, self.backlogs())
-                if cls < 0:
-                    continue
-            node = choose(rid, cls)
-            pending[node][cls] += 1
-            work_left[node] += size
-            chose(node)
-            queue = queues[node][cls]
-            if not queue:
-                rate = rates[node][cls]
-                if rate > 0.0:
-                    last = free[node][cls]
-                    start = t if t > last else last
-                    heappush(calendar, (start + size / rate, node, cls, rid, size, start))
-            queue.append((rid, t, size))
-        return choices
-
-    def _rebuild_calendar(self) -> None:
-        """Re-predict each class server's head at the new rates.
-
-        A prediction holds only while the rates stay put, so every
-        :meth:`apply_rates` rebuilds the calendar — always right after a
-        full synchronisation, when the bank's in-service requests are
-        exactly the arrived heads.  A head in service completes where the
-        bank's drain would complete it (``progress + remaining / rate``,
-        re-based by the rate change); a head that has not started yet at
-        ``arrival + size / rate``; a frozen server's head gets no entry.
-        The requests queued behind the heads stay unpredicted, so a rebuild
-        costs one look per class server, not one prediction per waiting
-        request.
-        """
-        calendar = self._calendar
-        calendar.clear()
-        ledger = self.ledger
-        bank = self.bank
-        c = self.num_classes
-        for node, (queues, rates) in enumerate(zip(self._queues, self._class_rates)):
-            for cls, queue in enumerate(queues):
-                s = node * c + cls
-                rate = rates[cls] = bank.rates[s]
-                if not queue or rate <= 0.0:
-                    continue
-                rid, arrival, size = queue[0]
-                busy = bank.in_service[s]
-                if busy is None:
-                    start = arrival
-                    done = arrival + size / rate
-                elif busy == rid:
-                    start = ledger.start_of(rid)
-                    done = bank.progress[s] + bank.remaining[s] / rate
-                else:
-                    raise SimulationError(
-                        f"node {node} serves row {busy} of class {cls}, but the "
-                        f"calendar's head is row {rid}"
-                    )
-                calendar.append((done, node, cls, rid, size, start))
-        heapify(calendar)
-
-    def _sync_nodes(self, now: float) -> None:
-        """Fully synchronise the bank to ``now`` (rate-change points).
-
-        On the calendar route the calendar books every completion up to
-        ``now`` and hands the bank every server's arrived head in one
-        :meth:`~repro.simulation.RateScalableServers.drain`, starting a new
-        head at ``max(arrival, last booked completion)`` — a frozen
-        (zero-rate) head, which has no calendar entry, thus starts before
-        any rate change re-bases it.  The rows booked since the last sync
-        reach the ledger in one checked ``serve_batch`` (rows already in
-        service: ``complete_batch``) and wait in booking order for
-        :meth:`drain`.
-
-        On the block route one bank drain serves every (node, class)
-        server and returns their merged run, which waits for :meth:`drain`.
-        Its bookkeeping follows from the run: each server's pending count
-        drops by its run length (``bank.drained``), and each node's work
-        left folds over the node's rows in merged order.  The drain-complete
-        flips land at each emptied node's last completion, applied in
-        ``(time, node)`` order, as the calendar pops them.
-
-        Called wherever :meth:`apply_rates` may follow — the cluster-level
-        drain and fleet events.
-        """
-        if self._calendar is None:
-            run = self.bank.drain(now)
-            if run.size:
-                self._runs.append(run)
-                self._book_run(run)
+    def _flip_drained(self) -> None:
+        """Drain complete, after the bank booked completions: every draining
+        node with nothing pending went down at its last completion, the
+        latest of its servers' (a draining node gets no new work).  Flips
+        land in ``(time, node)`` order."""
+        if NODE_DRAINING not in self._node_state:
             return
-        # The booking rule has one copy: replay an empty block.
-        self._dispatch_predicted((), until=now)
-        booked = self._booked
-        # Bookings pop in time order, so the last one is the latest.
-        if booked and booked[-1][0] > now:
-            raise SimulationError(
-                f"node {booked[-1][1]}: a completion is booked at t={booked[-1][0]:g}, "
-                f"after the drain to t={now:g}; the drain is behind completions "
-                f"that dispatch already booked"
-            )
-        self.bank.drain(
-            now,
-            [
-                (q[0][0], max(q[0][1], last), q[0][2]) if q and q[0][1] <= now else None
-                for queues, free in zip(self._queues, self._class_free)
-                for q, last in zip(queues, free)
-            ],
-        )
-        if not booked:
-            return
-        self._booked = []
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            # One drain-length observation per node and class with bookings.
-            c = self.num_classes
-            counts = Counter(entry[1] * c + entry[2] for entry in booked)
-            for key in sorted(counts):
-                telemetry.on_server_drain(key % c, counts[key])
-        ledger = self.ledger
-        done, _, _, rids, _, starts = zip(*booked)
-        self._booked_order += rids
-        rids = np.array(rids, dtype=np.int64)
-        done = np.array(done)
-        # Rows carried in service since an earlier sync only complete.
-        started = ~np.isnan(ledger.service_start_time[rids])
-        fresh = ~started
-        ledger.serve_batch(rids[fresh], np.array(starts)[fresh], done[fresh])
-        ledger.complete_batch(rids[started], done[started])
-
-    def _book_run(self, run: np.ndarray) -> None:
-        """Book a block-route bank drain's merged ``run`` into pending and
-        work left, and apply the drain-complete flips it causes."""
         c = self.num_classes
-        pending = self._pending
-        nodes: list[int] = []
-        for s, k in self.bank.drained:
-            node, cls = divmod(s, c)
-            pending[node][cls] -= k
-            if not nodes or nodes[-1] != node:
-                nodes.append(node)
-        ledger = self.ledger
-        sizes = ledger.sizes_of(run)
-        of_node = ledger.node[run] if len(nodes) > 1 else None
-        flips = []
-        for node in nodes:
-            mine = slice(None) if of_node is None else of_node == node
-            # The scalar fold ``work = max(work - size, 0.0)`` over the
-            # node's rows in completion order, bit for bit:
-            # ``subtract.accumulate`` subtracts left to right, and as sizes
-            # are non-negative the unclamped fold never rises — once it dips
-            # below zero (summation order can leave ~1e-16 residuals) it
-            # stays there, where the clamped fold ends at 0.0.
-            work = np.subtract.accumulate(np.concatenate(([self._work_left[node]], sizes[mine])))
-            self._work_left[node] = 0.0 if work[-1] < 0.0 else float(work[-1])
-            if self._node_state[node] == NODE_DRAINING and not any(pending[node]):
-                # A draining node gets no new work: it empties at its last
-                # completion.
-                flips.append((float(ledger.completion_time[run[mine][-1]]), node))
-        for time, node in sorted(flips):
+        free = self.bank.free
+        flips = sorted(
+            (max(free[node * c : (node + 1) * c]), node)
+            for node, state in enumerate(self._node_state)
+            if state == NODE_DRAINING and not any(self.bank.pending[node])
+        )
+        for time, node in flips:
             self._mark_drained(node, time)
 
-    def drain(self, now: float) -> np.ndarray:
-        """Advance every node to ``now``; returns completions in time order.
+    def _sync_nodes(self, now: float) -> None:
+        """Drain the bank to ``now`` and apply the drain-complete flips; the
+        run waits for :meth:`drain`.  Called wherever :meth:`apply_rates`
+        may follow — the cluster-level drain and fleet events."""
+        run = self.bank.drain(now)
+        if run.size:
+            self._runs.append(run)
+        self._flip_drained()
 
-        On the calendar route that is the booking order; on the block route
+    def drain(self, now: float) -> np.ndarray:
+        """Advance every node to ``now``; returns completions in time order:
         the runs of the syncs since the last drain, in sync order (a sync
         completes every row due by its instant, so each run ends before the
-        next begins).
-        """
+        next begins)."""
         self._sync_nodes(now)
-        if self._calendar is not None:
-            order = self._booked_order
-            self._booked_order = []
-            return np.array(order, dtype=np.int64)
         runs = self._runs
         if not runs:
             return _EMPTY_RIDS
@@ -784,19 +514,9 @@ class ClusterServerModel(ServerModel):
         # its queued work, and a down node holds none.
         for node in self._live:
             self.bank.apply_rates(shares[node], node)
-        if self._calendar is not None:
-            self._rebuild_calendar()
 
     def backlogs(self) -> tuple[int, ...]:
-        # Queued requests, not those in service: each server's pending count
-        # but one.  No drain needed: the live admission walk reads it at
-        # every arrival instant.
-        totals = [0] * self.num_classes
-        for row in self._pending:
-            for cls, count in enumerate(row):
-                if count > 1:
-                    totals[cls] += count - 1
-        return tuple(totals)
+        return self.bank.backlogs()
 
 
 def make_cluster(

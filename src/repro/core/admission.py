@@ -44,9 +44,10 @@ float accumulation order).  Policies reading live state
 scenario walks their arrivals one by one, calling ``decide`` with the
 boundary's observation re-stamped to each arrival instant and its backlog
 (``obs._replace(time=t, backlogs=...)``).  The server model reads that
-backlog from state it keeps between drains (a cluster's completion
-calendar, the bank's predicted completions), so such a policy runs on
-:class:`~repro.simulation.RateScalableServers` and clusters only.
+backlog from state it keeps between drains (the pending counts of the
+bank's completion calendar, booked to each arrival instant), so such a
+policy runs on :class:`~repro.simulation.RateScalableServers` and clusters
+only.
 """
 
 from __future__ import annotations

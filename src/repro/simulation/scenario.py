@@ -51,9 +51,10 @@ only boundary state, so each arrival block gets one
 boundary, before the block is cut.  Policies reading live per-arrival state
 (``window_scoped = False``) are walked arrival by arrival inside each
 segment instead: the server model's ``walk`` hands ``decide`` the backlog
-of each arrival instant from state it already keeps (a cluster's completion
-calendar, a bank's predicted completions) without draining anything, and
-the segment's decisions are then recorded like a decided block.
+of each arrival instant from state it already keeps (the pending counts of
+the bank's completion calendar) without draining anything, and places the
+admitted rows; the segment's decisions are then recorded like a decided
+block.
 
 The window boundary
 -------------------
@@ -551,9 +552,9 @@ class Scenario:
         observation re-stamped with that instant and backlog.  The segment
         lies inside one estimation window and between two fleet events, so
         the rates and the fleet stay put while the walk runs ahead of the
-        engine clock.  A one-node bank then queues the admitted rows; a
-        cluster's calendar placed them during the walk, so only their nodes
-        are written.
+        engine clock.  The walk placed the admitted rows on the bank's
+        completion calendar, so once they are appended only a cluster's
+        node column is left to write.
         """
         decide = self.admission.decide
         stamp = self._admission_obs._replace
@@ -576,9 +577,7 @@ class Scenario:
         nodes = self.server.walk(times, sizes, classes, len(self.ledger), admit)
         decided = np.fromiter(decisions, np.int64, len(decisions))
         rids, _ = self._admit_block(times, sizes, classes, decided)
-        if nodes is None:
-            self.server.submit_batch(rids)
-        else:
+        if self.ledger.node is not None:
             self.ledger.assign_nodes(rids, nodes)
 
     def _sync_completions(self, now: float) -> None:

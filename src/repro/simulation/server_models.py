@@ -39,29 +39,40 @@ works with it unchanged.  Live-state admission also needs ``walk`` (see
 
 How the bank serves
 -------------------
-Each class server's queued requests live in three growable NumPy columns
-(row id, arrival, size) consumed from a head cursor; appends write slices
-at the tail, and the columns compact or double only when the tail runs out
-of room, so appends are amortised O(1) and the queue is never concatenated.
+The bank owns every (node, class) server's state on both of its routes:
+the FCFS queue, the row in service, the last completion, and the pending
+counts and per-node work left that dispatch policies read.  Between two rate
+changes an FCFS run is the Lindley recursion ``completion = max(arrival,
+previous completion) + size / rate``, a deterministic left fold of the
+arrivals, which both routes compute in the same operation order.
 
-Completions are computed in bulk by a drain — legal because between two
-rate changes an FCFS run is the Lindley recursion ``completion =
-max(arrival, previous completion) + size / rate``, a deterministic left fold
-of the arrival block.  A drain folds each request's *completion* exactly
-once and does everything else in bulk: the block is cut at ``now`` on the
-arrivals (``searchsorted``), the service times come from array divisions
-(correctly rounded, so bit-equal to the scalar division), the fold is a
-comprehension over Python floats (in doubling chunks, so a long queue behind
-a request still in service is not folded in full), the run is cut at
-``now`` on the completions (``bisect_right``), and the starts are derived
-afterwards as ``np.maximum(arrival, previous completion)`` — a max is exact,
-so no timestamp moves.  One drain of the bank folds every busy server,
-writes all their fresh rows in one checked ``serve_batch`` and merges the
-runs with one stable argsort.  The scenario drains at window boundaries,
-fleet events and the horizon only, never per arrival.  (Under a cluster's
-completion calendar the bank queues nothing: the calendar keeps the queues,
-books the same fold's completions, and hands the bank each head it must
-hold in service.)
+On the *block route* each server's queued rows live in three growable NumPy
+columns (row id, arrival, size) consumed from a head cursor; appends write
+slices at the tail, and the columns compact or double only when the tail
+runs out of room, so appends are amortised O(1) and the queue is never
+concatenated.  A drain folds each request's *completion* exactly once and
+does everything else in bulk: the block is cut at ``now`` on the arrivals
+(``searchsorted``), the service times come from array divisions (correctly
+rounded, so bit-equal to the scalar division), the fold is a comprehension
+over Python floats (in doubling chunks, so a long queue behind a request
+still in service is not folded in full), the run is cut at ``now`` on the
+completions (``bisect_right``), and the starts are derived afterwards as
+``np.maximum(arrival, previous completion)`` — a max is exact, so no
+timestamp moves.  One drain of the bank folds every busy server, writes all
+their fresh rows in one checked ``serve_batch`` and merges the runs with
+one stable argsort.  The scenario drains at window boundaries, fleet events
+and the horizon only, never per arrival.
+
+On the *completion calendar* (a cluster whose dispatch policy reads live
+backlogs, and live-state admission on any bank) rows are placed one at a
+time in arrival order, each decision reading the pending counts of its
+instant.  Each server's rows wait in a deque, and a heap holds one
+predicted completion per server, its head's, so before each placement the
+calendar books every completion due by the arrival.  A drain books up to
+``now``, writes the booked rows in one ``serve_batch`` and starts the
+arrived heads, so that a rate change re-bases them as on the block route.
+Either way :meth:`RateScalableServers.drain` returns the completed rows in
+``(time, node, class)`` order.
 
 The recursion itself stays a per-request fold on purpose.  The operation
 order ``max(arrival, f) + size / rate`` must be kept per request: max-plus
@@ -76,8 +87,10 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_right
-from collections import deque
-from collections.abc import Callable, Sequence
+from collections import Counter, deque
+from collections.abc import Callable, Iterable, Sequence
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import chain
 
 import numpy as np
 
@@ -238,9 +251,13 @@ class RateScalableServers(ServerModel):
     declared capacities.
 
     Per-server state, read-only outside the bank: :attr:`rates`,
-    :attr:`in_service` (the row in service, ``None`` when free), and the
-    in-service row's :attr:`remaining` work as of :attr:`progress`, so it
-    completes at ``progress + remaining / rate``.
+    :attr:`in_service` (the row in service as of the last drain, ``None``
+    when free), that row's :attr:`remaining` work as of :attr:`progress`
+    (it completes at ``progress + remaining / rate``), and :attr:`free`,
+    the server's last completion.  Per node: :attr:`pending` (``[node]
+    [class]``, the unfinished rows, queued or in service) and
+    :attr:`work_left` (their full-rate work), which a cluster's dispatch
+    policies read live.
     """
 
     def __init__(self, *, capacity: float | None = None) -> None:
@@ -250,9 +267,6 @@ class RateScalableServers(ServerModel):
         self.capacities: list[float | None] = [
             None if capacity is None else require_capacity(capacity)
         ]
-        #: ``(server, rows)`` of each server whose completions the last
-        #: :meth:`drain` returned, in server order.
-        self.drained: list[tuple[int, int]] = []
 
     @classmethod
     def of_nodes(cls, capacities: Sequence[float | None]) -> RateScalableServers:
@@ -267,18 +281,37 @@ class RateScalableServers(ServerModel):
         return None if None in self.capacities else sum(self.capacities)
 
     def _on_bind(self) -> None:
-        n = len(self.capacities) * self.num_classes
+        nodes, c = len(self.capacities), self.num_classes
+        n = nodes * c
         self.rates = [0.0] * n
         self.in_service: list[int | None] = [None] * n
         self.remaining = [0.0] * n
         self.progress = [0.0] * n
-        # Server ``s`` queues slots [_head[s], _tail[s]) of its columns;
-        # drains advance the head, appends the tail.
+        self.free = [-np.inf] * n
+        self.pending = [[0] * c for _ in range(nodes)]
+        self.work_left = [0.0] * nodes
+        # Block route: server ``s`` queues slots [_head[s], _tail[s]) of its
+        # columns; drains advance the head, appends the tail.
         self._rids = [np.empty(_INITIAL_CAPACITY, dtype=np.int64) for _ in range(n)]
         self._arrivals = [np.empty(_INITIAL_CAPACITY) for _ in range(n)]
         self._sizes = [np.empty(_INITIAL_CAPACITY) for _ in range(n)]
         self._head = [0] * n
         self._tail = [0] * n
+        #: The completion calendar's heap, ``None`` on the block route.
+        self._calendar: list[tuple[float, int, int, int, float, float]] | None = None
+
+    def _start_calendar(self) -> None:
+        """Move an empty bank onto the completion calendar: a heap of the
+        ``(completion, node, class, rid, size, start)`` of each server's
+        head (its earliest unbooked row) and, per server, the FCFS deque of
+        its unbooked ``(rid, arrival, size)``, head first, plus the entries
+        booked since the last drain."""
+        if any(map(any, self.pending)):
+            raise SimulationError("the completion calendar starts on an empty bank")
+        self._calendar = []
+        self._queues: list[deque[tuple[int, float, float]]] = [deque() for _ in self.rates]
+        self._booked: list[tuple[float, int, int, int, float, float]] = []
+        self._stale = False
 
     def _reserve(self, s: int, k: int) -> None:
         """Make room for ``k`` more slots at server ``s``'s tail.
@@ -321,25 +354,28 @@ class RateScalableServers(ServerModel):
         server into slices on blocks of 3000 rows.)
         """
         rids = np.asarray(rids, dtype=np.int64)
+        c = self.num_classes
         if nodes is None:
             ledger = self.ledger
             classes = servers = ledger.classes_of(rids)
             arrivals, sizes = ledger.arrivals_of(rids), ledger.sizes_of(rids)
         else:
-            servers = nodes * self.num_classes + classes
+            servers = nodes * c + classes
         blocks = []
         for s in range(len(self.rates)):
             rows = np.flatnonzero(servers == s)
             if rows.size:
                 blocks.append((s, rows))
         if sum(rows.size for _, rows in blocks) != rids.size:
-            foreign = (classes < 0) | (classes >= self.num_classes)
+            foreign = (classes < 0) | (classes >= c)
             raise SimulationError(
                 f"request of class {int(classes[foreign.argmax()])} submitted to a "
-                f"node serving {self.num_classes} classes"
+                f"node serving {c} classes"
             )
+        pending = self.pending
         for s, rows in blocks:
             k = rows.size
+            pending[s // c][s % c] += k
             if self._tail[s] + k > self._rids[s].shape[0]:
                 self._reserve(s, k)
             tail = self._tail[s]
@@ -347,45 +383,169 @@ class RateScalableServers(ServerModel):
             self._arrivals[s][tail : tail + k] = arrivals[rows]
             self._sizes[s][tail : tail + k] = sizes[rows]
             self._tail[s] = tail + k
+        work_left = self.work_left
+        for node, work in enumerate(
+            np.bincount(servers // c, weights=sizes, minlength=len(work_left)).tolist()
+        ):
+            work_left[node] += work
 
-    def drain(
-        self, now: float, heads: Sequence[tuple[int, float, float] | None] | None = None
-    ) -> np.ndarray:
-        """Drain every class server to ``now``; returns the completed rows
-        in completion order.
+    def dispatch(
+        self,
+        rids: np.ndarray,
+        classes: np.ndarray,
+        arrivals: np.ndarray,
+        sizes: np.ndarray,
+        choose: Callable[[int, int], int],
+    ) -> list[int]:
+        """Place a time-ordered block on the completion calendar, each row
+        on the node ``choose(rid, class_index)`` picks from the state of
+        its arrival instant (:meth:`_place`); returns the nodes chosen."""
+        rows = zip(arrivals.tolist(), rids.tolist(), classes.tolist(), sizes.tolist())
+        return self._place(rows, choose)
 
-        Each busy server folds its queue (:meth:`_drain_server`); the fresh
-        rows of every fold reach the ledger in one checked
+    def walk(
+        self,
+        times: np.ndarray,
+        sizes: np.ndarray,
+        classes: np.ndarray,
+        first: int,
+        admit: Callable[[float, int, float, tuple[int, ...]], int],
+        choose: Callable[[int, int], int] | None = None,
+    ) -> list[int]:
+        """Live-state admission over one arrival segment, on the calendar.
+
+        ``admit(t, class_index, size, backlogs)`` decides each arrival in
+        turn and returns the class that serves it, or -1 to shed it;
+        ``backlogs`` is :meth:`backlogs` at ``t``, after booking every
+        completion due by ``t``.  Each admitted row (arrival ``i`` is row
+        ``first + i``) is placed on the node ``choose(rid, class_index)``
+        picks (node 0 without ``choose``).  The walk writes nothing: the
+        caller appends the rows once the segment is decided.  Returns the
+        admitted rows' nodes.
+        """
+        rows = zip(
+            times.tolist(), range(first, first + times.shape[0]), classes.tolist(), sizes.tolist()
+        )
+        return self._place(rows, choose or _first_node, admit)
+
+    def _place(
+        self,
+        rows: Iterable[tuple[float, int, int, float]],
+        choose: Callable[[int, int], int] | None,
+        admit: Callable[[float, int, float, tuple[int, ...]], int] | None = None,
+        until: float = -np.inf,
+    ) -> list[int]:
+        """The completion calendar: book and place in time order.
+
+        ``rows`` are ``(arrival, rid, class, size)`` in time order.  Between
+        two rate changes an FCFS server's completions are a fixed,
+        non-decreasing fold of its arrivals, so the earliest completion is
+        always some server's head.  Before each row the calendar books
+        every completion due by its arrival (``<= t``: completions tied
+        with an arrival land first), popping heads in ``(time, node,
+        class)`` order; after the rows, every one due by ``until`` (how
+        :meth:`drain` books, with no rows).  A booking promotes the next
+        row of its server to head with the drain's fold — ``start =
+        max(arrival, previous completion)``, ``completion = start + size /
+        rate`` — and drops the server's pending count and its node's work
+        left.  ``admit`` (:meth:`walk`) then re-classes or drops the row,
+        ``choose`` picks its node, and a row placed on a server without a
+        head becomes its head if the server runs (``start = max(arrival,
+        last completion)``); any other waits, unpredicted, in the server's
+        deque — behind a frozen (zero-rate) server until a rate change
+        predicts its head.  Returns the nodes chosen, in row order.
+        """
+        if self._calendar is None:
+            self._start_calendar()
+        elif self._stale:
+            self._predict()
+        calendar = self._calendar
+        queues = self._queues
+        rates = self.rates
+        free = self.free
+        pending = self.pending
+        work_left = self.work_left
+        c = self.num_classes
+        book = self._booked.append
+        choices: list[int] = []
+        chose = choices.append
+        # The closing row (rid -1) books up to ``until`` and ends the loop.
+        for t, rid, cls, size in chain(rows, ((until, -1, 0, 0.0),)):
+            while calendar and calendar[0][0] <= t:
+                entry = calendar[0]
+                done, node, k, _, served, _ = entry
+                s = node * c + k
+                queue = queues[s]
+                queue.popleft()
+                free[s] = done
+                if queue:
+                    head, a, z = queue[0]
+                    start = a if a > done else done
+                    heapreplace(calendar, (start + z / rates[s], node, k, head, z, start))
+                else:
+                    heappop(calendar)
+                book(entry)
+                pending[node][k] -= 1
+                # Clamp (as ``max(work, 0.0)``): summation order can leave
+                # ~1e-16 residuals behind.
+                work = work_left[node] - served
+                work_left[node] = 0.0 if work < 0.0 else work
+            if rid < 0:
+                break
+            if admit is not None:
+                # Every placed row has arrived by ``t``, so each server with
+                # pending rows serves one of them: backlogs() at ``t``.
+                waiting = [0] * c
+                for row in pending:
+                    for k, p in enumerate(row):
+                        if p > 1:
+                            waiting[k] += p - 1
+                cls = admit(t, cls, size, tuple(waiting))
+                if cls < 0:
+                    continue
+            node = choose(rid, cls)
+            pending[node][cls] += 1
+            work_left[node] += size
+            chose(node)
+            s = node * c + cls
+            queue = queues[s]
+            if not queue:
+                rate = rates[s]
+                if rate > 0.0:
+                    last = free[s]
+                    start = t if t > last else last
+                    heappush(calendar, (start + size / rate, node, cls, rid, size, start))
+            queue.append((rid, t, size))
+        return choices
+
+    def drain(self, now: float) -> np.ndarray:
+        """Serve every class server to ``now``; returns the completed rows
+        in ``(time, node, class)`` order, written to the ledger.
+
+        On the block route each busy server folds its queue
+        (:meth:`_drain_server`); the fresh rows of every fold reach the
+        ledger in one checked
         :meth:`~repro.simulation.ledger.RequestLedger.serve_batch`, and the
         runs, concatenated in server order, are merged by one stable
-        argsort on their times.  So completions with equal timestamps come
-        in ``(node, class)`` order — the order one engine event per
+        argsort on their times.  (Completions with equal timestamps thus
+        come in ``(node, class)`` order — the order one engine event per
         completion gives when the tied completion events were scheduled in
-        that order (true for every workload whose classes are started in
-        class order, e.g. the deterministic trace scenarios; for continuous
-        workloads exact ties have probability zero).  :attr:`drained` then
-        names the servers that completed rows and how many.
-
-        ``heads`` (from a cluster's completion calendar) holds, per server,
-        the ``(row id, start, size)`` of the calendar's unbooked head if it
-        has arrived by ``now``, else ``None``.  The bank then folds nothing
-        and returns no rows: each server holds its head in service (a head
-        already in service keeps its progress, a new one starts at
-        ``start``), so that :meth:`apply_rates` re-bases it.
+        that order, true for every workload whose classes are started in
+        class order; for continuous workloads exact ties have probability
+        zero.)  Each server's pending count then drops by its run length,
+        and each node's work left folds over the node's rows in merged
+        order.  On the calendar route the calendar books up to ``now``
+        (:meth:`_drain_calendar`).
         """
-        in_service = self.in_service
-        if heads is not None:
-            for s, head in enumerate(heads):
-                if head is None:
-                    in_service[s] = None
-                elif head[0] != in_service[s]:
-                    self._start(s, *head)
-            return _EMPTY_RIDS
+        if self._calendar is not None:
+            return self._drain_calendar(now)
         telemetry = self.telemetry
+        c = self.num_classes
         head, tail = self._head, self._tail
+        pending = self.pending
         runs = []
-        drained = []
-        for s, busy in enumerate(in_service):
+        nodes: list[int] = []
+        for s, busy in enumerate(self.in_service):
             if busy is None and head[s] == tail[s]:
                 # Idle with nothing queued: no completions to emit and no
                 # zero-rate freeze to materialise.
@@ -393,28 +553,90 @@ class RateScalableServers(ServerModel):
             run = self._drain_server(s, now)
             k = run[0].size
             if k:
+                node, cls = divmod(s, c)
                 if telemetry is not None:
-                    telemetry.on_server_drain(s % self.num_classes, k)
+                    telemetry.on_server_drain(cls, k)
+                pending[node][cls] -= k
+                if not nodes or nodes[-1] != node:
+                    nodes.append(node)
                 runs.append(run)
-                drained.append((s, k))
-        self.drained = drained
         if not runs:
             return _EMPTY_RIDS
+        ledger = self.ledger
         fresh = [
             (rids[-starts.size :], starts, times[-starts.size :])
             for rids, starts, times in runs
             if starts.size
         ]
         if len(fresh) > 1:
-            self.ledger.serve_batch(*map(np.concatenate, zip(*fresh)))
+            ledger.serve_batch(*map(np.concatenate, zip(*fresh)))
         elif fresh:
-            self.ledger.serve_batch(*fresh[0])
+            ledger.serve_batch(*fresh[0])
         if len(runs) == 1:
             # One contributing server: its run is already in time order.
-            return runs[0][0]
-        rids = np.concatenate([run[0] for run in runs])
-        times = np.concatenate([run[2] for run in runs])
-        return rids[np.argsort(times, kind="stable")]
+            run = runs[0][0]
+        else:
+            rids = np.concatenate([run[0] for run in runs])
+            times = np.concatenate([run[2] for run in runs])
+            run = rids[np.argsort(times, kind="stable")]
+        sizes = ledger.sizes_of(run)
+        of_node = ledger.node[run] if len(nodes) > 1 else None
+        work_left = self.work_left
+        for node in nodes:
+            mine = sizes if of_node is None else sizes[of_node == node]
+            # The scalar fold ``work = max(work - size, 0.0)`` over the
+            # node's rows in completion order, bit for bit: ``subtract.
+            # reduce`` subtracts left to right, and as sizes are
+            # non-negative the unclamped fold never rises — once it dips
+            # below zero (summation order can leave ~1e-16 residuals) it
+            # stays there, where the clamped fold ends at 0.0.
+            work = float(np.subtract.reduce(mine, initial=work_left[node]))
+            work_left[node] = 0.0 if work < 0.0 else work
+        return run
+
+    def _drain_calendar(self, now: float) -> np.ndarray:
+        """The calendar route's drain: book every completion up to ``now``,
+        write the rows booked since the last drain (rows started by an
+        earlier drain only complete), and start each server's arrived head
+        at ``max(arrival, last completion)``, so that :meth:`apply_rates`
+        re-bases it (a head already in service keeps its progress; a
+        frozen head, which has no calendar entry, starts at its arrival)."""
+        self._place((), None, until=now)
+        booked = self._booked
+        # Bookings pop in time order, so the last one is the latest.
+        if booked and booked[-1][0] > now:
+            raise SimulationError(
+                f"node {booked[-1][1]}: a completion is booked at t={booked[-1][0]:g}, "
+                f"after the drain to t={now:g}; the drain is behind completions "
+                f"that dispatch already booked"
+            )
+        in_service, free = self.in_service, self.free
+        for s, queue in enumerate(self._queues):
+            if queue and queue[0][1] <= now:
+                rid, arrival, size = queue[0]
+                if rid != in_service[s]:
+                    self._start(s, rid, arrival if arrival > free[s] else free[s], size)
+            else:
+                in_service[s] = None
+        if not booked:
+            return _EMPTY_RIDS
+        self._booked = []
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.enabled:
+            # One drain-length observation per server with bookings.
+            c = self.num_classes
+            counts = Counter(entry[1] * c + entry[2] for entry in booked)
+            for s in sorted(counts):
+                telemetry.on_server_drain(s % c, counts[s])
+        ledger = self.ledger
+        done, _, _, order, _, starts = zip(*booked)
+        rids = np.array(order, dtype=np.int64)
+        done = np.array(done)
+        started = ~np.isnan(ledger.service_start_time[rids])
+        fresh = ~started
+        ledger.serve_batch(rids[fresh], np.array(starts)[fresh], done[fresh])
+        ledger.complete_batch(rids[started], done[started])
+        return rids
 
     def _drain_server(self, s: int, now: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance server ``s`` to ``now``; returns its run ``(rids, starts, times)``.
@@ -446,7 +668,7 @@ class RateScalableServers(ServerModel):
             if free > now:
                 return _EMPTY_RUN
             ledger.complete_unlogged(carried, free)
-            self.progress[s] = free
+            self.free[s] = free
             self.in_service[s] = None
             self.remaining[s] = 0.0
         # Phase 2: fold the queue up to ``now``.
@@ -488,7 +710,7 @@ class RateScalableServers(ServerModel):
         k = bisect_right(folded, now, 1) - 1
         free = folded[k]
         if k:
-            self.progress[s] = free
+            self.free[s] = free
         pos = head + k
         self._head[s] = pos
         if pos < end:
@@ -509,65 +731,6 @@ class RateScalableServers(ServerModel):
             return rids, starts, times
         return rids, starts, times[1:]
 
-    def walk(
-        self,
-        times: np.ndarray,
-        sizes: np.ndarray,
-        classes: np.ndarray,
-        first: int,
-        admit: Callable[[float, int, float, tuple[int, ...]], int],
-    ) -> None:
-        """Live-state admission over one arrival segment of a one-node bank.
-
-        ``admit(t, class_index, size, backlogs)`` decides each arrival in
-        turn and returns the class that serves it, or -1 to shed it.
-        ``backlogs`` is what :meth:`backlogs` reads after a drain to ``t``,
-        counted without one: per class server, the predicted completions
-        of its unfinished rows (:meth:`_unfinished`, then ``max(t, last) +
-        size / rate`` per admitted row; never at rate zero), less those at
-        or before ``t``, less the one in service.  The rates hold for the
-        whole segment, so each count is exact.  The bank changes nothing:
-        the caller appends the rows (the first is row ``first``) and
-        submits the admitted ones.
-        """
-        unfinished = [self._unfinished(s) for s in range(self.num_classes)]
-        rates = self.rates
-        for t, size, class_index in zip(times.tolist(), sizes.tolist(), classes.tolist()):
-            for done in unfinished:
-                while done and done[0] <= t:
-                    done.popleft()
-            backlogs = tuple(len(done) - 1 if done else 0 for done in unfinished)
-            served = admit(t, class_index, size, backlogs)
-            if served < 0:
-                continue
-            done = unfinished[served]
-            rate = rates[served]
-            if rate > 0.0:
-                last = done[-1] if done else t
-                done.append((t if t > last else last) + size / rate)
-            else:
-                done.append(np.inf)
-
-    def _unfinished(self, s: int) -> deque[float]:
-        """Predicted completions of server ``s``'s unfinished rows at its
-        current rate, as a drain would compute them: the row in service at
-        ``progress + remaining / rate``, then the queue by the fold (all
-        ``inf`` at rate zero)."""
-        rate = self.rates[s]
-        head, tail = self._head[s], self._tail[s]
-        busy = self.in_service[s] is not None
-        if rate <= 0.0:
-            return deque([np.inf] * (busy + tail - head))
-        f = self.progress[s] + self.remaining[s] / rate if busy else -np.inf
-        done = deque([f] if busy else ())
-        done += [
-            f := (a if a > f else f) + d
-            for a, d in zip(
-                self._arrivals[s][head:tail].tolist(), (self._sizes[s][head:tail] / rate).tolist()
-            )
-        ]
-        return done
-
     def _start(self, s: int, rid: int, start: float, size: float) -> None:
         """Put row ``rid`` into server ``s``'s service position at ``start``."""
         self.ledger.start_service(rid, start)
@@ -581,7 +744,9 @@ class RateScalableServers(ServerModel):
         Each in-service request is first re-based: its remaining work drops
         by the progress made at the old rate, and the next drain completes
         it at the new rate.  The caller drains the bank to the engine clock
-        first, so that progress is accounted.
+        first, so that progress is accounted.  On the calendar route the
+        heads are re-predicted before the calendar is next used
+        (:meth:`_predict`).
         """
         c = self.num_classes
         if len(rates) != c:
@@ -605,12 +770,64 @@ class RateScalableServers(ServerModel):
                 self.remaining[s] = max(self.remaining[s] - elapsed * old, 0.0)
             self.progress[s] = now
             self.rates[s] = rate
+        if self._calendar is None:
+            return
+        # A prediction holds only while the rates stay put; a rate change
+        # follows a drain to the clock, so the rows in service are exactly
+        # the arrived heads.  The calendar is re-predicted once, before it
+        # is next used, however many nodes change rates in between.
+        for s in range(node * c, node * c + c):
+            queue, busy = self._queues[s], self.in_service[s]
+            head = queue[0][0] if queue else None
+            if busy is not None and busy != head:
+                raise SimulationError(
+                    f"node {node} serves row {busy} of class {s - node * c}, but the "
+                    f"calendar's head is row {head}"
+                )
+        self._stale = True
+
+    def _predict(self) -> None:
+        """Re-predict every server's head at the current rates.
+
+        A head in service completes at ``progress + remaining / rate``
+        (re-based by the rate change), a head that has not started yet at
+        ``arrival + size / rate``; a frozen server's head gets no entry.
+        The rows queued behind the heads stay unpredicted, so this costs one
+        look per class server.
+        """
+        c = self.num_classes
+        calendar = []
+        for s, queue in enumerate(self._queues):
+            rate = self.rates[s]
+            if not queue or rate <= 0.0:
+                continue
+            rid, arrival, size = queue[0]
+            if self.in_service[s] is None:
+                start = arrival
+                done = arrival + size / rate
+            else:
+                start = self.ledger.start_of(rid)
+                done = self.progress[s] + self.remaining[s] / rate
+            calendar.append((done, *divmod(s, c), rid, size, start))
+        heapify(calendar)
+        self._calendar = calendar
+        self._stale = False
 
     def backlogs(self) -> tuple[int, ...]:
-        """Per-class queued rows over every node (excluding those in service)."""
+        """Per class, the rows queued behind the one each busy server
+        serves, over every node: its pending count less its row in
+        service."""
         c = self.num_classes
-        queued = [tail - head for head, tail in zip(self._head, self._tail)]
-        return tuple(sum(queued[cls::c]) for cls in range(c))
+        busy, pending = self.in_service, self.pending
+        return tuple(
+            sum(row[cls] - (busy[node * c + cls] is not None) for node, row in enumerate(pending))
+            for cls in range(c)
+        )
+
+
+def _first_node(rid: int, class_index: int) -> int:
+    """A one-node bank's chooser."""
+    return 0
 
 
 class SharedProcessorServer(ServerModel):

@@ -124,7 +124,7 @@ def test_chooser_matches_brute_force_oracle(name, state, data):
         expected = oracle(name, live, class_index, pending, work_left, capacities)
         rid = cluster.ledger.append(class_index, 0.0, 1.0)
         assert choose(rid, class_index) == expected
-        assert cluster.dispatch.select_node(rid) == expected
+        assert cluster.dispatch.select_node(rid, class_index) == expected
         assert cluster.is_live(expected)
     # The chooser reads the tables live: a fresh backlog on the chosen node
     # moves the next decision exactly as it moves the oracle's.
@@ -150,7 +150,7 @@ def test_empty_live_set_raises_cluster_drained(name, state):
     with pytest.raises(ClusterDrainedError):
         cluster.dispatch.chooser()(rid, 0)
     with pytest.raises(ClusterDrainedError):
-        cluster.dispatch.select_node(rid)
+        cluster.dispatch.select_node(rid, 0)
     # A join rebuilds the chooser over the new live set.
     cluster.apply_fleet_event(FleetEvent(0.0, "join", len(pending) - 1))
     assert cluster.dispatch.chooser()(rid, 0) == len(pending) - 1

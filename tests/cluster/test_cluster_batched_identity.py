@@ -240,7 +240,7 @@ class TestZeroRateOnCalendar:
 
     def test_frozen_heads_start_at_arrival_and_complete_at_the_new_rate(self):
         cluster, result = self._run(Scenario)
-        assert cluster._calendar is not None
+        assert cluster.bank._calendar is not None
         ledger = result.ledger
         frozen = 0
         for node in (0, 1):

@@ -342,13 +342,14 @@ def _audited(policy, events="", num_nodes=3):
 @settings(max_examples=40, deadline=None)
 @given(case=_rate_cases(), policy=st.sampled_from(["round_robin", "weighted_random", "affinity"]))
 def test_block_route_bookkeeping_matches_a_scalar_fold(case, policy):
-    """The block route books each member drain in bulk (a ``bincount`` of
-    pending decrements, one ``subtract.accumulate`` of work left); after
-    every sync both tables equal the per-completion scalar fold."""
+    """The block route books each bank drain in bulk (each server's run
+    length off its pending count, one ``subtract.reduce`` of work left per
+    node); after every sync both tables equal the per-completion scalar
+    fold."""
     traces, events, script = case
     cluster = _audited(policy, events)
     result = _run(cluster, traces, controller=ScriptedRates(script), cfg=MULTI_CFG)
-    assert cluster._calendar is None
+    assert cluster.bank._calendar is None
     assert cluster.syncs >= MULTI_CFG.horizon / MULTI_CFG.window
 
 

@@ -53,7 +53,6 @@ def calendar_cluster(dispatch, *, num_nodes=3, fleet=None):
     )
     engine = SimulationEngine()
     cluster.bind(engine, classes)
-    assert cluster._calendar is not None
     return engine, cluster
 
 
@@ -65,14 +64,14 @@ class Pinned(DispatchPolicy):
         super().__init__()
         self.node = node
 
-    def select_node(self, rid):
+    def select_node(self, rid, class_index):
         return self.node
 
 
 class LastLive(DispatchPolicy):
     """A custom policy implementing only ``select_node``."""
 
-    def select_node(self, rid):
+    def select_node(self, rid, class_index):
         return self.cluster.live_nodes[-1]
 
 
@@ -150,8 +149,8 @@ class TestRateFanOut:
         shares = cluster.partitioner.partition((0.6, 0.4), cluster)
         # Nothing pending anywhere: falls back to the equal split.
         assert shares[0] == pytest.approx((0.3, 0.2))
-        cluster._pending[0][0] = 3
-        cluster._pending[1][0] = 1
+        cluster.pending_table[0][0] = 3
+        cluster.pending_table[1][0] = 1
         shares = cluster.partitioner.partition((0.6, 0.4), cluster)
         assert shares[0][0] == pytest.approx(0.45)
         assert shares[1][0] == pytest.approx(0.15)
@@ -159,7 +158,7 @@ class TestRateFanOut:
 
     def test_backlog_proportional_smoothing_keeps_shares_positive(self):
         cluster = self.bound(BacklogProportional(smoothing=1.0))
-        cluster._pending[0][0] = 8
+        cluster.pending_table[0][0] = 8
         shares = cluster.partitioner.partition((1.0, 1.0), cluster)
         assert all(share[0] > 0 for share in shares)
         assert shares[0][0] == pytest.approx(0.9)
@@ -209,19 +208,52 @@ class TestAggregation:
         cluster.bind(SimulationEngine(), classes)
         # Rates stay zero, so every submitted request occupies its node.
         # Round-robin interleaving sends the three class-0 requests to node 0
-        # and the three class-1 requests to node 1; on each node one request
-        # is (frozen) in service and two queue.  The backlog comes from the
-        # pending table, so it reads the same before the drain to t=0 puts
-        # the heads in service and after.
+        # and the three class-1 requests to node 1.  The backlog is the
+        # bank's pending count less the row in service: all three queue
+        # until the drain to t=0 puts each node's (frozen) head in service.
         for i in range(6):
             submit(cluster, class_index=i % 2)
-        assert cluster.backlogs() == (2, 2)
+        assert cluster.backlogs() == (3, 3)
         assert cluster.drain(0.0).size == 0
         assert cluster.backlogs() == (2, 2)
         assert cluster.pending(0, 0) == 3 and cluster.pending(1, 1) == 3
         assert cluster.dispatch_counts() == ((3, 0), (0, 3))
         assert cluster.ledger.node.tolist() == [0, 1, 0, 1, 0, 1]
         assert cluster.work_left(0) + cluster.work_left(1) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("policy", ["weighted_jsq", "round_robin"])
+    def test_the_bank_drain_returns_the_cluster_drain_rows(self, monkeypatch, moderate_bp, policy):
+        """On both routes the bank's drains book, write and return every
+        completed row; the cluster's drain hands on exactly those rows,
+        fleet-event syncs included, in the same order."""
+        bank_rows, cluster_rows = [], []
+
+        def recorded(drain, rows):
+            def wrapper(self, now):
+                done = drain(self, now)
+                rows.append(done.tolist())
+                return done
+
+            return wrapper
+
+        monkeypatch.setattr(
+            RateScalableServers, "drain", recorded(RateScalableServers.drain, bank_rows)
+        )
+        monkeypatch.setattr(
+            ClusterServerModel, "drain", recorded(ClusterServerModel.drain, cluster_rows)
+        )
+        classes = make_classes(moderate_bp, 0.6, (1.0, 2.0))
+        cfg = MeasurementConfig(warmup=300.0, horizon=2_400.0, window=300.0)
+        cluster = make_cluster(
+            3, policy, capacities=(2.0, 1.0, 1.0), fleet=parse_fleet_events("leave:1@1000")
+        )
+        result = Scenario(classes, cfg, server=cluster, spec=PsdSpec.of(1, 2), seed=4).run()
+        assert (cluster.bank._calendar is None) == (policy == "round_robin")
+        # Fleet-event syncs drain the bank between two cluster drains.
+        assert len(bank_rows) > len(cluster_rows)
+        assert sum(bank_rows, []) == sum(cluster_rows, [])
+        assert sum(cluster_rows, []) == result.ledger.completed_ids.tolist()
+        assert sum(map(bool, bank_rows)) > len(bank_rows) // 2
 
     def test_rate_change_without_a_drain_is_refused(self):
         """The calendar re-predicts each class server's head from the
@@ -355,7 +387,7 @@ class TestCustomPolicyRouting:
         class LastLiveJsq(CapacityWeightedJsq):
             chooser = DispatchPolicy.chooser
 
-            def select_node(self, rid):
+            def select_node(self, rid, class_index):
                 return self.cluster.live_nodes[-1]
 
         engine, cluster = calendar_cluster(LastLiveJsq())
@@ -366,7 +398,7 @@ class TestCustomPolicyRouting:
 
     def test_instance_patched_select_node_is_honoured(self):
         policy = LastLive()
-        policy.select_node = lambda rid: 1
+        policy.select_node = lambda rid, class_index: 1
         engine, cluster = calendar_cluster(policy)
         submit_block(cluster, engine, [0, 1, 0])
         assert cluster.ledger.node.tolist() == [1, 1, 1]

@@ -49,7 +49,7 @@ def submit(cluster, class_index=0, size=1.0):
 class TestRoundRobin:
     def test_cycles_node_indices(self):
         cluster = bound_cluster(3, RoundRobin())
-        chosen = [cluster.dispatch.select_node(rid_for(cluster)) for i in range(7)]
+        chosen = [cluster.dispatch.select_node(rid_for(cluster), 0) for i in range(7)]
         assert chosen == [0, 1, 2, 0, 1, 2, 0]
 
 
@@ -57,14 +57,14 @@ class TestWeightedRandom:
     def test_same_seed_same_sequence(self):
         first = bound_cluster(4, WeightedRandom(seed=123))
         second = bound_cluster(4, WeightedRandom(seed=123))
-        picks_a = [first.dispatch.select_node(rid_for(first)) for i in range(50)]
-        picks_b = [second.dispatch.select_node(rid_for(second)) for i in range(50)]
+        picks_a = [first.dispatch.select_node(rid_for(first), 0) for i in range(50)]
+        picks_b = [second.dispatch.select_node(rid_for(second), 0) for i in range(50)]
         assert picks_a == picks_b
         assert set(picks_a) == {0, 1, 2, 3}
 
     def test_weights_steer_the_draw(self):
         cluster = bound_cluster(2, WeightedRandom([0.0, 1.0], seed=5))
-        picks = {cluster.dispatch.select_node(rid_for(cluster)) for i in range(30)}
+        picks = {cluster.dispatch.select_node(rid_for(cluster), 0) for i in range(30)}
         assert picks == {1}
 
     def test_weight_validation(self):
@@ -87,10 +87,10 @@ class TestJoinShortestQueue:
 
     def test_ties_break_to_lowest_node_index(self):
         cluster = bound_cluster(4, JoinShortestQueue())
-        assert cluster.dispatch.select_node(rid_for(cluster)) == 0
+        assert cluster.dispatch.select_node(rid_for(cluster), 0) == 0
         submit(cluster, class_index=1)  # pending only for class 1
         # Class 0 still sees all-equal (zero) pending: node 0 again.
-        assert cluster.dispatch.select_node(rid_for(cluster, class_index=0)) == 0
+        assert cluster.dispatch.select_node(rid_for(cluster, class_index=0), 0) == 0
 
     def test_pending_is_per_class(self):
         cluster = bound_cluster(2, JoinShortestQueue())
@@ -99,27 +99,27 @@ class TestJoinShortestQueue:
         # Node 0 now holds one request of each class, so the next class-0
         # request sees per-class pending (1, 0) and goes to node 1.
         assert cluster.pending(0, 0) == 1 and cluster.pending(0, 1) == 1
-        assert cluster.dispatch.select_node(rid_for(cluster, class_index=0)) == 1
+        assert cluster.dispatch.select_node(rid_for(cluster, class_index=0), 0) == 1
 
 
 class TestLeastWorkLeft:
     def test_prefers_least_outstanding_work(self):
         cluster = bound_cluster(2, LeastWorkLeft())
         submit(cluster, class_index=0, size=5.0)  # node 0
-        assert cluster.dispatch.select_node(rid_for(cluster, size=1.0)) == 1
+        assert cluster.dispatch.select_node(rid_for(cluster, size=1.0), 0) == 1
         submit(cluster, class_index=1, size=1.0)  # node 1 (1.0 left)
-        assert cluster.dispatch.select_node(rid_for(cluster, size=1.0)) == 1
+        assert cluster.dispatch.select_node(rid_for(cluster, size=1.0), 0) == 1
 
     def test_ties_break_to_lowest_node_index(self):
         cluster = bound_cluster(3, LeastWorkLeft())
-        assert cluster.dispatch.select_node(rid_for(cluster)) == 0
+        assert cluster.dispatch.select_node(rid_for(cluster), 0) == 0
 
 
 class TestClassAffinity:
     def test_default_partition_is_modulo(self):
         cluster = bound_cluster(2, ClassAffinity(), num_classes=3)
         assert cluster.dispatch.partition == (0, 1, 0)
-        assert cluster.dispatch.select_node(rid_for(cluster, class_index=2)) == 0
+        assert cluster.dispatch.select_node(rid_for(cluster, class_index=2), 2) == 0
 
     def test_explicit_partition_routes_classes(self):
         cluster = bound_cluster(3, ClassAffinity((2, 0)))
@@ -154,7 +154,7 @@ class TestPolicyLifecycle:
         for name in DISPATCH_POLICIES:
             policy = build_dispatch_policy(name, seed=9)
             cluster = bound_cluster(2, policy)
-            node = cluster.dispatch.select_node(rid_for(cluster))
+            node = cluster.dispatch.select_node(rid_for(cluster), 0)
             assert 0 <= node < 2
 
     def test_unknown_policy_rejected(self):

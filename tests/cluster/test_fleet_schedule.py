@@ -333,7 +333,7 @@ class TestClusterDrained:
         engine, cluster = self.drained_cluster(policy=policy)
         rid = cluster.ledger.append(0, engine.now, 1.0)
         with pytest.raises(ClusterDrainedError):
-            cluster.dispatch.select_node(rid)
+            cluster.dispatch.select_node(rid, 0)
 
     def test_partitioners_raise_cluster_drained(self):
         from repro.cluster import PARTITIONERS, build_partitioner

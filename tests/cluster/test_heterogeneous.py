@@ -225,9 +225,7 @@ class TestCapacityAwareDispatch:
     def test_weighted_random_defaults_to_capacity_weights(self):
         fast_cluster = bound_cluster(WeightedRandom(seed=3), capacities=(1000.0, 1.0))
         picks = {
-            fast_cluster.dispatch.select_node(
-                fast_cluster.ledger.append(0, 0.0, 1.0)
-            )
+            fast_cluster.dispatch.select_node(fast_cluster.ledger.append(0, 0.0, 1.0), 0)
             for _ in range(50)
         }
         assert picks == {0}
@@ -235,7 +233,7 @@ class TestCapacityAwareDispatch:
     def test_weighted_random_explicit_weights_override_capacities(self):
         cluster = bound_cluster(WeightedRandom([0.0, 1.0], seed=3), capacities=(1000.0, 1.0))
         picks = {
-            cluster.dispatch.select_node(cluster.ledger.append(0, 0.0, 1.0))
+            cluster.dispatch.select_node(cluster.ledger.append(0, 0.0, 1.0), 0)
             for _ in range(30)
         }
         assert picks == {1}

@@ -42,7 +42,7 @@ def bound_cluster(capacities, num_nodes=4, pending=None):
     if pending is not None:
         for node, counts in enumerate(pending):
             for class_index, count in enumerate(counts):
-                cluster._pending[node][class_index] = count
+                cluster.pending_table[node][class_index] = count
     return cluster
 
 

@@ -115,6 +115,7 @@ def checked_runs(monkeypatch):
             # A cluster serves from a bank of per-class servers.
             per_class_servers=isinstance(self.server, (RateScalableServers, ClusterServerModel)),
             telemetry=self.telemetry,
+            capacity=self.server.capacity,
         )
         return result
 

@@ -13,6 +13,15 @@ to the same rules without trusting either:
   or after ``max(arrival, previous same-class completion)`` — with
   equality (the non-idling rule) when every class owns its own server, as
   in the paper's Fig. 1 model;
+* on single-node runs of such servers, a clean-room replay of every class
+  server from the ledger's class, arrival, size and disposition columns
+  and ``result.rate_history`` alone (each row starts at ``max(arrival,
+  previous completion)``; a rate change re-bases the remaining work to
+  ``max(remaining - elapsed * rate, 0)``; the row completes at its last
+  progress point plus ``remaining / rate``; rates past the node's
+  declared capacity are scaled down to it): every written start and
+  completion equals the replay's bit for bit, and every row the replay
+  completes by the horizon has its completion written;
 * on clusters of such servers, the same exact rule per node and class, the
   ledger's ``node`` column telling the nodes apart; that column holds
   exactly one node per admitted row, and ``-1`` on every shed row, and
@@ -39,6 +48,7 @@ so results made on the worker pool are checked too.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -49,7 +59,9 @@ from repro.simulation.ledger import DISPOSITION_DEGRADED, DISPOSITION_SHED
 __all__ = ["check_run", "CheckedBuild"]
 
 
-def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
+def check_run(
+    result, *, per_class_servers: bool, telemetry=None, capacity: float | None = None
+) -> None:
     """Assert the run-end invariants on ``result``.
 
     ``per_class_servers`` says every class owns its own FCFS server on
@@ -57,7 +69,8 @@ def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
     which makes each start exactly the non-idling ``max(arrival, previous
     same-class completion on the node)``; a cluster is checked per node
     from its ledger's ``node`` column.  ``telemetry`` is the run's
-    :class:`~repro.telemetry.Telemetry` facade, if any.
+    :class:`~repro.telemetry.Telemetry` facade, if any; ``capacity`` the
+    single node's declared capacity (``None``: unconstrained).
     """
     ledger = result.ledger
     arrival = ledger.arrival_time
@@ -97,6 +110,8 @@ def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
         )
         assert np.all(node_of < num_nodes), "the node column names a node the cluster lacks"
         _check_live_dispatch(result.fleet_timeline, arrival[~shed], node_of[~shed])
+    if single_node and per_class_servers:
+        _check_replay(result, shed, capacity)
     for cls in range(len(result.classes)):
         rows = np.flatnonzero((classes == cls) & ~shed)
         if single_node:
@@ -109,8 +124,9 @@ def check_run(result, *, per_class_servers: bool, telemetry=None) -> None:
 
 
 class CheckedBuild:
-    """A picklable replication build over per-class FCFS servers whose
-    every result passes :func:`check_run` in the process that built it."""
+    """A picklable replication build over per-class FCFS servers (of
+    unconstrained nodes) whose every result passes :func:`check_run` in the
+    process that built it."""
 
     def __init__(self, build) -> None:
         self.build = build
@@ -119,6 +135,57 @@ class CheckedBuild:
         result = self.build(index, seed)
         check_run(result, per_class_servers=True)
         return result
+
+
+def _check_replay(result, shed, capacity) -> None:
+    """Replay every class server of a one-node run, one row at a time."""
+    ledger = result.ledger
+    changes = [time for time, _ in result.rate_history]
+    rates = []
+    for _, applied in result.rate_history:
+        applied = list(applied)
+        if capacity is not None and sum(applied) > capacity:
+            scale = capacity / sum(applied)
+            applied = [rate * scale for rate in applied]
+        rates.append(applied)
+    ends = changes[1:] + [math.inf]
+    starts = np.full(len(ledger), np.nan)
+    completions = np.full(len(ledger), np.nan)
+    for cls in range(len(result.classes)):
+        rows = np.flatnonzero((ledger.class_index == cls) & ~shed)
+        previous = -math.inf
+        for rid, arrival, size in zip(
+            rows.tolist(), ledger.arrival_time[rows].tolist(), ledger.size[rows].tolist()
+        ):
+            start = arrival if arrival > previous else previous
+            if start == math.inf:
+                break
+            segment = bisect_right(changes, start) - 1
+            since, remaining = start, size
+            while True:
+                rate, end = rates[segment][cls], ends[segment]
+                if rate > 0.0:
+                    completion = since + remaining / rate
+                    if completion <= end:
+                        break
+                    remaining = max(remaining - (end - since) * rate, 0.0)
+                elif end == math.inf:
+                    completion = math.inf
+                    break
+                since = end
+                segment += 1
+            starts[rid], completions[rid] = start, completion
+            previous = completion
+    written = ~np.isnan(ledger.service_start_time)
+    assert np.array_equal(ledger.service_start_time[written], starts[written]), (
+        "a start differs from the clean-room replay"
+    )
+    written = ~np.isnan(ledger.completion_time)
+    assert np.array_equal(ledger.completion_time[written], completions[written]), (
+        "a completion differs from the clean-room replay"
+    )
+    due = completions <= result.config.horizon
+    assert np.all(written[due]), "a row the replay completes by the horizon was not completed"
 
 
 def _check_admission_counts(result, shed, telemetry) -> None:

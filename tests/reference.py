@@ -132,10 +132,12 @@ class _RateScalable(_PerEvent, RateScalableServers):
     """
 
     def _on_bind(self) -> None:
-        self.servers = [
-            _TaskServer(self.engine, self.ledger, self._done)
-            for _ in range(len(self.capacities) * self.num_classes)
-        ]
+        nodes, c = len(self.capacities), self.num_classes
+        self.servers = [_TaskServer(self.engine, self.ledger, self._done) for _ in range(nodes * c)]
+        # A reference cluster restates these per event (its policies read
+        # them through the cluster's views).
+        self.pending = [[0] * c for _ in range(nodes)]
+        self.work_left = [0.0] * nodes
 
     @property
     def in_service(self) -> list[int | None]:
@@ -211,8 +213,9 @@ class _Cluster(_PerEvent, ClusterServerModel):
     """The library cluster with per-request dispatch and completion sinks.
 
     Fleet events, rate partitioning, the live set and the policy view are
-    inherited unchanged; only request routing and completion booking are
-    restated, one request at a time, on a per-event bank.
+    inherited unchanged; request routing, completion booking, the pending
+    and work-left tables and the drain-complete flips are restated, one
+    request at a time, on a per-event bank.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -227,32 +230,25 @@ class _Cluster(_PerEvent, ClusterServerModel):
         # Completions are booked by the bank's sink as their events fire.
         pass
 
-    def _rebuild_calendar(self) -> None:
-        # Nothing is predicted: the (unused) calendar stays empty.
-        pass
-
-    def backlogs(self) -> tuple[int, ...]:
-        # The per-event bank's queues, not the pending table.
-        return self.bank.backlogs()
-
     def submit(self, rid: int) -> None:
         if not self._live:
             raise ClusterDrainedError(
                 f"request arrived while every node of the {self.num_nodes}-node "
                 f"cluster is draining or down"
             )
-        node = self._checked_node(self.dispatch.select_node(rid))
         class_index = self.ledger.class_of(rid)
-        self._pending[node][class_index] += 1
-        self._work_left[node] += self.ledger.size_of(rid)
+        node = self._checked_node(self.dispatch.select_node(rid, class_index))
+        self.bank.pending[node][class_index] += 1
+        self.bank.work_left[node] += self.ledger.size_of(rid)
         self.ledger.assign_nodes(rid, node)
         self.bank.submit(rid, node)
 
     def _done(self, rid: int) -> None:
         node = int(self.ledger.node[rid])
-        pending = self._pending[node]
+        pending = self.bank.pending[node]
         pending[self.ledger.class_of(rid)] -= 1
-        self._work_left[node] = max(self._work_left[node] - self.ledger.size_of(rid), 0.0)
+        work_left = self.bank.work_left
+        work_left[node] = max(work_left[node] - self.ledger.size_of(rid), 0.0)
         if self._node_state[node] == NODE_DRAINING and not any(pending):
             self._mark_drained(node, self.engine.now)
         self.on_done(rid)

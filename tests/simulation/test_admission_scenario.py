@@ -357,15 +357,15 @@ class TestLiveAdmissionWalk:
             return scenario.run(), scenario.server, policy.reads
 
         walk, server, walk_reads = run(Scenario)
-        reference, _, reference_reads = run(ReferenceScenario)
+        reference, reference_server, reference_reads = run(ReferenceScenario)
         _assert_same_run(walk, reference)
         assert len(walk_reads) > 100 and any(map(any, walk_reads))
         assert walk_reads == reference_reads
-        if server_key != "fcfs":
-            # On the completion calendar the calendar's deques are the only
-            # queue: the bank holds at most the heads in service.
-            assert server._calendar is not None
-            assert not any(server.bank.backlogs())
+        # The walk ran on the bank's completion calendar, which keeps every
+        # unfinished row: after the run its backlog is the reference's.
+        assert getattr(server, "bank", server)._calendar is not None
+        assert server.backlogs() == reference_server.backlogs()
+        assert any(server.backlogs())
 
     def test_a_shared_processor_refuses_a_live_policy(self):
         with pytest.raises(SimulationError, match="QueueLengthAdmission.*SharedProcessorServer"):
@@ -480,7 +480,7 @@ class TestLiveAdmissionWalk:
         """A custom policy implementing only ``select_node``, on the row id
         alone: the walk must hand it the id the row is then written under."""
 
-        def select_node(self, rid):
+        def select_node(self, rid, class_index):
             live = self.cluster.live_nodes
             return live[rid % len(live)]
 
@@ -505,16 +505,51 @@ class TestLiveAdmissionWalk:
             scenario = scenario_class(
                 CLASSES, CONFIG, server=cluster, spec=SPEC, seed=4, admission=admission
             )
-            return scenario.run(), cluster
+            return scenario.run(), scenario.server
 
         walk, cluster = run(Scenario)
-        reference, _ = run(ReferenceScenario)
+        reference, reference_cluster = run(ReferenceScenario)
         _assert_same_run(walk, reference)
         assert walk.degraded_counts == reference.degraded_counts
-        assert cluster._calendar is not None
-        assert not any(cluster.bank.backlogs())
+        assert cluster.bank._calendar is not None
+        assert cluster.backlogs() == reference_cluster.backlogs()
         assert sum(walk.rejected_counts) > 0
         assert len(set(walk.ledger.node[walk.ledger.node >= 0].tolist())) > 1
+
+    class ByClass(DispatchPolicy):
+        """A custom policy implementing only ``select_node``, on the class
+        argument alone: the walk chooses before the row is written, so a
+        ledger read here would see another row's class."""
+
+        def select_node(self, rid, class_index):
+            live = self.cluster.live_nodes
+            return live[(2 * class_index + rid) % len(live)]
+
+    def test_a_select_node_policy_routes_on_its_class_argument(self):
+        def run(scenario_class):
+            cluster = make_cluster(
+                3, self.ByClass(), capacities=resolve_capacities([3.0, 2.0, 1.0], 3)
+            )
+            scenario = scenario_class(
+                CLASSES,
+                CONFIG,
+                server=cluster,
+                spec=SPEC,
+                seed=6,
+                admission=QueueLengthAdmission((3, 3)),
+            )
+            return scenario.run()
+
+        walk = run(Scenario)
+        reference = run(ReferenceScenario)
+        _assert_same_run(walk, reference)
+        ledger = walk.ledger
+        admitted = ledger.node >= 0
+        rids = np.flatnonzero(admitted)
+        assert ledger.node[admitted].tolist() == (
+            (2 * ledger.class_index[admitted] + rids) % 3
+        ).tolist()
+        assert sum(walk.rejected_counts) > 0
 
     def test_a_zero_rate_class_never_completes_in_the_walk(self):
         """On the single-node bank a class held at rate 0 keeps every

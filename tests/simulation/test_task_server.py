@@ -157,55 +157,68 @@ class TestRateChanges:
         assert float(span.sum()) == pytest.approx(1.5)
 
 
-class TestServe:
-    """A drain with ``heads`` holds a head kept elsewhere (a cluster's
-    completion calendar) in the service position, so that ``apply_rates``
-    re-bases it."""
+def place(server, arrival, size):
+    """Place one row on the bank's completion calendar (node 0)."""
+    rid = server.ledger.append(0, arrival, size)
+    server.dispatch(
+        np.array([rid]), np.array([0]), np.array([arrival]), np.array([size]), lambda rid, c: 0
+    )
+    return rid
 
-    def test_the_next_head_replaces_the_carried_request(self):
+
+class TestCalendarService:
+    """On the completion calendar the bank books each head's completion and,
+    at a drain, starts every arrived head, so that ``apply_rates`` re-bases
+    it like a block-route row in service."""
+
+    def test_a_head_in_service_keeps_its_progress_across_a_rate_change(self):
         engine, server = make_server(1.0)
-        first = submit(server, 0.0, 2.0)
-        advance(engine, server, 1.0)
-        assert server.in_service == [first]
-        # The first request completed at t=2 (booked elsewhere); the next
-        # head, arrived at t=1, starts at max(arrival, last) = 2.
-        second = server.ledger.append(0, 1.0, 2.0)
-        server.drain(1.0, [(second, 2.0, 2.0)])
-        assert server.in_service == [second]
-        assert server.ledger.start_of(second) == 2.0
+        rid = place(server, 0.0, 2.0)
+        assert advance(engine, server, 1.0) == []
+        assert server.in_service == [rid] and server.ledger.start_of(rid) == 0.0
+        server.apply_rates([0.5])  # one unit of work left at t=1
+        assert service_head(server) == (0.5, rid, 3.0)
+        # A later drain keeps the head where it is.
+        assert advance(engine, server, 2.0) == []
+        assert service_head(server) == (0.5, rid, 3.0)
+        assert advance(engine, server, 10.0) == [rid]
+        assert server.ledger.completion_of(rid) == 3.0
+        assert server.in_service == [None] and server.backlogs() == (0,)
+
+    def test_the_next_head_starts_at_max_arrival_last_completion(self):
+        engine, server = make_server(1.0)
+        first = place(server, 0.0, 2.0)
+        second = place(server, 1.0, 2.0)
+        assert advance(engine, server, 1.0) == []
+        assert server.backlogs() == (1,)
+        # The first row completes at t=2; the second, arrived at t=1,
+        # starts then.
+        assert advance(engine, server, 3.0) == [first]
+        assert server.ledger.completion_of(first) == 2.0
+        assert server.in_service == [second] and server.ledger.start_of(second) == 2.0
         assert service_head(server) == (1.0, second, 4.0)
-        engine.run_until(3.0)
         server.apply_rates([2.0])  # one unit of work left at t=3
         assert service_head(server) == (2.0, second, 3.5)
+        assert advance(engine, server, 10.0) == [second]
+        assert server.ledger.completion_of(second) == 3.5
 
-    def test_a_head_already_in_service_keeps_its_progress(self):
-        engine, server = make_server(1.0)
-        rid = server.ledger.append(0, 0.0, 2.0)
-        server.drain(0.0, [(rid, 0.0, 2.0)])
-        engine.run_until(1.0)
-        server.apply_rates([0.5])
-        server.drain(1.0, [(rid, 0.5, 2.0)])
-        assert server.ledger.start_of(rid) == 0.0
-        assert service_head(server) == (0.5, rid, 3.0)
-
-    def test_a_frozen_head_starts_at_its_arrival(self):
+    def test_a_frozen_head_starts_at_its_arrival_and_completes_at_the_new_rate(self):
         engine, server = make_server(0.0)
-        rid = server.ledger.append(0, 0.5, 1.0)
-        server.drain(0.5, [(rid, 0.5, 1.0)])
+        rid = place(server, 0.5, 1.0)
+        assert advance(engine, server, 0.5) == []
         assert server.ledger.start_of(rid) == 0.5
         assert service_head(server) == (0.0, rid, np.inf)
-        engine.run_until(2.0)
+        assert advance(engine, server, 2.0) == []
         server.apply_rates([1.0])
         assert service_head(server) == (1.0, rid, 3.0)
+        assert advance(engine, server, 10.0) == [rid]
+        assert server.ledger.completion_of(rid) == 3.0
 
-    def test_none_frees_the_service_position(self):
+    def test_the_calendar_starts_on_an_empty_bank(self):
         engine, server = make_server(1.0)
-        rid = server.ledger.append(0, 0.0, 1.0)
-        server.drain(0.0, [(rid, 0.0, 1.0)])
-        assert server.drain(0.5, [None]).size == 0
-        assert server.in_service == [None]
-        assert service_head(server) == (1.0, None, np.inf)
-        assert server.backlogs() == (0,)
+        submit(server, 0.0, 1.0)
+        with pytest.raises(SimulationError, match="starts on an empty bank"):
+            place(server, 0.5, 1.0)
 
 
 class TestDrainContract:

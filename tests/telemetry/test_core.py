@@ -216,7 +216,7 @@ class TestClusterIntegration:
         result, scenario = self.make_cluster_run(
             two_classes, short_measurement, telemetry=telemetry
         )
-        assert scenario.server._calendar is not None
+        assert scenario.server.bank._calendar is not None
         ledger = result.ledger
         completed = ledger.class_index[~np.isnan(ledger.completion_time)]
         for class_index in range(len(two_classes)):
