@@ -257,7 +257,9 @@ class RateScalableServers(ServerModel):
     the server's last completion.  Per node: :attr:`pending` (``[node]
     [class]``, the unfinished rows, queued or in service) and
     :attr:`work_left` (their full-rate work), which a cluster's dispatch
-    policies read live.
+    policies read live.  The block route books work left only for rows
+    handed over with a node column, so a standalone bank's stays zero
+    there: no policy reads it.
     """
 
     def __init__(self, *, capacity: float | None = None) -> None:
@@ -351,8 +353,16 @@ class RateScalableServers(ServerModel):
         A row of a class the bank does not serve falls in no server's rows,
         so one comparison of the counts rejects it.  (Picking by indices
         measured faster than boolean masks, and than one stable sort by
-        server into slices on blocks of 3000 rows.)
+        server into slices on blocks of 3000 rows.)  Rows handed over with
+        their nodes add their sizes to the nodes' work left.  A bank on the
+        completion calendar refuses blocks, as its drains read only the
+        calendar.
         """
+        if self._calendar is not None:
+            raise SimulationError(
+                "the bank serves on the completion calendar; a block submitted "
+                "to its queue columns would never be drained"
+            )
         rids = np.asarray(rids, dtype=np.int64)
         c = self.num_classes
         if nodes is None:
@@ -383,11 +393,12 @@ class RateScalableServers(ServerModel):
             self._arrivals[s][tail : tail + k] = arrivals[rows]
             self._sizes[s][tail : tail + k] = sizes[rows]
             self._tail[s] = tail + k
-        work_left = self.work_left
-        for node, work in enumerate(
-            np.bincount(servers // c, weights=sizes, minlength=len(work_left)).tolist()
-        ):
-            work_left[node] += work
+        if nodes is not None:
+            work_left = self.work_left
+            for node, work in enumerate(
+                np.bincount(nodes, weights=sizes, minlength=len(work_left)).tolist()
+            ):
+                work_left[node] += work
 
     def dispatch(
         self,
@@ -467,6 +478,7 @@ class RateScalableServers(ServerModel):
         work_left = self.work_left
         c = self.num_classes
         book = self._booked.append
+        backlogs = self.backlogs
         choices: list[int] = []
         chose = choices.append
         # The closing row (rid -1) books up to ``until`` and ends the loop.
@@ -493,14 +505,7 @@ class RateScalableServers(ServerModel):
             if rid < 0:
                 break
             if admit is not None:
-                # Every placed row has arrived by ``t``, so each server with
-                # pending rows serves one of them: backlogs() at ``t``.
-                waiting = [0] * c
-                for row in pending:
-                    for k, p in enumerate(row):
-                        if p > 1:
-                            waiting[k] += p - 1
-                cls = admit(t, cls, size, tuple(waiting))
+                cls = admit(t, cls, size, backlogs())
                 if cls < 0:
                     continue
             node = choose(rid, cls)
@@ -533,8 +538,9 @@ class RateScalableServers(ServerModel):
         that order, true for every workload whose classes are started in
         class order; for continuous workloads exact ties have probability
         zero.)  Each server's pending count then drops by its run length,
-        and each node's work left folds over the node's rows in merged
-        order.  On the calendar route the calendar books up to ``now``
+        and, when the ledger has a node column (a cluster's bank), each
+        node's work left folds over the node's rows in merged order.  On
+        the calendar route the calendar books up to ``now``
         (:meth:`_drain_calendar`).
         """
         if self._calendar is not None:
@@ -579,8 +585,12 @@ class RateScalableServers(ServerModel):
             rids = np.concatenate([run[0] for run in runs])
             times = np.concatenate([run[2] for run in runs])
             run = rids[np.argsort(times, kind="stable")]
+        node_column = ledger.node
+        if node_column is None:
+            # A standalone bank: no dispatch policy reads its work left.
+            return run
         sizes = ledger.sizes_of(run)
-        of_node = ledger.node[run] if len(nodes) > 1 else None
+        of_node = node_column[run] if len(nodes) > 1 else None
         work_left = self.work_left
         for node in nodes:
             mine = sizes if of_node is None else sizes[of_node == node]
@@ -815,13 +825,28 @@ class RateScalableServers(ServerModel):
 
     def backlogs(self) -> tuple[int, ...]:
         """Per class, the rows queued behind the one each busy server
-        serves, over every node: its pending count less its row in
-        service."""
+        serves, over every node.
+
+        On the block route a row enters service only at a drain: each
+        server's pending count less its row in service (the length of its
+        queue columns).  The calendar books completions between drains, so
+        each server with pending rows counts as serving one of them: its
+        pending count but one (exact whenever every pending row has
+        arrived, as at each arrival instant of :meth:`walk`).
+        """
+        pending = self.pending
+        if self._calendar is not None:
+            waiting = [0] * len(pending[0])
+            for row in pending:
+                for k, p in enumerate(row):
+                    if p > 1:
+                        waiting[k] += p - 1
+            return tuple(waiting)
         c = self.num_classes
-        busy, pending = self.in_service, self.pending
+        busy = self.in_service
         return tuple(
-            sum(row[cls] - (busy[node * c + cls] is not None) for node, row in enumerate(pending))
-            for cls in range(c)
+            sum(row[k] - (busy[node * c + k] is not None) for node, row in enumerate(pending))
+            for k in range(c)
         )
 
 

@@ -41,8 +41,10 @@ def submit(cluster, class_index=0, size=1.0):
 
 
 def calendar_cluster(dispatch, *, num_nodes=3, fleet=None):
-    """A bound cluster of 0.5-capacity nodes on the completion calendar;
-    rates stay zero, so every dispatched request stays pending."""
+    """A bound cluster of 0.5-capacity nodes for a policy without
+    ``select_block``; rates stay zero, so every dispatched request stays
+    pending.  The bank starts its completion calendar at the first
+    dispatch, before the policy chooses."""
     from repro.distributions import Deterministic
 
     classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
@@ -199,6 +201,14 @@ class TestRateFanOut:
             cluster.apply_rates((0.5, 0.3, 0.2))
 
 
+class ByClass(DispatchPolicy):
+    """A custom policy implementing only ``select_node``: class ``k`` goes
+    to node ``k``."""
+
+    def select_node(self, rid, class_index):
+        return class_index
+
+
 class TestAggregation:
     def test_backlogs_sum_over_nodes(self, moderate_bp):
         from repro.distributions import Deterministic
@@ -208,11 +218,12 @@ class TestAggregation:
         cluster.bind(SimulationEngine(), classes)
         # Rates stay zero, so every submitted request occupies its node.
         # Round-robin interleaving sends the three class-0 requests to node 0
-        # and the three class-1 requests to node 1.  The backlog is the
-        # bank's pending count less the row in service: all three queue
-        # until the drain to t=0 puts each node's (frozen) head in service.
+        # and the three class-1 requests to node 1.  On the block route a
+        # row enters service only at a drain: all three queue until the
+        # drain to t=0 puts each node's (frozen) head in service.
         for i in range(6):
             submit(cluster, class_index=i % 2)
+        assert cluster.bank._calendar is None
         assert cluster.backlogs() == (3, 3)
         assert cluster.drain(0.0).size == 0
         assert cluster.backlogs() == (2, 2)
@@ -220,6 +231,22 @@ class TestAggregation:
         assert cluster.dispatch_counts() == ((3, 0), (0, 3))
         assert cluster.ledger.node.tolist() == [0, 1, 0, 1, 0, 1]
         assert cluster.work_left(0) + cluster.work_left(1) == pytest.approx(6.0)
+
+    def test_calendar_backlogs_hold_between_drains(self):
+        """The calendar counts a server with pending rows as serving one of
+        them, so its backlog reads the same before a drain puts the heads
+        in service and after."""
+        classes = make_classes(Deterministic(1.0), 0.5, (1.0, 2.0))
+        cluster = ClusterServerModel([None, None], dispatch=ByClass())
+        cluster.bind(SimulationEngine(), classes)
+        for i in range(6):
+            submit(cluster, class_index=i % 2)
+        assert cluster.bank._calendar is not None
+        assert cluster.backlogs() == (2, 2)
+        assert cluster.drain(0.0).size == 0
+        assert cluster.bank.in_service == [0, None, None, 1]
+        assert cluster.backlogs() == (2, 2)
+        assert cluster.ledger.node.tolist() == [0, 1, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("policy", ["weighted_jsq", "round_robin"])
     def test_the_bank_drain_returns_the_cluster_drain_rows(self, monkeypatch, moderate_bp, policy):
@@ -358,6 +385,7 @@ class TestAggregation:
         _, cluster = calendar_cluster(Pinned(True), num_nodes=2)
         with pytest.raises(SimulationError, match="invalid.*node"):
             submit(cluster)
+        assert cluster.bank._calendar is not None
 
     def test_static_controller_drives_cluster(self, moderate_bp):
         classes = make_classes(moderate_bp, 0.5, (1.0, 2.0))
@@ -380,6 +408,7 @@ class TestCustomPolicyRouting:
     def test_select_node_only_policy_is_honoured(self):
         engine, cluster = calendar_cluster(LastLive())
         submit_block(cluster, engine, [0, 1, 0, 1, 0])
+        assert cluster.bank._calendar is not None
         assert cluster.ledger.node.tolist() == [2] * 5
         assert cluster.dispatch_counts() == ((0, 0), (0, 0), (3, 2))
 
@@ -392,6 +421,7 @@ class TestCustomPolicyRouting:
 
         engine, cluster = calendar_cluster(LastLiveJsq())
         submit_block(cluster, engine, [0, 1, 0, 1, 0])
+        assert cluster.bank._calendar is not None
         # Weighted JSQ would have spread the block over every node.
         assert cluster.ledger.node.tolist() == [2] * 5
         assert cluster.dispatch_counts() == ((0, 0), (0, 0), (3, 2))
@@ -401,6 +431,7 @@ class TestCustomPolicyRouting:
         policy.select_node = lambda rid, class_index: 1
         engine, cluster = calendar_cluster(policy)
         submit_block(cluster, engine, [0, 1, 0])
+        assert cluster.bank._calendar is not None
         assert cluster.ledger.node.tolist() == [1, 1, 1]
 
     @pytest.mark.parametrize("choice", [True, 3, -1, 1.0])
@@ -408,10 +439,12 @@ class TestCustomPolicyRouting:
         engine, cluster = calendar_cluster(Pinned(choice))
         with pytest.raises(SimulationError, match="invalid.*node"):
             submit_block(cluster, engine, [0])
+        assert cluster.bank._calendar is not None
 
     def test_draining_custom_choice_is_rejected(self):
         engine, cluster = calendar_cluster(Pinned(1), fleet=parse_fleet_events("leave:1@1"))
         submit_block(cluster, engine, [0])  # node 1 live: accepted
+        assert cluster.bank._calendar is not None
         engine.run_until(1.5)  # node 1 leaves with work queued
         assert cluster.node_state(1) == "draining"
         with pytest.raises(SimulationError, match="draining node 1"):

@@ -220,6 +220,16 @@ class TestCalendarService:
         with pytest.raises(SimulationError, match="starts on an empty bank"):
             place(server, 0.5, 1.0)
 
+    def test_a_calendar_bank_refuses_a_block(self):
+        """A bank on the calendar drains only the calendar, so a block
+        queued on its columns would never be served."""
+        engine, server = make_server(1.0)
+        first = place(server, 0.0, 1.0)
+        with pytest.raises(SimulationError, match="serves on the completion calendar"):
+            submit(server, 0.5, 1.0)
+        assert server.pending == [[1]]
+        assert advance(engine, server, 10.0) == [first]
+
 
 class TestDrainContract:
     """A drain writes every row it completes: the fresh rows of the fold in
