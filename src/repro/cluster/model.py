@@ -28,29 +28,20 @@ capacity-aware partitioner (``CapacityProportional``) so each node receives
 rates and requests in proportion to what it can actually absorb.
 
 Block dispatch: arrival blocks arrive pre-segmented at fleet event instants
-(see :meth:`ClusterServerModel.block_boundaries`); within a segment the
-fleet is static, and each block takes one of the bank's two routes:
-
-* counter/weight policies with a ``select_block`` vectorise their choices
-  over the whole block, and the bank queues the block on its servers;
-* every other policy (JSQ, least-work, fastest-available, custom policies
-  implementing only ``select_node``) places the block on the bank's
-  *completion calendar*
-  (:meth:`~repro.simulation.RateScalableServers.dispatch`), which books
-  every completion due by each arrival instant before the policy's
-  :meth:`~repro.cluster.dispatch.DispatchPolicy.chooser` (fetched once per
-  block) picks that arrival's node.  Each decision therefore reads the
-  pending/work state of its instant, exactly as a one-event-per-request
-  cluster would.
-
-Either way a sync is one bank drain, which writes the completed rows and
-returns them in ``(time, node, class)`` order; then every draining node
-left with nothing pending flips to down at its last completion, flips
-applied in ``(time, node)`` order.  Each block's node choices are written
-once into the ledger's ``node`` column (created at bind, ``-1`` for rows
-never dispatched), so the node column, fleet timeline, rate histories and
-aggregates are bit-identical to the per-event reference simulator the test
-suite keeps.
+(see :meth:`ClusterServerModel.block_boundaries`), so within a block the
+fleet is static.  A policy with a ``select_block`` (counter/weight
+policies) vectorises its choices and the bank queues the block; every
+other policy places it on the bank's completion calendar
+(:meth:`~repro.simulation.RateScalableServers.dispatch`), where the
+policy's :meth:`~repro.cluster.dispatch.DispatchPolicy.chooser` reads the
+pending/work state of each arrival's instant, exactly as a
+one-event-per-request cluster would.  Either way a sync is one bank drain
+(rows in ``(time, node, class)`` order); then every draining node left
+with nothing pending flips to down at its last completion, in ``(time,
+node)`` order.  Each block's node choices are written once into the
+ledger's ``node`` column (``-1`` for rows never dispatched), so the node
+column, fleet timeline, rate histories and aggregates are bit-identical
+to the per-event reference simulator the test suite keeps.
 
 Live-state admission (:meth:`ClusterServerModel.walk`) runs the bank's
 walk on the calendar whatever the policy, as the pending table after
@@ -77,7 +68,7 @@ from functools import partial
 import numpy as np
 
 from ..errors import ClusterDrainedError, SimulationError
-from ..simulation.server_models import _EMPTY_RIDS, RateScalableServers, ServerModel
+from ..simulation.server_models import _EMPTY_RIDS, _EMPTY_TIMES, RateScalableServers, ServerModel
 from ..telemetry.log import get_logger, log_event
 from ..validation import require_capacity
 from .dispatch import DispatchPolicy, RoundRobin, build_dispatch_policy
@@ -241,9 +232,9 @@ class ClusterServerModel(ServerModel):
         # per-request object.
         self.bank.bind(self.engine, self.classes, ledger=self.ledger)
         self.dispatch.bind(self)
-        # The completion runs of the syncs since the last drain, and the
-        # policy methods dispatch calls, bound once.
-        self._runs: list[np.ndarray] = []
+        # The completion runs ``(rids, times)`` of the syncs since the last
+        # drain, and the policy methods dispatch calls, bound once.
+        self._runs: list[tuple[np.ndarray, np.ndarray]] = []
         self._select_block = getattr(self.dispatch, "select_block", None)
         self._chooser = self.dispatch.chooser
         self._record_fleet_state()
@@ -379,7 +370,7 @@ class ClusterServerModel(ServerModel):
             # time, not at the next estimation-window boundary.
             self.apply_rates(self._last_rates)
 
-    def submit_batch(self, rids: np.ndarray) -> None:
+    def submit_batch(self, rids, classes=None, arrivals=None, sizes=None) -> None:
         """Dispatch a time-ordered arrival block.
 
         Blocks arrive pre-segmented at fleet-event instants (see
@@ -401,8 +392,7 @@ class ClusterServerModel(ServerModel):
                 f"while traffic flows"
             )
         ledger = self.ledger
-        classes = ledger.classes_of(rids)
-        arrivals, sizes = ledger.arrivals_of(rids), ledger.sizes_of(rids)
+        classes, arrivals, sizes = self._block_columns(rids, classes, arrivals, sizes)
         if self._select_block is None:
             nodes = self.bank.dispatch(rids, classes, arrivals, sizes, self._chooser())
             ledger.assign_nodes(rids, nodes)
@@ -412,7 +402,7 @@ class ClusterServerModel(ServerModel):
         # per-request validation of :meth:`_checked_node` is skipped.
         nodes = self._select_block(rids, classes)
         ledger.assign_nodes(rids, nodes)
-        self.bank.submit_batch(rids, nodes, classes, arrivals, sizes)
+        self.bank.submit_batch(rids, classes, arrivals, sizes, nodes)
 
     def walk(
         self,
@@ -454,20 +444,23 @@ class ClusterServerModel(ServerModel):
         may follow — the cluster-level drain and fleet events."""
         run = self.bank.drain(now)
         if run.size:
-            self._runs.append(run)
+            self._runs.append((run, self.bank.drained_times))
         self._flip_drained()
 
     def drain(self, now: float) -> np.ndarray:
-        """Advance every node to ``now``; returns completions in time order:
-        the runs of the syncs since the last drain, in sync order (a sync
-        completes every row due by its instant, so each run ends before the
-        next begins)."""
+        """Advance every node to ``now``; returns completions in time order
+        (their times in :attr:`drained_times`): the runs of the syncs since
+        the last drain, in sync order (a sync completes every row due by
+        its instant, so each run ends before the next begins)."""
         self._sync_nodes(now)
         runs = self._runs
         if not runs:
+            self.drained_times = _EMPTY_TIMES
             return _EMPTY_RIDS
         self._runs = []
-        return runs[0] if len(runs) == 1 else np.concatenate(runs)
+        rids, times = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
+        self.drained_times = times
+        return rids
 
     def block_boundaries(self, start: float, end: float) -> tuple[float, ...]:
         """Fleet-event instants strictly inside the span.

@@ -4,7 +4,7 @@ The measurement protocol of the paper is aggregate by construction —
 per-window, per-class mean slowdowns over tens of thousands of time units —
 so nothing in the pipeline ever needs a per-request Python object.
 :class:`RequestLedger` therefore stores every request as one *row* across a
-set of preallocated, geometrically grown NumPy columns
+set of preallocated NumPy columns
 
     ``class_index | arrival_time | size |
     service_start_time | completion_time | disposition [| node]``
@@ -16,6 +16,10 @@ server models queue and serve row ids, and the monitor computes every
 statistic with vectorised NumPy over the columns.  The ledger is the only
 record of a run's requests: per-request readers (the individual-request
 figures, the Chrome trace, the run-end invariants) filter its columns.
+A scenario sizes its ledger once from the rows its classes declare; the
+columns double only when a run out-produces that.  The run's hot path
+writes rows and reads none back (the scenario keeps the columns it appends
+and the times each drain holds).
 
 The ``node`` column exists only on a clustered run's ledger: the cluster
 creates it when it binds (:meth:`RequestLedger.track_nodes`), and writes
@@ -37,9 +41,10 @@ normal lifecycle.
 Lifecycle invariants (a request starts service exactly once, at or after its
 arrival; completes exactly once, at or after its service start) are enforced
 here, in one place.  Completions are additionally logged in completion order
-(`completed_ids`), which is what makes the vectorised window statistics
-bit-identical to per-completion bookkeeping: simulated time is monotone, so
-the logged completion times are already sorted.
+(`completed_ids`), which the log checks on the times it is handed: simulated
+time is monotone, so the logged completion times never decrease, and
+per-class sums over the log in that order are bit-identical to
+per-completion bookkeeping.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ DISPOSITION_SHED = 2
 _DISPOSITIONS = (DISPOSITION_ADMITTED, DISPOSITION_DEGRADED, DISPOSITION_SHED)
 
 #: Initial number of rows allocated by a fresh ledger; grown 2x on demand.
+#: A scenario presizes past it (and adds it as headroom).
 DEFAULT_CAPACITY = 1024
 
 #: Tolerance absorbing float drift in lifecycle timestamps (same contract as
@@ -357,7 +363,10 @@ class RequestLedger:
             raise SimulationError(f"request {rid} started service before arriving")
         self._service_start[rid] = time
 
-    def complete(self, rid: int, time: float) -> None:
+    def complete(self, rid: int, time: float, *, log: bool = True) -> None:
+        """Complete row ``rid`` at ``time``; ``log=False`` leaves it out of
+        the completion log, for batched drains whose caller merges several
+        servers' runs by time before :meth:`log_completions`."""
         if math.isnan(self._service_start[rid]):
             raise SimulationError(f"request {rid} completed without starting service")
         if not math.isnan(self._completion[rid]):
@@ -365,23 +374,9 @@ class RequestLedger:
         if time < self._service_start[rid] - _TIME_TOL:
             raise SimulationError(f"request {rid} completed before service started")
         self._completion[rid] = time
-        self._order[self._completed] = rid
-        self._completed += 1
-
-    def complete_unlogged(self, rid: int, time: float) -> None:
-        """:meth:`complete` without the completion-order log entry.
-
-        Batched server drains use this (and :meth:`serve_batch`) so the
-        scenario can merge several servers' runs by time before recording
-        the global order via :meth:`log_completions`.
-        """
-        if math.isnan(self._service_start[rid]):
-            raise SimulationError(f"request {rid} completed without starting service")
-        if not math.isnan(self._completion[rid]):
-            raise SimulationError(f"request {rid} completed twice")
-        if time < self._service_start[rid] - _TIME_TOL:
-            raise SimulationError(f"request {rid} completed before service started")
-        self._completion[rid] = time
+        if log:
+            self._order[self._completed] = rid
+            self._completed += 1
 
     def start_service_batch(self, rids: np.ndarray, times: np.ndarray) -> None:
         """Vectorised :meth:`start_service` for a block of rows.
@@ -469,26 +464,25 @@ class RequestLedger:
             if failed.any():
                 raise SimulationError(f"serve_batch: {message}")
 
-    def log_completions(self, rids: np.ndarray) -> None:
+    def log_completions(self, rids: np.ndarray, times: np.ndarray | None = None) -> None:
         """Append a time-sorted block of completed rows to the completion log.
 
-        The companion of :meth:`complete_batch`.  The log is the backbone of
-        every vectorised window statistic, which assumes (and here verifies)
-        that logged completion times never decrease.
+        The companion of :meth:`complete_batch`.  ``times`` are the rows'
+        completion times when the caller holds them (a drain's), read from
+        the completion column otherwise.  The log is the backbone of every
+        vectorised completion statistic, which assumes (and here verifies,
+        on those times) that logged completion times never decrease.
         """
         rids = np.asarray(rids, dtype=np.int64)
         k = rids.shape[0]
         if k == 0:
             return
-        times = self._completion[rids]
+        if times is None:
+            times = self._completion[rids]
         if np.any(np.isnan(times)):
             raise SimulationError("log_completions: a row has no completion time")
-        previous = (
-            -math.inf
-            if self._completed == 0
-            else float(self._completion[self._order[self._completed - 1]])
-        )
-        if times[0] < previous or np.any(np.diff(times) < 0.0):
+        last = self._completion[self._order[self._completed - 1]] if self._completed else -math.inf
+        if times[0] < last or np.any(np.diff(times) < 0.0):
             raise SimulationError("log_completions: completion times out of order")
         self._order[self._completed : self._completed + k] = rids
         self._completed += k
@@ -496,13 +490,19 @@ class RequestLedger:
     # ------------------------------------------------------------------ #
     # Vectorised derived metrics
     # ------------------------------------------------------------------ #
-    def slowdowns(self, ids: np.ndarray | None = None) -> np.ndarray:
+    def slowdowns(
+        self, ids: np.ndarray | None = None, completions: np.ndarray | None = None
+    ) -> np.ndarray:
         """Paper slowdowns (delay over actual service duration) for ``ids``
-        (default: every completed request, in completion order)."""
+        (default: every completed request, in completion order);
+        ``completions`` are their completion times when the caller holds
+        them."""
         if ids is None:
             ids = self.completed_ids
+        if completions is None:
+            completions = self._completion[ids]
         start = self._service_start[ids]
-        return (start - self._arrival_time[ids]) / (self._completion[ids] - start)
+        return (start - self._arrival_time[ids]) / (completions - start)
 
     def waiting_times(self, ids: np.ndarray | None = None) -> np.ndarray:
         if ids is None:

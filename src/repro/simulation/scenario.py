@@ -19,18 +19,18 @@ processor is ``server=SharedProcessorServer(scheduler, capacity=...)``.
 
 Columnar lifecycle
 ------------------
-The scenario owns the run's :class:`~repro.simulation.ledger.RequestLedger`.
-Every arrival appends one row; admitted (and degraded) rows are submitted to
-the server model, shed rows keep their origin class with
-``DISPOSITION_SHED`` and never enter service.  Completions write timestamps
-straight into the ledger's columns.  No per-request Python object or
-callback bookkeeping exists on the hot path: the estimation-window
-statistics (arrival counts, offered work, measured slowdowns) are computed
-at each window boundary by slicing the columns past a cursor — shed rows
-filtered out, so the controller allocates for admitted traffic only — and
-reducing with ``np.bincount``, which accumulates in input order, so the sums
-are bit-identical to the old per-completion ``+=`` loop; the monitor/trace
-expose the same ledger without copying.
+The scenario owns the run's :class:`~repro.simulation.ledger.RequestLedger`,
+sized once from the rows the classes declare.  Every arrival appends one
+row; admitted (and degraded) rows go to the server model with the columns
+just appended, shed rows keep their origin class with ``DISPOSITION_SHED``
+and never enter service.  Completions write timestamps straight into the
+ledger, and each drain is logged with the times it holds.  Nothing written
+is read back on the hot path: a window's arrival counts and offered work
+are tallied from the admitted rows of its appends (the controller
+allocates for admitted traffic only), its measured slowdowns from the rows
+its boundary drain returned, each with one ``np.bincount`` in row or log
+order (several appends are joined first), so the sums are bit-identical to
+a per-request ``+=`` loop; the monitor/trace read the same ledger.
 
 The batched pipeline
 --------------------
@@ -92,7 +92,7 @@ from ..types import TrafficClass
 from ..validation import require_non_negative
 from .engine import SimulationEngine
 from .generator import RequestSource, sources_from_classes
-from .ledger import DISPOSITION_SHED, RequestLedger
+from .ledger import DEFAULT_CAPACITY, RequestLedger
 from .monitor import MeasurementConfig, WindowedMonitor, fleet_availability
 from .server_models import RateScalableServers, ServerModel
 
@@ -103,6 +103,12 @@ __all__ = [
     "Scenario",
     "WindowTable",
 ]
+
+def _ledger_capacity(classes: Sequence[TrafficClass], horizon: float) -> int:
+    """A run's declared rows (the class rates summed, times the horizon)
+    plus 5% and :data:`DEFAULT_CAPACITY` of headroom, at most 2**22."""
+    expected = sum(cls.arrival_rate for cls in classes) * horizon
+    return int(1.05 * expected) + DEFAULT_CAPACITY if expected < 1 << 22 else 1 << 22
 
 
 class RateController:
@@ -394,7 +400,9 @@ class Scenario:
             raise SimulationError("one request source per class is required")
         self.sources = list(sources)
 
-        self.ledger = RequestLedger(len(self.classes))
+        self.ledger = RequestLedger(
+            len(self.classes), capacity=_ledger_capacity(self.classes, config.horizon)
+        )
         self.monitor = WindowedMonitor(
             len(self.classes),
             warmup=config.warmup,
@@ -403,10 +411,8 @@ class Scenario:
         )
         self.rate_history: list[tuple[float, tuple[float, ...]]] = []
 
-        # Window cursors into the ledger: rows (arrival order) and the
-        # completion log consumed so far by the estimation-window stats.
-        self._row_cursor = 0
-        self._done_cursor = 0
+        #: The admitted ``(classes, sizes)`` of each append this window.
+        self._arrived: list[tuple[np.ndarray, np.ndarray]] = []
         self._rejected = [0] * len(self.classes)
         self._degraded_from = [0] * len(self.classes)
         self._degraded_to = [0] * len(self.classes)
@@ -474,16 +480,16 @@ class Scenario:
             def segment(lo: int, hi: int) -> None:
                 self._admit_walk(times[lo:hi], sizes[lo:hi], classes[lo:hi])
 
-            seg_times = times
         else:
             if self.admission is not None:
                 decisions = self._decide_block(classes, sizes, times)
-                rids, seg_times = self._admit_block(times, sizes, classes, decisions)
+                rids, times, classes, sizes = self._admit_block(times, sizes, classes, decisions)
             else:
-                rids, seg_times = self.ledger.append_batch(classes, times, sizes), times
+                rids = self.ledger.append_batch(classes, times, sizes)
+                self._arrived.append((classes, sizes))
 
             def segment(lo: int, hi: int) -> None:
-                self.server.submit_batch(rids[lo:hi])
+                self.server.submit_batch(rids[lo:hi], classes[lo:hi], times[lo:hi], sizes[lo:hi])
 
         cuts = self.server.block_boundaries(self.engine.now, bound)
         # The model changes state inside this window (cluster fleet events):
@@ -493,8 +499,8 @@ class Scenario:
         # segment (``side="left"``), and the bind-time fleet event at the
         # same instant carries the lower sequence number, so it fires first.
         edges = [0]
-        edges.extend(np.searchsorted(seg_times, np.asarray(cuts), side="left").tolist())
-        edges.append(seg_times.shape[0])
+        edges.extend(np.searchsorted(times, np.asarray(cuts), side="left").tolist())
+        edges.append(times.shape[0])
         for index, (lo, hi) in enumerate(zip(edges, edges[1:])):
             if hi == lo:
                 continue
@@ -507,11 +513,11 @@ class Scenario:
 
     def _admit_block(
         self, times: np.ndarray, sizes: np.ndarray, classes: np.ndarray, decisions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Record a decided block or walked segment: tallies, ledger rows
         (degraded under their target class; shed under their origin class,
-        never submitted) and telemetry.  Returns the admitted row ids and
-        their arrival times.
+        never submitted) and telemetry.  Returns the admitted rows: their
+        ids, arrival times, serving classes and sizes.
         """
         n = len(self.classes)
         # Per (decision, origin class) counts, one pass: ACCEPT, DEGRADE and
@@ -539,10 +545,13 @@ class Scenario:
         )
         if self.telemetry is not None:
             self.telemetry.on_admission_block(classes, decisions)
-        if not any(shed):
-            return all_rids, times
-        admitted = decisions != int(AdmissionDecision.SHED)
-        return all_rids[admitted], times[admitted]
+        if any(shed):
+            admitted = decisions != int(AdmissionDecision.SHED)
+            all_rids, times, served, sizes = (
+                column[admitted] for column in (all_rids, times, served, sizes)
+            )
+        self._arrived.append((served, sizes))
+        return all_rids, times, served, sizes
 
     def _admit_walk(self, times: np.ndarray, sizes: np.ndarray, classes: np.ndarray) -> None:
         """Decide one segment arrival by arrival, then record it as a block.
@@ -576,17 +585,20 @@ class Scenario:
 
         nodes = self.server.walk(times, sizes, classes, len(self.ledger), admit)
         decided = np.fromiter(decisions, np.int64, len(decisions))
-        rids, _ = self._admit_block(times, sizes, classes, decided)
+        rids = self._admit_block(times, sizes, classes, decided)[0]
         if self.ledger.node is not None:
             self.ledger.assign_nodes(rids, nodes)
 
-    def _sync_completions(self, now: float) -> None:
-        """Drain the server model to ``now`` and log the merged completions."""
+    def _sync_completions(self, now: float) -> tuple[np.ndarray, np.ndarray | None]:
+        """Drain the server model to ``now``, log the merged completions and
+        return them with their times (``None`` if the model keeps none)."""
         rids = self.server.drain(now)
+        times = self.server.drained_times
         if rids.size:
-            self.ledger.log_completions(rids)
+            self.ledger.log_completions(rids, times)
         if self.telemetry is not None:
             self.telemetry.on_drain(now, int(rids.size))
+        return rids, times
 
     def _decide_block(
         self, classes: np.ndarray, sizes: np.ndarray, times: np.ndarray
@@ -636,36 +648,26 @@ class Scenario:
         lut[num_classes - 1] = num_classes - 1
         return lut
 
-    def _window_stats(self) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
-        """Arrivals, offered work and mean slowdowns since the last boundary.
-
-        Slices the ledger columns past the window cursors and reduces with
-        ``np.bincount``, which accumulates in input order — the sums are
-        bit-identical to per-request ``+=`` bookkeeping.
-        """
+    def _tally_window(
+        self, done: np.ndarray, times: np.ndarray | None
+    ) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+        """Arrivals and offered work of the window's appends, and the mean
+        slowdowns of the rows ``done`` its boundary drain returned, completed
+        at ``times``: each one ``np.bincount``, which accumulates in input
+        order — bit-identical to per-request ``+=`` bookkeeping."""
         num_classes = len(self.classes)
-        row_end = len(self.ledger)
-        arrived = self.ledger.class_index[self._row_cursor : row_end]
-        sizes = self.ledger.size[self._row_cursor : row_end]
-        if self.admission is not None:
-            # Shed rows never enter service: the controller allocates rates
-            # for admitted traffic only.  The filter preserves relative
-            # order, so the bincount sums stay bit-identical to a run that
-            # never appended the shed rows.
-            kept = self.ledger.disposition[self._row_cursor : row_end] != DISPOSITION_SHED
-            if not kept.all():
-                arrived = arrived[kept]
-                sizes = sizes[kept]
-        self._row_cursor = row_end
-        arrivals = np.bincount(arrived, minlength=num_classes)
-        work = np.bincount(arrived, weights=sizes, minlength=num_classes)
+        arrived, self._arrived = self._arrived, []
+        if len(arrived) == 1:
+            classes, sizes = arrived[0]
+        else:  # no append this window, or segments cut at fleet events
+            classes = np.concatenate([np.empty(0, np.int64), *(block[0] for block in arrived)])
+            sizes = np.concatenate([np.empty(0), *(block[1] for block in arrived)])
+        arrivals = np.bincount(classes, minlength=num_classes)
+        work = np.bincount(classes, weights=sizes, minlength=num_classes)
 
-        done_end = self.ledger.num_completed
-        done = self.ledger.completed_ids[self._done_cursor : done_end]
-        self._done_cursor = done_end
-        completed = self.ledger.class_index[done]
+        completed = self.ledger.classes_of(done)
         slowdown_sums = np.bincount(
-            completed, weights=self.ledger.slowdowns(done), minlength=num_classes
+            completed, weights=self.ledger.slowdowns(done, times), minlength=num_classes
         )
         slowdown_counts = np.bincount(completed, minlength=num_classes)
         slowdowns = tuple(
@@ -694,11 +696,10 @@ class Scenario:
         )
 
     def _window_boundary(self) -> None:
-        # Completions first: everything the servers finished up to this
-        # boundary must be in the ledger before the window statistics are cut.
+        # Completions first: the window's slowdowns are those of every row
+        # the servers finished up to this boundary.
         now = self.engine.now
-        self._sync_completions(now)
-        arrivals, work, slowdowns = self._window_stats()
+        arrivals, work, slowdowns = self._tally_window(*self._sync_completions(now))
         self.controller.observe_window(now, self.config.window, arrivals, work, slowdowns=slowdowns)
         rates = tuple(self.controller.current_rates)
         self.server.apply_rates(rates)

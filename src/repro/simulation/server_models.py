@@ -11,10 +11,10 @@ per-class processing rates.
 The request lifecycle is columnar and batched: the scenario owns a
 :class:`~repro.simulation.ledger.RequestLedger`, hands it to the model at
 :meth:`ServerModel.bind`, and then submits time-ordered blocks of *integer
-row ids* (:meth:`ServerModel.submit_batch`).  The model serves ids (reading
-sizes/classes from the ledger, writing lifecycle timestamps into it) and
-returns the completed ids in bulk whenever the scenario drains it to a
-point in simulated time (:meth:`ServerModel.drain`).
+row ids* with the columns just appended for them
+(:meth:`ServerModel.submit_batch`).  The model serves ids (writing lifecycle
+timestamps into the ledger) and returns the completed ids and their times
+whenever the scenario drains it to a point in time (:meth:`ServerModel.drain`).
 
 Two implementations are provided:
 
@@ -151,6 +151,9 @@ class ServerModel(abc.ABC):
         #: Optional :class:`repro.telemetry.Telemetry` facade; ``None`` (the
         #: default) keeps every observation site a single comparison.
         self.telemetry = None
+        #: Completion times of the rows the last :meth:`drain` returned
+        #: (``None``: the model keeps none; read them from the ledger).
+        self.drained_times: np.ndarray | None = None
 
     def attach_telemetry(self, telemetry) -> None:
         """Install the scenario's telemetry facade (call before :meth:`bind`).
@@ -197,18 +200,27 @@ class ServerModel(abc.ABC):
         """Build per-run state (task servers, dispatch bookkeeping, ...)."""
 
     @abc.abstractmethod
-    def submit_batch(self, rids: np.ndarray) -> None:
-        """Queue a time-ordered block of admitted ledger row ids.
-
-        The block may run ahead of the engine clock; the model serves each
-        request from its ledger arrival time on.
+    def submit_batch(self, rids, classes=None, arrivals=None, sizes=None) -> None:
+        """Queue a time-ordered block of admitted ledger row ids, with their
+        class, arrival and size columns when the caller holds them (else
+        :meth:`_block_columns` gathers them).  The block may run ahead of
+        the engine clock; the model serves each request from its arrival
+        time on.
         """
 
     @abc.abstractmethod
     def drain(self, now: float) -> np.ndarray:
         """Advance the model to ``now``; returns the completed row ids in
-        global completion-time order (the caller logs them via
-        ``ledger.log_completions``)."""
+        completion-time order, their times left in :attr:`drained_times`
+        (the caller logs both: ``ledger.log_completions(rids, times)``)."""
+
+    def _block_columns(self, rids, classes, arrivals, sizes):
+        """A submitted block's class, arrival and size columns: as handed
+        over, or gathered from the ledger."""
+        if classes is None:
+            ledger = self.ledger
+            return ledger.classes_of(rids), ledger.arrivals_of(rids), ledger.sizes_of(rids)
+        return classes, arrivals, sizes
 
     @abc.abstractmethod
     def apply_rates(self, rates: Sequence[float]) -> None:
@@ -336,27 +348,18 @@ class RateScalableServers(ServerModel):
         self._head[s] = 0
         self._tail[s] = live
 
-    def submit_batch(
-        self,
-        rids: np.ndarray,
-        nodes: np.ndarray | None = None,
-        classes: np.ndarray | None = None,
-        arrivals: np.ndarray | None = None,
-        sizes: np.ndarray | None = None,
-    ) -> None:
+    def submit_batch(self, rids, classes=None, arrivals=None, sizes=None, nodes=None) -> None:
         """Queue a time-ordered block of rows on their class servers.
 
-        A cluster hands over each row's node and its gathered class,
-        arrival and size columns; without them every row goes to node 0
-        and the columns are gathered here.  One index per server picks its
-        rows, still in arrival order, and three slice stores queue them.
-        A row of a class the bank does not serve falls in no server's rows,
-        so one comparison of the counts rejects it.  (Picking by indices
-        measured faster than boolean masks, and than one stable sort by
-        server into slices on blocks of 3000 rows.)  Rows handed over with
-        their nodes add their sizes to the nodes' work left.  A bank on the
-        completion calendar refuses blocks, as its drains read only the
-        calendar.
+        A cluster hands over each row's node too (else every row goes to
+        node 0), and those rows add their sizes to the nodes' work left.
+        One index per server picks its rows, still in arrival order, and
+        three slice stores queue them.  A row of a class the bank does not
+        serve falls in no server's rows, so one comparison of the counts
+        rejects it.  (Picking by indices measured faster than boolean
+        masks, and than one stable sort by server into slices on blocks of
+        3000 rows.)  A bank on the completion calendar refuses blocks, as
+        its drains read only the calendar.
         """
         if self._calendar is not None:
             raise SimulationError(
@@ -365,12 +368,8 @@ class RateScalableServers(ServerModel):
             )
         rids = np.asarray(rids, dtype=np.int64)
         c = self.num_classes
-        if nodes is None:
-            ledger = self.ledger
-            classes = servers = ledger.classes_of(rids)
-            arrivals, sizes = ledger.arrivals_of(rids), ledger.sizes_of(rids)
-        else:
-            servers = nodes * c + classes
+        classes, arrivals, sizes = self._block_columns(rids, classes, arrivals, sizes)
+        servers = classes if nodes is None else nodes * c + classes
         blocks = []
         for s in range(len(self.rates)):
             rows = np.flatnonzero(servers == s)
@@ -525,22 +524,20 @@ class RateScalableServers(ServerModel):
 
     def drain(self, now: float) -> np.ndarray:
         """Serve every class server to ``now``; returns the completed rows
-        in ``(time, node, class)`` order, written to the ledger.
+        in ``(time, node, class)`` order, written to the ledger, and leaves
+        their times in :attr:`drained_times`.
 
         On the block route each busy server folds its queue
         (:meth:`_drain_server`); the fresh rows of every fold reach the
         ledger in one checked
         :meth:`~repro.simulation.ledger.RequestLedger.serve_batch`, and the
         runs, concatenated in server order, are merged by one stable
-        argsort on their times.  (Completions with equal timestamps thus
-        come in ``(node, class)`` order — the order one engine event per
-        completion gives when the tied completion events were scheduled in
-        that order, true for every workload whose classes are started in
-        class order; for continuous workloads exact ties have probability
-        zero.)  Each server's pending count then drops by its run length,
-        and, when the ledger has a node column (a cluster's bank), each
-        node's work left folds over the node's rows in merged order.  On
-        the calendar route the calendar books up to ``now``
+        argsort on their times, so tied completions come in ``(node,
+        class)`` order (the order of one engine event per completion
+        scheduled class by class).  Each server's pending count then drops
+        by its run length, and a cluster's bank (whose ledger has a node
+        column) folds each node's work left over its rows in merged order.
+        On the calendar route the calendar books up to ``now``
         (:meth:`_drain_calendar`).
         """
         if self._calendar is not None:
@@ -567,6 +564,7 @@ class RateScalableServers(ServerModel):
                     nodes.append(node)
                 runs.append(run)
         if not runs:
+            self.drained_times = _EMPTY_TIMES
             return _EMPTY_RIDS
         ledger = self.ledger
         fresh = [
@@ -580,11 +578,13 @@ class RateScalableServers(ServerModel):
             ledger.serve_batch(*fresh[0])
         if len(runs) == 1:
             # One contributing server: its run is already in time order.
-            run = runs[0][0]
+            run, _, times = runs[0]
         else:
             rids = np.concatenate([run[0] for run in runs])
             times = np.concatenate([run[2] for run in runs])
-            run = rids[np.argsort(times, kind="stable")]
+            order = np.argsort(times, kind="stable")
+            run, times = rids[order], times[order]
+        self.drained_times = times
         node_column = ledger.node
         if node_column is None:
             # A standalone bank: no dispatch policy reads its work left.
@@ -629,6 +629,7 @@ class RateScalableServers(ServerModel):
             else:
                 in_service[s] = None
         if not booked:
+            self.drained_times = _EMPTY_TIMES
             return _EMPTY_RIDS
         self._booked = []
         telemetry = self.telemetry
@@ -646,6 +647,7 @@ class RateScalableServers(ServerModel):
         fresh = ~started
         ledger.serve_batch(rids[fresh], np.array(starts)[fresh], done[fresh])
         ledger.complete_batch(rids[started], done[started])
+        self.drained_times = done
         return rids
 
     def _drain_server(self, s: int, now: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -664,7 +666,7 @@ class RateScalableServers(ServerModel):
         The last ``len(starts)`` of them — the fresh rows the fold started
         and completed — are *not* written to the ledger (the caller writes
         them); the request carried in service, which leads the run, is
-        (``complete_unlogged``).
+        (``complete(..., log=False)``).
         """
         rate = self.rates[s]
         ledger = self.ledger
@@ -677,7 +679,7 @@ class RateScalableServers(ServerModel):
             free = self.progress[s] + self.remaining[s] / rate
             if free > now:
                 return _EMPTY_RUN
-            ledger.complete_unlogged(carried, free)
+            ledger.complete(carried, free, log=False)
             self.free[s] = free
             self.in_service[s] = None
             self.remaining[s] = 0.0
@@ -899,10 +901,11 @@ class SharedProcessorServer(ServerModel):
         """The ledger row id currently occupying the processor, if any."""
         return self._in_service
 
-    def submit_batch(self, rids: np.ndarray) -> None:
+    def submit_batch(self, rids, classes=None, arrivals=None, sizes=None) -> None:
         rids = np.asarray(rids, dtype=np.int64)
         if rids.size == 0:
             return
+        classes, arrivals, sizes = self._block_columns(rids, classes, arrivals, sizes)
         pos = self._pending_pos
         if pos:
             del self._pending_rids[:pos]
@@ -911,9 +914,9 @@ class SharedProcessorServer(ServerModel):
             del self._pending_sizes[:pos]
             self._pending_pos = 0
         self._pending_rids.extend(rids.tolist())
-        self._pending_times.extend(self.ledger.arrivals_of(rids).tolist())
-        self._pending_classes.extend(self.ledger.classes_of(rids).tolist())
-        self._pending_sizes.extend(self.ledger.sizes_of(rids).tolist())
+        self._pending_times.extend(arrivals.tolist())
+        self._pending_classes.extend(classes.tolist())
+        self._pending_sizes.extend(sizes.tolist())
 
     def drain(self, now: float) -> np.ndarray:
         """Replay the processor's event loop to ``now`` in virtual time.
@@ -935,6 +938,7 @@ class SharedProcessorServer(ServerModel):
         n = len(rids)
         pos = self._pending_pos
         done: list[int] = []
+        done_at: list[float] = []
         inf = float("inf")
         while True:
             completion = self._completion_time if self._in_service is not None else inf
@@ -943,9 +947,10 @@ class SharedProcessorServer(ServerModel):
                 if completion > now:
                     break
                 rid = self._in_service
-                ledger.complete_unlogged(rid, completion)
+                ledger.complete(rid, completion, log=False)
                 self._in_service = None
                 done.append(rid)
+                done_at.append(completion)
                 self._start_selected(completion)
             else:
                 if arrival > now:
@@ -959,8 +964,9 @@ class SharedProcessorServer(ServerModel):
                 if idle:
                     self._start_selected(arrival)
         self._pending_pos = pos
+        self.drained_times = np.array(done_at, dtype=np.float64)
         if not done:
-            return np.empty(0, dtype=np.int64)
+            return _EMPTY_RIDS
         if self.telemetry is not None:
             self.telemetry.on_server_drain(None, len(done))
         return np.asarray(done, dtype=np.int64)

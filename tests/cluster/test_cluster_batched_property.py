@@ -301,8 +301,8 @@ class _AuditedCluster(ClusterServerModel):
         self.folded = set()
         self.syncs = 0
 
-    def submit_batch(self, rids):
-        super().submit_batch(rids)
+    def submit_batch(self, rids, *columns):
+        super().submit_batch(rids, *columns)
         ledger = self.ledger
         sums = {}
         for rid, node in zip(rids.tolist(), ledger.node[rids].tolist()):

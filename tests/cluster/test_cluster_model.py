@@ -485,6 +485,31 @@ class TestTieOrder:
         # Within a server the rows still complete FCFS.
         assert done.tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
 
+    def test_nodes_emptying_in_reverse_node_order_flip_in_time_order(self):
+        """Two draining nodes go idle inside one sync, node 1 before node 0:
+        the flips land in ``(time, node)`` order, so the fleet timeline as
+        recorded never goes back in time."""
+        classes = make_classes(Deterministic(0.5), 0.5, (1.0, 2.0))
+        # Round robin sends the long class-0 request to node 0 and the short
+        # class-1 one to node 1; both nodes leave with them in service.
+        sources = [
+            TraceSource(0, interarrivals=[0.0], sizes=[2.0]),
+            TraceSource(1, interarrivals=[0.0], sizes=[0.5]),
+        ]
+        fleet = parse_fleet_events("leave:0@0.5 leave:1@0.5")
+        cluster = make_cluster(2, "round_robin", capacities=(1.0, 1.0), fleet=fleet)
+        config = MeasurementConfig(warmup=0.0, horizon=5.0, window=5.0)
+        controller = StaticRateController((1.0, 1.0))
+        result = Scenario(
+            classes, config, server=cluster, controller=controller, sources=sources
+        ).run()
+        times = [time for time, _, _ in result.fleet_timeline]
+        assert times == sorted(times)
+        assert [(time, states) for time, states, _ in result.fleet_timeline[-2:]] == [
+            (1.0, (NODE_DRAINING, NODE_DOWN)),
+            (4.0, (NODE_DOWN, NODE_DOWN)),
+        ]
+
     def test_nodes_emptying_at_one_instant_flip_in_node_order(self):
         # Both nodes leave mid-service and keep serving at rate 0.5.
         result = self.run(parse_fleet_events("leave:1@0.5 leave:0@0.5"))

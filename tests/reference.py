@@ -16,6 +16,9 @@ completion:
 Everything off the hot path is the library's own: the ledger, controllers,
 admission, dispatch policies, rate partitioners, the cluster's fleet state
 machine and the autoscalers, plus the scenario's window-boundary sequence.
+The estimation-window statistics are the reference's own: it re-reads them
+from the ledger past two cursors, where ``Scenario`` tallies them from its
+appends and drains, so every reference diff checks those tallies too.
 
 Use :class:`ReferenceScenario` exactly like ``Scenario`` — it accepts the
 same arguments, including a fresh production server model, which it
@@ -40,7 +43,7 @@ from repro.simulation import RateScalableServers, Scenario, SharedProcessorServe
 from repro.simulation.ledger import DISPOSITION_DEGRADED, DISPOSITION_SHED
 from repro.simulation.server_models import WEIGHT_FLOOR, ServerModel
 
-__all__ = ["ReferenceScenario", "per_event_model", "reference_build"]
+__all__ = ["ReferenceScenario", "per_event_model", "reference_build", "window_stats"]
 
 
 class _PerEvent(ServerModel):
@@ -53,7 +56,7 @@ class _PerEvent(ServerModel):
     def submit(self, rid: int) -> None:
         raise NotImplementedError
 
-    def submit_batch(self, rids: np.ndarray) -> None:
+    def submit_batch(self, rids: np.ndarray, *columns) -> None:
         for rid in np.asarray(rids).tolist():
             self.submit(rid)
 
@@ -254,6 +257,27 @@ class _Cluster(_PerEvent, ClusterServerModel):
         self.on_done(rid)
 
 
+def window_stats(ledger, rows: slice, logged: slice):
+    """One estimation window's arrivals, offered work and mean slowdowns,
+    read from the ledger: the rows in ``rows`` (shed rows filtered out,
+    which keeps relative order) and the completion log entries in
+    ``logged``, each per-class sum one ``np.bincount`` in that order."""
+    num_classes = ledger.num_classes
+    kept = ledger.disposition[rows] != DISPOSITION_SHED
+    arrived, sizes = ledger.class_index[rows][kept], ledger.size[rows][kept]
+    arrivals = np.bincount(arrived, minlength=num_classes)
+    work = np.bincount(arrived, weights=sizes, minlength=num_classes)
+    done = ledger.completed_ids[logged]
+    completed = ledger.class_index[done]
+    sums = np.bincount(completed, weights=ledger.slowdowns(done), minlength=num_classes)
+    counts = np.bincount(completed, minlength=num_classes)
+    return (
+        tuple(int(a) for a in arrivals),
+        tuple(float(w) for w in work),
+        tuple(float(s) / int(c) if c else float("nan") for s, c in zip(sums, counts)),
+    )
+
+
 def per_event_model(server: ServerModel) -> _PerEvent:
     """The per-event twin of a fresh (unbound) production server model.
 
@@ -282,14 +306,24 @@ class ReferenceScenario(Scenario):
     def __init__(self, classes, config, *, server: ServerModel | None = None, **kwargs) -> None:
         server = per_event_model(server if server is not None else RateScalableServers())
         super().__init__(classes, config, server=server, **kwargs)
+        # Window cursors into the ledger: rows (arrival order) and the
+        # completion log consumed so far by the window statistics.
+        self._row_cursor = 0
+        self._done_cursor = 0
 
     def _queue_block(self, bound: float, *, inclusive: bool = False) -> None:
         # Arrivals are engine events here, never pre-drawn blocks.
         pass
 
-    def _sync_completions(self, now: float) -> None:
+    def _sync_completions(self, now: float):
         # Completions are logged by their own events.
-        pass
+        return None, None
+
+    def _tally_window(self, done, times):
+        rows = slice(self._row_cursor, len(self.ledger))
+        logged = slice(self._done_cursor, self.ledger.num_completed)
+        self._row_cursor, self._done_cursor = rows.stop, logged.stop
+        return window_stats(self.ledger, rows, logged)
 
     def run(self):
         for index, source in enumerate(self.sources):

@@ -121,7 +121,7 @@ class TestCustomServerModel:
             def _on_bind(self) -> None:
                 self.in_flight = np.empty(0, dtype=np.int64)
 
-            def submit_batch(self, rids):
+            def submit_batch(self, rids, classes=None, arrivals=None, sizes=None):
                 self.ledger.start_service_batch(rids, self.ledger.arrivals_of(rids))
                 self.in_flight = np.concatenate([self.in_flight, rids])
 

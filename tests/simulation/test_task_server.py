@@ -132,6 +132,22 @@ class TestRateChanges:
         # Work done: 0.8 + 0.4 + 1.0 = 2.2 by t=3; remaining 1.8 at 0.6 -> 3 more.
         assert server.ledger.completion_of(done[0]) == pytest.approx(6.0)
 
+    def test_a_rebase_past_the_remaining_work_completes_at_the_change(self):
+        """A rate change one ulp before a running service would complete:
+        the progress made at the old rate rounds past the remaining work
+        (``elapsed * rate - remaining`` is +4.4e-16), so the re-base clamps
+        the remaining work at zero and the row completes at the change
+        instant, not before it."""
+        start, size, rate = 1.7240641171971638, 3.3162957422263157, 0.7376442793563968
+        change = 6.219856784524324
+        engine, server = make_server(rate)
+        rid = submit(server, start, size)
+        assert advance(engine, server, change) == []
+        assert (change - start) * rate - size > 0.0
+        server.apply_rates([0.5])
+        assert advance(engine, server, change + 10.0) == [rid]
+        assert server.ledger.completion_of(rid) == change
+
     def test_rate_change_while_idle_is_harmless(self):
         engine, server = make_server(1.0)
         server.apply_rates([0.3])
