@@ -100,8 +100,7 @@ def main() -> None:
     print(f"\nmean rate granted to the batch class: {mean_before:.3f} before the "
           f"shift -> {mean_after:.3f} after it (its traffic grew 2.2x)")
 
-    samples = result.monitor.samples()
-    ratios = [s.ratio(1, 0) for s in samples if not np.isnan(s.ratio(1, 0))]
+    ratios = result.monitor.ratio_series(1, 0)
     print(f"median per-window slowdown ratio batch/interactive: "
           f"{np.median(ratios):.2f} (target {spec.target_ratio(1, 0):.1f})")
     print(f"controller decisions recorded: {len(result.controller.decisions)}")

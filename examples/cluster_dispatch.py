@@ -30,6 +30,8 @@ Run with::
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro import MeasurementConfig, PsdSpec, Scenario, make_cluster
@@ -41,6 +43,7 @@ from repro.cluster import (
 )
 from repro.distributions import BoundedPareto
 from repro.queueing import arrival_rate_for_load
+from repro.simulation.monitor import window_span
 from repro.types import TrafficClass
 
 NUM_NODES = 4
@@ -129,16 +132,17 @@ def main() -> None:
         "t=7000 tu, restore at t=7400 tu"
     )
     print(f"  {'window (tu)':<16} {'live frac':>10} {'ratio':>7}")
-    for sample in monitor.samples():
-        index = round((sample.start - monitor.warmup) / monitor.window)
+    table = monitor.table
+    for index, (first, second) in enumerate(table.means[:, :2].tolist(), table.first):
         if index >= len(availability):
             break
         live_fraction = float(availability[index].mean())
-        start_tu = sample.start / time_unit
-        end_tu = sample.end / time_unit
+        start, end = window_span(index, warmup=monitor.warmup, window=monitor.window)
+        # No ratio where either mean is NaN or class 1's is zero.
+        ratio = second / first if first else math.nan
         print(
-            f"  [{start_tu:6.0f},{end_tu:6.0f}) {live_fraction:10.2f} "
-            f"{sample.ratio(1, 0):7.2f}"
+            f"  [{start / time_unit:6.0f},{end / time_unit:6.0f}) {live_fraction:10.2f} "
+            f"{ratio:7.2f}"
         )
 
 

@@ -57,7 +57,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "sources_from_classes",
         ),
         ".ledger": ("RequestLedger",),
-        ".monitor": ("MeasurementConfig", "WindowSample", "WindowedMonitor", "fleet_availability"),
+        ".monitor": ("MeasurementConfig", "SlowdownTable", "WindowedMonitor", "fleet_availability"),
         ".runner": (
             "ReplicationRunner",
             "ReplicationSummary",

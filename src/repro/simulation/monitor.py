@@ -26,7 +26,7 @@ from .ledger import RequestLedger
 
 __all__ = [
     "MeasurementConfig",
-    "WindowSample",
+    "SlowdownTable",
     "WindowedMonitor",
     "window_span",
     "windowed_time_average",
@@ -147,28 +147,12 @@ class MeasurementConfig:
         )
 
 
-@dataclass(frozen=True)
-class WindowSample:
-    """Per-class mean slowdowns measured over one window."""
-
-    start: float
-    end: float
-    mean_slowdowns: tuple[float, ...]
-    counts: tuple[int, ...]
-
-    def ratio(self, numerator: int, denominator: int) -> float:
-        """Slowdown ratio between two classes in this window (NaN when undefined)."""
-        num = self.mean_slowdowns[numerator]
-        den = self.mean_slowdowns[denominator]
-        if math.isnan(num) or math.isnan(den) or den == 0.0:
-            return float("nan")
-        return num / den
-
-
-class _Measurement(NamedTuple):
-    """:meth:`WindowedMonitor._measurement`'s table, keyed on the completion
-    count: ``(windows, classes)`` means (NaN where silent) and counts from
-    window ``first`` on, plus the whole-run per-class and system means."""
+class SlowdownTable(NamedTuple):
+    """:attr:`WindowedMonitor.table`: per-window per-class mean slowdowns
+    ``means`` ``(windows, classes)`` (NaN where a class completed nothing)
+    and ``counts``, for the monitor windows ``first, first + 1, ...`` (see
+    :func:`window_span`), plus the whole-run per-class and system means.
+    ``completed`` is the ledger's completion count the table was built at."""
 
     completed: int
     first: int
@@ -190,8 +174,21 @@ class WindowedMonitor:
 
     The monitor is a read-only view over the run's
     :class:`~repro.simulation.ledger.RequestLedger`: nothing is recorded per
-    completion.  One cached pass over the completion log builds a small
-    table that every read below, and the result's whole-run means, share.
+    completion.  One cached pass over the completion log builds
+    :attr:`table`, which every read below, and the result's whole-run
+    means, share.
+
+    The pass does not reuse the boundaries' slowdown tallies
+    (:class:`~repro.simulation.WindowTable`), for two reasons.  Boundary
+    times accumulate rounding, so the last boundary can land an ulp past
+    the horizon and never fire: on the benchmark's ``paper_single``
+    workload the 45th lands at 13073.505936434914, past the horizon
+    13073.5059364349, and the several hundred completions per replication
+    of its window reach no boundary, yet fill the monitor's 40th window.
+    And where the windows agree, a boundary sums in sequence
+    (``np.bincount``) and the monitor pairwise (``np.mean``, pinned by
+    ``tests/simulation/test_monitor_windows.py``), so window means differ
+    in the last bits (about 1e-15 relative).
     """
 
     def __init__(
@@ -210,14 +207,15 @@ class WindowedMonitor:
         self.warmup = float(warmup)
         self.window = float(window)
         self._ledger = ledger
-        self._table: _Measurement | None = None
+        self._table: SlowdownTable | None = None
 
     @property
     def ledger(self) -> RequestLedger:
         """The backing ledger."""
         return self._ledger
 
-    def _measurement(self) -> _Measurement:
+    @property
+    def table(self) -> SlowdownTable:
         """One pass over the post-warm-up completions, cached until more complete.
 
         Per class, one mask keeps the slowdowns in log order (the whole-run
@@ -259,33 +257,16 @@ class WindowedMonitor:
                     means[w, c] = np.add.reduce(values[lo:hi]) / (hi - lo)
                     counts[w, c] = hi - lo
         system_mean = float(np.mean(slowdowns)) if slowdowns.size else math.nan
-        self._table = _Measurement(
+        self._table = SlowdownTable(
             ledger.num_completed, first, means, counts, tuple(class_means), system_mean
         )
         return self._table
 
-    def samples(self) -> list[WindowSample]:
-        """Per-window summaries in time order (empty windows included), read
-        from the cached measurement table (see :meth:`_measurement`)."""
-        table = self._measurement()
-        return [
-            WindowSample(
-                *window_span(table.first + offset, warmup=self.warmup, window=self.window),
-                mean_slowdowns=tuple(means),
-                counts=tuple(counts),
-            )
-            for offset, (means, counts) in enumerate(
-                zip(table.means.tolist(), table.counts.tolist())
-            )
-        ]
-
     def ratio_series(self, numerator: int, denominator: int) -> np.ndarray:
-        """Per-window slowdown ratios between two classes (NaNs dropped).
-
-        :meth:`WindowSample.ratio`'s rule, vectorised: a window where either
-        mean is NaN or the denominator's is zero has no ratio.
-        """
-        means = self._measurement().means
+        """Per-window slowdown ratios between two classes (NaNs dropped):
+        a window where either mean is NaN or the denominator's is zero has
+        no ratio."""
+        means = self.table.means
         num, den = means[:, numerator], means[:, denominator]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(den == 0.0, np.nan, num / den)
@@ -299,7 +280,7 @@ class WindowedMonitor:
         computations can pair them up; pass ``drop_nan=True`` for standalone
         per-class statistics.
         """
-        means = self._measurement().means
+        means = self.table.means
         columns = [means[:, c].copy() for c in range(self.num_classes)]
         return [col[~np.isnan(col)] for col in columns] if drop_nan else columns
 

@@ -58,12 +58,12 @@ block.
 
 The window boundary
 -------------------
-The controller observes the window and its new rates are applied; then one
-:class:`~repro.core.WindowObservation` goes to telemetry, the autoscaler
-(re-captured after any fleet event) and admission, in that order, before
-the next arrival block is drawn.  With none of the three attached nothing
-is captured.  Every boundary, telemetry or not, ends with one row of the
-run's :class:`WindowTable`.
+Each boundary writes one row of the run's :class:`WindowTable`: the
+window's tallies the controller observes and the new rates it applies.  A
+:class:`~repro.core.WindowObservation` captured from that row (row 0 at
+t=0) goes to telemetry, the autoscaler (re-captured after any fleet event)
+and admission, in that order, before the next arrival block is drawn; with
+none of them attached nothing is captured.  Cluster columns come last.
 
 All durations (warm-up, horizon, window) are interpreted in the same units
 as the service-time distributions — use
@@ -168,27 +168,40 @@ def _ratios_to_first(means: Sequence[float]) -> tuple[float, ...]:
 class WindowTable(NamedTuple):
     """A run's control record: one row at t=0 and one per window boundary.
 
-    Each boundary row is written after the boundary's new rates and any
-    autoscaler fleet events are applied, so it describes the allocation
-    and the fleet that serve the next window; row 0's cluster columns
-    likewise follow the fleet events scheduled at t=0.  ``time`` ``(W,)`` and
-    ``rates`` ``(W, C)`` (the controller's allocation) exist for every run.
+    ``time`` ``(W,)`` and, ``(W, C)`` each, what the controller saw and
+    did: the window's admitted ``arrivals`` (int64) and offered ``work``,
+    its ``slowdowns`` (NaN for a class that completed nothing) and the new
+    ``rates``; row 0 has the initial rates, zero tallies and NaN slowdowns.
     A clustered run adds ``node_shares`` ``(W, N, C)``, the partition the
     cluster last applied (before the capacity clamp; zeros for non-live
     nodes, and before the first partition), and ``node_backlog`` ``(W, N)``,
-    each node's pending requests; a single-server run has ``None`` there.
-    A fleet event strictly inside a window re-partitions the rates without
-    writing a row.
+    each node's pending requests, written after the boundary's (or t=0's)
+    fleet events; a single-server run has ``None`` there.  A fleet event
+    strictly inside a window re-partitions the rates without a row.
     """
 
     time: np.ndarray
     rates: np.ndarray
+    arrivals: np.ndarray
+    work: np.ndarray
+    slowdowns: np.ndarray
     node_shares: np.ndarray | None = None
     node_backlog: np.ndarray | None = None
 
-
-def _empty_table() -> WindowTable:
-    return WindowTable(np.empty(0), np.empty((0, 0)))
+    @classmethod
+    def presized(cls, rows: int, num_classes: int, num_nodes: int | None = None) -> "WindowTable":
+        """``rows`` blank rows (NaN slowdowns), with cluster columns for ``num_nodes``."""
+        shape = (rows, num_classes)
+        clustered = num_nodes is not None
+        return cls(
+            np.zeros(rows),
+            np.zeros(shape),
+            np.zeros(shape, dtype=np.int64),
+            np.zeros(shape),
+            np.full(shape, np.nan),
+            np.zeros((rows, num_nodes, num_classes)) if clustered else None,
+            np.zeros((rows, num_nodes), dtype=np.int64) if clustered else None,
+        )
 
 
 @dataclass
@@ -207,7 +220,7 @@ class SimulationResult:
     controller: RateController
     ledger: RequestLedger
     #: The run's per-window control record (see :class:`WindowTable`).
-    window_table: WindowTable = field(default_factory=_empty_table)
+    window_table: WindowTable = field(default_factory=lambda: WindowTable.presized(0, 0))
     generated_counts: tuple[int, ...] = ()
     completed_counts: tuple[int, ...] = ()
     #: Shed requests per *origin* class (the admission ladder's SHED leg).
@@ -249,7 +262,7 @@ class SimulationResult:
         return ids[completion >= self.config.warmup]
 
     def per_class_mean_slowdowns(self) -> tuple[float, ...]:
-        return self.monitor._measurement().class_means
+        return self.monitor.table.class_means
 
     def per_class_mean_waiting_times(self) -> tuple[float, ...]:
         ids = self.measured_ids()
@@ -271,7 +284,7 @@ class SimulationResult:
         return tuple(float(w) for w in work)
 
     def system_mean_slowdown(self) -> float:
-        return self.monitor._measurement().system_mean
+        return self.monitor.table.system_mean
 
     def slowdown_ratios_to_first(self) -> tuple[float, ...]:
         """Each class's mean slowdown over class 1's (NaN when class 1's is 0 or NaN)."""
@@ -292,9 +305,9 @@ class SimulationResult:
 
         ``num_windows`` defaults to every full measurement window between
         warm-up and the horizon.  Row ``i`` is the monitor's window ``i``,
-        ``[warmup + i * window, warmup + (i + 1) * window)``; map a
-        :class:`~repro.simulation.WindowSample` to it with ``round((start -
-        warmup) / window)``, since window starts carry float jitter.
+        ``[warmup + i * window, warmup + (i + 1) * window)``, so row
+        ``monitor.table.first + k`` lines up with the monitor table's row
+        ``k``.
         """
         if self.fleet_timeline is None:
             return None
@@ -409,7 +422,6 @@ class Scenario:
             window=config.window,
             ledger=self.ledger,
         )
-        self.rate_history: list[tuple[float, tuple[float, ...]]] = []
 
         #: The admitted ``(classes, sizes)`` of each append this window.
         self._arrived: list[tuple[np.ndarray, np.ndarray]] = []
@@ -443,11 +455,18 @@ class Scenario:
         self.server.bind(self.engine, self.classes, ledger=self.ledger)
         # A cluster (read duck-typed, like WindowObservation.capture) adds
         # its partition and per-node backlog to every window-table row.
+        # Boundary times accumulate rounding, so one boundary more than
+        # horizon / window can fit, after row 0.
         clustered = getattr(self.server, "live_nodes", None) is not None
-        self._node_shares: list | None = [] if clustered else None
-        self._node_backlog: list[list[int]] = []
+        self._table = WindowTable.presized(
+            int(config.horizon / config.window) + 2,
+            len(self.classes),
+            self.server.num_nodes if clustered else None,
+        )
+        #: Rows written: row 0 is the initial allocation.
+        self._rows = 1
         self.server.apply_rates(initial_rates)
-        self.rate_history.append((0.0, tuple(initial_rates)))
+        self._table.rates[0] = initial_rates
 
     # ------------------------------------------------------------------ #
     # Arrival blocks
@@ -680,18 +699,20 @@ class Scenario:
             slowdowns,
         )
 
-    def _observe(self, arrivals, work, slowdowns, rates) -> WindowObservation:
+    def _observe(self, row: int) -> WindowObservation:
+        """The observation of window-table row ``row`` and the fleet now."""
         allocation = getattr(self.controller, "current_allocation", None)
         n = len(self.classes)
         estimated = allocation.offered_loads if allocation is not None else (0.0,) * n
+        table = self._table
         return WindowObservation.capture(
             self.server,
-            time=self.engine.now,
+            time=table.time[row],
             window=self.config.window,
-            arrivals=arrivals,
-            work=work,
-            slowdowns=slowdowns,
-            rates=rates,
+            arrivals=table.arrivals[row].tolist(),
+            work=table.work[row].tolist(),
+            slowdowns=table.slowdowns[row].tolist(),
+            rates=table.rates[row].tolist(),
             estimated_loads=estimated,
         )
 
@@ -703,9 +724,12 @@ class Scenario:
         self.controller.observe_window(now, self.config.window, arrivals, work, slowdowns=slowdowns)
         rates = tuple(self.controller.current_rates)
         self.server.apply_rates(rates)
-        self.rate_history.append((now, rates))
+        row, table = self._rows, self._table
+        self._rows = row + 1
+        table.time[row], table.rates[row] = now, rates
+        table.arrivals[row], table.work[row], table.slowdowns[row] = arrivals, work, slowdowns
         if self.telemetry is not None or self.autoscaler is not None or self.admission is not None:
-            obs = self._observe(arrivals, work, slowdowns, rates)
+            obs = self._observe(row)
             if self.telemetry is not None:
                 self.telemetry.on_window(self, obs)
             if self.autoscaler is not None:
@@ -720,11 +744,11 @@ class Scenario:
                         self.telemetry.on_autoscale(events, self.server)
                     # Admission budgets from the fleet that serves the next
                     # window.
-                    obs = self._observe(arrivals, work, slowdowns, rates)
+                    obs = self._observe(row)
             if self.admission is not None:
                 self._admission_obs = obs
                 self.admission.observe_window(obs)
-        self._record_fleet()
+        self._record_fleet(row)
         next_boundary = self.engine.now + self.config.window
         bound = min(next_boundary, self.config.horizon)
         if bound > self.engine.now:
@@ -734,33 +758,18 @@ class Scenario:
 
     def _first_block(self) -> None:
         """t=0: row 0's fleet columns, then the first window's arrivals."""
-        self._record_fleet()
+        self._record_fleet(0)
         self._queue_block(min(self.config.window, self.config.horizon))
 
-    def _record_fleet(self) -> None:
-        """A cluster's columns of the :class:`WindowTable` row, written after
-        the boundary's fleet events: the fleet that serves the next window."""
-        if self._node_shares is not None:
-            self._node_shares.append(self.server.shares)
-            self._node_backlog.append([sum(row) for row in self.server.pending_table])
-
-    def _window_table(self) -> WindowTable:
-        history = self.rate_history
-        table = WindowTable(
-            np.array([time for time, _ in history], dtype=np.float64),
-            np.array([rates for _, rates in history], dtype=np.float64),
-        )
-        if self._node_shares is None:
-            return table
-        shape = (len(history), self.server.num_nodes, len(self.classes))
-        shares = np.zeros(shape)
-        for row, partition in enumerate(self._node_shares):
-            if partition is not None:
-                shares[row] = partition
-        return table._replace(
-            node_shares=shares,
-            node_backlog=np.array(self._node_backlog, dtype=np.int64).reshape(shape[:2]),
-        )
+    def _record_fleet(self, row: int) -> None:
+        """A cluster's columns of :class:`WindowTable` row ``row``: the fleet
+        (after the boundary's fleet events) that serves the next window."""
+        table = self._table
+        if table.node_shares is not None:
+            shares = self.server.shares
+            if shares is not None:
+                table.node_shares[row] = shares
+            table.node_backlog[row] = [sum(pending) for pending in self.server.pending_table]
 
     # ------------------------------------------------------------------ #
     # Run
@@ -770,11 +779,9 @@ class Scenario:
         if self.telemetry is not None:
             self.telemetry.on_run_start(self)
         if self.admission is not None:
-            # The initial window observation (time 0, initial allocation):
-            # budget-style policies derive their first window's quotas here.
-            n = len(self.classes)
-            rates = tuple(self.controller.current_rates)
-            self._admission_obs = self._observe((0,) * n, (0.0,) * n, (math.nan,) * n, rates)
+            # The initial window observation, row 0: budget-style policies
+            # derive their first window's quotas here.
+            self._admission_obs = self._observe(0)
             self.admission.observe_window(self._admission_obs)
         # Scheduled rather than submitted synchronously: fleet events at t=0
         # were scheduled at bind time (lower sequence numbers), so they
@@ -804,7 +811,7 @@ class Scenario:
             config=self.config,
             monitor=self.monitor,
             controller=self.controller,
-            window_table=self._window_table(),
+            window_table=WindowTable(*(c if c is None else c[: self._rows] for c in self._table)),
             generated_counts=tuple(
                 int(n) + source - target
                 for n, source, target in zip(rows, self._degraded_from, self._degraded_to)

@@ -106,7 +106,7 @@ __all__ = ["ServerModel", "RateScalableServers", "SharedProcessorServer"]
 #: Shared zero-length drain results, allocated once (callers only read them).
 _EMPTY_RIDS = np.empty(0, dtype=np.int64)
 _EMPTY_TIMES = np.empty(0, dtype=np.float64)
-_EMPTY_RUN = (_EMPTY_RIDS, _EMPTY_TIMES, _EMPTY_TIMES)
+_EMPTY_RUN = (_EMPTY_RIDS, _EMPTY_TIMES, _EMPTY_TIMES, _EMPTY_TIMES)
 
 #: Requests in the drain fold's first chunk; later chunks double the span.
 _FOLD_CHUNK = 128
@@ -330,11 +330,13 @@ class RateScalableServers(ServerModel):
     def _reserve(self, s: int, k: int) -> None:
         """Make room for ``k`` more slots at server ``s``'s tail.
 
-        The live slots move to the front of the columns, which double until
+        The live slots (the queue, led by the service slot while a row is
+        in service) move to the front of the columns, which double until
         at least half of them is free afterwards — so the copy is paid at
         most once per half-capacity of appends.
         """
-        head, tail = self._head[s], self._tail[s]
+        busy = self.in_service[s] is not None
+        head, tail = self._head[s] - busy, self._tail[s]
         live = tail - head
         capacity = self._rids[s].shape[0]
         new_capacity = capacity
@@ -345,7 +347,7 @@ class RateScalableServers(ServerModel):
             column = old if new_capacity == capacity else np.empty(new_capacity, dtype=old.dtype)
             column[:live] = old[head:tail]
             columns[s] = column
-        self._head[s] = 0
+        self._head[s] = int(busy)
         self._tail[s] = live
 
     def submit_batch(self, rids, classes=None, arrivals=None, sizes=None, nodes=None) -> None:
@@ -547,7 +549,7 @@ class RateScalableServers(ServerModel):
         head, tail = self._head, self._tail
         pending = self.pending
         runs = []
-        nodes: list[int] = []
+        servers: list[int] = []
         for s, busy in enumerate(self.in_service):
             if busy is None and head[s] == tail[s]:
                 # Idle with nothing queued: no completions to emit and no
@@ -560,8 +562,7 @@ class RateScalableServers(ServerModel):
                 if telemetry is not None:
                     telemetry.on_server_drain(cls, k)
                 pending[node][cls] -= k
-                if not nodes or nodes[-1] != node:
-                    nodes.append(node)
+                servers.append(s)
                 runs.append(run)
         if not runs:
             self.drained_times = _EMPTY_TIMES
@@ -569,7 +570,7 @@ class RateScalableServers(ServerModel):
         ledger = self.ledger
         fresh = [
             (rids[-starts.size :], starts, times[-starts.size :])
-            for rids, starts, times in runs
+            for rids, starts, times, _ in runs
             if starts.size
         ]
         if len(fresh) > 1:
@@ -578,19 +579,24 @@ class RateScalableServers(ServerModel):
             ledger.serve_batch(*fresh[0])
         if len(runs) == 1:
             # One contributing server: its run is already in time order.
-            run, _, times = runs[0]
+            run, _, times, sizes = runs[0]
         else:
             rids = np.concatenate([run[0] for run in runs])
             times = np.concatenate([run[2] for run in runs])
             order = np.argsort(times, kind="stable")
             run, times = rids[order], times[order]
         self.drained_times = times
-        node_column = ledger.node
-        if node_column is None:
+        if ledger.node is None:
             # A standalone bank: no dispatch policy reads its work left.
             return run
-        sizes = ledger.sizes_of(run)
-        of_node = node_column[run] if len(nodes) > 1 else None
+        # Each row's size comes from its run, and its node from its
+        # server (``node = s // C``), merged in the same order.
+        nodes = list(dict.fromkeys(s // c for s in servers))
+        of_node = None
+        if len(runs) > 1:
+            sizes = np.concatenate([run[3] for run in runs])[order]
+            if len(nodes) > 1:
+                of_node = (np.repeat(servers, [run[0].size for run in runs]) // c)[order]
         work_left = self.work_left
         for node in nodes:
             mine = sizes if of_node is None else sizes[of_node == node]
@@ -650,8 +656,11 @@ class RateScalableServers(ServerModel):
         self.drained_times = done
         return rids
 
-    def _drain_server(self, s: int, now: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance server ``s`` to ``now``; returns its run ``(rids, starts, times)``.
+    def _drain_server(
+        self, s: int, now: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Advance server ``s`` to ``now``; returns its run ``(rids, starts,
+        times, sizes)``.
 
         The request carried in service completes at ``progress + remaining
         / rate``, then the queue is folded (see the module docstring) in
@@ -662,11 +671,12 @@ class RateScalableServers(ServerModel):
         work.  At rate zero the head of the line enters service (frozen
         until the next re-allocation) and later arrivals queue.
 
-        ``rids`` and ``times`` are the completed rows in completion order.
-        The last ``len(starts)`` of them — the fresh rows the fold started
-        and completed — are *not* written to the ledger (the caller writes
-        them); the request carried in service, which leads the run, is
-        (``complete(..., log=False)``).
+        ``rids``, ``times`` and ``sizes`` (a view of the queue columns from
+        the service slot, the one before the head) are the completed rows in
+        completion order.  The last ``len(starts)`` of them — the fresh rows
+        the fold started and completed — are *not* written to the ledger
+        (the caller writes them); the request carried in service, which
+        leads the run, is (``complete(..., log=False)``).
         """
         rate = self.rates[s]
         ledger = self.ledger
@@ -691,7 +701,7 @@ class RateScalableServers(ServerModel):
             # Nothing (more) has arrived.
             if carried is None:
                 return _EMPTY_RUN
-            return np.array([carried]), _EMPTY_TIMES, np.array([free])
+            return np.array([carried]), _EMPTY_TIMES, np.array([free]), sizes[head - 1 : head]
         if rate <= 0.0:
             # Zero rate: the head occupies the service position, frozen
             # (nothing was carried, so it starts at its arrival).
@@ -740,8 +750,8 @@ class RateScalableServers(ServerModel):
         rids[lead:] = self._rids[s][head:pos]
         if lead:
             rids[0] = carried
-            return rids, starts, times
-        return rids, starts, times[1:]
+            return rids, starts, times, sizes[head - 1 : pos]
+        return rids, starts, times[1:], sizes[head:pos]
 
     def _start(self, s: int, rid: int, start: float, size: float) -> None:
         """Put row ``rid`` into server ``s``'s service position at ``start``."""

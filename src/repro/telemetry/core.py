@@ -239,8 +239,8 @@ class Telemetry:
         self.registry.gauge("scenario.simulated_time").set(engine.now)
         # Arrivals and completions that land after the last window boundary
         # were never seen by on_window — reconcile against the ledger so both
-        # counters match the run's true totals.  Shed rows never counted as
-        # window arrivals (the window stats filter them), so they are
+        # counters match the run's true totals.  A window's arrivals are its
+        # admitted rows (shed rows are never tallied), so shed rows are
         # excluded here too.
         ledger = scenario.ledger
         admitted_rows = len(ledger) - int(

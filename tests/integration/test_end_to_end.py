@@ -157,9 +157,9 @@ class TestSharedProcessorPipeline:
         allocation = allocate_rates(classes, spec)
         cfg = measurement(horizon=8_000.0)
         sim = Scenario(classes, cfg, spec=spec, seed=2)
-        sim.run()
+        result = sim.run()
         # The adaptive controller's long-run average rates stay close to the
         # static Eq. 17 rates for a stationary workload.
-        rates = np.array([r for _, r in sim.rate_history])
+        rates = np.array([r for _, r in result.rate_history])
         mean_rates = rates.mean(axis=0)
         assert mean_rates == pytest.approx(np.array(allocation.rates), abs=0.05)

@@ -182,11 +182,9 @@ class TestWarmupBoundary:
         boundary = ledger.append(0, 8.0, 1.0)
         ledger.start_service(boundary, 9.0)
         ledger.complete(boundary, 10.0)  # exactly at warm-up
-        samples = monitor.samples()
-        assert len(samples) == 1
-        assert samples[0].start == 10.0
-        assert samples[0].counts == (1,)
-        assert samples[0].mean_slowdowns[0] == pytest.approx(1.0)
+        table = monitor.table
+        assert table.first == 0 and table.counts.tolist() == [[1]]
+        assert table.means[0, 0] == pytest.approx(1.0)
 
     def test_scenario_measures_completion_at_warmup(self):
         """End-to-end: a deterministic request completing exactly at the
@@ -218,11 +216,10 @@ class TestOutOfOrderCompletions:
         ledger.complete(late, 35.0)  # window 3, logged first
         ledger.start_service(early, 1.0)
         ledger.complete(early, 5.0)  # window 0, logged second
-        samples = monitor.samples()
-        assert [s.start for s in samples] == [0.0, 10.0, 20.0, 30.0]
-        assert samples[0].counts == (1,) and samples[3].counts == (1,)
-        assert samples[0].mean_slowdowns[0] == pytest.approx(0.25)
-        assert samples[3].mean_slowdowns[0] == pytest.approx(4.0)
+        table = monitor.table
+        assert table.first == 0 and table.counts.tolist() == [[1], [0], [0], [1]]
+        assert table.means[0, 0] == pytest.approx(0.25)
+        assert table.means[3, 0] == pytest.approx(4.0)
 
 
 class TestLedgerPickling:
@@ -274,7 +271,10 @@ class TestLedgerPickling:
         clone = pickle.loads(pickle.dumps(result))
         assert clone.monitor.ledger is clone.ledger
         np.testing.assert_array_equal(clone.measured_ids(), result.measured_ids())
-        assert clone.monitor.samples() == result.monitor.samples()
+        cloned, table = clone.monitor.table, result.monitor.table
+        assert cloned.first == table.first
+        np.testing.assert_array_equal(cloned.means, table.means)
+        np.testing.assert_array_equal(cloned.counts, table.counts)
 
     def test_slowdowns_and_waiting_times_follow_completion_order(self):
         ledger = RequestLedger(1)

@@ -1,11 +1,11 @@
 """Window-edge semantics and the monitor's measurement pass against oracles.
 
-``WindowedMonitor`` (slowdown samples) and ``fleet_availability`` (live
+``WindowedMonitor`` (slowdown table) and ``fleet_availability`` (live
 fractions) share the module-level ``window_span`` / ``windowed_time_average``
 helpers, so the half-open ``[start, end)`` boundary convention cannot drift
 between them.  The window of a time is checked here with the test's own
-exact rational floor (:func:`window_of`), and every monitor read — window
-samples, ratio series, per-class window means, whole-run means — is checked
+exact rational floor (:func:`window_of`), and every monitor read — the
+window table, ratio series, per-class window means, whole-run means — is checked
 bit for bit against a brute-force oracle that shares no monitor code.
 """
 
@@ -146,12 +146,15 @@ def oracle_ratios(expected, numerator, denominator):
     return np.asarray(ratios, dtype=float)
 
 
-def assert_samples_match_oracle(samples, expected):
-    """Equal windows and counts, and bit-equal means (NaN matching NaN)."""
-    assert len(samples) == len(expected)
-    for sample, (start, end, counts, means) in zip(samples, expected):
-        assert (sample.start, sample.end, sample.counts) == (start, end, counts)
-        for got, want in zip(sample.mean_slowdowns, means):
+def assert_table_matches_oracle(monitor, expected):
+    """The monitor's table holds the oracle's windows: equal spans and
+    counts, and bit-equal means (NaN matching NaN)."""
+    table = monitor.table
+    assert len(table.means) == len(table.counts) == len(expected)
+    for offset, (start, end, counts, means) in enumerate(expected):
+        span = window_span(table.first + offset, warmup=monitor.warmup, window=monitor.window)
+        assert (*span, tuple(table.counts[offset].tolist())) == (start, end, counts)
+        for got, want in zip(table.means[offset].tolist(), means, strict=True):
             assert (math.isnan(got) and math.isnan(want)) or got == want
 
 
@@ -230,7 +233,7 @@ def assert_reads_match_oracle(result, rows):
     against the oracles over ``rows`` (in completion-log order)."""
     expected = oracle_samples(rows, num_classes=3, warmup=WARMUP, window=WINDOW)
     monitor = result.monitor
-    assert_samples_match_oracle(monitor.samples(), expected)
+    assert_table_matches_oracle(monitor, expected)
     for numerator, denominator in itertools.product(range(3), repeat=2):
         np.testing.assert_array_equal(
             monitor.ratio_series(numerator, denominator),
@@ -289,20 +292,20 @@ class TestSamplesVersusOracleProperty:
         ]
         result = ledger_result(rows)
         assert_reads_match_oracle(result, rows)
-        counts = [s.counts for s in result.monitor.samples()]
-        assert counts == [(2, 0, 0), (1, 1, 0), (1, 0, 0), (0, 1, 0)]
+        counts = result.monitor.table.counts.tolist()
+        assert counts == [[2, 0, 0], [1, 1, 0], [1, 0, 0], [0, 1, 0]]
 
     def test_gap_windows_are_all_nan(self):
         # Two completions three windows apart: the gap windows must appear
-        # as zero-count, all-NaN samples.
+        # as zero-count, all-NaN rows.
         rows = [(0, 1.0, 2.0, 6.0), (1, 2.0, 3.0, 21.0)]
         result = ledger_result(rows)
         assert_reads_match_oracle(result, rows)
-        samples = result.monitor.samples()
-        assert len(samples) == 5
+        table = result.monitor.table
+        assert len(table.means) == 5
         for gap in (1, 2):
-            assert samples[gap].counts == (0, 0, 0)
-            assert all(math.isnan(m) for m in samples[gap].mean_slowdowns)
+            assert table.counts[gap].tolist() == [0, 0, 0]
+            assert np.isnan(table.means[gap]).all()
         assert result.monitor.ratio_series(1, 0).size == 0
 
     def test_edge_completions_belong_to_the_later_window(self):
@@ -316,7 +319,7 @@ class TestSamplesVersusOracleProperty:
         ]
         result = ledger_result(rows)
         assert_reads_match_oracle(result, rows)
-        assert [s.counts for s in result.monitor.samples()] == [(1, 1, 0), (0, 0, 1)]
+        assert result.monitor.table.counts.tolist() == [[1, 1, 0], [0, 0, 1]]
 
     def test_zero_denominator_windows_have_no_ratio(self):
         # Class 1 waits 0 in window 0 (mean slowdown 0) and 1 in window 1.
@@ -343,7 +346,7 @@ class TestSamplesVersusOracleProperty:
         rows = [(0, 0.0, 1.0, 2.0)]  # completes inside the warm-up
         result = ledger_result(rows)
         assert_reads_match_oracle(result, rows)
-        assert result.monitor.samples() == []
+        assert result.monitor.table.means.shape == (0, 3)
         assert math.isnan(result.system_mean_slowdown())
 
     def test_zero_class_one_mean_gives_nan_ratios(self):

@@ -80,9 +80,9 @@ class TestSharedProcessorSimulation:
         cfg = MeasurementConfig(warmup=500.0, horizon=3_000.0, window=500.0)
         scheduler = WeightedFairQueueing(2)
         sim = Scenario(classes, cfg, server=SharedProcessorServer(scheduler), seed=8)
-        sim.run()
+        result = sim.run()
         # After the run the scheduler's weights equal the last allocated rates.
-        last_rates = sim.rate_history[-1][1]
+        last_rates = result.rate_history[-1][1]
         assert scheduler.weights == pytest.approx(last_rates)
 
     def test_shared_and_dedicated_models_agree_on_ordering(self, moderate_bp):

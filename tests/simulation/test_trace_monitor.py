@@ -13,8 +13,9 @@ from repro.simulation import (
     Scenario,
     WindowedMonitor,
 )
+from repro.simulation.monitor import window_span
 from tests.conftest import make_classes
-from tests.simulation.test_monitor_windows import assert_samples_match_oracle, oracle_samples
+from tests.simulation.test_monitor_windows import assert_table_matches_oracle, oracle_samples
 
 #: Every run also passes the run-end invariants (tests/invariants.py).
 pytestmark = pytest.mark.usefixtures("checked_runs")
@@ -133,15 +134,14 @@ class TestWindowedMonitor:
     def test_requests_bucketed_by_completion_window(self):
         # Completion times: 12, 14 and 17.
         jobs = [(0, 9.0, 2.0, 1.0), (1, 10.0, 3.0, 1.0), (0, 15.0, 1.0, 1.0)]
-        samples = monitor_over(2, jobs, warmup=10.0, window=5.0).samples()
-        assert len(samples) == 2
-        assert samples[0].start == 10.0
-        assert samples[0].counts == (1, 1)
-        assert samples[1].counts == (1, 0)
+        monitor = monitor_over(2, jobs, warmup=10.0, window=5.0)
+        table = monitor.table
+        assert table.counts.tolist() == [[1, 1], [1, 0]]
+        assert window_span(table.first, warmup=10.0, window=5.0)[0] == 10.0
 
     def test_warmup_requests_dropped(self):
         monitor = monitor_over(1, [(0, 0.0, 1.0, 1.0)], warmup=10.0, window=5.0)
-        assert monitor.samples() == []
+        assert monitor.table.means.shape == (0, 1)
 
     def test_ratio_series(self):
         jobs = [
@@ -163,10 +163,11 @@ class TestWindowedMonitor:
         dropped = monitor.per_class_window_means(drop_nan=True)
         assert dropped[1].size == 0
 
-    def test_window_sample_ratio_nan_handling(self):
+    def test_window_ratio_nan_handling(self):
+        # Class 1 is silent in the one window, so it has no ratio.
         monitor = monitor_over(2, [(0, 0.0, 1.0, 1.0)], warmup=0.0, window=10.0)
-        sample = monitor.samples()[0]
-        assert math.isnan(sample.ratio(1, 0))
+        assert math.isnan(monitor.table.means[0, 1])
+        assert monitor.ratio_series(1, 0).size == 0
 
     def test_invalid_construction(self):
         ledger = RequestLedger(1)
@@ -181,10 +182,11 @@ class TestWindowedMonitor:
         # Window 0: both classes; windows 1-2: silence; window 3: class 0.
         jobs = [(0, 0.0, 1.0, 1.0), (1, 0.0, 4.0, 2.0), (0, 31.0, 2.0, 1.0)]
         monitor = monitor_over(2, jobs, warmup=0.0, window=10.0)
-        samples = monitor.samples()
-        assert [s.start for s in samples] == [0.0, 10.0, 20.0, 30.0]
-        assert samples[1].counts == (0, 0) and samples[2].counts == (0, 0)
-        assert all(math.isnan(m) for m in samples[1].mean_slowdowns)
+        table = monitor.table
+        starts = [window_span(table.first + w, warmup=0.0, window=10.0)[0] for w in range(4)]
+        assert len(table.means) == 4 and starts == [0.0, 10.0, 20.0, 30.0]
+        assert table.counts[1:3].tolist() == [[0, 0], [0, 0]]
+        assert np.isnan(table.means[1]).all()
         # Aligned per-class series cover the gap with NaN for both classes.
         aligned = monitor.per_class_window_means()
         assert len(aligned[0]) == len(aligned[1]) == 4
@@ -220,9 +222,9 @@ class TestLedgerBackedMonitor:
             rows.append((class_index, arrival, arrival + wait, arrival + wait + service))
         expected = oracle_samples(rows, num_classes=2, warmup=10.0, window=5.0)
         assert len(expected) == 4  # gap window included
-        assert_samples_match_oracle(monitor.samples(), expected)
+        assert_table_matches_oracle(monitor, expected)
 
     def test_warmup_completions_dropped(self):
         ledger, monitor = self.make_ledger_monitor()
         self.complete(ledger, 0, 0.0, 1.0, 1.0)
-        assert monitor.samples() == []
+        assert monitor.table.means.shape == (0, 2)

@@ -10,6 +10,7 @@ pipeline and the per-event reference must keep that contract.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.cluster import AdmissionController, AutoscalerPolicy, FleetSchedule, make_cluster
@@ -39,7 +40,7 @@ class ScriptedScaleOut(AutoscalerPolicy):
         return self.sizes[min(len(self.seen), len(self.sizes) - 1)]
 
     def observe_boundary(self, obs):
-        rates_in_force = self.scenario.rate_history[-1][1]
+        rates_in_force = tuple(self.scenario.controller.current_rates)
         events = super().observe_boundary(obs)
         self.seen.append((obs, rates_in_force, events))
         return events
@@ -55,6 +56,14 @@ class RecordingQuota(AdmissionController):
     def observe_window(self, obs):
         super().observe_window(obs)
         self.seen.append((obs, float(self._reserve.sum() + self._pool)))
+
+
+def assert_observes_row(obs, table, row):
+    """``obs`` carries row ``row``'s time, rates and tallies bit for bit."""
+    assert obs.time == table.time[row]
+    for field in ("rates", "arrivals", "work", "slowdowns"):
+        np.testing.assert_array_equal(getattr(obs, field), getattr(table, field)[row], field)
+    assert all(type(a) is int for a in obs.arrivals)
 
 
 @pytest.mark.parametrize("scenario_class", [Scenario, ReferenceScenario])
@@ -86,6 +95,13 @@ def test_autoscaler_and_admission_read_one_observation(scenario_class):
     assert start[0].time == 0.0 and start[0].arrivals == (0, 0)
     assert all(math.isnan(s) for s in start[0].slowdowns)
     assert len(boundaries) == len(scaler.seen) == len(result.rate_history) - 1
+    # Every observation is its window-table row plus the fleet: row 0 is
+    # the t=0 admission observation, row k + 1 boundary k's.
+    table = result.window_table
+    assert_observes_row(start[0], table, 0)
+    for row, ((seen, _, _), (budgeted, _)) in enumerate(zip(scaler.seen, boundaries), 1):
+        assert_observes_row(seen, table, row)
+        assert_observes_row(budgeted, table, row)
     joined = []
     for (seen, rates, events), (budgeted, budget) in zip(scaler.seen, boundaries):
         assert seen.rates == rates

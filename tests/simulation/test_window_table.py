@@ -1,7 +1,8 @@
 """The window table: one row of a run's control record per window boundary.
 
-Every run records ``time`` and ``rates``; a clustered run adds the applied
-node partition and the per-node backlog.  The table is the same with or
+Every run records ``time``, ``rates`` and the window's ``arrivals``,
+``work`` and ``slowdowns``; a clustered run adds the applied node partition
+and the per-node backlog.  The table is the same with or
 without telemetry, and it survives the worker pool unchanged.
 """
 
@@ -13,15 +14,16 @@ import pytest
 from repro import PsdSpec, Scenario, make_cluster, parse_fleet_events
 from repro.cluster import AutoscalerPolicy, FleetSchedule
 from repro.cluster.fleet import NODE_LIVE
+from repro.core import PsdController
 from repro.experiments.cluster import ClusterScalingBuild
-from repro.simulation import ReplicationRunner
+from repro.simulation import ReplicationRunner, WindowTable
 from repro.telemetry import Telemetry
 from tests.invariants import CheckedBuild
 
 #: Every run also passes the run-end invariants (tests/invariants.py).
 pytestmark = pytest.mark.usefixtures("checked_runs")
 
-COLUMNS = ("time", "rates", "node_shares", "node_backlog")
+COLUMNS = WindowTable._fields
 
 
 def churn_fleet(measurement):
@@ -61,7 +63,8 @@ def assert_tables_equal(a, b):
         left, right = getattr(a, column), getattr(b, column)
         assert (left is None) == (right is None), column
         if left is not None:
-            assert left.dtype == right.dtype and np.array_equal(left, right), column
+            assert left.dtype == right.dtype, column
+            np.testing.assert_array_equal(left, right, column)  # NaN matches NaN
 
 
 class TestClusterColumns:
@@ -70,6 +73,9 @@ class TestClusterColumns:
         table = result.window_table
         rows = len(result.rate_history)
         assert table.time.shape == (rows,) and table.rates.shape == (rows, 2)
+        for column in (table.arrivals, table.work, table.slowdowns):
+            assert column.shape == (rows, 2)
+        assert table.arrivals.dtype == np.int64
         assert table.node_shares.shape == (rows, 3, 2)
         assert table.node_backlog.shape == (rows, 3)
         assert table.node_backlog.dtype == np.int64
@@ -148,19 +154,25 @@ class TestClusterColumns:
 
 class TestSingleServer:
     def test_no_cluster_columns_and_rate_history_is_its_view(self, two_classes, short_measurement):
-        scenario = Scenario(
+        result = Scenario(
             two_classes,
             short_measurement,
             spec=PsdSpec.of(1, 2),
             seed=np.random.SeedSequence(7),
-        )
-        result = scenario.run()
+        ).run()
         table = result.window_table
         assert table.node_shares is None and table.node_backlog is None
         assert table.rates.shape == (len(table.time), 2)
-        assert result.rate_history == scenario.rate_history
+        assert [time for time, _ in result.rate_history] == table.time.tolist()
+        assert [list(rates) for _, rates in result.rate_history] == table.rates.tolist()
         for time, rates in result.rate_history:
             assert type(time) is float and all(type(r) is float for r in rates)
+        # Row 0: the initial allocation over an empty window.
+        initial = PsdController(two_classes, PsdSpec.of(1, 2)).current_rates
+        assert table.time[0] == 0.0 and table.rates[0].tolist() == list(initial)
+        assert not table.arrivals[0].any() and not table.work[0].any()
+        assert np.isnan(table.slowdowns[0]).all()
+        assert table.arrivals[1:].sum() > 0 and not np.isnan(table.slowdowns[1:]).all()
 
 
 @pytest.mark.skipif(

@@ -7,7 +7,8 @@ recording controller keeps every ``observe_window`` argument, and each is
 compared bit for bit with the window re-read from the finished ledger: the
 rows that arrived before the boundary (shed rows left out) and the
 completion-log entries due by it, reduced by
-:func:`tests.reference.window_stats`.
+:func:`tests.reference.window_stats`, and with the boundary's row of the
+run's window table.
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ def assert_tallies_match_the_ledger(result, seen):
         previous = time
     assert sum(sum(arrived) for _, arrived, _, _ in seen) > 0
     assert any(not np.isnan(s).all() for _, _, _, s in seen)
+    # The window table records what the controller saw, row k + 1 for
+    # boundary k (NaN matching NaN).
+    table = result.window_table
+    assert table.time.shape == (len(seen) + 1,)
+    for row, (time, arrived, work, slowdowns) in enumerate(seen, 1):
+        assert table.time[row] == time
+        np.testing.assert_array_equal(table.arrivals[row], arrived)
+        np.testing.assert_array_equal(table.work[row], work)
+        np.testing.assert_array_equal(table.slowdowns[row], slowdowns)
 
 
 def test_a_single_node_run():
