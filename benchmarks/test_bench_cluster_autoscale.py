@@ -118,6 +118,8 @@ def _build() -> AutoscaleBuild:
         spec,
         num_nodes=NUM_NODES,
         capacities=tuple(1.0 / NUM_NODES for _ in range(NUM_NODES)),
+        policy="weighted_jsq",
+        partitioner="capacity",
         dispatch_entropy=CONFIG.base_seed,
         pattern_entropy=CONFIG.base_seed,
         patterns=default_patterns(scaled),

@@ -54,7 +54,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "AdmissionController",
             "ADMISSION_POLICIES",
             "build_admission",
-            "parse_admission_args",
         ),
         ".autoscale": (
             "AutoscalerPolicy",
@@ -63,7 +62,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "PredictiveEwma",
             "AUTOSCALERS",
             "build_autoscaler",
-            "parse_autoscaler_args",
             "node_hours",
         ),
         ".capacity": ("CAPACITY_MIXES", "resolve_capacities", "mix_label"),

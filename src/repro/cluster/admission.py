@@ -51,13 +51,12 @@ from ..core.admission import (
 )
 from ..core.observation import WindowObservation
 from ..errors import ParameterError
-from ..validation import require_count, require_in_range, require_non_negative
+from ..validation import build_policy, require_count, require_in_range, require_non_negative
 
 __all__ = [
     "AdmissionController",
     "ADMISSION_POLICIES",
     "build_admission",
-    "parse_admission_args",
 ]
 
 
@@ -367,53 +366,15 @@ ADMISSION_POLICIES: dict[str, Callable[..., AdmissionPolicy]] = {
 _TUPLE_PARAMS = ("thresholds", "limits", "quota_shares")
 
 
-def parse_admission_args(tokens: Sequence[str]) -> dict:
-    """Parse ``key=value`` policy-argument tokens (CLI surface).
-
-    Values are floats; comma-separated values become float tuples
-    (``quota_shares=0.4,0.4``).
-    """
-    args: dict = {}
-    for token in tokens:
-        key, sep, value = str(token).partition("=")
-        if not sep or not key or not value:
-            raise ParameterError(
-                f"bad admission argument {token!r}; expected key=value"
-            )
-        parts = value.split(",")
-        try:
-            parsed = tuple(float(part) for part in parts)
-        except ValueError:
-            raise ParameterError(
-                f"bad admission argument {token!r}; values must be numeric"
-            ) from None
-        args[key] = parsed if len(parts) > 1 else parsed[0]
-    return args
-
-
 def build_admission(
     name: str, args: Sequence[str] = (), **overrides
 ) -> AdmissionPolicy:
     """Build a fresh admission policy by registry name.
 
     ``args`` are CLI-style ``key=value`` tokens (see
-    :func:`parse_admission_args`); ``overrides`` are passed through as
-    constructor keywords and win over parsed tokens.
+    :func:`repro.validation.parse_policy_args`); ``overrides`` are passed
+    through as constructor keywords and win over parsed tokens.
     """
-    try:
-        factory = ADMISSION_POLICIES[name]
-    except KeyError:
-        raise ParameterError(
-            f"unknown admission policy {name!r}; available: {sorted(ADMISSION_POLICIES)}"
-        ) from None
-    kwargs = parse_admission_args(args)
-    kwargs.update(overrides)
-    for key in _TUPLE_PARAMS:
-        if key in kwargs and not isinstance(kwargs[key], (tuple, list)):
-            kwargs[key] = (kwargs[key],)
-    try:
-        return factory(**kwargs)
-    except TypeError as exc:
-        raise ParameterError(
-            f"admission policy {name!r} rejected arguments {sorted(kwargs)}: {exc}"
-        ) from None
+    return build_policy(
+        "admission policy", ADMISSION_POLICIES, name, args, overrides, _TUPLE_PARAMS
+    )

@@ -52,7 +52,7 @@ from typing import Callable
 
 from ..core.observation import WindowObservation
 from ..errors import ParameterError
-from ..validation import require_count, require_in_range, require_non_negative
+from ..validation import build_policy, require_count, require_in_range, require_non_negative
 from .fleet import NODE_DRAINING, NODE_LIVE, FleetEvent, node_state_spans
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "PredictiveEwma",
     "AUTOSCALERS",
     "build_autoscaler",
-    "parse_autoscaler_args",
     "node_hours",
 ]
 
@@ -391,57 +390,14 @@ AUTOSCALERS: dict[str, Callable[..., AutoscalerPolicy]] = {
     "predictive_ewma": PredictiveEwma,
 }
 
-def parse_autoscaler_args(tokens: Sequence[str]) -> dict:
-    """Parse ``key=value`` autoscaler-argument tokens (CLI surface).
-
-    Values are floats; comma-separated values become float tuples, and
-    ``bands`` accepts ``threshold:step`` pairs (``bands=0.9:1,1.3:2``).
-    """
-    args: dict = {}
-    for token in tokens:
-        key, sep, value = str(token).partition("=")
-        if not sep or not key or not value:
-            raise ParameterError(f"bad autoscaler argument {token!r}; expected key=value")
-        parts = value.split(",")
-        try:
-            if key == "bands":
-                parsed_bands = []
-                for part in parts:
-                    threshold, colon, step = part.partition(":")
-                    if not colon:
-                        raise ValueError(part)
-                    parsed_bands.append((float(threshold), float(step)))
-                args[key] = tuple(parsed_bands)
-                continue
-            parsed = tuple(float(part) for part in parts)
-        except ValueError:
-            raise ParameterError(
-                f"bad autoscaler argument {token!r}; values must be numeric"
-            ) from None
-        args[key] = parsed if len(parts) > 1 else parsed[0]
-    return args
-
 
 def build_autoscaler(name: str, args: Sequence[str] = (), **overrides) -> AutoscalerPolicy:
     """Build a fresh autoscaler by registry name.
 
     ``args`` are CLI-style ``key=value`` tokens (see
-    :func:`parse_autoscaler_args`); ``overrides`` are passed through as
-    constructor keywords and win over parsed tokens.  Builds carry the
-    *name + tokens* across process boundaries (picklable experiment
-    builds) and construct the policy fresh in each worker.
+    :func:`repro.validation.parse_policy_args`); ``overrides`` are passed
+    through as constructor keywords and win over parsed tokens.  Builds
+    carry the *name + tokens* across process boundaries (picklable
+    experiment builds) and construct the policy fresh in each worker.
     """
-    try:
-        factory = AUTOSCALERS[name]
-    except KeyError:
-        raise ParameterError(
-            f"unknown autoscaler {name!r}; available: {sorted(AUTOSCALERS)}"
-        ) from None
-    kwargs = parse_autoscaler_args(args)
-    kwargs.update(overrides)
-    try:
-        return factory(**kwargs)
-    except TypeError as exc:
-        raise ParameterError(
-            f"autoscaler {name!r} rejected arguments {sorted(kwargs)}: {exc}"
-        ) from None
+    return build_policy("autoscaler", AUTOSCALERS, name, args, overrides)

@@ -97,13 +97,12 @@ class DispatchPolicy(abc.ABC):
         per-node state refresh it in :meth:`_on_fleet_change`.
         """
         self._on_fleet_change()
-        live = getattr(self.cluster, "live_nodes", None) if self.cluster is not None else None
         log_event(
             _log,
             logging.DEBUG,
             "dispatch.fleet_changed",
             policy=type(self).__name__,
-            live=-1 if live is None else len(live),
+            live=len(self.cluster.live_nodes),
         )
 
     def _on_fleet_change(self) -> None:
@@ -218,10 +217,9 @@ class RoundRobin(DispatchPolicy):
     def select_node(self, rid: int, class_index: int) -> int:
         cluster = self.cluster
         n = cluster.num_nodes
-        is_live = getattr(cluster, "is_live", None)
         node = self._next
         for _ in range(n):
-            if is_live is None or is_live(node):
+            if cluster.is_live(node):
                 self._next = (node + 1) % n
                 return node
             node = (node + 1) % n
@@ -237,9 +235,7 @@ class RoundRobin(DispatchPolicy):
         the whole sequence.
         """
         cluster = self.cluster
-        live = getattr(cluster, "live_nodes", None)
-        if live is None:
-            live = tuple(range(cluster.num_nodes))
+        live = cluster.live_nodes
         if not live:
             raise ClusterDrainedError("round-robin found no live node to dispatch to")
         first = int(np.searchsorted(live, self._next))
@@ -300,10 +296,8 @@ class WeightedRandom(DispatchPolicy):
             self.weights if self.weights is not None else cluster.capacities,
             dtype=float,
         )
-        is_live = getattr(cluster, "is_live", None)
-        if is_live is not None:
-            live = np.asarray([is_live(node) for node in range(cluster.num_nodes)], dtype=bool)
-            weights = np.where(live, weights, 0.0)
+        live = np.asarray([cluster.is_live(node) for node in range(cluster.num_nodes)], dtype=bool)
+        weights = np.where(live, weights, 0.0)
         total = weights.sum()
         if total <= 0.0:
             # No live weight anywhere (full outage): selection is impossible
@@ -515,8 +509,8 @@ class ClassAffinity(DispatchPolicy):
         """
         home = self.partition[class_index]
         cluster = self.cluster
-        is_live = getattr(cluster, "is_live", None)
-        if is_live is None or is_live(home):
+        is_live = cluster.is_live
+        if is_live(home):
             return home
         n = cluster.num_nodes
         for offset in range(1, n):

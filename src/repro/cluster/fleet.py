@@ -329,15 +329,10 @@ def node_state_spans(
 def live_nodes_of(cluster) -> tuple[int, ...]:
     """The cluster view's live node indices, in ascending order.
 
-    Views without fleet state (hand-rolled stubs in tests) count every node
-    as live; an empty live set raises
-    :class:`~repro.errors.ClusterDrainedError` — no policy or partitioner
-    can make a decision over zero nodes.
+    An empty live set raises :class:`~repro.errors.ClusterDrainedError` —
+    no policy or partitioner can make a decision over zero nodes.
     """
-    live = getattr(cluster, "live_nodes", None)
-    if live is None:
-        return tuple(range(cluster.num_nodes))
-    live = tuple(live)
+    live = tuple(cluster.live_nodes)
     if not live:
         from ..errors import ClusterDrainedError
 

@@ -233,7 +233,11 @@ class ClusterServerModel(ServerModel):
         self.bank.bind(self.engine, self.classes, ledger=self.ledger)
         self.dispatch.bind(self)
         # The completion runs ``(rids, times)`` of the syncs since the last
-        # drain, and the policy methods dispatch calls, bound once.
+        # drain, and the policy methods dispatch calls, bound once.  A
+        # fleet-event sync mid-window drains rows that only the next
+        # drain hands to the boundary's window tally and the completion
+        # log, so dropping the buffer would move the controller's
+        # observations on churn runs (and the drain-length telemetry).
         self._runs: list[tuple[np.ndarray, np.ndarray]] = []
         self._select_block = getattr(self.dispatch, "select_block", None)
         self._chooser = self.dispatch.chooser

@@ -174,11 +174,9 @@ class AffinityPartitioner(RatePartitioner):
                 "AffinityPartitioner requires a bound ClassAffinity policy with "
                 "one home node per class"
             )
-        follow_fleet = self.affinity.cluster is not None
         shares = [[0.0] * len(rates) for _ in range(cluster.num_nodes)]
         for c, rate in enumerate(rates):
-            home = self.affinity.effective_home(c) if follow_fleet else partition[c]
-            shares[home][c] = rate
+            shares[self.affinity.effective_home(c)][c] = rate
         return [tuple(share) for share in shares]
 
 

@@ -13,7 +13,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         ".autoscale": ("run_autoscale", "AutoscaleBuild", "default_patterns"),
         ".base": (
             "ExperimentResult",
-            "ServerFactory",
+            "replicate",
             "simulate_psd_point",
             "pooled_window_ratios",
             "ScenarioBuild",

@@ -151,8 +151,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="POLICY",
         choices=sorted(ADMISSION_POLICIES),
-        help="admission policy for the experiments that honour it (the "
-        "'overload' sweep; cluster builds pass it through) "
+        help="admission policy of the 'overload' sweep's admission cells (no "
+        "other experiment reads it) "
         f"(choices: {', '.join(sorted(ADMISSION_POLICIES))})",
     )
     parser.add_argument(

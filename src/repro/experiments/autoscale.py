@@ -15,28 +15,35 @@ included).  The claim pinned by ``benchmarks/test_bench_cluster_autoscale.py``:
 at least one policy holds the ratio band at >= 25% fewer node-hours than
 the static peak fleet, with bit-identical fleet timelines serial vs
 ``workers=N``.
+
+Every cell is one :class:`~repro.experiments.cluster.ClusterScalingBuild`
+(``AutoscaleBuild`` names the same class) that replays pre-drawn
+inhomogeneous Poisson traces seeded from ``(base_seed, replication_index)``:
+every row sees the identical sample path per replication (common random
+numbers), so row differences are the scaler's doing, not sampling noise.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from ..cluster import build_autoscaler, build_partitioner, make_cluster, node_hours
-from ..cluster.fleet import FleetSchedule
-from ..core.feedback import FeedbackPsdController
+from ..cluster import node_hours
 from ..core.psd import PsdSpec
 from ..simulation.monitor import MeasurementConfig
-from ..simulation.runner import ReplicationRunner, ReplicationSummary
-from ..simulation.scenario import Scenario, SimulationResult
-from ..types import TrafficClass
-from ..workload.patterns import DiurnalPattern, FlashCrowd, pattern_sources
-from .base import ExperimentResult
+from ..simulation.runner import ReplicationSummary
+from ..workload.patterns import DiurnalPattern, FlashCrowd
+from .base import ExperimentResult, replicate
+from .cluster import ClusterScalingBuild
 from .config import ExperimentConfig, get_preset
 
 __all__ = ["AutoscaleBuild", "default_patterns", "run_autoscale", "autoscale"]
+
+#: The autoscale cells' replication build: the cluster build with arrival
+#: ``patterns``, ``initial_nodes`` and an ``autoscaler``.
+AutoscaleBuild = ClusterScalingBuild
 
 #: Default ``key=value`` tokens per registry policy for the sweep (the
 #: registry defaults are already tuned for a 4-node quarter-capacity fleet;
@@ -65,93 +72,6 @@ def default_patterns(measurement: MeasurementConfig) -> tuple:
             magnitude=2.0,
         ),
     )
-
-
-@dataclass(frozen=True)
-class AutoscaleBuild:
-    """Picklable per-replication build for one autoscale cell.
-
-    Arrival streams are pre-materialised inhomogeneous Poisson traces
-    (:func:`repro.workload.pattern_sources`) seeded from
-    ``(pattern_entropy, replication_index)`` — every cell of the sweep
-    replays the *identical* sample path per replication (common random
-    numbers), so row differences are the scaler's doing, not sampling
-    noise.  The autoscaler itself is carried as ``name + tokens`` and
-    built fresh inside :meth:`__call__`, exactly like admission builds,
-    so workers never share policy state.
-    """
-
-    classes: tuple[TrafficClass, ...]
-    measurement: MeasurementConfig
-    spec: PsdSpec
-    num_nodes: int
-    #: Absolute per-node capacities; ``None`` keeps unconstrained nodes.
-    capacities: tuple[float, ...] | None = None
-    policy: str = "weighted_jsq"
-    partitioner: str | None = "capacity"
-    dispatch_entropy: int = 0
-    pattern_entropy: int = 0
-    #: Arrival-pattern sequence (frozen dataclasses, times in raw units);
-    #: empty runs the classes' stationary Poisson rates as a trace.
-    patterns: tuple = ()
-    #: Nodes live at t=0; the rest start down (autoscaler inventory).
-    #: ``None`` starts the whole fleet live (the static baseline).
-    initial_nodes: int | None = None
-    autoscaler: str | None = None
-    autoscaler_args: tuple[str, ...] = ()
-
-    def __call__(self, index: int, seed: np.random.SeedSequence) -> SimulationResult:
-        pattern_seed = np.random.SeedSequence(
-            entropy=(abs(int(self.pattern_entropy)), int(index))
-        )
-        sources = pattern_sources(
-            self.classes,
-            self.patterns,
-            horizon=self.measurement.horizon,
-            seed=pattern_seed,
-        )
-        fleet = None
-        if self.initial_nodes is not None and self.initial_nodes < self.num_nodes:
-            fleet = FleetSchedule(
-                initial_down=tuple(range(self.initial_nodes, self.num_nodes))
-            )
-        dispatch_seed = np.random.SeedSequence(
-            entropy=(abs(int(self.dispatch_entropy)), int(index))
-        )
-        server = make_cluster(
-            self.num_nodes,
-            self.policy,
-            capacities=self.capacities,
-            partitioner=None
-            if self.partitioner is None
-            else build_partitioner(self.partitioner),
-            seed=dispatch_seed,
-            fleet=fleet,
-        )
-        autoscaler = (
-            None
-            if self.autoscaler is None
-            else build_autoscaler(self.autoscaler, self.autoscaler_args)
-        )
-        controller = FeedbackPsdController(self.classes, self.spec)
-        return Scenario(
-            self.classes,
-            self.measurement,
-            server=server,
-            controller=controller,
-            seed=seed,
-            sources=sources,
-            autoscaler=autoscaler,
-        ).run()
-
-
-def _replicate(build: AutoscaleBuild, config: ExperimentConfig) -> ReplicationSummary:
-    runner = ReplicationRunner(
-        replications=config.measurement.replications,
-        base_seed=np.random.SeedSequence(entropy=config.base_seed),
-        workers=config.workers,
-    )
-    return runner.run(build)
 
 
 def _mean_node_hours(summary: ReplicationSummary, horizon: float) -> float:
@@ -257,7 +177,7 @@ def run_autoscale(
         result.add_row(**row)
         return hours
 
-    static_build = AutoscaleBuild(
+    static_build = ClusterScalingBuild(
         classes,
         scaled,
         spec,
@@ -269,25 +189,13 @@ def run_autoscale(
         pattern_entropy=config.base_seed,
         patterns=tuple(patterns),
     )
-    static_hours = add_row("static", _replicate(static_build, config), None)
+    static_hours = add_row("static", replicate(static_build, config), None)
 
     for name, args in sweep:
-        build = AutoscaleBuild(
-            classes,
-            scaled,
-            spec,
-            num_nodes=num_nodes,
-            capacities=capacities,
-            policy=policy,
-            partitioner=partitioner,
-            dispatch_entropy=config.base_seed,
-            pattern_entropy=config.base_seed,
-            patterns=tuple(patterns),
-            initial_nodes=initial_nodes,
-            autoscaler=name,
-            autoscaler_args=args,
+        build = replace(
+            static_build, initial_nodes=initial_nodes, autoscaler=name, autoscaler_args=args
         )
-        add_row(name, _replicate(build, config), static_hours)
+        add_row(name, replicate(build, config), static_hours)
 
     result.notes.append(
         "Every row replays the identical non-stationary arrival traces "

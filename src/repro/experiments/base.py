@@ -3,13 +3,14 @@
 * :class:`ExperimentResult` — the uniform container every driver returns:
   an identifier, descriptive parameters, named columns and rows, plus
   free-text notes about the qualitative expectations from the paper.
-* :func:`simulate_psd_point` — run one simulation scenario at one operating
-  point (a class vector + differentiation spec) with the configured number
-  of replications and return the aggregated summary.  The serving substrate
-  is a pluggable :class:`~repro.simulation.ServerModel` (the paper's
-  idealised task servers by default), so every figure can be regenerated
-  against any realisation — and replications run in parallel when the
-  config asks for workers.
+* :func:`replicate` — the one way a driver runs a sweep point: a picklable
+  replication build handed to :class:`~repro.simulation.ReplicationRunner`
+  with the config's replication count, worker count and base seed, so
+  every table is reproducible from ``config.base_seed`` and identical for
+  every worker count.
+* :func:`simulate_psd_point` — one operating point (a class vector + a
+  differentiation spec) under the paper's open-loop PSD allocation on its
+  idealised task servers, replicated through :func:`replicate`.
 """
 
 from __future__ import annotations
@@ -24,23 +25,17 @@ from ..errors import ExperimentError
 from ..simulation.monitor import MeasurementConfig
 from ..simulation.runner import ReplicationRunner, ReplicationSummary
 from ..simulation.scenario import Scenario, SimulationResult
-from ..simulation.server_models import RateScalableServers, ServerModel
 from ..types import TrafficClass
 from .config import ExperimentConfig
 from .tables import render_table
 
 __all__ = [
     "ExperimentResult",
-    "ServerFactory",
     "ScenarioBuild",
+    "replicate",
     "simulate_psd_point",
     "pooled_window_ratios",
 ]
-
-#: Builds a fresh :class:`ServerModel` per replication (models hold per-run
-#: state).  ``None`` means the paper's idealised :class:`RateScalableServers`.
-ServerFactory = Callable[[], ServerModel]
-
 
 @dataclass
 class ExperimentResult:
@@ -114,23 +109,37 @@ class ScenarioBuild:
     Being a module-level callable dataclass (rather than a closure) lets the
     parallel :class:`~repro.simulation.runner.ReplicationRunner` ship it to
     the persistent worker pool's running workers, which amortises the fork
-    cost across every sweep point of an experiment.  ``server_factory``
-    should itself be picklable (``None``, a class, or a module-level
-    callable); a closure factory makes the pool re-fork its workers for
-    every batch.
+    cost across every sweep point of an experiment.
     """
 
     classes: tuple[TrafficClass, ...]
     measurement: MeasurementConfig
     spec: PsdSpec
-    server_factory: ServerFactory | None = None
 
     def __call__(self, _: int, seed: np.random.SeedSequence) -> SimulationResult:
-        factory = self.server_factory
-        server = factory() if factory is not None else RateScalableServers()
-        return Scenario(
-            self.classes, self.measurement, server=server, spec=self.spec, seed=seed
-        ).run()
+        return Scenario(self.classes, self.measurement, spec=self.spec, seed=seed).run()
+
+
+def replicate(
+    build: Callable[[int, np.random.SeedSequence], SimulationResult],
+    config: ExperimentConfig,
+    *,
+    seed_offset: int = 0,
+) -> ReplicationSummary:
+    """Run ``config.measurement.replications`` replications of ``build``.
+
+    The base seed is a fresh ``SeedSequence(config.base_seed + seed_offset)``
+    per call (``SeedSequence.spawn`` is stateful): builds replicated at the
+    same offset replay identical scenario seeds (common random numbers),
+    and distinct offsets decorrelate sweep points.  Results are
+    bit-identical for every ``config.workers``.
+    """
+    runner = ReplicationRunner(
+        replications=config.measurement.replications,
+        base_seed=np.random.SeedSequence(entropy=config.base_seed + seed_offset),
+        workers=config.workers,
+    )
+    return runner.run(build)
 
 
 def simulate_psd_point(
@@ -139,27 +148,14 @@ def simulate_psd_point(
     config: ExperimentConfig,
     *,
     seed_offset: int = 0,
-    measurement: MeasurementConfig | None = None,
-    server_factory: ServerFactory | None = None,
-    workers: int | None = None,
 ) -> ReplicationSummary:
     """Run one scenario at one operating point, with replications.
 
     ``seed_offset`` decorrelates different sweep points while keeping the
     whole experiment reproducible from ``config.base_seed``.
-    ``server_factory`` selects the serving substrate (fresh instance per
-    replication); ``workers`` overrides ``config.workers``.  Results are
-    bit-identical for every worker count.
     """
-    scaled = measurement if measurement is not None else config.scaled_measurement()
-    base_seed = np.random.SeedSequence(entropy=config.base_seed + seed_offset)
-    build = ScenarioBuild(tuple(classes), scaled, spec, server_factory)
-    runner = ReplicationRunner(
-        replications=config.measurement.replications,
-        base_seed=base_seed,
-        workers=config.workers if workers is None else workers,
-    )
-    return runner.run(build)
+    build = ScenarioBuild(tuple(classes), config.scaled_measurement(), spec)
+    return replicate(build, config, seed_offset=seed_offset)
 
 
 def pooled_window_ratios(

@@ -15,18 +15,27 @@ streams as the baseline (the scenario seeds are identical), and randomised
 dispatch draws from its own stream derived from the experiment's base seed —
 so the reported fidelity gap is the effect of clustering, not of sampling
 noise between cells.
+
+:class:`ClusterScalingBuild` is the one replication build of every
+feedback-controlled run: this sweep, the overload sweep
+(:mod:`repro.experiments.overload`, with admission), the autoscaling sweep
+(:mod:`repro.experiments.autoscale`, with arrival patterns and an
+autoscaler) and the ``--telemetry`` probe, which runs one scenario of it
+with a live telemetry facade.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..cluster import (
     FleetSchedule,
     build_admission,
+    build_autoscaler,
     build_partitioner,
     make_cluster,
     mix_label,
@@ -34,26 +43,39 @@ from ..cluster import (
 )
 from ..core.feedback import FeedbackPsdController
 from ..core.psd import PsdSpec
+from ..errors import ParameterError
 from ..simulation.monitor import MeasurementConfig
-from ..simulation.runner import ReplicationRunner, ReplicationSummary
+from ..simulation.runner import ReplicationSummary
 from ..simulation.scenario import Scenario, SimulationResult
 from ..types import TrafficClass
-from .base import ExperimentResult
+from ..workload.patterns import pattern_sources
+from .base import ExperimentResult, replicate
 from .config import ExperimentConfig, get_preset
+
+if TYPE_CHECKING:
+    from ..telemetry import Telemetry
 
 __all__ = ["ClusterScalingBuild", "run_cluster_scaling", "cluster_scaling"]
 
 
+def _stream(entropy: int, index: int) -> np.random.SeedSequence:
+    """A per-replication stream independent of the scenario seed."""
+    return np.random.SeedSequence(entropy=(abs(int(entropy)), int(index)))
+
+
 @dataclass(frozen=True)
 class ClusterScalingBuild:
-    """Picklable per-replication build for one cluster-scaling cell.
+    """Picklable per-replication build of one feedback-controlled cell.
 
     ``num_nodes=None`` is the single-server baseline (the paper's idealised
     task servers, no cluster wrapper).  The dispatch stream of randomised
     policies is seeded from ``(dispatch_entropy, replication_index)`` —
     reproducible from the experiment's base seed, yet independent of the
     scenario seed so the class arrival streams stay identical to the
-    baseline's (common random numbers).
+    baseline's (common random numbers).  Admission and autoscaler policies
+    are carried as ``name + tokens`` and built fresh per replication inside
+    :meth:`scenario`, so the build stays picklable and workers never share
+    policy state.
     """
 
     classes: tuple[TrafficClass, ...]
@@ -73,19 +95,41 @@ class ClusterScalingBuild:
     #: measurement's raw time units; ``None`` keeps the fleet static.
     fleet: FleetSchedule | None = None
     #: Admission policy registry name (:data:`repro.cluster.
-    #: ADMISSION_POLICIES`) plus its ``key=value`` argument tokens; the
-    #: policy is built *fresh per replication* inside :meth:`__call__`, so
-    #: the build stays picklable and workers never share policy state.
+    #: ADMISSION_POLICIES`) plus its ``key=value`` argument tokens.
     admission: str | None = None
     admission_args: tuple[str, ...] = ()
+    #: Arrival-pattern sequence (frozen dataclasses, times in raw units)
+    #: replayed as pre-drawn :func:`repro.workload.pattern_sources` traces
+    #: seeded from ``(pattern_entropy, replication_index)``, so every cell
+    #: replays the identical sample path per replication; an empty tuple
+    #: runs the classes' stationary rates as a trace.  ``None`` draws
+    #: Poisson streams from the scenario seed.
+    patterns: tuple | None = None
+    pattern_entropy: int = 0
+    #: Nodes live at t=0; the rest start down (autoscaler inventory).
+    #: ``None`` starts the whole fleet live.  Excludes ``fleet``.
+    initial_nodes: int | None = None
+    #: Autoscaler registry name (:data:`repro.cluster.AUTOSCALERS`) plus
+    #: its ``key=value`` argument tokens.
+    autoscaler: str | None = None
+    autoscaler_args: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.fleet is not None and self.initial_nodes is not None:
+            raise ParameterError("set either fleet or initial_nodes, not both")
 
     def __call__(self, index: int, seed: np.random.SeedSequence) -> SimulationResult:
-        if self.num_nodes is None:
-            server = None
-        else:
-            dispatch_seed = np.random.SeedSequence(
-                entropy=(abs(int(self.dispatch_entropy)), int(index))
-            )
+        return self.scenario(index, seed).run()
+
+    def scenario(
+        self, index: int, seed: np.random.SeedSequence, telemetry: Telemetry | None = None
+    ) -> Scenario:
+        """The replication's scenario; ``telemetry`` is :class:`Scenario`'s own."""
+        server = None
+        if self.num_nodes is not None:
+            fleet = self.fleet
+            if self.initial_nodes is not None and self.initial_nodes < self.num_nodes:
+                fleet = FleetSchedule(initial_down=tuple(range(self.initial_nodes, self.num_nodes)))
             server = make_cluster(
                 self.num_nodes,
                 self.policy,
@@ -93,34 +137,32 @@ class ClusterScalingBuild:
                 partitioner=None
                 if self.partitioner is None
                 else build_partitioner(self.partitioner),
-                seed=dispatch_seed,
-                fleet=self.fleet,
+                seed=_stream(self.dispatch_entropy, index),
+                fleet=fleet,
             )
-        controller = FeedbackPsdController(self.classes, self.spec)
-        admission = (
-            None
-            if self.admission is None
-            else build_admission(self.admission, self.admission_args)
-        )
+        sources = None
+        if self.patterns is not None:
+            sources = pattern_sources(
+                self.classes,
+                self.patterns,
+                horizon=self.measurement.horizon,
+                seed=_stream(self.pattern_entropy, index),
+            )
         return Scenario(
             self.classes,
             self.measurement,
             server=server,
-            controller=controller,
+            controller=FeedbackPsdController(self.classes, self.spec),
             seed=seed,
-            admission=admission,
-        ).run()
-
-
-def _replicate(build: ClusterScalingBuild, config: ExperimentConfig) -> ReplicationSummary:
-    # A fresh SeedSequence per cell: SeedSequence.spawn is stateful, and
-    # identical entropy is what gives every cell the baseline's seeds.
-    runner = ReplicationRunner(
-        replications=config.measurement.replications,
-        base_seed=np.random.SeedSequence(entropy=config.base_seed),
-        workers=config.workers,
-    )
-    return runner.run(build)
+            sources=sources,
+            admission=None
+            if self.admission is None
+            else build_admission(self.admission, self.admission_args),
+            autoscaler=None
+            if self.autoscaler is None
+            else build_autoscaler(self.autoscaler, self.autoscaler_args),
+            telemetry=telemetry,
+        )
 
 
 #: Dispatch policy x rate partitioner pairings run for every heterogeneous
@@ -235,21 +277,18 @@ def run_cluster_scaling(
     if schedule is not None:
         schedule.validate_for(churn_nodes)
 
-    baseline_build = ClusterScalingBuild(classes, scaled, spec, dispatch_entropy=config.base_seed)
-    baseline = _replicate(baseline_build, config)
-    baseline_ratios = add_row("single", "-", baseline, None)
+    def cell(**fields) -> ReplicationSummary:
+        # Every cell replays the baseline's scenario and dispatch seeds.
+        build = ClusterScalingBuild(
+            classes, scaled, spec, dispatch_entropy=config.base_seed, **fields
+        )
+        return replicate(build, config)
+
+    baseline_ratios = add_row("single", "-", cell(), None)
 
     for nodes in config.cluster_nodes:
         for policy in config.dispatch_policies:
-            build = ClusterScalingBuild(
-                classes,
-                scaled,
-                spec,
-                num_nodes=nodes,
-                policy=policy,
-                dispatch_entropy=config.base_seed,
-            )
-            add_row(nodes, policy, _replicate(build, config), baseline_ratios)
+            add_row(nodes, policy, cell(num_nodes=nodes, policy=policy), baseline_ratios)
 
     for mix in config.capacity_mixes:
         nodes = len(mix) if not isinstance(mix, str) else hetero_nodes
@@ -257,23 +296,11 @@ def run_cluster_scaling(
         if capacities is None:
             continue  # uniform: already covered by the homogeneous sweep
         for policy, partitioner in HETERO_CELLS:
-            build = ClusterScalingBuild(
-                classes,
-                scaled,
-                spec,
-                num_nodes=nodes,
-                policy=policy,
-                dispatch_entropy=config.base_seed,
-                capacities=capacities,
-                partitioner=partitioner,
+            summary = cell(
+                num_nodes=nodes, policy=policy, capacities=capacities, partitioner=partitioner
             )
             add_row(
-                nodes,
-                policy,
-                _replicate(build, config),
-                baseline_ratios,
-                partitioner=partitioner,
-                mix=mix_label(mix),
+                nodes, policy, summary, baseline_ratios, partitioner=partitioner, mix=mix_label(mix)
             )
 
     if schedule is not None:
@@ -283,13 +310,9 @@ def run_cluster_scaling(
             config.service_distribution().mean()
         )
         for policy, partitioner in CHURN_CELLS:
-            build = ClusterScalingBuild(
-                classes,
-                scaled,
-                spec,
+            summary = cell(
                 num_nodes=churn_nodes,
                 policy=policy,
-                dispatch_entropy=config.base_seed,
                 capacities=churn_capacities,
                 partitioner=partitioner,
                 fleet=scaled_schedule,
@@ -297,7 +320,7 @@ def run_cluster_scaling(
             add_row(
                 churn_nodes,
                 policy,
-                _replicate(build, config),
+                summary,
                 baseline_ratios,
                 partitioner=partitioner,
                 mix=churn_mix,

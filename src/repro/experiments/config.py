@@ -94,12 +94,12 @@ class ExperimentConfig:
     #: experiment; empty keeps every fleet static.
     fleet_events: tuple[str, ...] = ()
     #: Admission policy name from :data:`repro.cluster.ADMISSION_POLICIES`
-    #: (``None`` = no admission control) applied by the experiments that
-    #: honour it (the overload sweep; cluster builds pass it through).
+    #: (``None`` = no admission control) for the overload sweep's admission
+    #: cells; no other experiment reads it.
     admission: str | None = None
     #: CLI-style ``key=value`` argument tokens for the admission policy
     #: (``quota_shares=0.45,0.45`` — the grammar of
-    #: :func:`repro.cluster.parse_admission_args`).
+    #: :func:`repro.validation.parse_policy_args`).
     admission_args: tuple[str, ...] = ()
     #: Autoscaler policy name from :data:`repro.cluster.AUTOSCALERS`
     #: (``None`` = the autoscale experiment sweeps every registered policy;
@@ -107,7 +107,7 @@ class ExperimentConfig:
     autoscaler: str | None = None
     #: CLI-style ``key=value`` argument tokens for the autoscaler
     #: (``target=0.85 scale_in_cooldown=2000`` — the grammar of
-    #: :func:`repro.cluster.parse_autoscaler_args`).
+    #: :func:`repro.validation.parse_policy_args`).
     autoscaler_args: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 from ..core.psd import PsdSpec
 from ..metrics.ratios import compare_to_targets
-from .base import ExperimentResult, ServerFactory, simulate_psd_point
+from .base import ExperimentResult, simulate_psd_point
 from .config import ExperimentConfig, get_preset
 
 __all__ = ["run_controllability", "figure9", "figure10"]
@@ -32,13 +32,8 @@ def run_controllability(
     *,
     experiment_id: str,
     title: str,
-    server_factory: ServerFactory | None = None,
 ) -> ExperimentResult:
-    """Achieved mean slowdown ratios for several delta vectors across the load grid.
-
-    ``server_factory`` swaps the serving substrate per replication; the
-    default is the paper's idealised task servers.
-    """
+    """Achieved mean slowdown ratios for several delta vectors across the load grid."""
     result = ExperimentResult(
         experiment_id=experiment_id,
         title=title,
@@ -66,7 +61,6 @@ def run_controllability(
                 spec,
                 config,
                 seed_offset=7000 + 1000 * vec_index + load_index,
-                server_factory=server_factory,
             )
             comparison = compare_to_targets(summary.mean_slowdowns, spec)
             for class_index in range(1, spec.num_classes):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..core.psd import PsdSpec, expected_slowdowns
-from .base import ExperimentResult, ServerFactory, simulate_psd_point
+from .base import ExperimentResult, simulate_psd_point
 from .config import ExperimentConfig, get_preset
 
 __all__ = ["run_effectiveness", "figure2", "figure3", "figure4"]
@@ -26,15 +26,8 @@ def run_effectiveness(
     *,
     experiment_id: str,
     title: str,
-    server_factory: ServerFactory | None = None,
 ) -> ExperimentResult:
-    """Load sweep comparing simulated against Eq. 18 slowdowns.
-
-    ``server_factory`` swaps the serving substrate (e.g. a scheduler-driven
-    :class:`~repro.simulation.SharedProcessorServer`) while keeping the
-    sweep, seeds and analytics identical — Eq. 18 describes the idealised
-    task servers, so other substrates quantify the realisation gap.
-    """
+    """Load sweep comparing simulated against Eq. 18 slowdowns."""
     spec = PsdSpec(tuple(float(d) for d in deltas))
     n = spec.num_classes
     columns = ["load"]
@@ -57,9 +50,7 @@ def run_effectiveness(
 
     for index, load in enumerate(config.load_grid):
         classes = config.classes_for_load(load, spec.deltas)
-        summary = simulate_psd_point(
-            classes, spec, config, seed_offset=index, server_factory=server_factory
-        )
+        summary = simulate_psd_point(classes, spec, config, seed_offset=index)
         simulated = summary.mean_slowdowns
         expected = expected_slowdowns(classes, spec)
         row: dict[str, object] = {"load": load}

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from ..cluster import resolve_capacities
 from ..core.psd import PsdSpec
-from ..simulation.runner import ReplicationRunner, ReplicationSummary
-from .base import ExperimentResult
+from ..simulation.runner import ReplicationSummary
+from .base import ExperimentResult, replicate
 from .cluster import ClusterScalingBuild
 from .config import ExperimentConfig, get_preset
 
@@ -38,15 +36,6 @@ OVERLOAD_LOADS: tuple[float, ...] = (0.95, 1.05, 1.2)
 #: Default quota-controller argument tokens for the two-class workload:
 #: 45% reserve per class, a 10% shared overflow pool.
 DEFAULT_QUOTA_ARGS: tuple[str, ...] = ("quota_shares=0.45,0.45",)
-
-
-def _replicate(build: ClusterScalingBuild, config: ExperimentConfig) -> ReplicationSummary:
-    runner = ReplicationRunner(
-        replications=config.measurement.replications,
-        base_seed=np.random.SeedSequence(entropy=config.base_seed),
-        workers=config.workers,
-    )
-    return runner.run(build)
 
 
 def _unfinished(summary: ReplicationSummary) -> int:
@@ -135,7 +124,7 @@ def run_overload(
                 admission=name,
                 admission_args=args,
             )
-            summary = _replicate(build, config)
+            summary = replicate(build, config)
             ratios = summary.ratio_of_mean_slowdowns
             row: dict[str, object] = {"load": float(load), "admission": label}
             for i, slowdown in enumerate(summary.mean_slowdowns, start=1):

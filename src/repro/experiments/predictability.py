@@ -27,12 +27,7 @@ import numpy as np
 from ..core.psd import PsdSpec
 from ..metrics.percentile import percentile_band
 from ..simulation.monitor import MeasurementConfig
-from .base import (
-    ExperimentResult,
-    ServerFactory,
-    pooled_window_ratios,
-    simulate_psd_point,
-)
+from .base import ExperimentResult, pooled_window_ratios, simulate_psd_point
 from .config import ExperimentConfig, get_preset
 
 __all__ = [
@@ -54,7 +49,6 @@ def run_ratio_percentiles(
     *,
     experiment_id: str,
     title: str,
-    server_factory: ServerFactory | None = None,
 ) -> ExperimentResult:
     """Percentiles of windowed slowdown ratios for one or more delta vectors.
 
@@ -90,7 +84,6 @@ def run_ratio_percentiles(
                 spec,
                 config,
                 seed_offset=1000 * vec_index + load_index,
-                server_factory=server_factory,
             )
             for class_index in range(1, spec.num_classes):
                 ratios = pooled_window_ratios(summary, class_index, 0)
@@ -146,7 +139,6 @@ def run_individual_requests(
     title: str,
     deltas: Sequence[float] = (1.0, 2.0),
     span: float = 1000.0,
-    server_factory: ServerFactory | None = None,
 ) -> ExperimentResult:
     """Per-request slowdowns over the last ``span`` time units of one run.
 
@@ -162,14 +154,7 @@ def run_individual_requests(
     service_mean = config.service_distribution().mean()
     measurement: MeasurementConfig = config.scaled_measurement()
     window_start = measurement.horizon - span * service_mean
-    summary = simulate_psd_point(
-        classes,
-        spec,
-        config,
-        seed_offset=int(load * 100),
-        measurement=measurement,
-        server_factory=server_factory,
-    )
+    summary = simulate_psd_point(classes, spec, config, seed_offset=int(load * 100))
     ledger = summary.results[0].ledger
     ids = ledger.completed_ids
     done = ledger.completion_time[ids]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..core.psd import PsdSpec, expected_slowdowns
-from .base import ExperimentResult, ServerFactory, simulate_psd_point
+from .base import ExperimentResult, simulate_psd_point
 from .config import ExperimentConfig, get_preset
 
 __all__ = [
@@ -41,7 +41,6 @@ def run_shape_sensitivity(
     deltas: Sequence[float] = (1.0, 2.0),
     experiment_id: str = "fig11",
     title: str = "Influence of the Bounded Pareto shape parameter",
-    server_factory: ServerFactory | None = None,
 ) -> ExperimentResult:
     """Simulated vs expected slowdowns as the shape parameter varies."""
     spec = PsdSpec(tuple(float(d) for d in deltas))
@@ -67,9 +66,7 @@ def run_shape_sensitivity(
     for index, alpha in enumerate(alphas):
         varied = config.with_bounds(shape=float(alpha))
         classes = varied.classes_for_load(load, spec.deltas)
-        summary = simulate_psd_point(
-            classes, spec, varied, seed_offset=3000 + index, server_factory=server_factory
-        )
+        summary = simulate_psd_point(classes, spec, varied, seed_offset=3000 + index)
         simulated = summary.mean_slowdowns
         expected = expected_slowdowns(classes, spec)
         worst = max(abs(s - e) / e for s, e in zip(simulated, expected) if e > 0)
@@ -97,7 +94,6 @@ def run_upper_bound_sensitivity(
     deltas: Sequence[float] = (1.0, 2.0),
     experiment_id: str = "fig12",
     title: str = "Influence of the Bounded Pareto upper bound",
-    server_factory: ServerFactory | None = None,
 ) -> ExperimentResult:
     """Simulated vs expected slowdowns as the upper bound varies."""
     spec = PsdSpec(tuple(float(d) for d in deltas))
@@ -123,9 +119,7 @@ def run_upper_bound_sensitivity(
     for index, upper in enumerate(upper_bounds):
         varied = config.with_bounds(upper_bound=float(upper))
         classes = varied.classes_for_load(load, spec.deltas)
-        summary = simulate_psd_point(
-            classes, spec, varied, seed_offset=4000 + index, server_factory=server_factory
-        )
+        summary = simulate_psd_point(classes, spec, varied, seed_offset=4000 + index)
         simulated = summary.mean_slowdowns
         expected = expected_slowdowns(classes, spec)
         worst = max(abs(s - e) / e for s, e in zip(simulated, expected) if e > 0)

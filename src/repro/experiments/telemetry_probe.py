@@ -1,10 +1,11 @@
 """An instrumented cluster-churn probe behind the CLI's ``--telemetry`` flag.
 
 The experiment drivers answer *what* the controller achieves; this probe
-answers *how a run behaves while achieving it*.  It replays one replication
-of the cluster experiment's churn cell — a capacity-aware fleet losing and
-regaining a node mid-run — with a live :class:`repro.telemetry.Telemetry`
-facade attached, then packages every exporter the telemetry layer offers:
+answers *how a run behaves while achieving it*.  It runs one scenario of a
+churn cell's :class:`~repro.experiments.cluster.ClusterScalingBuild` — a
+capacity-aware weighted-JSQ fleet losing and regaining a node mid-run —
+with a live :class:`repro.telemetry.Telemetry` facade attached, then
+packages every exporter the telemetry layer offers:
 
 * a :class:`repro.telemetry.TelemetrySummary` for the terminal,
 * Chrome trace-event JSON (``trace.json``, open in Perfetto / about:tracing),
@@ -31,12 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cluster import make_cluster, parse_fleet_events, resolve_capacities
-from ..core.feedback import FeedbackPsdController
+from ..cluster import parse_fleet_events, resolve_capacities
 from ..core.psd import PsdSpec
 from ..simulation.monitor import window_span, windowed_time_average
-from ..simulation.scenario import Scenario, SimulationResult
+from ..simulation.scenario import SimulationResult
 from ..telemetry import Telemetry, TelemetrySummary, chrome_trace_events, write_chrome_trace
+from .cluster import ClusterScalingBuild
 from .config import ExperimentConfig, get_preset
 
 __all__ = ["TelemetryProbeResult", "health_rows", "run_telemetry_probe"]
@@ -143,22 +144,20 @@ def run_telemetry_probe(
     classes = config.classes_for_load(load, spec.deltas)
     scaled = config.scaled_measurement()
 
-    telemetry = Telemetry()
-    cluster = make_cluster(
-        PROBE_NODES,
-        "weighted_jsq",
-        capacities=resolve_capacities("2:1", PROBE_NODES),
-        seed=np.random.SeedSequence(entropy=(config.base_seed, 1)),
-        fleet=_probe_fleet(config, config.measurement.warmup),
-    )
-    result = Scenario(
+    build = ClusterScalingBuild(
         classes,
         scaled,
-        server=cluster,
-        controller=FeedbackPsdController(classes, spec),
-        seed=np.random.SeedSequence(entropy=config.base_seed),
-        telemetry=telemetry,
-    ).run()
+        spec,
+        num_nodes=PROBE_NODES,
+        policy="weighted_jsq",
+        capacities=resolve_capacities("2:1", PROBE_NODES),
+        fleet=_probe_fleet(config, config.measurement.warmup),
+        dispatch_entropy=config.base_seed,
+    )
+    # Replication index 1 keys the dispatch stream (base_seed, 1).
+    telemetry = Telemetry()
+    seed = np.random.SeedSequence(entropy=config.base_seed)
+    result = build.scenario(1, seed, telemetry=telemetry).run()
 
     trace = chrome_trace_events(result, seed=config.base_seed, telemetry=telemetry)
     snapshots = health_rows(result)

@@ -9,7 +9,7 @@ while still producing actionable errors.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .errors import ParameterError, SimulationError
 
@@ -23,6 +23,8 @@ __all__ = [
     "require_finite",
     "require_count",
     "as_float_tuple",
+    "parse_policy_args",
+    "build_policy",
 ]
 
 
@@ -117,3 +119,63 @@ def require_positive_sequence(values: Iterable[float], name: str) -> tuple[float
         if v <= 0.0:
             raise ParameterError(f"{name}[{i}] must be > 0, got {v!r}")
     return out
+
+
+def parse_policy_args(tokens: Sequence[str], kind: str = "policy") -> dict:
+    """Parse CLI-style ``key=value`` policy-argument tokens.
+
+    Values are floats; comma-separated values become float tuples
+    (``quota_shares=0.4,0.4``), and ``bands`` takes ``threshold:step``
+    pairs (``bands=0.9:1,1.3:2``).  ``kind`` names the policy family in
+    error messages.
+    """
+    args: dict = {}
+    for token in tokens:
+        key, sep, value = str(token).partition("=")
+        if not sep or not key or not value:
+            raise ParameterError(f"bad {kind} argument {token!r}; expected key=value")
+        parts = value.split(",")
+        try:
+            if key == "bands":
+                pairs = [part.split(":") for part in parts]
+                if any(len(pair) != 2 for pair in pairs):
+                    raise ValueError(value)
+                args[key] = tuple((float(low), float(step)) for low, step in pairs)
+                continue
+            parsed = tuple(float(part) for part in parts)
+        except ValueError:
+            raise ParameterError(f"bad {kind} argument {token!r}; values must be numeric") from None
+        args[key] = parsed if len(parts) > 1 else parsed[0]
+    return args
+
+
+def build_policy(
+    kind: str,
+    registry: Mapping[str, Callable[..., object]],
+    name: str,
+    tokens: Sequence[str] = (),
+    overrides: Mapping[str, object] | None = None,
+    tuple_params: Sequence[str] = (),
+):
+    """Build a fresh policy by registry name from ``key=value`` tokens.
+
+    ``overrides`` are constructor keywords that win over parsed tokens;
+    a scalar given for one of ``tuple_params`` becomes a one-tuple.  An
+    unknown name or a constructor that rejects the keywords raises
+    :class:`~repro.errors.ParameterError` naming ``kind``.
+    """
+    try:
+        factory = registry[name]
+    except KeyError:
+        raise ParameterError(f"unknown {kind} {name!r}; available: {sorted(registry)}") from None
+    kwargs = parse_policy_args(tokens, kind)
+    kwargs.update(overrides or {})
+    for key in tuple_params:
+        if key in kwargs and not isinstance(kwargs[key], (tuple, list)):
+            kwargs[key] = (kwargs[key],)
+    try:
+        return factory(**kwargs)
+    except TypeError as exc:
+        raise ParameterError(
+            f"{kind} {name!r} rejected arguments {sorted(kwargs)}: {exc}"
+        ) from None

@@ -26,7 +26,6 @@ from repro.cluster import (
     ADMISSION_POLICIES,
     AdmissionController,
     build_admission,
-    parse_admission_args,
 )
 from repro.core import AdmissionDecision, WindowObservation
 from repro.core.admission import (
@@ -35,6 +34,7 @@ from repro.core.admission import (
     QueueLengthAdmission,
 )
 from repro.errors import ParameterError
+from repro.validation import parse_policy_args
 
 #: Every run also passes the run-end invariants (tests/invariants.py).
 pytestmark = pytest.mark.usefixtures("checked_runs")
@@ -486,12 +486,12 @@ class TestRegistry:
 
     def test_parse_rejects_malformed_tokens(self):
         with pytest.raises(ParameterError, match="expected key=value"):
-            parse_admission_args(("thresholds",))
+            parse_policy_args(("thresholds",))
         with pytest.raises(ParameterError, match="must be numeric"):
-            parse_admission_args(("thresholds=a,b",))
+            parse_policy_args(("thresholds=a,b",))
 
     def test_parse_shapes(self):
-        args = parse_admission_args(("a=1", "b=1,2"))
+        args = parse_policy_args(("a=1", "b=1,2"))
         assert args == {"a": 1.0, "b": (1.0, 2.0)}
 
 

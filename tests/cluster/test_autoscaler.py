@@ -34,13 +34,13 @@ from repro.cluster import (
     build_autoscaler,
     make_cluster,
     node_hours,
-    parse_autoscaler_args,
 )
 from repro.core import PsdSpec, WindowObservation
 from repro.distributions import Deterministic
 from repro.errors import ParameterError, SimulationError
 from repro.experiments import AutoscaleBuild
 from repro.simulation import MeasurementConfig, ReplicationRunner, Scenario, SimulationEngine
+from repro.validation import parse_policy_args
 from repro.workload import DiurnalPattern, FlashCrowd
 from tests.conftest import make_classes
 from tests.reference import ReferenceScenario
@@ -381,7 +381,7 @@ class TestRegistryAndParsing:
             assert isinstance(policy, AutoscalerPolicy)
 
     def test_parse_scalar_tuple_and_bands(self):
-        args = parse_autoscaler_args(
+        args = parse_policy_args(
             ["target=0.8", "bands=0.9:1,1.3:2", "quota=1,2"]
         )
         assert args == {"target": 0.8, "bands": ((0.9, 1), (1.3, 2)), "quota": (1.0, 2.0)}
@@ -396,11 +396,11 @@ class TestRegistryAndParsing:
 
     def test_bad_tokens_and_unknown_names(self):
         with pytest.raises(ParameterError):
-            parse_autoscaler_args(["target"])
+            parse_policy_args(["target"])
         with pytest.raises(ParameterError):
-            parse_autoscaler_args(["target=abc"])
+            parse_policy_args(["target=abc"])
         with pytest.raises(ParameterError):
-            parse_autoscaler_args(["bands=0.9,1.3"])
+            parse_policy_args(["bands=0.9,1.3"])
         with pytest.raises(ParameterError):
             build_autoscaler("nope")
         with pytest.raises(ParameterError):
@@ -573,6 +573,8 @@ class TestWorkerDeterminism:
             PsdSpec.of(1, 2),
             num_nodes=4,
             capacities=(0.25,) * 4,
+            policy="weighted_jsq",
+            partitioner="capacity",
             dispatch_entropy=123,
             pattern_entropy=321,
             patterns=(

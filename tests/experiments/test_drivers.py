@@ -5,11 +5,17 @@ one or two loads, 2 replications) — enough to check structure, qualitative
 shape and bookkeeping, not statistical accuracy (the benches handle that).
 """
 
+import numpy as np
 import pytest
 
-from repro.errors import ExperimentError
+from repro.cluster import FleetSchedule
+from repro.core import PsdSpec
+from repro.errors import ExperimentError, ParameterError
 from repro.experiments import (
+    AutoscaleBuild,
+    ClusterScalingBuild,
     ExperimentConfig,
+    default_patterns,
     figure2,
     figure4,
     figure7,
@@ -20,7 +26,7 @@ from repro.experiments import (
     run_individual_requests,
     run_ratio_percentiles,
 )
-from repro.simulation import MeasurementConfig
+from repro.simulation import MeasurementConfig, PoissonArrivals, RequestSource, TraceSource
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +179,41 @@ class TestClusterDriver:
         from repro.cluster import DISPATCH_POLICIES
 
         assert ExperimentConfig().dispatch_policies == tuple(DISPATCH_POLICIES)
+
+
+class TestClusterScalingBuild:
+    """The one build of every feedback-controlled cell, its source rule included."""
+
+    @pytest.fixture
+    def parts(self, tiny_config):
+        spec = PsdSpec.of(1, 2)
+        classes = tiny_config.classes_for_load(0.5, spec.deltas)
+        return tuple(classes), tiny_config.scaled_measurement(), spec
+
+    def test_no_patterns_draws_poisson_streams(self, parts):
+        build = ClusterScalingBuild(*parts, num_nodes=2)
+        sources = build.scenario(0, np.random.SeedSequence(1)).sources
+        assert len(sources) == 2
+        for source in sources:
+            assert type(source) is RequestSource
+            assert isinstance(source.arrivals, PoissonArrivals)
+
+    @pytest.mark.parametrize("shaped", [False, True], ids=["empty", "default"])
+    def test_pattern_tuple_replays_traces(self, parts, shaped):
+        patterns = default_patterns(parts[1]) if shaped else ()
+        build = ClusterScalingBuild(*parts, num_nodes=2, patterns=patterns)
+        sources = build.scenario(0, np.random.SeedSequence(1)).sources
+        assert len(sources) == 2
+        assert all(type(source) is TraceSource for source in sources)
+
+    def test_fleet_and_initial_nodes_are_exclusive(self, parts):
+        with pytest.raises(ParameterError, match="fleet or initial_nodes"):
+            ClusterScalingBuild(
+                *parts, num_nodes=2, fleet=FleetSchedule(initial_down=(1,)), initial_nodes=1
+            )
+
+    def test_autoscale_build_is_the_same_class(self):
+        assert AutoscaleBuild is ClusterScalingBuild
 
 
 class TestSensitivityDrivers:
